@@ -2,18 +2,24 @@
 
 namespace vuvuzela::crypto {
 
-SecretCache::SecretCache(size_t max_entries)
-    : max_per_shard_(max_entries / kShards > 0 ? max_entries / kShards : 1) {}
+SecretCache::SecretCache(size_t max_entries) : max_entries_(max_entries > 0 ? max_entries : 1) {}
 
 AeadKey SecretCache::Get(const X25519SecretKey& server_sk, const X25519PublicKey& client_pk,
                          util::ByteSpan context) {
   Shard& shard = ShardFor(client_pk);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(client_pk);
-    if (it != shard.map.end()) {
+    auto it = shard.current.find(client_pk);
+    if (it != shard.current.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
+    }
+    auto prev = shard.previous.find(client_pk);
+    if (prev != shard.previous.end()) {
+      // Presented again: the node moves into the current generation without
+      // reallocating.
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return shard.current.insert(shard.previous.extract(prev)).position->second;
     }
   }
 
@@ -25,18 +31,39 @@ AeadKey SecretCache::Get(const X25519SecretKey& server_sk, const X25519PublicKey
   AeadKey key = DeriveBoxKey(shared, context);
 
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= max_per_shard_ && shard.map.find(client_pk) == shard.map.end()) {
-    shard.map.erase(shard.map.begin());
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  if (shard.current.contains(client_pk)) {
+    return key;
   }
-  shard.map.emplace(client_pk, key);
+  if (entries_.load(std::memory_order_relaxed) >= max_entries_) {
+    Map& victims = shard.previous.empty() ? shard.current : shard.previous;
+    if (!victims.empty()) {
+      victims.erase(victims.begin());
+      entries_.fetch_sub(1, std::memory_order_relaxed);
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  shard.current.emplace(client_pk, key);
+  entries_.fetch_add(1, std::memory_order_relaxed);
   return key;
+}
+
+void SecretCache::Advance() {
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    entries_.fetch_sub(shard.previous.size(), std::memory_order_relaxed);
+    shard.previous.clear();
+    // Swapping keeps both bucket arrays, so a steady population never
+    // rehashes.
+    shard.previous.swap(shard.current);
+  }
 }
 
 void SecretCache::Invalidate() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
+    entries_.fetch_sub(shard.current.size() + shard.previous.size(), std::memory_order_relaxed);
+    shard.current.clear();
+    shard.previous.clear();
   }
   epoch_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -46,10 +73,7 @@ SecretCache::Stats SecretCache::GetStats() const {
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(const_cast<Shard&>(shard).mu);
-    stats.entries += shard.map.size();
-  }
+  stats.entries = entries_.load(std::memory_order_relaxed);
   return stats;
 }
 

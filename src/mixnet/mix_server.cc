@@ -117,7 +117,9 @@ MixServer::UnwrapBatchResult MixServer::UnwrapBatch(uint64_t round,
   if (config_.batching) {
     // Block path: each worker owns a contiguous run of onions, the output
     // buffer for each is allocated once at its final size, and shared-secret
-    // derivation goes through the cross-round cache.
+    // derivation goes through the cross-round cache. Advancing its generation
+    // first bounds it to the keys of this pass and the one before.
+    secret_cache_.Advance();
     auto unwrap_block = [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         util::ByteSpan layer = batch[i];

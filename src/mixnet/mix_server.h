@@ -23,12 +23,14 @@
 // processed in cache-friendly blocks over ThreadPool::ParallelForBlocks with
 // preallocated per-slot output buffers (no per-onion intermediate
 // allocation), per-client shared secrets are cached across rounds in a
-// SecretCache (the round number only enters the AEAD nonce, so a hit cannot
-// change any output byte), and noise onions are wrapped against precomputed
-// comb tables for the chain suffix's static keys. All of it is byte-identical
-// to the scalar reference path (batching = false), which the conformance
-// suite pins down; the determinism contract above is what makes that
-// provable rather than statistical.
+// two-generation SecretCache advanced once per unwrap pass (the round number
+// only enters the AEAD nonce, so a hit cannot change any output byte; keys
+// not seen for two passes leave, so the cache holds one pass's clients, not
+// every cover onion ever unwrapped), and noise onions are wrapped against
+// precomputed comb tables for the chain suffix's static keys. All of it is
+// byte-identical to the scalar reference path (batching = false), which the
+// conformance suite pins down; the determinism contract above is what makes
+// that provable rather than statistical.
 //
 // Threading/ownership: one MixServer runs one pass at a time — callers
 // serialize passes (the hop daemon's connection loop and the chain driver

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -130,21 +131,36 @@ struct LineScanner {
     ++pos;  // closing quote
     return true;
   }
-  bool Int(int64_t* out) {
-    bool neg = pos < s.size() && s[pos] == '-';
-    if (neg) {
-      ++pos;
-    }
+  // Fails on a value that does not fit: dialing round numbers sit at 2^63
+  // and up, so the full unsigned range is in use.
+  bool Uint(uint64_t* out) {
     size_t start = pos;
-    int64_t v = 0;
+    uint64_t v = 0;
     while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-      v = v * 10 + (s[pos] - '0');
+      uint64_t digit = static_cast<uint64_t>(s[pos] - '0');
+      if (v > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+        return false;
+      }
+      v = v * 10 + digit;
       ++pos;
     }
     if (pos == start) {
       return false;
     }
-    *out = neg ? -v : v;
+    *out = v;
+    return true;
+  }
+  bool Int(int64_t* out) {
+    bool neg = pos < s.size() && s[pos] == '-';
+    if (neg) {
+      ++pos;
+    }
+    uint64_t magnitude = 0;
+    const uint64_t limit = static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) + neg;
+    if (!Uint(&magnitude) || magnitude > limit) {
+      return false;
+    }
+    *out = neg ? static_cast<int64_t>(0 - magnitude) : static_cast<int64_t>(magnitude);
     return true;
   }
 };
@@ -231,14 +247,12 @@ std::vector<TraceRecord> ParseTraceJsonl(std::string_view jsonl) {
     }
     LineScanner scan{line};
     TraceRecord record;
-    int64_t round = 0, mono = 0;
     if (scan.Literal("{\"process\":") && scan.String(&record.process) &&
-        scan.Literal(",\"round\":") && scan.Int(&round) && scan.Literal(",\"wall_us\":") &&
-        scan.Int(&record.wall_us) && scan.Literal(",\"mono_us\":") && scan.Int(&mono) &&
+        scan.Literal(",\"round\":") && scan.Uint(&record.round) &&
+        scan.Literal(",\"wall_us\":") && scan.Int(&record.wall_us) &&
+        scan.Literal(",\"mono_us\":") && scan.Uint(&record.mono_us) &&
         scan.Literal(",\"span\":") && scan.String(&record.span) &&
         scan.Literal(",\"detail\":") && scan.String(&record.detail) && scan.Literal("}")) {
-      record.round = static_cast<uint64_t>(round);
-      record.mono_us = static_cast<uint64_t>(mono);
       out.push_back(std::move(record));
     }
   }

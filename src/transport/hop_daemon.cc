@@ -1,13 +1,11 @@
 #include "src/transport/hop_daemon.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <string>
 #include <utility>
 
-#include "src/coord/coordinator.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/util/logging.h"
@@ -114,6 +112,12 @@ HopDaemon::HopDaemon(const HopDaemonConfig& config, std::unique_ptr<mixnet::MixS
   obs_pass_seconds_ = registry.GetHistogram(
       "vuvuzela_hop_pass_seconds", "Wall time of one hop pass, crypto plus reply send",
       obs::PassLatencyBuckets());
+  obs_cache_entries_ = registry.GetGauge("vuvuzela_hop_secret_cache_entries",
+                                         "Client secrets cached, both generations");
+  obs_cache_misses_ = registry.GetCounter("vuvuzela_hop_secret_cache_misses_total",
+                                          "Client secret cache misses (one DH each)");
+  obs_replay_bytes_ =
+      registry.GetGauge("vuvuzela_hop_replay_bytes", "Bytes held in the replay slot");
 }
 
 std::unique_ptr<HopDaemon> HopDaemon::Create(const HopDaemonConfig& config,
@@ -238,25 +242,7 @@ bool HopDaemon::ServeConnection(net::TcpConnection& conn) {
 
 size_t HopDaemon::replay_entries() const {
   std::lock_guard<std::mutex> lock(replay_mutex_);
-  return replay_cache_.size();
-}
-
-// Requires replay_mutex_ held. Same horizon convention as
-// MixServer::ExpireRounds: entries with round + keep < newest leave.
-void HopDaemon::PruneReplaySpaceLocked(bool dialing_space, uint64_t newest, uint64_t keep) {
-  for (auto it = replay_cache_.begin(); it != replay_cache_.end();) {
-    bool entry_dialing = it->first.second >= coord::kDialingRoundBase;
-    if (entry_dialing == dialing_space && it->first.second + keep < newest) {
-      it = replay_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void HopDaemon::PruneReplayCache(uint64_t conversation_newest, uint64_t keep) {
-  std::lock_guard<std::mutex> lock(replay_mutex_);
-  PruneReplaySpaceLocked(/*dialing_space=*/false, conversation_newest, keep);
+  return last_reply_ ? 1 : 0;
 }
 
 bool HopDaemon::SendAndCache(net::TcpConnection& conn, const BatchMessage& request,
@@ -264,35 +250,16 @@ bool HopDaemon::SendAndCache(net::TcpConnection& conn, const BatchMessage& reque
                              std::vector<util::Bytes> items) {
   bool sent = SendBatchMessage(conn, request.op, request.round, header, items,
                                config_.chunk_payload);
-  if (!config_.replay_cache) {
-    return sent;
+  // Keep the reply even when the send failed mid-stream: the pass already
+  // executed, and a re-send after the coordinator reconnects is exactly the
+  // case the slot exists for (the lost-reply problem).
+  int64_t bytes = static_cast<int64_t>(header.size());
+  for (const auto& item : items) {
+    bytes += static_cast<int64_t>(item.size());
   }
-  // Cache even when the send failed mid-stream: the pass already executed,
-  // and a re-send after the coordinator reconnects is exactly the case the
-  // cache exists for (the lost-reply problem).
   std::lock_guard<std::mutex> lock(replay_mutex_);
-  CachedReply& entry = replay_cache_[{static_cast<uint8_t>(request.op), request.round}];
-  entry.request_digest = digest;
-  entry.header = std::move(header);
-  entry.items = std::move(items);
-  if (IsDialingOp(request.op)) {
-    // Dialing rounds live in their own number space and never appear in the
-    // piggybacked expiry horizon; keep a fixed window of them instead.
-    newest_dialing_round_ = std::max(newest_dialing_round_, request.round);
-    PruneReplaySpaceLocked(/*dialing_space=*/true, newest_dialing_round_,
-                           config_.replay_keep_dialing);
-  }
-  // Backstop cap for deployments that never piggyback expiry: drop the
-  // oldest rounds first.
-  while (replay_cache_.size() > config_.replay_max_entries) {
-    auto oldest = replay_cache_.begin();
-    for (auto it = replay_cache_.begin(); it != replay_cache_.end(); ++it) {
-      if (it->first.second < oldest->first.second) {
-        oldest = it;
-      }
-    }
-    replay_cache_.erase(oldest);
-  }
+  last_reply_ = CachedReply{digest, std::move(header), std::move(items)};
+  obs_replay_bytes_->Set(bytes);
   return sent;
 }
 
@@ -311,7 +278,6 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
     }
     if (*expire_newest != 0 || *expire_keep != 0) {
       server_->ExpireRounds(*expire_newest, *expire_keep);
-      PruneReplayCache(*expire_newest, *expire_keep);
     }
   }
 
@@ -319,24 +285,26 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
   // views alias `request`, which outlives both uses.
   std::vector<util::ByteSpan> items = request.ItemSpans();
 
-  crypto::Sha256Digest digest{};
-  if (config_.replay_cache && IsHopOp(request.op)) {
-    digest = DigestRequest(request, items);
+  crypto::Sha256Digest digest = DigestRequest(request, items);
+  {
     std::unique_lock<std::mutex> lock(replay_mutex_);
-    auto it = replay_cache_.find({static_cast<uint8_t>(request.op), request.round});
-    if (it != replay_cache_.end() && it->second.request_digest == digest) {
-      // The coordinator re-sent a pass this hop already completed (its reply
-      // was lost with the old connection): re-serve the identical bytes
-      // instead of running the pass twice.
+    if (last_reply_ && last_reply_->request_digest == digest) {
+      // The coordinator re-sent the pass this hop served last (its reply was
+      // lost with the old connection): re-serve the identical bytes instead
+      // of running the pass twice. Only this thread writes the slot, so it
+      // may be read unlocked.
       replay_hits_.fetch_add(1);
       obs_replay_hits_->Add();
-      const CachedReply& cached = it->second;
       lock.unlock();
       obs::TraceJournal::Global().Emit(request.round, "hop/replay",
                                        std::string("op=") + HopOpName(request.op));
-      return SendBatchMessage(conn, request.op, request.round, cached.header, cached.items,
-                              config_.chunk_payload);
+      return SendBatchMessage(conn, request.op, request.round, last_reply_->header,
+                              last_reply_->items, config_.chunk_payload);
     }
+    // Any other request means the coordinator holds the last reply (see the
+    // class comment): release it before this pass allocates its own.
+    last_reply_.reset();
+    obs_replay_bytes_->Set(0);
   }
 
   uint64_t round = request.round;
@@ -348,6 +316,10 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
                        .count();
   obs_pass_seconds_->Observe(seconds);
   obs_pass_onions_->Add(num_items);
+  crypto::SecretCache::Stats cache = server_->secret_cache().GetStats();
+  obs_cache_entries_->Set(static_cast<int64_t>(cache.entries));
+  obs_cache_misses_->Add(cache.misses - reported_cache_misses_);
+  reported_cache_misses_ = cache.misses;
   char detail[112];
   std::snprintf(detail, sizeof detail, "op=%s items=%zu secs=%.6f", op_name, num_items, seconds);
   obs::TraceJournal::Global().Emit(round, "hop/pass", detail);

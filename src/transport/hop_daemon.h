@@ -14,30 +14,36 @@
 // thread pool. A pass that throws is reported back as a kHopError frame and
 // the daemon keeps serving: one poisoned round must not take the hop down.
 //
-// Idempotent replay: every successfully served pass reply is cached, keyed
-// by (op, round) and fingerprinted by a digest of the request. When a
-// coordinator reconnects after a connection failure and re-sends a pass the
-// hop already completed — it cannot know whether the reply was lost on the
-// wire or never computed — the daemon re-serves the cached reply bytes
-// instead of running the pass twice. Combined with MixServer's per-round RNG
-// derivation this keeps retried rounds byte-identical to never-failed ones,
-// and it protects pass-consumes-state ops (a backward pass erases its round
-// state; replaying it without the cache would fail). A re-sent request whose
-// digest does NOT match the cached one is processed normally — the cache can
-// never serve stale bytes for different input. Entries are pruned by the
-// same expiry horizon the engine piggybacks on forward passes (dialing
-// rounds, which live in their own number space, keep the most recent
-// `replay_keep_dialing`), plus a hard entry cap as a backstop.
+// Idempotent replay: the daemon keeps exactly one reply, the last one it
+// served, tagged with a digest of the request's op, round and content.
+// When a coordinator reconnects after a connection failure and re-sends the
+// pass it was waiting on — it cannot know whether the reply was lost on the
+// wire or never computed — the daemon re-serves those bytes instead of
+// running the pass twice. That protects pass-consumes-state ops (a backward
+// pass erases its round state; running it again would fail). One slot is
+// enough because a re-send can only ever target the last pass served:
+//  * TcpTransport holds its connection from sending a request until it has
+//    read the whole reply, so a hop never has two passes outstanding;
+//  * ReconnectingTransport re-sends a failed call on the new connection
+//    before it sends any other call;
+//  * any older pass a coordinator submits again (a round-level retry) is
+//    simply recomputed: forward and last passes are pure functions of
+//    (seed, round, batch), so the recomputed reply is byte-identical.
+// The slot is released as soon as a request with a different digest
+// arrives, before that request's pass runs, so a hop holds at most one
+// pass's reply — never a history of rounds. A re-sent request whose digest
+// does NOT match is processed normally: the slot can never serve stale bytes
+// for different input. The expiry horizon piggybacked on forward passes
+// still bounds MixServer's per-round state (MixServer::ExpireRounds).
 
 #ifndef VUVUZELA_SRC_TRANSPORT_HOP_DAEMON_H_
 #define VUVUZELA_SRC_TRANSPORT_HOP_DAEMON_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
+#include <optional>
 
 #include "src/crypto/sha256.h"
 #include "src/mixnet/mix_server.h"
@@ -48,6 +54,7 @@
 
 namespace vuvuzela::obs {
 class Counter;
+class Gauge;
 class Histogram;
 }  // namespace vuvuzela::obs
 
@@ -66,13 +73,6 @@ struct HopDaemonConfig {
   // the daemon drive its dead-drop stage through an ExchangeRouter over
   // vuvuzela-exchanged shard servers instead of the in-process tables.
   ExchangeRouterConfig exchange;
-  // Idempotent replay of completed passes after a coordinator reconnect
-  // (see the class comment). Conversation-round entries are pruned by the
-  // piggybacked expiry horizon; dialing-round entries keep the newest
-  // `replay_keep_dialing`; `replay_max_entries` is the backstop cap.
-  bool replay_cache = true;
-  size_t replay_keep_dialing = 8;
-  size_t replay_max_entries = 64;
   // /metrics + /trace HTTP port: < 0 disables the server, 0 picks an
   // ephemeral port (metrics_port() reports the binding).
   int metrics_port = -1;
@@ -86,7 +86,7 @@ class HopDaemon {
 
   uint16_t port() const { return listener_.port(); }
   uint64_t rpcs_served() const { return rpcs_served_.load(); }
-  // Passes answered from the replay cache / entries currently held
+  // Passes answered from the replay slot / replies currently held, 0 or 1
   // (observability; the replay-dedup tests assert these).
   uint64_t replay_hits() const { return replay_hits_.load(); }
   size_t replay_entries() const;
@@ -116,12 +116,11 @@ class HopDaemon {
 
  private:
   struct CachedReply {
+    // Binds op, round and content (DigestRequest in the .cc).
     crypto::Sha256Digest request_digest{};
     util::Bytes header;
     std::vector<util::Bytes> items;
   };
-  // (op, round): one reply per pass kind per round.
-  using ReplayKey = std::pair<uint8_t, uint64_t>;
 
   HopDaemon(const HopDaemonConfig& config, std::unique_ptr<mixnet::MixServer> server,
             net::TcpListener listener);
@@ -130,17 +129,15 @@ class HopDaemon {
   bool ServeConnection(net::TcpConnection& conn);
   bool Dispatch(net::TcpConnection& conn, BatchMessage request);
   // The op switch proper (the timed part of Dispatch): runs the pass and
-  // sends (and caches) the reply. `items` are views into `request`'s decoded
+  // sends (and keeps) the reply. `items` are views into `request`'s decoded
   // chunks (the zero-copy wire→pass hand-off); `request` outlives the call.
   bool RunPass(net::TcpConnection& conn, BatchMessage& request,
                std::span<const util::ByteSpan> items, wire::Reader& header,
                const crypto::Sha256Digest& digest);
-  // Sends the reply and (when the cache is on) retains it for replay.
+  // Sends the reply and keeps it in the replay slot.
   bool SendAndCache(net::TcpConnection& conn, const BatchMessage& request,
                     const crypto::Sha256Digest& digest, util::Bytes header,
                     std::vector<util::Bytes> items);
-  void PruneReplaySpaceLocked(bool dialing_space, uint64_t newest, uint64_t keep);
-  void PruneReplayCache(uint64_t conversation_newest, uint64_t keep);
 
   HopDaemonConfig config_;
   std::unique_ptr<mixnet::MixServer> server_;
@@ -157,6 +154,11 @@ class HopDaemon {
   obs::Counter* obs_pass_onions_;
   obs::Counter* obs_pass_errors_;
   obs::Histogram* obs_pass_seconds_;
+  // Per-process series (one hopd per process), refreshed after every pass.
+  obs::Gauge* obs_cache_entries_;
+  obs::Counter* obs_cache_misses_;
+  obs::Gauge* obs_replay_bytes_;
+  uint64_t reported_cache_misses_ = 0;  // serve loop only
   std::atomic<uint64_t> rpcs_served_{0};
   std::atomic<uint64_t> replay_hits_{0};
   std::atomic<bool> stop_{false};
@@ -168,8 +170,7 @@ class HopDaemon {
   // Written only from the serve loop (one connection at a time); the mutex
   // makes the observability accessor safe from other threads.
   mutable std::mutex replay_mutex_;
-  std::map<ReplayKey, CachedReply> replay_cache_;
-  uint64_t newest_dialing_round_ = 0;
+  std::optional<CachedReply> last_reply_;
 };
 
 }  // namespace vuvuzela::transport

@@ -292,6 +292,79 @@ TEST(SecretCacheConformance, RotatedKeyServesNoStaleSecrets) {
   EXPECT_EQ(hop.secret_cache().GetStats().entries, 1u);
 }
 
+// Static clients present their key every pass; cover onions and fresh-key
+// clients present a key once. Against a cache far smaller than that churn,
+// the two generations must keep every static key resident (one miss each,
+// ever), hold no more than two passes' worth of keys, and leave every peeled
+// layer byte-identical to an uncached unwrap. A single-generation cache that
+// evicts arbitrary entries at its cap fails the first assertion.
+TEST(SecretCacheConformance, ChurnLeavesStaticKeysResident) {
+  constexpr size_t kCap = 64;
+  constexpr size_t kStatic = 16;
+  constexpr size_t kFreshPerPass = 14;
+  constexpr uint64_t kPasses = 50;
+  static_assert(kFreshPerPass * kPasses > 10 * kCap, "churn must exceed 10x the cap");
+
+  util::Xoshiro256Rng rng(91);
+  std::vector<crypto::X25519KeyPair> servers;
+  std::vector<crypto::X25519PublicKey> server_pks;
+  std::vector<std::unique_ptr<crypto::SecretCache>> caches;
+  for (size_t i = 0; i < kServers; ++i) {
+    servers.push_back(crypto::X25519KeyPair::Generate(rng));
+    server_pks.push_back(servers.back().public_key);
+    caches.push_back(std::make_unique<crypto::SecretCache>(kCap));
+  }
+  std::vector<crypto::X25519KeyPair> clients;
+  for (size_t i = 0; i < kStatic; ++i) {
+    clients.push_back(crypto::X25519KeyPair::Generate(rng));
+  }
+
+  for (uint64_t round = 1; round <= kPasses; ++round) {
+    util::Xoshiro256Rng payload_rng(round);
+    std::vector<util::Bytes> batch;
+    for (const auto& kp : clients) {
+      std::vector<crypto::X25519KeyPair> layer_keys(kServers, kp);
+      batch.push_back(crypto::OnionWrapWithKeys(server_pks, layer_keys, round,
+                                                payload_rng.RandomBytes(wire::kExchangeRequestSize))
+                          .data);
+    }
+    for (size_t i = 0; i < kFreshPerPass; ++i) {
+      batch.push_back(
+          crypto::OnionWrap(server_pks, round, payload_rng.RandomBytes(wire::kExchangeRequestSize),
+                            rng)
+              .data);
+    }
+    // Peel the chain hop by hop, one pass (one Advance) per hop per round.
+    for (size_t hop = 0; hop < kServers; ++hop) {
+      crypto::SecretCache& cache = *caches[hop];
+      const uint64_t misses_before = cache.GetStats().misses;
+      cache.Advance();
+      for (util::Bytes& layer : batch) {
+        std::optional<crypto::UnwrappedLayer> cold =
+            crypto::OnionUnwrapLayer(servers[hop].secret_key, round, layer);
+        ASSERT_TRUE(cold.has_value());
+        util::Bytes inner(layer.size() - crypto::kOnionRequestLayerOverhead);
+        crypto::AeadKey key;
+        ASSERT_TRUE(crypto::OnionUnwrapLayerInto(servers[hop].secret_key, &cache, round, layer,
+                                                 inner, key));
+        ASSERT_EQ(inner, cold->inner) << "round " << round << " hop " << hop;
+        ASSERT_EQ(key, cold->response_key) << "round " << round << " hop " << hop;
+        layer = std::move(inner);
+      }
+      crypto::SecretCache::Stats stats = cache.GetStats();
+      // Static keys miss on their first pass only; each fresh key misses once.
+      EXPECT_EQ(stats.misses - misses_before, kFreshPerPass + (round == 1 ? kStatic : 0))
+          << "round " << round << " hop " << hop;
+      // This pass's keys plus the previous pass's fresh ones.
+      EXPECT_LE(stats.entries, kStatic + 2 * kFreshPerPass) << "round " << round;
+      EXPECT_EQ(stats.evictions, 0u);
+    }
+  }
+  for (const auto& cache : caches) {
+    EXPECT_EQ(cache->GetStats().misses, kStatic + kFreshPerPass * kPasses);
+  }
+}
+
 // --- Precomputed-table DH vs the ladder --------------------------------------
 
 TEST(PrecompConformance, Rfc7748VectorAndBasePoint) {

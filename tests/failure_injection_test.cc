@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <thread>
@@ -432,6 +433,124 @@ TEST_F(CrashRecovery, ReplayedForwardPassIsServedOnceAndByteIdentical) {
   std::vector<util::Bytes> tampered = responses;
   tampered[0][0] ^= 1;
   EXPECT_THROW(hop->BackwardConversation(1, tampered, nullptr), transport::HopRemoteError);
+}
+
+// The lost-reply case proper: the coordinator's connection dies after the hop
+// served a pass, and the same pass arrives again on a new connection. The
+// replay slot outlives the connection and answers the re-send. A pass older
+// than the last one is no longer held; re-sending it recomputes the pass,
+// which is byte-identical anyway because passes are pure functions of
+// (seed, round, batch).
+TEST_F(CrashRecovery, PassResentOnNewConnectionIsReplayed) {
+  auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed);
+  ASSERT_NE(chain, nullptr);
+  transport::TcpTransportConfig transport_config;
+  transport_config.port = chain->port(0);
+  const transport::HopDaemon& daemon = *chain->daemon(0);
+
+  util::Xoshiro256Rng rng(8);
+  auto keys = transport::DeriveChainKeys(kRecoverySeed, 3);
+  auto make_batch = [&](uint64_t round) {
+    std::vector<util::Bytes> batch;
+    for (int i = 0; i < 4; ++i) {
+      wire::ExchangeRequest request;
+      rng.Fill(request.dead_drop);
+      rng.Fill(request.envelope);
+      batch.push_back(crypto::OnionWrap(keys.public_keys, round, request.Serialize(), rng).data);
+    }
+    return batch;
+  };
+  std::vector<util::Bytes> batch = make_batch(1);
+
+  auto hop = transport::TcpTransport::Connect(transport_config);
+  ASSERT_NE(hop, nullptr);
+  auto forward = hop->ForwardConversation(1, batch, nullptr);
+  hop = transport::TcpTransport::Connect(transport_config);  // the old connection is gone
+  ASSERT_NE(hop, nullptr);
+  auto forward_again = hop->ForwardConversation(1, batch, nullptr);
+  EXPECT_EQ(daemon.replay_hits(), 1u);
+  EXPECT_EQ(forward, forward_again);
+
+  size_t response_size = wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead;
+  std::vector<util::Bytes> responses;
+  for (size_t i = 0; i < forward.size(); ++i) {
+    responses.push_back(rng.RandomBytes(response_size));
+  }
+  auto backward = hop->BackwardConversation(1, responses, nullptr);
+  hop = transport::TcpTransport::Connect(transport_config);
+  ASSERT_NE(hop, nullptr);
+  auto backward_again = hop->BackwardConversation(1, responses, nullptr);
+  EXPECT_EQ(daemon.replay_hits(), 2u);
+  EXPECT_EQ(backward, backward_again);
+  EXPECT_EQ(daemon.replay_entries(), 1u);
+
+  // Round 2 displaces round 1's reply; round 1's forward pass, sent again,
+  // runs again and reproduces its bytes.
+  hop->ForwardConversation(2, make_batch(2), nullptr);
+  EXPECT_EQ(hop->ForwardConversation(1, batch, nullptr), forward);
+  EXPECT_EQ(daemon.replay_hits(), 2u);
+}
+
+// The replay slot holds one reply per hop however many rounds the hop has
+// served: more pipelined rounds than the 64 replies a per-round cache used to
+// keep, dialing rounds mixed in, and the last hop (which never receives the
+// piggybacked expiry horizon) included.
+TEST_F(CrashRecovery, ReplaySlotHoldsOneReplyAcrossPipelinedRounds) {
+  constexpr uint64_t kRounds = 72;
+  constexpr uint64_t kUsers = 4;
+  constexpr uint32_t kDialDrops = 2;
+  auto group = transport::ExchangePartitionGroup::Start(2);
+  ASSERT_NE(group, nullptr);
+  auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed,
+                                               transport::kDefaultChunkPayload,
+                                               group->RouterConfig());
+  ASSERT_NE(chain, nullptr);
+  auto transports = chain->ConnectTransports();
+  ASSERT_EQ(transports.size(), chain->size());
+  auto keys = transport::DeriveChainKeys(kRecoverySeed, chain->size());
+  engine::RoundScheduler scheduler(std::move(transports), {.max_in_flight = 3});
+
+  auto most_held = [&] {
+    size_t held = 0;
+    for (size_t hop = 0; hop < chain->size(); ++hop) {
+      held = std::max(held, chain->daemon(hop)->replay_entries());
+    }
+    return held;
+  };
+  std::vector<std::future<Chain::ConversationResult>> conversations;
+  std::vector<std::future<Chain::DialingResult>> dials;
+  size_t held = 0;
+  for (uint64_t i = 0; i < kRounds; ++i) {
+    sim::WorkloadConfig workload{
+        .num_users = kUsers, .pairing_fraction = 1.0, .seed = 500 + i, .parallel = false};
+    if (i % 4 == 3) {
+      uint64_t round = coord::kDialingRoundBase + dials.size() + 1;
+      dialing::RoundConfig dial_config{.num_real_drops = kDialDrops - 1};
+      dials.push_back(scheduler.SubmitDialing(
+          round,
+          sim::GenerateDialingWorkload(workload, keys.public_keys, round, dial_config, 0.5),
+          kDialDrops));
+    } else {
+      uint64_t round = conversations.size() + 1;
+      conversations.push_back(scheduler.SubmitConversation(
+          round, sim::GenerateConversationWorkload(workload, keys.public_keys, round)));
+    }
+    held = std::max(held, most_held());
+  }
+  scheduler.Drain();
+  for (auto& conversation : conversations) {
+    EXPECT_EQ(conversation.get().responses.size(), kUsers);
+  }
+  for (auto& dial : dials) {
+    EXPECT_EQ(dial.get().table.num_drops(), kDialDrops);
+  }
+  // A hop stores each reply just after sending it, so a sample may also
+  // catch the empty slot; it may never see more than one reply.
+  held = std::max(held, most_held());
+  EXPECT_LE(held, 1u);
+  for (size_t hop = 0; hop < chain->size(); ++hop) {
+    EXPECT_EQ(chain->daemon(hop)->replay_hits(), 0u) << "hop " << hop;
+  }
 }
 
 // A hop killed and restarted mid-schedule: zero lost onions, zero abandoned

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/coord/coordinator.h"
 #include "src/obs/http.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -244,6 +245,39 @@ TEST(TraceJournal, JsonlRoundTripsThroughParser) {
   // Escaped quotes and backslashes survive the round trip.
   EXPECT_EQ(parsed[1].detail, "error=\"timeout\" with \\ backslash");
   EXPECT_GT(parsed[1].wall_us, 0);
+}
+
+// Dialing rounds are numbered from 2^63 up, past the int64_t range; the
+// parser must carry them through unchanged.
+TEST(TraceJournal, DialingRoundNumberRoundTripsThroughParser) {
+  TraceJournal journal(4);
+  journal.SetProcess("coordd");
+  const uint64_t round = coord::kDialingRoundBase + 3;
+  journal.Emit(round, "lifecycle/announced", "type=dialing");
+  std::vector<TraceRecord> parsed = ParseTraceJsonl(journal.DumpJsonl());
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].round, round);
+  EXPECT_EQ(parsed[0].span, "lifecycle/announced");
+}
+
+TEST(TraceJournal, ParserRejectsOverflowingNumbers) {
+  auto line = [](const std::string& round, const std::string& wall, const std::string& mono) {
+    return R"({"process":"p","round":)" + round + R"(,"wall_us":)" + wall + R"(,"mono_us":)" +
+           mono + R"(,"span":"s","detail":""})";
+  };
+  std::vector<TraceRecord> parsed =
+      ParseTraceJsonl(line("18446744073709551615", "-9223372036854775808", "7"));
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].round, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(parsed[0].wall_us, std::numeric_limits<int64_t>::min());
+
+  // A 21-digit round, and one past each field's range: every line is skipped.
+  for (const std::string& bad : {line("100000000000000000000", "1", "1"),
+                                 line("18446744073709551616", "1", "1"),
+                                 line("1", "9223372036854775808", "1"),
+                                 line("1", "1", "18446744073709551616")}) {
+    EXPECT_TRUE(ParseTraceJsonl(bad).empty()) << bad;
+  }
 }
 
 TEST(TraceJournal, DumpFiltersByRound) {

@@ -333,7 +333,7 @@ int RunDistDriver(uint16_t port, size_t conns, uint32_t shard, uint32_t num_shar
       return;
     }
     DistClientState& state = it->second;
-    auto status = state.assembler.Consume(frame);
+    auto status = state.assembler.Consume(std::move(frame));
     if (status == transport::BatchAssembler::Status::kNeedMore) {
       return;
     }

@@ -13,16 +13,15 @@ bool ValidType(uint8_t type) {
 
 }  // namespace
 
-util::Bytes EncodeFrame(const Frame& frame) {
-  wire::Writer w(kFrameHeaderBytes + frame.payload.size());
-  w.U8(static_cast<uint8_t>(frame.type));
-  w.U64(frame.round);
-  w.U32(static_cast<uint32_t>(frame.payload.size()));
-  w.Raw(frame.payload);
-  return w.Take();
+std::array<uint8_t, kFrameHeaderBytes> EncodeFrameHeader(const FrameHeader& header) {
+  std::array<uint8_t, kFrameHeaderBytes> out;
+  out[0] = static_cast<uint8_t>(header.type);
+  util::StoreBe64(out.data() + 1, header.round);
+  util::StoreBe32(out.data() + 9, header.payload_len);
+  return out;
 }
 
-std::optional<Frame> DecodeFrame(util::ByteSpan data) {
+std::optional<FrameHeader> DecodeFrameHeader(util::ByteSpan data) {
   wire::Reader r(data);
   auto type = r.U8();
   auto round = r.U64();
@@ -30,15 +29,24 @@ std::optional<Frame> DecodeFrame(util::ByteSpan data) {
   if (!type || !round || !len || !ValidType(*type) || *len > kMaxFramePayload) {
     return std::nullopt;
   }
-  auto payload = r.Raw(*len);
-  if (!payload || !r.AtEnd()) {
+  return FrameHeader{static_cast<FrameType>(*type), *round, *len};
+}
+
+util::Bytes EncodeFrame(const Frame& frame) {
+  auto header = EncodeFrameHeader(
+      {frame.type, frame.round, static_cast<uint32_t>(frame.payload.size())});
+  util::Bytes out(header.begin(), header.end());
+  util::Append(out, frame.payload);
+  return out;
+}
+
+std::optional<Frame> DecodeFrame(util::ByteSpan data) {
+  auto header = DecodeFrameHeader(data);
+  if (!header || data.size() - kFrameHeaderBytes != header->payload_len) {
     return std::nullopt;
   }
-  Frame frame;
-  frame.type = static_cast<FrameType>(*type);
-  frame.round = *round;
-  frame.payload.assign(payload->begin(), payload->end());
-  return frame;
+  auto payload = data.subspan(kFrameHeaderBytes);
+  return Frame{header->type, header->round, util::Bytes(payload.begin(), payload.end())};
 }
 
 util::Bytes EncodeBatch(const std::vector<util::Bytes>& items) {

@@ -7,6 +7,7 @@
 #ifndef VUVUZELA_SRC_NET_FRAME_H_
 #define VUVUZELA_SRC_NET_FRAME_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -61,6 +62,21 @@ inline constexpr size_t kFrameHeaderBytes = 1 + 8 + 4;
 // Cap on a single frame body. A 2M-user batch exceeds this; batches are
 // split by the senders. 256 MB covers every per-round unit we ship.
 inline constexpr size_t kMaxFramePayload = 256u << 20;
+
+// The fixed part of a frame, handled on its own by the stream senders and
+// receivers (net::TcpConnection), which move payloads without staging a
+// contiguous [header][payload] copy.
+struct FrameHeader {
+  FrameType type = FrameType::kShutdown;
+  uint64_t round = 0;
+  uint32_t payload_len = 0;
+};
+
+std::array<uint8_t, kFrameHeaderBytes> EncodeFrameHeader(const FrameHeader& header);
+
+// Decodes the first kFrameHeaderBytes of `data`; nullopt on truncation, bad
+// type, or a payload length over kMaxFramePayload.
+std::optional<FrameHeader> DecodeFrameHeader(util::ByteSpan data);
 
 util::Bytes EncodeFrame(const Frame& frame);
 

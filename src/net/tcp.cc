@@ -7,10 +7,14 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
+#include <vector>
 
 namespace vuvuzela::net {
 
@@ -112,10 +116,18 @@ std::optional<TcpConnection> TcpConnection::Connect(const std::string& host, uin
   return TcpConnection(fd);
 }
 
-bool TcpConnection::SendAll(const uint8_t* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    ssize_t n = ::send(fd_, data + sent, len - sent, MSG_NOSIGNAL);
+namespace {
+
+// Writes every byte `iov` describes, in order, gathering from the caller's
+// buffers. sendmsg rather than writev for MSG_NOSIGNAL; at most IOV_MAX
+// entries go per call. Entries must be non-empty.
+bool SendGather(int fd, std::vector<iovec>& iov) {
+  size_t next = 0;
+  while (next < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + next;
+    msg.msg_iovlen = std::min<size_t>(iov.size() - next, IOV_MAX);
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) {
         continue;
@@ -126,7 +138,7 @@ bool TcpConnection::SendAll(const uint8_t* data, size_t len) {
         // elapsed with the buffer full. A partial frame already on the wire
         // cannot be abandoned — the stream would desynchronize — so wait for
         // writability and resume.
-        pollfd pfd{fd_, POLLOUT, 0};
+        pollfd pfd{fd, POLLOUT, 0};
         if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) {
           return false;
         }
@@ -134,10 +146,21 @@ bool TcpConnection::SendAll(const uint8_t* data, size_t len) {
       }
       return false;
     }
-    sent += static_cast<size_t>(n);
+    // Retire the entries sent whole, then trim a partially sent one.
+    auto sent = static_cast<size_t>(n);
+    while (next < iov.size() && sent >= iov[next].iov_len) {
+      sent -= iov[next].iov_len;
+      ++next;
+    }
+    if (sent > 0) {
+      iov[next].iov_base = static_cast<uint8_t*>(iov[next].iov_base) + sent;
+      iov[next].iov_len -= sent;
+    }
   }
   return true;
 }
+
+}  // namespace
 
 bool TcpConnection::RecvAll(uint8_t* data, size_t len, bool frame_started) {
   size_t received = 0;
@@ -181,13 +204,33 @@ bool TcpConnection::SetRecvTimeout(int milliseconds) {
 }
 
 bool TcpConnection::SendFrame(const Frame& frame) {
-  if (fd_ < 0) {
+  util::ByteSpan payload = frame.payload;
+  return SendFrameParts(frame.type, frame.round, {&payload, 1});
+}
+
+bool TcpConnection::SendFrameParts(FrameType type, uint64_t round,
+                                   std::span<const util::ByteSpan> parts) {
+  size_t payload_len = 0;
+  for (util::ByteSpan part : parts) {
+    payload_len += part.size();
+  }
+  if (fd_ < 0 || payload_len > kMaxFramePayload) {
     return false;
   }
-  util::Bytes encoded = EncodeFrame(frame);
-  uint8_t len_prefix[4];
-  util::StoreBe32(len_prefix, static_cast<uint32_t>(encoded.size()));
-  return SendAll(len_prefix, 4) && SendAll(encoded.data(), encoded.size());
+  // [u32 frame length][frame header], then the payload parts in place.
+  uint8_t head[4 + kFrameHeaderBytes];
+  util::StoreBe32(head, static_cast<uint32_t>(kFrameHeaderBytes + payload_len));
+  auto header = EncodeFrameHeader({type, round, static_cast<uint32_t>(payload_len)});
+  std::copy(header.begin(), header.end(), head + 4);
+  std::vector<iovec> iov;
+  iov.reserve(parts.size() + 1);
+  iov.push_back({head, sizeof head});
+  for (util::ByteSpan part : parts) {
+    if (!part.empty()) {
+      iov.push_back({const_cast<uint8_t*>(part.data()), part.size()});
+    }
+  }
+  return SendGather(fd_, iov);
 }
 
 std::optional<Frame> TcpConnection::RecvFrame() {
@@ -195,21 +238,33 @@ std::optional<Frame> TcpConnection::RecvFrame() {
     last_recv_status_ = RecvStatus::kError;
     return std::nullopt;
   }
-  uint8_t len_prefix[4];
-  if (!RecvAll(len_prefix, 4, /*frame_started=*/false)) {
+  uint8_t head[4 + kFrameHeaderBytes];
+  if (!RecvAll(head, 4, /*frame_started=*/false)) {
     return std::nullopt;
   }
-  uint32_t len = util::LoadBe32(len_prefix);
+  uint32_t len = util::LoadBe32(head);
   if (len < kFrameHeaderBytes || len > kMaxFramePayload + kFrameHeaderBytes) {
     last_recv_status_ = RecvStatus::kMalformed;
     return std::nullopt;
   }
-  util::Bytes buffer(len);
-  if (!RecvAll(buffer.data(), len, /*frame_started=*/true)) {
+  if (!RecvAll(head + 4, kFrameHeaderBytes, /*frame_started=*/true)) {
     return std::nullopt;
   }
-  auto frame = DecodeFrame(buffer);
-  last_recv_status_ = frame ? RecvStatus::kOk : RecvStatus::kMalformed;
+  // Read the payload straight into the frame's own buffer — even under a
+  // malformed header, so the stream stays aligned on the next frame.
+  Frame frame;
+  frame.payload.resize(len - kFrameHeaderBytes);
+  if (!RecvAll(frame.payload.data(), frame.payload.size(), /*frame_started=*/true)) {
+    return std::nullopt;
+  }
+  auto header = DecodeFrameHeader(util::ByteSpan(head + 4, kFrameHeaderBytes));
+  if (!header || header->payload_len != frame.payload.size()) {
+    last_recv_status_ = RecvStatus::kMalformed;
+    return std::nullopt;
+  }
+  frame.type = header->type;
+  frame.round = header->round;
+  last_recv_status_ = RecvStatus::kOk;
   return frame;
 }
 

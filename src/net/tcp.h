@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "src/net/frame.h"
@@ -73,8 +74,17 @@ class TcpConnection {
   // Sends one frame; false on I/O error.
   bool SendFrame(const Frame& frame);
 
+  // Sends one frame whose payload is the concatenation of `parts`. The kernel
+  // gathers the parts straight from the caller's buffers (sendmsg), so the
+  // payload is never staged in a contiguous copy; the wire bytes equal
+  // SendFrame of the joined payload. False on I/O error or a payload over
+  // kMaxFramePayload.
+  bool SendFrameParts(FrameType type, uint64_t round, std::span<const util::ByteSpan> parts);
+
   // Receives one frame; nullopt on EOF, I/O error, timeout, or malformed
-  // framing — last_recv_status() says which.
+  // framing — last_recv_status() says which. The payload is read in place
+  // into the returned frame's buffer. A malformed header still has its
+  // declared length consumed, so the stream stays aligned on the next frame.
   std::optional<Frame> RecvFrame();
 
   // Arms a receive deadline (SO_RCVTIMEO): a RecvFrame that sees no data for
@@ -100,7 +110,6 @@ class TcpConnection {
   int ReleaseFd();
 
  private:
-  bool SendAll(const uint8_t* data, size_t len);
   // `frame_started` suppresses the receive deadline: bytes of the current
   // frame were already consumed, so a timeout could not be resumed safely.
   bool RecvAll(uint8_t* data, size_t len, bool frame_started);

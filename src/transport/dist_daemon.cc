@@ -148,7 +148,7 @@ void DistDaemon::ServeReactor() {
       state.in_batch = true;
       state.assembler = BatchAssembler();
     }
-    BatchAssembler::Status status = state.assembler.Consume(frame);
+    BatchAssembler::Status status = state.assembler.Consume(std::move(frame));
     if (status == BatchAssembler::Status::kNeedMore) {
       return;
     }

@@ -75,7 +75,7 @@ deaddrop::ExchangeOutcome ExchangeRouter::ExchangeConversation(
       partitions_[shard]->Fail("response envelope count mismatch");
     }
     for (size_t j = 0; j < reply.items.size(); ++j) {
-      const util::Bytes& envelope = reply.items[j];
+      util::ByteSpan envelope = reply.items[j];
       if (envelope.size() != wire::kEnvelopeSize) {
         partitions_[shard]->Fail("ragged response envelope");
       }
@@ -146,7 +146,7 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
     }
     std::lock_guard<std::mutex> lock(table_mutex);
     for (size_t j = 0; j < reply.items.size(); ++j) {
-      const util::Bytes& packed = reply.items[j];
+      util::ByteSpan packed = reply.items[j];
       if (packed.size() % wire::kInvitationSize != 0) {
         partitions_[shard]->Fail("ragged invitation drop");
       }

@@ -69,8 +69,7 @@ const char* HopOpName(net::FrameType op) {
 // and is semantic. The forward-conversation header is deliberately excluded:
 // it carries only the piggybacked expiry horizon, which legitimately differs
 // between the original send and a post-reconnect re-send of the same pass.
-crypto::Sha256Digest DigestRequest(const BatchMessage& request,
-                                   std::span<const util::ByteSpan> items) {
+crypto::Sha256Digest DigestRequest(const BatchMessage& request) {
   crypto::Sha256 hasher;
   uint8_t prefix[12];
   prefix[0] = static_cast<uint8_t>(request.op);
@@ -84,7 +83,7 @@ crypto::Sha256Digest DigestRequest(const BatchMessage& request,
   if (IsDialingOp(request.op)) {
     hasher.Update(request.header);
   }
-  for (const auto& item : items) {
+  for (util::ByteSpan item : request.items) {
     uint8_t len[8];
     for (int i = 0; i < 8; ++i) {
       len[i] = static_cast<uint8_t>(static_cast<uint64_t>(item.size()) >> (8 * i));
@@ -216,10 +215,9 @@ bool HopDaemon::ServeConnection(net::TcpConnection& conn) {
     if (config_.poll_interval_ms > 0) {
       conn.SetRecvTimeout(0);
     }
-    // Zero-copy decode: the pass reads item views straight out of the wire
-    // chunks; nothing is re-assembled into a contiguous batch.
-    auto request =
-        ReadBatchMessage(conn, std::move(*frame), BatchAssembler::ItemMode::kZeroCopy);
+    // The pass reads item views straight out of the received chunks; nothing
+    // is re-assembled into a contiguous batch.
+    auto request = ReadBatchMessage(conn, std::move(*frame));
     if (config_.poll_interval_ms > 0) {
       conn.SetRecvTimeout(config_.poll_interval_ms);
     }
@@ -281,11 +279,7 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
     }
   }
 
-  // One view per item, shared by the replay digest and the pass itself. The
-  // views alias `request`, which outlives both uses.
-  std::vector<util::ByteSpan> items = request.ItemSpans();
-
-  crypto::Sha256Digest digest = DigestRequest(request, items);
+  crypto::Sha256Digest digest = DigestRequest(request);
   {
     std::unique_lock<std::mutex> lock(replay_mutex_);
     if (last_reply_ && last_reply_->request_digest == digest) {
@@ -309,9 +303,9 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
 
   uint64_t round = request.round;
   const char* op_name = HopOpName(request.op);
-  size_t num_items = items.size();
+  size_t num_items = request.items.size();
   auto pass_start = std::chrono::steady_clock::now();
-  bool sent = RunPass(conn, request, items, header, digest);
+  bool sent = RunPass(conn, request, header, digest);
   double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - pass_start)
                        .count();
   obs_pass_seconds_->Observe(seconds);
@@ -326,9 +320,9 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
   return sent;
 }
 
-bool HopDaemon::RunPass(net::TcpConnection& conn, BatchMessage& request,
-                        std::span<const util::ByteSpan> items, wire::Reader& header,
-                        const crypto::Sha256Digest& digest) {
+bool HopDaemon::RunPass(net::TcpConnection& conn, const BatchMessage& request,
+                        wire::Reader& header, const crypto::Sha256Digest& digest) {
+  std::span<const util::ByteSpan> items = request.items;
   mixnet::ServerRoundStats stats;
   try {
     switch (request.op) {

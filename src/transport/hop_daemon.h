@@ -128,11 +128,10 @@ class HopDaemon {
   // Returns false once the daemon should stop serving entirely.
   bool ServeConnection(net::TcpConnection& conn);
   bool Dispatch(net::TcpConnection& conn, BatchMessage request);
-  // The op switch proper (the timed part of Dispatch): runs the pass and
-  // sends (and keeps) the reply. `items` are views into `request`'s decoded
-  // chunks (the zero-copy wire→pass hand-off); `request` outlives the call.
-  bool RunPass(net::TcpConnection& conn, BatchMessage& request,
-               std::span<const util::ByteSpan> items, wire::Reader& header,
+  // The op switch proper (the timed part of Dispatch): runs the pass over
+  // `request.items`, views into the received chunks, and sends (and keeps)
+  // the reply.
+  bool RunPass(net::TcpConnection& conn, const BatchMessage& request, wire::Reader& header,
                const crypto::Sha256Digest& digest);
   // Sends the reply and keeps it in the replay slot.
   bool SendAndCache(net::TcpConnection& conn, const BatchMessage& request,

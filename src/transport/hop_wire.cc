@@ -17,16 +17,22 @@ constexpr size_t kFirstChunkFixedOverhead = 1 + 4 + 4;  // flags + header_len + 
 constexpr size_t kContinuationOverhead = 1 + 4;         // flags + item_count
 
 // Greedily packs items into chunks of at most `max_chunk_payload` payload
-// bytes and hands each finished frame to `emit`. Items never straddle chunks.
-bool BuildChunks(net::FrameType op, uint64_t round, util::ByteSpan header,
-                 const std::vector<util::Bytes>& items, size_t max_chunk_payload,
-                 const std::function<bool(net::Frame&&)>& emit) {
+// bytes (items never straddle chunks) and hands each chunk to `emit` as its
+// frame type plus its payload in wire order: the chunk head, then every
+// item's length prefix and bytes. The item pieces alias `items`; only the
+// head and the prefixes are built.
+bool ForEachChunk(
+    net::FrameType op, util::ByteSpan header, const std::vector<util::Bytes>& items,
+    size_t max_chunk_payload,
+    const std::function<bool(net::FrameType, std::span<const util::ByteSpan>)>& emit) {
   if (op == net::FrameType::kBatchChunk || max_chunk_payload > net::kMaxFramePayload) {
     return false;
   }
   if (kFirstChunkFixedOverhead + header.size() > max_chunk_payload) {
     return false;
   }
+  std::vector<util::ByteSpan> pieces;
+  util::Bytes prefixes;
   size_t next = 0;
   bool first = true;
   do {
@@ -39,18 +45,24 @@ bool BuildChunks(net::FrameType op, uint64_t round, util::ByteSpan header,
     if (next == begin && next < items.size()) {
       return false;  // a single item exceeds the chunk budget
     }
-    bool last = next == items.size();
-    wire::Writer w(used);
-    w.U8(last ? 1 : 0);
+    wire::Writer head(kFirstChunkFixedOverhead + (first ? header.size() : 0));
+    head.U8(next == items.size() ? 1 : 0);
     if (first) {
-      w.U32(static_cast<uint32_t>(header.size()));
-      w.Raw(header);
+      head.U32(static_cast<uint32_t>(header.size()));
+      head.Raw(header);
     }
-    w.U32(static_cast<uint32_t>(next - begin));
+    head.U32(static_cast<uint32_t>(next - begin));
+    util::Bytes head_bytes = head.Take();
+    prefixes.resize(4 * (next - begin));
+    pieces.clear();
+    pieces.push_back(head_bytes);
     for (size_t i = begin; i < next; ++i) {
-      w.Var(items[i]);
+      uint8_t* prefix = prefixes.data() + 4 * (i - begin);
+      util::StoreBe32(prefix, static_cast<uint32_t>(items[i].size()));
+      pieces.push_back(util::ByteSpan(prefix, 4));
+      pieces.push_back(items[i]);
     }
-    if (!emit(net::Frame{first ? op : net::FrameType::kBatchChunk, round, w.Take()})) {
+    if (!emit(first ? op : net::FrameType::kBatchChunk, pieces)) {
       return false;
     }
     first = false;
@@ -60,15 +72,28 @@ bool BuildChunks(net::FrameType op, uint64_t round, util::ByteSpan header,
 
 }  // namespace
 
+std::vector<util::Bytes> BatchMessage::CopyItems() const {
+  std::vector<util::Bytes> copies;
+  copies.reserve(items.size());
+  for (util::ByteSpan item : items) {
+    copies.emplace_back(item.begin(), item.end());
+  }
+  return copies;
+}
+
 std::optional<std::vector<net::Frame>> EncodeBatchChunks(net::FrameType op, uint64_t round,
                                                          util::ByteSpan header,
                                                          const std::vector<util::Bytes>& items,
                                                          size_t max_chunk_payload) {
   std::vector<net::Frame> frames;
-  if (!BuildChunks(op, round, header, items, max_chunk_payload, [&](net::Frame&& frame) {
-        frames.push_back(std::move(frame));
-        return true;
-      })) {
+  auto join = [&](net::FrameType type, std::span<const util::ByteSpan> pieces) {
+    net::Frame& frame = frames.emplace_back(net::Frame{type, round, {}});
+    for (util::ByteSpan piece : pieces) {
+      util::Append(frame.payload, piece);
+    }
+    return true;
+  };
+  if (!ForEachChunk(op, header, items, max_chunk_payload, join)) {
     return std::nullopt;
   }
   return frames;
@@ -80,30 +105,19 @@ BatchAssembler::Status BatchAssembler::Fail(const std::string& message) {
 }
 
 BatchAssembler::Status BatchAssembler::Consume(const net::Frame& frame) {
-  if (mode_ == ItemMode::kZeroCopy) {
-    // Zero-copy decode must own the buffer the views point into.
-    net::Frame copy = frame;
-    return Consume(std::move(copy));
-  }
-  return Parse(frame.type, frame.round, frame.payload);
+  net::Frame copy = frame;
+  return Consume(std::move(copy));
 }
 
 BatchAssembler::Status BatchAssembler::Consume(net::Frame&& frame) {
-  if (mode_ == ItemMode::kCopy) {
-    return Parse(frame.type, frame.round, frame.payload);
+  if (done_) {
+    return Fail("chunk after final chunk");
   }
   // Adopt the wire buffer; the item views parsed below point into it. An
   // adopted chunk that then fails to parse just rides along in the dead
   // assembler.
-  message_.chunk_storage.push_back(std::move(frame.payload));
-  return Parse(frame.type, frame.round, message_.chunk_storage.back());
-}
-
-BatchAssembler::Status BatchAssembler::Parse(net::FrameType type, uint64_t round,
-                                             util::ByteSpan payload) {
-  if (done_) {
-    return Fail("chunk after final chunk");
-  }
+  message_.chunks.push_back(std::move(frame.payload));
+  util::ByteSpan payload = message_.chunks.back();
   peak_frame_bytes_ = std::max(peak_frame_bytes_, payload.size());
   // Each chunk travels as [u32 len][frame header][payload]; charge all of it.
   message_.wire_bytes += 4 + net::kFrameHeaderBytes + payload.size();
@@ -113,11 +127,11 @@ BatchAssembler::Status BatchAssembler::Parse(net::FrameType type, uint64_t round
     return Fail("bad chunk flags");
   }
   if (!started_) {
-    if (type == net::FrameType::kBatchChunk) {
+    if (frame.type == net::FrameType::kBatchChunk) {
       return Fail("continuation chunk before first frame");
     }
-    message_.op = type;
-    message_.round = round;
+    message_.op = frame.type;
+    message_.round = frame.round;
     auto header = r.Var();
     if (!header) {
       return Fail("truncated header");
@@ -125,10 +139,10 @@ BatchAssembler::Status BatchAssembler::Parse(net::FrameType type, uint64_t round
     message_.header.assign(header->begin(), header->end());
     started_ = true;
   } else {
-    if (type != net::FrameType::kBatchChunk) {
+    if (frame.type != net::FrameType::kBatchChunk) {
       return Fail("expected continuation chunk");
     }
-    if (round != message_.round) {
+    if (frame.round != message_.round) {
       return Fail("chunk round mismatch");
     }
   }
@@ -145,11 +159,7 @@ BatchAssembler::Status BatchAssembler::Parse(net::FrameType type, uint64_t round
     if (total_item_bytes_ > max_message_bytes_) {
       return Fail("batch message exceeds size ceiling");
     }
-    if (mode_ == ItemMode::kZeroCopy) {
-      message_.item_views.push_back(*item);
-    } else {
-      message_.items.emplace_back(item->begin(), item->end());
-    }
+    message_.items.push_back(*item);
   }
   if (!r.AtEnd()) {
     return Fail("trailing bytes in chunk");
@@ -166,15 +176,15 @@ BatchMessage BatchAssembler::Take() { return std::move(message_); }
 bool SendBatchMessage(net::TcpConnection& conn, net::FrameType op, uint64_t round,
                       util::ByteSpan header, const std::vector<util::Bytes>& items,
                       size_t max_chunk_payload) {
-  return BuildChunks(op, round, header, items, max_chunk_payload,
-                     [&](net::Frame&& frame) { return conn.SendFrame(frame); });
+  return ForEachChunk(op, header, items, max_chunk_payload,
+                      [&](net::FrameType type, std::span<const util::ByteSpan> pieces) {
+                        return conn.SendFrameParts(type, round, pieces);
+                      });
 }
 
-std::optional<BatchMessage> ReadBatchMessage(net::TcpConnection& conn, net::Frame first,
-                                             BatchAssembler::ItemMode mode) {
-  BatchAssembler assembler(kMaxBatchMessageBytes, mode);
+std::optional<BatchMessage> ReadBatchMessage(net::TcpConnection& conn, net::Frame first) {
+  BatchAssembler assembler;
   BatchAssembler::Status status = assembler.Consume(std::move(first));
-  first.payload = util::Bytes();  // copied or adopted by the assembler; free the wire buffer
   while (status == BatchAssembler::Status::kNeedMore) {
     auto frame = conn.RecvFrame();
     if (!frame) {
@@ -422,10 +432,10 @@ std::optional<InvitationFetchHeader> ParseInvitationFetchHeader(util::ByteSpan d
 }
 
 std::optional<std::vector<wire::Invitation>> DecodeInvitationItems(
-    const std::vector<util::Bytes>& items) {
+    std::span<const util::ByteSpan> items) {
   std::vector<wire::Invitation> bucket;
   bucket.reserve(items.size());
-  for (const util::Bytes& item : items) {
+  for (util::ByteSpan item : items) {
     if (item.size() != wire::kInvitationSize) {
       return std::nullopt;
     }

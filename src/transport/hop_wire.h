@@ -8,9 +8,14 @@
 // carries the op type, the header, and a first slice of items; continuation
 // frames (net::FrameType::kBatchChunk) carry further slices; a flag bit marks
 // the last chunk. Items never straddle chunks, so the receiver decodes each
-// chunk as it arrives and frees the wire buffer before the next one — peak
-// transient memory is one chunk, not one batch (BatchAssembler keeps the
-// measured bound for tests).
+// chunk as it arrives and never concatenates chunk payloads: every frame
+// buffer is bounded by the chunk budget (BatchAssembler keeps the measured
+// bound for tests), and the decoded items are views into those buffers.
+//
+// Copies per direction: the sender gathers each chunk straight from its item
+// buffers into the socket (SendBatchMessage), and the receiver reads each
+// chunk payload in place and adopts it whole (ReadBatchMessage), so item
+// bytes cross user space without a staging copy on either side.
 //
 // Chunk payload layout:
 //   first frame  (type = op):          [u8 flags][u32 header_len][header]
@@ -46,47 +51,41 @@ inline constexpr size_t kMaxBatchMessageBytes = 4ull << 30;
 
 // One decoded hop RPC message.
 //
-// Two decode modes (BatchAssembler::ItemMode):
-//   kCopy      — `items` holds an owned copy of every item; `chunk_storage`
-//                and `item_views` stay empty. The mode for callers that keep
-//                or mutate individual items.
-//   kZeroCopy  — each chunk's wire payload is moved intact into
-//                `chunk_storage` and `item_views` records a span per item
-//                pointing into those buffers; `items` stays empty. The hop
-//                daemon's mode: the pass input goes straight from the decoded
-//                chunk to MixServer's span overloads with zero per-item
-//                copies. The views stay valid across moves of the whole
-//                BatchMessage (vector moves keep heap pointers stable) and
-//                die with it — never retain them past the message.
+// Decoding copies no item. Each chunk's wire payload is adopted whole into
+// `chunks`, and `items` holds one span per item pointing into those buffers,
+// so a hop's pass input goes straight from the received chunks to
+// MixServer's span overloads. The spans stay valid across moves of the whole
+// message (moving a vector keeps its heap buffers) and die with it. A caller
+// that keeps items past the message takes CopyItems(). Copying the message is
+// disabled: a copy's spans would still point into the original's chunks.
 struct BatchMessage {
   net::FrameType op = net::FrameType::kHopError;
   uint64_t round = 0;
   util::Bytes header;
-  std::vector<util::Bytes> items;
-  std::vector<util::Bytes> chunk_storage;
-  std::vector<util::ByteSpan> item_views;
+  std::vector<util::ByteSpan> items;
+  std::vector<util::Bytes> chunks;
   // True on-the-wire size of the message as received: every chunk's payload
   // plus its frame header and length prefix. This is what bandwidth
   // accounting (§8.3) must charge — item payloads alone undercount by the
   // framing overhead.
   uint64_t wire_bytes = 0;
 
-  size_t item_count() const { return items.empty() ? item_views.size() : items.size(); }
+  BatchMessage() = default;
+  BatchMessage(BatchMessage&&) = default;
+  BatchMessage& operator=(BatchMessage&&) = default;
+  BatchMessage(const BatchMessage&) = delete;
+  BatchMessage& operator=(const BatchMessage&) = delete;
 
-  // Views over the items, whichever decode mode produced them. The spans
-  // alias this message: valid until it is destroyed or mutated.
-  std::vector<util::ByteSpan> ItemSpans() const {
-    if (items.empty()) {
-      return item_views;
-    }
-    return std::vector<util::ByteSpan>(items.begin(), items.end());
-  }
+  // Owned copies of the items, for interfaces that hand out byte vectors
+  // (the HopTransport seam).
+  std::vector<util::Bytes> CopyItems() const;
 };
 
 // Splits a batch message into frames, none of whose payloads exceed
 // `max_chunk_payload`. Fails (nullopt) only if the header or a single item
-// cannot fit into one chunk. Tests use small limits to force chunking; the
-// send path streams chunk-by-chunk instead of materializing this vector.
+// cannot fit into one chunk. For senders that need whole frames (the event
+// loop's queued writes, tests); SendBatchMessage streams the same bytes
+// without building them.
 std::optional<std::vector<net::Frame>> EncodeBatchChunks(
     net::FrameType op, uint64_t round, util::ByteSpan header,
     const std::vector<util::Bytes>& items, size_t max_chunk_payload = kDefaultChunkPayload);
@@ -98,19 +97,15 @@ std::optional<std::vector<net::Frame>> EncodeBatchChunks(
 class BatchAssembler {
  public:
   enum class Status { kNeedMore, kDone, kError };
-  // See BatchMessage: kCopy fills `items`, kZeroCopy keeps chunk payloads and
-  // fills `item_views`.
-  enum class ItemMode { kCopy, kZeroCopy };
 
-  explicit BatchAssembler(size_t max_message_bytes = kMaxBatchMessageBytes,
-                          ItemMode mode = ItemMode::kCopy)
-      : max_message_bytes_(max_message_bytes), mode_(mode) {}
+  explicit BatchAssembler(size_t max_message_bytes = kMaxBatchMessageBytes)
+      : max_message_bytes_(max_message_bytes) {}
 
-  Status Consume(const net::Frame& frame);
-  // Rvalue overload: in kZeroCopy mode the frame's payload is moved into the
-  // message's chunk storage (no copy); in kCopy mode identical to the
-  // overload above.
+  // Adopts the frame's payload into the message; its items become views of
+  // it. The receive paths move every frame in, so no item byte is copied.
   Status Consume(net::Frame&& frame);
+  // Copies the payload first, for callers that keep their frame.
+  Status Consume(const net::Frame& frame);
 
   // Valid once Consume returned kDone.
   BatchMessage Take();
@@ -122,11 +117,9 @@ class BatchAssembler {
 
  private:
   Status Fail(const std::string& message);
-  Status Parse(net::FrameType type, uint64_t round, util::ByteSpan payload);
 
   BatchMessage message_;
   size_t max_message_bytes_;
-  ItemMode mode_ = ItemMode::kCopy;
   size_t total_item_bytes_ = 0;
   bool started_ = false;
   bool done_ = false;
@@ -134,19 +127,20 @@ class BatchAssembler {
   std::string error_;
 };
 
-// Sends one batch message over `conn`, encoding and shipping one chunk at a
-// time (peak transient memory: one chunk).
+// Sends one batch message over `conn`, one chunk frame at a time. Each frame
+// is gathered by the kernel straight from `items` (TcpConnection::
+// SendFrameParts): only the small chunk head and the per-item length
+// prefixes are built, so the item bytes are copied once, into the socket.
 bool SendBatchMessage(net::TcpConnection& conn, net::FrameType op, uint64_t round,
                       util::ByteSpan header, const std::vector<util::Bytes>& items,
                       size_t max_chunk_payload = kDefaultChunkPayload);
 
 // Reassembles the batch message whose first frame the caller already read.
 // nullopt on I/O failure or malformed chunking (conn.last_recv_status()
-// distinguishes timeout from EOF on the I/O side). `mode` selects the item
-// decode (see BatchMessage); the hop daemon reads in kZeroCopy.
-std::optional<BatchMessage> ReadBatchMessage(
-    net::TcpConnection& conn, net::Frame first,
-    BatchAssembler::ItemMode mode = BatchAssembler::ItemMode::kCopy);
+// distinguishes timeout from EOF on the I/O side). Every chunk is received in
+// place and adopted whole, so the item bytes are copied once, out of the
+// socket.
+std::optional<BatchMessage> ReadBatchMessage(net::TcpConnection& conn, net::Frame first);
 
 // One batch-message request/response over an established connection — the
 // RPC core every shard-fleet caller (ExchangeRouter, DistRouter,
@@ -265,7 +259,7 @@ std::optional<InvitationFetchHeader> ParseInvitationFetchHeader(util::ByteSpan d
 // cannot drift between them. nullopt if any item is not exactly
 // wire::kInvitationSize.
 std::optional<std::vector<wire::Invitation>> DecodeInvitationItems(
-    const std::vector<util::Bytes>& items);
+    std::span<const util::ByteSpan> items);
 
 }  // namespace vuvuzela::transport
 

@@ -28,52 +28,16 @@ std::unique_ptr<TcpTransport> TcpTransport::Connect(const TcpTransportConfig& co
 
 bool TcpTransport::connected() const { return conn_.valid(); }
 
-void TcpTransport::FailRpc(const std::string& what) {
-  // The RPC may have died mid-stream; the connection framing can no longer be
-  // trusted, so poison it and fail every later call fast.
-  conn_.Close();
-  throw HopError("hop " + Endpoint(config_) + ": " + what);
-}
-
 BatchMessage TcpTransport::Call(net::FrameType op, uint64_t round, util::ByteSpan header,
                                 const std::vector<util::Bytes>& items) {
   if (!conn_.valid()) {
     throw HopError("hop " + Endpoint(config_) + ": connection closed");
   }
-  if (!SendBatchMessage(conn_, op, round, header, items, config_.chunk_payload)) {
-    FailRpc("send failed");
-  }
-  auto first = conn_.RecvFrame();
-  if (!first) {
-    if (conn_.last_recv_status() == net::RecvStatus::kTimeout) {
-      conn_.Close();
-      throw HopTimeoutError("hop " + Endpoint(config_) + ": receive deadline elapsed");
-    }
-    FailRpc(conn_.last_recv_status() == net::RecvStatus::kEof ? "connection closed by hop"
-                                                              : "receive failed");
-  }
-  if (first->type == net::FrameType::kHopError) {
-    // The daemon completed the RPC with an error report; the connection
-    // framing is intact, so only this round fails — and reconnect layers
-    // must not retry (the failure is semantic, not transport).
-    throw HopRemoteError("hop " + Endpoint(config_) + ": " +
-                         std::string(first->payload.begin(), first->payload.end()));
-  }
-  if (first->type != op) {
-    FailRpc("unexpected response type");
-  }
-  auto message = ReadBatchMessage(conn_, std::move(*first));
-  if (!message) {
-    if (conn_.last_recv_status() == net::RecvStatus::kTimeout) {
-      conn_.Close();
-      throw HopTimeoutError("hop " + Endpoint(config_) + ": receive deadline elapsed mid-batch");
-    }
-    FailRpc("malformed response batch");
-  }
-  if (message->round != round) {
-    FailRpc("response round mismatch");
-  }
-  return std::move(*message);
+  // Every failure but a daemon's kHopError report closes the connection
+  // first (the RPC may have died mid-stream), so later calls fail fast until
+  // the caller reconnects; a remote report fails only this round.
+  return CallBatchRpc(conn_, "hop " + Endpoint(config_), op, round, header, items,
+                      config_.chunk_payload);
 }
 
 namespace {
@@ -103,7 +67,7 @@ std::vector<util::Bytes> TcpTransport::ForwardConversation(uint64_t round,
   if (stats) {
     *stats = remote;
   }
-  return std::move(reply.items);
+  return reply.CopyItems();
 }
 
 std::vector<util::Bytes> TcpTransport::BackwardConversation(uint64_t round,
@@ -116,7 +80,7 @@ std::vector<util::Bytes> TcpTransport::BackwardConversation(uint64_t round,
   if (stats) {
     *stats = remote;
   }
-  return std::move(reply.items);
+  return reply.CopyItems();
 }
 
 mixnet::MixServer::LastServerResult TcpTransport::ProcessConversationLastHop(
@@ -133,7 +97,7 @@ mixnet::MixServer::LastServerResult TcpTransport::ProcessConversationLastHop(
     *stats = remote;
   }
   mixnet::MixServer::LastServerResult result;
-  result.responses = std::move(reply.items);
+  result.responses = reply.CopyItems();
   result.histogram = histogram->histogram;
   result.messages_exchanged = histogram->messages_exchanged;
   return result;
@@ -152,7 +116,7 @@ std::vector<util::Bytes> TcpTransport::ForwardDialing(uint64_t round,
   if (stats) {
     *stats = remote;
   }
-  return std::move(reply.items);
+  return reply.CopyItems();
 }
 
 deaddrop::InvitationTable TcpTransport::ProcessDialingLastHop(uint64_t round,
@@ -175,7 +139,7 @@ deaddrop::InvitationTable TcpTransport::ProcessDialingLastHop(uint64_t round,
   }
   deaddrop::InvitationTable table(static_cast<uint32_t>(reply.items.size()));
   for (uint32_t drop = 0; drop < reply.items.size(); ++drop) {
-    const util::Bytes& packed = reply.items[drop];
+    util::ByteSpan packed = reply.items[drop];
     if (packed.size() % wire::kInvitationSize != 0) {
       throw HopError("hop " + Endpoint(config_) + ": ragged invitation drop");
     }

@@ -70,10 +70,10 @@ class TcpTransport : public HopTransport {
  private:
   explicit TcpTransport(const TcpTransportConfig& config, net::TcpConnection conn);
 
-  // One request/response exchange; throws HopError / HopTimeoutError.
+  // One request/response exchange through CallBatchRpc (hop_wire.h), the
+  // RPC core the shard fleets share; throws its Hop*Error flavors.
   BatchMessage Call(net::FrameType op, uint64_t round, util::ByteSpan header,
                     const std::vector<util::Bytes>& items);
-  [[noreturn]] void FailRpc(const std::string& what);
 
   TcpTransportConfig config_;
   std::mutex mutex_;

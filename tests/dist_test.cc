@@ -220,7 +220,7 @@ TEST(DistConformance, ReactorByteIdenticalToThreadedServePath) {
     EXPECT_EQ(from_reactor.op, from_threaded.op) << "bucket " << drop;
     EXPECT_EQ(from_reactor.round, from_threaded.round) << "bucket " << drop;
     EXPECT_EQ(from_reactor.header, from_threaded.header) << "bucket " << drop;
-    EXPECT_EQ(from_reactor.items, from_threaded.items) << "bucket " << drop;
+    EXPECT_EQ(from_reactor.CopyItems(), from_threaded.CopyItems()) << "bucket " << drop;
     EXPECT_EQ(from_reactor.items.size(), table.Drop(drop).size()) << "bucket " << drop;
   }
   EXPECT_EQ(reactor.daemon->fetches_served(), threaded.daemon->fetches_served());

@@ -336,7 +336,7 @@ TEST(ExchangeWire, PartitionMessageStreamsAcrossChunks) {
   EXPECT_EQ(message.op, net::FrameType::kExchangeConversation);
   EXPECT_EQ(message.round, 12u);
   EXPECT_EQ(message.header, header);
-  EXPECT_EQ(message.items, items);
+  EXPECT_EQ(message.CopyItems(), items);
   EXPECT_LE(assembler.peak_frame_bytes(), 2048u);
 }
 

@@ -318,6 +318,109 @@ TEST(Tcp, SendFrameSurvivesNonBlockingPartialWrites) {
   reader.join();
 }
 
+// Reads exactly `n` raw bytes off a blocking descriptor.
+util::Bytes RecvRaw(int fd, size_t n) {
+  util::Bytes out(n);
+  size_t got = 0;
+  while (got < n) {
+    ssize_t r = ::recv(fd, out.data() + got, n - got, 0);
+    if (r <= 0) {
+      out.resize(got);
+      return out;
+    }
+    got += static_cast<size_t>(r);
+  }
+  return out;
+}
+
+// A gathered send puts exactly SendFrame's bytes on the wire, even when it
+// spans more pieces than one sendmsg call takes (IOV_MAX) and a non-blocking
+// socket with a tiny send buffer splits it mid-piece.
+TEST(Tcp, SendFramePartsMatchesJoinedFrame) {
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.has_value());
+  auto client = TcpConnection::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(client.has_value());
+  auto server_side = listener->Accept();
+  ASSERT_TRUE(server_side.has_value());
+  int fd = client->ReleaseFd();
+  int small = 8 << 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+  TcpConnection nonblocking(fd);
+
+  util::Xoshiro256Rng rng(11);
+  std::vector<util::Bytes> buffers;
+  for (int i = 0; i < 5000; ++i) {
+    buffers.push_back(rng.RandomBytes(rng.UniformUint64(700)));  // empty pieces included
+  }
+  std::vector<util::ByteSpan> parts(buffers.begin(), buffers.end());
+  Frame joined{FrameType::kBatchChunk, 77, {}};
+  for (const util::Bytes& buffer : buffers) {
+    util::Append(joined.payload, buffer);
+  }
+  util::Bytes expected(4);
+  util::StoreBe32(expected.data(), static_cast<uint32_t>(kFrameHeaderBytes + joined.payload.size()));
+  util::Append(expected, EncodeFrame(joined));
+
+  int server_fd = server_side->ReleaseFd();
+  util::Bytes wire;
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // park the writer in EAGAIN
+    wire = RecvRaw(server_fd, expected.size());
+  });
+  EXPECT_TRUE(nonblocking.SendFrameParts(FrameType::kBatchChunk, 77, parts));
+  reader.join();
+  ::close(server_fd);
+  EXPECT_EQ(wire, expected);
+}
+
+TEST(Tcp, SendFramePartsRejectsOversizedPayload) {
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.has_value());
+  auto client = TcpConnection::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(client.has_value());
+  util::Bytes mb(1u << 20);
+  std::vector<util::ByteSpan> parts((kMaxFramePayload >> 20) + 1, util::ByteSpan(mb));
+  EXPECT_FALSE(client->SendFrameParts(FrameType::kBatch, 1, parts));
+}
+
+// RecvFrame reads payloads in place, but a frame whose header is bad still
+// has its declared length consumed: the next frame decodes normally.
+TEST(Tcp, MalformedFrameKeepsStreamAligned) {
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.has_value());
+  auto client = TcpConnection::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(client.has_value());
+  auto server_side = listener->Accept();
+  ASSERT_TRUE(server_side.has_value());
+
+  util::Bytes bad_type = EncodeFrame(Frame{FrameType::kDialAck, 1, {1, 2, 3}});
+  bad_type[0] = 200;
+  util::Bytes lying_length = EncodeFrame(Frame{FrameType::kDialAck, 2, {4, 5, 6, 7}});
+  lying_length[kFrameHeaderBytes - 1] = 3;  // header claims 3 payload bytes, frame carries 4
+  util::Bytes well_formed = EncodeFrame(Frame{FrameType::kDialAck, 3, {8, 9}});
+  int fd = client->ReleaseFd();
+  for (const util::Bytes* encoded : {&bad_type, &lying_length, &well_formed}) {
+    uint8_t prefix[4];
+    util::StoreBe32(prefix, static_cast<uint32_t>(encoded->size()));
+    ASSERT_EQ(::send(fd, prefix, 4, 0), 4);
+    ASSERT_EQ(::send(fd, encoded->data(), encoded->size(), 0),
+              static_cast<ssize_t>(encoded->size()));
+  }
+  // Closing right after the send turns a misaligned read into EOF, not a hang.
+  ::close(fd);
+
+  EXPECT_FALSE(server_side->RecvFrame().has_value());
+  EXPECT_EQ(server_side->last_recv_status(), RecvStatus::kMalformed);
+  EXPECT_FALSE(server_side->RecvFrame().has_value());
+  EXPECT_EQ(server_side->last_recv_status(), RecvStatus::kMalformed);
+  auto good = server_side->RecvFrame();
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->round, 3u);
+  EXPECT_EQ(good->payload, (util::Bytes{8, 9}));
+}
+
 TEST(Tcp, ListenAcceptsBacklogParameter) {
   auto listener = TcpListener::Listen(0, /*backlog=*/1);
   ASSERT_TRUE(listener.has_value());

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <thread>
+
+#include "src/net/tcp.h"
 #include "src/transport/hop_wire.h"
 #include "src/util/random.h"
 #include "src/wire/messages.h"
@@ -176,7 +181,7 @@ TEST(HopChunk, SingleFrameRoundTrip) {
   EXPECT_EQ(message.op, net::FrameType::kHopForwardConversation);
   EXPECT_EQ(message.round, 42u);
   EXPECT_EQ(message.header, header);
-  EXPECT_EQ(message.items, items);
+  EXPECT_EQ(message.CopyItems(), items);
 }
 
 TEST(HopChunk, EmptyBatchRoundTrip) {
@@ -204,10 +209,70 @@ TEST(HopChunk, BatchLargerThanFrameBudgetStreamsBounded) {
 
   BatchAssembler assembler;
   BatchMessage message = AssembleAll(*frames, assembler);
-  EXPECT_EQ(message.items, items);
+  EXPECT_EQ(message.CopyItems(), items);
   // The streaming decoder never held more than one chunk of wire buffer,
   // however large the logical batch.
   EXPECT_LE(assembler.peak_frame_bytes(), kFrameBudget);
+}
+
+// SendBatchMessage gathers every chunk straight from the items, so its wire
+// bytes must equal the materialized EncodeBatchChunks frames', and
+// ReadBatchMessage must decode them into views over one adopted buffer per
+// chunk. A 64 KB chunk of ~100-byte items holds more pieces than one sendmsg
+// call takes (IOV_MAX), so the split send is covered too.
+TEST(HopChunk, StreamedSendMatchesEncodedChunks) {
+  constexpr size_t kBudget = 64 * 1024;
+  constexpr auto kOp = net::FrameType::kHopForwardConversation;
+  auto items = MakeItems(3000, 100, 9);
+  items[7].clear();
+  util::Bytes header = {1, 2, 3};
+  auto frames = EncodeBatchChunks(kOp, 5, header, items, kBudget);
+  ASSERT_TRUE(frames.has_value());
+  ASSERT_GT(frames->size(), 3u);
+  util::Bytes expected;
+  for (const auto& frame : *frames) {
+    util::Bytes encoded = net::EncodeFrame(frame);
+    uint8_t prefix[4];
+    util::StoreBe32(prefix, static_cast<uint32_t>(encoded.size()));
+    util::Append(expected, prefix);
+    util::Append(expected, encoded);
+  }
+
+  auto listener = net::TcpListener::Listen(0);
+  ASSERT_TRUE(listener.has_value());
+  auto sender = net::TcpConnection::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(sender.has_value());
+  auto receiver = listener->Accept();
+  ASSERT_TRUE(receiver.has_value());
+  // Sent twice: read raw the first time, decoded the second.
+  std::thread send_thread([&] {
+    EXPECT_TRUE(transport::SendBatchMessage(*sender, kOp, 5, header, items, kBudget));
+    EXPECT_TRUE(transport::SendBatchMessage(*sender, kOp, 5, header, items, kBudget));
+  });
+  int fd = receiver->ReleaseFd();
+  util::Bytes wire(expected.size());
+  size_t got = 0;
+  while (got < wire.size()) {
+    ssize_t n = ::recv(fd, wire.data() + got, wire.size() - got, 0);
+    if (n <= 0) {
+      break;
+    }
+    got += static_cast<size_t>(n);
+  }
+  EXPECT_EQ(wire, expected);
+
+  net::TcpConnection conn(fd);
+  auto first = conn.RecvFrame();
+  std::optional<BatchMessage> message;
+  if (first) {
+    message = transport::ReadBatchMessage(conn, std::move(*first));
+  }
+  send_thread.join();
+  ASSERT_TRUE(message.has_value());
+  EXPECT_EQ(message->header, header);
+  EXPECT_EQ(message->CopyItems(), items);
+  EXPECT_EQ(message->chunks.size(), frames->size());
+  EXPECT_EQ(message->wire_bytes, expected.size());
 }
 
 TEST(HopChunk, ItemLargerThanBudgetFailsToEncode) {

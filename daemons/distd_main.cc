@@ -28,19 +28,16 @@ struct Flags {
   uint32_t shard = 0;
   uint32_t shards = 1;
   size_t max_rounds = 64;
-  bool threaded = false;
   int metrics_port = -1;  // /metrics + /trace (-1 = disabled, 0 = ephemeral)
 };
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --shard I --shards N [--port P] [--max-rounds R] [--threaded]\n"
+               "usage: %s --shard I --shards N [--port P] [--max-rounds R]\n"
                "          [--metrics-port P]\n"
                "Runs one invitation-distribution shard (shard I of N); port 0 picks an\n"
                "ephemeral port and prints it. --max-rounds caps retained publications\n"
-               "(each publish also carries the coordinator's expiry horizon). --threaded\n"
-               "selects the thread-per-connection serve path instead of the default\n"
-               "epoll reactor (replies are byte-identical either way).\n",
+               "(each publish also carries the coordinator's expiry horizon).\n",
                argv0);
 }
 
@@ -61,8 +58,6 @@ bool Parse(int argc, char** argv, Flags* flags) {
       flags->port = static_cast<uint16_t>(port);
     } else if (arg == "--max-rounds" && (value = next())) {
       flags->max_rounds = std::strtoul(value, nullptr, 10);
-    } else if (arg == "--threaded") {
-      flags->threaded = true;
     } else if (arg == "--metrics-port" && (value = next())) {
       unsigned long port = std::strtoul(value, nullptr, 10);
       if (port > 65535) {
@@ -91,7 +86,6 @@ int main(int argc, char** argv) {
   config.shard_index = flags.shard;
   config.num_shards = flags.shards;
   config.max_rounds = flags.max_rounds;
-  config.reactor = !flags.threaded;
   config.metrics_port = flags.metrics_port;
   auto daemon = transport::DistDaemon::Create(config);
   if (!daemon) {

@@ -65,7 +65,7 @@ EventLoop::EventLoop(Handlers handlers, EventLoopConfig config, int epoll_fd, in
                                     "Complete frames parsed by reactor loops");
   obs_sheds_ = registry.GetCounter(
       "vuvuzela_reactor_sheds_total",
-      "Connections closed for exceeding a buffer ceiling (slow-loris / raw overflow)");
+      "Connections closed for exceeding the write-buffer ceiling (slow-loris)");
   obs_spilled_bytes_ = registry.GetCounter(
       "vuvuzela_reactor_spilled_bytes_total",
       "Outbound bytes that missed the direct write and spilled into the write buffer");
@@ -77,8 +77,7 @@ EventLoop::~EventLoop() {
   for (auto& [id, conn] : conns_) {
     ::close(conn.fd);
   }
-  // listeners_ close their own descriptors via ~TcpListener.
-  listeners_.clear();
+  // listener_ closes its own descriptor via ~TcpListener.
   if (wake_fd_ >= 0) {
     ::close(wake_fd_);
   }
@@ -87,8 +86,8 @@ EventLoop::~EventLoop() {
   }
 }
 
-bool EventLoop::AddListener(TcpListener listener, uint64_t tag, bool raw) {
-  if (!listener.valid() || !SetNonBlocking(listener.fd())) {
+bool EventLoop::AddListener(TcpListener listener) {
+  if (listener_id_ != 0 || !listener.valid() || !SetNonBlocking(listener.fd())) {
     return false;
   }
   ConnId id = next_id_++;
@@ -98,7 +97,8 @@ bool EventLoop::AddListener(TcpListener listener, uint64_t tag, bool raw) {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener.fd(), &ev) != 0) {
     return false;
   }
-  listeners_.emplace(id, Listener{std::move(listener), tag, raw});
+  listener_ = std::move(listener);
+  listener_id_ = id;
   return true;
 }
 
@@ -111,10 +111,10 @@ EventLoop::ConnId EventLoop::AddConnection(TcpConnection conn) {
     ::close(fd);
     return 0;
   }
-  return Register(fd, /*raw=*/false);
+  return Register(fd);
 }
 
-EventLoop::ConnId EventLoop::Register(int fd, bool raw) {
+EventLoop::ConnId EventLoop::Register(int fd) {
   ConnId id = next_id_++;
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
@@ -125,20 +125,14 @@ EventLoop::ConnId EventLoop::Register(int fd, bool raw) {
   }
   Conn conn;
   conn.fd = fd;
-  conn.raw = raw;
   conns_.emplace(id, std::move(conn));
   num_connections_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
-void EventLoop::AcceptReady(Listener& listener) {
-  // References into listeners_ can be invalidated by handler-driven rehash;
-  // copy what the loop needs before the first callback.
-  const int listen_fd = listener.listener.fd();
-  const uint64_t tag = listener.tag;
-  const bool raw = listener.raw;
+void EventLoop::AcceptReady() {
   while (true) {
-    int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) {
         continue;
@@ -152,11 +146,11 @@ void EventLoop::AcceptReady(Listener& listener) {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ConnId id = Register(fd, raw);
+    ConnId id = Register(fd);
     if (id != 0) {
       obs_accepts_->Add();
       if (handlers_.on_accept) {
-        handlers_.on_accept(id, tag);
+        handlers_.on_accept(id);
       }
     }
   }
@@ -208,22 +202,7 @@ void EventLoop::ReadReady(ConnId id, bool peer_hup) {
       return;
     }
     conn.in.insert(conn.in.end(), read_scratch_.begin(), read_scratch_.begin() + n);
-    if (conn.raw) {
-      // `conn` may dangle once the handler touches the connection table;
-      // everything below re-finds by id.
-      if (handlers_.on_data) {
-        handlers_.on_data(id, it->second.in);
-      }
-      auto again = conns_.find(id);
-      if (again == conns_.end() || again->second.draining) {
-        return;
-      }
-      if (again->second.in.size() > config_.max_raw_buffer) {
-        obs_sheds_->Add();
-        Close(id);
-        return;
-      }
-    } else if (!ParseFrames(id)) {
+    if (!ParseFrames(id)) {
       return;
     }
     if (static_cast<size_t>(n) < config_.read_chunk && !peer_hup) {
@@ -296,14 +275,8 @@ bool EventLoop::Send(ConnId id, const Frame& frame) {
 }
 
 bool EventLoop::SendEncoded(ConnId id, const util::Bytes& wire) {
-  return QueueBytes(id, wire.data(), wire.size());
-}
-
-bool EventLoop::SendRaw(ConnId id, const uint8_t* data, size_t len) {
-  return QueueBytes(id, data, len);
-}
-
-bool EventLoop::QueueBytes(ConnId id, const uint8_t* data, size_t len) {
+  const uint8_t* data = wire.data();
+  const size_t len = wire.size();
   auto it = conns_.find(id);
   if (it == conns_.end() || it->second.draining) {
     return false;
@@ -462,8 +435,8 @@ bool EventLoop::Run() {
         RunTasks();
         continue;
       }
-      if (auto lit = listeners_.find(id); lit != listeners_.end()) {
-        AcceptReady(lit->second);
+      if (id == listener_id_) {
+        AcceptReady();
         continue;
       }
       if (conns_.find(id) == conns_.end()) {

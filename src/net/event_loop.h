@@ -7,8 +7,9 @@
 // discipline *is* the engine's stage serialization. The client-facing edges
 // are the opposite regime: the paper claims one million users, and a thread
 // per client is fatal long before that. EventLoop is the substrate those
-// edges (transport::FrontDoor for coordd admission, DistDaemon's reactor
-// serve path for bucket downloads) run on:
+// edges (transport::FrontDoor for coordd admission, DistDaemon for bucket
+// downloads) run on. It speaks frames only: operator scrapes (/metrics,
+// /trace) go through obs::MetricsHttpServer beside the loop, never into it.
 //
 //  * One epoll descriptor, edge-triggered readiness (EPOLLET), every socket
 //    non-blocking. One thread serves every connection.
@@ -76,10 +77,6 @@ struct EventLoopConfig {
   // read() granularity. Input buffers only ever hold what the socket
   // delivered, so this also bounds per-read transient memory.
   size_t read_chunk = 64u << 10;
-  // Buffered-input ceiling for raw-mode connections (which have no frame
-  // grammar to bound them). The raw edges speak scrape-sized HTTP, so this
-  // is generous; exceeding it closes the connection.
-  size_t max_raw_buffer = 64u << 10;
 };
 
 class EventLoop {
@@ -88,17 +85,10 @@ class EventLoop {
   using ConnId = uint64_t;
 
   struct Handlers {
-    // A connection was accepted on the listener registered with `tag`.
-    std::function<void(ConnId, uint64_t tag)> on_accept;
+    // A connection was accepted on the listener.
+    std::function<void(ConnId)> on_accept;
     // A complete, well-formed frame arrived.
     std::function<void(ConnId, Frame&&)> on_frame;
-    // Bytes arrived on a raw-mode connection (accepted from a listener
-    // registered with raw=true — e.g. the /metrics HTTP listener sharing
-    // this loop). Called with the connection's whole buffered input each
-    // time more arrives; the handler responds with SendRaw + CloseConn once
-    // it sees a complete request. Input is never consumed piecemeal — raw
-    // connections are request/response-per-connection by contract.
-    std::function<void(ConnId, const util::Bytes&)> on_data;
     // The connection is gone (any close path; see the ownership contract).
     std::function<void(ConnId)> on_close;
   };
@@ -109,11 +99,10 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  // Registers a listening socket; accepted connections surface via
-  // on_accept. `raw` connections bypass frame parsing: their input goes to
-  // on_data and they are written with SendRaw (the /metrics-over-reactor
-  // path). Loop-thread-only.
-  bool AddListener(TcpListener listener, uint64_t tag = 0, bool raw = false);
+  // Registers the loop's one listening socket; accepted connections surface
+  // via on_accept. False if a listener is already registered.
+  // Loop-thread-only.
+  bool AddListener(TcpListener listener);
 
   // Adopts an established connection (e.g. an outbound TcpConnection::
   // Connect result — this is how the load generator drives thousands of
@@ -129,9 +118,6 @@ class EventLoop {
   // Same, for a frame already encoded with EncodeWireFrame — broadcasts
   // encode once and fan the same bytes out.
   bool SendEncoded(ConnId id, const util::Bytes& wire);
-  // Unframed bytes for raw-mode connections (HTTP responses). Same
-  // buffering/overflow discipline as SendEncoded. Loop-thread-only.
-  bool SendRaw(ConnId id, const uint8_t* data, size_t len);
 
   // The length-prefixed on-the-wire form of a frame (what SendFrame ships).
   static util::Bytes EncodeWireFrame(const Frame& frame);
@@ -161,20 +147,12 @@ class EventLoop {
     size_t out_offset = 0;    // already-written prefix of `out`
     bool writable = true;     // last write did not hit EAGAIN
     bool draining = false;    // CloseConn called: no reads, close on flush
-    bool raw = false;         // no frame grammar: input goes to on_data
-  };
-
-  struct Listener {
-    TcpListener listener;
-    uint64_t tag = 0;
-    bool raw = false;
   };
 
   EventLoop(Handlers handlers, EventLoopConfig config, int epoll_fd, int wake_fd);
 
-  ConnId Register(int fd, bool raw);
-  bool QueueBytes(ConnId id, const uint8_t* data, size_t len);
-  void AcceptReady(Listener& listener);
+  ConnId Register(int fd);
+  void AcceptReady();
   void ReadReady(ConnId id, bool peer_hup);
   // Parses whole frames out of conn.in; false if the connection died (the
   // handler closed it, or framing was violated).
@@ -194,7 +172,8 @@ class EventLoop {
 
   ConnId next_id_ = 1;
   std::unordered_map<ConnId, Conn> conns_;
-  std::unordered_map<ConnId, Listener> listeners_;
+  TcpListener listener_;
+  ConnId listener_id_ = 0;  // 0 until AddListener
   util::Bytes read_scratch_;
 
   std::mutex tasks_mutex_;

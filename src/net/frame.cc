@@ -49,38 +49,4 @@ std::optional<Frame> DecodeFrame(util::ByteSpan data) {
   return Frame{header->type, header->round, util::Bytes(payload.begin(), payload.end())};
 }
 
-util::Bytes EncodeBatch(const std::vector<util::Bytes>& items) {
-  size_t total = 4;
-  for (const auto& item : items) {
-    total += 4 + item.size();
-  }
-  wire::Writer w(total);
-  w.U32(static_cast<uint32_t>(items.size()));
-  for (const auto& item : items) {
-    w.Var(item);
-  }
-  return w.Take();
-}
-
-std::optional<std::vector<util::Bytes>> DecodeBatch(util::ByteSpan payload) {
-  wire::Reader r(payload);
-  auto count = r.U32();
-  if (!count) {
-    return std::nullopt;
-  }
-  std::vector<util::Bytes> items;
-  items.reserve(std::min<uint32_t>(*count, 1u << 20));
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto item = r.Var();
-    if (!item) {
-      return std::nullopt;
-    }
-    items.emplace_back(item->begin(), item->end());
-  }
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return items;
-}
-
 }  // namespace vuvuzela::net

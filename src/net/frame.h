@@ -23,8 +23,8 @@ enum class FrameType : uint8_t {
   kDialAck = 5,
   kInvitationFetch = 6,   // payload: u32 drop index
   kInvitationDrop = 7,    // payload: concatenated invitations
-  kBatch = 8,             // server↔server: length-prefixed onion list
-  kBatchResponse = 9,
+  kBatch = 8,             // reserved: the retired single-frame batch codec
+  kBatchResponse = 9,     // reserved, as kBatch
   kShutdown = 10,
   // Hop RPC (transport::TcpTransport ↔ transport::HopDaemon). Each op is a
   // chunked batch message (transport/hop_wire.h): a first frame of the op
@@ -83,10 +83,6 @@ util::Bytes EncodeFrame(const Frame& frame);
 // Decodes a complete frame; nullopt on truncation, trailing bytes, bad type,
 // or an oversized length.
 std::optional<Frame> DecodeFrame(util::ByteSpan data);
-
-// Encodes a list of byte strings into one payload (for kBatch frames).
-util::Bytes EncodeBatch(const std::vector<util::Bytes>& items);
-std::optional<std::vector<util::Bytes>> DecodeBatch(util::ByteSpan payload);
 
 }  // namespace vuvuzela::net
 

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -142,23 +143,40 @@ void MetricsHttpServer::Serve() {
 
 void MetricsHttpServer::ServeOne(net::TcpConnection conn) {
   // Raw byte I/O on the released descriptor (TcpConnection speaks frames; a
-  // scraper speaks HTTP). A poll deadline per read keeps a stuck client from
-  // wedging the acceptor thread for more than a moment.
+  // scraper speaks HTTP). One deadline covers the whole exchange, request
+  // read and response write alike: a client that stops sending, or asks for
+  // a megabyte /trace and stops reading, is dropped when it passes, so the
+  // acceptor (and the destructor joining it) never waits on a scraper.
   const int fd = conn.ReleaseFd();
   if (fd < 0) {
     return;
   }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(kConnectionDeadlineMs);
+  // Waits for `events` on fd until the deadline; false once it has passed or
+  // the descriptor failed.
+  auto wait_for = [fd, deadline](short events) {
+    for (;;) {
+      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) {
+        return false;
+      }
+      pollfd pfd{fd, events, 0};
+      int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+      if (ready < 0 && errno == EINTR) {
+        continue;
+      }
+      return ready > 0;
+    }
+  };
   std::string buffered;
   std::string response;
-  while (buffered.size() <= kMaxHttpRequestBytes) {
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, /*timeout_ms=*/2000) <= 0) {
-      break;  // slow or dead client: drop it
-    }
+  while (buffered.size() <= kMaxHttpRequestBytes && wait_for(POLLIN)) {
     char chunk[4096];
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
     if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
+      if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
         continue;
       }
       break;
@@ -171,12 +189,13 @@ void MetricsHttpServer::ServeOne(net::TcpConnection conn) {
     }
   }
   size_t written = 0;
-  while (written < response.size()) {
-    ssize_t n = ::send(fd, response.data() + written, response.size() - written, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
+  while (written < response.size() && wait_for(POLLOUT)) {
+    ssize_t n = ::send(fd, response.data() + written, response.size() - written,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
+        continue;
+      }
       break;
     }
     written += static_cast<size_t>(n);

@@ -1,16 +1,10 @@
-// The /metrics + /trace HTTP surface, in two deployment shapes:
-//
-//  * MetricsHttpServer — a tiny blocking acceptor thread for the daemons
-//    whose serve path is blocking one-connection-at-a-time I/O (hopd,
-//    exchanged, distd --threaded, coordd synthetic mode). One thread,
-//    serial request handling, connection-per-request: a scrape every few
-//    seconds is the whole workload.
-//
-//  * The reactor daemons (coordd's FrontDoor loop, distd's reactor path)
-//    serve the same endpoints from a raw-mode listener on their existing
-//    net::EventLoop — see EventLoop::Handlers::on_data. HandleRawHttp is
-//    the shared brain both shapes call: feed it the buffered input, get
-//    back a complete response once a full request has arrived.
+// The /metrics + /trace HTTP surface. Every daemon (hopd, exchanged, distd,
+// coordd) serves it the same way: a MetricsHttpServer, one blocking
+// acceptor thread beside the daemon's own serve path, handling one
+// connection at a time. A scrape every few seconds is the whole workload,
+// and the reactor daemons' event loops never see a scrape. Each connection
+// gets one deadline for reading the request and writing the response, so a
+// scraper that stalls cannot hold the acceptor past it.
 //
 // Endpoints (GET only):
 //   /metrics            Prometheus text exposition of an obs::Registry
@@ -42,6 +36,10 @@ namespace vuvuzela::obs {
 // requests are a few hundred bytes.
 inline constexpr size_t kMaxHttpRequestBytes = 16u << 10;
 
+// Budget for one scrape connection, request read plus response write. A
+// loopback scrape of even a full /trace ring takes milliseconds.
+inline constexpr int kConnectionDeadlineMs = 2000;
+
 struct HttpRequest {
   std::string method;
   std::string path;                    // without the query string
@@ -58,15 +56,14 @@ std::optional<HttpRequest> ParseHttpRequest(std::string_view buffered);
 std::string BuildHttpResponse(const HttpRequest& request, const Registry& registry,
                               const TraceJournal& journal);
 
-// One-call driver for both serve shapes: inspects `buffered` raw input and
-// returns the complete response once a full request head has arrived, or
-// nullopt while it is still incomplete. Oversized or malformed input yields
-// an error response (the caller should close after writing either way —
-// responses carry Connection: close).
+// Inspects `buffered` raw input and returns the complete response once a
+// full request head has arrived, or nullopt while it is still incomplete.
+// Oversized or malformed input yields an error response (the caller should
+// close after writing either way — responses carry Connection: close).
 std::optional<std::string> HandleRawHttp(std::string_view buffered, const Registry& registry,
                                          const TraceJournal& journal);
 
-// Blocking acceptor-thread server for the blocking-I/O daemons.
+// Blocking acceptor-thread server: the one way every daemon serves scrapes.
 class MetricsHttpServer {
  public:
   // Listens on 127.0.0.1:port (0 = ephemeral). nullptr on listen failure.

@@ -121,8 +121,6 @@ bool CoordinatorDaemon::Start() {
     FrontDoorConfig door_config;
     door_config.port = config_.client_port;
     door_config.backlog = config_.client_backlog;
-    // /metrics rides the same reactor loop as the client edge.
-    door_config.metrics_port = config_.metrics_port;
     FrontDoorHandlers door_handlers;
     door_handlers.on_frame = [this](size_t index, net::Frame&& frame) {
       OnClientFrame(index, std::move(frame));
@@ -140,8 +138,8 @@ bool CoordinatorDaemon::Start() {
       front_door_.reset();
       return false;
     }
-  } else if (config_.metrics_port >= 0) {
-    // Synthetic mode has no reactor; a blocking acceptor serves scrapes.
+  }
+  if (config_.metrics_port >= 0) {
     metrics_server_ =
         obs::MetricsHttpServer::Start(static_cast<uint16_t>(config_.metrics_port));
     if (!metrics_server_) {

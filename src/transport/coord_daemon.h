@@ -141,8 +141,8 @@ struct CoordDaemonConfig {
   bool record_responses = false;
 
   // /metrics + /trace HTTP port: < 0 disables it, 0 picks an ephemeral port
-  // (metrics_port() reports the binding). Client mode serves it from the
-  // FrontDoor's reactor loop; synthetic mode runs a blocking acceptor.
+  // (metrics_port() reports the binding). Start() opens it last, once the
+  // hop, dist and client connections are up.
   int metrics_port = -1;
 
   // ε/δ budget accountant (§6): budget.epsilon_budget > 0 arms it, and the
@@ -202,12 +202,7 @@ class CoordinatorDaemon {
   uint16_t client_port() const { return front_door_ ? front_door_->port() : 0; }
 
   // Bound /metrics port (valid after Start()); 0 when disabled.
-  uint16_t metrics_port() const {
-    if (front_door_) {
-      return front_door_->metrics_port();
-    }
-    return metrics_server_ ? metrics_server_->port() : 0;
-  }
+  uint16_t metrics_port() const { return metrics_server_ ? metrics_server_->port() : 0; }
 
   // Accepts clients (client mode), announces and drives all rounds, drains
   // the pipeline, and shuts clients (and optionally hops) down.
@@ -310,7 +305,7 @@ class CoordinatorDaemon {
 
   // The reactor-backed client edge (client mode; nullptr in synthetic mode).
   std::unique_ptr<FrontDoor> front_door_;
-  // Synthetic-mode /metrics endpoint (client mode rides the FrontDoor loop).
+  // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
   std::unique_ptr<obs::MetricsHttpServer> metrics_server_;
 
   // Global-registry telemetry: admission/collection health and the §5.5

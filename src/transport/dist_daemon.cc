@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -13,15 +12,6 @@
 #include "src/wire/messages.h"
 
 namespace vuvuzela::transport {
-
-namespace {
-
-bool SendError(net::TcpConnection& conn, uint64_t round, const std::string& message) {
-  return conn.SendFrame(
-      net::Frame{net::FrameType::kHopError, round, util::Bytes(message.begin(), message.end())});
-}
-
-}  // namespace
 
 DistDaemon::DistDaemon(const DistDaemonConfig& config, net::TcpListener listener)
     : config_(config), port_(listener.port()), listener_(std::move(listener)) {
@@ -47,22 +37,10 @@ std::unique_ptr<DistDaemon> DistDaemon::Create(const DistDaemonConfig& config) {
   }
   auto daemon = std::unique_ptr<DistDaemon>(new DistDaemon(config, std::move(*listener)));
   if (config.metrics_port >= 0) {
-    if (config.reactor) {
-      // The reactor path serves /metrics from a raw-mode listener on the
-      // same loop; bind it now so the port is known before Serve() runs.
-      auto metrics_listener =
-          net::TcpListener::Listen(static_cast<uint16_t>(config.metrics_port));
-      if (!metrics_listener) {
-        return nullptr;  // the requested metrics port is taken
-      }
-      daemon->metrics_listener_port_ = metrics_listener->port();
-      daemon->metrics_listener_ = std::move(*metrics_listener);
-    } else {
-      daemon->metrics_server_ =
-          obs::MetricsHttpServer::Start(static_cast<uint16_t>(config.metrics_port));
-      if (!daemon->metrics_server_) {
-        return nullptr;
-      }
+    daemon->metrics_server_ =
+        obs::MetricsHttpServer::Start(static_cast<uint16_t>(config.metrics_port));
+    if (!daemon->metrics_server_) {
+      return nullptr;  // the requested metrics port is taken
     }
   }
   return daemon;
@@ -73,25 +51,9 @@ size_t DistDaemon::rounds_held() const {
   return rounds_.size();
 }
 
-uint16_t DistDaemon::metrics_port() const {
-  if (metrics_server_) {
-    return metrics_server_->port();
-  }
-  return metrics_listener_port_;
-}
-
 void DistDaemon::Serve() {
-  if (config_.reactor) {
-    ServeReactor();
-    return;
-  }
-  ServeThreaded();
-}
-
-void DistDaemon::ServeReactor() {
   // Per-connection reassembly state: one streaming BatchAssembler, so peak
-  // buffered memory per downloader stays one chunk, exactly as on the
-  // threaded path.
+  // buffered memory per downloader stays one chunk.
   struct ConnState {
     BatchAssembler assembler;
     bool in_batch = false;
@@ -105,28 +67,9 @@ void DistDaemon::ServeReactor() {
                               util::Bytes(message.begin(), message.end())});
   };
 
-  constexpr uint64_t kRpcTag = 0;
-  constexpr uint64_t kMetricsTag = 1;
-
   net::EventLoop::Handlers handlers;
-  handlers.on_accept = [&states](net::EventLoop::ConnId id, uint64_t tag) {
-    if (tag == kRpcTag) {
-      states.try_emplace(id);
-    }
-  };
+  handlers.on_accept = [&states](net::EventLoop::ConnId id) { states.try_emplace(id); };
   handlers.on_close = [&states](net::EventLoop::ConnId id) { states.erase(id); };
-  // Scrape connections from the raw metrics listener: answer one request,
-  // then close (responses carry Connection: close).
-  handlers.on_data = [&loop](net::EventLoop::ConnId id, const util::Bytes& buffered) {
-    auto response = obs::HandleRawHttp(
-        std::string_view(reinterpret_cast<const char*>(buffered.data()), buffered.size()),
-        obs::Registry::Global(), obs::TraceJournal::Global());
-    if (!response) {
-      return;  // request head still incomplete; keep buffering
-    }
-    loop->SendRaw(id, reinterpret_cast<const uint8_t*>(response->data()), response->size());
-    loop->CloseConn(id);
-  };
   handlers.on_frame = [&, this](net::EventLoop::ConnId id, net::Frame&& frame) {
     auto it = states.find(id);
     if (it == states.end()) {
@@ -180,19 +123,14 @@ void DistDaemon::ServeReactor() {
   };
 
   auto owned_loop = net::EventLoop::Create(std::move(handlers));
-  if (!owned_loop || !owned_loop->AddListener(std::move(listener_), kRpcTag)) {
+  if (!owned_loop || !owned_loop->AddListener(std::move(listener_))) {
     VZ_LOG_ERROR << "dist shard " << config_.shard_index << ": reactor setup failed";
-    return;
-  }
-  if (metrics_listener_ &&
-      !owned_loop->AddListener(std::move(*metrics_listener_), kMetricsTag, /*raw=*/true)) {
-    VZ_LOG_ERROR << "dist shard " << config_.shard_index << ": metrics listener setup failed";
     return;
   }
   loop = owned_loop.get();
   {
     std::lock_guard<std::mutex> lock(loop_mutex_);
-    if (stop_.load()) {
+    if (stop_) {
       return;  // Stop() ran before the loop was published
     }
     loop_ = owned_loop.get();
@@ -202,134 +140,12 @@ void DistDaemon::ServeReactor() {
   loop_ = nullptr;
 }
 
-void DistDaemon::ServeThreaded() {
-  while (!stop_.load()) {
-    auto conn = listener_.Accept();
-    if (!conn) {
-      break;  // listener closed (Stop) or unrecoverable accept error
-    }
-    ReapConnections(/*all=*/false);
-    auto slot = std::make_unique<ConnSlot>();
-    slot->conn = std::move(*conn);
-    ConnSlot* raw = slot.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      if (stop_.load()) {
-        // Stop() may have run between Accept() returning and this
-        // registration; it could not see the connection, so cut it here.
-        slot->conn.Shutdown();
-      }
-      conns_.push_back(std::move(slot));
-      raw->thread = std::thread([this, raw] { ServeConnection(*raw); });
-    }
-  }
-  ReapConnections(/*all=*/true);
-}
-
 void DistDaemon::Stop() {
-  stop_.store(true);
-  listener_.Shutdown();
-  {
-    std::lock_guard<std::mutex> lock(loop_mutex_);
-    if (loop_ != nullptr) {
-      loop_->Stop();
-    }
+  std::lock_guard<std::mutex> lock(loop_mutex_);
+  stop_ = true;
+  if (loop_ != nullptr) {
+    loop_->Stop();
   }
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  for (auto& slot : conns_) {
-    if (!slot->done.load()) {
-      slot->conn.Shutdown();
-    }
-  }
-}
-
-void DistDaemon::ReapConnections(bool all) {
-  std::vector<std::unique_ptr<ConnSlot>> finished;
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if (all || (*it)->done.load()) {
-        finished.push_back(std::move(*it));
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // Join outside the lock: a still-live thread (all=true) may be inside
-  // ServeConnection, which never takes conns_mutex_, but keeping join
-  // lock-free is cheap insurance.
-  for (auto& slot : finished) {
-    if (slot->thread.joinable()) {
-      slot->thread.join();
-    }
-  }
-}
-
-void DistDaemon::ServeConnection(ConnSlot& slot) {
-  net::TcpConnection& conn = slot.conn;
-  if (config_.poll_interval_ms > 0) {
-    conn.SetRecvTimeout(config_.poll_interval_ms);
-  }
-  for (;;) {
-    auto frame = conn.RecvFrame();
-    if (!frame) {
-      if (conn.last_recv_status() == net::RecvStatus::kTimeout && !stop_.load()) {
-        continue;
-      }
-      break;  // peer gone, garbage framing, or stopping
-    }
-    if (frame->type == net::FrameType::kShutdown) {
-      // Orderly multi-process shutdown: stop the whole daemon, not just this
-      // connection (the router owns the fleet's lifetime).
-      Stop();
-      break;
-    }
-    if (frame->type != net::FrameType::kInvitationPublish &&
-        frame->type != net::FrameType::kInvitationFetch) {
-      if (!SendError(conn, frame->round, "unsupported dist op")) {
-        break;
-      }
-      continue;
-    }
-    // As in HopDaemon: the poll deadline covers idle waits between RPCs only;
-    // mid-batch chunk waits are untimed.
-    if (config_.poll_interval_ms > 0) {
-      conn.SetRecvTimeout(0);
-    }
-    auto request = ReadBatchMessage(conn, std::move(*frame));
-    if (config_.poll_interval_ms > 0) {
-      conn.SetRecvTimeout(config_.poll_interval_ms);
-    }
-    if (!request) {
-      if (conn.last_recv_status() != net::RecvStatus::kOk) {
-        break;  // the connection itself failed mid-batch
-      }
-      if (!SendError(conn, 0, "malformed batch message")) {
-        break;
-      }
-      continue;
-    }
-    if (!Dispatch(conn, std::move(*request))) {
-      break;
-    }
-  }
-  // Release the descriptor now rather than at the next Accept's reap: a
-  // burst of downloaders must not pin file descriptors through an idle
-  // period. Under conns_mutex_ so the close can never race Stop()'s
-  // Shutdown() of not-yet-done slots (an fd reused between the two calls
-  // would be shut down wrongly).
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  conn.Close();
-  slot.done.store(true);
-}
-
-bool DistDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
-  RpcReply reply = HandleRequest(request);
-  if (!reply.ok) {
-    return SendError(conn, request.round, reply.error);
-  }
-  return SendBatchMessage(conn, reply.op, request.round, {}, reply.items, config_.chunk_payload);
 }
 
 DistDaemon::RpcReply DistDaemon::HandleRequest(const BatchMessage& request) {

@@ -13,14 +13,12 @@
 // discipline *is* the engine's stage serialization — a dist shard is a
 // broadcast server: the router's persistent publish connection and any number
 // of downloading clients are served concurrently over a shared-mutex table
-// store (publishes exclusive, fetches shared). The default serve path is a
-// net::EventLoop reactor (one thread, every connection, per-connection
+// store (publishes exclusive, fetches shared). The serve path is a
+// net::EventLoop reactor: one thread, every connection, per-connection
 // BatchAssembler reassembly — this edge faces the client fleet, where
-// thread-per-connection cannot scale); `config.reactor = false` selects the
-// original thread-per-connection path, kept as an operational fallback and
-// as the reference the byte-identity conformance test compares against.
-// Both paths answer through the same HandleRequest and the same chunk
-// builder, so their replies are byte-identical by construction.
+// thread-per-connection cannot scale. /metrics and /trace are served beside
+// it by an obs::MetricsHttpServer acceptor thread, so a scrape never touches
+// the loop.
 //
 // State is per-round and replaceable: a re-published round (the
 // coordinator's retry path) overwrites its slice, and every publish carries
@@ -35,9 +33,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "src/net/event_loop.h"
@@ -61,28 +58,20 @@ struct DistDaemonConfig {
   uint32_t num_shards = 1;
   // Chunk budget for outgoing batch messages.
   size_t chunk_payload = kDefaultChunkPayload;
-  // Receive-poll interval between RPCs (see HopDaemonConfig).
-  int poll_interval_ms = 500;
   // Backstop cap on retained rounds, should a router never piggyback an
   // expiry horizon (each publish's keep_latest is the primary bound).
   size_t max_rounds = 64;
-  // Serve path: epoll reactor (default) or thread-per-connection (fallback;
-  // vuvuzela-distd --threaded).
-  bool reactor = true;
-  // Reactor accept-queue depth (the threaded path keeps the listener
-  // default; its accept loop was never the bottleneck).
+  // Accept-queue depth: downloaders arrive in connect storms.
   int backlog = 4096;
   // /metrics + /trace HTTP port: < 0 disables the endpoint, 0 picks an
-  // ephemeral port (metrics_port() reports the binding). On the reactor
-  // path this is a raw-mode listener sharing the serve loop; on the
-  // threaded path it is a MetricsHttpServer acceptor thread.
+  // ephemeral port (metrics_port() reports the binding).
   int metrics_port = -1;
 };
 
 class DistDaemon {
  public:
-  // Binds the listener; nullptr if the port is unavailable or the shard
-  // coordinates are out of range.
+  // Binds the listener, then starts the metrics server; nullptr if either
+  // port is unavailable or the shard coordinates are out of range.
   static std::unique_ptr<DistDaemon> Create(const DistDaemonConfig& config);
 
   uint16_t port() const { return port_; }
@@ -94,14 +83,13 @@ class DistDaemon {
   uint64_t bytes_served() const { return bytes_served_.load(); }
   size_t rounds_held() const;
   // Bound /metrics port; 0 when the endpoint is disabled.
-  uint16_t metrics_port() const;
+  uint16_t metrics_port() const { return metrics_server_ ? metrics_server_->port() : 0; }
 
-  // Accepts and serves connections concurrently until a kShutdown frame
-  // arrives on any of them or Stop() is called.
+  // Runs the reactor, serving every connection concurrently, until a
+  // kShutdown frame arrives on any of them or Stop() is called.
   void Serve();
 
-  // Unblocks Serve() from another thread, interrupting the accept loop and
-  // every active connection.
+  // Makes Serve() return from another thread, closing every connection.
   void Stop();
 
  private:
@@ -112,15 +100,8 @@ class DistDaemon {
     std::vector<std::vector<wire::Invitation>> buckets;
   };
 
-  struct ConnSlot {
-    net::TcpConnection conn;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   // Outcome of one dist RPC: an error report (one kHopError frame) or a
-  // batch-message reply — the wire encoding is left to the serve path, both
-  // of which go through the same chunk builder.
+  // batch-message reply, which Serve() encodes with the chunk builder.
   struct RpcReply {
     bool ok = false;
     std::string error;              // when !ok
@@ -130,28 +111,16 @@ class DistDaemon {
 
   DistDaemon(const DistDaemonConfig& config, net::TcpListener listener);
 
-  // The shared RPC core: validates, mutates/reads the table store, and
-  // builds the reply both serve paths encode identically.
+  // The RPC core: validates, mutates/reads the table store, and builds the
+  // reply.
   RpcReply HandleRequest(const BatchMessage& request);
   RpcReply HandlePublish(const BatchMessage& request);
   RpcReply HandleFetch(const BatchMessage& request);
 
-  void ServeReactor();
-  void ServeThreaded();
-  void ServeConnection(ConnSlot& slot);
-  bool Dispatch(net::TcpConnection& conn, BatchMessage request);
-  // Joins finished connection threads; `all` also joins live ones (Stop path,
-  // after their sockets were shut down).
-  void ReapConnections(bool all);
-
   DistDaemonConfig config_;
   uint16_t port_ = 0;
-  net::TcpListener listener_;  // moved into the reactor by ServeReactor()
-  // Metrics endpoint, one of two shapes: a raw-mode listener bound at Create
-  // and moved into the reactor by ServeReactor(), or a blocking acceptor
-  // thread for the threaded path.
-  std::optional<net::TcpListener> metrics_listener_;
-  uint16_t metrics_listener_port_ = 0;
+  net::TcpListener listener_;  // moved into the reactor by Serve()
+  // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
   std::unique_ptr<obs::MetricsHttpServer> metrics_server_;
   // Global-registry mirrors of the observability accessors above.
   obs::Counter* obs_publishes_;
@@ -161,20 +130,16 @@ class DistDaemon {
   std::atomic<uint64_t> publishes_stored_{0};
   std::atomic<uint64_t> fetches_served_{0};
   std::atomic<uint64_t> bytes_served_{0};
-  std::atomic<bool> stop_{false};
 
   // Publishes write, fetches read — concurrently with each other.
   mutable std::shared_mutex tables_mutex_;
   util::KeepLatestMap<RoundSlice> rounds_;
 
-  // Accept-loop bookkeeping (touched only under conns_mutex_; threaded path).
-  std::mutex conns_mutex_;
-  std::vector<std::unique_ptr<ConnSlot>> conns_;
-
-  // Reactor serve path: the loop pointer is published under loop_mutex_ so a
-  // concurrent Stop() can reach it (it lives on Serve()'s stack).
+  // The loop pointer is published under loop_mutex_ so a concurrent Stop()
+  // can reach it (the loop lives on Serve()'s stack).
   std::mutex loop_mutex_;
   net::EventLoop* loop_ = nullptr;
+  bool stop_ = false;  // Stop() ran; under loop_mutex_
 };
 
 }  // namespace vuvuzela::transport

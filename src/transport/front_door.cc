@@ -1,11 +1,7 @@
 #include "src/transport/front_door.h"
 
 #include <chrono>
-#include <string_view>
 #include <utility>
-
-#include "src/obs/http.h"
-#include "src/util/logging.h"
 
 namespace vuvuzela::transport {
 
@@ -22,17 +18,8 @@ std::unique_ptr<FrontDoor> FrontDoor::Create(const FrontDoorConfig& config,
   if (!listener) {
     return nullptr;
   }
-  auto door = std::unique_ptr<FrontDoor>(
+  return std::unique_ptr<FrontDoor>(
       new FrontDoor(config, std::move(handlers), std::move(*listener)));
-  if (config.metrics_port >= 0) {
-    auto metrics_listener = net::TcpListener::Listen(static_cast<uint16_t>(config.metrics_port));
-    if (!metrics_listener) {
-      return nullptr;  // the requested metrics port is taken
-    }
-    door->metrics_port_ = metrics_listener->port();
-    door->metrics_listener_ = std::move(*metrics_listener);
-  }
-  return door;
 }
 
 FrontDoor::~FrontDoor() { Shutdown(); }
@@ -44,38 +31,14 @@ bool FrontDoor::Start() {
   net::EventLoopConfig loop_config;
   loop_config.max_frame_payload = config_.max_frame_payload;
   loop_config.max_write_buffer = config_.max_write_buffer;
-  constexpr uint64_t kClientTag = 0;
-  constexpr uint64_t kMetricsTag = 1;
   net::EventLoop::Handlers loop_handlers;
-  loop_handlers.on_accept = [this](net::EventLoop::ConnId id, uint64_t tag) {
-    if (tag == kClientTag) {
-      HandleAccept(id);
-    }
-  };
+  loop_handlers.on_accept = [this](net::EventLoop::ConnId id) { HandleAccept(id); };
   loop_handlers.on_frame = [this](net::EventLoop::ConnId id, net::Frame&& frame) {
     HandleFrame(id, std::move(frame));
   };
   loop_handlers.on_close = [this](net::EventLoop::ConnId id) { HandleClose(id); };
-  // Scrape connections from the raw metrics listener: answer one request,
-  // then close (responses carry Connection: close). They never get a client
-  // index, so the admission maps cannot see them.
-  loop_handlers.on_data = [this](net::EventLoop::ConnId id, const util::Bytes& buffered) {
-    auto response = obs::HandleRawHttp(
-        std::string_view(reinterpret_cast<const char*>(buffered.data()), buffered.size()),
-        obs::Registry::Global(), obs::TraceJournal::Global());
-    if (!response) {
-      return;  // request head still incomplete; keep buffering
-    }
-    loop_->SendRaw(id, reinterpret_cast<const uint8_t*>(response->data()), response->size());
-    loop_->CloseConn(id);
-  };
   loop_ = net::EventLoop::Create(std::move(loop_handlers), loop_config);
-  if (!loop_ || !loop_->AddListener(std::move(listener_), kClientTag)) {
-    loop_.reset();
-    return false;
-  }
-  if (metrics_listener_ &&
-      !loop_->AddListener(std::move(*metrics_listener_), kMetricsTag, /*raw=*/true)) {
+  if (!loop_ || !loop_->AddListener(std::move(listener_))) {
     loop_.reset();
     return false;
   }
@@ -190,11 +153,20 @@ void FrontDoor::CloseClients(const net::Frame& frame, int grace_ms) {
   if (!loop_) {
     return;
   }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(grace_ms);
+  // A fetch the client already sent must be answered before the shutdown
+  // frame: the worker posts each reply to the loop before it goes idle, and
+  // posted tasks run in order, so broadcasting after the worker drains puts
+  // every reply ahead of `frame` on the wire.
+  {
+    std::unique_lock<std::mutex> lock(fetch_mutex_);
+    fetch_idle_cv_.wait_until(lock, deadline,
+                              [this] { return fetch_queue_.empty() && !fetch_busy_; });
+  }
   Broadcast(frame);
   {
     std::unique_lock<std::mutex> lock(clients_mutex_);
-    clients_cv_.wait_for(lock, std::chrono::milliseconds(grace_ms),
-                         [this] { return alive_.load() == 0; });
+    clients_cv_.wait_until(lock, deadline, [this] { return alive_.load() == 0; });
   }
   loop_->Post([this] {
     for (net::EventLoop::ConnId id : slots_) {
@@ -216,12 +188,17 @@ void FrontDoor::FetchWorker() {
       }
       job = std::move(fetch_queue_.front());
       fetch_queue_.pop_front();
+      fetch_busy_ = true;
     }
-    if (!handlers_.on_fetch) {
-      continue;
+    if (handlers_.on_fetch) {
+      net::Frame reply = handlers_.on_fetch(job.client, job.round, std::move(job.payload));
+      Send(job.client, std::move(reply));
     }
-    net::Frame reply = handlers_.on_fetch(job.client, job.round, std::move(job.payload));
-    Send(job.client, std::move(reply));
+    {
+      std::lock_guard<std::mutex> lock(fetch_mutex_);
+      fetch_busy_ = false;
+    }
+    fetch_idle_cv_.notify_all();
   }
 }
 

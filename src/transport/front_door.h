@@ -21,6 +21,10 @@
 //    loop for delivery, so a client can keep submitting onions on the same
 //    connection while its previous fetch is still in flight.
 //
+// The loop carries client frames only. The owning daemon serves /metrics
+// and /trace from its own obs::MetricsHttpServer, so a scrape never shares
+// the loop with admission.
+//
 // THREADING CONTRACT. Create/Start/Shutdown belong to the owning thread.
 // Broadcast/Send/frame building are thread-safe (they post to the loop).
 // on_connect/on_frame/on_disconnect run on the loop thread; on_fetch runs on
@@ -43,7 +47,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -65,11 +68,6 @@ struct FrontDoorConfig {
   // larger frame is hostile and is cut off before the allocation.
   size_t max_frame_payload = 16u << 20;
   size_t max_write_buffer = 64u << 20;
-  // /metrics + /trace HTTP port, served from a raw-mode listener on the same
-  // reactor loop: < 0 disables it, 0 picks an ephemeral port
-  // (metrics_port() reports the binding). Scrape connections never occupy a
-  // client index.
-  int metrics_port = -1;
 };
 
 struct FrontDoorHandlers {
@@ -93,8 +91,6 @@ class FrontDoor {
   ~FrontDoor();
 
   uint16_t port() const { return port_; }
-  // Bound /metrics port; 0 when the endpoint is disabled.
-  uint16_t metrics_port() const { return metrics_port_; }
 
   // Spawns the loop thread and the fetch worker; accepting begins now.
   bool Start();
@@ -119,9 +115,11 @@ class FrontDoor {
   // that announced kShutdown is deregistering). Thread-safe.
   void Disconnect(size_t client);
 
-  // Broadcasts `frame` (typically kShutdown), gives clients up to
-  // `grace_ms` to hang up on their own, then closes the stragglers.
-  // Thread-safe; call before Shutdown() for an orderly cascade.
+  // Within one `grace_ms` budget: lets queued and in-flight fetches post
+  // their replies, broadcasts `frame` (typically kShutdown) behind them,
+  // gives clients the rest of the budget to hang up on their own, then
+  // closes the stragglers. Thread-safe; call before Shutdown() for an
+  // orderly cascade.
   void CloseClients(const net::Frame& frame, int grace_ms);
 
   // Stops and joins the loop and worker threads. Idempotent.
@@ -145,10 +143,6 @@ class FrontDoor {
   FrontDoorHandlers handlers_;
   uint16_t port_ = 0;
   net::TcpListener listener_;  // moved into the loop by Start()
-  // Raw-mode /metrics listener (config.metrics_port >= 0), also moved into
-  // the loop by Start().
-  std::optional<net::TcpListener> metrics_listener_;
-  uint16_t metrics_port_ = 0;
   std::unique_ptr<net::EventLoop> loop_;
   std::thread loop_thread_;
   bool started_ = false;
@@ -165,8 +159,10 @@ class FrontDoor {
 
   std::thread fetch_thread_;
   std::mutex fetch_mutex_;
-  std::condition_variable fetch_cv_;
+  std::condition_variable fetch_cv_;       // wakes the worker: a job or stop
+  std::condition_variable fetch_idle_cv_;  // wakes CloseClients: worker idle
   std::deque<FetchJob> fetch_queue_;
+  bool fetch_busy_ = false;  // the worker holds a job whose reply is not yet posted
   bool fetch_stop_ = false;
 };
 

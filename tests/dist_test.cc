@@ -3,14 +3,21 @@
 // vuvuzela-distd path (byte-identical buckets for shard counts {1,2,4}),
 // wire-header robustness, the engine's Distribute stage, the client-side
 // DialingFetcher end to end, failure injection (a dead dist shard costs only
-// the dialing rounds routed to it and rejoins after restart), and concurrent
-// bucket downloads against one shard fleet.
+// the dialing rounds routed to it and rejoins after restart), concurrent
+// bucket downloads against one shard fleet, the FrontDoor's fetch-reply
+// ordering at teardown, and /metrics on the reactor daemons.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <thread>
+#include <utility>
 
 #include "src/client/dialing_fetcher.h"
 #include "src/transport/coord_daemon.h"
@@ -146,43 +153,25 @@ TEST(DistConformance, ExpiryDropsOldRoundsOnRouterAndShards) {
   EXPECT_EQ(fetcher.FetchBucket(coord::kDialingRoundBase + 2, 0, 4).size(), 1u);
 }
 
-// The epoll-reactor serve path (config.reactor = true — the default, so every
-// DistGroup test above already runs against it) must be observationally
-// identical to the thread-per-connection path it replaced. Both answer through
-// the same HandleRequest core and the same chunk builder, so identity should
-// hold by construction; this test checks it empirically at the wire level:
-// multi-chunk bucket fetches and every error-reply class compare byte for
-// byte between a reactor daemon and a --threaded daemon holding the same
-// published table.
-TEST(DistConformance, ReactorByteIdenticalToThreadedServePath) {
+// The reactor serve path against the in-process reference, at the wire
+// level: every bucket fetched over a raw connection as a multi-chunk batch
+// message must equal the published table's bucket item for item, every
+// error-reply class must carry its report, and the served counters must add
+// up to what was fetched.
+TEST(DistConformance, ReactorServesBucketsIdenticalToInProcessTable) {
   const uint32_t kNumDrops = 6;
   const uint64_t kRound = coord::kDialingRoundBase;
-  // A small chunk budget forces multi-chunk replies through both encoders.
+  // A small chunk budget forces multi-chunk replies.
   const size_t kChunk = 256;
 
-  struct ServePath {
-    std::unique_ptr<DistDaemon> daemon;
-    std::thread serve;
-  };
-  auto start = [&](bool reactor) {
-    DistDaemonConfig config;
-    config.reactor = reactor;
-    config.chunk_payload = kChunk;
-    ServePath path;
-    path.daemon = DistDaemon::Create(config);
-    if (path.daemon != nullptr) {
-      path.serve = std::thread([daemon = path.daemon.get()] { daemon->Serve(); });
-    }
-    return path;
-  };
-  ServePath reactor = start(/*reactor=*/true);
-  ServePath threaded = start(/*reactor=*/false);
-  ASSERT_NE(reactor.daemon, nullptr);
-  ASSERT_NE(threaded.daemon, nullptr);
+  DistDaemonConfig daemon_config;
+  daemon_config.chunk_payload = kChunk;
+  auto daemon = DistDaemon::Create(daemon_config);
+  ASSERT_NE(daemon, nullptr);
+  std::thread serve([&] { daemon->Serve(); });
 
-  // Publish the same table to both through the router's wire path.
   deaddrop::InvitationTable table = MakeTable(kNumDrops, {3, 0, 5, 1, 2, 7}, 99);
-  for (DistDaemon* daemon : {reactor.daemon.get(), threaded.daemon.get()}) {
+  {
     DistRouterConfig config;
     config.shards.push_back({"127.0.0.1", daemon->port()});
     config.chunk_payload = kChunk;
@@ -190,71 +179,62 @@ TEST(DistConformance, ReactorByteIdenticalToThreadedServePath) {
     ASSERT_NE(router, nullptr);
     router->Publish(kRound, CopyTable(table));
   }
-  ASSERT_EQ(reactor.daemon->rounds_held(), 1u);
-  ASSERT_EQ(threaded.daemon->rounds_held(), 1u);
+  ASSERT_EQ(daemon->rounds_held(), 1u);
 
-  auto connect = [](uint16_t port) {
-    auto conn = net::TcpConnection::Connect("127.0.0.1", port);
-    EXPECT_TRUE(conn.has_value());
-    if (conn) {
-      conn->SetRecvTimeout(10000);
-    }
-    return conn;
-  };
-  auto reactor_conn = connect(reactor.daemon->port());
-  auto threaded_conn = connect(threaded.daemon->port());
-  ASSERT_TRUE(reactor_conn.has_value() && threaded_conn.has_value());
+  auto conn = net::TcpConnection::Connect("127.0.0.1", daemon->port());
+  ASSERT_TRUE(conn.has_value());
+  conn->SetRecvTimeout(10000);
 
-  // Every bucket — including the empty one — fetched over both paths, on one
-  // persistent connection each (the fetcher's access pattern). The same
-  // `peer_label` makes thrown error strings comparable below.
+  // Every bucket — including the empty one — on one persistent connection
+  // (the fetcher's access pattern).
+  uint64_t items_fetched = 0;
   for (uint32_t drop = 0; drop < kNumDrops; ++drop) {
     util::Bytes header =
         EncodeInvitationFetchHeader({/*shard_index=*/0, /*num_shards=*/1, kNumDrops, drop});
-    BatchMessage from_reactor =
-        CallBatchRpc(*reactor_conn, "shard", net::FrameType::kInvitationFetch, kRound, header, {},
-                     kChunk);
-    BatchMessage from_threaded =
-        CallBatchRpc(*threaded_conn, "shard", net::FrameType::kInvitationFetch, kRound, header, {},
-                     kChunk);
-    EXPECT_EQ(from_reactor.op, from_threaded.op) << "bucket " << drop;
-    EXPECT_EQ(from_reactor.round, from_threaded.round) << "bucket " << drop;
-    EXPECT_EQ(from_reactor.header, from_threaded.header) << "bucket " << drop;
-    EXPECT_EQ(from_reactor.CopyItems(), from_threaded.CopyItems()) << "bucket " << drop;
-    EXPECT_EQ(from_reactor.items.size(), table.Drop(drop).size()) << "bucket " << drop;
-  }
-  EXPECT_EQ(reactor.daemon->fetches_served(), threaded.daemon->fetches_served());
-  EXPECT_EQ(reactor.daemon->bytes_served(), threaded.daemon->bytes_served());
-
-  // Error replies carry the same report on both paths: unknown round, a
-  // partition-shape mismatch, and a non-dist op as the opening frame.
-  auto remote_error = [&](net::TcpConnection& conn, net::FrameType op, uint64_t round,
-                          util::ByteSpan header) -> std::string {
-    try {
-      CallBatchRpc(conn, "shard", op, round, header, {}, kChunk);
-    } catch (const HopRemoteError& e) {
-      return e.what();
+    BatchMessage reply = CallBatchRpc(*conn, "shard", net::FrameType::kInvitationFetch, kRound,
+                                      header, {}, kChunk);
+    EXPECT_EQ(reply.op, net::FrameType::kInvitationFetch) << "bucket " << drop;
+    EXPECT_EQ(reply.round, kRound) << "bucket " << drop;
+    EXPECT_TRUE(reply.header.empty()) << "bucket " << drop;
+    const std::vector<wire::Invitation>& expected = table.Drop(drop);
+    std::vector<util::Bytes> items = reply.CopyItems();
+    ASSERT_EQ(items.size(), expected.size()) << "bucket " << drop;
+    for (size_t i = 0; i < items.size(); ++i) {
+      EXPECT_EQ(items[i], util::Bytes(expected[i].begin(), expected[i].end()))
+          << "bucket " << drop << " item " << i;
     }
-    return "(no error)";
+    items_fetched += items.size();
+  }
+  // The largest bucket really does span several chunks.
+  EXPECT_GT(table.Drop(kNumDrops - 1).size() * wire::kInvitationSize, 2 * kChunk);
+  EXPECT_EQ(daemon->fetches_served(), kNumDrops);
+  EXPECT_EQ(daemon->bytes_served(), items_fetched * wire::kInvitationSize);
+
+  // Error replies: unknown round, a partition-shape mismatch, and a non-dist
+  // op as the opening frame.
+  auto remote_error = [&](net::FrameType op, uint64_t round, util::ByteSpan header) {
+    try {
+      CallBatchRpc(*conn, "shard", op, round, header, {}, kChunk);
+    } catch (const HopRemoteError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
   };
   util::Bytes fetch0 = EncodeInvitationFetchHeader({0, 1, kNumDrops, 0});
-  std::string unknown_reactor =
-      remote_error(*reactor_conn, net::FrameType::kInvitationFetch, kRound + 7, fetch0);
-  EXPECT_EQ(unknown_reactor,
-            remote_error(*threaded_conn, net::FrameType::kInvitationFetch, kRound + 7, fetch0));
-  EXPECT_NE(unknown_reactor.find(kDistUnknownRoundError), std::string::npos);
-
+  EXPECT_NE(remote_error(net::FrameType::kInvitationFetch, kRound + 7, fetch0)
+                .find(kDistUnknownRoundError),
+            std::string::npos);
   util::Bytes mismatched = EncodeInvitationFetchHeader({1, 2, kNumDrops, kNumDrops - 1});
-  EXPECT_EQ(remote_error(*reactor_conn, net::FrameType::kInvitationFetch, kRound, mismatched),
-            remote_error(*threaded_conn, net::FrameType::kInvitationFetch, kRound, mismatched));
+  EXPECT_NE(remote_error(net::FrameType::kInvitationFetch, kRound, mismatched)
+                .find("dist partition map mismatch"),
+            std::string::npos);
+  EXPECT_NE(remote_error(net::FrameType::kDialAck, kRound, {}).find("unsupported dist op"),
+            std::string::npos);
+  // Refused requests are not served fetches.
+  EXPECT_EQ(daemon->fetches_served(), kNumDrops);
 
-  EXPECT_EQ(remote_error(*reactor_conn, net::FrameType::kDialAck, kRound, {}),
-            remote_error(*threaded_conn, net::FrameType::kDialAck, kRound, {}));
-
-  for (ServePath* path : {&reactor, &threaded}) {
-    path->daemon->Stop();
-    path->serve.join();
-  }
+  daemon->Stop();
+  serve.join();
 }
 
 TEST(DistWire, HeaderCodecsRejectMalformedInput) {
@@ -526,9 +506,10 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
   }
   config.scheduler.max_in_flight = 2;
   config.schedule.conversation_rounds_per_dialing_round = 1;  // alternate C/D
-  // 3 conversation + 2 dialing; ending on a conversation round keeps the
-  // coordinator serving while the second dialing round's fetch is in flight
-  // (a fetch racing teardown would be dropped, flaking the count below).
+  // 3 conversation + 2 dialing. Ending on a conversation round makes sure
+  // the second dialing round's fetch reaches the coordinator before
+  // teardown; from there CloseClients answers it ahead of kShutdown (see
+  // FrontDoor.CloseClientsSendsQueuedFetchRepliesBeforeShutdown).
   config.total_rounds = 5;
   config.admission_window_seconds = 0.2;  // closes early once the client contributed
   config.hop_timeout_ms = 2000;
@@ -599,6 +580,143 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
   // Client-proxied fetches never raise `expected` — a client mistake must
   // not read as a coordinator failure.
   EXPECT_EQ(result.dialing_fetches_expected, 0u);
+}
+
+// Fetch replies the worker still owes when teardown starts — one in flight,
+// one queued behind it — go out before the shutdown frame, not after it.
+TEST(FrontDoor, CloseClientsSendsQueuedFetchRepliesBeforeShutdown) {
+  std::atomic<int> fetches_started{0};
+  FrontDoorHandlers handlers;
+  handlers.on_fetch = [&](size_t, uint64_t round, util::Bytes) {
+    fetches_started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));  // a slow shard RPC
+    return net::Frame{net::FrameType::kInvitationDrop, round,
+                      util::Bytes(wire::kInvitationSize, 0x5a)};
+  };
+  auto door = FrontDoor::Create(FrontDoorConfig{}, std::move(handlers));
+  ASSERT_NE(door, nullptr);
+  ASSERT_TRUE(door->Start());
+  auto conn = net::TcpConnection::Connect("127.0.0.1", door->port());
+  ASSERT_TRUE(conn.has_value());
+  conn->SetRecvTimeout(10000);
+  ASSERT_TRUE(door->WaitForClients(1, 5000));
+
+  util::Bytes index(4, 0);
+  ASSERT_TRUE(conn->SendFrame(net::Frame{net::FrameType::kInvitationFetch, 7, index}));
+  ASSERT_TRUE(conn->SendFrame(net::Frame{net::FrameType::kInvitationFetch, 8, index}));
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fetches_started.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fetches_started.load(), 1);
+
+  std::thread closer([&] {
+    door->CloseClients(net::Frame{net::FrameType::kShutdown, 0, {}}, /*grace_ms=*/5000);
+  });
+  std::vector<std::pair<net::FrameType, uint64_t>> received;
+  while (auto frame = conn->RecvFrame()) {
+    received.emplace_back(frame->type, frame->round);
+    if (frame->type == net::FrameType::kShutdown) {
+      break;
+    }
+  }
+  conn->Close();
+  closer.join();
+  door->Shutdown();
+
+  std::vector<std::pair<net::FrameType, uint64_t>> expected = {
+      {net::FrameType::kInvitationDrop, 7},
+      {net::FrameType::kInvitationDrop, 8},
+      {net::FrameType::kShutdown, 0}};
+  EXPECT_EQ(received, expected);
+}
+
+// --- /metrics beside the reactor ---------------------------------------------
+
+// One GET over a plain socket: the whole response, or what arrived within
+// 5 s.
+std::string HttpGet(uint16_t port, const std::string& path) {
+  auto conn = net::TcpConnection::Connect("127.0.0.1", port);
+  if (!conn) {
+    return "";
+  }
+  int fd = conn->ReleaseFd();
+  timeval timeout{/*tv_sec=*/5, /*tv_usec=*/0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+  std::string response;
+  if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+      static_cast<ssize_t>(request.size())) {
+    char buffer[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+      response.append(buffer, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+// Scrapes go through the daemon's own acceptor, so they are answered while
+// a connection on the reactor sits on a half-sent batch message.
+TEST(DistDaemon, ServesMetricsWhileAConnectionHoldsAHalfSentBatch) {
+  const size_t kChunk = 256;
+  DistDaemonConfig config;
+  config.chunk_payload = kChunk;
+  config.metrics_port = 0;
+  auto daemon = DistDaemon::Create(config);
+  ASSERT_NE(daemon, nullptr);
+  ASSERT_NE(daemon->metrics_port(), 0u);
+  std::thread serve([&] { daemon->Serve(); });
+
+  std::vector<util::Bytes> items(8, util::Bytes(100, 0x11));
+  auto frames = EncodeBatchChunks(net::FrameType::kInvitationPublish, coord::kDialingRoundBase,
+                                  EncodeInvitationPublishHeader({0, 1, 4, 4}), items, kChunk);
+  ASSERT_TRUE(frames.has_value());
+  ASSERT_GT(frames->size(), 1u);
+  auto conn = net::TcpConnection::Connect("127.0.0.1", daemon->port());
+  ASSERT_TRUE(conn.has_value());
+  ASSERT_TRUE(conn->SendFrame(frames->front()));
+
+  std::string metrics = HttpGet(daemon->metrics_port(), "/metrics");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
+  EXPECT_NE(metrics.find("vuvuzela_dist_fetches_total"), std::string::npos);
+  EXPECT_NE(HttpGet(daemon->metrics_port(), "/trace").find("200 OK"), std::string::npos);
+  EXPECT_EQ(daemon->publishes_stored(), 0u);  // the batch is still half-sent
+
+  daemon->Stop();
+  serve.join();
+}
+
+TEST(DistDaemon, TakenMetricsPortFailsCreate) {
+  auto squatter = net::TcpListener::Listen(0);
+  ASSERT_TRUE(squatter.has_value());
+  DistDaemonConfig config;
+  config.metrics_port = squatter->port();
+  EXPECT_EQ(DistDaemon::Create(config), nullptr);
+}
+
+TEST(CoordinatorDaemon, ClientModeServesMetrics) {
+  mixnet::ChainConfig chain_config;
+  chain_config.num_servers = 2;
+  chain_config.parallel = false;
+  auto chain = LoopbackChain::Start(chain_config, /*seed=*/77);
+  ASSERT_NE(chain, nullptr);
+
+  CoordDaemonConfig config;
+  for (size_t i = 0; i < chain->size(); ++i) {
+    config.hops.push_back({"127.0.0.1", chain->port(i)});
+  }
+  config.num_clients = 1;
+  config.key_seed = 77;
+  config.metrics_port = 0;
+  CoordinatorDaemon coordinator(std::move(config));
+  ASSERT_TRUE(coordinator.Start());
+  ASSERT_NE(coordinator.client_port(), 0u);
+  ASSERT_NE(coordinator.metrics_port(), 0u);
+  std::string metrics = HttpGet(coordinator.metrics_port(), "/metrics");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
+  EXPECT_NE(metrics.find("vuvuzela_reactor_accepts_total"), std::string::npos);
 }
 
 TEST(DistDaemon, ServesConcurrentDownloadersWhilePublishing) {

@@ -268,7 +268,7 @@ TEST(EventLoop, CloseConnFlushesPendingWritesFirst) {
   std::unique_ptr<EventLoop> loop;
   util::Bytes big(4u << 20, 0x7e);
   EventLoop::Handlers handlers;
-  handlers.on_accept = [&](EventLoop::ConnId id, uint64_t) {
+  handlers.on_accept = [&](EventLoop::ConnId id) {
     loop->Send(id, Frame{FrameType::kInvitationDrop, 5, big});
     loop->CloseConn(id);
   };

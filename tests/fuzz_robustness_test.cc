@@ -40,7 +40,6 @@ TEST(Fuzz, WireParsersNeverCrash) {
     (void)wire::DialRequest::Parse(blob);
     (void)wire::RoundAnnouncement::Parse(blob);
     (void)net::DecodeFrame(blob);
-    (void)net::DecodeBatch(blob);
   }
 }
 
@@ -150,29 +149,6 @@ TEST(Fuzz, BitflippedValidStructuresRejectOrParse) {
     util::Bytes mutated = encoded;
     mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     (void)net::DecodeFrame(mutated);  // reject or decode; never crash
-  }
-}
-
-TEST(Fuzz, BatchDecoderHandlesNestedCorruption) {
-  util::Xoshiro256Rng rng(0xf029);
-  std::vector<util::Bytes> items;
-  for (int i = 0; i < 5; ++i) {
-    items.push_back(rng.RandomBytes(50));
-  }
-  util::Bytes encoded = net::EncodeBatch(items);
-  for (size_t i = 0; i < 500; ++i) {
-    util::Bytes mutated = encoded;
-    size_t pos = rng.UniformUint64(mutated.size());
-    mutated[pos] = static_cast<uint8_t>(rng.NextUint64());
-    auto decoded = net::DecodeBatch(mutated);
-    if (decoded) {
-      // If it decodes, the items must account for exactly the payload bytes.
-      size_t total = 4;
-      for (const auto& item : *decoded) {
-        total += 4 + item.size();
-      }
-      EXPECT_EQ(total, mutated.size());
-    }
   }
 }
 

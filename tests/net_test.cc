@@ -64,26 +64,6 @@ TEST(Frame, RejectsLyingLength) {
   EXPECT_FALSE(DecodeFrame(data).has_value());
 }
 
-TEST(Batch, RoundTrip) {
-  std::vector<util::Bytes> items = {{1}, {2, 2}, {}, {3, 3, 3}};
-  auto decoded = DecodeBatch(EncodeBatch(items));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, items);
-}
-
-TEST(Batch, EmptyList) {
-  auto decoded = DecodeBatch(EncodeBatch({}));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->empty());
-}
-
-TEST(Batch, RejectsCorruptCount) {
-  std::vector<util::Bytes> items = {{1, 2}};
-  util::Bytes data = EncodeBatch(items);
-  data[3] = 200;  // count says 200 items, only 1 present
-  EXPECT_FALSE(DecodeBatch(data).has_value());
-}
-
 TEST(Tcp, LoopbackFrameExchange) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.has_value());

@@ -1,16 +1,19 @@
 // obs:: tests — metric registry (sharded counters, histogram bucket
 // boundaries, concurrent merging), Prometheus exposition round-trip, the
-// /metrics + /trace HTTP surface in both serve shapes, the bounded trace
-// ring, and the offline stitcher.
+// /metrics + /trace HTTP surface and its stalled-scraper bound, the bounded
+// trace ring, and the offline stitcher.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -355,10 +358,13 @@ TEST(HandleRawHttp, RoutesMetricsTraceAnd404) {
   EXPECT_NE(missing->find("404"), std::string::npos);
 }
 
-// Plain-socket GET against the blocking acceptor; returns the full response.
+// Plain-socket GET against the blocking acceptor; returns the full response,
+// or what arrived before a 10 s receive timeout.
 std::string HttpGet(uint16_t port, const std::string& path) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  timeval timeout{/*tv_sec=*/10, /*tv_usec=*/0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -394,6 +400,60 @@ TEST(MetricsHttpServer, ServesScrapesOverRealSockets) {
   std::string trace = HttpGet(server->port(), "/trace?round=1");
   EXPECT_NE(trace.find("span/served"), std::string::npos);
   EXPECT_NE(HttpGet(server->port(), "/bogus").find("404"), std::string::npos);
+}
+
+// A scraper that requests a multi-megabyte /trace and never reads it must
+// not wedge the one acceptor thread: the next scrape is answered, and the
+// destructor (daemon shutdown) returns, once the stalled connection's
+// deadline passes. The bounds leave room for sanitizer builds, where
+// rendering the trace alone takes seconds.
+TEST(MetricsHttpServer, StalledScraperDoesNotWedgeServer) {
+  Registry registry;
+  registry.GetCounter("served_total", "events")->Add(3);
+  TraceJournal journal;  // the full 65,536-record ring
+  journal.SetProcess("test");
+  // About 8 MB of JSONL: more than the kernel's largest loopback send
+  // buffer plus the client's receive window.
+  const std::string detail(64, 'x');
+  for (size_t i = 0; i < journal.capacity(); ++i) {
+    journal.Emit(i, "span/filler", detail);
+  }
+  auto server = MetricsHttpServer::Start(/*port=*/0, &registry, &journal);
+  ASSERT_NE(server, nullptr);
+
+  // A tiny receive window keeps the kernel from absorbing the response.
+  int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  int rcvbuf = 4096;
+  ::setsockopt(stalled, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string request = "GET /trace HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(stalled, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+
+  auto started = std::chrono::steady_clock::now();
+  std::string metrics = HttpGet(server->port(), "/metrics");
+  EXPECT_NE(metrics.find("served_total 3"), std::string::npos);
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::seconds(10));
+
+  // Destroy on a helper thread so a wedged destructor fails the test rather
+  // than hanging it; closing the stalled socket releases it either way.
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    server.reset();
+    destroyed.store(true);
+  });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!destroyed.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(destroyed.load()) << "~MetricsHttpServer still blocked after 10 s";
+  ::close(stalled);
+  destroyer.join();
 }
 
 }  // namespace

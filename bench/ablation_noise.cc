@@ -35,8 +35,7 @@ int main() {
               " activity\n");
   for (double fraction : {1.0, 0.5, 0.0}) {
     mixnet::Chain chain = bench::MakeBenchChain(3, 2000, 23);
-    sim::WorkloadConfig workload{.num_users = 10000, .pairing_fraction = fraction, .seed = 23,
-                                 .parallel = true};
+    sim::WorkloadConfig workload{.num_users = 10000, .pairing_fraction = fraction, .seed = 23};
     auto onions = sim::GenerateConversationWorkload(workload, chain.public_keys(), 1);
     auto start = std::chrono::steady_clock::now();
     auto result = chain.RunConversationRound(1, std::move(onions));
@@ -54,11 +53,10 @@ int main() {
       mixnet::ChainConfig config;
       config.num_servers = 3;
       config.conversation_noise = {.params = {2000, 400}, .deterministic = deterministic};
-      config.parallel = true;
       util::Xoshiro256Rng rng(100 + r);
       mixnet::Chain chain = mixnet::Chain::Create(config, rng);
       sim::WorkloadConfig workload{.num_users = 1000, .pairing_fraction = 1.0,
-                                   .seed = static_cast<uint64_t>(r), .parallel = true};
+                                   .seed = static_cast<uint64_t>(r)};
       auto onions = sim::GenerateConversationWorkload(workload, chain.public_keys(), 1);
       auto result = chain.RunConversationRound(1, std::move(onions));
       double requests = static_cast<double>(result.stats.forward.back().requests_in);

@@ -91,7 +91,6 @@ int main() {
     mixnet::ChainConfig config;
     config.num_servers = 3;
     config.conversation_noise = {.params = {kMu, kB}, .deterministic = false};
-    config.parallel = true;
     mixnet::Chain chain = mixnet::Chain::Create(config, rng);
 
     auto run_round = [&](uint64_t round, bool alice_talks) {

@@ -36,7 +36,6 @@ static void MeasuredPerClientRow() {
   chain_config.num_servers = 3;
   chain_config.conversation_noise = {.params = {6.0, 2.0}, .deterministic = true};
   chain_config.dialing_noise = {.params = {6.0, 2.0}, .deterministic = true};
-  chain_config.parallel = false;
 
   auto dist = transport::DistGroup::Start(2);
   auto chain = transport::LoopbackChain::Start(chain_config, kSeed);

@@ -56,7 +56,6 @@ inline mixnet::Chain MakeBenchChain(size_t servers, double mu, uint64_t seed,
   // sampling the Laplace distribution" — same mean, less variance.
   config.conversation_noise = {.params = {mu, mu / 20.0 + 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {dial_mu, dial_mu / 20.0 + 1.0}, .deterministic = true};
-  config.parallel = true;
   config.exchange_shards = 0;  // one dead-drop shard per pool worker
   util::Xoshiro256Rng rng(seed);
   return mixnet::Chain::Create(config, rng);
@@ -74,7 +73,6 @@ inline std::vector<std::vector<util::Bytes>> MakeConversationBatches(
     sim::WorkloadConfig workload{.num_users = users,
                                  .pairing_fraction = 1.0,
                                  .seed = seed + round,
-                                 .parallel = true,
                                  .key_ring = key_ring};
     batches.push_back(sim::GenerateConversationWorkload(workload, chain_keys, round));
   }
@@ -84,8 +82,7 @@ inline std::vector<std::vector<util::Bytes>> MakeConversationBatches(
 inline RealRound RunRealConversationRound(uint64_t users, size_t servers, double mu,
                                           uint64_t seed) {
   mixnet::Chain chain = MakeBenchChain(servers, mu, seed);
-  sim::WorkloadConfig workload{.num_users = users, .pairing_fraction = 1.0, .seed = seed,
-                               .parallel = true};
+  sim::WorkloadConfig workload{.num_users = users, .pairing_fraction = 1.0, .seed = seed};
   std::vector<util::Bytes> onions =
       sim::GenerateConversationWorkload(workload, chain.public_keys(), 1);
 
@@ -200,7 +197,6 @@ inline MultiRound RunTcpPipelinedConversationRounds(uint64_t users, size_t serve
   mixnet::ChainConfig config;
   config.num_servers = servers;
   config.conversation_noise = {.params = {mu, mu / 20.0 + 1.0}, .deterministic = true};
-  config.parallel = true;
   config.exchange_shards = 0;
   auto chain = transport::LoopbackChain::Start(config, seed);
   if (!chain) {
@@ -224,8 +220,7 @@ inline RealRound RunRealDialingRound(uint64_t users, size_t servers, double mu,
                                      uint32_t total_drops, double dial_fraction, uint64_t seed) {
   mixnet::Chain chain = MakeBenchChain(servers, /*mu=*/1.0, seed, /*dial_mu=*/mu);
   dialing::RoundConfig dial_config{.num_real_drops = total_drops - 1};
-  sim::WorkloadConfig workload{.num_users = users, .pairing_fraction = 1.0, .seed = seed,
-                               .parallel = true};
+  sim::WorkloadConfig workload{.num_users = users, .pairing_fraction = 1.0, .seed = seed};
   std::vector<util::Bytes> onions =
       sim::GenerateDialingWorkload(workload, chain.public_keys(), 1, dial_config, dial_fraction);
 

@@ -213,7 +213,6 @@ int main(int argc, char** argv) {
                                      .deterministic = true};
   chain_config.dialing_noise = {.params = {flags.dial_mu, flags.dial_mu / 20.0 + 1.0},
                                 .deterministic = true};
-  chain_config.parallel = true;
   chain_config.exchange_shards = flags.exchange_shards;
 
   mixnet::MixServerConfig server_config;
@@ -221,7 +220,6 @@ int main(int argc, char** argv) {
   server_config.chain_length = flags.servers;
   server_config.conversation_noise = chain_config.conversation_noise;
   server_config.dialing_noise = chain_config.dialing_noise;
-  server_config.parallel = chain_config.parallel;
   server_config.exchange_shards = chain_config.exchange_shards;
 
   obs::TraceJournal::Global().SetProcess("hopd-" + std::to_string(flags.position));

@@ -33,7 +33,6 @@ WorldResult RunWorld(bool talking, uint64_t seed) {
   mixnet::ChainConfig config;
   config.num_servers = 3;
   config.conversation_noise = {.params = {50.0, 10.0}, .deterministic = false};
-  config.parallel = true;
   mixnet::Chain chain = mixnet::Chain::Create(config, rng);
 
   auto source = crypto::X25519KeyPair::Generate(rng);

@@ -71,9 +71,10 @@ std::optional<util::Bytes> OnionOpenResponse(std::span<const AeadKey> layer_keys
 
 // --- Batch-pass primitives --------------------------------------------------
 //
-// The batched mix pass (MixServer with config.batching) is built on these.
-// All of them are byte-identical to the scalar functions above; the
-// conformance suite (tests/batch_pass_test.cc) pins that equivalence down.
+// The mix pass (MixServer) is built on these. All of them are byte-identical
+// to the plain functions above, which the serial test oracle
+// (tests/reference_mix_server.h) uses; tests/batch_pass_test.cc pins that
+// equivalence down pass by pass.
 
 // The HKDF context string onion keys are derived under — exposed so a
 // SecretCache can be primed (MixServer::PrimeClientSecrets) with exactly the
@@ -85,7 +86,7 @@ util::ByteSpan OnionContext();
 // preallocated results block) and must not overlap `layer`. When `cache` is
 // non-null the shared-secret derivation goes through it (one DH per client
 // per key epoch instead of one per onion per round); null means a direct DH,
-// the scalar reference behavior. Returns false on malformed or forged
+// as OnionUnwrapLayer does. Returns false on malformed or forged
 // layers, leaving `inner_out` unspecified.
 bool OnionUnwrapLayerInto(const X25519SecretKey& server_sk, SecretCache* cache, uint64_t round,
                           util::ByteSpan layer, util::MutableByteSpan inner_out,

@@ -8,8 +8,8 @@
 // (one ~55us scalar multiplication); this cache pays it once per (client,
 // server-key epoch) and answers subsequent rounds from a hash map. The round
 // number only enters the AEAD *nonce*, never the key derivation, so a cache
-// hit is byte-identical to a fresh derivation — which is what lets the
-// batched pass stay bit-for-bit equal to the scalar reference path.
+// hit is byte-identical to a fresh derivation — which is what lets the mix
+// pass stay bit-for-bit equal to the uncached test oracle.
 //
 // Generations: the cache holds two, a current and a previous one. The mix
 // pass calls Advance() once per batched unwrap: the current generation

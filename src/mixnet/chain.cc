@@ -51,7 +51,6 @@ Chain Chain::Create(const ChainConfig& config, util::Rng& rng) {
     server_config.chain_length = config.num_servers;
     server_config.conversation_noise = config.conversation_noise;
     server_config.dialing_noise = config.dialing_noise;
-    server_config.parallel = config.parallel;
     server_config.exchange_shards = config.exchange_shards;
     server_config.mix = std::find(config.non_mixing_positions.begin(),
                                   config.non_mixing_positions.end(),

@@ -46,7 +46,6 @@ struct ChainConfig {
   size_t num_servers = 3;
   noise::NoiseConfig conversation_noise;
   noise::NoiseConfig dialing_noise;
-  bool parallel = true;
   // Dead-drop exchange shards at the last server (see MixServerConfig).
   size_t exchange_shards = 1;
   // Positions whose servers skip mixing (modeling compromised servers that

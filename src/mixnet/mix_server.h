@@ -19,18 +19,18 @@
 // it processed before the crash — which is what lets the round engine retry a
 // crashed round and get output byte-identical to an uninterrupted run.
 //
-// Batched hot path: with MixServerConfig::batching (the default), onions are
-// processed in cache-friendly blocks over ThreadPool::ParallelForBlocks with
-// preallocated per-slot output buffers (no per-onion intermediate
-// allocation), per-client shared secrets are cached across rounds in a
-// two-generation SecretCache advanced once per unwrap pass (the round number
-// only enters the AEAD nonce, so a hit cannot change any output byte; keys
-// not seen for two passes leave, so the cache holds one pass's clients, not
-// every cover onion ever unwrapped), and noise onions are wrapped against
-// precomputed comb tables for the chain suffix's static keys. All of it is
-// byte-identical to the scalar reference path (batching = false), which the
-// conformance suite pins down; the determinism contract above is what makes
-// that provable rather than statistical.
+// One implementation of each pass: onions are processed in cache-friendly
+// blocks over ThreadPool::ParallelForBlocks with preallocated per-slot output
+// buffers (no per-onion intermediate allocation), per-client shared secrets
+// are cached across rounds in a two-generation SecretCache advanced once per
+// unwrap pass (the round number only enters the AEAD nonce, so a hit cannot
+// change any output byte; keys not seen for two passes leave, so the cache
+// holds one pass's clients, not every cover onion ever unwrapped), and noise
+// onions are wrapped against precomputed comb tables for the chain suffix's
+// static keys. A serial, uncached, ladder-only reference of every pass lives
+// in tests/reference_mix_server.h; tests/batch_pass_test.cc pins this class
+// byte-for-byte against it, which the determinism contract above makes
+// provable rather than statistical.
 //
 // Threading/ownership: one MixServer runs one pass at a time — callers
 // serialize passes (the hop daemon's connection loop and the chain driver
@@ -68,25 +68,13 @@ struct MixServerConfig {
   size_t chain_length = 1;
   noise::NoiseConfig conversation_noise;
   noise::NoiseConfig dialing_noise;
-  // When false, skips ParallelFor and processes requests on the calling
-  // thread (deterministic ordering for tests).
-  bool parallel = true;
   // Shards for the last server's dead-drop exchange (partitioned by ID
   // prefix; byte-identical outcome for any value). 0 means one shard per
-  // pool worker; requires `parallel`.
+  // pool worker.
   size_t exchange_shards = 1;
   // A server under adversarial control may skip mixing; tests use this to
   // model compromise (§4.2 attack scenarios). Honest servers always mix.
   bool mix = true;
-  // Batched hot path: per-client shared-secret cache, block processing with
-  // per-block scratch, and precomputed-table DH for noise wrapping. Output is
-  // byte-identical to the scalar path (tests/batch_pass_test.cc pins it);
-  // `false` selects the original per-onion reference implementation.
-  bool batching = true;
-  // Onions per block on the batched path. Blocks are the work-stealing unit
-  // of ParallelForBlocks and the reuse scope for scratch state; any value
-  // yields identical bytes.
-  size_t batch_block = 64;
 };
 
 // Per-round, per-server counters surfaced to benches (Figures 9-11, §8.2
@@ -237,6 +225,10 @@ class MixServer {
 
   std::span<const crypto::X25519PublicKey> ChainSuffix() const;
   size_t ResponseSizeFromNextHop() const;
+  // Wraps each cover payload for the chain suffix on the pool, drawing one
+  // per-onion seed from `rng` in order.
+  std::vector<util::Bytes> WrapNoise(uint64_t round, const std::vector<util::Bytes>& payloads,
+                                     crypto::ChaChaRng& rng) const;
   // Derives the per-(round, pass) RNG; `pass` is a domain-separation label so
   // the forward and backward passes of one round never share a stream.
   crypto::ChaChaRng RoundRng(uint8_t pass, uint64_t round) const;
@@ -247,11 +239,11 @@ class MixServer {
   crypto::ChaCha20Key rng_seed_;
   std::unordered_map<uint64_t, RoundState> rounds_;
   deaddrop::ExchangeBackend* exchange_backend_ = nullptr;
-  // Derived-key cache for the batched unwrap path; invalidated by RotateKey.
+  // Derived-key cache for the unwrap pass; invalidated by RotateKey.
   crypto::SecretCache secret_cache_;
   // Comb tables for the chain suffix's public keys (noise-wrap fast path).
-  // Empty when batching is off or any suffix key failed to lift (fall back
-  // to the ladder); otherwise aligned with ChainSuffix().
+  // Empty when any suffix key failed to lift (fall back to the ladder);
+  // otherwise aligned with ChainSuffix().
   std::vector<crypto::X25519Precomp> suffix_tables_;
 };
 

@@ -27,7 +27,6 @@ struct DeploymentConfig {
   noise::NoiseConfig dialing_noise{.params = {5.0, 2.0}, .deterministic = false};
   size_t max_conversations_per_client = 1;
   uint32_t num_real_dial_drops = 1;
-  bool parallel = false;
   uint64_t seed = 1;
   // Positions of servers that do not mix (compromised); tests only.
   std::vector<size_t> non_mixing_positions;

@@ -9,22 +9,14 @@ namespace vuvuzela::sim {
 
 namespace {
 
-// Runs fn(i, rng) for i in [0, n) with a per-iteration deterministic RNG, in
-// parallel when configured.
-void ForEachUser(uint64_t n, uint64_t seed, bool parallel,
-                 const std::function<void(size_t, util::Rng&)>& fn) {
-  auto run_one = [&](size_t i) {
+// Runs fn(i, rng) for i in [0, n) over the global pool with a per-iteration
+// deterministic RNG.
+void ForEachUser(uint64_t n, uint64_t seed, const std::function<void(size_t, util::Rng&)>& fn) {
+  util::GlobalPool().ParallelFor(n, [&](size_t i) {
     // splitmix-style per-user stream: independent and reproducible.
     util::Xoshiro256Rng rng(seed * 0x9e3779b97f4a7c15ULL + i);
     fn(i, rng);
-  };
-  if (parallel) {
-    util::GlobalPool().ParallelFor(n, run_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      run_one(i);
-    }
-  }
+  });
 }
 
 // Wraps one user's onion: static layer keys from the ring when configured,
@@ -43,19 +35,12 @@ util::Bytes WrapUserOnion(const WorkloadConfig& config,
 
 }  // namespace
 
-ClientKeyRing::ClientKeyRing(uint64_t num_users, uint64_t seed, bool parallel) {
+ClientKeyRing::ClientKeyRing(uint64_t num_users, uint64_t seed) {
   keys_.resize(num_users);
-  auto gen_one = [&](size_t i) {
+  util::GlobalPool().ParallelFor(num_users, [&](size_t i) {
     util::Xoshiro256Rng rng(seed * 0xbf58476d1ce4e5b9ULL + i);
     keys_[i] = crypto::X25519KeyPair::Generate(rng);
-  };
-  if (parallel) {
-    util::GlobalPool().ParallelFor(num_users, gen_one);
-  } else {
-    for (uint64_t i = 0; i < num_users; ++i) {
-      gen_one(i);
-    }
-  }
+  });
   public_keys_.reserve(num_users);
   for (const auto& kp : keys_) {
     public_keys_.push_back(kp.public_key);
@@ -70,7 +55,7 @@ std::vector<util::Bytes> GenerateConversationWorkload(
   paired_users &= ~1ULL;  // pairs need two users
 
   std::vector<util::Bytes> onions(config.num_users);
-  ForEachUser(config.num_users, config.seed ^ round, config.parallel,
+  ForEachUser(config.num_users, config.seed ^ round,
               [&](size_t i, util::Rng& rng) {
                 wire::ExchangeRequest request;
                 if (i < paired_users) {
@@ -97,7 +82,7 @@ std::vector<util::Bytes> GenerateDialingWorkload(const WorkloadConfig& config,
       static_cast<double>(config.num_users) * dial_fraction);
 
   std::vector<util::Bytes> onions(config.num_users);
-  ForEachUser(config.num_users, config.seed ^ round ^ 0xdddd, config.parallel,
+  ForEachUser(config.num_users, config.seed ^ round ^ 0xdddd,
               [&](size_t i, util::Rng& rng) {
                 wire::DialRequest request;
                 if (i < dialers) {

@@ -37,8 +37,8 @@ namespace vuvuzela::sim {
 class ClientKeyRing {
  public:
   // Deterministic from `seed` (per-user independent streams), generated in
-  // parallel over the global pool when `parallel`.
-  ClientKeyRing(uint64_t num_users, uint64_t seed, bool parallel = true);
+  // parallel over the global pool.
+  ClientKeyRing(uint64_t num_users, uint64_t seed);
 
   size_t size() const { return keys_.size(); }
   const crypto::X25519KeyPair& key(size_t user) const { return keys_[user]; }
@@ -58,7 +58,6 @@ struct WorkloadConfig {
   // same for idle users, which we verify in the ablation bench.
   double pairing_fraction = 1.0;
   uint64_t seed = 1;
-  bool parallel = true;
   // Non-owning; when set (and sized >= num_users), onions are wrapped with
   // each user's static key for every layer instead of fresh ephemerals, so
   // server-side secret caches hit. Must outlive the generation call.

@@ -332,7 +332,6 @@ std::vector<util::Bytes> CoordinatorDaemon::SyntheticBatch(
   }
   workload.pairing_fraction = 1.0;
   workload.seed = config_.workload_seed + announcement.round;
-  workload.parallel = true;
   if (announcement.type == wire::RoundType::kConversation) {
     return sim::GenerateConversationWorkload(workload, public_keys_, announcement.round);
   }

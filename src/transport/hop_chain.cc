@@ -31,7 +31,6 @@ std::unique_ptr<mixnet::MixServer> BuildMixServer(const mixnet::ChainConfig& con
   server_config.chain_length = keys.key_pairs.size();
   server_config.conversation_noise = config.conversation_noise;
   server_config.dialing_noise = config.dialing_noise;
-  server_config.parallel = config.parallel;
   server_config.exchange_shards = config.exchange_shards;
   server_config.mix = std::find(config.non_mixing_positions.begin(),
                                 config.non_mixing_positions.end(),

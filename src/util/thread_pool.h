@@ -2,8 +2,10 @@
 //
 // The paper's servers spend almost all CPU time on Curve25519 operations, one
 // per request per server (§8.2, "Dominant costs"). A mix server hands each
-// round's batch to `ParallelFor`, which is the same batching structure the Go
-// prototype gets from goroutines across 36 cores.
+// round's batch to `ParallelForBlocks`, which is the same batching structure
+// the Go prototype gets from goroutines across 36 cores. A one-worker pool
+// runs every block inline on the calling thread, in order, so callers need
+// no serial code path of their own.
 
 #ifndef VUVUZELA_SRC_UTIL_THREAD_POOL_H_
 #define VUVUZELA_SRC_UTIL_THREAD_POOL_H_
@@ -40,7 +42,9 @@ class ThreadPool {
   // touches a cache-friendly run of onions and can hoist per-block scratch
   // (derived keys, reusable buffers) out of the per-onion loop — with
   // ParallelFor that state would be re-established per index or shared across
-  // threads. Same blocking/exception contract as ParallelFor.
+  // threads. Same blocking/exception contract as ParallelFor. With one worker
+  // (or one block), fn runs on the calling thread over the blocks in index
+  // order.
   void ParallelForBlocks(size_t n, size_t block,
                          const std::function<void(size_t, size_t)>& fn);
 

@@ -28,7 +28,6 @@ mixnet::ChainConfig DetChainConfig(size_t servers, double mu, bool deterministic
   config.num_servers = servers;
   config.conversation_noise = {.params = {mu, mu / 4.0}, .deterministic = deterministic};
   config.dialing_noise = {.params = {mu, mu / 4.0}, .deterministic = deterministic};
-  config.parallel = false;
   return config;
 }
 

@@ -1,13 +1,15 @@
-// Conformance suite for the batched onion hot path (ISSUE 10 tentpole).
+// Conformance suite for the mix pass.
 //
-// The batched MixServer pass (secret cache + block processing + precomputed
-// noise tables) claims byte-identity with the scalar reference path. The
-// determinism contract makes that provable: every pass is a pure function of
-// (seed, round, input batch), so two servers built from the same key material
-// must emit identical bytes whatever implementation strategy they use. These
-// tests drive full conversation and dialing rounds through a batched chain
-// and a scalar chain at batch sizes straddling every block boundary and
-// compare every stage's output bit-for-bit.
+// MixServer has one implementation of every pass: block processing on the
+// thread pool, a cross-round secret cache and precomputed noise tables.
+// tests/reference_mix_server.h is a serial, uncached, ladder-only oracle of
+// the same passes. The determinism contract makes comparing the two provable:
+// every pass is a pure function of (seed, round, input batch), so two servers
+// built from the same key material must emit identical bytes whatever
+// implementation strategy they use. These tests drive full conversation and
+// dialing rounds through a production chain and an oracle chain at batch
+// sizes straddling every block boundary and compare every stage's output
+// bit-for-bit, stats included.
 //
 // Also pinned here: the secret cache must not survive a key rotation, the
 // comb-table DH must agree with the Montgomery ladder (RFC 7748 vectors,
@@ -24,28 +26,33 @@
 #include "src/transport/hop_wire.h"
 #include "src/util/random.h"
 #include "src/wire/constants.h"
+#include "tests/reference_mix_server.h"
 
 namespace vuvuzela {
 namespace {
 
 using mixnet::MixServer;
 using mixnet::MixServerConfig;
+using mixnet::ReferenceMixServer;
 using mixnet::ServerRoundStats;
 
 constexpr size_t kServers = 3;
 
+template <typename Server>
 struct TestChain {
-  std::vector<std::unique_ptr<MixServer>> servers;
+  std::vector<std::unique_ptr<Server>> servers;
   std::vector<crypto::X25519PublicKey> public_keys;
 };
 
-// Key material and noise seeds are drawn from `seed` in a fixed order, so two
-// chains built from the same seed are identical apart from `batching`.
-TestChain MakeChain(bool batching, size_t batch_block, uint64_t seed, double mu) {
+// Key material and noise seeds are drawn from `seed` in a fixed order, so a
+// MixServer chain and a ReferenceMixServer chain built from the same seed
+// hold the same keys and configuration.
+template <typename Server = MixServer>
+TestChain<Server> MakeChain(uint64_t seed, double mu) {
   util::Xoshiro256Rng rng(seed);
   std::vector<crypto::X25519KeyPair> key_pairs;
   std::vector<crypto::ChaCha20Key> rng_seeds;
-  TestChain chain;
+  TestChain<Server> chain;
   for (size_t i = 0; i < kServers; ++i) {
     key_pairs.push_back(crypto::X25519KeyPair::Generate(rng));
     chain.public_keys.push_back(key_pairs.back().public_key);
@@ -59,12 +66,9 @@ TestChain MakeChain(bool batching, size_t batch_block, uint64_t seed, double mu)
     config.chain_length = kServers;
     config.conversation_noise = {.params = {mu, mu / 4.0 + 1.0}, .deterministic = true};
     config.dialing_noise = {.params = {mu, mu / 4.0 + 1.0}, .deterministic = true};
-    config.parallel = true;
     config.exchange_shards = 1;
-    config.batching = batching;
-    config.batch_block = batch_block;
-    chain.servers.push_back(std::make_unique<MixServer>(config, key_pairs[i], chain.public_keys,
-                                                        rng_seeds[i]));
+    chain.servers.push_back(
+        std::make_unique<Server>(config, key_pairs[i], chain.public_keys, rng_seeds[i]));
   }
   return chain;
 }
@@ -102,7 +106,8 @@ struct ConversationTranscript {
   std::vector<ServerRoundStats> stats;
 };
 
-ConversationTranscript RunConversation(TestChain& chain, uint64_t round,
+template <typename Server>
+ConversationTranscript RunConversation(TestChain<Server>& chain, uint64_t round,
                                        std::vector<util::Bytes> batch) {
   ConversationTranscript t;
   t.stats.resize(2 * kServers - 1);
@@ -124,6 +129,18 @@ ConversationTranscript RunConversation(TestChain& chain, uint64_t round,
   return t;
 }
 
+// dh_ops counts logical key derivations (serialized into reply headers), so
+// production must report the oracle's number even when the cache answered
+// most of them.
+void ExpectSameStats(const ServerRoundStats& a, const ServerRoundStats& b, size_t stage) {
+  EXPECT_EQ(a.requests_in, b.requests_in) << "stats " << stage;
+  EXPECT_EQ(a.requests_dropped, b.requests_dropped) << "stats " << stage;
+  EXPECT_EQ(a.noise_requests_added, b.noise_requests_added) << "stats " << stage;
+  EXPECT_EQ(a.bytes_in, b.bytes_in) << "stats " << stage;
+  EXPECT_EQ(a.bytes_out, b.bytes_out) << "stats " << stage;
+  EXPECT_EQ(a.dh_ops, b.dh_ops) << "stats " << stage;
+}
+
 void ExpectIdentical(const ConversationTranscript& a, const ConversationTranscript& b) {
   ASSERT_EQ(a.forward.size(), b.forward.size());
   for (size_t i = 0; i < a.forward.size(); ++i) {
@@ -136,19 +153,12 @@ void ExpectIdentical(const ConversationTranscript& a, const ConversationTranscri
     EXPECT_EQ(a.backward[i], b.backward[i]) << "backward stage " << i;
   }
   for (size_t i = 0; i < a.stats.size(); ++i) {
-    EXPECT_EQ(a.stats[i].requests_in, b.stats[i].requests_in) << "stats " << i;
-    EXPECT_EQ(a.stats[i].requests_dropped, b.stats[i].requests_dropped) << "stats " << i;
-    EXPECT_EQ(a.stats[i].noise_requests_added, b.stats[i].noise_requests_added) << "stats " << i;
-    EXPECT_EQ(a.stats[i].bytes_out, b.stats[i].bytes_out) << "stats " << i;
-    // dh_ops counts logical key derivations (serialized into reply headers),
-    // so the batched path must report the same number even when the cache
-    // answered most of them.
-    EXPECT_EQ(a.stats[i].dh_ops, b.stats[i].dh_ops) << "stats " << i;
+    ExpectSameStats(a.stats[i], b.stats[i], i);
   }
 }
 
-// The block boundaries of the default batch_block = 64, plus a multi-block
-// batch (the ISSUE's kBatch stand-in, sized to keep the suite fast).
+// The block boundaries of MixServer's 64-onion blocks, plus a multi-block
+// batch.
 class BatchConformance : public ::testing::TestWithParam<size_t> {};
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, BatchConformance,
@@ -156,58 +166,76 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, BatchConformance,
 
 TEST_P(BatchConformance, ConversationRoundByteIdentical) {
   const size_t n = GetParam();
-  TestChain batched = MakeChain(/*batching=*/true, /*batch_block=*/64, /*seed=*/7, /*mu=*/12);
-  TestChain scalar = MakeChain(/*batching=*/false, /*batch_block=*/64, /*seed=*/7, /*mu=*/12);
-  ASSERT_EQ(batched.public_keys, scalar.public_keys);
+  TestChain<MixServer> production = MakeChain(/*seed=*/7, /*mu=*/12);
+  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/7, /*mu=*/12);
+  ASSERT_EQ(production.public_keys, oracle.public_keys);
 
   for (uint64_t round = 1; round <= 2; ++round) {
-    auto batch = MakeConversationBatch(batched.public_keys, round, n, 1000 + round);
-    auto a = RunConversation(batched, round, batch);
-    auto b = RunConversation(scalar, round, std::move(batch));
+    auto batch = MakeConversationBatch(production.public_keys, round, n, 1000 + round);
+    auto a = RunConversation(production, round, batch);
+    auto b = RunConversation(oracle, round, std::move(batch));
     ExpectIdentical(a, b);
   }
-  // Round 2 of the batched chain ran against a warm secret cache (same
-  // clients would hit; here each onion uses a fresh ephemeral so the cache
-  // misses — either way the bytes matched above). Sanity: the batched chain
-  // actually exercised the cache machinery.
-  EXPECT_GT(batched.servers[0]->secret_cache().GetStats().misses, 0u);
+  // Each onion uses a fresh ephemeral, so the cache misses; either way the
+  // bytes matched above. Sanity: production actually exercised the cache.
+  EXPECT_GT(production.servers[0]->secret_cache().GetStats().misses, 0u);
 }
 
 TEST_P(BatchConformance, DialingRoundByteIdentical) {
   const size_t n = GetParam();
   constexpr uint32_t kDrops = 5;
-  TestChain batched = MakeChain(/*batching=*/true, /*batch_block=*/64, /*seed=*/9, /*mu=*/12);
-  TestChain scalar = MakeChain(/*batching=*/false, /*batch_block=*/64, /*seed=*/9, /*mu=*/12);
+  TestChain<MixServer> production = MakeChain(/*seed=*/9, /*mu=*/12);
+  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/9, /*mu=*/12);
 
-  auto batch = MakeDialingBatch(batched.public_keys, 1, n, 2000);
+  auto batch = MakeDialingBatch(production.public_keys, 1, n, 2000);
   std::vector<util::Bytes> a = batch;
   std::vector<util::Bytes> b = batch;
   ServerRoundStats sa, sb;
   for (size_t i = 0; i + 1 < kServers; ++i) {
-    a = batched.servers[i]->ForwardDialing(1, std::move(a), kDrops, &sa);
-    b = scalar.servers[i]->ForwardDialing(1, std::move(b), kDrops, &sb);
+    a = production.servers[i]->ForwardDialing(1, std::move(a), kDrops, &sa);
+    b = oracle.servers[i]->ForwardDialing(1, std::move(b), kDrops, &sb);
     ASSERT_EQ(a, b) << "dialing forward stage " << i;
-    EXPECT_EQ(sa.noise_requests_added, sb.noise_requests_added);
-    EXPECT_EQ(sa.dh_ops, sb.dh_ops);
+    ExpectSameStats(sa, sb, i);
   }
-  auto table_a = batched.servers.back()->ProcessDialingLastHop(1, std::move(a), kDrops, &sa);
-  auto table_b = scalar.servers.back()->ProcessDialingLastHop(1, std::move(b), kDrops, &sb);
+  auto table_a = production.servers.back()->ProcessDialingLastHop(1, std::move(a), kDrops, &sa);
+  auto table_b = oracle.servers.back()->ProcessDialingLastHop(1, std::move(b), kDrops, &sb);
   ASSERT_EQ(table_a.num_drops(), table_b.num_drops());
   for (uint32_t d = 0; d < table_a.num_drops(); ++d) {
     EXPECT_EQ(table_a.Drop(d), table_b.Drop(d)) << "drop " << d;
   }
-  EXPECT_EQ(sa.requests_dropped, sb.requests_dropped);
+  ExpectSameStats(sa, sb, kServers - 1);
 }
 
-// A non-default block size must not change a single byte either: blocks are
-// a scheduling unit, never a semantic one.
-TEST(BatchConformanceBlocks, OddBlockSizeByteIdentical) {
-  TestChain small = MakeChain(/*batching=*/true, /*batch_block=*/8, /*seed=*/11, /*mu=*/6);
-  TestChain big = MakeChain(/*batching=*/true, /*batch_block=*/512, /*seed=*/11, /*mu=*/6);
-  auto batch = MakeConversationBatch(small.public_keys, 1, 50, 3000);
-  auto a = RunConversation(small, 1, batch);
-  auto b = RunConversation(big, 1, std::move(batch));
-  ExpectIdentical(a, b);
+// A response of the wrong size from the next hop must not leave this hop
+// still carrying its distinct size: following that size across the unshuffle
+// would undo the honest server's permutation. It is treated like a dropped
+// slot, filled with random bytes of the correct size.
+TEST(MixServer, BackwardNormalizesMissizedResponses) {
+  // No cover traffic, so every forwarded position is a client's slot.
+  TestChain<MixServer> production = MakeChain(/*seed=*/41, /*mu=*/0);
+  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/41, /*mu=*/0);
+  constexpr uint64_t kRound = 3;
+  auto batch = MakeConversationBatch(production.public_keys, kRound, 20, 4000);
+  std::vector<util::Bytes> forwarded = production.servers[0]->ForwardConversation(kRound, batch);
+  ASSERT_EQ(oracle.servers[0]->ForwardConversation(kRound, batch), forwarded);
+  ASSERT_EQ(forwarded.size(), batch.size());
+
+  const size_t response_size_in =
+      wire::kEnvelopeSize + (kServers - 1) * crypto::kOnionResponseLayerOverhead;
+  util::Xoshiro256Rng rng(5);
+  std::vector<util::Bytes> responses;
+  for (size_t i = 0; i < forwarded.size(); ++i) {
+    responses.push_back(rng.RandomBytes(response_size_in));
+  }
+  responses[7].pop_back();
+
+  std::vector<util::Bytes> out = production.servers[0]->BackwardConversation(kRound, responses);
+  ASSERT_EQ(out.size(), batch.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].size(), response_size_in + crypto::kOnionResponseLayerOverhead)
+        << "slot " << i;
+  }
+  EXPECT_EQ(oracle.servers[0]->BackwardConversation(kRound, std::move(responses)), out);
 }
 
 // --- Secret cache lifecycle --------------------------------------------------
@@ -215,7 +243,7 @@ TEST(BatchConformanceBlocks, OddBlockSizeByteIdentical) {
 // A client with a static key hits the cache from round 2 on; the pass output
 // stays byte-identical to a cold server's.
 TEST(SecretCacheConformance, WarmCacheIdenticalToCold) {
-  TestChain warm = MakeChain(/*batching=*/true, /*batch_block=*/64, /*seed=*/21, /*mu=*/6);
+  TestChain<MixServer> warm = MakeChain(/*seed=*/21, /*mu=*/6);
   util::Xoshiro256Rng rng(77);
   std::vector<crypto::X25519KeyPair> client_keys;
   std::vector<crypto::X25519PublicKey> client_pks;
@@ -239,7 +267,7 @@ TEST(SecretCacheConformance, WarmCacheIdenticalToCold) {
                           .data);
     }
     // A freshly built identical chain (cold cache) must emit the same bytes.
-    TestChain cold = MakeChain(/*batching=*/true, /*batch_block=*/64, /*seed=*/21, /*mu=*/6);
+    TestChain<MixServer> cold = MakeChain(/*seed=*/21, /*mu=*/6);
     auto a = RunConversation(warm, round, batch);
     auto b = RunConversation(cold, round, std::move(batch));
     ExpectIdentical(a, b);
@@ -255,7 +283,7 @@ TEST(SecretCacheConformance, WarmCacheIdenticalToCold) {
 // is rejected afterwards, and an onion wrapped for the new key unwraps —
 // which a stale cache entry would break (wrong derived key, AEAD tag fails).
 TEST(SecretCacheConformance, RotatedKeyServesNoStaleSecrets) {
-  TestChain chain = MakeChain(/*batching=*/true, /*batch_block=*/64, /*seed=*/31, /*mu=*/0);
+  TestChain<MixServer> chain = MakeChain(/*seed=*/31, /*mu=*/0);
   MixServer& hop = *chain.servers[0];
   util::Xoshiro256Rng rng(5);
   auto client = crypto::X25519KeyPair::Generate(rng);

@@ -70,7 +70,6 @@ class EntryServerTest : public ::testing::Test {
     config.num_servers = 2;
     config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
     config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-    config.parallel = false;
     chain_ = std::make_unique<mixnet::Chain>(mixnet::Chain::Create(config, rng_));
     entry_ = std::make_unique<EntryServer>(chain_.get());
   }

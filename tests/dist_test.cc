@@ -283,14 +283,13 @@ mixnet::Chain MakeChain(util::Rng& rng, size_t servers = 3) {
   config.num_servers = servers;
   config.conversation_noise = {.params = {3.0, 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-  config.parallel = false;
   return mixnet::Chain::Create(config, rng);
 }
 
 std::vector<util::Bytes> DialBatch(const mixnet::Chain& chain, uint64_t round, uint64_t users,
                                    uint64_t seed) {
   sim::WorkloadConfig workload{
-      .num_users = users, .pairing_fraction = 1.0, .seed = seed, .parallel = false};
+      .num_users = users, .pairing_fraction = 1.0, .seed = seed};
   dialing::RoundConfig dial_config{.num_real_drops = 3};
   return sim::GenerateDialingWorkload(workload, chain.public_keys(), round, dial_config, 0.5);
 }
@@ -298,7 +297,7 @@ std::vector<util::Bytes> DialBatch(const mixnet::Chain& chain, uint64_t round, u
 std::vector<util::Bytes> ConversationBatch(const mixnet::Chain& chain, uint64_t round,
                                            uint64_t users, uint64_t seed) {
   sim::WorkloadConfig workload{
-      .num_users = users, .pairing_fraction = 1.0, .seed = seed, .parallel = false};
+      .num_users = users, .pairing_fraction = 1.0, .seed = seed};
   return sim::GenerateConversationWorkload(workload, chain.public_keys(), round);
 }
 
@@ -496,7 +495,6 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
   chain_config.num_servers = 2;
   chain_config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
   chain_config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-  chain_config.parallel = false;
   auto chain = LoopbackChain::Start(chain_config, kSeed);
   ASSERT_NE(chain, nullptr);
 
@@ -699,7 +697,6 @@ TEST(DistDaemon, TakenMetricsPortFailsCreate) {
 TEST(CoordinatorDaemon, ClientModeServesMetrics) {
   mixnet::ChainConfig chain_config;
   chain_config.num_servers = 2;
-  chain_config.parallel = false;
   auto chain = LoopbackChain::Start(chain_config, /*seed=*/77);
   ASSERT_NE(chain, nullptr);
 

@@ -15,19 +15,18 @@
 namespace vuvuzela::engine {
 namespace {
 
-mixnet::Chain MakeChain(util::Rng& rng, size_t servers = 3, bool parallel = false) {
+mixnet::Chain MakeChain(util::Rng& rng, size_t servers = 3) {
   mixnet::ChainConfig config;
   config.num_servers = servers;
   config.conversation_noise = {.params = {3.0, 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-  config.parallel = parallel;
   return mixnet::Chain::Create(config, rng);
 }
 
 std::vector<util::Bytes> ConversationBatch(const mixnet::Chain& chain, uint64_t round,
                                            uint64_t users, uint64_t seed) {
   sim::WorkloadConfig workload{
-      .num_users = users, .pairing_fraction = 1.0, .seed = seed, .parallel = false};
+      .num_users = users, .pairing_fraction = 1.0, .seed = seed};
   return sim::GenerateConversationWorkload(workload, chain.public_keys(), round);
 }
 
@@ -156,7 +155,7 @@ TEST(RoundScheduler, RunScheduleInterleavesDialingRounds) {
   dialing::RoundConfig dial_config{.num_real_drops = 1};
   auto workload = [&](const wire::RoundAnnouncement& announcement) -> std::vector<util::Bytes> {
     sim::WorkloadConfig config{
-        .num_users = 4, .pairing_fraction = 1.0, .seed = announcement.round, .parallel = false};
+        .num_users = 4, .pairing_fraction = 1.0, .seed = announcement.round};
     if (announcement.type == wire::RoundType::kConversation) {
       return sim::GenerateConversationWorkload(config, chain.public_keys(), announcement.round);
     }

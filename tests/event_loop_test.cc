@@ -225,11 +225,11 @@ TEST(EventLoop, PostRunsOnLoopThread) {
   std::mutex mutex;
   std::condition_variable cv;
   server.loop().Post([&] {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      loop_thread = std::this_thread::get_id();
-      ran.store(true);
-    }
+    // Notify under the lock: once the waiter sees `ran` it returns and
+    // destroys `cv`, so the notify must finish before the lock is released.
+    std::lock_guard<std::mutex> lock(mutex);
+    loop_thread = std::this_thread::get_id();
+    ran.store(true);
     cv.notify_all();
   });
   std::unique_lock<std::mutex> lock(mutex);

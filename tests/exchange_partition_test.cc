@@ -166,7 +166,6 @@ mixnet::ChainConfig PartitionChainConfig() {
   config.num_servers = 3;
   config.conversation_noise = {.params = {3.0, 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-  config.parallel = false;
   config.exchange_shards = 1;
   return config;
 }
@@ -191,12 +190,12 @@ RunOutcome RunThroughScheduler(std::vector<std::unique_ptr<HopTransport>> hops) 
   std::vector<std::future<mixnet::Chain::ConversationResult>> futures;
   for (uint64_t round = 1; round <= kConversationRounds; ++round) {
     sim::WorkloadConfig config{
-        .num_users = kUsers, .pairing_fraction = 1.0, .seed = 31 + round, .parallel = false};
+        .num_users = kUsers, .pairing_fraction = 1.0, .seed = 31 + round};
     futures.push_back(scheduler.SubmitConversation(
         round, sim::GenerateConversationWorkload(config, keys.public_keys, round)));
   }
   sim::WorkloadConfig config{
-      .num_users = kUsers, .pairing_fraction = 1.0, .seed = 77, .parallel = false};
+      .num_users = kUsers, .pairing_fraction = 1.0, .seed = 77};
   dialing::RoundConfig dial_config{.num_real_drops = kDialDrops - 1};
   auto dial_future = scheduler.SubmitDialing(
       coord::kDialingRoundBase,

@@ -30,7 +30,6 @@ ChainConfig Config(size_t servers, double mu = 2.0) {
   config.num_servers = servers;
   config.conversation_noise = {.params = {mu, 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {mu, 1.0}, .deterministic = true};
-  config.parallel = false;
   return config;
 }
 
@@ -212,7 +211,6 @@ class ExchangePartitionFailure : public ::testing::Test {
     config_.num_servers = 1;
     config_.conversation_noise = {.params = {1.0, 1.0}, .deterministic = true};
     config_.dialing_noise = {.params = {1.0, 1.0}, .deterministic = true};
-    config_.parallel = false;
     keys_ = transport::DeriveChainKeys(9, 1);
     server_ = transport::BuildMixServer(config_, keys_, 0);
   }
@@ -328,7 +326,6 @@ class CrashRecovery : public ::testing::Test {
     config.num_servers = 3;
     config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
     config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-    config.parallel = false;
     return config;
   }
 
@@ -522,7 +519,7 @@ TEST_F(CrashRecovery, ReplaySlotHoldsOneReplyAcrossPipelinedRounds) {
   size_t held = 0;
   for (uint64_t i = 0; i < kRounds; ++i) {
     sim::WorkloadConfig workload{
-        .num_users = kUsers, .pairing_fraction = 1.0, .seed = 500 + i, .parallel = false};
+        .num_users = kUsers, .pairing_fraction = 1.0, .seed = 500 + i};
     if (i % 4 == 3) {
       uint64_t round = coord::kDialingRoundBase + dials.size() + 1;
       dialing::RoundConfig dial_config{.num_real_drops = kDialDrops - 1};
@@ -686,7 +683,7 @@ TEST_F(CrashRecovery, RestartedHopReproducesNoisePlanDigest) {
     std::vector<std::vector<util::Bytes>> batches(kRounds + 1);
     for (uint64_t round = 1; round <= kRounds; ++round) {
       sim::WorkloadConfig workload{
-          .num_users = kUsers, .pairing_fraction = 1.0, .seed = 300 + round, .parallel = false};
+          .num_users = kUsers, .pairing_fraction = 1.0, .seed = 300 + round};
       batches[round] = sim::GenerateConversationWorkload(workload, keys.public_keys, round);
     }
 

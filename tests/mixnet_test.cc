@@ -80,7 +80,6 @@ ChainConfig SmallChainConfig(size_t servers, double mu = 4.0) {
   config.num_servers = servers;
   config.conversation_noise = {.params = {mu, 2.0}, .deterministic = true};
   config.dialing_noise = {.params = {mu, 2.0}, .deterministic = true};
-  config.parallel = false;  // deterministic single-thread processing in tests
   return config;
 }
 
@@ -310,12 +309,11 @@ TEST(Chain, BackwardWithoutForwardThrows) {
                std::logic_error);
 }
 
-TEST(Chain, ParallelMatchesSerialSemantics) {
-  // Same seed, parallel on/off: responses must decode identically (the
-  // shuffle draws differ in neither case since rng use is serialized).
+TEST(Chain, PartnerMessageDecodesEndToEnd) {
+  // Two partners' onions cross a three-server chain; the response onion
+  // peels back to the partner's message.
   util::Xoshiro256Rng rng(209);
   ChainConfig config = SmallChainConfig(3);
-  config.parallel = true;
   Chain chain = Chain::Create(config, rng);
 
   auto alice = crypto::X25519KeyPair::Generate(rng);

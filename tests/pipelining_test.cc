@@ -34,7 +34,6 @@ class PipeliningTest : public ::testing::Test {
     ChainConfig config;
     config.num_servers = 3;
     config.conversation_noise = {.params = {3.0, 1.0}, .deterministic = true};
-    config.parallel = false;
     chain_ = std::make_unique<Chain>(Chain::Create(config, rng_));
     alice_ = crypto::X25519KeyPair::Generate(rng_);
     bob_ = crypto::X25519KeyPair::Generate(rng_);

@@ -141,7 +141,6 @@ mixnet::ChainConfig BudgetChainConfig() {
   config.num_servers = 2;
   config.conversation_noise = {.params = kNoise, .deterministic = true};
   config.dialing_noise = {.params = kNoise, .deterministic = true};
-  config.parallel = false;
   return config;
 }
 

@@ -122,7 +122,6 @@ TEST(RoundLifecycle, SchedulerDrivesPhasesInOrder) {
   config.num_servers = 3;
   config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-  config.parallel = false;
   mixnet::Chain chain = mixnet::Chain::Create(config, rng);
 
   std::mutex mutex;

@@ -25,7 +25,7 @@ std::vector<crypto::X25519PublicKey> TestChain(size_t n, uint64_t seed) {
 
 TEST(Workload, GeneratesOnePerUser) {
   auto chain = TestChain(3, 1);
-  WorkloadConfig config{.num_users = 100, .pairing_fraction = 1.0, .seed = 7, .parallel = false};
+  WorkloadConfig config{.num_users = 100, .pairing_fraction = 1.0, .seed = 7};
   auto onions = GenerateConversationWorkload(config, chain, 1);
   EXPECT_EQ(onions.size(), 100u);
   size_t expected = crypto::OnionRequestSize(wire::kExchangeRequestSize, 3);
@@ -36,22 +36,13 @@ TEST(Workload, GeneratesOnePerUser) {
 
 TEST(Workload, DeterministicForSeed) {
   auto chain = TestChain(2, 2);
-  WorkloadConfig config{.num_users = 20, .pairing_fraction = 0.5, .seed = 9, .parallel = false};
+  WorkloadConfig config{.num_users = 20, .pairing_fraction = 0.5, .seed = 9};
   auto a = GenerateConversationWorkload(config, chain, 1);
   auto b = GenerateConversationWorkload(config, chain, 1);
   EXPECT_EQ(a, b);
   config.seed = 10;
   auto c = GenerateConversationWorkload(config, chain, 1);
   EXPECT_NE(a, c);
-}
-
-TEST(Workload, ParallelMatchesSerial) {
-  auto chain = TestChain(2, 3);
-  WorkloadConfig serial{.num_users = 64, .pairing_fraction = 1.0, .seed = 5, .parallel = false};
-  WorkloadConfig parallel = serial;
-  parallel.parallel = true;
-  EXPECT_EQ(GenerateConversationWorkload(serial, chain, 2),
-            GenerateConversationWorkload(parallel, chain, 2));
 }
 
 TEST(Workload, PairedUsersShareDeadDrops) {
@@ -61,10 +52,9 @@ TEST(Workload, PairedUsersShareDeadDrops) {
   mixnet::ChainConfig chain_config;
   chain_config.num_servers = 2;
   chain_config.conversation_noise = {.params = {0.0, 1.0}, .deterministic = true};
-  chain_config.parallel = false;
   mixnet::Chain chain = mixnet::Chain::Create(chain_config, rng);
 
-  WorkloadConfig config{.num_users = 40, .pairing_fraction = 1.0, .seed = 13, .parallel = false};
+  WorkloadConfig config{.num_users = 40, .pairing_fraction = 1.0, .seed = 13};
   auto onions = GenerateConversationWorkload(config, chain.public_keys(), 1);
   auto result = chain.RunConversationRound(1, std::move(onions));
   EXPECT_EQ(result.histogram.pairs, 20u);
@@ -77,10 +67,9 @@ TEST(Workload, IdleUsersGetUniqueDrops) {
   mixnet::ChainConfig chain_config;
   chain_config.num_servers = 2;
   chain_config.conversation_noise = {.params = {0.0, 1.0}, .deterministic = true};
-  chain_config.parallel = false;
   mixnet::Chain chain = mixnet::Chain::Create(chain_config, rng);
 
-  WorkloadConfig config{.num_users = 50, .pairing_fraction = 0.0, .seed = 17, .parallel = false};
+  WorkloadConfig config{.num_users = 50, .pairing_fraction = 0.0, .seed = 17};
   auto onions = GenerateConversationWorkload(config, chain.public_keys(), 1);
   auto result = chain.RunConversationRound(1, std::move(onions));
   EXPECT_EQ(result.histogram.singles, 50u);
@@ -92,12 +81,10 @@ TEST(Workload, DialingFractionRespected) {
   mixnet::ChainConfig chain_config;
   chain_config.num_servers = 2;
   chain_config.dialing_noise = {.params = {0.0, 1.0}, .deterministic = true};
-  chain_config.parallel = false;
   mixnet::Chain chain = mixnet::Chain::Create(chain_config, rng);
 
   dialing::RoundConfig dial_config{.num_real_drops = 4};
-  WorkloadConfig config{.num_users = 100, .pairing_fraction = 1.0, .seed = 19,
-                        .parallel = false};
+  WorkloadConfig config{.num_users = 100, .pairing_fraction = 1.0, .seed = 19};
   auto onions = GenerateDialingWorkload(config, chain.public_keys(), 1, dial_config, 0.25);
   auto result = chain.RunDialingRound(1, std::move(onions), dial_config.total_drops());
 
@@ -233,7 +220,6 @@ TEST(MixServerHygiene, ExpireRoundsDropsAbandonedState) {
   mixnet::ChainConfig config;
   config.num_servers = 2;
   config.conversation_noise = {.params = {1.0, 1.0}, .deterministic = true};
-  config.parallel = false;
   mixnet::Chain chain = mixnet::Chain::Create(config, rng);
 
   // Forward three rounds without ever running the return pass (a downstream

@@ -21,7 +21,6 @@ mixnet::ChainConfig TestChainConfig() {
   config.num_servers = 3;
   config.conversation_noise = {.params = {3.0, 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-  config.parallel = false;
   config.exchange_shards = 1;
   return config;
 }
@@ -44,12 +43,12 @@ Workload MakeWorkload() {
   auto keys = DeriveChainKeys(kKeySeed, TestChainConfig().num_servers);
   for (uint64_t round = 1; round <= kConversationRounds; ++round) {
     sim::WorkloadConfig config{
-        .num_users = kUsers, .pairing_fraction = 1.0, .seed = 7 + round, .parallel = false};
+        .num_users = kUsers, .pairing_fraction = 1.0, .seed = 7 + round};
     workload.conversation_batches.push_back(
         sim::GenerateConversationWorkload(config, keys.public_keys, round));
   }
   sim::WorkloadConfig config{
-      .num_users = kUsers, .pairing_fraction = 1.0, .seed = 99, .parallel = false};
+      .num_users = kUsers, .pairing_fraction = 1.0, .seed = 99};
   dialing::RoundConfig dial_config{.num_real_drops = kDialDrops - 1};
   workload.dial_batch = sim::GenerateDialingWorkload(
       config, keys.public_keys, coord::kDialingRoundBase, dial_config, 0.5);

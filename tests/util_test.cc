@@ -3,6 +3,8 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 
 #include "src/util/bytes.h"
 #include "src/util/random.h"
@@ -255,6 +257,21 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     GlobalPool().ParallelFor(8, [&](size_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 32);
+}
+
+// A one-worker pool runs every block on the calling thread, in index order:
+// the mix pass needs no serial code path of its own.
+TEST(ThreadPool, OneWorkerBlocksRunInlineInOrder) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<size_t, size_t>> blocks;
+  pool.ParallelForBlocks(200, 64, [&](size_t begin, size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    blocks.emplace_back(begin, end);
+  });
+  const std::vector<std::pair<size_t, size_t>> expected = {
+      {0, 64}, {64, 128}, {128, 192}, {192, 200}};
+  EXPECT_EQ(blocks, expected);
 }
 
 }  // namespace

@@ -20,7 +20,9 @@
 // FORK DISCIPLINE: every child process is forked before any thread exists in
 // the parent (bench/forked_fleet.h requirement), which is why both
 // deployments are spawned up front and the taps are Create()d (bind only)
-// before the forks that need their ports, then Activate()d afterwards.
+// before the forks that need their ports, then Activate()d afterwards. Each
+// hop builds its MixServer inside its child, so the global thread pool its
+// passes fan out over starts there, never in the parent before a fork.
 //
 // Everything is seeded: chain keys, noise RNGs (sampled noise draws from the
 // key-ceremony-derived per-server RNG), and the user schedule, so the byte
@@ -192,7 +194,6 @@ TEST(WiretapAttack, CorrelationAttackOnRealDeployment) {
   noisy.num_servers = kHops;
   noisy.conversation_noise = {.params = {40.0, 20.0}, .deterministic = false};
   noisy.dialing_noise = {.params = {40.0, 20.0}, .deterministic = false};
-  noisy.parallel = false;
 
   // Deployment B: same schedule, cover traffic off — ⌈max(0, L(0, 1))⌉ with
   // a deterministic plan adds exactly zero requests at every server.

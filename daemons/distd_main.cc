@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/dist_daemon.h"
 #include "src/util/logging.h"
@@ -106,5 +107,8 @@ int main(int argc, char** argv) {
               flags.shard, static_cast<unsigned long long>(daemon->publishes_stored()),
               static_cast<unsigned long long>(daemon->fetches_served()),
               static_cast<unsigned long long>(daemon->bytes_served()));
+  // The final registry snapshot, one line: what smoke runs assert on, since
+  // the fleet can finish before any scrape sees this daemon's last pass.
+  std::printf("vuvuzela-distd: metrics %s\n", obs::Registry::Global().SnapshotJson().c_str());
   return 0;
 }

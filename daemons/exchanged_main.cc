@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/exchange_daemon.h"
 #include "src/util/logging.h"
@@ -100,5 +101,9 @@ int main(int argc, char** argv) {
   daemon->Serve();
   std::printf("vuvuzela-exchanged: shard %u served %llu RPCs, exiting\n", flags.shard,
               static_cast<unsigned long long>(daemon->rpcs_served()));
+  // The final registry snapshot, one line: what smoke runs assert on, since
+  // the fleet can finish before any scrape sees this daemon's last pass.
+  std::printf("vuvuzela-exchanged: metrics %s\n",
+              obs::Registry::Global().SnapshotJson().c_str());
   return 0;
 }

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/coord/keydir.h"
+#include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/hop_chain.h"
 #include "src/transport/hop_daemon.h"
@@ -256,5 +257,8 @@ int main(int argc, char** argv) {
   }
   std::printf("vuvuzela-hopd: position %zu served %llu RPCs, exiting\n", flags.position,
               static_cast<unsigned long long>(daemon->rpcs_served()));
+  // The final registry snapshot, one line: what smoke runs assert on, since
+  // the fleet can finish before any scrape sees this daemon's last pass.
+  std::printf("vuvuzela-hopd: metrics %s\n", obs::Registry::Global().SnapshotJson().c_str());
   return 0;
 }

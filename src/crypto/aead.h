@@ -38,8 +38,9 @@ std::optional<util::Bytes> AeadOpen(const AeadKey& key, const AeadNonce& nonce, 
 // pass over N onions performs zero intermediate allocations. Byte-identical
 // to AeadSeal/AeadOpen.
 //
-// `out` must be exactly plaintext.size() + kAeadTagSize bytes. `out` must not
-// overlap `plaintext`.
+// `out` must be exactly plaintext.size() + kAeadTagSize bytes. It may start
+// at `plaintext` (an in-place seal: the onion wrap seals each layer where it
+// lies) but must not overlap it any other way.
 void AeadSealInto(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad,
                   util::ByteSpan plaintext, util::MutableByteSpan out);
 

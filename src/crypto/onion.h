@@ -107,6 +107,17 @@ void OnionSealResponseInto(const AeadKey& key, uint64_t round, util::ByteSpan re
 WrappedOnion OnionWrapPrecomp(std::span<const X25519Precomp> server_tables, uint64_t round,
                               util::ByteSpan payload, util::Rng& rng);
 
+// Allocation-free wraps for block processing: the onion OnionWrapPrecomp /
+// OnionWrap would return, written into `out` (a stride of the caller's flat
+// batch), which must be exactly OnionRequestSize(payload.size(),
+// server_tables.size()) bytes. The layers are sealed in place inside `out`.
+// The layer keys are not returned: the mix pass wraps cover onions, whose
+// responses nobody opens.
+void OnionWrapPrecompInto(std::span<const X25519Precomp> server_tables, uint64_t round,
+                          util::ByteSpan payload, util::Rng& rng, util::MutableByteSpan out);
+void OnionWrapInto(std::span<const X25519PublicKey> server_pks, uint64_t round,
+                   util::ByteSpan payload, util::Rng& rng, util::MutableByteSpan out);
+
 // OnionWrap with caller-supplied per-layer key pairs instead of fresh
 // ephemerals — how a client with a static onion identity wraps so that
 // servers' secret caches hit every round. layer_keys[i] is used for

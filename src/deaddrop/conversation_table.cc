@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
+#include <tuple>
 
 #include "src/util/thread_pool.h"
 
@@ -10,46 +10,59 @@ namespace vuvuzela::deaddrop {
 
 namespace {
 
-struct IdHash {
-  size_t operator()(const wire::DeadDropId& id) const {
-    // IDs are outputs of a cryptographic hash; their first 8 bytes are
-    // already uniform.
-    uint64_t v;
-    std::memcpy(&v, id.data(), sizeof(v));
-    return static_cast<size_t>(v);
-  }
-};
-
 // Exchanges among the requests named by `indices`, writing each result at its
 // request's global position. Both the sequential and the sharded path funnel
-// through here, so their pairing semantics cannot drift apart.
+// through here, so their pairing semantics cannot drift apart. Sorting one
+// flat array of (ID, input position) puts each drop's accesses next to each
+// other in input order, so the table needs no heap node per drop. The order
+// of the drops themselves changes no output: results are positional and the
+// histogram and exchange count are sums.
 void ExchangeSubset(std::span<const wire::ExchangeRequest> requests,
                     std::span<const uint32_t> indices, std::vector<wire::Envelope>& results,
                     AccessHistogram& histogram, uint64_t& messages_exchanged) {
-  std::unordered_map<wire::DeadDropId, std::vector<uint32_t>, IdHash> table;
-  table.reserve(indices.size());
+  struct Access {
+    uint64_t id_high;
+    uint64_t id_low;
+    uint32_t index;
+    bool SameDrop(const Access& other) const {
+      return id_high == other.id_high && id_low == other.id_low;
+    }
+  };
+  std::vector<Access> accesses;
+  accesses.reserve(indices.size());
   for (uint32_t i : indices) {
-    table[requests[i].dead_drop].push_back(i);
+    Access access{0, 0, i};
+    std::memcpy(&access.id_high, requests[i].dead_drop.data(), 8);
+    std::memcpy(&access.id_low, requests[i].dead_drop.data() + 8, 8);
+    accesses.push_back(access);
   }
+  std::sort(accesses.begin(), accesses.end(), [](const Access& a, const Access& b) {
+    return std::tie(a.id_high, a.id_low, a.index) < std::tie(b.id_high, b.id_low, b.index);
+  });
 
-  for (const auto& [id, accesses] : table) {
-    if (accesses.size() == 1) {
+  for (size_t first = 0; first < accesses.size();) {
+    size_t end = first + 1;
+    while (end < accesses.size() && accesses[end].SameDrop(accesses[first])) {
+      ++end;
+    }
+    if (end - first == 1) {
       histogram.singles++;
-    } else if (accesses.size() == 2) {
+    } else if (end - first == 2) {
       histogram.pairs++;
     } else {
       histogram.crowded++;
     }
     // Swap within consecutive pairs; an odd trailing access echoes back.
-    size_t i = 0;
-    for (; i + 1 < accesses.size(); i += 2) {
-      results[accesses[i]] = requests[accesses[i + 1]].envelope;
-      results[accesses[i + 1]] = requests[accesses[i]].envelope;
+    size_t i = first;
+    for (; i + 1 < end; i += 2) {
+      results[accesses[i].index] = requests[accesses[i + 1].index].envelope;
+      results[accesses[i + 1].index] = requests[accesses[i].index].envelope;
       messages_exchanged += 2;
     }
-    if (i < accesses.size()) {
-      results[accesses[i]] = requests[accesses[i]].envelope;
+    if (i < end) {
+      results[accesses[i].index] = requests[accesses[i].index].envelope;
     }
+    first = end;
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/deaddrop/invitation_table.h"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "src/crypto/sha256.h"
@@ -53,6 +54,26 @@ std::vector<uint64_t> InvitationTable::DropSizes() const {
 
 uint64_t InvitationTable::DropBytes(uint32_t index) const {
   return Drop(index).size() * wire::kInvitationSize;
+}
+
+util::PackedItems PackDrops(const InvitationTable& table) {
+  size_t total = 0;
+  for (uint32_t i = 0; i < table.num_drops(); ++i) {
+    total += table.DropBytes(i);
+  }
+  util::PackedItems packed;
+  packed.bytes.resize(total);
+  packed.items.reserve(table.num_drops());
+  uint8_t* next = packed.bytes.data();
+  for (uint32_t i = 0; i < table.num_drops(); ++i) {
+    const std::vector<wire::Invitation>& drop = table.Drop(i);
+    packed.items.emplace_back(next, drop.size() * wire::kInvitationSize);
+    for (const wire::Invitation& invitation : drop) {
+      std::memcpy(next, invitation.data(), invitation.size());
+      next += invitation.size();
+    }
+  }
+  return packed;
 }
 
 }  // namespace vuvuzela::deaddrop

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/crypto/x25519.h"
+#include "src/util/batch.h"
 #include "src/util/random.h"
 #include "src/wire/messages.h"
 
@@ -74,6 +75,11 @@ class InvitationTable {
  private:
   std::vector<std::vector<wire::Invitation>> drops_;
 };
+
+// Every drop of `table` in one buffer, drop i as its invitations back to
+// back, with one view per drop: the items of a dialing last hop's reply,
+// whether the hop daemon or an exchange partition sends them.
+util::PackedItems PackDrops(const InvitationTable& table);
 
 }  // namespace vuvuzela::deaddrop
 

@@ -10,6 +10,20 @@ namespace vuvuzela::mixnet {
 
 using util::SecondsSince;
 
+namespace {
+
+// The observer's owned copy of a pass input.
+std::vector<util::Bytes> ToVectors(std::span<const util::ByteSpan> items) {
+  std::vector<util::Bytes> copies;
+  copies.reserve(items.size());
+  for (util::ByteSpan item : items) {
+    copies.emplace_back(item.begin(), item.end());
+  }
+  return copies;
+}
+
+}  // namespace
+
 uint64_t RoundStats::total_dh_ops() const {
   uint64_t total = 0;
   for (const auto& s : forward) {
@@ -69,43 +83,41 @@ Chain::ConversationResult Chain::RunConversationRound(uint64_t round,
   result.stats.forward.resize(servers_.size());
   result.stats.backward.resize(servers_.size() > 0 ? servers_.size() - 1 : 0);
 
+  // Between hops the batch stays flat: each pass reads views of the previous
+  // pass's output. Only the observer and the result take owned vectors.
   auto forward_start = std::chrono::steady_clock::now();
-  std::vector<util::Bytes> batch = std::move(onions);
+  util::Batch batch;
+  std::vector<util::ByteSpan> input = util::ViewsOf(onions);
   for (size_t i = 0; i + 1 < servers_.size(); ++i) {
-    std::vector<util::Bytes> input_copy;
+    util::Batch output =
+        servers_[i]->ForwardConversation(round, input, &result.stats.forward[i]);
     if (observer_) {
-      input_copy = batch;
+      observer_->OnForwardPass(i, round, ToVectors(input), output.ToVectors());
     }
-    batch = servers_[i]->ForwardConversation(round, std::move(batch), &result.stats.forward[i]);
-    if (observer_) {
-      observer_->OnForwardPass(i, round, input_copy, batch);
-    }
+    batch = std::move(output);
+    input = batch.Views();
   }
 
   size_t last = servers_.size() - 1;
-  std::vector<util::Bytes> last_input;
-  if (observer_) {
-    last_input = batch;
-  }
-  MixServer::LastServerResult last_result = servers_[last]->ProcessConversationLastHop(
-      round, std::move(batch), &result.stats.forward[last]);
+  MixServer::LastHopOutput last_result =
+      servers_[last]->ProcessConversationLastHop(round, input, &result.stats.forward[last]);
   result.histogram = last_result.histogram;
   result.messages_exchanged = last_result.messages_exchanged;
   if (observer_) {
-    observer_->OnForwardPass(last, round, last_input, last_result.responses);
+    observer_->OnForwardPass(last, round, ToVectors(input), last_result.responses.ToVectors());
     observer_->OnDeadDrops(round, last_result.histogram);
   }
   result.stats.forward_seconds = SecondsSince(forward_start);
 
   auto backward_start = std::chrono::steady_clock::now();
-  std::vector<util::Bytes> responses = std::move(last_result.responses);
+  util::Batch responses = std::move(last_result.responses);
   for (size_t i = servers_.size() - 1; i-- > 0;) {
     responses =
-        servers_[i]->BackwardConversation(round, std::move(responses), &result.stats.backward[i]);
+        servers_[i]->BackwardConversation(round, responses.Views(), &result.stats.backward[i]);
   }
   result.stats.backward_seconds = SecondsSince(backward_start);
 
-  result.responses = std::move(responses);
+  result.responses = responses.ToVectors();
   return result;
 }
 
@@ -115,20 +127,19 @@ Chain::DialingResult Chain::RunDialingRound(uint64_t round, std::vector<util::By
   stats.forward.resize(servers_.size());
 
   auto start = std::chrono::steady_clock::now();
-  std::vector<util::Bytes> batch = std::move(onions);
+  util::Batch batch;
+  std::vector<util::ByteSpan> input = util::ViewsOf(onions);
   for (size_t i = 0; i + 1 < servers_.size(); ++i) {
-    std::vector<util::Bytes> input_copy;
+    util::Batch output = servers_[i]->ForwardDialing(round, input, num_drops, &stats.forward[i]);
     if (observer_) {
-      input_copy = batch;
+      observer_->OnForwardPass(i, round, ToVectors(input), output.ToVectors());
     }
-    batch = servers_[i]->ForwardDialing(round, std::move(batch), num_drops, &stats.forward[i]);
-    if (observer_) {
-      observer_->OnForwardPass(i, round, input_copy, batch);
-    }
+    batch = std::move(output);
+    input = batch.Views();
   }
   size_t last = servers_.size() - 1;
-  deaddrop::InvitationTable table = servers_[last]->ProcessDialingLastHop(
-      round, std::move(batch), num_drops, &stats.forward[last]);
+  deaddrop::InvitationTable table =
+      servers_[last]->ProcessDialingLastHop(round, input, num_drops, &stats.forward[last]);
   stats.forward_seconds = SecondsSince(start);
 
   return DialingResult{std::move(table), std::move(stats)};

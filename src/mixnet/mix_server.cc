@@ -29,8 +29,13 @@ wire::ExchangeRequest FakeExchange(util::Rng& rng) {
   return req;
 }
 
-std::vector<util::ByteSpan> ViewsOf(const std::vector<util::Bytes>& items) {
-  return std::vector<util::ByteSpan>(items.begin(), items.end());
+ServerRoundStats Incoming(std::span<const util::ByteSpan> batch) {
+  ServerRoundStats stats;
+  stats.requests_in = batch.size();
+  for (util::ByteSpan item : batch) {
+    stats.bytes_in += item.size();
+  }
+  return stats;
 }
 
 // Onions per block: the work-stealing unit of ParallelForBlocks and the reuse
@@ -39,31 +44,35 @@ std::vector<util::ByteSpan> ViewsOf(const std::vector<util::Bytes>& items) {
 constexpr size_t kBlock = 64;
 
 // Seals responses[j] under keys[j] into out[slots[j]], block by block on the
-// pool. A response that is not `response_size` bytes is left unsealed, so the
-// caller fills its slot like a dropped one: passing a distinct size through
-// would let it be followed across this server's shuffle.
-void SealBlocks(uint64_t round, std::span<const util::ByteSpan> responses,
-                std::span<const crypto::AeadKey> keys, std::span<const uint32_t> slots,
-                size_t response_size, std::vector<util::Bytes>& out) {
+// pool, and returns which slots were sealed. A response that is not
+// out.item_size() - kOnionResponseLayerOverhead bytes is left unsealed, so
+// the caller fills its slot like a dropped one: passing a distinct size
+// through would let it be followed across this server's shuffle.
+std::vector<uint8_t> SealBlocks(uint64_t round, std::span<const util::ByteSpan> responses,
+                                std::span<const crypto::AeadKey> keys,
+                                std::span<const uint32_t> slots, util::Batch& out) {
+  const size_t response_size = out.item_size() - crypto::kOnionResponseLayerOverhead;
+  std::vector<uint8_t> sealed(out.size(), 0);  // uint8_t: distinct slots written concurrently
   util::GlobalPool().ParallelForBlocks(responses.size(), kBlock, [&](size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
       if (responses[j].size() != response_size) {
         continue;
       }
-      util::Bytes& slot = out[slots[j]];
-      slot.resize(response_size + crypto::kOnionResponseLayerOverhead);
-      crypto::OnionSealResponseInto(keys[j], round, responses[j], slot);
+      crypto::OnionSealResponseInto(keys[j], round, responses[j], out[slots[j]]);
+      sealed[slots[j]] = 1;
     }
   });
+  return sealed;
 }
 
-// Gives every slot left empty (a request dropped on the forward pass or a
-// missized response) random bytes of the sealed size, indistinguishable from
-// a sealed response. Drawn in slot order from the pass's RNG.
-void FillEmptySlots(std::vector<util::Bytes>& out, size_t size, crypto::ChaChaRng& rng) {
-  for (util::Bytes& slot : out) {
-    if (slot.empty()) {
-      slot = rng.RandomBytes(size);
+// Gives every slot left unsealed (a request dropped on the forward pass or a
+// missized response) random bytes, indistinguishable from a sealed response.
+// Drawn in slot order from the pass's RNG.
+void FillEmptySlots(util::Batch& out, const std::vector<uint8_t>& sealed,
+                    crypto::ChaChaRng& rng) {
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (!sealed[i]) {
+      rng.Fill(out[i]);
     }
   }
 }
@@ -133,9 +142,8 @@ size_t MixServer::ResponseSizeFromNextHop() const {
   return wire::kEnvelopeSize + seals * crypto::kOnionResponseLayerOverhead;
 }
 
-std::vector<util::Bytes> MixServer::WrapNoise(uint64_t round,
-                                              const std::vector<util::Bytes>& payloads,
-                                              crypto::ChaChaRng& rng) const {
+void MixServer::WrapNoise(uint64_t round, const util::Batch& payloads, crypto::ChaChaRng& rng,
+                          util::Batch& out, size_t first) const {
   // Each wrap gets an independent DRBG seeded from the pass's RNG (ChaChaRng
   // is not thread-safe), so the fan-out order never changes a byte.
   std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
@@ -143,87 +151,96 @@ std::vector<util::Bytes> MixServer::WrapNoise(uint64_t round,
   for (auto& seed : seeds) {
     rng.Fill(seed);
   }
-  std::vector<util::Bytes> onions(payloads.size());
   const bool precomp_wrap = suffix_tables_.size() == suffix.size();
-  util::GlobalPool().ParallelFor(onions.size(), [&](size_t i) {
+  util::GlobalPool().ParallelFor(payloads.size(), [&](size_t i) {
     crypto::ChaChaRng task_rng(seeds[i]);
-    onions[i] = precomp_wrap
-                    ? crypto::OnionWrapPrecomp(suffix_tables_, round, payloads[i], task_rng).data
-                    : crypto::OnionWrap(suffix, round, payloads[i], task_rng).data;
+    if (precomp_wrap) {
+      crypto::OnionWrapPrecompInto(suffix_tables_, round, payloads[i], task_rng, out[first + i]);
+    } else {
+      crypto::OnionWrapInto(suffix, round, payloads[i], task_rng, out[first + i]);
+    }
   });
-  return onions;
 }
 
-MixServer::UnwrapBatchResult MixServer::UnwrapBatch(uint64_t round,
-                                                    std::span<const util::ByteSpan> batch) {
+MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::ByteSpan> batch,
+                                  util::Batch& out) {
   const size_t n = batch.size();
-  std::vector<util::Bytes> inners(n);
-  std::vector<crypto::AeadKey> keys(n);
-  std::vector<uint8_t> ok(n, 0);  // uint8_t: distinct indices written concurrently
+  const size_t request_size = out.item_size() + crypto::kOnionRequestLayerOverhead;
+  Peeled peeled;
+  peeled.ok.assign(n, 0);
+  peeled.keys.resize(n);
 
-  // Each worker owns a contiguous block of onions, the output buffer for each
-  // is allocated once at its final size, and shared-secret derivation goes
-  // through the cross-round cache. Advancing its generation first bounds it
-  // to the keys of this pass and the one before.
+  // Each worker owns a contiguous block of onions and writes each inner
+  // layer into its stride of `out`; shared-secret derivation goes through
+  // the cross-round cache. Advancing its generation first bounds it to the
+  // keys of this pass and the one before.
   secret_cache_.Advance();
   util::GlobalPool().ParallelForBlocks(n, kBlock, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      util::ByteSpan layer = batch[i];
-      if (layer.size() < crypto::kOnionRequestLayerOverhead) {
+      if (batch[i].size() != request_size) {
         continue;
       }
-      inners[i].resize(layer.size() - crypto::kOnionRequestLayerOverhead);
-      ok[i] = crypto::OnionUnwrapLayerInto(key_pair_.secret_key, &secret_cache_, round, layer,
-                                           inners[i], keys[i])
-                  ? 1
-                  : 0;
+      peeled.ok[i] = crypto::OnionUnwrapLayerInto(key_pair_.secret_key, &secret_cache_, round,
+                                                  batch[i], out[i], peeled.keys[i])
+                         ? 1
+                         : 0;
     }
   });
+  for (uint8_t ok : peeled.ok) {
+    peeled.dropped += ok ? 0 : 1;
+  }
+  return peeled;
+}
 
-  UnwrapBatchResult result;
-  result.inners.reserve(n);
-  result.orig_index.reserve(n);
-  result.response_keys.reserve(n);
+util::Batch MixServer::PeelAndMix(uint64_t round, std::span<const util::ByteSpan> batch,
+                                  size_t payload_size, const util::Batch& noise_payloads,
+                                  crypto::ChaChaRng& rng, ServerRoundStats& stats,
+                                  RoundState& state) {
+  const size_t n = batch.size();
+  const size_t noise = noise_payloads.size();
+  util::Batch out(n + noise, crypto::OnionRequestSize(payload_size, ChainSuffix().size()));
+  Peeled peeled = Peel(round, batch, out);
+  WrapNoise(round, noise_payloads, rng, out, n);
+
+  // Valid inners keep their input order and the cover onions follow them:
+  // close the holes the rejected onions left.
+  state.orig_index.reserve(n - peeled.dropped);
+  state.response_keys.reserve(n - peeled.dropped);
+  size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (!ok[i]) {
-      result.dropped++;
+    if (!peeled.ok[i]) {
       continue;
     }
-    result.inners.push_back(std::move(inners[i]));
-    result.orig_index.push_back(static_cast<uint32_t>(i));
-    result.response_keys.push_back(keys[i]);
+    if (kept != i) {
+      std::memcpy(out[kept].data(), out[i].data(), out.item_size());
+    }
+    state.orig_index.push_back(static_cast<uint32_t>(i));
+    state.response_keys.push_back(peeled.keys[i]);
+    ++kept;
   }
-  return result;
+  if (kept != n && noise > 0) {
+    std::memmove(out[kept].data(), out[n].data(), noise * out.item_size());
+  }
+  out.Truncate(kept + noise);
+
+  Permutation perm =
+      config_.mix ? Permutation::Random(out.size(), rng) : Permutation::Identity(out.size());
+  out.Permute(perm.indices());
+  state.perm = perm.indices();
+
+  stats.requests_dropped = peeled.dropped;
+  stats.noise_requests_added = noise;
+  stats.dh_ops += n + noise * ChainSuffix().size();
+  stats.bytes_out = out.bytes().size();
+  return out;
 }
 
-std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
-                                                        std::vector<util::Bytes> batch,
-                                                        ServerRoundStats* stats) {
-  std::vector<util::ByteSpan> views = ViewsOf(batch);
-  return ForwardConversation(round, std::span<const util::ByteSpan>(views), stats);
-}
-
-std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
-                                                        std::span<const util::ByteSpan> batch,
-                                                        ServerRoundStats* stats) {
+util::Batch MixServer::ForwardConversation(uint64_t round, std::span<const util::ByteSpan> batch,
+                                           ServerRoundStats* stats) {
   if (is_last()) {
     throw std::logic_error("ForwardConversation called on the last server");
   }
-  ServerRoundStats local;
-  local.requests_in = batch.size();
-  for (const auto& b : batch) {
-    local.bytes_in += b.size();
-  }
-
-  UnwrapBatchResult unwrapped = UnwrapBatch(round, batch);
-  local.requests_dropped = unwrapped.dropped;
-  local.dh_ops += batch.size();
-
-  RoundState state;
-  state.input_size = batch.size();
-  state.orig_index = std::move(unwrapped.orig_index);
-  state.response_keys = std::move(unwrapped.response_keys);
-  state.response_size_in = ResponseSizeFromNextHop();
+  ServerRoundStats local = Incoming(batch);
 
   // Cover traffic (Algorithm 2 step 2): ⌈n1⌉ singles + ⌈n2/2⌉ pairs, each
   // onion-wrapped for the rest of the chain so downstream servers cannot tell
@@ -231,39 +248,25 @@ std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
   // so a retried or replayed round reproduces the identical pass.
   crypto::ChaChaRng rng = RoundRng(kRngForwardConversation, round);
   noise::ConversationNoisePlan plan = PlanConversationNoise(config_.conversation_noise, rng);
-  size_t noise_items = plan.singles + 2 * plan.pairs;
-  std::vector<util::Bytes> noise_payloads;
-  noise_payloads.reserve(noise_items);
+  util::Batch noise_payloads(plan.singles + 2 * plan.pairs, wire::kExchangeRequestSize);
+  size_t next = 0;
   for (uint64_t i = 0; i < plan.singles; ++i) {
-    noise_payloads.push_back(FakeExchange(rng).Serialize());
+    FakeExchange(rng).SerializeInto(noise_payloads[next++]);
   }
   for (uint64_t i = 0; i < plan.pairs; ++i) {
     wire::ExchangeRequest first = FakeExchange(rng);
     wire::ExchangeRequest second = FakeExchange(rng);
     second.dead_drop = first.dead_drop;  // the pair meets in one dead drop
-    noise_payloads.push_back(first.Serialize());
-    noise_payloads.push_back(second.Serialize());
+    first.SerializeInto(noise_payloads[next++]);
+    second.SerializeInto(noise_payloads[next++]);
   }
 
-  std::vector<util::Bytes> noise_onions = WrapNoise(round, noise_payloads, rng);
-  local.noise_requests_added = noise_onions.size();
-  local.dh_ops += noise_onions.size() * ChainSuffix().size();
-  state.noise_count = noise_onions.size();
-
-  std::vector<util::Bytes> combined = std::move(unwrapped.inners);
-  combined.reserve(combined.size() + noise_onions.size());
-  for (auto& onion : noise_onions) {
-    combined.push_back(std::move(onion));
-  }
-
-  Permutation perm = config_.mix ? Permutation::Random(combined.size(), rng)
-                                 : Permutation::Identity(combined.size());
-  state.perm = perm.indices();
-  std::vector<util::Bytes> out = perm.Apply(std::move(combined));
-
-  for (const auto& b : out) {
-    local.bytes_out += b.size();
-  }
+  RoundState state;
+  state.input_size = batch.size();
+  state.response_size_in = ResponseSizeFromNextHop();
+  state.noise_count = noise_payloads.size();
+  util::Batch out = PeelAndMix(round, batch, wire::kExchangeRequestSize, noise_payloads, rng,
+                               local, state);
   rounds_[round] = std::move(state);
   if (stats) {
     *stats = local;
@@ -271,16 +274,9 @@ std::vector<util::Bytes> MixServer::ForwardConversation(uint64_t round,
   return out;
 }
 
-std::vector<util::Bytes> MixServer::BackwardConversation(uint64_t round,
-                                                         std::vector<util::Bytes> responses,
-                                                         ServerRoundStats* stats) {
-  std::vector<util::ByteSpan> views = ViewsOf(responses);
-  return BackwardConversation(round, std::span<const util::ByteSpan>(views), stats);
-}
-
-std::vector<util::Bytes> MixServer::BackwardConversation(uint64_t round,
-                                                         std::span<const util::ByteSpan> responses,
-                                                         ServerRoundStats* stats) {
+util::Batch MixServer::BackwardConversation(uint64_t round,
+                                            std::span<const util::ByteSpan> responses,
+                                            ServerRoundStats* stats) {
   auto it = rounds_.find(round);
   if (it == rounds_.end()) {
     throw std::logic_error("BackwardConversation: unknown round");
@@ -291,11 +287,7 @@ std::vector<util::Bytes> MixServer::BackwardConversation(uint64_t round,
   if (responses.size() != state.perm.size()) {
     throw std::invalid_argument("BackwardConversation: response count mismatch");
   }
-  ServerRoundStats local;
-  local.requests_in = responses.size();
-  for (const auto& r : responses) {
-    local.bytes_in += r.size();
-  }
+  ServerRoundStats local = Incoming(responses);
 
   // Unshuffle views, not bytes: valid slot j's response sits at input
   // position k with perm[k] == j. Positions >= num_valid are our own noise
@@ -311,40 +303,30 @@ std::vector<util::Bytes> MixServer::BackwardConversation(uint64_t round,
   // Seal each response with the key retained on the forward pass and place
   // it at the position the previous hop expects. Requests this server
   // dropped on the forward pass still owe the previous hop a response slot.
-  std::vector<util::Bytes> out(state.input_size);
-  SealBlocks(round, unshuffled, state.response_keys, state.orig_index, state.response_size_in,
-             out);
+  util::Batch out(state.input_size, state.response_size_in + crypto::kOnionResponseLayerOverhead);
+  std::vector<uint8_t> sealed =
+      SealBlocks(round, unshuffled, state.response_keys, state.orig_index, out);
   crypto::ChaChaRng rng = RoundRng(kRngBackwardConversation, round);
-  FillEmptySlots(out, state.response_size_in + crypto::kOnionResponseLayerOverhead, rng);
+  FillEmptySlots(out, sealed, rng);
 
-  for (const auto& r : out) {
-    local.bytes_out += r.size();
-  }
+  local.bytes_out = out.bytes().size();
   if (stats) {
     *stats = local;
   }
   return out;
 }
 
-MixServer::LastServerResult MixServer::ProcessConversationLastHop(uint64_t round,
-                                                                  std::vector<util::Bytes> batch,
-                                                                  ServerRoundStats* stats) {
-  std::vector<util::ByteSpan> views = ViewsOf(batch);
-  return ProcessConversationLastHop(round, std::span<const util::ByteSpan>(views), stats);
+MixServer::LastServerResult MixServer::ToLastServerResult(const LastHopOutput& output) {
+  return LastServerResult{output.responses.ToVectors(), output.histogram,
+                          output.messages_exchanged};
 }
 
-MixServer::LastServerResult MixServer::ProcessConversationLastHop(
+MixServer::LastHopOutput MixServer::ProcessConversationLastHop(
     uint64_t round, std::span<const util::ByteSpan> batch, ServerRoundStats* stats) {
   if (!is_last()) {
     throw std::logic_error("ProcessConversationLastHop called on a non-last server");
   }
-  ServerRoundStats local;
-  local.requests_in = batch.size();
-  for (const auto& b : batch) {
-    local.bytes_in += b.size();
-  }
-
-  UnwrapBatchResult unwrapped = UnwrapBatch(round, batch);
+  ServerRoundStats local = Incoming(batch);
   local.dh_ops += batch.size();
 
   // Parse exchange requests; a valid onion with a malformed payload is
@@ -352,18 +334,27 @@ MixServer::LastServerResult MixServer::ProcessConversationLastHop(
   std::vector<wire::ExchangeRequest> requests;
   std::vector<uint32_t> orig_index;
   std::vector<crypto::AeadKey> keys;
-  requests.reserve(unwrapped.inners.size());
-  for (size_t j = 0; j < unwrapped.inners.size(); ++j) {
-    auto parsed = wire::ExchangeRequest::Parse(unwrapped.inners[j]);
-    if (!parsed) {
-      unwrapped.dropped++;
-      continue;
+  {
+    util::Batch inners(batch.size(), wire::kExchangeRequestSize);
+    Peeled peeled = Peel(round, batch, inners);
+    requests.reserve(batch.size() - peeled.dropped);
+    orig_index.reserve(batch.size() - peeled.dropped);
+    keys.reserve(batch.size() - peeled.dropped);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!peeled.ok[i]) {
+        continue;
+      }
+      auto parsed = wire::ExchangeRequest::Parse(inners[i]);
+      if (!parsed) {
+        peeled.dropped++;
+        continue;
+      }
+      requests.push_back(*parsed);
+      orig_index.push_back(static_cast<uint32_t>(i));
+      keys.push_back(peeled.keys[i]);
     }
-    requests.push_back(*parsed);
-    orig_index.push_back(unwrapped.orig_index[j]);
-    keys.push_back(unwrapped.response_keys[j]);
+    local.requests_dropped = peeled.dropped;
   }
-  local.requests_dropped = unwrapped.dropped;
 
   deaddrop::ExchangeOutcome outcome;
   if (exchange_backend_ != nullptr) {
@@ -374,75 +365,51 @@ MixServer::LastServerResult MixServer::ProcessConversationLastHop(
     outcome = deaddrop::ShardedExchangeRound(requests, shards);
   }
 
-  LastServerResult result;
+  LastHopOutput result;
   result.histogram = outcome.histogram;
   result.messages_exchanged = outcome.messages_exchanged;
-  result.responses.resize(batch.size());
+  result.responses =
+      util::Batch(batch.size(), wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead);
   std::vector<util::ByteSpan> envelopes(outcome.results.begin(), outcome.results.end());
-  SealBlocks(round, envelopes, keys, orig_index, wire::kEnvelopeSize, result.responses);
+  std::vector<uint8_t> sealed = SealBlocks(round, envelopes, keys, orig_index, result.responses);
   crypto::ChaChaRng rng = RoundRng(kRngLastConversation, round);
-  FillEmptySlots(result.responses, wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead,
-                 rng);
+  FillEmptySlots(result.responses, sealed, rng);
 
-  for (const auto& r : result.responses) {
-    local.bytes_out += r.size();
-  }
+  local.bytes_out = result.responses.bytes().size();
   if (stats) {
     *stats = local;
   }
   return result;
 }
 
-std::vector<util::Bytes> MixServer::ForwardDialing(uint64_t round, std::vector<util::Bytes> batch,
-                                                   uint32_t num_drops, ServerRoundStats* stats) {
-  std::vector<util::ByteSpan> views = ViewsOf(batch);
-  return ForwardDialing(round, std::span<const util::ByteSpan>(views), num_drops, stats);
-}
-
-std::vector<util::Bytes> MixServer::ForwardDialing(uint64_t round,
-                                                   std::span<const util::ByteSpan> batch,
-                                                   uint32_t num_drops, ServerRoundStats* stats) {
+util::Batch MixServer::ForwardDialing(uint64_t round, std::span<const util::ByteSpan> batch,
+                                      uint32_t num_drops, ServerRoundStats* stats) {
   if (is_last()) {
     throw std::logic_error("ForwardDialing called on the last server");
   }
-  ServerRoundStats local;
-  local.requests_in = batch.size();
-  for (const auto& b : batch) {
-    local.bytes_in += b.size();
-  }
-
-  UnwrapBatchResult unwrapped = UnwrapBatch(round, batch);
-  local.requests_dropped = unwrapped.dropped;
-  local.dh_ops += batch.size();
+  ServerRoundStats local = Incoming(batch);
 
   // Per-drop noise invitations (§5.3), wrapped for the chain suffix.
   crypto::ChaChaRng rng = RoundRng(kRngForwardDialing, round);
   std::vector<uint64_t> counts = PlanDialingNoise(config_.dialing_noise, num_drops, rng);
-  std::vector<util::Bytes> noise_payloads;
+  uint64_t noise = 0;
+  for (uint64_t count : counts) {
+    noise += count;
+  }
+  util::Batch noise_payloads(noise, wire::kDialRequestSize);
+  size_t next = 0;
   for (uint32_t d = 0; d < num_drops; ++d) {
     for (uint64_t j = 0; j < counts[d]; ++j) {
       wire::DialRequest fake;
       fake.dead_drop_index = d;
       rng.Fill(fake.invitation);
-      noise_payloads.push_back(fake.Serialize());
+      fake.SerializeInto(noise_payloads[next++]);
     }
   }
-  std::vector<util::Bytes> noise_onions = WrapNoise(round, noise_payloads, rng);
-  local.noise_requests_added = noise_onions.size();
-  local.dh_ops += noise_onions.size() * ChainSuffix().size();
-
-  std::vector<util::Bytes> combined = std::move(unwrapped.inners);
-  combined.reserve(combined.size() + noise_onions.size());
-  for (auto& onion : noise_onions) {
-    combined.push_back(std::move(onion));
-  }
-  Permutation perm = config_.mix ? Permutation::Random(combined.size(), rng)
-                                 : Permutation::Identity(combined.size());
-  std::vector<util::Bytes> out = perm.Apply(std::move(combined));
-
-  for (const auto& b : out) {
-    local.bytes_out += b.size();
-  }
+  // Dialing has no return pass, so the round state is not kept.
+  RoundState state;
+  util::Batch out =
+      PeelAndMix(round, batch, wire::kDialRequestSize, noise_payloads, rng, local, state);
   if (stats) {
     *stats = local;
   }
@@ -460,14 +427,6 @@ void MixServer::ExpireRounds(uint64_t newest_round, uint64_t keep) {
 }
 
 deaddrop::InvitationTable MixServer::ProcessDialingLastHop(uint64_t round,
-                                                           std::vector<util::Bytes> batch,
-                                                           uint32_t num_drops,
-                                                           ServerRoundStats* stats) {
-  std::vector<util::ByteSpan> views = ViewsOf(batch);
-  return ProcessDialingLastHop(round, std::span<const util::ByteSpan>(views), num_drops, stats);
-}
-
-deaddrop::InvitationTable MixServer::ProcessDialingLastHop(uint64_t round,
                                                            std::span<const util::ByteSpan> batch,
                                                            uint32_t num_drops,
                                                            ServerRoundStats* stats) {
@@ -477,27 +436,26 @@ deaddrop::InvitationTable MixServer::ProcessDialingLastHop(uint64_t round,
   if (num_drops == 0) {
     throw std::invalid_argument("ProcessDialingLastHop: num_drops must be positive");
   }
-  ServerRoundStats local;
-  local.requests_in = batch.size();
-  for (const auto& b : batch) {
-    local.bytes_in += b.size();
-  }
-
-  UnwrapBatchResult unwrapped = UnwrapBatch(round, batch);
+  ServerRoundStats local = Incoming(batch);
   local.dh_ops += batch.size();
 
+  util::Batch inners(batch.size(), wire::kDialRequestSize);
+  Peeled peeled = Peel(round, batch, inners);
   std::vector<wire::DialRequest> requests;
-  requests.reserve(unwrapped.inners.size());
-  for (const auto& inner : unwrapped.inners) {
-    auto parsed = wire::DialRequest::Parse(inner);
+  requests.reserve(batch.size() - peeled.dropped);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!peeled.ok[i]) {
+      continue;
+    }
+    auto parsed = wire::DialRequest::Parse(inners[i]);
     if (!parsed) {
-      unwrapped.dropped++;
+      peeled.dropped++;
       continue;
     }
     parsed->dead_drop_index %= num_drops;
     requests.push_back(*parsed);
   }
-  local.requests_dropped = unwrapped.dropped;
+  local.requests_dropped = peeled.dropped;
 
   // The last server adds its own noise directly — no wrapping needed (§5.3:
   // "every server (including the last one) must add ... noise invitations").

@@ -20,8 +20,8 @@
 // crashed round and get output byte-identical to an uninterrupted run.
 //
 // One implementation of each pass: onions are processed in cache-friendly
-// blocks over ThreadPool::ParallelForBlocks with preallocated per-slot output
-// buffers (no per-onion intermediate allocation), per-client shared secrets
+// blocks over ThreadPool::ParallelForBlocks, writing into the strides of one
+// flat output batch (no per-onion allocation), per-client shared secrets
 // are cached across rounds in a two-generation SecretCache advanced once per
 // unwrap pass (the round number only enters the AEAD nonce, so a hit cannot
 // change any output byte; keys not seen for two passes leave, so the cache
@@ -56,6 +56,7 @@
 #include "src/deaddrop/exchange_backend.h"
 #include "src/deaddrop/invitation_table.h"
 #include "src/noise/noise_gen.h"
+#include "src/util/batch.h"
 #include "src/util/bytes.h"
 #include "src/util/thread_pool.h"
 
@@ -110,64 +111,62 @@ class MixServer {
 
   // --- Conversation rounds ------------------------------------------------
   //
-  // Every pass comes in two forms: a span form taking views over the caller's
-  // buffers (the zero-copy wire path — the hop daemon passes views straight
-  // into the decoded chunk storage), and a vector form that wraps it. The
-  // span form only reads the views during the call; nothing is retained, so
-  // the backing buffers may be freed as soon as it returns. Outputs are
-  // always freshly owned Bytes.
+  // Every pass reads its input as views over the caller's buffers (the hop
+  // daemon passes views straight into the received chunks) and only during
+  // the call; nothing is retained, so the backing buffers may be freed as
+  // soon as it returns. Every pass writes its output into one util::Batch:
+  // all items one size, one buffer allocated on the calling thread, whose
+  // strides the pool workers fill (unwrap, cover-onion wrap, response seal,
+  // empty-slot fill) without an allocation per onion.
+  //
+  // Size rule: at one position in one round type every request has one size,
+  // crypto::OnionRequestSize(payload, servers left). A request of any other
+  // size is dropped and counted in requests_dropped, like one that fails
+  // authentication, so no onion carries a size of its own across a shuffle.
 
   // Intermediate server: peel one layer from each onion, add cover traffic,
   // shuffle, and return the batch for the next hop. Stores round state for
   // the return pass.
-  std::vector<util::Bytes> ForwardConversation(uint64_t round,
-                                               std::span<const util::ByteSpan> batch,
-                                               ServerRoundStats* stats = nullptr);
-  std::vector<util::Bytes> ForwardConversation(uint64_t round, std::vector<util::Bytes> batch,
-                                               ServerRoundStats* stats = nullptr);
+  util::Batch ForwardConversation(uint64_t round, std::span<const util::ByteSpan> batch,
+                                  ServerRoundStats* stats = nullptr);
 
   // Intermediate server, return pass: `responses` aligned with the batch
   // returned by ForwardConversation. Returns responses aligned with that
   // call's input batch. Clears the round state.
-  std::vector<util::Bytes> BackwardConversation(uint64_t round,
-                                                std::span<const util::ByteSpan> responses,
-                                                ServerRoundStats* stats = nullptr);
-  std::vector<util::Bytes> BackwardConversation(uint64_t round,
-                                                std::vector<util::Bytes> responses,
-                                                ServerRoundStats* stats = nullptr);
+  util::Batch BackwardConversation(uint64_t round, std::span<const util::ByteSpan> responses,
+                                   ServerRoundStats* stats = nullptr);
 
   // Last server: peel the final layer, run the dead-drop exchange, and seal
-  // each response. Output aligned with the input batch.
+  // each response. Responses aligned with the input batch.
+  struct LastHopOutput {
+    util::Batch responses;
+    deaddrop::AccessHistogram histogram;
+    uint64_t messages_exchanged = 0;
+  };
+  LastHopOutput ProcessConversationLastHop(uint64_t round, std::span<const util::ByteSpan> batch,
+                                           ServerRoundStats* stats = nullptr);
+
+  // The last hop's result with one owned vector per response: the form the
+  // round drivers' seams (transport::HopTransport, Chain) hand out.
   struct LastServerResult {
     std::vector<util::Bytes> responses;
     deaddrop::AccessHistogram histogram;
     uint64_t messages_exchanged = 0;
   };
-  LastServerResult ProcessConversationLastHop(uint64_t round,
-                                              std::span<const util::ByteSpan> batch,
-                                              ServerRoundStats* stats = nullptr);
-  LastServerResult ProcessConversationLastHop(uint64_t round, std::vector<util::Bytes> batch,
-                                              ServerRoundStats* stats = nullptr);
+  static LastServerResult ToLastServerResult(const LastHopOutput& output);
 
   // --- Dialing rounds -----------------------------------------------------
 
   // Intermediate server: peel, add per-drop noise invitations, shuffle,
   // forward. Dialing has no return pass through the chain (§5.5): clients
   // download their invitation drop out-of-band.
-  std::vector<util::Bytes> ForwardDialing(uint64_t round, std::span<const util::ByteSpan> batch,
-                                          uint32_t num_drops,
-                                          ServerRoundStats* stats = nullptr);
-  std::vector<util::Bytes> ForwardDialing(uint64_t round, std::vector<util::Bytes> batch,
-                                          uint32_t num_drops,
-                                          ServerRoundStats* stats = nullptr);
+  util::Batch ForwardDialing(uint64_t round, std::span<const util::ByteSpan> batch,
+                             uint32_t num_drops, ServerRoundStats* stats = nullptr);
 
   // Last server: peel, deposit invitations into the table, add this server's
   // own noise directly.
   deaddrop::InvitationTable ProcessDialingLastHop(uint64_t round,
                                                   std::span<const util::ByteSpan> batch,
-                                                  uint32_t num_drops,
-                                                  ServerRoundStats* stats = nullptr);
-  deaddrop::InvitationTable ProcessDialingLastHop(uint64_t round, std::vector<util::Bytes> batch,
                                                   uint32_t num_drops,
                                                   ServerRoundStats* stats = nullptr);
 
@@ -215,20 +214,29 @@ class MixServer {
     size_t response_size_in = 0;
   };
 
-  struct UnwrapBatchResult {
-    std::vector<util::Bytes> inners;               // valid only, input order
-    std::vector<uint32_t> orig_index;              // input position per inner
-    std::vector<crypto::AeadKey> response_keys;    // per inner
+  // Peels batch[i] into out[i] for every input, on the pool. A request that
+  // is not out.item_size() + kOnionRequestLayerOverhead bytes, or fails
+  // authentication, is not ok.
+  struct Peeled {
+    std::vector<uint8_t> ok;            // per input; uint8_t: written concurrently
+    std::vector<crypto::AeadKey> keys;  // response key per ok input
     uint64_t dropped = 0;
   };
-  UnwrapBatchResult UnwrapBatch(uint64_t round, std::span<const util::ByteSpan> batch);
+  Peeled Peel(uint64_t round, std::span<const util::ByteSpan> batch, util::Batch& out);
+
+  // The forward pass of both round types: peels the batch, wraps the cover
+  // payloads after it, drops the strides of rejected onions, and shuffles.
+  // Fills `state` (orig_index, response_keys, perm) and the pass's stats.
+  util::Batch PeelAndMix(uint64_t round, std::span<const util::ByteSpan> batch,
+                         size_t payload_size, const util::Batch& noise_payloads,
+                         crypto::ChaChaRng& rng, ServerRoundStats& stats, RoundState& state);
 
   std::span<const crypto::X25519PublicKey> ChainSuffix() const;
   size_t ResponseSizeFromNextHop() const;
-  // Wraps each cover payload for the chain suffix on the pool, drawing one
-  // per-onion seed from `rng` in order.
-  std::vector<util::Bytes> WrapNoise(uint64_t round, const std::vector<util::Bytes>& payloads,
-                                     crypto::ChaChaRng& rng) const;
+  // Wraps each cover payload for the chain suffix into out[first + i] on the
+  // pool, drawing one per-onion seed from `rng` in order.
+  void WrapNoise(uint64_t round, const util::Batch& payloads, crypto::ChaChaRng& rng,
+                 util::Batch& out, size_t first) const;
   // Derives the per-(round, pass) RNG; `pass` is a domain-separation label so
   // the forward and backward passes of one round never share a stream.
   crypto::ChaChaRng RoundRng(uint8_t pass, uint64_t round) const;

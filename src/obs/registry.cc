@@ -250,7 +250,14 @@ std::string Registry::SnapshotJson() const {
         const Histogram::Snapshot snap = entry.histogram->Snap();
         histograms += (histograms.empty() ? "" : ",");
         histograms += "\"" + name + "\":{\"count\":" + std::to_string(snap.count) +
-                      ",\"sum\":" + RenderDouble(snap.sum) + "}";
+                      ",\"sum\":" + RenderDouble(snap.sum) + ",\"buckets\":{";
+        // Cumulative counts keyed by upper bound, as the exposition's le.
+        for (size_t i = 0; i < snap.boundaries.size(); ++i) {
+          histograms += '"';
+          histograms += RenderDouble(snap.boundaries[i]);
+          histograms += "\":" + std::to_string(snap.cumulative[i]) + ",";
+        }
+        histograms += "\"+Inf\":" + std::to_string(snap.count) + "}}";
         break;
       }
     }

@@ -144,7 +144,9 @@ class Registry {
   // Prometheus text exposition format, series sorted by name.
   std::string RenderPrometheus() const;
   // One-line JSON object (counters/gauges as numbers, histograms as
-  // {count,sum,buckets}) for machine-readable end-of-run report lines.
+  // {count,sum,buckets}, buckets mapping each upper bound — "+Inf" last — to
+  // its cumulative count, as in the exposition) for machine-readable
+  // end-of-run report lines.
   std::string SnapshotJson() const;
 
  private:

@@ -110,7 +110,8 @@ void DistDaemon::Serve() {
       return;
     }
     auto frames =
-        EncodeBatchChunks(reply.op, request.round, {}, reply.items, config_.chunk_payload);
+        EncodeBatchChunks(reply.op, request.round, {}, util::ViewsOf(reply.items),
+                          config_.chunk_payload);
     if (!frames) {
       send_error(id, request.round, "reply item exceeds chunk budget");
       return;

@@ -54,21 +54,27 @@ void DistRouter::Publish(uint64_t round, deaddrop::InvitationTable table) {
   FanOutShards(num_shards, touched, [&](size_t shard) {
     deaddrop::InvitationDropRange range =
         deaddrop::InvitationDropsOfShard(shard, num_drops, num_shards);
-    std::vector<util::Bytes> items;
+    size_t count = 0;
+    for (uint32_t drop = range.begin; drop < range.end; ++drop) {
+      count += table.Drop(drop).size();
+    }
+    util::Batch items(count, wire::kDialRequestSize);
+    size_t next = 0;
     for (uint32_t drop = range.begin; drop < range.end; ++drop) {
       for (const wire::Invitation& invitation : table.Drop(drop)) {
         // An invitation with its bucket address is exactly a DialRequest.
         wire::DialRequest deposit;
         deposit.dead_drop_index = drop;
         deposit.invitation = invitation;
-        items.push_back(deposit.Serialize());
+        deposit.SerializeInto(items[next++]);
       }
     }
     InvitationPublishHeader header{static_cast<uint32_t>(shard),
                                    static_cast<uint32_t>(num_shards), num_drops,
                                    config_.keep_rounds};
-    BatchMessage reply = publish_links_[shard]->Call(
-        net::FrameType::kInvitationPublish, round, EncodeInvitationPublishHeader(header), items);
+    BatchMessage reply =
+        publish_links_[shard]->Call(net::FrameType::kInvitationPublish, round,
+                                    EncodeInvitationPublishHeader(header), items.Views());
     if (!reply.header.empty() || !reply.items.empty()) {
       publish_links_[shard]->Fail("unexpected publish ack payload");
     }

@@ -22,15 +22,6 @@ bool SendError(net::TcpConnection& conn, uint64_t round, const std::string& mess
       net::Frame{net::FrameType::kHopError, round, util::Bytes(message.begin(), message.end())});
 }
 
-util::Bytes PackDrop(const std::vector<wire::Invitation>& invitations) {
-  util::Bytes packed;
-  packed.reserve(invitations.size() * wire::kInvitationSize);
-  for (const auto& invitation : invitations) {
-    util::Append(packed, invitation);
-  }
-  return packed;
-}
-
 }  // namespace
 
 ExchangedDaemon::ExchangedDaemon(const ExchangedConfig& config, net::TcpListener listener)
@@ -210,12 +201,9 @@ bool ExchangedDaemon::HandleConversation(net::TcpConnection& conn, const BatchMe
 
   wire::Writer reply(32);
   WriteHistogram(reply, outcome.histogram, outcome.messages_exchanged);
-  std::vector<util::Bytes> items;
-  items.reserve(outcome.results.size());
-  for (const auto& envelope : outcome.results) {
-    items.emplace_back(envelope.begin(), envelope.end());
-  }
-  return SendBatchMessage(conn, request.op, request.round, reply.Take(), items,
+  // The envelopes go out as views into the outcome, not copies.
+  std::vector<util::ByteSpan> envelopes(outcome.results.begin(), outcome.results.end());
+  return SendBatchMessage(conn, request.op, request.round, reply.Take(), envelopes,
                           config_.chunk_payload);
 }
 
@@ -249,12 +237,9 @@ bool ExchangedDaemon::HandleDialing(net::TcpConnection& conn, const BatchMessage
 
   // Reply with the owned drops in increasing index order; the router
   // reassembles the full table from the shards' disjoint ranges.
-  std::vector<util::Bytes> items;
-  items.reserve(owned);
-  for (uint32_t drop = 0; drop < owned; ++drop) {
-    items.push_back(PackDrop(table.Drop(drop)));
-  }
-  return SendBatchMessage(conn, request.op, request.round, {}, items, config_.chunk_payload);
+  util::PackedItems drops = owned > 0 ? deaddrop::PackDrops(table) : util::PackedItems{};
+  return SendBatchMessage(conn, request.op, request.round, {}, drops.items,
+                          config_.chunk_payload);
 }
 
 }  // namespace vuvuzela::transport

@@ -33,19 +33,65 @@ void ExchangeRouter::FanOut(const std::vector<size_t>& shards,
   FanOutShards(partitions_.size(), shards, fn);
 }
 
+namespace {
+
+// A round's requests serialized on the calling thread into one flat buffer,
+// grouped by owning shard: shard s's slice is items [begin[s], begin[s + 1]),
+// in round-batch order, and order[k] is the request item k came from. The
+// fan-out threads send views of their slices and allocate nothing for them.
+struct ShardSlices {
+  util::Batch items;
+  std::vector<util::ByteSpan> views;
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> begin;
+
+  std::span<const util::ByteSpan> Slice(size_t shard) const {
+    return std::span<const util::ByteSpan>(views).subspan(begin[shard],
+                                                          begin[shard + 1] - begin[shard]);
+  }
+};
+
+template <typename Request, typename ShardOf>
+ShardSlices SliceByShard(std::span<const Request> requests, size_t item_size, size_t num_shards,
+                         ShardOf shard_of) {
+  ShardSlices slices;
+  slices.begin.assign(num_shards + 1, 0);
+  std::vector<uint32_t> shard(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    shard[i] = static_cast<uint32_t>(shard_of(requests[i]));
+    slices.begin[shard[i] + 1]++;
+  }
+  for (size_t s = 0; s < num_shards; ++s) {
+    slices.begin[s + 1] += slices.begin[s];
+  }
+  slices.items = util::Batch(requests.size(), item_size);
+  slices.order.resize(requests.size());
+  std::vector<uint32_t> next(slices.begin.begin(), slices.begin.end() - 1);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    uint32_t k = next[shard[i]]++;
+    slices.order[k] = static_cast<uint32_t>(i);
+    requests[i].SerializeInto(slices.items[k]);
+  }
+  slices.views = slices.items.Views();
+  return slices;
+}
+
+}  // namespace
+
 deaddrop::ExchangeOutcome ExchangeRouter::ExchangeConversation(
     uint64_t round, std::span<const wire::ExchangeRequest> requests) {
   size_t num_shards = partitions_.size();
-  std::vector<std::vector<uint32_t>> buckets(num_shards);
-  for (uint32_t i = 0; i < requests.size(); ++i) {
-    buckets[deaddrop::ShardOfDeadDrop(requests[i].dead_drop, num_shards)].push_back(i);
-  }
+  ShardSlices slices =
+      SliceByShard(requests, wire::kExchangeRequestSize, num_shards,
+                   [&](const wire::ExchangeRequest& request) {
+                     return deaddrop::ShardOfDeadDrop(request.dead_drop, num_shards);
+                   });
   // Only partitions that own requests this round are contacted: a round whose
   // dead drops all live on surviving shards completes even while another
   // partition is down.
   std::vector<size_t> touched;
   for (size_t s = 0; s < num_shards; ++s) {
-    if (!buckets[s].empty()) {
+    if (!slices.Slice(s).empty()) {
       touched.push_back(s);
     }
   }
@@ -56,22 +102,17 @@ deaddrop::ExchangeOutcome ExchangeRouter::ExchangeConversation(
   std::vector<uint64_t> exchanged(num_shards, 0);
 
   FanOut(touched, [&](size_t shard) {
-    std::vector<util::Bytes> items;
-    items.reserve(buckets[shard].size());
-    for (uint32_t i : buckets[shard]) {
-      items.push_back(requests[i].Serialize());
-    }
     ExchangeConversationHeader header{static_cast<uint32_t>(shard),
                                       static_cast<uint32_t>(num_shards)};
-    BatchMessage reply = partitions_[shard]->Call(
-        net::FrameType::kExchangeConversation, round, EncodeExchangeConversationHeader(header),
-        items);
+    std::span<const util::ByteSpan> slice = slices.Slice(shard);
+    BatchMessage reply = partitions_[shard]->Call(net::FrameType::kExchangeConversation, round,
+                                                  EncodeExchangeConversationHeader(header), slice);
     wire::Reader r(reply.header);
     auto histogram = ReadHistogram(r);
     if (!histogram || !r.AtEnd()) {
       partitions_[shard]->Fail("truncated exchange histogram");
     }
-    if (reply.items.size() != buckets[shard].size()) {
+    if (reply.items.size() != slice.size()) {
       partitions_[shard]->Fail("response envelope count mismatch");
     }
     for (size_t j = 0; j < reply.items.size(); ++j) {
@@ -79,7 +120,8 @@ deaddrop::ExchangeOutcome ExchangeRouter::ExchangeConversation(
       if (envelope.size() != wire::kEnvelopeSize) {
         partitions_[shard]->Fail("ragged response envelope");
       }
-      std::copy(envelope.begin(), envelope.end(), out.results[buckets[shard][j]].begin());
+      std::copy(envelope.begin(), envelope.end(),
+                out.results[slices.order[slices.begin[shard] + j]].begin());
     }
     histograms[shard] = histogram->histogram;
     exchanged[shard] = histogram->messages_exchanged;
@@ -103,20 +145,20 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
   // Real deposits first, then noise, per shard — the insertion order the
   // in-process table uses, preserved within each drop because one drop's
   // deposits all route to one shard.
-  std::vector<std::vector<util::Bytes>> items(num_shards);
+  std::vector<wire::DialRequest> deposits;
+  deposits.reserve(requests.size() + noise.size());
   for (const auto& request : requests) {
-    wire::DialRequest normalized = request;
-    normalized.dead_drop_index %= num_drops;
-    items[deaddrop::ShardOfInvitationDrop(normalized.dead_drop_index, num_drops, num_shards)]
-        .push_back(normalized.Serialize());
+    deposits.push_back(request);
+    deposits.back().dead_drop_index %= num_drops;
   }
   for (const auto& fake : noise) {
-    wire::DialRequest as_request;
-    as_request.dead_drop_index = fake.drop % num_drops;
-    as_request.invitation = fake.invitation;
-    items[deaddrop::ShardOfInvitationDrop(as_request.dead_drop_index, num_drops, num_shards)]
-        .push_back(as_request.Serialize());
+    deposits.push_back(wire::DialRequest{fake.drop % num_drops, fake.invitation});
   }
+  ShardSlices slices = SliceByShard(
+      std::span<const wire::DialRequest>(deposits), wire::kDialRequestSize, num_shards,
+      [&](const wire::DialRequest& deposit) {
+        return deaddrop::ShardOfInvitationDrop(deposit.dead_drop_index, num_drops, num_shards);
+      });
 
   // Every shard owning at least one drop is contacted even when its deposit
   // list is empty: the merged table must enumerate all m drops, and a drop's
@@ -135,9 +177,9 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
   FanOut(touched, [&](size_t shard) {
     ExchangeDialingHeader header{static_cast<uint32_t>(shard), static_cast<uint32_t>(num_shards),
                                  num_drops};
-    BatchMessage reply = partitions_[shard]->Call(
-        net::FrameType::kExchangeDialing, round, EncodeExchangeDialingHeader(header),
-        items[shard]);
+    BatchMessage reply = partitions_[shard]->Call(net::FrameType::kExchangeDialing, round,
+                                                  EncodeExchangeDialingHeader(header),
+                                                  slices.Slice(shard));
     // Reply items are the shard's owned drop range in increasing index order.
     deaddrop::InvitationDropRange range =
         deaddrop::InvitationDropsOfShard(shard, num_drops, num_shards);

@@ -28,16 +28,22 @@ inline void FanOutShards(size_t num_shards, const std::vector<size_t>& shards,
     return;
   }
   std::vector<std::exception_ptr> errors(num_shards);
+  auto call = [&](size_t shard) {
+    try {
+      fn(shard);
+    } catch (...) {
+      errors[shard] = std::current_exception();
+    }
+  };
+  // The calling thread takes the first shard itself: one thread fewer per
+  // round, and that shard's reply lands in the caller's heap.
   std::vector<std::thread> threads;
   threads.reserve(shards.size());
-  for (size_t shard : shards) {
-    threads.emplace_back([&, shard] {
-      try {
-        fn(shard);
-      } catch (...) {
-        errors[shard] = std::current_exception();
-      }
-    });
+  for (size_t i = 1; i < shards.size(); ++i) {
+    threads.emplace_back(call, shards[i]);
+  }
+  if (!shards.empty()) {
+    call(shards[0]);
   }
   for (auto& thread : threads) {
     thread.join();

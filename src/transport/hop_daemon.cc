@@ -33,15 +33,6 @@ bool SendError(net::TcpConnection& conn, uint64_t round, const std::string& mess
       net::Frame{net::FrameType::kHopError, round, util::Bytes(message.begin(), message.end())});
 }
 
-util::Bytes PackDrop(const std::vector<wire::Invitation>& invitations) {
-  util::Bytes packed;
-  packed.reserve(invitations.size() * wire::kInvitationSize);
-  for (const auto& invitation : invitations) {
-    util::Append(packed, invitation);
-  }
-  return packed;
-}
-
 bool IsDialingOp(net::FrameType op) {
   return op == net::FrameType::kHopForwardDialing || op == net::FrameType::kHopLastDialing;
 }
@@ -209,6 +200,9 @@ bool HopDaemon::ServeConnection(net::TcpConnection& conn) {
       }
       continue;
     }
+    // The last reply's memory is free again before this request's chunks
+    // are received, unless this is a re-send of that very pass.
+    ReleaseReplyUnlessFor(frame->type, frame->round);
     // The poll deadline is for *idle* waits between RPCs; once a batch
     // message has started, wait as long as its chunks take (a stalled
     // coordinator mid-batch only stalls this one connection).
@@ -245,20 +239,25 @@ size_t HopDaemon::replay_entries() const {
 
 bool HopDaemon::SendAndCache(net::TcpConnection& conn, const BatchMessage& request,
                              const crypto::Sha256Digest& digest, util::Bytes header,
-                             std::vector<util::Bytes> items) {
-  bool sent = SendBatchMessage(conn, request.op, request.round, header, items,
+                             util::PackedItems body) {
+  bool sent = SendBatchMessage(conn, request.op, request.round, header, body.items,
                                config_.chunk_payload);
   // Keep the reply even when the send failed mid-stream: the pass already
   // executed, and a re-send after the coordinator reconnects is exactly the
   // case the slot exists for (the lost-reply problem).
-  int64_t bytes = static_cast<int64_t>(header.size());
-  for (const auto& item : items) {
-    bytes += static_cast<int64_t>(item.size());
-  }
+  int64_t bytes = static_cast<int64_t>(header.size() + body.bytes.size());
   std::lock_guard<std::mutex> lock(replay_mutex_);
-  last_reply_ = CachedReply{digest, std::move(header), std::move(items)};
+  last_reply_ = CachedReply{request.op, request.round, digest, std::move(header), std::move(body)};
   obs_replay_bytes_->Set(bytes);
   return sent;
+}
+
+void HopDaemon::ReleaseReplyUnlessFor(net::FrameType op, uint64_t round) {
+  std::lock_guard<std::mutex> lock(replay_mutex_);
+  if (last_reply_ && (last_reply_->op != op || last_reply_->round != round)) {
+    last_reply_.reset();
+    obs_replay_bytes_->Set(0);
+  }
 }
 
 bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
@@ -293,7 +292,7 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
       obs::TraceJournal::Global().Emit(request.round, "hop/replay",
                                        std::string("op=") + HopOpName(request.op));
       return SendBatchMessage(conn, request.op, request.round, last_reply_->header,
-                              last_reply_->items, config_.chunk_payload);
+                              last_reply_->body.items, config_.chunk_payload);
     }
     // Any other request means the coordinator holds the last reply (see the
     // class comment): release it before this pass allocates its own.
@@ -327,23 +326,25 @@ bool HopDaemon::RunPass(net::TcpConnection& conn, const BatchMessage& request,
   try {
     switch (request.op) {
       case net::FrameType::kHopForwardConversation: {
-        auto batch = server_->ForwardConversation(request.round, items, &stats);
+        util::Batch batch = server_->ForwardConversation(request.round, items, &stats);
         wire::Writer reply(48);
         WriteStats(reply, stats);
-        return SendAndCache(conn, request, digest, reply.Take(), std::move(batch));
+        return SendAndCache(conn, request, digest, reply.Take(), std::move(batch).Pack());
       }
       case net::FrameType::kHopBackwardConversation: {
-        auto responses = server_->BackwardConversation(request.round, items, &stats);
+        util::Batch responses = server_->BackwardConversation(request.round, items, &stats);
         wire::Writer reply(48);
         WriteStats(reply, stats);
-        return SendAndCache(conn, request, digest, reply.Take(), std::move(responses));
+        return SendAndCache(conn, request, digest, reply.Take(), std::move(responses).Pack());
       }
       case net::FrameType::kHopLastConversation: {
-        auto result = server_->ProcessConversationLastHop(request.round, items, &stats);
+        mixnet::MixServer::LastHopOutput result =
+            server_->ProcessConversationLastHop(request.round, items, &stats);
         wire::Writer reply(80);
         WriteStats(reply, stats);
         WriteHistogram(reply, result.histogram, result.messages_exchanged);
-        return SendAndCache(conn, request, digest, reply.Take(), std::move(result.responses));
+        return SendAndCache(conn, request, digest, reply.Take(),
+                            std::move(result.responses).Pack());
       }
       case net::FrameType::kHopForwardDialing:
       case net::FrameType::kHopLastDialing: {
@@ -352,21 +353,17 @@ bool HopDaemon::RunPass(net::TcpConnection& conn, const BatchMessage& request,
           return SendError(conn, request.round, "truncated dialing header");
         }
         if (request.op == net::FrameType::kHopForwardDialing) {
-          auto batch = server_->ForwardDialing(request.round, items, *num_drops, &stats);
+          util::Batch batch =
+              server_->ForwardDialing(request.round, items, *num_drops, &stats);
           wire::Writer reply(48);
           WriteStats(reply, stats);
-          return SendAndCache(conn, request, digest, reply.Take(), std::move(batch));
+          return SendAndCache(conn, request, digest, reply.Take(), std::move(batch).Pack());
         }
         deaddrop::InvitationTable table =
             server_->ProcessDialingLastHop(request.round, items, *num_drops, &stats);
-        std::vector<util::Bytes> drops;
-        drops.reserve(table.num_drops());
-        for (uint32_t i = 0; i < table.num_drops(); ++i) {
-          drops.push_back(PackDrop(table.Drop(i)));
-        }
         wire::Writer reply(48);
         WriteStats(reply, stats);
-        return SendAndCache(conn, request, digest, reply.Take(), std::move(drops));
+        return SendAndCache(conn, request, digest, reply.Take(), deaddrop::PackDrops(table));
       }
       default:
         return SendError(conn, request.round, "unsupported hop op");

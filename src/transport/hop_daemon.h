@@ -29,12 +29,15 @@
 //  * any older pass a coordinator submits again (a round-level retry) is
 //    simply recomputed: forward and last passes are pure functions of
 //    (seed, round, batch), so the recomputed reply is byte-identical.
-// The slot is released as soon as a request with a different digest
-// arrives, before that request's pass runs, so a hop holds at most one
-// pass's reply — never a history of rounds. A re-sent request whose digest
-// does NOT match is processed normally: the slot can never serve stale bytes
-// for different input. The expiry horizon piggybacked on forward passes
-// still bounds MixServer's per-round state (MixServer::ExpireRounds).
+// The slot is released as soon as the first frame of a request for another
+// pass (op or round) arrives, before the rest of that request is received,
+// and at the latest when a request with a different digest has arrived,
+// before its pass runs. So a hop holds at most one pass's reply — never a
+// history of rounds — and never that reply next to the next whole request.
+// A re-sent request whose digest does NOT match is processed normally: the
+// slot can never serve stale bytes for different input. The expiry horizon
+// piggybacked on forward passes still bounds MixServer's per-round state
+// (MixServer::ExpireRounds).
 
 #ifndef VUVUZELA_SRC_TRANSPORT_HOP_DAEMON_H_
 #define VUVUZELA_SRC_TRANSPORT_HOP_DAEMON_H_
@@ -116,10 +119,14 @@ class HopDaemon {
 
  private:
   struct CachedReply {
+    net::FrameType op = net::FrameType::kHopError;
+    uint64_t round = 0;
     // Binds op, round and content (DigestRequest in the .cc).
     crypto::Sha256Digest request_digest{};
     util::Bytes header;
-    std::vector<util::Bytes> items;
+    // The reply's one buffer — the pass's output batch, or the packed drops
+    // of a dialing last hop — and a view of each item in it.
+    util::PackedItems body;
   };
 
   HopDaemon(const HopDaemonConfig& config, std::unique_ptr<mixnet::MixServer> server,
@@ -128,15 +135,20 @@ class HopDaemon {
   // Returns false once the daemon should stop serving entirely.
   bool ServeConnection(net::TcpConnection& conn);
   bool Dispatch(net::TcpConnection& conn, BatchMessage request);
+  // Releases the replay slot unless it holds the reply to (op, round): a
+  // request for any other pass means the coordinator already holds that
+  // reply (see the class comment). Called on a request's first frame.
+  void ReleaseReplyUnlessFor(net::FrameType op, uint64_t round);
   // The op switch proper (the timed part of Dispatch): runs the pass over
   // `request.items`, views into the received chunks, and sends (and keeps)
   // the reply.
   bool RunPass(net::TcpConnection& conn, const BatchMessage& request, wire::Reader& header,
                const crypto::Sha256Digest& digest);
-  // Sends the reply and keeps it in the replay slot.
+  // Sends the reply from its buffer and keeps that buffer in the replay
+  // slot; the reply is never copied.
   bool SendAndCache(net::TcpConnection& conn, const BatchMessage& request,
                     const crypto::Sha256Digest& digest, util::Bytes header,
-                    std::vector<util::Bytes> items);
+                    util::PackedItems body);
 
   HopDaemonConfig config_;
   std::unique_ptr<mixnet::MixServer> server_;

@@ -79,33 +79,35 @@ class HopTransport {
 };
 
 // In-process backend: the stage calls the MixServer directly. The server must
-// outlive the transport.
+// outlive the transport. This is where a pass's flat util::Batch becomes the
+// seam's one vector per item.
 class LocalTransport : public HopTransport {
  public:
   explicit LocalTransport(mixnet::MixServer& server) : server_(server) {}
 
   std::vector<util::Bytes> ForwardConversation(uint64_t round, std::vector<util::Bytes> batch,
                                                mixnet::ServerRoundStats* stats) override {
-    return server_.ForwardConversation(round, std::move(batch), stats);
+    return server_.ForwardConversation(round, util::ViewsOf(batch), stats).ToVectors();
   }
   std::vector<util::Bytes> BackwardConversation(uint64_t round,
                                                 std::vector<util::Bytes> responses,
                                                 mixnet::ServerRoundStats* stats) override {
-    return server_.BackwardConversation(round, std::move(responses), stats);
+    return server_.BackwardConversation(round, util::ViewsOf(responses), stats).ToVectors();
   }
   mixnet::MixServer::LastServerResult ProcessConversationLastHop(
       uint64_t round, std::vector<util::Bytes> batch, mixnet::ServerRoundStats* stats) override {
-    return server_.ProcessConversationLastHop(round, std::move(batch), stats);
+    return mixnet::MixServer::ToLastServerResult(
+        server_.ProcessConversationLastHop(round, util::ViewsOf(batch), stats));
   }
   std::vector<util::Bytes> ForwardDialing(uint64_t round, std::vector<util::Bytes> batch,
                                           uint32_t num_drops,
                                           mixnet::ServerRoundStats* stats) override {
-    return server_.ForwardDialing(round, std::move(batch), num_drops, stats);
+    return server_.ForwardDialing(round, util::ViewsOf(batch), num_drops, stats).ToVectors();
   }
   deaddrop::InvitationTable ProcessDialingLastHop(uint64_t round, std::vector<util::Bytes> batch,
                                                   uint32_t num_drops,
                                                   mixnet::ServerRoundStats* stats) override {
-    return server_.ProcessDialingLastHop(round, std::move(batch), num_drops, stats);
+    return server_.ProcessDialingLastHop(round, util::ViewsOf(batch), num_drops, stats);
   }
   void ExpireRounds(uint64_t newest_round, uint64_t keep) override {
     server_.ExpireRounds(newest_round, keep);

@@ -22,7 +22,7 @@ constexpr size_t kContinuationOverhead = 1 + 4;         // flags + item_count
 // item's length prefix and bytes. The item pieces alias `items`; only the
 // head and the prefixes are built.
 bool ForEachChunk(
-    net::FrameType op, util::ByteSpan header, const std::vector<util::Bytes>& items,
+    net::FrameType op, util::ByteSpan header, std::span<const util::ByteSpan> items,
     size_t max_chunk_payload,
     const std::function<bool(net::FrameType, std::span<const util::ByteSpan>)>& emit) {
   if (op == net::FrameType::kBatchChunk || max_chunk_payload > net::kMaxFramePayload) {
@@ -55,6 +55,7 @@ bool ForEachChunk(
     util::Bytes head_bytes = head.Take();
     prefixes.resize(4 * (next - begin));
     pieces.clear();
+    pieces.reserve(1 + 2 * (next - begin));
     pieces.push_back(head_bytes);
     for (size_t i = begin; i < next; ++i) {
       uint8_t* prefix = prefixes.data() + 4 * (i - begin);
@@ -83,7 +84,7 @@ std::vector<util::Bytes> BatchMessage::CopyItems() const {
 
 std::optional<std::vector<net::Frame>> EncodeBatchChunks(net::FrameType op, uint64_t round,
                                                          util::ByteSpan header,
-                                                         const std::vector<util::Bytes>& items,
+                                                         std::span<const util::ByteSpan> items,
                                                          size_t max_chunk_payload) {
   std::vector<net::Frame> frames;
   auto join = [&](net::FrameType type, std::span<const util::ByteSpan> pieces) {
@@ -174,7 +175,7 @@ BatchAssembler::Status BatchAssembler::Consume(net::Frame&& frame) {
 BatchMessage BatchAssembler::Take() { return std::move(message_); }
 
 bool SendBatchMessage(net::TcpConnection& conn, net::FrameType op, uint64_t round,
-                      util::ByteSpan header, const std::vector<util::Bytes>& items,
+                      util::ByteSpan header, std::span<const util::ByteSpan> items,
                       size_t max_chunk_payload) {
   return ForEachChunk(op, header, items, max_chunk_payload,
                       [&](net::FrameType type, std::span<const util::ByteSpan> pieces) {
@@ -282,7 +283,7 @@ class RpcFailureScope {
 
 BatchMessage CallBatchRpc(net::TcpConnection& conn, const std::string& peer_label,
                           net::FrameType op, uint64_t round, util::ByteSpan header,
-                          const std::vector<util::Bytes>& items, size_t max_chunk_payload) {
+                          std::span<const util::ByteSpan> items, size_t max_chunk_payload) {
   // Shard fan-out telemetry: one span pair + one latency sample per RPC
   // (per-round-per-shard rate). Function-local statics keep registration off
   // the call path after the first RPC.

@@ -35,6 +35,7 @@
 #include "src/mixnet/mix_server.h"
 #include "src/net/frame.h"
 #include "src/net/tcp.h"
+#include "src/util/batch.h"
 #include "src/wire/serde.h"
 
 namespace vuvuzela::transport {
@@ -54,10 +55,11 @@ inline constexpr size_t kMaxBatchMessageBytes = 4ull << 30;
 // Decoding copies no item. Each chunk's wire payload is adopted whole into
 // `chunks`, and `items` holds one span per item pointing into those buffers,
 // so a hop's pass input goes straight from the received chunks to
-// MixServer's span overloads. The spans stay valid across moves of the whole
-// message (moving a vector keeps its heap buffers) and die with it. A caller
-// that keeps items past the message takes CopyItems(). Copying the message is
-// disabled: a copy's spans would still point into the original's chunks.
+// MixServer's passes, which read views. The spans stay valid across moves of
+// the whole message (moving a vector keeps its heap buffers) and die with it.
+// A caller that keeps items past the message takes CopyItems(). Copying the
+// message is disabled: a copy's spans would still point into the original's
+// chunks.
 struct BatchMessage {
   net::FrameType op = net::FrameType::kHopError;
   uint64_t round = 0;
@@ -88,7 +90,7 @@ struct BatchMessage {
 // without building them.
 std::optional<std::vector<net::Frame>> EncodeBatchChunks(
     net::FrameType op, uint64_t round, util::ByteSpan header,
-    const std::vector<util::Bytes>& items, size_t max_chunk_payload = kDefaultChunkPayload);
+    std::span<const util::ByteSpan> items, size_t max_chunk_payload = kDefaultChunkPayload);
 
 // Streaming reassembly of one batch message from its chunk frames. Feed
 // frames in arrival order; the assembler validates op/round consistency and
@@ -131,8 +133,11 @@ class BatchAssembler {
 // is gathered by the kernel straight from `items` (TcpConnection::
 // SendFrameParts): only the small chunk head and the per-item length
 // prefixes are built, so the item bytes are copied once, into the socket.
+// `items` are views, so one sender serves every item store: a pass's
+// util::Batch (Views()), a kept reply (util::PackedItems), byte vectors
+// (util::ViewsOf), or envelopes viewed in place.
 bool SendBatchMessage(net::TcpConnection& conn, net::FrameType op, uint64_t round,
-                      util::ByteSpan header, const std::vector<util::Bytes>& items,
+                      util::ByteSpan header, std::span<const util::ByteSpan> items,
                       size_t max_chunk_payload = kDefaultChunkPayload);
 
 // Reassembles the batch message whose first frame the caller already read.
@@ -155,7 +160,7 @@ std::optional<BatchMessage> ReadBatchMessage(net::TcpConnection& conn, net::Fram
 // The caller owns connection setup, locking, and reconnect policy.
 BatchMessage CallBatchRpc(net::TcpConnection& conn, const std::string& peer_label,
                           net::FrameType op, uint64_t round, util::ByteSpan header,
-                          const std::vector<util::Bytes>& items,
+                          std::span<const util::ByteSpan> items,
                           size_t max_chunk_payload = kDefaultChunkPayload);
 
 // --- Op-specific header encoding -------------------------------------------

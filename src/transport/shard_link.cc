@@ -33,7 +33,7 @@ bool ShardLink::ConnectStrict() {
 }
 
 BatchMessage ShardLink::Call(net::FrameType op, uint64_t round, util::ByteSpan header,
-                             const std::vector<util::Bytes>& items) {
+                             std::span<const util::ByteSpan> items) {
   std::lock_guard<std::mutex> lock(mutex_);
   bool fresh = !conn_.valid();
   if (fresh && !TryConnectLocked()) {

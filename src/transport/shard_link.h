@@ -61,7 +61,7 @@ class ShardLink {
   // comment for the reconnect and failure discipline). Throws the
   // transport::Hop*Error flavors of hop_wire.h's CallBatchRpc.
   BatchMessage Call(net::FrameType op, uint64_t round, util::ByteSpan header,
-                    const std::vector<util::Bytes>& items);
+                    std::span<const util::ByteSpan> items);
 
   // Post-call validator failure: poisons the link (locked close) and throws
   // HopError("<label>: <what>").

@@ -36,8 +36,8 @@ BatchMessage TcpTransport::Call(net::FrameType op, uint64_t round, util::ByteSpa
   // Every failure but a daemon's kHopError report closes the connection
   // first (the RPC may have died mid-stream), so later calls fail fast until
   // the caller reconnects; a remote report fails only this round.
-  return CallBatchRpc(conn_, "hop " + Endpoint(config_), op, round, header, items,
-                      config_.chunk_payload);
+  return CallBatchRpc(conn_, "hop " + Endpoint(config_), op, round, header,
+                      util::ViewsOf(items), config_.chunk_payload);
 }
 
 namespace {

@@ -7,10 +7,14 @@
 namespace vuvuzela::wire {
 
 util::Bytes ExchangeRequest::Serialize() const {
-  Writer w(kExchangeRequestSize);
-  w.Raw(dead_drop);
-  w.Raw(envelope);
-  return w.Take();
+  util::Bytes out(kExchangeRequestSize);
+  SerializeInto(out);
+  return out;
+}
+
+void ExchangeRequest::SerializeInto(util::MutableByteSpan out) const {
+  std::memcpy(out.data(), dead_drop.data(), kDeadDropIdSize);
+  std::memcpy(out.data() + kDeadDropIdSize, envelope.data(), kEnvelopeSize);
 }
 
 std::optional<ExchangeRequest> ExchangeRequest::Parse(util::ByteSpan data) {
@@ -30,10 +34,14 @@ std::optional<ExchangeRequest> ExchangeRequest::Parse(util::ByteSpan data) {
 }
 
 util::Bytes DialRequest::Serialize() const {
-  Writer w(kDialRequestSize);
-  w.U32(dead_drop_index);
-  w.Raw(invitation);
-  return w.Take();
+  util::Bytes out(kDialRequestSize);
+  SerializeInto(out);
+  return out;
+}
+
+void DialRequest::SerializeInto(util::MutableByteSpan out) const {
+  util::StoreBe32(out.data(), dead_drop_index);
+  std::memcpy(out.data() + 4, invitation.data(), kInvitationSize);
 }
 
 std::optional<DialRequest> DialRequest::Parse(util::ByteSpan data) {

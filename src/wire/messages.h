@@ -25,6 +25,8 @@ struct ExchangeRequest {
   Envelope envelope{};
 
   util::Bytes Serialize() const;
+  // Writes the same bytes into `out`, which must be kExchangeRequestSize.
+  void SerializeInto(util::MutableByteSpan out) const;
   static std::optional<ExchangeRequest> Parse(util::ByteSpan data);
 };
 
@@ -36,6 +38,8 @@ struct DialRequest {
   Invitation invitation{};
 
   util::Bytes Serialize() const;
+  // Writes the same bytes into `out`, which must be kDialRequestSize.
+  void SerializeInto(util::MutableByteSpan out) const;
   static std::optional<DialRequest> Parse(util::ByteSpan data);
 };
 

@@ -97,6 +97,51 @@ std::vector<util::Bytes> MakeDialingBatch(const std::vector<crypto::X25519Public
   return batch;
 }
 
+// MixServer's passes read views and write flat batches; the oracle takes and
+// returns byte vectors. These overloads give both the oracle's shape, so one
+// test body drives either.
+std::vector<util::Bytes> ForwardPass(MixServer& server, uint64_t round,
+                                     const std::vector<util::Bytes>& batch,
+                                     ServerRoundStats* stats = nullptr) {
+  return server.ForwardConversation(round, util::ViewsOf(batch), stats).ToVectors();
+}
+std::vector<util::Bytes> ForwardPass(ReferenceMixServer& server, uint64_t round,
+                                     const std::vector<util::Bytes>& batch,
+                                     ServerRoundStats* stats = nullptr) {
+  return server.ForwardConversation(round, batch, stats);
+}
+std::vector<util::Bytes> BackwardPass(MixServer& server, uint64_t round,
+                                      const std::vector<util::Bytes>& responses,
+                                      ServerRoundStats* stats = nullptr) {
+  return server.BackwardConversation(round, util::ViewsOf(responses), stats).ToVectors();
+}
+std::vector<util::Bytes> BackwardPass(ReferenceMixServer& server, uint64_t round,
+                                      const std::vector<util::Bytes>& responses,
+                                      ServerRoundStats* stats = nullptr) {
+  return server.BackwardConversation(round, responses, stats);
+}
+MixServer::LastServerResult LastPass(MixServer& server, uint64_t round,
+                                     const std::vector<util::Bytes>& batch,
+                                     ServerRoundStats* stats) {
+  return MixServer::ToLastServerResult(
+      server.ProcessConversationLastHop(round, util::ViewsOf(batch), stats));
+}
+MixServer::LastServerResult LastPass(ReferenceMixServer& server, uint64_t round,
+                                     const std::vector<util::Bytes>& batch,
+                                     ServerRoundStats* stats) {
+  return server.ProcessConversationLastHop(round, batch, stats);
+}
+std::vector<util::Bytes> ForwardDialingPass(MixServer& server, uint64_t round,
+                                            const std::vector<util::Bytes>& batch,
+                                            uint32_t num_drops, ServerRoundStats* stats) {
+  return server.ForwardDialing(round, util::ViewsOf(batch), num_drops, stats).ToVectors();
+}
+std::vector<util::Bytes> ForwardDialingPass(ReferenceMixServer& server, uint64_t round,
+                                            const std::vector<util::Bytes>& batch,
+                                            uint32_t num_drops, ServerRoundStats* stats) {
+  return server.ForwardDialing(round, batch, num_drops, stats);
+}
+
 // Every stage output of one conversation round, for bit-level comparison.
 struct ConversationTranscript {
   std::vector<std::vector<util::Bytes>> forward;  // after each server's pass
@@ -113,17 +158,15 @@ ConversationTranscript RunConversation(TestChain<Server>& chain, uint64_t round,
   t.stats.resize(2 * kServers - 1);
   std::vector<util::Bytes> current = std::move(batch);
   for (size_t i = 0; i + 1 < kServers; ++i) {
-    current = chain.servers[i]->ForwardConversation(round, std::move(current), &t.stats[i]);
+    current = ForwardPass(*chain.servers[i], round, current, &t.stats[i]);
     t.forward.push_back(current);
   }
-  auto last = chain.servers.back()->ProcessConversationLastHop(round, std::move(current),
-                                                              &t.stats[kServers - 1]);
+  auto last = LastPass(*chain.servers.back(), round, current, &t.stats[kServers - 1]);
   t.last_responses = last.responses;
   t.messages_exchanged = last.messages_exchanged;
   current = std::move(last.responses);
   for (size_t i = kServers - 1; i-- > 0;) {
-    current = chain.servers[i]->BackwardConversation(round, std::move(current),
-                                                    &t.stats[2 * kServers - 2 - i]);
+    current = BackwardPass(*chain.servers[i], round, current, &t.stats[2 * kServers - 2 - i]);
     t.backward.push_back(current);
   }
   return t;
@@ -192,12 +235,13 @@ TEST_P(BatchConformance, DialingRoundByteIdentical) {
   std::vector<util::Bytes> b = batch;
   ServerRoundStats sa, sb;
   for (size_t i = 0; i + 1 < kServers; ++i) {
-    a = production.servers[i]->ForwardDialing(1, std::move(a), kDrops, &sa);
-    b = oracle.servers[i]->ForwardDialing(1, std::move(b), kDrops, &sb);
+    a = ForwardDialingPass(*production.servers[i], 1, a, kDrops, &sa);
+    b = ForwardDialingPass(*oracle.servers[i], 1, b, kDrops, &sb);
     ASSERT_EQ(a, b) << "dialing forward stage " << i;
     ExpectSameStats(sa, sb, i);
   }
-  auto table_a = production.servers.back()->ProcessDialingLastHop(1, std::move(a), kDrops, &sa);
+  auto table_a =
+      production.servers.back()->ProcessDialingLastHop(1, util::ViewsOf(a), kDrops, &sa);
   auto table_b = oracle.servers.back()->ProcessDialingLastHop(1, std::move(b), kDrops, &sb);
   ASSERT_EQ(table_a.num_drops(), table_b.num_drops());
   for (uint32_t d = 0; d < table_a.num_drops(); ++d) {
@@ -216,7 +260,7 @@ TEST(MixServer, BackwardNormalizesMissizedResponses) {
   TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/41, /*mu=*/0);
   constexpr uint64_t kRound = 3;
   auto batch = MakeConversationBatch(production.public_keys, kRound, 20, 4000);
-  std::vector<util::Bytes> forwarded = production.servers[0]->ForwardConversation(kRound, batch);
+  std::vector<util::Bytes> forwarded = ForwardPass(*production.servers[0], kRound, batch);
   ASSERT_EQ(oracle.servers[0]->ForwardConversation(kRound, batch), forwarded);
   ASSERT_EQ(forwarded.size(), batch.size());
 
@@ -229,13 +273,55 @@ TEST(MixServer, BackwardNormalizesMissizedResponses) {
   }
   responses[7].pop_back();
 
-  std::vector<util::Bytes> out = production.servers[0]->BackwardConversation(kRound, responses);
+  std::vector<util::Bytes> out = BackwardPass(*production.servers[0], kRound, responses);
   ASSERT_EQ(out.size(), batch.size());
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].size(), response_size_in + crypto::kOnionResponseLayerOverhead)
         << "slot " << i;
   }
   EXPECT_EQ(oracle.servers[0]->BackwardConversation(kRound, std::move(responses)), out);
+}
+
+// An onion whose layers all authenticate but whose payload has its own size
+// (a client wrapping 273 bytes) must be dropped at the first unwrap, not
+// carried across this hop's shuffle as the one item of its size. Forward
+// conversation and forward dialing both fix their input size.
+TEST(MixServer, ForwardDropsMissizedOnions) {
+  TestChain<MixServer> production = MakeChain(/*seed=*/43, /*mu=*/4);
+  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/43, /*mu=*/4);
+  constexpr uint64_t kRound = 5;
+  constexpr uint32_t kDrops = 3;
+  util::Xoshiro256Rng rng(17);
+  for (size_t payload_size : {wire::kExchangeRequestSize, wire::kDialRequestSize}) {
+    const bool dialing = payload_size == wire::kDialRequestSize;
+    std::vector<util::Bytes> batch =
+        dialing ? MakeDialingBatch(production.public_keys, kRound, 10, 6000)
+                : MakeConversationBatch(production.public_keys, kRound, 10, 6000);
+    batch.insert(batch.begin() + 4,
+                 crypto::OnionWrap(production.public_keys, kRound,
+                                   rng.RandomBytes(payload_size + 1), rng)
+                     .data);
+
+    ServerRoundStats stats;
+    ServerRoundStats oracle_stats;
+    std::vector<util::Bytes> forwarded;
+    std::vector<util::Bytes> expected;
+    if (dialing) {
+      forwarded = ForwardDialingPass(*production.servers[0], kRound, batch, kDrops, &stats);
+      expected = ForwardDialingPass(*oracle.servers[0], kRound, batch, kDrops, &oracle_stats);
+    } else {
+      forwarded = ForwardPass(*production.servers[0], kRound, batch, &stats);
+      expected = ForwardPass(*oracle.servers[0], kRound, batch, &oracle_stats);
+    }
+    EXPECT_EQ(stats.requests_dropped, 1u) << "payload " << payload_size;
+    EXPECT_EQ(forwarded.size(), 10u + stats.noise_requests_added);
+    for (const util::Bytes& item : forwarded) {
+      EXPECT_EQ(item.size(), crypto::OnionRequestSize(payload_size, kServers - 1))
+          << "payload " << payload_size;
+    }
+    EXPECT_EQ(forwarded, expected);
+    ExpectSameStats(stats, oracle_stats, 0);
+  }
 }
 
 // --- Secret cache lifecycle --------------------------------------------------
@@ -297,7 +383,7 @@ TEST(SecretCacheConformance, RotatedKeyServesNoStaleSecrets) {
   };
 
   ServerRoundStats stats;
-  hop.ForwardConversation(1, std::vector<util::Bytes>{wrap(1, chain.public_keys)}, &stats);
+  hop.ForwardConversation(1, util::ViewsOf({wrap(1, chain.public_keys)}), &stats);
   EXPECT_EQ(stats.requests_dropped, 0u);
   ASSERT_EQ(hop.secret_cache().GetStats().entries, 1u);
   const uint64_t epoch_before = hop.secret_cache().epoch();
@@ -308,14 +394,14 @@ TEST(SecretCacheConformance, RotatedKeyServesNoStaleSecrets) {
   EXPECT_EQ(hop.secret_cache().GetStats().entries, 0u);
 
   // Old-key onion: rejected under the new key.
-  hop.ForwardConversation(2, std::vector<util::Bytes>{wrap(2, chain.public_keys)}, &stats);
+  hop.ForwardConversation(2, util::ViewsOf({wrap(2, chain.public_keys)}), &stats);
   EXPECT_EQ(stats.requests_dropped, 1u);
 
   // New-key onion from the same client: accepted — a stale cache entry for
   // this client pk (derived under the old server key) would drop it.
   std::vector<crypto::X25519PublicKey> new_chain = chain.public_keys;
   new_chain[0] = new_pair.public_key;
-  hop.ForwardConversation(3, std::vector<util::Bytes>{wrap(3, new_chain)}, &stats);
+  hop.ForwardConversation(3, util::ViewsOf({wrap(3, new_chain)}), &stats);
   EXPECT_EQ(stats.requests_dropped, 0u);
   EXPECT_EQ(hop.secret_cache().GetStats().entries, 1u);
 }
@@ -465,7 +551,7 @@ TEST(ZeroCopyWire, DecodeMatchesCopyingDecode) {
   // Small chunk budget forces continuation frames, so the decode exercises
   // multi-chunk storage.
   auto frames = transport::EncodeBatchChunks(net::FrameType::kHopForwardConversation, 42, header,
-                                             items, /*max_chunk_payload=*/256);
+                                             util::ViewsOf(items), /*max_chunk_payload=*/256);
   ASSERT_TRUE(frames.has_value());
   ASSERT_GT(frames->size(), 1u);
 

@@ -669,7 +669,8 @@ TEST(DistDaemon, ServesMetricsWhileAConnectionHoldsAHalfSentBatch) {
 
   std::vector<util::Bytes> items(8, util::Bytes(100, 0x11));
   auto frames = EncodeBatchChunks(net::FrameType::kInvitationPublish, coord::kDialingRoundBase,
-                                  EncodeInvitationPublishHeader({0, 1, 4, 4}), items, kChunk);
+                                  EncodeInvitationPublishHeader({0, 1, 4, 4}),
+                                  util::ViewsOf(items), kChunk);
   ASSERT_TRUE(frames.has_value());
   ASSERT_GT(frames->size(), 1u);
   auto conn = net::TcpConnection::Connect("127.0.0.1", daemon->port());
@@ -746,6 +747,13 @@ TEST(DistDaemon, ServesConcurrentDownloadersWhilePublishing) {
       }
     });
   }
+  // Start publishing only once the downloaders are fetching, so the
+  // publishes overlap live downloads however fast they complete.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fetched.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(fetched.load(), 4u);
   for (uint64_t r = 1; r <= 8; ++r) {
     router->Publish(base + r, MakeTable(kNumDrops, {r, r, r, r}, r));
     router->Expire(16);

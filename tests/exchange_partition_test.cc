@@ -317,8 +317,8 @@ std::vector<util::Bytes> SerializedExchangeItems(size_t count, uint64_t seed) {
 TEST(ExchangeWire, PartitionMessageStreamsAcrossChunks) {
   auto items = SerializedExchangeItems(64, 5);  // ~17 KB across 2 KB chunks
   util::Bytes header = EncodeExchangeConversationHeader({1, 4});
-  auto frames =
-      EncodeBatchChunks(net::FrameType::kExchangeConversation, 12, header, items, 2048);
+  auto frames = EncodeBatchChunks(net::FrameType::kExchangeConversation, 12, header,
+                                  util::ViewsOf(items), 2048);
   ASSERT_TRUE(frames.has_value());
   ASSERT_GT(frames->size(), 4u);
 
@@ -342,7 +342,8 @@ TEST(ExchangeWire, PartitionMessageStreamsAcrossChunks) {
 TEST(ExchangeWire, MidChunkTruncationRejected) {
   auto items = SerializedExchangeItems(16, 6);
   auto frames = EncodeBatchChunks(net::FrameType::kExchangeConversation, 1,
-                                  EncodeExchangeConversationHeader({0, 2}), items, 2048);
+                                  EncodeExchangeConversationHeader({0, 2}),
+                                  util::ViewsOf(items), 2048);
   ASSERT_TRUE(frames.has_value());
   ASSERT_GT(frames->size(), 1u);
   // Cut a continuation chunk mid-item: the assembler must fail cleanly, never
@@ -357,7 +358,8 @@ TEST(ExchangeWire, MidChunkTruncationRejected) {
 TEST(ExchangeWire, DroppedFinalChunkStaysIncomplete) {
   auto items = SerializedExchangeItems(16, 7);
   auto frames = EncodeBatchChunks(net::FrameType::kExchangeDialing, 2,
-                                  EncodeExchangeDialingHeader({0, 2, 4}), items, 2048);
+                                  EncodeExchangeDialingHeader({0, 2, 4}),
+                                  util::ViewsOf(items), 2048);
   ASSERT_TRUE(frames.has_value());
   ASSERT_GT(frames->size(), 2u);
   BatchAssembler assembler;
@@ -371,7 +373,8 @@ TEST(ExchangeWire, DroppedFinalChunkStaysIncomplete) {
 TEST(ExchangeWire, OversizedReassemblyHitsCeiling) {
   auto items = SerializedExchangeItems(64, 8);  // ~17 KB of items
   auto frames = EncodeBatchChunks(net::FrameType::kExchangeConversation, 3,
-                                  EncodeExchangeConversationHeader({0, 1}), items, 2048);
+                                  EncodeExchangeConversationHeader({0, 1}),
+                                  util::ViewsOf(items), 2048);
   ASSERT_TRUE(frames.has_value());
   BatchAssembler assembler(/*max_message_bytes=*/8 * 1024);
   BatchAssembler::Status status = BatchAssembler::Status::kNeedMore;
@@ -397,7 +400,7 @@ TEST(ExchangedDaemonRobustness, RejectsMismatchedPartitionMapAndKeepsServing) {
     // the daemon serving shard 0 of 2.
     auto items = SerializedExchangeItems(2, 9);
     ASSERT_TRUE(SendBatchMessage(*raw, net::FrameType::kExchangeConversation, 5,
-                                 EncodeExchangeConversationHeader({1, 3}), items));
+                                 EncodeExchangeConversationHeader({1, 3}), util::ViewsOf(items)));
     auto reply = raw->RecvFrame();
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(reply->type, net::FrameType::kHopError);
@@ -432,7 +435,7 @@ TEST(ExchangedDaemonRobustness, RejectsRequestOutsidePartition) {
   request.envelope.fill(0xaa);
   ASSERT_TRUE(SendBatchMessage(*raw, net::FrameType::kExchangeConversation, 5,
                                EncodeExchangeConversationHeader({0, 2}),
-                               {request.Serialize()}));
+                               util::ViewsOf({request.Serialize()})));
   auto reply = raw->RecvFrame();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::FrameType::kHopError);

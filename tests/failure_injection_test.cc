@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <thread>
 
@@ -70,14 +71,21 @@ TEST_F(FailureInjectionTest, ZeroLengthAndOversizedOnions) {
   (void)keys;
 }
 
-TEST_F(FailureInjectionTest, ValidOnionGarbagePayloadDroppedAtLastHop) {
-  // An onion that unwraps fine at every hop but contains a payload that is
-  // not a well-formed ExchangeRequest.
+TEST_F(FailureInjectionTest, MissizedPayloadDroppedAtFirstHop) {
+  // An onion whose every layer authenticates but whose payload is not an
+  // ExchangeRequest's size. The size rule drops it at the first hop, so it
+  // never crosses a shuffle with a size of its own; its sender still gets a
+  // response slot of the right size.
   util::Bytes junk = rng_.RandomBytes(wire::kExchangeRequestSize - 5);
   auto onion = crypto::OnionWrap(chain_.public_keys(), 3, junk, rng_);
   auto result = chain_.RunConversationRound(3, {onion.data});
-  EXPECT_EQ(result.stats.forward.back().requests_dropped, 1u);
-  EXPECT_EQ(result.responses.size(), 1u);
+  EXPECT_EQ(result.stats.forward.front().requests_dropped, 1u);
+  for (size_t i = 1; i < result.stats.forward.size(); ++i) {
+    EXPECT_EQ(result.stats.forward[i].requests_dropped, 0u) << "hop " << i;
+  }
+  ASSERT_EQ(result.responses.size(), 1u);
+  EXPECT_EQ(result.responses[0].size(),
+            crypto::OnionResponseSize(wire::kEnvelopeSize, chain_.size()));
 }
 
 TEST_F(FailureInjectionTest, ReplayedOnionWithinRoundHitsSameDropTwice) {
@@ -140,9 +148,9 @@ TEST_F(FailureInjectionTest, EmptyRoundStillProducesNoise) {
 
 TEST_F(FailureInjectionTest, MismatchedResponseCountThrows) {
   auto onion = WrapExchange(9, conversation::BuildFakeExchangeRequest(alice_, 9, rng_));
-  auto out = chain_.server(0).ForwardConversation(9, {onion});
+  util::Batch out = chain_.server(0).ForwardConversation(9, util::ViewsOf({onion}));
   std::vector<util::Bytes> bad(out.size() + 1, util::Bytes(16));
-  EXPECT_THROW(chain_.server(0).BackwardConversation(9, std::move(bad)),
+  EXPECT_THROW(chain_.server(0).BackwardConversation(9, util::ViewsOf(bad)),
                std::invalid_argument);
 }
 
@@ -486,6 +494,86 @@ TEST_F(CrashRecovery, PassResentOnNewConnectionIsReplayed) {
   hop->ForwardConversation(2, make_batch(2), nullptr);
   EXPECT_EQ(hop->ForwardConversation(1, batch, nullptr), forward);
   EXPECT_EQ(daemon.replay_hits(), 2u);
+}
+
+// The replay slot is released by the first frame of a request for another
+// pass, before the rest of that request arrives, so a hop never holds its
+// last reply next to the whole next request. The first frame of a re-send of
+// the same pass keeps it, and the re-send is answered from it.
+TEST_F(CrashRecovery, ReplySlotReleasedOnFirstFrameOfAnotherPass) {
+  auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed);
+  ASSERT_NE(chain, nullptr);
+  const transport::HopDaemon& daemon = *chain->daemon(0);
+  // The daemon keeps a reply just after sending it, on its own thread: poll
+  // for the slot's state.
+  auto await_entries = [&](size_t entries) {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (daemon.replay_entries() != entries && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(daemon.replay_entries(), entries);
+  };
+  util::Xoshiro256Rng rng(9);
+  auto keys = transport::DeriveChainKeys(kRecoverySeed, 3);
+  std::vector<util::Bytes> batch;
+  for (int i = 0; i < 4; ++i) {
+    wire::ExchangeRequest request;
+    rng.Fill(request.dead_drop);
+    rng.Fill(request.envelope);
+    batch.push_back(crypto::OnionWrap(keys.public_keys, 1, request.Serialize(), rng).data);
+  }
+  std::vector<util::Bytes> forward;
+  {
+    transport::TcpTransportConfig transport_config;
+    transport_config.port = chain->port(0);
+    auto hop = transport::TcpTransport::Connect(transport_config);
+    ASSERT_NE(hop, nullptr);
+    forward = hop->ForwardConversation(1, batch, nullptr);
+  }
+  await_entries(1);
+
+  auto conn = net::TcpConnection::Connect("127.0.0.1", chain->port(0));
+  ASSERT_TRUE(conn.has_value());
+  // Sends `frames` with a pause after the first, runs `after_first` in it,
+  // and returns the hop's reply.
+  auto call = [&](const std::vector<net::Frame>& frames, const std::function<void()>& after_first) {
+    EXPECT_GT(frames.size(), 1u);
+    EXPECT_TRUE(conn->SendFrame(frames[0]));
+    after_first();
+    for (size_t i = 1; i < frames.size(); ++i) {
+      EXPECT_TRUE(conn->SendFrame(frames[i]));
+    }
+    auto first = conn->RecvFrame();
+    EXPECT_TRUE(first.has_value());
+    auto reply = transport::ReadBatchMessage(*conn, std::move(*first));
+    EXPECT_TRUE(reply.has_value());
+    return std::move(*reply);
+  };
+  constexpr size_t kChunk = 1024;  // two or three onions a chunk
+
+  // The same pass again: its first frame leaves the slot alone.
+  auto resend = transport::EncodeBatchChunks(net::FrameType::kHopForwardConversation, 1,
+                                             util::Bytes(16, 0), util::ViewsOf(batch), kChunk);
+  ASSERT_TRUE(resend.has_value());
+  transport::BatchMessage replayed = call(*resend, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(daemon.replay_entries(), 1u);
+  });
+  EXPECT_EQ(replayed.CopyItems(), forward);
+  EXPECT_EQ(daemon.replay_hits(), 1u);
+
+  // Another pass: the slot is empty before the request is complete.
+  std::vector<util::Bytes> responses;
+  for (size_t i = 0; i < forward.size(); ++i) {
+    responses.push_back(rng.RandomBytes(wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead));
+  }
+  auto backward = transport::EncodeBatchChunks(net::FrameType::kHopBackwardConversation, 1, {},
+                                               util::ViewsOf(responses), kChunk);
+  ASSERT_TRUE(backward.has_value());
+  transport::BatchMessage reply = call(*backward, [&] { await_entries(0); });
+  EXPECT_EQ(reply.op, net::FrameType::kHopBackwardConversation);
+  EXPECT_EQ(reply.items.size(), batch.size());
+  await_entries(1);
 }
 
 // The replay slot holds one reply per hop however many rounds the hop has

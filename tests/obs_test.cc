@@ -214,7 +214,9 @@ TEST(Exposition, SnapshotJsonIsOneLine) {
   EXPECT_EQ(json.find('\n'), std::string::npos);
   EXPECT_NE(json.find("\"counters\":{\"demo_total\":3}"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\":{\"demo_live\":2}"), std::string::npos);
-  EXPECT_NE(json.find("\"demo_seconds\":{\"count\":1,\"sum\":0.5}"), std::string::npos);
+  EXPECT_NE(json.find("\"demo_seconds\":{\"count\":1,\"sum\":0.5,"
+                      "\"buckets\":{\"1\":1,\"+Inf\":1}}"),
+            std::string::npos);
 }
 
 // --- Trace journal: bounded ring, JSONL round-trip, stitching ----------------

@@ -78,24 +78,23 @@ TEST_F(PipeliningTest, ThreeRoundsInFlightAtServerLevel) {
   // Drive the servers by hand: forward rounds 1..3 through the whole chain
   // before running any return pass, then return them out of order.
   std::vector<PreparedRound> preps;
-  std::vector<std::vector<util::Bytes>> last_hop_responses(4);
+  std::vector<util::Batch> last_hop_responses(4);
   for (uint64_t round = 1; round <= 3; ++round) {
     preps.push_back(Prepare(round));
-    std::vector<util::Bytes> batch = {preps.back().alice_onion.data,
-                                      preps.back().bob_onion.data};
-    batch = chain_->server(0).ForwardConversation(round, std::move(batch));
-    batch = chain_->server(1).ForwardConversation(round, std::move(batch));
-    auto result = chain_->server(2).ProcessConversationLastHop(round, std::move(batch));
+    util::Batch batch = chain_->server(0).ForwardConversation(
+        round, util::ViewsOf({preps.back().alice_onion.data, preps.back().bob_onion.data}));
+    batch = chain_->server(1).ForwardConversation(round, batch.Views());
+    auto result = chain_->server(2).ProcessConversationLastHop(round, batch.Views());
     last_hop_responses[round] = std::move(result.responses);
   }
   EXPECT_EQ(chain_->server(0).pending_rounds(), 3u);
 
   // Return passes in order 2, 1, 3 — per-round state must not interfere.
   for (uint64_t round : {2u, 1u, 3u}) {
-    auto responses =
-        chain_->server(1).BackwardConversation(round, std::move(last_hop_responses[round]));
-    responses = chain_->server(0).BackwardConversation(round, std::move(responses));
-    CheckDelivery(preps[round - 1], responses);
+    util::Batch responses =
+        chain_->server(1).BackwardConversation(round, last_hop_responses[round].Views());
+    responses = chain_->server(0).BackwardConversation(round, responses.Views());
+    CheckDelivery(preps[round - 1], responses.ToVectors());
   }
   EXPECT_EQ(chain_->server(0).pending_rounds(), 0u);
 }
@@ -115,8 +114,8 @@ TEST_F(PipeliningTest, DialingInterleavedWithConversations) {
   // A dialing round between two in-flight conversation rounds must not
   // disturb either (disjoint round-number spaces).
   PreparedRound conv = Prepare(5);
-  std::vector<util::Bytes> batch = {conv.alice_onion.data, conv.bob_onion.data};
-  batch = chain_->server(0).ForwardConversation(5, std::move(batch));
+  util::Batch batch = chain_->server(0).ForwardConversation(
+      5, util::ViewsOf({conv.alice_onion.data, conv.bob_onion.data}));
 
   // Dialing round through the same servers while round 5 is in flight.
   dialing::RoundConfig dial_config{.num_real_drops = 1};
@@ -125,21 +124,21 @@ TEST_F(PipeliningTest, DialingInterleavedWithConversations) {
   uint64_t dial_round = 1ULL << 63;
   auto dial_onion =
       crypto::OnionWrap(chain_->public_keys(), dial_round, dial.Serialize(), rng_);
-  auto dial_batch = chain_->server(0).ForwardDialing(dial_round, {dial_onion.data},
-                                                     dial_config.total_drops());
-  dial_batch = chain_->server(1).ForwardDialing(dial_round, std::move(dial_batch),
+  util::Batch dial_batch = chain_->server(0).ForwardDialing(
+      dial_round, util::ViewsOf({dial_onion.data}), dial_config.total_drops());
+  dial_batch = chain_->server(1).ForwardDialing(dial_round, dial_batch.Views(),
                                                 dial_config.total_drops());
-  auto table = chain_->server(2).ProcessDialingLastHop(dial_round, std::move(dial_batch),
+  auto table = chain_->server(2).ProcessDialingLastHop(dial_round, dial_batch.Views(),
                                                        dial_config.total_drops());
   auto callers = dialing::ScanInvitations(bob_, table.Drop(0));
   ASSERT_EQ(callers.size(), 1u);
 
   // Now finish conversation round 5.
-  batch = chain_->server(1).ForwardConversation(5, std::move(batch));
-  auto result = chain_->server(2).ProcessConversationLastHop(5, std::move(batch));
-  auto responses = chain_->server(1).BackwardConversation(5, std::move(result.responses));
-  responses = chain_->server(0).BackwardConversation(5, std::move(responses));
-  CheckDelivery(conv, responses);
+  batch = chain_->server(1).ForwardConversation(5, batch.Views());
+  auto result = chain_->server(2).ProcessConversationLastHop(5, batch.Views());
+  util::Batch responses = chain_->server(1).BackwardConversation(5, result.responses.Views());
+  responses = chain_->server(0).BackwardConversation(5, responses.Views());
+  CheckDelivery(conv, responses.ToVectors());
 }
 
 // Blocks every round at server 0's forward pass until released, forcing a

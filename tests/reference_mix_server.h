@@ -11,9 +11,11 @@
 // every pass is a pure function of (seed, round, input batch).
 //
 // The output contract is MixServer's: same sizes, same order, same stats,
-// same rule for a return-path slot with no valid response (a request
-// dropped on the forward pass, or a response of the wrong size from the
-// next hop): random bytes of the sealed size, drawn in slot order.
+// the same size rule on every unwrap (a request that is not
+// OnionRequestSize(payload, servers left) bytes is dropped like a forgery),
+// and the same rule for a return-path slot with no valid response (a
+// request dropped on the forward pass, or a response of the wrong size from
+// the next hop): random bytes of the sealed size, drawn in slot order.
 
 #ifndef VUVUZELA_TESTS_REFERENCE_MIX_SERVER_H_
 #define VUVUZELA_TESTS_REFERENCE_MIX_SERVER_H_
@@ -49,7 +51,7 @@ class ReferenceMixServer {
   std::vector<util::Bytes> ForwardConversation(uint64_t round, std::vector<util::Bytes> batch,
                                                ServerRoundStats* stats = nullptr) {
     ServerRoundStats local = Incoming(batch);
-    Unwrapped unwrapped = Unwrap(round, batch);
+    Unwrapped unwrapped = Unwrap(round, batch, wire::kExchangeRequestSize);
     local.requests_dropped = unwrapped.dropped;
     local.dh_ops += batch.size();
 
@@ -113,7 +115,7 @@ class ReferenceMixServer {
                                                          std::vector<util::Bytes> batch,
                                                          ServerRoundStats* stats = nullptr) {
     ServerRoundStats local = Incoming(batch);
-    Unwrapped unwrapped = Unwrap(round, batch);
+    Unwrapped unwrapped = Unwrap(round, batch, wire::kExchangeRequestSize);
     local.dh_ops += batch.size();
 
     std::vector<wire::ExchangeRequest> requests;
@@ -150,7 +152,7 @@ class ReferenceMixServer {
   std::vector<util::Bytes> ForwardDialing(uint64_t round, std::vector<util::Bytes> batch,
                                           uint32_t num_drops, ServerRoundStats* stats = nullptr) {
     ServerRoundStats local = Incoming(batch);
-    Unwrapped unwrapped = Unwrap(round, batch);
+    Unwrapped unwrapped = Unwrap(round, batch, wire::kDialRequestSize);
     local.requests_dropped = unwrapped.dropped;
     local.dh_ops += batch.size();
 
@@ -178,7 +180,7 @@ class ReferenceMixServer {
       throw std::invalid_argument("ReferenceMixServer: num_drops must be positive");
     }
     ServerRoundStats local = Incoming(batch);
-    Unwrapped unwrapped = Unwrap(round, batch);
+    Unwrapped unwrapped = Unwrap(round, batch, wire::kDialRequestSize);
     local.dh_ops += batch.size();
 
     deaddrop::InvitationTable table(num_drops);
@@ -274,9 +276,18 @@ class ReferenceMixServer {
     }
   }
 
-  Unwrapped Unwrap(uint64_t round, const std::vector<util::Bytes>& batch) const {
+  // Peels every onion whose size is the one this position expects for a
+  // payload of `payload_size` bytes.
+  Unwrapped Unwrap(uint64_t round, const std::vector<util::Bytes>& batch,
+                   size_t payload_size) const {
+    const size_t request_size =
+        crypto::OnionRequestSize(payload_size, config_.chain_length - config_.position);
     Unwrapped result;
     for (size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i].size() != request_size) {
+        result.dropped++;
+        continue;
+      }
       std::optional<crypto::UnwrappedLayer> layer =
           crypto::OnionUnwrapLayer(key_pair_.secret_key, round, batch[i]);
       if (!layer) {

@@ -228,13 +228,13 @@ TEST(MixServerHygiene, ExpireRoundsDropsAbandonedState) {
     auto user = crypto::X25519KeyPair::Generate(rng);
     auto request = conversation::BuildFakeExchangeRequest(user, round, rng);
     auto onion = crypto::OnionWrap(chain.public_keys(), round, request.Serialize(), rng);
-    chain.server(0).ForwardConversation(round, {onion.data});
+    chain.server(0).ForwardConversation(round, util::ViewsOf({onion.data}));
   }
   EXPECT_EQ(chain.server(0).pending_rounds(), 3u);
 
   chain.server(0).ExpireRounds(/*newest_round=*/3, /*keep=*/1);
   EXPECT_EQ(chain.server(0).pending_rounds(), 2u);  // rounds 2 and 3 kept
-  EXPECT_THROW(chain.server(0).BackwardConversation(1, std::vector<util::Bytes>{}),
+  EXPECT_THROW(chain.server(0).BackwardConversation(1, {}),
                std::logic_error);
 }
 

@@ -171,8 +171,8 @@ BatchMessage AssembleAll(const std::vector<net::Frame>& frames, BatchAssembler& 
 TEST(HopChunk, SingleFrameRoundTrip) {
   auto items = MakeItems(4, 64, 1);
   util::Bytes header = {9, 9};
-  auto frames =
-      EncodeBatchChunks(net::FrameType::kHopForwardConversation, 42, header, items, 1 << 20);
+  auto frames = EncodeBatchChunks(net::FrameType::kHopForwardConversation, 42, header,
+                                  util::ViewsOf(items), 1 << 20);
   ASSERT_TRUE(frames.has_value());
   ASSERT_EQ(frames->size(), 1u);
 
@@ -200,7 +200,8 @@ TEST(HopChunk, EmptyBatchRoundTrip) {
 TEST(HopChunk, BatchLargerThanFrameBudgetStreamsBounded) {
   constexpr size_t kFrameBudget = 64 * 1024;  // stand-in for kMaxFramePayload
   auto items = MakeItems(5000, 416, 2);       // ~2 MB total, 32x the budget
-  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 9, {}, items, kFrameBudget);
+  auto frames =
+      EncodeBatchChunks(net::FrameType::kBatch, 9, {}, util::ViewsOf(items), kFrameBudget);
   ASSERT_TRUE(frames.has_value());
   EXPECT_GT(frames->size(), 30u);
   for (const auto& frame : *frames) {
@@ -226,7 +227,7 @@ TEST(HopChunk, StreamedSendMatchesEncodedChunks) {
   auto items = MakeItems(3000, 100, 9);
   items[7].clear();
   util::Bytes header = {1, 2, 3};
-  auto frames = EncodeBatchChunks(kOp, 5, header, items, kBudget);
+  auto frames = EncodeBatchChunks(kOp, 5, header, util::ViewsOf(items), kBudget);
   ASSERT_TRUE(frames.has_value());
   ASSERT_GT(frames->size(), 3u);
   util::Bytes expected;
@@ -246,8 +247,10 @@ TEST(HopChunk, StreamedSendMatchesEncodedChunks) {
   ASSERT_TRUE(receiver.has_value());
   // Sent twice: read raw the first time, decoded the second.
   std::thread send_thread([&] {
-    EXPECT_TRUE(transport::SendBatchMessage(*sender, kOp, 5, header, items, kBudget));
-    EXPECT_TRUE(transport::SendBatchMessage(*sender, kOp, 5, header, items, kBudget));
+    EXPECT_TRUE(
+        transport::SendBatchMessage(*sender, kOp, 5, header, util::ViewsOf(items), kBudget));
+    EXPECT_TRUE(
+        transport::SendBatchMessage(*sender, kOp, 5, header, util::ViewsOf(items), kBudget));
   });
   int fd = receiver->ReleaseFd();
   util::Bytes wire(expected.size());
@@ -278,12 +281,12 @@ TEST(HopChunk, StreamedSendMatchesEncodedChunks) {
 TEST(HopChunk, ItemLargerThanBudgetFailsToEncode) {
   auto items = MakeItems(1, 8192, 3);
   EXPECT_FALSE(
-      EncodeBatchChunks(net::FrameType::kBatch, 1, {}, items, 1024).has_value());
+      EncodeBatchChunks(net::FrameType::kBatch, 1, {}, util::ViewsOf(items), 1024).has_value());
 }
 
 TEST(HopChunk, MissingFinalChunkIsIncomplete) {
   auto items = MakeItems(64, 400, 4);
-  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 5, {}, items, 2048);
+  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 5, {}, util::ViewsOf(items), 2048);
   ASSERT_TRUE(frames.has_value());
   ASSERT_GT(frames->size(), 2u);
   BatchAssembler assembler;
@@ -302,7 +305,7 @@ TEST(HopChunk, RejectsContinuationBeforeFirstFrame) {
 
 TEST(HopChunk, RejectsRoundMismatchAcrossChunks) {
   auto items = MakeItems(64, 400, 5);
-  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 5, {}, items, 2048);
+  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 5, {}, util::ViewsOf(items), 2048);
   ASSERT_TRUE(frames.has_value());
   ASSERT_GT(frames->size(), 1u);
   (*frames)[1].round = 6;
@@ -313,7 +316,7 @@ TEST(HopChunk, RejectsRoundMismatchAcrossChunks) {
 
 TEST(HopChunk, RejectsTruncatedItem) {
   auto items = MakeItems(2, 100, 6);
-  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 1, {}, items, 1 << 20);
+  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 1, {}, util::ViewsOf(items), 1 << 20);
   ASSERT_TRUE(frames.has_value());
   ASSERT_EQ(frames->size(), 1u);
   net::Frame frame = (*frames)[0];
@@ -327,7 +330,7 @@ TEST(HopChunk, RejectsTruncatedItem) {
 // message without bound.
 TEST(HopChunk, RejectsMessageExceedingSizeCeiling) {
   auto items = MakeItems(64, 400, 8);  // ~25 KB total
-  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 1, {}, items, 2048);
+  auto frames = EncodeBatchChunks(net::FrameType::kBatch, 1, {}, util::ViewsOf(items), 2048);
   ASSERT_TRUE(frames.has_value());
   BatchAssembler assembler(/*max_message_bytes=*/4096);
   BatchAssembler::Status status = BatchAssembler::Status::kNeedMore;

@@ -13,7 +13,9 @@
 #include "src/baseline/strawman.h"
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
+#include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
+#include "src/transport/hop_chain.h"
 #include "src/util/random.h"
 
 using namespace vuvuzela;
@@ -92,6 +94,7 @@ int main() {
     config.num_servers = 3;
     config.conversation_noise = {.params = {kMu, kB}, .deterministic = false};
     mixnet::Chain chain = mixnet::Chain::Create(config, rng);
+    engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
 
     auto run_round = [&](uint64_t round, bool alice_talks) {
       std::vector<util::Bytes> onions;
@@ -107,7 +110,7 @@ int main() {
         onions.push_back(
             crypto::OnionWrap(chain.public_keys(), round, request.Serialize(), rng).data);
       }
-      return chain.RunConversationRound(round, std::move(onions));
+      return scheduler.SubmitConversation(round, std::move(onions)).get();
     };
     auto with_alice = run_round(2 * t + 1, true);
     auto without = run_round(2 * t + 2, false);

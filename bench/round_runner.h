@@ -2,12 +2,14 @@
 // Workload (client-side onion wrapping) is generated outside the timed
 // region, mirroring §8.1 ("to ensure that clients are not the bottleneck").
 //
-// Two drivers share one workload shape:
-//  * the lock-step driver runs rounds one at a time through Chain — each
-//    round occupies every server for its whole duration (the seed behavior);
-//  * the pipelined driver pushes the same rounds through
-//    engine::RoundScheduler with K rounds in flight (§8.3), which is how the
-//    deployed system reaches its throughput numbers.
+// Every driver runs its rounds through engine::RoundScheduler over the
+// chain's LocalTransports, on one workload shape:
+//  * the lock-step driver submits at K = 1 and waits on each round's future
+//    before the next collection window, so each round occupies the chain
+//    for its whole duration;
+//  * the pipelined driver pushes the same rounds with K rounds in flight
+//    (§8.3), which is how the deployed system reaches its throughput
+//    numbers.
 
 #ifndef VUVUZELA_BENCH_ROUND_RUNNER_H_
 #define VUVUZELA_BENCH_ROUND_RUNNER_H_
@@ -86,8 +88,11 @@ inline RealRound RunRealConversationRound(uint64_t users, size_t servers, double
   std::vector<util::Bytes> onions =
       sim::GenerateConversationWorkload(workload, chain.public_keys(), 1);
 
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()),
+                                   {.max_in_flight = 1});
+
   auto start = std::chrono::steady_clock::now();
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
   double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   RealRound out;
@@ -110,6 +115,8 @@ inline MultiRound RunLockStepConversationRounds(uint64_t users, size_t servers, 
   sim::ClientKeyRing key_ring(users, seed);
   chain.PrimeSecretCaches(key_ring.public_keys());  // key ceremony, untimed
   auto batches = MakeConversationBatches(users, chain.public_keys(), rounds, seed, &key_ring);
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()),
+                                   {.max_in_flight = 1});
 
   MultiRound out;
   out.rounds = rounds;
@@ -120,7 +127,7 @@ inline MultiRound RunLockStepConversationRounds(uint64_t users, size_t servers, 
     if (collection_window_seconds > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(collection_window_seconds));
     }
-    auto result = chain.RunConversationRound(round, std::move(batches[round - 1]));
+    auto result = scheduler.SubmitConversation(round, std::move(batches[round - 1])).get();
     out.messages_exchanged += result.messages_exchanged;
     out.mean_round_seconds += result.stats.total_seconds();
     latencies.push_back(result.stats.total_seconds());
@@ -181,7 +188,7 @@ inline MultiRound RunPipelinedConversationRounds(uint64_t users, size_t servers,
   sim::ClientKeyRing key_ring(users, seed);
   chain.PrimeSecretCaches(key_ring.public_keys());  // key ceremony, untimed
   auto batches = MakeConversationBatches(users, chain.public_keys(), rounds, seed, &key_ring);
-  engine::RoundScheduler scheduler(chain,
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()),
                                    {.max_in_flight = max_in_flight, .record_latencies = true});
   return DrivePipelinedRounds(scheduler, std::move(batches), collection_window_seconds);
 }
@@ -224,8 +231,11 @@ inline RealRound RunRealDialingRound(uint64_t users, size_t servers, double mu,
   std::vector<util::Bytes> onions =
       sim::GenerateDialingWorkload(workload, chain.public_keys(), 1, dial_config, dial_fraction);
 
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()),
+                                   {.max_in_flight = 1});
+
   auto start = std::chrono::steady_clock::now();
-  auto result = chain.RunDialingRound(1, std::move(onions), total_drops);
+  auto result = scheduler.SubmitDialing(1, std::move(onions), total_drops).get();
   double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   RealRound out;

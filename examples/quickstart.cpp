@@ -5,7 +5,8 @@
 //
 // Walks the full paper flow: Alice dials Bob through the dialing protocol
 // (§5), Bob accepts, and they exchange messages through the conversation
-// protocol (§4), all via the public library API.
+// protocol (§4), all via the public library API. Exits nonzero if either
+// chat message fails to arrive.
 
 #include <cstdio>
 #include <string>
@@ -50,9 +51,13 @@ int main() {
 
   // 2. They chat. Every online client sends exactly one fixed-size request
   //    per round whether or not it has anything to say.
-  dep.client(alice).SendMessage(dep.client(bob).public_key(), Msg("hey bob, it's alice"));
-  dep.client(bob).SendMessage(dep.client(alice).public_key(), Msg("alice! loud and clear"));
+  const std::string to_bob = "hey bob, it's alice";
+  const std::string to_alice = "alice! loud and clear";
+  dep.client(alice).SendMessage(dep.client(bob).public_key(), Msg(to_bob));
+  dep.client(bob).SendMessage(dep.client(alice).public_key(), Msg(to_alice));
 
+  bool bob_got = false;
+  bool alice_got = false;
   for (int round = 0; round < 2; ++round) {
     auto result = dep.RunConversationRound();
     std::printf("round %d: %llu dead drops paired (real + noise), %llu singles\n", round + 1,
@@ -60,15 +65,21 @@ int main() {
                 static_cast<unsigned long long>(result.histogram.singles));
     for (const auto& m : dep.client(bob).TakeReceivedMessages()) {
       std::printf("  bob   <- %s\n", Str(m.payload).c_str());
+      bob_got = bob_got || Str(m.payload) == to_bob;
     }
     for (const auto& m : dep.client(alice).TakeReceivedMessages()) {
       std::printf("  alice <- %s\n", Str(m.payload).c_str());
+      alice_got = alice_got || Str(m.payload) == to_alice;
     }
   }
 
   std::printf("\nbandwidth: alice sent %llu B, received %llu B\n",
               static_cast<unsigned long long>(dep.client(alice).bytes_sent()),
               static_cast<unsigned long long>(dep.client(alice).bytes_received()));
+  if (!bob_got || !alice_got) {
+    std::printf("FAILED: a chat message did not arrive\n");
+    return 1;
+  }
   std::printf("done.\n");
   return 0;
 }

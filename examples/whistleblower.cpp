@@ -15,8 +15,10 @@
 
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
+#include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 #include "src/noise/privacy.h"
+#include "src/transport/hop_chain.h"
 #include "src/util/random.h"
 
 using namespace vuvuzela;
@@ -61,7 +63,8 @@ WorldResult RunWorld(bool talking, uint64_t seed) {
     add_request(conversation::BuildFakeExchangeRequest(b, 1, rng));
   }
 
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
   return WorldResult{result.histogram.singles, result.histogram.pairs};
 }
 

@@ -5,7 +5,10 @@
 // prototype's additional *entry server* (§7) multiplexes many client
 // connections into a single batch per round and demultiplexes the results;
 // it is untrusted — it sees only onion ciphertexts, the same view as a
-// network adversary.
+// network adversary. Here that role has no class of its own: coordd's
+// FrontDoor admission (transport::CoordinatorDaemon) and sim::Deployment's
+// per-client slot ranges each fold it into the code that submits the batch
+// to engine::RoundScheduler.
 //
 // RoundSchedule models the paper's timing: conversation rounds are
 // back-to-back (tens of seconds each, pipelined), dialing rounds fire every

@@ -1,14 +1,15 @@
-// The Vuvuzela server chain (§3).
+// The Vuvuzela server chain (§3): key ceremony and hop construction.
 //
-// Drives a round through every server: forward passes in order, the dead-drop
-// stage at the last server, then backward passes in reverse. Servers cannot
-// pipeline within a round — "one server cannot start processing a round until
-// the previous server finishes" (§8.2) — so wall-clock round latency is the
-// sum of per-server stage times, which is what the chain reports to benches.
+// Chain::Create draws every server's long-term key pair and noise seed and
+// builds the in-process MixServers. It runs no rounds: every round, in
+// process or across hop daemons, is driven by engine::RoundScheduler, whose
+// stages reach these servers through transport::LocalTransports
+// (transport::MakeLocalTransports(chain.servers())). The round result types
+// below are what the scheduler's futures carry.
 //
-// An optional ChainObserver receives each server's input/output batches and
-// the last server's dead-drop view, which is how tests and benches model a
-// subset of compromised servers.
+// A ChainObserver, handed to the scheduler, receives each server's
+// input/output batches and the last server's dead-drop view, which is how
+// tests and benches model a subset of compromised servers.
 
 #ifndef VUVUZELA_SRC_MIXNET_CHAIN_H_
 #define VUVUZELA_SRC_MIXNET_CHAIN_H_
@@ -61,9 +62,12 @@ struct RoundStats {
   double backward_seconds = 0.0;
 
   double total_seconds() const { return forward_seconds + backward_seconds; }
-  uint64_t total_dh_ops() const;
-  uint64_t total_bytes() const;
 };
+
+// The configuration of the server at `position` in a chain built from
+// `config`. Chain::Create, transport::BuildMixServer and vuvuzela-hopd all
+// assemble their servers through it.
+MixServerConfig ChainServerConfig(const ChainConfig& config, size_t position);
 
 class Chain {
  public:
@@ -73,6 +77,7 @@ class Chain {
   size_t size() const { return servers_.size(); }
   const std::vector<crypto::X25519PublicKey>& public_keys() const { return public_keys_; }
   MixServer& server(size_t i) { return *servers_[i]; }
+  const std::vector<std::unique_ptr<MixServer>>& servers() const { return servers_; }
 
   // Warms every server's shared-secret cache for a static client population
   // (sim::ClientKeyRing::public_keys()) so the first round pays no DH storm.
@@ -82,9 +87,6 @@ class Chain {
     }
   }
 
-  void set_observer(ChainObserver* observer) { observer_ = observer; }
-  ChainObserver* observer() const { return observer_; }
-
   struct ConversationResult {
     // responses[i] answers onions[i]; onion-sealed once per server.
     std::vector<util::Bytes> responses;
@@ -92,22 +94,17 @@ class Chain {
     uint64_t messages_exchanged = 0;
     RoundStats stats;
   };
-  ConversationResult RunConversationRound(uint64_t round, std::vector<util::Bytes> onions);
 
   struct DialingResult {
     deaddrop::InvitationTable table;
     RoundStats stats;
   };
-  // `num_drops` counts all invitation dead drops including the no-op drop.
-  DialingResult RunDialingRound(uint64_t round, std::vector<util::Bytes> onions,
-                                uint32_t num_drops);
 
  private:
   Chain() = default;
 
   std::vector<std::unique_ptr<MixServer>> servers_;
   std::vector<crypto::X25519PublicKey> public_keys_;
-  ChainObserver* observer_ = nullptr;
 };
 
 }  // namespace vuvuzela::mixnet

@@ -264,7 +264,6 @@ util::Batch MixServer::ForwardConversation(uint64_t round, std::span<const util:
   RoundState state;
   state.input_size = batch.size();
   state.response_size_in = ResponseSizeFromNextHop();
-  state.noise_count = noise_payloads.size();
   util::Batch out = PeelAndMix(round, batch, wire::kExchangeRequestSize, noise_payloads, rng,
                                local, state);
   rounds_[round] = std::move(state);

@@ -206,8 +206,6 @@ class MixServer {
     std::vector<uint32_t> orig_index;
     // Response key retained per valid request (same order as orig_index).
     std::vector<crypto::AeadKey> response_keys;
-    // Number of noise requests appended after the valid requests.
-    size_t noise_count = 0;
     // Shuffle applied to (valid ‖ noise).
     std::vector<uint32_t> perm;
     // Response payload size expected from the next hop.

@@ -1,10 +1,13 @@
 // In-process Vuvuzela deployment (§8.1's testbed, as a library).
 //
-// Glues a server chain, an entry server, an invitation distributor, and any
-// number of full clients into a single-process system driven round by round.
-// Integration tests and the examples use this harness; the paper's EC2
-// deployment differs only in putting TCP between the same components (the
-// examples/tcp_demo does exactly that).
+// Glues a server chain, an invitation distributor, and any number of full
+// clients into a single-process system driven round by round. Rounds run
+// through engine::RoundScheduler at K = 1 over LocalTransports, the same
+// driver coordd runs over TCP; the deployment plays the entry server,
+// concatenating the online clients' onions into one batch and handing each
+// client its slot range of the responses. Integration tests and the examples
+// use this harness; the paper's EC2 deployment differs only in putting TCP
+// between the same components (the examples/tcp_demo does exactly that).
 
 #ifndef VUVUZELA_SRC_SIM_DEPLOYMENT_H_
 #define VUVUZELA_SRC_SIM_DEPLOYMENT_H_
@@ -16,7 +19,7 @@
 #include "src/client/client.h"
 #include "src/coord/coordinator.h"
 #include "src/coord/distributor.h"
-#include "src/coord/entry_server.h"
+#include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 
 namespace vuvuzela::sim {
@@ -50,7 +53,6 @@ class Deployment {
     return it == online_.end() || it->second;
   }
 
-  mixnet::Chain& chain() { return chain_; }
   coord::InvitationDistributor& distributor() { return distributor_; }
   const dialing::RoundConfig& dial_config() const { return dial_config_; }
 
@@ -58,10 +60,9 @@ class Deployment {
   // instead of the built-in in-process distributor (nullptr restores it).
   // The backend must outlive the deployment; tests use this to run the full
   // client stack against a sharded transport::DistRouter and prove it
-  // byte-identical to the seed path.
-  void SetDistributionBackend(coord::DistributionBackend* backend) {
-    distribution_ = backend != nullptr ? backend : &distributor_;
-  }
+  // byte-identical to the seed path. Rebuilds the scheduler, which is idle
+  // between rounds, so its Distribute stage publishes into `backend`.
+  void SetDistributionBackend(coord::DistributionBackend* backend);
   coord::DistributionBackend& distribution() { return *distribution_; }
 
   // Runs one conversation round across all clients: collect onions, run the
@@ -69,8 +70,8 @@ class Deployment {
   mixnet::Chain::ConversationResult RunConversationRound();
 
   // Runs one dialing round: collect dial onions, run the chain, publish the
-  // invitation table (via the distributor), and have every client download
-  // and scan its drop.
+  // invitation table (the scheduler's Distribute stage), and have every
+  // client download and scan its drop.
   struct DialingRoundOutcome {
     uint64_t round = 0;
     mixnet::RoundStats stats;
@@ -81,12 +82,16 @@ class Deployment {
   uint64_t dialing_rounds_run() const { return next_dialing_round_ - coord::kDialingRoundBase; }
 
  private:
+  std::unique_ptr<engine::RoundScheduler> MakeScheduler();
+
   DeploymentConfig config_;
   util::Xoshiro256Rng seed_rng_;
   mixnet::Chain chain_;
-  coord::EntryServer entry_;
   coord::InvitationDistributor distributor_;
   coord::DistributionBackend* distribution_ = &distributor_;
+  // Declared after what its stages and Distribute stage use, so it is
+  // destroyed first.
+  std::unique_ptr<engine::RoundScheduler> scheduler_;
   dialing::RoundConfig dial_config_;
   std::vector<std::unique_ptr<client::VuvuzelaClient>> clients_;
   std::unordered_map<size_t, bool> online_;

@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "src/crypto/onion.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/sim/workload.h"
@@ -161,6 +162,14 @@ void CoordinatorDaemon::OnClientFrame(size_t index, net::Frame&& frame) {
   bool conversation = frame.type == net::FrameType::kConversationRequest;
   bool dial = frame.type == net::FrameType::kDialRequest;
   if (!conversation && !dial) {
+    return;
+  }
+  // Every hop drops an onion of the wrong size, so banking one (and
+  // re-submitting it on retry) buys nothing; it is refused here and does not
+  // take the client's slot, so a correctly sized resubmission still counts.
+  size_t onion_size = crypto::OnionRequestSize(
+      conversation ? wire::kExchangeRequestSize : wire::kDialRequestSize, config_.hops.size());
+  if (frame.payload.size() != onion_size) {
     return;
   }
   std::lock_guard<std::mutex> lock(admission_mutex_);

@@ -33,6 +33,9 @@
 //  * TCP clients (num_clients > 0): real connections, kRoundAnnouncement /
 //    kConversationRequest / kConversationResponse frames, a per-round
 //    admission window (clients that miss it are excluded from the batch).
+//    Only onions of the chain's request size for the round type are
+//    admitted; a missized frame is dropped without taking the client's
+//    slot.
 //  * Synthetic (num_clients == 0): the coordinator generates
 //    `synthetic_users` onions per round in-process (§8.1's simulated
 //    clients) — what the multi-process CI smoke and benches run.

@@ -45,7 +45,8 @@ struct ChainKeyMaterial {
 ChainKeyMaterial DeriveChainKeys(uint64_t seed, size_t num_servers);
 
 // Builds the MixServer for `position` of a chain with the given key material
-// and shared noise configuration (mirrors mixnet::Chain::Create).
+// and shared noise configuration (mixnet::ChainServerConfig, as
+// mixnet::Chain::Create uses).
 std::unique_ptr<mixnet::MixServer> BuildMixServer(const mixnet::ChainConfig& config,
                                                   const ChainKeyMaterial& keys, size_t position);
 

@@ -8,9 +8,11 @@
 
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
+#include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 #include "src/noise/laplace.h"
 #include "src/sim/adversary.h"
+#include "src/transport/hop_chain.h"
 #include "src/util/random.h"
 
 namespace vuvuzela::sim {
@@ -63,7 +65,8 @@ TEST(Adversary, LastServerHistogramInvariantAcrossWorlds) {
       world.users.push_back(crypto::X25519KeyPair::Generate(rng));
     }
     auto onions = BuildRoundOnions(world, 1, pair, rng);
-    return world.chain.RunConversationRound(1, std::move(onions));
+    engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()));
+    return scheduler.SubmitConversation(1, std::move(onions)).get();
   };
 
   auto world_a = run_world({0, 1}, 42);
@@ -83,10 +86,11 @@ TEST(Adversary, AllRequestsIndistinguishableAtEveryHop) {
   }
   AdversaryObserver observer({0, 1, 2});
   observer.set_last_position(2);
-  world.chain.set_observer(&observer);
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()), {},
+                                   &observer);
 
   auto onions = BuildRoundOnions(world, 1, {2, 5}, rng);
-  world.chain.RunConversationRound(1, std::move(onions));
+  scheduler.SubmitConversation(1, std::move(onions)).get();
 
   for (const auto& pass : observer.passes()) {
     std::set<util::Bytes> unique;
@@ -115,7 +119,8 @@ TEST(Adversary, HonestServerShufflesCompromisedOnesPreserveOrder) {
   }
   AdversaryObserver observer({2});
   observer.set_last_position(2);
-  world.chain.set_observer(&observer);
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()), {},
+                                   &observer);
 
   auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
   // Tag: remember the onions' order by size-equal but content-distinct blobs;
@@ -123,7 +128,7 @@ TEST(Adversary, HonestServerShufflesCompromisedOnesPreserveOrder) {
   // possible here, so instead check the batch the last server receives has
   // the same count and — with no noise and no mixing — the i-th input's
   // peeled onion equals the i-th forwarded item.
-  auto result = world.chain.RunConversationRound(1, std::move(onions));
+  auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
   // Only the compromised last server's pass is recorded.
   ASSERT_EQ(observer.passes().size(), 1u);
   const auto& last_input = observer.passes()[0].input;
@@ -141,7 +146,8 @@ TEST(Adversary, MixingChangesOrderWithHighProbability) {
   }
   AdversaryObserver observer({0, 1});
   observer.set_last_position(1);
-  world.chain.set_observer(&observer);
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()), {},
+                                   &observer);
 
   auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
   // Unwrap each onion's first layer ourselves to know the expected inner
@@ -150,7 +156,7 @@ TEST(Adversary, MixingChangesOrderWithHighProbability) {
   // its input order. Sizes are uniform, so compare against a recomputation:
   // run a second identical chain with the same seed but non-mixing, and
   // check the outputs differ in order.
-  auto result = world.chain.RunConversationRound(1, std::move(onions));
+  auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
   (void)result;
   const auto& pass0 = observer.passes()[0];
   // The forwarded batch has the same multiset size; the probability that a
@@ -176,9 +182,10 @@ TEST(Adversary, SampledNoiseBuriesDisconnectionSignal) {
     for (int u = 0; u < 6; ++u) {
       world.users.push_back(crypto::X25519KeyPair::Generate(rng));
     }
+    engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()));
     // Round with Alice (user 0) and Bob (user 1) talking:
     auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
-    auto with_alice = world.chain.RunConversationRound(1, std::move(onions));
+    auto with_alice = scheduler.SubmitConversation(1, std::move(onions)).get();
     // Round where the adversary blocked Alice and Bob: all idle, one fewer
     // user visible.
     std::vector<util::Bytes> idle_onions;
@@ -187,7 +194,7 @@ TEST(Adversary, SampledNoiseBuriesDisconnectionSignal) {
       idle_onions.push_back(
           crypto::OnionWrap(world.chain.public_keys(), 2, request.Serialize(), rng).data);
     }
-    auto without_alice = world.chain.RunConversationRound(2, std::move(idle_onions));
+    auto without_alice = scheduler.SubmitConversation(2, std::move(idle_onions)).get();
 
     double w = static_cast<double>(with_alice.histogram.pairs);
     sum_with += w;

@@ -11,6 +11,9 @@
 // sizes straddling every block boundary and compare every stage's output
 // bit-for-bit, stats included.
 //
+// The same oracle checks the one round driver: rounds pipelined through
+// engine::RoundScheduler must equal the oracle chain driven pass by pass.
+//
 // Also pinned here: the secret cache must not survive a key rotation, the
 // comb-table DH must agree with the Montgomery ladder (RFC 7748 vectors,
 // random pairs, twist fallback), and the wire decode must yield views into
@@ -18,11 +21,19 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <future>
+#include <mutex>
+#include <string>
+
+#include "src/coord/coordinator.h"
 #include "src/crypto/onion.h"
 #include "src/crypto/secret_cache.h"
 #include "src/crypto/x25519.h"
 #include "src/crypto/x25519_precomp.h"
+#include "src/engine/round_scheduler.h"
 #include "src/mixnet/mix_server.h"
+#include "src/transport/hop_chain.h"
 #include "src/transport/hop_wire.h"
 #include "src/util/random.h"
 #include "src/wire/constants.h"
@@ -248,6 +259,101 @@ TEST_P(BatchConformance, DialingRoundByteIdentical) {
     EXPECT_EQ(table_a.Drop(d), table_b.Drop(d)) << "drop " << d;
   }
   ExpectSameStats(sa, sb, kServers - 1);
+}
+
+// --- The round driver -------------------------------------------------------
+
+// Holds every round at the first hop until opened, so the rounds submitted
+// before Open() are provably in flight together.
+class FirstHopGate : public mixnet::ChainObserver {
+ public:
+  void OnForwardPass(size_t position, uint64_t, const std::vector<util::Bytes>&,
+                     const std::vector<util::Bytes>&) override {
+    if (position == 0) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] { return open_; });
+    }
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// RoundScheduler is the one round driver. Conversation rounds and a dialing
+// round cross it at K = 3 over LocalTransports, three of them in flight at
+// once, and each must equal what the oracle chain gives when RunConversation
+// drives it one pass at a time: responses, exchange count and every hop's
+// stats, and for the dialing round the invitation table.
+TEST(SchedulerConformance, PipelinedRoundsMatchInOrderOracle) {
+  constexpr size_t kOnions = 70;  // crosses a 64-onion block boundary
+  constexpr uint64_t kRounds = 4;
+  constexpr uint32_t kDrops = 5;
+  constexpr uint64_t kDialRound = coord::kDialingRoundBase;
+  TestChain<MixServer> production = MakeChain(/*seed=*/13, /*mu=*/12);
+  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/13, /*mu=*/12);
+
+  std::vector<std::vector<util::Bytes>> batches;
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    batches.push_back(
+        MakeConversationBatch(production.public_keys, round, kOnions, 3000 + round));
+  }
+  std::vector<util::Bytes> dial_batch =
+      MakeDialingBatch(production.public_keys, kDialRound, kOnions, 4000);
+
+  std::vector<std::future<mixnet::Chain::ConversationResult>> futures;
+  std::future<mixnet::Chain::DialingResult> dial_future;
+  {
+    FirstHopGate gate;
+    engine::RoundScheduler scheduler(transport::MakeLocalTransports(production.servers),
+                                     {.max_in_flight = 3}, &gate);
+    futures.push_back(scheduler.SubmitConversation(1, batches[0]));
+    dial_future = scheduler.SubmitDialing(kDialRound, dial_batch, kDrops);
+    futures.push_back(scheduler.SubmitConversation(2, batches[1]));
+    EXPECT_EQ(scheduler.in_flight(), 3u);
+    gate.Open();
+    for (uint64_t round = 3; round <= kRounds; ++round) {
+      futures.push_back(scheduler.SubmitConversation(round, batches[round - 1]));
+    }
+    scheduler.Drain();
+  }
+
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    mixnet::Chain::ConversationResult result = futures[round - 1].get();
+    ConversationTranscript expected = RunConversation(oracle, round, batches[round - 1]);
+    EXPECT_EQ(result.responses, expected.backward.back());
+    EXPECT_EQ(result.messages_exchanged, expected.messages_exchanged);
+    ASSERT_EQ(result.stats.forward.size(), kServers);
+    ASSERT_EQ(result.stats.backward.size(), kServers - 1);
+    for (size_t i = 0; i < kServers; ++i) {
+      ExpectSameStats(result.stats.forward[i], expected.stats[i], i);
+    }
+    for (size_t i = 0; i + 1 < kServers; ++i) {
+      ExpectSameStats(result.stats.backward[i], expected.stats[2 * kServers - 2 - i],
+                      2 * kServers - 2 - i);
+    }
+  }
+
+  deaddrop::InvitationTable table = dial_future.get().table;
+  std::vector<util::Bytes> current = std::move(dial_batch);
+  for (size_t i = 0; i + 1 < kServers; ++i) {
+    current = ForwardDialingPass(*oracle.servers[i], kDialRound, current, kDrops, nullptr);
+  }
+  deaddrop::InvitationTable expected_table =
+      oracle.servers.back()->ProcessDialingLastHop(kDialRound, std::move(current), kDrops, nullptr);
+  ASSERT_EQ(table.num_drops(), expected_table.num_drops());
+  for (uint32_t d = 0; d < table.num_drops(); ++d) {
+    EXPECT_EQ(table.Drop(d), expected_table.Drop(d)) << "drop " << d;
+  }
 }
 
 // A response of the wrong size from the next hop must not leave this hop

@@ -1,16 +1,13 @@
-// Coordination layer tests: round schedule, entry server mux/demux,
-// invitation distributor accounting.
+// Coordination layer tests: round schedule, invitation distributor
+// accounting, key directory and hop key files.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 
-#include "src/conversation/protocol.h"
 #include "src/coord/coordinator.h"
 #include "src/coord/distributor.h"
-#include "src/coord/entry_server.h"
 #include "src/coord/keydir.h"
-#include "src/crypto/onion.h"
 #include "src/util/bytes.h"
 #include "src/util/random.h"
 
@@ -61,58 +58,6 @@ TEST(RoundSchedule, MonotoneRoundNumbers) {
       last_dial = ann.round;
     }
   }
-}
-
-class EntryServerTest : public ::testing::Test {
- protected:
-  EntryServerTest() {
-    mixnet::ChainConfig config;
-    config.num_servers = 2;
-    config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
-    config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-    chain_ = std::make_unique<mixnet::Chain>(mixnet::Chain::Create(config, rng_));
-    entry_ = std::make_unique<EntryServer>(chain_.get());
-  }
-
-  util::Bytes MakeOnion(uint64_t round, const crypto::X25519KeyPair& user) {
-    auto request = conversation::BuildFakeExchangeRequest(user, round, rng_);
-    return crypto::OnionWrap(chain_->public_keys(), round, request.Serialize(), rng_).data;
-  }
-
-  util::Xoshiro256Rng rng_{42};
-  std::unique_ptr<mixnet::Chain> chain_;
-  std::unique_ptr<EntryServer> entry_;
-};
-
-TEST_F(EntryServerTest, MuxAndDemux) {
-  auto user1 = crypto::X25519KeyPair::Generate(rng_);
-  auto user2 = crypto::X25519KeyPair::Generate(rng_);
-  size_t slot1 = entry_->Submit(7, MakeOnion(7, user1));
-  size_t slot2 = entry_->Submit(7, MakeOnion(7, user2));
-  EXPECT_EQ(entry_->PendingCount(7), 2u);
-
-  auto result = entry_->CloseConversationRound(7);
-  EXPECT_EQ(result.responses.size(), 2u);
-  util::Bytes r1 = entry_->TakeResponse(7, slot1);
-  util::Bytes r2 = entry_->TakeResponse(7, slot2);
-  EXPECT_FALSE(r1.empty());
-  EXPECT_FALSE(r2.empty());
-}
-
-TEST_F(EntryServerTest, SubmitAfterCloseThrows) {
-  auto user = crypto::X25519KeyPair::Generate(rng_);
-  entry_->Submit(8, MakeOnion(8, user));
-  entry_->CloseConversationRound(8);
-  EXPECT_THROW(entry_->Submit(8, MakeOnion(8, user)), std::logic_error);
-  EXPECT_THROW(entry_->CloseConversationRound(8), std::logic_error);
-}
-
-TEST_F(EntryServerTest, TakeResponseValidation) {
-  EXPECT_THROW(entry_->TakeResponse(99, 0), std::logic_error);  // round not closed
-  auto user = crypto::X25519KeyPair::Generate(rng_);
-  entry_->Submit(9, MakeOnion(9, user));
-  entry_->CloseConversationRound(9);
-  EXPECT_THROW(entry_->TakeResponse(9, 5), std::out_of_range);  // bad slot
 }
 
 TEST(InvitationDistributor, ServesAndAccounts) {

@@ -23,6 +23,7 @@
 #include "src/transport/coord_daemon.h"
 #include "src/coord/coordinator.h"
 #include "src/coord/distributor.h"
+#include "src/crypto/onion.h"
 #include "src/engine/round_lifecycle.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
@@ -318,7 +319,7 @@ TEST(EngineDistribute, DistributeStagePublishesTableAndCompletesRound) {
   config.distribution = &distributor;
   config.distribution_keep = 2;
   config.lifecycle = &observed;
-  engine::RoundScheduler scheduler(chain, config);
+  engine::RoundScheduler scheduler(MakeLocalTransports(chain.servers()), config);
 
   uint64_t round = coord::kDialingRoundBase;
   auto future = scheduler.SubmitDialing(round, DialBatch(chain, round, 8, 5), /*num_drops=*/4);
@@ -358,14 +359,14 @@ TEST(EngineDistribute, PublishedTableByteIdenticalToUndistributedRun) {
   uint64_t round = coord::kDialingRoundBase + 3;
   std::vector<util::Bytes> batch = DialBatch(chain_a, round, 10, 9);
 
-  engine::RoundScheduler plain(chain_a, {.max_in_flight = 1});
+  engine::RoundScheduler plain(MakeLocalTransports(chain_a.servers()), {.max_in_flight = 1});
   deaddrop::InvitationTable expect = plain.SubmitDialing(round, batch, 4).get().table;
 
   coord::InvitationDistributor distributor;
   engine::SchedulerConfig config;
   config.max_in_flight = 1;
   config.distribution = &distributor;
-  engine::RoundScheduler distributed(chain_b, config);
+  engine::RoundScheduler distributed(MakeLocalTransports(chain_b.servers()), config);
   distributed.SubmitDialing(round, batch, 4).get();
 
   for (uint32_t drop = 0; drop < 4; ++drop) {
@@ -388,7 +389,7 @@ TEST(DistFailure, DeadShardFailsOnlyDialingRoundsAndRejoinsAfterRestart) {
   engine::SchedulerConfig config;
   config.max_in_flight = 2;
   config.distribution = router.get();
-  engine::RoundScheduler scheduler(chain, config);
+  engine::RoundScheduler scheduler(MakeLocalTransports(chain.servers()), config);
 
   // Healthy baseline: one dialing round distributes fine.
   uint64_t dial0 = coord::kDialingRoundBase;
@@ -538,10 +539,14 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
         }
         // Garbage onions exercise the round plumbing only; the chain drops
         // them and the dialing table still carries its noise invitations.
-        net::FrameType type = announcement->type == wire::RoundType::kConversation
-                                  ? net::FrameType::kConversationRequest
-                                  : net::FrameType::kDialRequest;
-        conn->SendFrame(net::Frame{type, announcement->round, util::Bytes(416, 0xab)});
+        // They have an onion's size for the round type, which admission
+        // requires.
+        bool conversation = announcement->type == wire::RoundType::kConversation;
+        net::FrameType type = conversation ? net::FrameType::kConversationRequest
+                                           : net::FrameType::kDialRequest;
+        size_t size = crypto::OnionRequestSize(
+            conversation ? wire::kExchangeRequestSize : wire::kDialRequestSize, chain->size());
+        conn->SendFrame(net::Frame{type, announcement->round, util::Bytes(size, 0xab)});
       } else if (frame->type == net::FrameType::kDialAck) {
         // The ack means the round completed AND its table was distributed:
         // download bucket 0 through the coordinator.

@@ -38,6 +38,7 @@ class FailureInjectionTest : public ::testing::Test {
  protected:
   util::Xoshiro256Rng rng_{4242};
   Chain chain_ = Chain::Create(Config(3), rng_);
+  engine::RoundScheduler scheduler_{transport::MakeLocalTransports(chain_.servers())};
   crypto::X25519KeyPair alice_ = crypto::X25519KeyPair::Generate(rng_);
   crypto::X25519KeyPair bob_ = crypto::X25519KeyPair::Generate(rng_);
 
@@ -51,7 +52,7 @@ TEST_F(FailureInjectionTest, AllGarbageRoundCompletes) {
   for (int i = 0; i < 10; ++i) {
     onions.push_back(rng_.RandomBytes(416));
   }
-  auto result = chain_.RunConversationRound(1, std::move(onions));
+  auto result = scheduler_.SubmitConversation(1, std::move(onions)).get();
   EXPECT_EQ(result.responses.size(), 10u);
   EXPECT_EQ(result.stats.forward[0].requests_dropped, 10u);
 }
@@ -64,7 +65,7 @@ TEST_F(FailureInjectionTest, ZeroLengthAndOversizedOnions) {
   onions.push_back(rng_.RandomBytes(10));    // far too short
   onions.push_back(rng_.RandomBytes(4096));  // far too long
   onions.push_back(good);
-  auto result = chain_.RunConversationRound(2, std::move(onions));
+  auto result = scheduler_.SubmitConversation(2, std::move(onions)).get();
   ASSERT_EQ(result.responses.size(), 4u);
   // The honest request still echoes back correctly.
   auto keys = crypto::OnionWrap(chain_.public_keys(), 99, util::Bytes(1), rng_);
@@ -78,7 +79,7 @@ TEST_F(FailureInjectionTest, MissizedPayloadDroppedAtFirstHop) {
   // response slot of the right size.
   util::Bytes junk = rng_.RandomBytes(wire::kExchangeRequestSize - 5);
   auto onion = crypto::OnionWrap(chain_.public_keys(), 3, junk, rng_);
-  auto result = chain_.RunConversationRound(3, {onion.data});
+  auto result = scheduler_.SubmitConversation(3, {onion.data}).get();
   EXPECT_EQ(result.stats.forward.front().requests_dropped, 1u);
   for (size_t i = 1; i < result.stats.forward.size(); ++i) {
     EXPECT_EQ(result.stats.forward[i].requests_dropped, 0u) << "hop " << i;
@@ -98,7 +99,7 @@ TEST_F(FailureInjectionTest, ReplayedOnionWithinRoundHitsSameDropTwice) {
       WrapExchange(4, conversation::BuildExchangeRequest(alice_session, 4, {}));
   auto bob_onion = WrapExchange(4, conversation::BuildExchangeRequest(bob_session, 4, {}));
 
-  auto result = chain_.RunConversationRound(4, {alice_onion, alice_onion, bob_onion});
+  auto result = scheduler_.SubmitConversation(4, {alice_onion, alice_onion, bob_onion}).get();
   EXPECT_EQ(result.responses.size(), 3u);
   EXPECT_EQ(result.histogram.crowded, 1u);  // 3 accesses on one drop
 }
@@ -108,10 +109,10 @@ TEST_F(FailureInjectionTest, ReplayAcrossRoundsRejected) {
   // replayed in round 6 fails at the first hop.
   Session session = Session::Derive(alice_, bob_.public_key);
   auto onion = WrapExchange(5, conversation::BuildExchangeRequest(session, 5, {}));
-  auto result5 = chain_.RunConversationRound(5, {onion});
+  auto result5 = scheduler_.SubmitConversation(5, {onion}).get();
   EXPECT_EQ(result5.stats.forward[0].requests_dropped, 0u);
 
-  auto result6 = chain_.RunConversationRound(6, {onion});
+  auto result6 = scheduler_.SubmitConversation(6, {onion}).get();
   EXPECT_EQ(result6.stats.forward[0].requests_dropped, 1u);
 }
 
@@ -125,7 +126,7 @@ TEST_F(FailureInjectionTest, AdversarialDialIndexesCannotFaultServer) {
     onions.push_back(
         crypto::OnionWrap(chain_.public_keys(), 7, request.Serialize(), rng_).data);
   }
-  auto result = chain_.RunDialingRound(7, std::move(onions), dial_config.total_drops());
+  auto result = scheduler_.SubmitDialing(7, std::move(onions), dial_config.total_drops()).get();
   // All deposits landed (mod total_drops); none crashed the table.
   uint64_t total = 0;
   for (uint64_t size : result.table.DropSizes()) {
@@ -139,7 +140,7 @@ TEST_F(FailureInjectionTest, AdversarialDialIndexesCannotFaultServer) {
 TEST_F(FailureInjectionTest, EmptyRoundStillProducesNoise) {
   // Even with zero clients connected, the servers exchange a full noise
   // round — the cover traffic does not depend on load (§6.4).
-  auto result = chain_.RunConversationRound(8, {});
+  auto result = scheduler_.SubmitConversation(8, {}).get();
   EXPECT_EQ(result.responses.size(), 0u);
   // Each non-last server adds 2 singles + 1 pair = 4 requests.
   EXPECT_EQ(result.stats.forward.back().requests_in, 8u);
@@ -167,7 +168,7 @@ TEST_F(FailureInjectionTest, TamperedResponsesDegradeToGarbage) {
   auto bob_wrapped =
       crypto::OnionWrap(chain_.public_keys(), 10, bob_request.Serialize(), rng_);
 
-  auto result = chain_.RunConversationRound(10, {alice_wrapped.data, bob_wrapped.data});
+  auto result = scheduler_.SubmitConversation(10, {alice_wrapped.data, bob_wrapped.data}).get();
 
   // Untampered: Bob reads Alice's text.
   auto clean = crypto::OnionOpenResponse(bob_wrapped.layer_keys, 10, result.responses[1]);
@@ -199,7 +200,8 @@ TEST(FailureInjectionChains, TwoServerChainToleratesHalfGarbage) {
       onions.push_back(rng.RandomBytes(368));
     }
   }
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
   EXPECT_EQ(result.responses.size(), 8u);
   EXPECT_EQ(result.stats.forward[0].requests_dropped, 4u);
 }

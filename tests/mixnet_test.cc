@@ -9,8 +9,10 @@
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
 #include "src/dialing/protocol.h"
+#include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 #include "src/mixnet/shuffler.h"
+#include "src/transport/hop_chain.h"
 #include "src/util/batch.h"
 #include "src/util/random.h"
 
@@ -134,7 +136,8 @@ TEST_P(ChainConversationTest, TwoUsersExchangeThroughChain) {
   crypto::WrappedOnion alice_onion = WrapExchange(chain, round, alice_req, rng);
   crypto::WrappedOnion bob_onion = WrapExchange(chain, round, bob_req, rng);
 
-  auto result = chain.RunConversationRound(round, {alice_onion.data, bob_onion.data});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(round, {alice_onion.data, bob_onion.data}).get();
   ASSERT_EQ(result.responses.size(), 2u);
   // Noise pairs exchange with each other and are indistinguishable from real
   // pairs at the last server — exactly how noise masks m2 (§4.2). With µ=4
@@ -175,7 +178,8 @@ TEST(Chain, IdleUserGetsEcho) {
   uint64_t round = 1;
   auto fake = conversation::BuildFakeExchangeRequest(charlie, round, rng);
   crypto::WrappedOnion onion = WrapExchange(chain, round, fake, rng);
-  auto result = chain.RunConversationRound(round, {onion.data});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(round, {onion.data}).get();
 
   auto resp = crypto::OnionOpenResponse(onion.layer_keys, round, result.responses[0]);
   ASSERT_TRUE(resp.has_value());
@@ -198,7 +202,8 @@ TEST(Chain, UnmatchedRealRequestEchoes) {
   uint64_t round = 3;
   auto req = conversation::BuildExchangeRequest(session, round, {});
   crypto::WrappedOnion onion = WrapExchange(chain, round, req, rng);
-  auto result = chain.RunConversationRound(round, {onion.data});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(round, {onion.data}).get();
 
   auto resp = crypto::OnionOpenResponse(onion.layer_keys, round, result.responses[0]);
   ASSERT_TRUE(resp.has_value());
@@ -219,7 +224,8 @@ TEST(Chain, MalformedOnionGetsGarbageResponseOfRightSize) {
   crypto::WrappedOnion good = WrapExchange(chain, round, fake, rng);
   util::Bytes garbage = rng.RandomBytes(good.data.size());
 
-  auto result = chain.RunConversationRound(round, {good.data, garbage});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(round, {good.data, garbage}).get();
   ASSERT_EQ(result.responses.size(), 2u);
   EXPECT_EQ(result.responses[0].size(), result.responses[1].size());
   EXPECT_EQ(result.stats.forward[0].requests_dropped, 1u);
@@ -236,7 +242,8 @@ TEST(Chain, NoiseCountsFollowConfig) {
   auto alice = crypto::X25519KeyPair::Generate(rng);
   auto fake = conversation::BuildFakeExchangeRequest(alice, round, rng);
   crypto::WrappedOnion onion = WrapExchange(chain, round, fake, rng);
-  auto result = chain.RunConversationRound(round, {onion.data});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(round, {onion.data}).get();
 
   // µ=10 deterministic → each non-last server adds 10 singles + 5 pairs = 20.
   EXPECT_EQ(result.stats.forward[0].noise_requests_added, 20u);
@@ -260,7 +267,8 @@ TEST(Chain, ResponsesSizedByChainLength) {
 
     EXPECT_EQ(onion.data.size(),
               crypto::OnionRequestSize(wire::kExchangeRequestSize, n));
-    auto result = chain.RunConversationRound(round, {onion.data});
+    engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+    auto result = scheduler.SubmitConversation(round, {onion.data}).get();
     EXPECT_EQ(result.responses[0].size(), crypto::OnionResponseSize(wire::kEnvelopeSize, n));
   }
 }
@@ -273,7 +281,8 @@ TEST(Chain, DhOpsAccounting) {
   auto kp = crypto::X25519KeyPair::Generate(rng);
   auto fake = conversation::BuildFakeExchangeRequest(kp, round, rng);
   crypto::WrappedOnion onion = WrapExchange(chain, round, fake, rng);
-  auto result = chain.RunConversationRound(round, {onion.data});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(round, {onion.data}).get();
 
   // Server 0: 1 unwrap + 8 noise × 2 remaining layers = 17.
   EXPECT_EQ(result.stats.forward[0].dh_ops, 1 + 8 * 2u);
@@ -297,7 +306,8 @@ TEST(Chain, DialingRoundDepositsInvitation) {
   crypto::WrappedOnion onion =
       crypto::OnionWrap(chain.public_keys(), round, dial.Serialize(), rng);
 
-  auto result = chain.RunDialingRound(round, {onion.data}, dial_config.total_drops());
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitDialing(round, {onion.data}, dial_config.total_drops()).get();
 
   uint32_t bob_drop = dialing::DropForRecipient(dial_config, bob.public_key);
   auto callers = dialing::ScanInvitations(bob, result.table.Drop(bob_drop));
@@ -346,7 +356,8 @@ TEST(Chain, PartnerMessageDecodesEndToEnd) {
   crypto::WrappedOnion a_onion = WrapExchange(chain, round, a_req, rng);
   crypto::WrappedOnion b_onion = WrapExchange(chain, round, b_req, rng);
 
-  auto result = chain.RunConversationRound(round, {a_onion.data, b_onion.data});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(round, {a_onion.data, b_onion.data}).get();
   auto resp = crypto::OnionOpenResponse(a_onion.layer_keys, round, result.responses[0]);
   ASSERT_TRUE(resp.has_value());
   wire::Envelope env;

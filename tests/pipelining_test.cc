@@ -14,6 +14,7 @@
 #include "src/dialing/protocol.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
+#include "src/transport/hop_chain.h"
 #include "src/util/random.h"
 
 namespace vuvuzela::mixnet {
@@ -100,10 +101,12 @@ TEST_F(PipeliningTest, ThreeRoundsInFlightAtServerLevel) {
 }
 
 TEST_F(PipeliningTest, ManySequentialRoundsNoStateLeak) {
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain_->servers()),
+                                   {.max_in_flight = 1});
   for (uint64_t round = 1; round <= 12; ++round) {
     PreparedRound prep = Prepare(round);
-    auto result = chain_->RunConversationRound(
-        round, {prep.alice_onion.data, prep.bob_onion.data});
+    auto result =
+        scheduler.SubmitConversation(round, {prep.alice_onion.data, prep.bob_onion.data}).get();
     CheckDelivery(prep, result.responses);
   }
   EXPECT_EQ(chain_->server(0).pending_rounds(), 0u);
@@ -171,8 +174,8 @@ class GateObserver : public ChainObserver {
 
 TEST_F(PipeliningTest, SchedulerKeepsKRoundsInFlight) {
   GateObserver gate;
-  chain_->set_observer(&gate);
-  engine::RoundScheduler scheduler(*chain_, {.max_in_flight = 3});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain_->servers()),
+                                   {.max_in_flight = 3}, &gate);
 
   std::vector<PreparedRound> preps;
   std::vector<std::future<Chain::ConversationResult>> futures;
@@ -187,7 +190,6 @@ TEST_F(PipeliningTest, SchedulerKeepsKRoundsInFlight) {
 
   gate.Release(100);
   scheduler.Drain();
-  chain_->set_observer(nullptr);
 
   EXPECT_EQ(scheduler.stats().max_observed_in_flight, 3u);
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -199,7 +201,8 @@ TEST_F(PipeliningTest, SchedulerKeepsKRoundsInFlight) {
 }
 
 TEST_F(PipeliningTest, SchedulerPreservesPerRoundIsolationAcrossManyRounds) {
-  engine::RoundScheduler scheduler(*chain_, {.max_in_flight = 4});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain_->servers()),
+                                   {.max_in_flight = 4});
   std::vector<PreparedRound> preps;
   std::vector<std::future<Chain::ConversationResult>> futures;
   for (uint64_t round = 1; round <= 16; ++round) {
@@ -221,7 +224,8 @@ TEST_F(PipeliningTest, SchedulerPreservesPerRoundIsolationAcrossManyRounds) {
 }
 
 TEST_F(PipeliningTest, SchedulerInterleavesDialingWithConversations) {
-  engine::RoundScheduler scheduler(*chain_, {.max_in_flight = 3});
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain_->servers()),
+                                   {.max_in_flight = 3});
 
   PreparedRound conv = Prepare(7);
   auto conv_future = scheduler.SubmitConversation(

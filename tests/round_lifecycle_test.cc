@@ -12,6 +12,7 @@
 #include "src/engine/round_lifecycle.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
+#include "src/transport/hop_chain.h"
 #include "src/util/random.h"
 
 namespace vuvuzela::engine {
@@ -136,7 +137,8 @@ TEST(RoundLifecycle, SchedulerDrivesPhasesInOrder) {
     SchedulerConfig scheduler_config;
     scheduler_config.max_in_flight = 3;
     scheduler_config.lifecycle = &lifecycle;
-    RoundScheduler scheduler(chain, scheduler_config);
+    RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()),
+                             scheduler_config);
     for (uint64_t round = 1; round <= 5; ++round) {
       auto request = conversation::BuildFakeExchangeRequest(user, round, rng);
       scheduler.SubmitConversation(

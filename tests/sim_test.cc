@@ -7,9 +7,11 @@
 
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
+#include "src/engine/round_scheduler.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/deployment.h"
 #include "src/sim/workload.h"
+#include "src/transport/hop_chain.h"
 
 namespace vuvuzela::sim {
 namespace {
@@ -56,7 +58,8 @@ TEST(Workload, PairedUsersShareDeadDrops) {
 
   WorkloadConfig config{.num_users = 40, .pairing_fraction = 1.0, .seed = 13};
   auto onions = GenerateConversationWorkload(config, chain.public_keys(), 1);
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
   EXPECT_EQ(result.histogram.pairs, 20u);
   EXPECT_EQ(result.histogram.singles, 0u);
   EXPECT_EQ(result.messages_exchanged, 40u);
@@ -71,7 +74,8 @@ TEST(Workload, IdleUsersGetUniqueDrops) {
 
   WorkloadConfig config{.num_users = 50, .pairing_fraction = 0.0, .seed = 17};
   auto onions = GenerateConversationWorkload(config, chain.public_keys(), 1);
-  auto result = chain.RunConversationRound(1, std::move(onions));
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitConversation(1, std::move(onions)).get();
   EXPECT_EQ(result.histogram.singles, 50u);
   EXPECT_EQ(result.histogram.pairs, 0u);
 }
@@ -86,7 +90,8 @@ TEST(Workload, DialingFractionRespected) {
   dialing::RoundConfig dial_config{.num_real_drops = 4};
   WorkloadConfig config{.num_users = 100, .pairing_fraction = 1.0, .seed = 19};
   auto onions = GenerateDialingWorkload(config, chain.public_keys(), 1, dial_config, 0.25);
-  auto result = chain.RunDialingRound(1, std::move(onions), dial_config.total_drops());
+  engine::RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()));
+  auto result = scheduler.SubmitDialing(1, std::move(onions), dial_config.total_drops()).get();
 
   auto sizes = result.table.DropSizes();
   uint64_t real = 0;

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <optional>
 #include <thread>
 
+#include "src/crypto/onion.h"
 #include "src/engine/round_scheduler.h"
+#include "src/obs/registry.h"
 #include "src/sim/workload.h"
 #include "src/transport/coord_daemon.h"
 #include "src/transport/hop_chain.h"
@@ -299,8 +302,9 @@ TEST(CoordinatorDaemon, PrunesAdmissionDedupForAbandonedRounds) {
   CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
 
-  // One client that answers every announcement with a (garbage) onion — it
-  // only needs to exercise the admission window, not survive the mix chain.
+  // One client that answers every announcement with a (garbage) onion of
+  // the admitted size — it only needs to exercise the admission window, not
+  // survive the mix chain.
   std::thread client([&] {
     auto conn = net::TcpConnection::Connect("127.0.0.1", coordinator.client_port());
     if (!conn) {
@@ -320,7 +324,8 @@ TEST(CoordinatorDaemon, PrunesAdmissionDedupForAbandonedRounds) {
       net::FrameType type = announcement->type == wire::RoundType::kConversation
                                 ? net::FrameType::kConversationRequest
                                 : net::FrameType::kDialRequest;
-      conn->SendFrame(net::Frame{type, announcement->round, util::Bytes(416, 0xab)});
+      util::Bytes onion(crypto::OnionRequestSize(wire::kExchangeRequestSize, 1), 0xab);
+      conn->SendFrame(net::Frame{type, announcement->round, std::move(onion)});
     }
   });
 
@@ -337,6 +342,76 @@ TEST(CoordinatorDaemon, PrunesAdmissionDedupForAbandonedRounds) {
 
   dead->Shutdown();
   black_hole.join();
+}
+
+// Admission takes only onions of the chain's request size. A missized frame
+// is neither banked nor submitted, and it leaves the client's slot free, so a
+// correctly sized resubmission in the same window is admitted.
+TEST(CoordinatorDaemon, AdmitsOnlyOnionSizedRequests) {
+  auto chain = LoopbackChain::Start(TestChainConfig(), kKeySeed);
+  ASSERT_NE(chain, nullptr);
+
+  CoordDaemonConfig config;
+  for (size_t i = 0; i < chain->size(); ++i) {
+    config.hops.push_back({"127.0.0.1", chain->port(i)});
+  }
+  config.schedule.conversation_rounds_per_dialing_round = 1000;  // conversation only
+  config.total_rounds = 2;
+  config.admission_window_seconds = 0.3;
+  config.num_clients = 1;
+  config.key_seed = kKeySeed;
+  config.record_responses = true;
+  CoordinatorDaemon coordinator(std::move(config));
+  ASSERT_TRUE(coordinator.Start());
+  // Every attempt banks exactly the batch it submits, so the submitted
+  // count is the banked count.
+  obs::Counter* submitted = obs::Registry::Global().GetCounter(
+      "vuvuzela_onions_submitted_total", "Onions admitted into the round pipeline");
+  const uint64_t submitted_before = submitted->Value();
+
+  // Round 1: one onion a byte short, alone. Round 2: the same, then the
+  // whole onion.
+  std::vector<uint64_t> rounds;
+  std::optional<crypto::WrappedOnion> admitted;
+  std::thread client([&] {
+    auto conn = net::TcpConnection::Connect("127.0.0.1", coordinator.client_port());
+    if (!conn) {
+      return;
+    }
+    util::Xoshiro256Rng rng(3);
+    while (auto frame = conn->RecvFrame()) {
+      if (frame->type == net::FrameType::kShutdown) {
+        return;
+      }
+      if (frame->type != net::FrameType::kRoundAnnouncement) {
+        continue;
+      }
+      rounds.push_back(frame->round);
+      wire::ExchangeRequest request;
+      rng.Fill(request.dead_drop);
+      rng.Fill(request.envelope);
+      crypto::WrappedOnion onion =
+          crypto::OnionWrap(chain->public_keys(), frame->round, request.Serialize(), rng);
+      util::Bytes short_onion(onion.data.begin(), onion.data.end() - 1);
+      conn->SendFrame(net::Frame{net::FrameType::kConversationRequest, frame->round, short_onion});
+      if (rounds.size() == 2) {
+        conn->SendFrame(net::Frame{net::FrameType::kConversationRequest, frame->round, onion.data});
+        admitted = std::move(onion);
+      }
+    }
+  });
+
+  CoordDaemonResult result = coordinator.Run();
+  client.join();
+  ASSERT_EQ(rounds.size(), 2u);
+  ASSERT_TRUE(admitted.has_value());
+  EXPECT_EQ(result.conversation_rounds_completed, 2u);
+  EXPECT_EQ(submitted->Value() - submitted_before, 1u);
+  EXPECT_TRUE(result.responses.at(rounds[0]).empty());
+  const std::vector<util::Bytes>& responses = result.responses.at(rounds[1]);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_TRUE(
+      crypto::OnionOpenResponse(admitted->layer_keys, rounds[1], responses[0]).has_value());
 }
 
 // A dead hop in the chain: every round that reaches it is abandoned — counted,

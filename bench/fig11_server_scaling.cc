@@ -9,6 +9,7 @@
 // bench), the horizontal-scaling axis the chain-length figure does not cover.
 // VUVUZELA_FIG11_SECTION=latency|partition runs one section alone.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "src/sim/cost_model.h"
 #include "src/transport/exchange_daemon.h"
 #include "src/transport/exchange_router.h"
+#include "src/util/batch.h"
 #include "src/util/random.h"
 
 using namespace vuvuzela;
@@ -39,34 +41,31 @@ std::vector<bench::ForkedServer> SpawnExchangeFleet(uint32_t num_shards) {
   });
 }
 
-std::vector<wire::ExchangeRequest> PairedRequests(size_t count, uint64_t seed) {
+// `count` serialized exchange requests in one batch, as the last hop holds
+// them after peeling: consecutive pairs share a drop, an odd one is alone.
+util::Batch PairedRequests(size_t count, uint64_t seed) {
   util::Xoshiro256Rng rng(seed);
-  std::vector<wire::ExchangeRequest> requests;
-  requests.reserve(count);
-  for (size_t i = 0; i + 1 < count; i += 2) {
-    wire::ExchangeRequest first, second;
-    rng.Fill(first.dead_drop);
-    rng.Fill(first.envelope);
-    second.dead_drop = first.dead_drop;
-    rng.Fill(second.envelope);
-    requests.push_back(first);
-    requests.push_back(second);
-  }
-  if (requests.size() < count) {
-    wire::ExchangeRequest odd;
-    rng.Fill(odd.dead_drop);
-    rng.Fill(odd.envelope);
-    requests.push_back(odd);
+  util::Batch requests(count, wire::kExchangeRequestSize);
+  for (size_t i = 0; i < count; ++i) {
+    wire::ExchangeRequest request;
+    if (i % 2 == 1) {
+      std::copy_n(requests[i - 1].data(), wire::kDeadDropIdSize, request.dead_drop.begin());
+    } else {
+      rng.Fill(request.dead_drop);
+    }
+    rng.Fill(request.envelope);
+    request.SerializeInto(requests[i]);
   }
   return requests;
 }
 
 double TimeExchange(deaddrop::ExchangeBackend& backend, size_t iterations,
-                    const std::vector<wire::ExchangeRequest>& requests) {
+                    const util::Batch& requests) {
+  std::vector<util::ByteSpan> views = requests.Views();
   auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < iterations; ++i) {
-    auto outcome = backend.ExchangeConversation(i + 1, requests);
-    if (outcome.results.size() != requests.size()) {
+    auto outcome = backend.ExchangeConversation(i + 1, views);
+    if (outcome.partner.size() != requests.size()) {
       // Report but keep going — exiting here would orphan the forked fleets
       // (the conformance suite is where correctness is enforced).
       std::fprintf(stderr, "exchange returned wrong result count\n");
@@ -86,7 +85,7 @@ void RunPartitionSection(const std::vector<uint32_t>& shard_counts,
               kRequests, kIterations);
   std::printf("  %-22s %-14s %-14s %-10s\n", "backend", "sec/round", "requests/sec", "vs local");
 
-  std::vector<wire::ExchangeRequest> requests = PairedRequests(kRequests, 1137);
+  util::Batch requests = PairedRequests(kRequests, 1137);
   deaddrop::InProcessExchangeBackend local(1);
   double local_seconds = TimeExchange(local, kIterations, requests) / kIterations;
   std::printf("  %-22s %-14.3f %-14s %-10s\n", "in-process x1", local_seconds,

@@ -58,7 +58,6 @@ inline mixnet::Chain MakeBenchChain(size_t servers, double mu, uint64_t seed,
   // sampling the Laplace distribution" — same mean, less variance.
   config.conversation_noise = {.params = {mu, mu / 20.0 + 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {dial_mu, dial_mu / 20.0 + 1.0}, .deterministic = true};
-  config.exchange_shards = 0;  // one dead-drop shard per pool worker
   util::Xoshiro256Rng rng(seed);
   return mixnet::Chain::Create(config, rng);
 }
@@ -204,7 +203,6 @@ inline MultiRound RunTcpPipelinedConversationRounds(uint64_t users, size_t serve
   mixnet::ChainConfig config;
   config.num_servers = servers;
   config.conversation_noise = {.params = {mu, mu / 20.0 + 1.0}, .deterministic = true};
-  config.exchange_shards = 0;
   auto chain = transport::LoopbackChain::Start(config, seed);
   if (!chain) {
     return {};

@@ -51,7 +51,6 @@ struct Flags {
   std::string key_dir;
   double mu = 50.0;
   double dial_mu = 10.0;
-  size_t exchange_shards = 0;  // 0 = one shard per pool worker (last hop only)
   std::vector<transport::ExchangePartitionEndpoint> exchange;  // last hop only
   int metrics_port = -1;  // /metrics + /trace (-1 = disabled, 0 = ephemeral)
 };
@@ -60,7 +59,7 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--position I --servers N] [--port P] [--mu M] [--dial-mu D]\n"
                "          [--seed S | --key-file HOP.key --key-dir CHAIN.pub]\n"
-               "          [--shards K] [--exchange host:port[,host:port...]]\n"
+               "          [--exchange host:port[,host:port...]]\n"
                "          [--metrics-port P]\n"
                "Runs one Vuvuzela chain hop; port 0 picks an ephemeral port and prints it.\n"
                "--key-file/--key-dir load vuvuzela-keygen output (the hop holds only its\n"
@@ -118,8 +117,6 @@ bool Parse(int argc, char** argv, Flags* flags) {
       flags->mu = std::strtod(value, nullptr);
     } else if (arg == "--dial-mu" && (value = next())) {
       flags->dial_mu = std::strtod(value, nullptr);
-    } else if (arg == "--shards" && (value = next())) {
-      flags->exchange_shards = std::strtoul(value, nullptr, 10);
     } else if (arg == "--exchange" && (value = next())) {
       if (!ParseExchange(value, &flags->exchange)) {
         return false;
@@ -214,7 +211,6 @@ int main(int argc, char** argv) {
                                      .deterministic = true};
   chain_config.dialing_noise = {.params = {flags.dial_mu, flags.dial_mu / 20.0 + 1.0},
                                 .deterministic = true};
-  chain_config.exchange_shards = flags.exchange_shards;
 
   obs::TraceJournal::Global().SetProcess("hopd-" + std::to_string(flags.position));
   transport::HopDaemonConfig daemon_config;

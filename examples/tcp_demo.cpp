@@ -76,7 +76,6 @@ int main() {
   mixnet::ChainConfig chain_config;
   chain_config.num_servers = kNumServers;
   chain_config.conversation_noise = {.params = {8.0, 2.0}, .deterministic = false};
-  chain_config.exchange_shards = 0;
   auto hops = transport::LoopbackChain::Start(chain_config, kSeed);
   if (!hops) {
     std::fprintf(stderr, "failed to start hop daemons\n");

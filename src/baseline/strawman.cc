@@ -2,19 +2,23 @@
 
 #include <map>
 
+#include "src/util/batch.h"
+
 namespace vuvuzela::baseline {
 
 StrawmanOutcome RunStrawmanRound(std::span<const StrawmanRequest> requests) {
-  std::vector<wire::ExchangeRequest> exchange_requests;
-  exchange_requests.reserve(requests.size());
+  std::vector<util::Bytes> serialized;
+  serialized.reserve(requests.size());
   StrawmanOutcome outcome;
   for (const StrawmanRequest& r : requests) {
-    exchange_requests.push_back(r.request);
+    serialized.push_back(r.request.Serialize());
     outcome.view.accesses.emplace_back(r.client, r.request.dead_drop);
   }
 
-  deaddrop::ExchangeOutcome exchange = deaddrop::ExchangeRound(exchange_requests);
-  outcome.responses = std::move(exchange.results);
+  deaddrop::ExchangeOutcome exchange = deaddrop::ExchangeRound(util::ViewsOf(serialized));
+  for (uint32_t partner : exchange.partner) {
+    outcome.responses.push_back(requests[partner].request.envelope);
+  }
   outcome.view.histogram = exchange.histogram;
   return outcome;
 }

@@ -10,16 +10,16 @@ namespace vuvuzela::deaddrop {
 
 namespace {
 
-// Exchanges among the requests named by `indices`, writing each result at its
+// Pairs the requests named by `indices`, writing each partner at its
 // request's global position. Both the sequential and the sharded path funnel
 // through here, so their pairing semantics cannot drift apart. Sorting one
 // flat array of (ID, input position) puts each drop's accesses next to each
 // other in input order, so the table needs no heap node per drop. The order
-// of the drops themselves changes no output: results are positional and the
+// of the drops themselves changes no output: partners are positional and the
 // histogram and exchange count are sums.
-void ExchangeSubset(std::span<const wire::ExchangeRequest> requests,
-                    std::span<const uint32_t> indices, std::vector<wire::Envelope>& results,
-                    AccessHistogram& histogram, uint64_t& messages_exchanged) {
+void ExchangeSubset(std::span<const util::ByteSpan> requests, std::span<const uint32_t> indices,
+                    std::vector<uint32_t>& partner, AccessHistogram& histogram,
+                    uint64_t& messages_exchanged) {
   struct Access {
     uint64_t id_high;
     uint64_t id_low;
@@ -32,8 +32,8 @@ void ExchangeSubset(std::span<const wire::ExchangeRequest> requests,
   accesses.reserve(indices.size());
   for (uint32_t i : indices) {
     Access access{0, 0, i};
-    std::memcpy(&access.id_high, requests[i].dead_drop.data(), 8);
-    std::memcpy(&access.id_low, requests[i].dead_drop.data() + 8, 8);
+    std::memcpy(&access.id_high, requests[i].data(), 8);
+    std::memcpy(&access.id_low, requests[i].data() + 8, 8);
     accesses.push_back(access);
   }
   std::sort(accesses.begin(), accesses.end(), [](const Access& a, const Access& b) {
@@ -52,15 +52,15 @@ void ExchangeSubset(std::span<const wire::ExchangeRequest> requests,
     } else {
       histogram.crowded++;
     }
-    // Swap within consecutive pairs; an odd trailing access echoes back.
+    // Pair consecutive accesses; an odd trailing access is its own partner.
     size_t i = first;
     for (; i + 1 < end; i += 2) {
-      results[accesses[i].index] = requests[accesses[i + 1].index].envelope;
-      results[accesses[i + 1].index] = requests[accesses[i].index].envelope;
+      partner[accesses[i].index] = accesses[i + 1].index;
+      partner[accesses[i + 1].index] = accesses[i].index;
       messages_exchanged += 2;
     }
     if (i < end) {
-      results[accesses[i].index] = requests[accesses[i].index].envelope;
+      partner[accesses[i].index] = accesses[i].index;
     }
     first = end;
   }
@@ -68,41 +68,33 @@ void ExchangeSubset(std::span<const wire::ExchangeRequest> requests,
 
 }  // namespace
 
-ExchangeOutcome ExchangeRound(std::span<const wire::ExchangeRequest> requests) {
-  ExchangeOutcome out;
-  out.results.resize(requests.size());
-
-  std::vector<uint32_t> all(requests.size());
-  for (uint32_t i = 0; i < all.size(); ++i) {
-    all[i] = i;
-  }
-  ExchangeSubset(requests, all, out.results, out.histogram, out.messages_exchanged);
-  return out;
+ExchangeOutcome ExchangeRound(std::span<const util::ByteSpan> requests) {
+  return ShardedExchangeRound(requests, 1);
 }
 
-ExchangeOutcome ShardedExchangeRound(std::span<const wire::ExchangeRequest> requests,
+ExchangeOutcome ShardedExchangeRound(std::span<const util::ByteSpan> requests,
                                      size_t num_shards) {
-  if (num_shards <= 1 || requests.size() < 2 * num_shards) {
-    return ExchangeRound(requests);
-  }
   // Partition on the leading 16 bits of the ID so every access to a drop
-  // lands in exactly one shard.
+  // lands in exactly one shard; a round too small to split is one shard.
+  if (num_shards == 0 || requests.size() < 2 * num_shards) {
+    num_shards = 1;
+  }
   num_shards = std::min<size_t>(num_shards, 1u << 16);
   std::vector<std::vector<uint32_t>> buckets(num_shards);
   for (auto& b : buckets) {
     b.reserve(requests.size() / num_shards + 1);
   }
   for (uint32_t i = 0; i < requests.size(); ++i) {
-    buckets[ShardOfDeadDrop(requests[i].dead_drop, num_shards)].push_back(i);
+    buckets[ShardOfDeadDrop(requests[i], num_shards)].push_back(i);
   }
 
   ExchangeOutcome out;
-  out.results.resize(requests.size());
+  out.partner.resize(requests.size());
   std::vector<AccessHistogram> histograms(num_shards);
   std::vector<uint64_t> exchanged(num_shards, 0);
-  // Shards write disjoint slots of out.results, so no locking is needed.
+  // Shards write disjoint slots of out.partner, so no locking is needed.
   util::GlobalPool().ParallelFor(num_shards, [&](size_t s) {
-    ExchangeSubset(requests, buckets[s], out.results, histograms[s], exchanged[s]);
+    ExchangeSubset(requests, buckets[s], out.partner, histograms[s], exchanged[s]);
   });
 
   for (size_t s = 0; s < num_shards; ++s) {

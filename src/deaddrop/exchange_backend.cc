@@ -3,7 +3,7 @@
 namespace vuvuzela::deaddrop {
 
 ExchangeOutcome InProcessExchangeBackend::ExchangeConversation(
-    uint64_t /*round*/, std::span<const wire::ExchangeRequest> requests) {
+    uint64_t /*round*/, std::span<const util::ByteSpan> requests) {
   return ShardedExchangeRound(requests, num_shards_);
 }
 

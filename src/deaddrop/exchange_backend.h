@@ -6,9 +6,11 @@
 // interface spreads it across *backends* — the in-process sharded table, or a
 // router that partitions the table across vuvuzela-exchanged shard-server
 // processes (transport::ExchangeRouter). MixServer calls whichever backend it
-// is given; everything else about the last hop (onion unwrap, request
-// parsing, response sealing, noise) is backend-independent, so two backends
-// fed the same round produce byte-identical rounds.
+// is given; everything else about the last hop (onion unwrap, response
+// sealing, noise) is backend-independent, so two backends fed the same round
+// produce byte-identical rounds. A backend returns the pairing only
+// (ExchangeOutcome::partner); the last hop seals each response from its
+// partner's envelope where the peeled request already lies.
 //
 // Dialing noise is pre-generated by the caller (the last server's RNG) and
 // passed in as explicit invitations rather than drawn inside the backend:
@@ -39,11 +41,13 @@ class ExchangeBackend {
  public:
   virtual ~ExchangeBackend() = default;
 
-  // Dead-drop exchange of one conversation round; results aligned with
-  // `requests` (same contract as ExchangeRound). Throws on backend failure —
-  // e.g. a dead exchange partition — which fails this round only.
-  virtual ExchangeOutcome ExchangeConversation(
-      uint64_t round, std::span<const wire::ExchangeRequest> requests) = 0;
+  // Dead-drop exchange of one conversation round over views of serialized
+  // exchange requests; the pairing is aligned with `requests` (same contract
+  // as ExchangeRound). Throws on backend failure — e.g. a dead exchange
+  // partition, or one whose answer is not a valid pairing — which fails this
+  // round only.
+  virtual ExchangeOutcome ExchangeConversation(uint64_t round,
+                                               std::span<const util::ByteSpan> requests) = 0;
 
   // Builds one dialing round's invitation table: deposits `requests` in input
   // order (indices reduced mod num_drops), then `noise` in its given order.
@@ -52,15 +56,15 @@ class ExchangeBackend {
                                                std::span<const NoiseInvitation> noise) = 0;
 };
 
-// The seed behavior as a backend: ShardedExchangeRound across `num_shards`
-// thread-pool workers (<= 1 means the sequential ExchangeRound) and a local
-// invitation table.
+// The in-process tables as a backend: ShardedExchangeRound across
+// `num_shards` thread-pool workers (<= 1 means the sequential ExchangeRound)
+// and a local invitation table.
 class InProcessExchangeBackend : public ExchangeBackend {
  public:
-  explicit InProcessExchangeBackend(size_t num_shards = 1) : num_shards_(num_shards) {}
+  explicit InProcessExchangeBackend(size_t num_shards) : num_shards_(num_shards) {}
 
   ExchangeOutcome ExchangeConversation(uint64_t round,
-                                       std::span<const wire::ExchangeRequest> requests) override;
+                                       std::span<const util::ByteSpan> requests) override;
   InvitationTable BuildInvitationTable(uint64_t round, uint32_t num_drops,
                                        std::span<const wire::DialRequest> requests,
                                        std::span<const NoiseInvitation> noise) override;

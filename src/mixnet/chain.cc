@@ -11,7 +11,6 @@ MixServerConfig ChainServerConfig(const ChainConfig& config, size_t position) {
   server_config.chain_length = config.num_servers;
   server_config.conversation_noise = config.conversation_noise;
   server_config.dialing_noise = config.dialing_noise;
-  server_config.exchange_shards = config.exchange_shards;
   server_config.mix = std::find(config.non_mixing_positions.begin(),
                                 config.non_mixing_positions.end(),
                                 position) == config.non_mixing_positions.end();

@@ -47,8 +47,6 @@ struct ChainConfig {
   size_t num_servers = 3;
   noise::NoiseConfig conversation_noise;
   noise::NoiseConfig dialing_noise;
-  // Dead-drop exchange shards at the last server (see MixServerConfig).
-  size_t exchange_shards = 1;
   // Positions whose servers skip mixing (modeling compromised servers that
   // preserve order to aid traffic analysis). Honest deployments leave this
   // empty.

@@ -328,40 +328,35 @@ MixServer::LastHopOutput MixServer::ProcessConversationLastHop(
   ServerRoundStats local = Incoming(batch);
   local.dh_ops += batch.size();
 
-  // Parse exchange requests; a valid onion with a malformed payload is
-  // treated like a failed decryption.
-  std::vector<wire::ExchangeRequest> requests;
+  // The valid requests, viewed in place in `inners`, with their input
+  // positions; their response keys move to the front of peeled.keys.
+  util::Batch inners(batch.size(), wire::kExchangeRequestSize);
+  Peeled peeled = Peel(round, batch, inners);
+  local.requests_dropped = peeled.dropped;
+  std::vector<util::ByteSpan> requests;
   std::vector<uint32_t> orig_index;
-  std::vector<crypto::AeadKey> keys;
-  {
-    util::Batch inners(batch.size(), wire::kExchangeRequestSize);
-    Peeled peeled = Peel(round, batch, inners);
-    requests.reserve(batch.size() - peeled.dropped);
-    orig_index.reserve(batch.size() - peeled.dropped);
-    keys.reserve(batch.size() - peeled.dropped);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!peeled.ok[i]) {
-        continue;
-      }
-      auto parsed = wire::ExchangeRequest::Parse(inners[i]);
-      if (!parsed) {
-        peeled.dropped++;
-        continue;
-      }
-      requests.push_back(*parsed);
+  requests.reserve(batch.size() - peeled.dropped);
+  orig_index.reserve(batch.size() - peeled.dropped);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (peeled.ok[i]) {
+      peeled.keys[requests.size()] = peeled.keys[i];
+      requests.push_back(inners[i]);
       orig_index.push_back(static_cast<uint32_t>(i));
-      keys.push_back(peeled.keys[i]);
     }
-    local.requests_dropped = peeled.dropped;
   }
 
-  deaddrop::ExchangeOutcome outcome;
-  if (exchange_backend_ != nullptr) {
-    outcome = exchange_backend_->ExchangeConversation(round, requests);
-  } else {
-    size_t shards = config_.exchange_shards == 0 ? util::GlobalPool().num_threads()
-                                                 : config_.exchange_shards;
-    outcome = deaddrop::ShardedExchangeRound(requests, shards);
+  deaddrop::ExchangeOutcome outcome = Backend().ExchangeConversation(round, requests);
+  if (outcome.partner.size() != requests.size()) {
+    throw std::runtime_error("ProcessConversationLastHop: exchange pairing size mismatch");
+  }
+  // Request j's response carries its partner's envelope, read where it lies
+  // (after the partner's dead-drop ID).
+  std::vector<util::ByteSpan> envelopes(requests.size());
+  for (size_t j = 0; j < requests.size(); ++j) {
+    if (outcome.partner[j] >= requests.size()) {
+      throw std::runtime_error("ProcessConversationLastHop: exchange partner out of range");
+    }
+    envelopes[j] = requests[outcome.partner[j]].subspan(wire::kDeadDropIdSize);
   }
 
   LastHopOutput result;
@@ -369,7 +364,7 @@ MixServer::LastHopOutput MixServer::ProcessConversationLastHop(
   result.messages_exchanged = outcome.messages_exchanged;
   result.responses =
       util::Batch(batch.size(), wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead);
-  std::vector<util::ByteSpan> envelopes(outcome.results.begin(), outcome.results.end());
+  std::span<const crypto::AeadKey> keys(peeled.keys.data(), requests.size());
   std::vector<uint8_t> sealed = SealBlocks(round, envelopes, keys, orig_index, result.responses);
   crypto::ChaChaRng rng = RoundRng(kRngLastConversation, round);
   FillEmptySlots(result.responses, sealed, rng);
@@ -474,10 +469,8 @@ deaddrop::InvitationTable MixServer::ProcessDialingLastHop(uint64_t round,
   }
   local.noise_requests_added = noise.size();
 
-  deaddrop::InProcessExchangeBackend default_backend(1);
-  deaddrop::ExchangeBackend& backend =
-      exchange_backend_ != nullptr ? *exchange_backend_ : default_backend;
-  deaddrop::InvitationTable table = backend.BuildInvitationTable(round, num_drops, requests, noise);
+  deaddrop::InvitationTable table =
+      Backend().BuildInvitationTable(round, num_drops, requests, noise);
 
   if (stats) {
     *stats = local;

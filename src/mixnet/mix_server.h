@@ -69,10 +69,6 @@ struct MixServerConfig {
   size_t chain_length = 1;
   noise::NoiseConfig conversation_noise;
   noise::NoiseConfig dialing_noise;
-  // Shards for the last server's dead-drop exchange (partitioned by ID
-  // prefix; byte-identical outcome for any value). 0 means one shard per
-  // pool worker.
-  size_t exchange_shards = 1;
   // A server under adversarial control may skip mixing; tests use this to
   // model compromise (§4.2 attack scenarios). Honest servers always mix.
   bool mix = true;
@@ -103,9 +99,9 @@ class MixServer {
 
   // Overrides the last server's dead-drop exchange backend (non-owning; the
   // backend must outlive the server). nullptr restores the default in-process
-  // sharded exchange. Backends are deterministic given the same requests, so
-  // swapping backends never changes a round's bytes — the exchange-partition
-  // conformance suite pins that down.
+  // exchange, sharded by ID prefix across the pool's workers. Backends are
+  // deterministic given the same requests, so swapping backends never changes
+  // a round's bytes — the exchange-partition conformance suite pins that down.
   void SetExchangeBackend(deaddrop::ExchangeBackend* backend) { exchange_backend_ = backend; }
   deaddrop::ExchangeBackend* exchange_backend() const { return exchange_backend_; }
 
@@ -137,7 +133,10 @@ class MixServer {
                                    ServerRoundStats* stats = nullptr);
 
   // Last server: peel the final layer, run the dead-drop exchange, and seal
-  // each response. Responses aligned with the input batch.
+  // each response. Responses aligned with the input batch. The peeled
+  // requests stay in one batch: the exchange reads their dead-drop IDs in
+  // place and each response is sealed from its partner's envelope bytes
+  // there, so no request or envelope is copied.
   struct LastHopOutput {
     util::Batch responses;
     deaddrop::AccessHistogram histogram;
@@ -229,6 +228,9 @@ class MixServer {
                          size_t payload_size, const util::Batch& noise_payloads,
                          crypto::ChaChaRng& rng, ServerRoundStats& stats, RoundState& state);
 
+  deaddrop::ExchangeBackend& Backend() {
+    return exchange_backend_ != nullptr ? *exchange_backend_ : in_process_exchange_;
+  }
   std::span<const crypto::X25519PublicKey> ChainSuffix() const;
   size_t ResponseSizeFromNextHop() const;
   // Wraps each cover payload for the chain suffix into out[first + i] on the
@@ -245,6 +247,8 @@ class MixServer {
   crypto::ChaCha20Key rng_seed_;
   std::unordered_map<uint64_t, RoundState> rounds_;
   deaddrop::ExchangeBackend* exchange_backend_ = nullptr;
+  // The default backend: one exchange shard per pool worker.
+  deaddrop::InProcessExchangeBackend in_process_exchange_{util::GlobalPool().num_threads()};
   // Derived-key cache for the unwrap pass; invalidated by RotateKey.
   crypto::SecretCache secret_cache_;
   // Comb tables for the chain suffix's public keys (noise-wrap fast path).

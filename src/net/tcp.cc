@@ -233,7 +233,8 @@ bool TcpConnection::SendFrameParts(FrameType type, uint64_t round,
   return SendGather(fd_, iov);
 }
 
-std::optional<Frame> TcpConnection::RecvFrame() {
+std::optional<Frame> TcpConnection::RecvFrame(
+    const std::function<void(FrameType, uint64_t)>& on_header) {
   if (fd_ < 0) {
     last_recv_status_ = RecvStatus::kError;
     return std::nullopt;
@@ -250,6 +251,11 @@ std::optional<Frame> TcpConnection::RecvFrame() {
   if (!RecvAll(head + 4, kFrameHeaderBytes, /*frame_started=*/true)) {
     return std::nullopt;
   }
+  auto header = DecodeFrameHeader(util::ByteSpan(head + 4, kFrameHeaderBytes));
+  const bool well_formed = header && header->payload_len == len - kFrameHeaderBytes;
+  if (well_formed && on_header) {
+    on_header(header->type, header->round);
+  }
   // Read the payload straight into the frame's own buffer — even under a
   // malformed header, so the stream stays aligned on the next frame.
   Frame frame;
@@ -257,8 +263,7 @@ std::optional<Frame> TcpConnection::RecvFrame() {
   if (!RecvAll(frame.payload.data(), frame.payload.size(), /*frame_started=*/true)) {
     return std::nullopt;
   }
-  auto header = DecodeFrameHeader(util::ByteSpan(head + 4, kFrameHeaderBytes));
-  if (!header || header->payload_len != frame.payload.size()) {
+  if (!well_formed) {
     last_recv_status_ = RecvStatus::kMalformed;
     return std::nullopt;
   }

@@ -19,6 +19,7 @@
 #define VUVUZELA_SRC_NET_TCP_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -85,7 +86,12 @@ class TcpConnection {
   // framing — last_recv_status() says which. The payload is read in place
   // into the returned frame's buffer. A malformed header still has its
   // declared length consumed, so the stream stays aligned on the next frame.
-  std::optional<Frame> RecvFrame();
+  // `on_header`, if set, is called with the frame's type and round once its
+  // header has been read and found well-formed, before the payload buffer is
+  // allocated: a receiver can free memory the coming frame makes obsolete
+  // before that frame's payload takes its place.
+  std::optional<Frame> RecvFrame(
+      const std::function<void(FrameType, uint64_t)>& on_header = nullptr);
 
   // Arms a receive deadline (SO_RCVTIMEO): a RecvFrame that sees no data for
   // `milliseconds` while waiting for a frame to *start* fails with

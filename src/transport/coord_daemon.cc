@@ -126,13 +126,24 @@ bool CoordinatorDaemon::Start() {
     door_handlers.on_frame = [this](size_t index, net::Frame&& frame) {
       OnClientFrame(index, std::move(frame));
     };
-    door_handlers.on_fetch = [this](size_t, uint64_t round, util::Bytes payload) {
-      return BuildFetchReply(round, payload);
+    door_handlers.on_fetch = [this](size_t client, uint64_t round, util::Bytes payload) {
+      net::Frame reply = BuildFetchReply(round, payload);
+      std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
+      if (owed_fetches_.erase({round, client}) > 0) {
+        owed_fetch_cv_.notify_all();
+      }
+      return reply;
     };
-    door_handlers.on_disconnect = [this](size_t) {
-      // A window waiting on "every live client contributed" must re-check.
-      std::lock_guard<std::mutex> lock(admission_mutex_);
-      admission_cv_.notify_all();
+    door_handlers.on_disconnect = [this](size_t client) {
+      {
+        // A window waiting on "every live client contributed" must re-check.
+        std::lock_guard<std::mutex> lock(admission_mutex_);
+        admission_cv_.notify_all();
+      }
+      // A client that hung up owes no fetch.
+      std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
+      std::erase_if(owed_fetches_, [client](const auto& owed) { return owed.second == client; });
+      owed_fetch_cv_.notify_all();
     };
     front_door_ = FrontDoor::Create(door_config, std::move(door_handlers));
     if (!front_door_ || !front_door_->Start()) {
@@ -380,7 +391,18 @@ void CoordinatorDaemon::CollectLoop(CoordDaemonResult& result) {
           SyntheticFetchFanOut(round.announcement);
         }
         // Acknowledge the round to contributing clients; they follow up with
-        // kInvitationFetch for their bucket (BuildFetchReply).
+        // kInvitationFetch for their bucket (BuildFetchReply), which the
+        // teardown waits for.
+        {
+          const uint64_t number = round.announcement.round;
+          std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
+          std::erase_if(owed_fetches_, [&](const auto& owed) {
+            return owed.first + config_.dist_keep_rounds <= number;  // no longer held
+          });
+          for (size_t contributor : round.contributors) {
+            owed_fetches_.insert({number, contributor});
+          }
+        }
         for (size_t contributor : round.contributors) {
           front_door_->Send(contributor,
                             net::Frame{net::FrameType::kDialAck, round.announcement.round, {}});
@@ -666,8 +688,15 @@ CoordDaemonResult CoordinatorDaemon::Run() {
   result.wall_seconds = SecondsSince(start);
 
   if (front_door_ != nullptr) {
-    // Orderly cascade: announce shutdown, give clients a beat to hang up
-    // themselves, cut the stragglers, then stop the reactor.
+    // Orderly cascade: answer the bucket fetches still owed for acked
+    // dialing rounds (bounded, for clients that never fetch), announce
+    // shutdown, give clients a beat to hang up themselves, cut the
+    // stragglers, then stop the reactor.
+    {
+      std::unique_lock<std::mutex> lock(owed_fetch_mutex_);
+      owed_fetch_cv_.wait_for(lock, std::chrono::seconds(2),
+                              [this] { return owed_fetches_.empty(); });
+    }
     front_door_->CloseClients(net::Frame{net::FrameType::kShutdown, 0, {}}, /*grace_ms=*/2000);
     front_door_->Shutdown();
   }

@@ -292,6 +292,13 @@ class CoordinatorDaemon {
   // recent rounds.
   std::mutex failed_fetch_mutex_;
   std::map<uint64_t, std::set<uint32_t>> failed_fetch_buckets_;
+  // Bucket fetches owed for acked dialing rounds, as (round, client): acked,
+  // and neither fetched nor hung up. The teardown waits for them, so a fetch
+  // sent right after the last ack is answered instead of arriving after
+  // kShutdown. Bounded to the rounds the distribution tier still holds.
+  std::mutex owed_fetch_mutex_;
+  std::condition_variable owed_fetch_cv_;
+  std::set<std::pair<uint64_t, size_t>> owed_fetches_;
 
   // Connection supervisor.
   std::thread supervisor_;

@@ -11,12 +11,14 @@
 //
 // The daemon is stateless across rounds: a request carries everything its
 // slice of the exchange needs, and the reply returns everything the router
-// must merge — so a crashed partition loses only the rounds in flight on it,
-// and a restarted one can rejoin the next round with no recovery protocol.
+// must merge (the histogram and the pairing of the slice's requests, one u32
+// each; the envelopes stay with the last hop) — so a crashed partition loses
+// only the rounds in flight on it, and a restarted one can rejoin the next
+// round with no recovery protocol.
 //
-// Serving discipline mirrors HopDaemon: one connection at a time, frames in
-// arrival order, a failed request answered with kHopError rather than taking
-// the daemon down.
+// Serving discipline is HopDaemon's, through the same BatchRpcServer: one
+// connection at a time, frames in arrival order, a failed request answered
+// with kHopError rather than taking the daemon down.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_EXCHANGE_DAEMON_H_
 #define VUVUZELA_SRC_TRANSPORT_EXCHANGE_DAEMON_H_
@@ -24,7 +26,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 
 #include "src/net/tcp.h"
 #include "src/obs/http.h"
@@ -61,7 +62,7 @@ class ExchangedDaemon {
   // coordinates are out of range.
   static std::unique_ptr<ExchangedDaemon> Create(const ExchangedConfig& config);
 
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return rpc_server_.port(); }
   uint64_t rpcs_served() const { return rpcs_served_.load(); }
   const ExchangedConfig& config() const { return config_; }
   // Bound /metrics port; 0 when the server is disabled.
@@ -77,13 +78,12 @@ class ExchangedDaemon {
  private:
   ExchangedDaemon(const ExchangedConfig& config, net::TcpListener listener);
 
-  bool ServeConnection(net::TcpConnection& conn);
   bool Dispatch(net::TcpConnection& conn, BatchMessage request);
   bool HandleConversation(net::TcpConnection& conn, const BatchMessage& request);
   bool HandleDialing(net::TcpConnection& conn, const BatchMessage& request);
 
   ExchangedConfig config_;
-  net::TcpListener listener_;
+  BatchRpcServer rpc_server_;
   // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
   std::unique_ptr<obs::MetricsHttpServer> metrics_;
   // Global-registry mirrors of this partition's hot-path counters.
@@ -91,10 +91,6 @@ class ExchangedDaemon {
   obs::Counter* obs_requests_;
   obs::Histogram* obs_exchange_seconds_;
   std::atomic<uint64_t> rpcs_served_{0};
-  std::atomic<bool> stop_{false};
-  // The connection currently being served, so Stop() can interrupt it.
-  std::mutex active_conn_mutex_;
-  net::TcpConnection* active_conn_ = nullptr;
 };
 
 }  // namespace vuvuzela::transport

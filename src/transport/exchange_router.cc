@@ -1,12 +1,13 @@
 #include "src/transport/exchange_router.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/transport/fanout.h"
 
 namespace vuvuzela::transport {
 
-ExchangeRouter::ExchangeRouter(const ExchangeRouterConfig& config) : config_(config) {
+ExchangeRouter::ExchangeRouter(const ExchangeRouterConfig& config) {
   ShardLinkConfig link_config{config.recv_timeout_ms, config.connect_timeout_ms,
                               config.chunk_payload};
   for (const auto& endpoint : config.partitions) {
@@ -28,83 +29,102 @@ std::unique_ptr<ExchangeRouter> ExchangeRouter::Connect(const ExchangeRouterConf
   return router;
 }
 
-void ExchangeRouter::FanOut(const std::vector<size_t>& shards,
-                            const std::function<void(size_t)>& fn) {
-  FanOutShards(partitions_.size(), shards, fn);
-}
-
 namespace {
 
-// A round's requests serialized on the calling thread into one flat buffer,
-// grouped by owning shard: shard s's slice is items [begin[s], begin[s + 1]),
-// in round-batch order, and order[k] is the request item k came from. The
-// fan-out threads send views of their slices and allocate nothing for them.
-struct ShardSlices {
-  util::Batch items;
-  std::vector<util::ByteSpan> views;
+// A round's requests grouped by owning shard: position k of the grouping
+// holds request order[k], and shard s's slice is positions
+// [begin[s], begin[s + 1]), in round-batch order.
+struct ShardOrder {
   std::vector<uint32_t> order;
   std::vector<uint32_t> begin;
 
-  std::span<const util::ByteSpan> Slice(size_t shard) const {
-    return std::span<const util::ByteSpan>(views).subspan(begin[shard],
-                                                          begin[shard + 1] - begin[shard]);
-  }
+  size_t SliceSize(size_t shard) const { return begin[shard + 1] - begin[shard]; }
 };
 
-template <typename Request, typename ShardOf>
-ShardSlices SliceByShard(std::span<const Request> requests, size_t item_size, size_t num_shards,
-                         ShardOf shard_of) {
-  ShardSlices slices;
-  slices.begin.assign(num_shards + 1, 0);
-  std::vector<uint32_t> shard(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    shard[i] = static_cast<uint32_t>(shard_of(requests[i]));
-    slices.begin[shard[i] + 1]++;
+template <typename ShardOf>
+ShardOrder GroupByShard(size_t count, size_t num_shards, ShardOf shard_of) {
+  ShardOrder groups;
+  groups.begin.assign(num_shards + 1, 0);
+  std::vector<uint32_t> shard(count);
+  for (size_t i = 0; i < count; ++i) {
+    shard[i] = static_cast<uint32_t>(shard_of(i));
+    groups.begin[shard[i] + 1]++;
   }
   for (size_t s = 0; s < num_shards; ++s) {
-    slices.begin[s + 1] += slices.begin[s];
+    groups.begin[s + 1] += groups.begin[s];
   }
-  slices.items = util::Batch(requests.size(), item_size);
-  slices.order.resize(requests.size());
-  std::vector<uint32_t> next(slices.begin.begin(), slices.begin.end() - 1);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    uint32_t k = next[shard[i]]++;
-    slices.order[k] = static_cast<uint32_t>(i);
-    requests[i].SerializeInto(slices.items[k]);
+  groups.order.resize(count);
+  std::vector<uint32_t> next(groups.begin.begin(), groups.begin.end() - 1);
+  for (size_t i = 0; i < count; ++i) {
+    groups.order[next[shard[i]]++] = static_cast<uint32_t>(i);
   }
-  slices.views = slices.items.Views();
-  return slices;
+  return groups;
+}
+
+// Why `partner` is not a valid pairing of the requests in `slice` (see the
+// kExchangeConversation comment in hop_wire.h), or nullptr if it is one.
+const char* InvalidPairing(std::span<const util::ByteSpan> slice,
+                           std::span<const uint32_t> partner, uint64_t messages_exchanged) {
+  for (uint32_t p : partner) {
+    if (p >= partner.size()) {
+      return "partner index out of range";
+    }
+  }
+  uint64_t paired = 0;
+  for (size_t j = 0; j < partner.size(); ++j) {
+    uint32_t p = partner[j];
+    if (partner[p] != j) {
+      return "partner indices are not a pairing";
+    }
+    if (p != j) {
+      if (!std::ranges::equal(slice[j].first(wire::kDeadDropIdSize),
+                              slice[p].first(wire::kDeadDropIdSize))) {
+        return "paired requests in different dead drops";
+      }
+      ++paired;
+    }
+  }
+  if (paired != messages_exchanged) {
+    return "exchange count does not match the pairing";
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 deaddrop::ExchangeOutcome ExchangeRouter::ExchangeConversation(
-    uint64_t round, std::span<const wire::ExchangeRequest> requests) {
+    uint64_t round, std::span<const util::ByteSpan> requests) {
   size_t num_shards = partitions_.size();
-  ShardSlices slices =
-      SliceByShard(requests, wire::kExchangeRequestSize, num_shards,
-                   [&](const wire::ExchangeRequest& request) {
-                     return deaddrop::ShardOfDeadDrop(request.dead_drop, num_shards);
-                   });
+  ShardOrder groups = GroupByShard(requests.size(), num_shards, [&](size_t i) {
+    return deaddrop::ShardOfDeadDrop(requests[i], num_shards);
+  });
+  // Each shard's slice goes out as views of the caller's requests, in
+  // grouped order; no request is copied.
+  std::vector<util::ByteSpan> views(requests.size());
+  for (size_t k = 0; k < views.size(); ++k) {
+    views[k] = requests[groups.order[k]];
+  }
   // Only partitions that own requests this round are contacted: a round whose
   // dead drops all live on surviving shards completes even while another
   // partition is down.
   std::vector<size_t> touched;
   for (size_t s = 0; s < num_shards; ++s) {
-    if (!slices.Slice(s).empty()) {
+    if (groups.SliceSize(s) > 0) {
       touched.push_back(s);
     }
   }
 
   deaddrop::ExchangeOutcome out;
-  out.results.resize(requests.size());
+  out.partner.resize(requests.size());
   std::vector<deaddrop::AccessHistogram> histograms(num_shards);
   std::vector<uint64_t> exchanged(num_shards, 0);
 
-  FanOut(touched, [&](size_t shard) {
+  FanOutShards(num_shards, touched, [&](size_t shard) {
     ExchangeConversationHeader header{static_cast<uint32_t>(shard),
                                       static_cast<uint32_t>(num_shards)};
-    std::span<const util::ByteSpan> slice = slices.Slice(shard);
+    const size_t first = groups.begin[shard];
+    std::span<const util::ByteSpan> slice =
+        std::span<const util::ByteSpan>(views).subspan(first, groups.SliceSize(shard));
     BatchMessage reply = partitions_[shard]->Call(net::FrameType::kExchangeConversation, round,
                                                   EncodeExchangeConversationHeader(header), slice);
     wire::Reader r(reply.header);
@@ -112,16 +132,16 @@ deaddrop::ExchangeOutcome ExchangeRouter::ExchangeConversation(
     if (!histogram || !r.AtEnd()) {
       partitions_[shard]->Fail("truncated exchange histogram");
     }
-    if (reply.items.size() != slice.size()) {
-      partitions_[shard]->Fail("response envelope count mismatch");
+    auto partner = DecodePartnerIndices(reply.items, slice.size());
+    if (!partner) {
+      partitions_[shard]->Fail("partner index count mismatch");
     }
-    for (size_t j = 0; j < reply.items.size(); ++j) {
-      util::ByteSpan envelope = reply.items[j];
-      if (envelope.size() != wire::kEnvelopeSize) {
-        partitions_[shard]->Fail("ragged response envelope");
-      }
-      std::copy(envelope.begin(), envelope.end(),
-                out.results[slices.order[slices.begin[shard] + j]].begin());
+    if (const char* invalid = InvalidPairing(slice, *partner, histogram->messages_exchanged)) {
+      partitions_[shard]->Fail(invalid);
+    }
+    // Slice-local indices back to round-batch positions.
+    for (size_t j = 0; j < partner->size(); ++j) {
+      out.partner[groups.order[first + j]] = groups.order[first + (*partner)[j]];
     }
     histograms[shard] = histogram->histogram;
     exchanged[shard] = histogram->messages_exchanged;
@@ -154,11 +174,16 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
   for (const auto& fake : noise) {
     deposits.push_back(wire::DialRequest{fake.drop % num_drops, fake.invitation});
   }
-  ShardSlices slices = SliceByShard(
-      std::span<const wire::DialRequest>(deposits), wire::kDialRequestSize, num_shards,
-      [&](const wire::DialRequest& deposit) {
-        return deaddrop::ShardOfInvitationDrop(deposit.dead_drop_index, num_drops, num_shards);
-      });
+  // Serialized on the calling thread into one flat buffer grouped by shard;
+  // the fan-out threads send views of their slices.
+  ShardOrder groups = GroupByShard(deposits.size(), num_shards, [&](size_t i) {
+    return deaddrop::ShardOfInvitationDrop(deposits[i].dead_drop_index, num_drops, num_shards);
+  });
+  util::Batch items(deposits.size(), wire::kDialRequestSize);
+  for (size_t k = 0; k < deposits.size(); ++k) {
+    deposits[groups.order[k]].SerializeInto(items[k]);
+  }
+  std::vector<util::ByteSpan> views = items.Views();
 
   // Every shard owning at least one drop is contacted even when its deposit
   // list is empty: the merged table must enumerate all m drops, and a drop's
@@ -174,12 +199,13 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
 
   deaddrop::InvitationTable table(num_drops);
   std::mutex table_mutex;
-  FanOut(touched, [&](size_t shard) {
+  FanOutShards(num_shards, touched, [&](size_t shard) {
     ExchangeDialingHeader header{static_cast<uint32_t>(shard), static_cast<uint32_t>(num_shards),
                                  num_drops};
-    BatchMessage reply = partitions_[shard]->Call(net::FrameType::kExchangeDialing, round,
-                                                  EncodeExchangeDialingHeader(header),
-                                                  slices.Slice(shard));
+    BatchMessage reply = partitions_[shard]->Call(
+        net::FrameType::kExchangeDialing, round, EncodeExchangeDialingHeader(header),
+        std::span<const util::ByteSpan>(views).subspan(groups.begin[shard],
+                                                       groups.SliceSize(shard)));
     // Reply items are the shard's owned drop range in increasing index order.
     deaddrop::InvitationDropRange range =
         deaddrop::InvitationDropsOfShard(shard, num_drops, num_shards);

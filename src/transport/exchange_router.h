@@ -4,9 +4,11 @@
 // vuvuzela-exchanged shard servers: it splits a round's exchange requests by
 // dead-drop placement (the same ShardOfDeadDrop / ShardOfInvitationDrop maps
 // the daemons enforce), fans the slices out concurrently over the chunked hop
-// RPC framing, and merges replies — envelopes scattered back to their
-// round-batch positions, histograms summed in shard order — so the merged
-// outcome is byte-identical to the in-process sharded exchange.
+// RPC framing — each slice as views of the caller's serialized requests — and
+// merges replies: every partition answers with a slice-local pairing, which
+// is checked (hop_wire.h, kExchangeConversation) and mapped back to
+// round-batch positions, and histograms are summed in shard order, so the
+// merged outcome is byte-identical to the in-process sharded exchange.
 //
 // Failure model mirrors TcpTransport: a partition that stops answering
 // within the receive deadline surfaces as HopTimeoutError, any other wire
@@ -19,7 +21,6 @@
 #ifndef VUVUZELA_SRC_TRANSPORT_EXCHANGE_ROUTER_H_
 #define VUVUZELA_SRC_TRANSPORT_EXCHANGE_ROUTER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,7 +57,7 @@ class ExchangeRouter : public deaddrop::ExchangeBackend {
   size_t num_partitions() const { return partitions_.size(); }
 
   deaddrop::ExchangeOutcome ExchangeConversation(
-      uint64_t round, std::span<const wire::ExchangeRequest> requests) override;
+      uint64_t round, std::span<const util::ByteSpan> requests) override;
   deaddrop::InvitationTable BuildInvitationTable(
       uint64_t round, uint32_t num_drops, std::span<const wire::DialRequest> requests,
       std::span<const deaddrop::NoiseInvitation> noise) override;
@@ -68,12 +69,6 @@ class ExchangeRouter : public deaddrop::ExchangeBackend {
  private:
   explicit ExchangeRouter(const ExchangeRouterConfig& config);
 
-  // Runs `fn(shard)` concurrently for every shard in `shards`; rethrows the
-  // lowest-shard failure after all calls finish (deterministic when several
-  // partitions fail at once).
-  void FanOut(const std::vector<size_t>& shards, const std::function<void(size_t)>& fn);
-
-  ExchangeRouterConfig config_;
   // Per-shard persistent links (shared connect/reconnect/poison discipline).
   std::vector<std::unique_ptr<ShardLink>> partitions_;
 };

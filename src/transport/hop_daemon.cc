@@ -28,11 +28,6 @@ bool IsHopOp(net::FrameType type) {
   }
 }
 
-bool SendError(net::TcpConnection& conn, uint64_t round, const std::string& message) {
-  return conn.SendFrame(
-      net::Frame{net::FrameType::kHopError, round, util::Bytes(message.begin(), message.end())});
-}
-
 bool IsDialingOp(net::FrameType op) {
   return op == net::FrameType::kHopForwardDialing || op == net::FrameType::kHopLastDialing;
 }
@@ -89,7 +84,22 @@ crypto::Sha256Digest DigestRequest(const BatchMessage& request) {
 
 HopDaemon::HopDaemon(const HopDaemonConfig& config, std::unique_ptr<mixnet::MixServer> server,
                      net::TcpListener listener)
-    : config_(config), server_(std::move(server)), listener_(std::move(listener)) {
+    : config_(config),
+      server_(std::move(server)),
+      rpc_server_(std::move(listener), config.poll_interval_ms,
+                  {.serves = IsHopOp,
+                   // The last reply's memory is free again once the header of
+                   // a request for another pass has arrived, before that
+                   // request's payload is allocated; a re-send of that very
+                   // pass keeps it.
+                   .on_request_header =
+                       [this](net::FrameType op, uint64_t round) {
+                         ReleaseReplyUnlessFor(op, round);
+                       },
+                   .dispatch =
+                       [this](net::TcpConnection& conn, BatchMessage request) {
+                         return Dispatch(conn, std::move(request));
+                       }}) {
   auto& registry = obs::Registry::Global();
   obs_rpcs_ = registry.GetCounter("vuvuzela_hop_rpcs_total",
                                   "Hop RPCs served (all ops, including replayed passes)");
@@ -134,103 +144,9 @@ std::unique_ptr<HopDaemon> HopDaemon::Create(const HopDaemonConfig& config,
   return daemon;
 }
 
-void HopDaemon::Serve() {
-  while (!stop_.load()) {
-    auto conn = listener_.Accept();
-    if (!conn) {
-      return;  // listener closed (Stop) or unrecoverable accept error
-    }
-    {
-      std::lock_guard<std::mutex> lock(active_conn_mutex_);
-      active_conn_ = &*conn;
-      if (stop_.load()) {
-        // Stop() may have run between Accept() returning and this
-        // registration; it could not see the connection, so cut it here.
-        active_conn_->Shutdown();
-      }
-    }
-    bool keep_serving = ServeConnection(*conn);
-    {
-      std::lock_guard<std::mutex> lock(active_conn_mutex_);
-      active_conn_ = nullptr;
-    }
-    if (!keep_serving) {
-      return;  // orderly kShutdown
-    }
-  }
-}
+void HopDaemon::Serve() { rpc_server_.Serve(); }
 
-void HopDaemon::Stop() {
-  stop_.store(true);
-  // Shutdown (not Close) is safe against a Serve thread blocked in Accept;
-  // the descriptor is released when the daemon is destroyed, after the
-  // owner joins that thread.
-  listener_.Shutdown();
-  // A serve loop busy on a live connection would otherwise only notice the
-  // stop flag at an idle poll tick — under continuous round traffic, never.
-  std::lock_guard<std::mutex> lock(active_conn_mutex_);
-  if (active_conn_ != nullptr) {
-    active_conn_->Shutdown();
-  }
-}
-
-bool HopDaemon::ServeConnection(net::TcpConnection& conn) {
-  if (config_.poll_interval_ms > 0) {
-    conn.SetRecvTimeout(config_.poll_interval_ms);
-  }
-  for (;;) {
-    auto frame = conn.RecvFrame();
-    if (!frame) {
-      if (conn.last_recv_status() == net::RecvStatus::kTimeout) {
-        // Idle poll tick: keep waiting unless Stop() was requested.
-        if (stop_.load()) {
-          return false;
-        }
-        continue;
-      }
-      return true;  // coordinator gone or garbage framing; await a reconnect
-    }
-    if (frame->type == net::FrameType::kShutdown) {
-      stop_.store(true);
-      return false;
-    }
-    if (!IsHopOp(frame->type)) {
-      if (!SendError(conn, frame->round, "unsupported hop op")) {
-        return true;
-      }
-      continue;
-    }
-    // The last reply's memory is free again before this request's chunks
-    // are received, unless this is a re-send of that very pass.
-    ReleaseReplyUnlessFor(frame->type, frame->round);
-    // The poll deadline is for *idle* waits between RPCs; once a batch
-    // message has started, wait as long as its chunks take (a stalled
-    // coordinator mid-batch only stalls this one connection).
-    if (config_.poll_interval_ms > 0) {
-      conn.SetRecvTimeout(0);
-    }
-    // The pass reads item views straight out of the received chunks; nothing
-    // is re-assembled into a contiguous batch.
-    auto request = ReadBatchMessage(conn, std::move(*frame));
-    if (config_.poll_interval_ms > 0) {
-      conn.SetRecvTimeout(config_.poll_interval_ms);
-    }
-    if (!request) {
-      if (conn.last_recv_status() != net::RecvStatus::kOk) {
-        return true;  // the connection itself failed mid-batch
-      }
-      // Chunk content was malformed but framing stayed aligned: report and
-      // keep serving.
-      if (!SendError(conn, 0, "malformed batch message")) {
-        return true;
-      }
-      continue;
-    }
-    if (!Dispatch(conn, std::move(*request))) {
-      return true;
-    }
-  }
-}
+void HopDaemon::Stop() { rpc_server_.Stop(); }
 
 size_t HopDaemon::replay_entries() const {
   std::lock_guard<std::mutex> lock(replay_mutex_);
@@ -271,7 +187,7 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
     auto expire_newest = header.U64();
     auto expire_keep = header.U64();
     if (!expire_keep) {
-      return SendError(conn, request.round, "truncated forward header");
+      return SendRpcError(conn, request.round, "truncated forward header");
     }
     if (*expire_newest != 0 || *expire_keep != 0) {
       server_->ExpireRounds(*expire_newest, *expire_keep);
@@ -350,7 +266,7 @@ bool HopDaemon::RunPass(net::TcpConnection& conn, const BatchMessage& request,
       case net::FrameType::kHopLastDialing: {
         auto num_drops = header.U32();
         if (!num_drops) {
-          return SendError(conn, request.round, "truncated dialing header");
+          return SendRpcError(conn, request.round, "truncated dialing header");
         }
         if (request.op == net::FrameType::kHopForwardDialing) {
           util::Batch batch =
@@ -366,7 +282,7 @@ bool HopDaemon::RunPass(net::TcpConnection& conn, const BatchMessage& request,
         return SendAndCache(conn, request, digest, reply.Take(), deaddrop::PackDrops(table));
       }
       default:
-        return SendError(conn, request.round, "unsupported hop op");
+        return SendRpcError(conn, request.round, "unsupported op");
     }
   } catch (const std::exception& e) {
     // One failed pass must not take the hop down: report it and keep serving.
@@ -375,7 +291,7 @@ bool HopDaemon::RunPass(net::TcpConnection& conn, const BatchMessage& request,
     obs::TraceJournal::Global().Emit(
         request.round, "hop/error",
         std::string("op=") + HopOpName(request.op) + " error=" + e.what());
-    return SendError(conn, request.round, e.what());
+    return SendRpcError(conn, request.round, e.what());
   }
 }
 

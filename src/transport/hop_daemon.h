@@ -29,11 +29,12 @@
 //  * any older pass a coordinator submits again (a round-level retry) is
 //    simply recomputed: forward and last passes are pure functions of
 //    (seed, round, batch), so the recomputed reply is byte-identical.
-// The slot is released as soon as the first frame of a request for another
-// pass (op or round) arrives, before the rest of that request is received,
-// and at the latest when a request with a different digest has arrived,
-// before its pass runs. So a hop holds at most one pass's reply — never a
-// history of rounds — and never that reply next to the next whole request.
+// The slot is released as soon as the header of the first frame of a request
+// for another pass (op or round) arrives, before that frame's payload is
+// allocated (TcpConnection::RecvFrame's header hook), and at the latest when
+// a request with a different digest has arrived, before its pass runs. So a
+// hop holds at most one pass's reply — never a history of rounds — and never
+// that reply next to any of the next request's payload.
 // A re-sent request whose digest does NOT match is processed normally: the
 // slot can never serve stale bytes for different input. The expiry horizon
 // piggybacked on forward passes still bounds MixServer's per-round state
@@ -87,7 +88,7 @@ class HopDaemon {
   static std::unique_ptr<HopDaemon> Create(const HopDaemonConfig& config,
                                            std::unique_ptr<mixnet::MixServer> server);
 
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return rpc_server_.port(); }
   uint64_t rpcs_served() const { return rpcs_served_.load(); }
   // Passes answered from the replay slot / replies currently held, 0 or 1
   // (observability; the replay-dedup tests assert these).
@@ -132,12 +133,11 @@ class HopDaemon {
   HopDaemon(const HopDaemonConfig& config, std::unique_ptr<mixnet::MixServer> server,
             net::TcpListener listener);
 
-  // Returns false once the daemon should stop serving entirely.
-  bool ServeConnection(net::TcpConnection& conn);
   bool Dispatch(net::TcpConnection& conn, BatchMessage request);
   // Releases the replay slot unless it holds the reply to (op, round): a
   // request for any other pass means the coordinator already holds that
-  // reply (see the class comment). Called on a request's first frame.
+  // reply (see the class comment). Called from the header hook of a
+  // request's first frame.
   void ReleaseReplyUnlessFor(net::FrameType op, uint64_t round);
   // The op switch proper (the timed part of Dispatch): runs the pass over
   // `request.items`, views into the received chunks, and sends (and keeps)
@@ -155,7 +155,7 @@ class HopDaemon {
   // Declared after server_ is fine: the server holds only a non-owning
   // backend pointer and makes no calls during destruction.
   std::unique_ptr<ExchangeRouter> exchange_router_;
-  net::TcpListener listener_;
+  BatchRpcServer rpc_server_;
   // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
   std::unique_ptr<obs::MetricsHttpServer> metrics_;
   // Global-registry mirrors of this hop's hot-path counters (registration is
@@ -172,12 +172,6 @@ class HopDaemon {
   uint64_t reported_cache_misses_ = 0;  // serve loop only
   std::atomic<uint64_t> rpcs_served_{0};
   std::atomic<uint64_t> replay_hits_{0};
-  std::atomic<bool> stop_{false};
-  // The connection currently being served, so Stop() can interrupt it
-  // (TcpConnection::Shutdown is the one member safe to call concurrently
-  // with a blocked RecvFrame).
-  std::mutex active_conn_mutex_;
-  net::TcpConnection* active_conn_ = nullptr;
   // Written only from the serve loop (one connection at a time); the mutex
   // makes the observability accessor safe from other threads.
   mutable std::mutex replay_mutex_;

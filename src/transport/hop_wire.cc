@@ -199,6 +199,106 @@ std::optional<BatchMessage> ReadBatchMessage(net::TcpConnection& conn, net::Fram
   return assembler.Take();
 }
 
+bool SendRpcError(net::TcpConnection& conn, uint64_t round, const std::string& message) {
+  return conn.SendFrame(
+      net::Frame{net::FrameType::kHopError, round, util::Bytes(message.begin(), message.end())});
+}
+
+void BatchRpcServer::Serve() {
+  while (!stop_.load()) {
+    auto conn = listener_.Accept();
+    if (!conn) {
+      return;  // listener closed (Stop) or unrecoverable accept error
+    }
+    {
+      std::lock_guard<std::mutex> lock(active_conn_mutex_);
+      active_conn_ = &*conn;
+      if (stop_.load()) {
+        // Stop() may have run between Accept() returning and this
+        // registration; it could not see the connection, so cut it here.
+        active_conn_->Shutdown();
+      }
+    }
+    bool keep_serving = ServeConnection(*conn);
+    {
+      std::lock_guard<std::mutex> lock(active_conn_mutex_);
+      active_conn_ = nullptr;
+    }
+    if (!keep_serving) {
+      return;  // orderly kShutdown
+    }
+  }
+}
+
+void BatchRpcServer::Stop() {
+  stop_.store(true);
+  // Shutdown (not Close) is safe against a Serve thread blocked in Accept;
+  // the descriptor is released when the server is destroyed, after the
+  // owner joins that thread.
+  listener_.Shutdown();
+  std::lock_guard<std::mutex> lock(active_conn_mutex_);
+  if (active_conn_ != nullptr) {
+    active_conn_->Shutdown();
+  }
+}
+
+bool BatchRpcServer::ServeConnection(net::TcpConnection& conn) {
+  auto on_header = [this](net::FrameType op, uint64_t round) {
+    if (handlers_.on_request_header && handlers_.serves(op)) {
+      handlers_.on_request_header(op, round);
+    }
+  };
+  if (poll_interval_ms_ > 0) {
+    conn.SetRecvTimeout(poll_interval_ms_);
+  }
+  for (;;) {
+    auto frame = conn.RecvFrame(on_header);
+    if (!frame) {
+      if (conn.last_recv_status() == net::RecvStatus::kTimeout) {
+        // Idle poll tick: keep waiting unless Stop() was requested.
+        if (stop_.load()) {
+          return false;
+        }
+        continue;
+      }
+      return true;  // caller gone or garbage framing; await a reconnect
+    }
+    if (frame->type == net::FrameType::kShutdown) {
+      stop_.store(true);
+      return false;
+    }
+    if (!handlers_.serves(frame->type)) {
+      if (!SendRpcError(conn, frame->round, "unsupported op")) {
+        return true;
+      }
+      continue;
+    }
+    // The poll deadline is for idle waits between requests only.
+    if (poll_interval_ms_ > 0) {
+      conn.SetRecvTimeout(0);
+    }
+    // The request's items are views straight into the received chunks.
+    auto request = ReadBatchMessage(conn, std::move(*frame));
+    if (poll_interval_ms_ > 0) {
+      conn.SetRecvTimeout(poll_interval_ms_);
+    }
+    if (!request) {
+      if (conn.last_recv_status() != net::RecvStatus::kOk) {
+        return true;  // the connection itself failed mid-batch
+      }
+      // Chunk content was malformed but framing stayed aligned: report and
+      // keep serving.
+      if (!SendRpcError(conn, 0, "malformed batch message")) {
+        return true;
+      }
+      continue;
+    }
+    if (!handlers_.dispatch(conn, std::move(*request))) {
+      return true;
+    }
+  }
+}
+
 void WriteStats(wire::Writer& w, const mixnet::ServerRoundStats& stats) {
   w.U64(stats.requests_in);
   w.U64(stats.requests_dropped);
@@ -357,6 +457,37 @@ std::optional<ExchangeConversationHeader> ParseExchangeConversationHeader(util::
     return std::nullopt;
   }
   return ExchangeConversationHeader{*shard_index, *num_shards};
+}
+
+util::PackedItems EncodePartnerIndices(std::span<const uint32_t> partner) {
+  util::PackedItems packed;
+  packed.bytes.resize(4 * partner.size());
+  for (size_t i = 0; i < partner.size(); ++i) {
+    util::StoreBe32(packed.bytes.data() + 4 * i, partner[i]);
+  }
+  for (size_t first = 0; first < partner.size(); first += kPartnerIndicesPerItem) {
+    size_t count = std::min(kPartnerIndicesPerItem, partner.size() - first);
+    packed.items.push_back(util::ByteSpan(packed.bytes).subspan(4 * first, 4 * count));
+  }
+  return packed;
+}
+
+std::optional<std::vector<uint32_t>> DecodePartnerIndices(std::span<const util::ByteSpan> items,
+                                                          size_t count) {
+  std::vector<uint32_t> partner;
+  partner.reserve(count);
+  for (util::ByteSpan item : items) {
+    if (item.size() % 4 != 0 || item.size() / 4 > count - partner.size()) {
+      return std::nullopt;
+    }
+    for (size_t offset = 0; offset < item.size(); offset += 4) {
+      partner.push_back(util::LoadBe32(item.data() + offset));
+    }
+  }
+  if (partner.size() != count) {
+    return std::nullopt;
+  }
+  return partner;
 }
 
 util::Bytes EncodeExchangeDialingHeader(const ExchangeDialingHeader& header) {

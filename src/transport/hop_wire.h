@@ -27,6 +27,9 @@
 #ifndef VUVUZELA_SRC_TRANSPORT_HOP_WIRE_H_
 #define VUVUZELA_SRC_TRANSPORT_HOP_WIRE_H_
 
+#include <atomic>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -163,6 +166,59 @@ BatchMessage CallBatchRpc(net::TcpConnection& conn, const std::string& peer_labe
                           std::span<const util::ByteSpan> items,
                           size_t max_chunk_payload = kDefaultChunkPayload);
 
+// Answers a request with a kHopError report; false if the send failed.
+bool SendRpcError(net::TcpConnection& conn, uint64_t round, const std::string& message);
+
+// The serve loop of the hop and exchange-partition daemons: connections one
+// at a time, the batch-message requests on each in arrival order. An idle
+// wait between requests wakes every `poll_interval_ms` (0: never) to honor
+// Stop(); once a request has started, its chunks are awaited untimed (a
+// stalled caller mid-batch stalls only its own connection). A frame of an op
+// the daemon does not serve, or malformed chunk content, is answered with a
+// kHopError report and the connection kept; a kShutdown frame ends Serve().
+class BatchRpcServer {
+ public:
+  struct Handlers {
+    // The request ops the daemon serves.
+    std::function<bool(net::FrameType)> serves;
+    // Optional: called with a served request's op and round once the header
+    // of its first frame has arrived, before that frame's payload is
+    // allocated.
+    std::function<void(net::FrameType, uint64_t)> on_request_header;
+    // Runs one request and sends its reply; false once the connection failed.
+    std::function<bool(net::TcpConnection&, BatchMessage)> dispatch;
+  };
+
+  BatchRpcServer(net::TcpListener listener, int poll_interval_ms, Handlers handlers)
+      : listener_(std::move(listener)),
+        poll_interval_ms_(poll_interval_ms),
+        handlers_(std::move(handlers)) {}
+
+  uint16_t port() const { return listener_.port(); }
+
+  // Serves connections until a kShutdown frame arrives or Stop() is called.
+  void Serve();
+
+  // Unblocks Serve() from another thread, interrupting an active connection:
+  // a serve loop busy under continuous traffic would otherwise only notice
+  // the stop flag at an idle poll tick — never.
+  void Stop();
+
+ private:
+  // Returns false once the server should stop serving entirely.
+  bool ServeConnection(net::TcpConnection& conn);
+
+  net::TcpListener listener_;
+  int poll_interval_ms_;
+  Handlers handlers_;
+  std::atomic<bool> stop_{false};
+  // The connection being served, so Stop() can interrupt it
+  // (TcpConnection::Shutdown is the one member safe to call concurrently
+  // with a blocked RecvFrame).
+  std::mutex active_conn_mutex_;
+  net::TcpConnection* active_conn_ = nullptr;
+};
+
 // --- Op-specific header encoding -------------------------------------------
 
 // Per-pass server counters: prefix of every hop RPC response header.
@@ -191,7 +247,13 @@ std::optional<HistogramHeader> ReadHistogram(wire::Reader& r);
 
 // kExchangeConversation request header. Items: serialized ExchangeRequests
 // owned by the shard, in round-batch order. Response: header = histogram
-// (WriteHistogram), items = one envelope per request, aligned.
+// (WriteHistogram), items = the pairing (EncodePartnerIndices): one
+// slice-local u32 partner index per request, aligned. The envelopes never
+// travel back — the last hop already holds them. Before it maps the indices
+// back to the round batch, the router checks the reply is a valid pairing of
+// the slice it sent: every index in range, partner[partner[i]] == i, paired
+// requests carrying equal dead-drop IDs, and messages_exchanged equal to the
+// number of paired requests. Any other answer fails the round.
 struct ExchangeConversationHeader {
   uint32_t shard_index = 0;
   uint32_t num_shards = 0;
@@ -199,6 +261,16 @@ struct ExchangeConversationHeader {
 util::Bytes EncodeExchangeConversationHeader(const ExchangeConversationHeader& header);
 // Rejects truncation, trailing bytes, zero shards, and out-of-range indices.
 std::optional<ExchangeConversationHeader> ParseExchangeConversationHeader(util::ByteSpan data);
+
+// The partner indices of a kExchangeConversation response as items: each a
+// run of big-endian u32s, at most kPartnerIndicesPerItem per item, so no
+// index pays an item's length prefix and every item fits well inside a
+// chunk.
+inline constexpr size_t kPartnerIndicesPerItem = 16384;
+util::PackedItems EncodePartnerIndices(std::span<const uint32_t> partner);
+// nullopt unless `items` hold exactly `count` whole indices.
+std::optional<std::vector<uint32_t>> DecodePartnerIndices(std::span<const util::ByteSpan> items,
+                                                          size_t count);
 
 // kExchangeDialing request header. Items: serialized DialRequests (real
 // deposits in round order, then the last server's pre-generated noise), every

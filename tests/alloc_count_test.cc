@@ -1,29 +1,41 @@
-// Heap allocations per mix pass must not grow with the batch.
+// Heap allocations per mix pass must not grow with the batch, and the last
+// hop must not copy it.
 //
 // Every item of a batch has one size at one hop, so a pass needs one buffer
 // per batch, not one heap block per onion. This binary replaces the global
-// operator new with a counting one and runs each pass kind — forward,
-// backward, conversation last hop, forward dialing — at 256 and at 2,048
-// onions with the same noise. The two counts may differ only by a small
-// slack: per-pass bookkeeping is fine, per-onion allocation is not (a
+// operator new with one that counts calls and bytes, and runs each pass kind
+// — forward, backward, conversation last hop, forward dialing — at 256 and
+// at 2,048 onions with the same noise. The two call counts may differ only by
+// a small slack: per-pass bookkeeping is fine, per-onion allocation is not (a
 // per-onion block shows up as about 1,800 extra allocations).
+//
+// The last hop runs twice per round: with the in-process exchange, and
+// through an ExchangeRouter to two exchange partitions served from this
+// process. The exchange decides a pairing, so at 2,048 onions the pass may
+// allocate one peeled batch, one response batch and a few dozen bytes per
+// onion for keys, views and indices — not a copy of the requests or of the
+// envelopes. The partitions' serve threads count apart (in a deployment they
+// are processes of their own): together they may hold the requests they
+// received plus a few dozen bytes per request.
 //
 // The secret caches are primed and warmed by earlier passes over the same
 // clients, so every unwrap is a cache hit (a miss derives and inserts a key,
-// which is per-client work the cache exists to do once). The last hop runs
-// behind an exchange backend that answers each request with its own
-// envelope, so the count covers the pass, not a dead-drop table.
+// which is per-client work the cache exists to do once).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "src/crypto/onion.h"
 #include "src/deaddrop/exchange_backend.h"
 #include "src/mixnet/mix_server.h"
+#include "src/transport/exchange_daemon.h"
+#include "src/transport/exchange_router.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
 #include "src/wire/constants.h"
@@ -31,9 +43,22 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_bytes{0};
+// Bytes allocated on exchange-partition serve threads (t_partition_thread).
+std::atomic<uint64_t> g_partition_bytes{0};
+thread_local bool t_partition_thread = false;
+
+void Count(size_t size) {
+  if (t_partition_thread) {
+    g_partition_bytes.fetch_add(size, std::memory_order_relaxed);
+    return;
+  }
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* CountedAlloc(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
@@ -41,7 +66,7 @@ void* CountedAlloc(size_t size) {
 }
 
 void* CountedAlignedAlloc(size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   size_t alignment = static_cast<size_t>(align);
   size_t rounded = (size + alignment - 1) / alignment * alignment;
   if (void* p = std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded)) {
@@ -81,38 +106,69 @@ constexpr uint32_t kDrops = 4;
 // maps at this batch's size, so the measured pass rehashes nothing.
 constexpr uint64_t kWarmupPasses = 2;
 
-// Answers every exchange request with its own envelope.
-class EchoBackend : public deaddrop::ExchangeBackend {
- public:
-  deaddrop::ExchangeOutcome ExchangeConversation(
-      uint64_t /*round*/, std::span<const wire::ExchangeRequest> requests) override {
-    deaddrop::ExchangeOutcome outcome;
-    outcome.results.reserve(requests.size());
-    for (const wire::ExchangeRequest& request : requests) {
-      outcome.results.push_back(request.envelope);
-    }
-    return outcome;
-  }
-  deaddrop::InvitationTable BuildInvitationTable(
-      uint64_t /*round*/, uint32_t num_drops, std::span<const wire::DialRequest> /*requests*/,
-      std::span<const deaddrop::NoiseInvitation> /*noise*/) override {
-    return deaddrop::InvitationTable(num_drops);
-  }
+// Calls and bytes allocated by one pass on the counted threads, and bytes
+// allocated meanwhile on the partitions' serve threads.
+struct Allocations {
+  uint64_t calls = 0;
+  uint64_t bytes = 0;
+  uint64_t partition_bytes = 0;
 };
 
 struct PassAllocations {
-  uint64_t forward = 0;
-  uint64_t backward = 0;
-  uint64_t last = 0;
-  uint64_t forward_dialing = 0;
+  Allocations forward;
+  Allocations backward;
+  Allocations last;
+  Allocations last_partitioned;
+  Allocations forward_dialing;
 };
 
 template <typename Pass>
-uint64_t CountAllocations(Pass&& pass) {
-  uint64_t before = g_allocations.load();
+Allocations CountAllocations(Pass&& pass) {
+  Allocations before{g_allocations.load(), g_bytes.load(), g_partition_bytes.load()};
   pass();
-  return g_allocations.load() - before;
+  return Allocations{g_allocations.load() - before.calls, g_bytes.load() - before.bytes,
+                     g_partition_bytes.load() - before.partition_bytes};
 }
+
+// Two exchange partitions, each serving from a thread whose allocations
+// count apart.
+class Partitions {
+ public:
+  Partitions() {
+    for (uint32_t shard = 0; shard < 2; ++shard) {
+      transport::ExchangedConfig config;
+      config.shard_index = shard;
+      config.num_shards = 2;
+      daemons_.push_back(transport::ExchangedDaemon::Create(config));
+      EXPECT_NE(daemons_.back(), nullptr);
+    }
+    for (auto& daemon : daemons_) {
+      threads_.emplace_back([d = daemon.get()] {
+        t_partition_thread = true;
+        d->Serve();
+      });
+    }
+  }
+  ~Partitions() {
+    for (auto& daemon : daemons_) {
+      daemon->Stop();
+    }
+    for (auto& thread : threads_) {
+      thread.join();
+    }
+  }
+  transport::ExchangeRouterConfig RouterConfig() const {
+    transport::ExchangeRouterConfig config;
+    for (const auto& daemon : daemons_) {
+      config.partitions.push_back({"127.0.0.1", daemon->port()});
+    }
+    return config;
+  }
+
+ private:
+  std::vector<std::unique_ptr<transport::ExchangedDaemon>> daemons_;
+  std::vector<std::thread> threads_;
+};
 
 // A three-server chain and `n` static-key clients, built from fixed seeds so
 // both sizes see the same servers, the same noise and the same first clients.
@@ -135,8 +191,10 @@ PassAllocations Measure(size_t n) {
     rng.Fill(seed);
     servers.push_back(std::make_unique<MixServer>(config, server_keys[i], chain, seed));
   }
-  EchoBackend echo;
-  servers.back()->SetExchangeBackend(&echo);
+  Partitions partitions;
+  std::unique_ptr<transport::ExchangeRouter> router =
+      transport::ExchangeRouter::Connect(partitions.RouterConfig());
+  EXPECT_NE(router, nullptr);
 
   std::vector<crypto::X25519KeyPair> clients;
   std::vector<crypto::X25519PublicKey> client_pks;
@@ -171,7 +229,7 @@ PassAllocations Measure(size_t n) {
     std::vector<util::Bytes> onions = wrap(round, chain, wire::kExchangeRequestSize);
     std::vector<util::ByteSpan> views = util::ViewsOf(onions);
     util::Batch forwarded;
-    uint64_t forward = CountAllocations(
+    Allocations forward = CountAllocations(
         [&] { forwarded = servers.front()->ForwardConversation(round, views); });
 
     util::Xoshiro256Rng response_rng(round);
@@ -182,7 +240,7 @@ PassAllocations Measure(size_t n) {
     }
     std::vector<util::ByteSpan> response_views = responses.Views();
     util::Batch returned;
-    uint64_t backward = CountAllocations(
+    Allocations backward = CountAllocations(
         [&] { returned = servers.front()->BackwardConversation(round, response_views); });
     EXPECT_EQ(returned.size(), n);
 
@@ -190,24 +248,32 @@ PassAllocations Measure(size_t n) {
     std::vector<util::ByteSpan> last_views = util::ViewsOf(last_onions);
     ServerRoundStats last_stats;
     MixServer::LastHopOutput output;
-    uint64_t last = CountAllocations([&] {
+    Allocations last = CountAllocations([&] {
       output = servers.back()->ProcessConversationLastHop(round, last_views, &last_stats);
     });
     EXPECT_EQ(last_stats.requests_dropped, 0u);
     EXPECT_EQ(output.responses.size(), n);
+
+    servers.back()->SetExchangeBackend(router.get());
+    MixServer::LastHopOutput partitioned;
+    Allocations last_partitioned = CountAllocations([&] {
+      partitioned = servers.back()->ProcessConversationLastHop(round, last_views, &last_stats);
+    });
+    servers.back()->SetExchangeBackend(nullptr);
+    EXPECT_TRUE(std::ranges::equal(partitioned.responses.bytes(), output.responses.bytes()));
 
     const uint64_t dial_round = (uint64_t{1} << 63) + round;
     std::vector<util::Bytes> dial_onions = wrap(dial_round, chain, wire::kDialRequestSize);
     std::vector<util::ByteSpan> dial_views = util::ViewsOf(dial_onions);
     ServerRoundStats dial_stats;
     util::Batch dialed;
-    uint64_t forward_dialing = CountAllocations([&] {
+    Allocations forward_dialing = CountAllocations([&] {
       dialed = servers.front()->ForwardDialing(dial_round, dial_views, kDrops, &dial_stats);
     });
     EXPECT_EQ(dial_stats.requests_dropped, 0u);
 
     if (measured) {
-      counts = PassAllocations{forward, backward, last, forward_dialing};
+      counts = PassAllocations{forward, backward, last, last_partitioned, forward_dialing};
     }
   }
   // Every unwrap of the measured passes hit the primed cache.
@@ -223,20 +289,51 @@ TEST(AllocCount, PassAllocationsDoNotGrowWithBatchSize) {
   // onions, and each submit allocates: scheduling, not per-onion work, but it
   // differs between the two sizes by up to two pool-wide fan-outs per pass.
   const uint64_t slack = 32 + 2 * util::GlobalPool().num_threads();
-  auto expect_flat = [&](const char* pass, uint64_t at_small, uint64_t at_large) {
-    std::printf("%-16s %6llu allocations at %zu onions, %6llu at %zu\n", pass,
-                static_cast<unsigned long long>(at_small), kSmall,
-                static_cast<unsigned long long>(at_large), kLarge);
-    EXPECT_LE(at_large, at_small + slack)
-        << pass << ": " << at_small << " allocations at " << kSmall << " onions, " << at_large
-        << " at " << kLarge;
+  auto expect_flat = [&](const char* pass, const Allocations& at_small,
+                         const Allocations& at_large) {
+    std::printf("%-18s %6llu allocations at %zu onions, %6llu at %zu (%llu bytes)\n", pass,
+                static_cast<unsigned long long>(at_small.calls), kSmall,
+                static_cast<unsigned long long>(at_large.calls), kLarge,
+                static_cast<unsigned long long>(at_large.bytes));
+    EXPECT_LE(at_large.calls, at_small.calls + slack)
+        << pass << ": " << at_small.calls << " allocations at " << kSmall << " onions, "
+        << at_large.calls << " at " << kLarge;
   };
   expect_flat("forward", small.forward, large.forward);
   expect_flat("backward", small.backward, large.backward);
   expect_flat("last hop", small.last, large.last);
+  expect_flat("last hop, routed", small.last_partitioned, large.last_partitioned);
   expect_flat("forward dialing", small.forward_dialing, large.forward_dialing);
   // The counter really counts: a pass allocates its output at least.
-  EXPECT_GT(small.forward, 0u);
+  EXPECT_GT(small.forward.calls, 0u);
+}
+
+TEST(AllocCount, LastHopAllocatesNoBatchCopies) {
+  const PassAllocations large = Measure(kLarge);
+  // One peeled batch and one response batch, each 272 bytes an onion.
+  const uint64_t batches = kLarge * wire::kExchangeRequestSize +
+                           kLarge * (wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead);
+  // Keys, views and indices: a few dozen bytes an onion, on either path.
+  const uint64_t per_onion = 192;
+  // Per-pass bookkeeping that does not scale with the batch.
+  const uint64_t fixed = 64 << 10;
+  const uint64_t bound = batches + per_onion * kLarge + fixed;
+  // The partitions receive the requests (each with a 4-byte length prefix)
+  // and may add a few dozen bytes a request for views and indices.
+  const uint64_t partition_bound = kLarge * (wire::kExchangeRequestSize + 4) +
+                                   per_onion * kLarge + fixed;
+  auto per = [](uint64_t bytes) { return static_cast<double>(bytes) / kLarge; };
+  std::printf("last hop:           %.0f bytes an onion (bound %.0f)\n", per(large.last.bytes),
+              per(bound));
+  std::printf("last hop, routed:   %.0f bytes an onion (bound %.0f); partitions %.0f (bound "
+              "%.0f)\n",
+              per(large.last_partitioned.bytes), per(bound),
+              per(large.last_partitioned.partition_bytes), per(partition_bound));
+  EXPECT_LE(large.last.bytes, bound);
+  EXPECT_LE(large.last_partitioned.bytes, bound);
+  EXPECT_LE(large.last_partitioned.partition_bytes, partition_bound);
+  // The routed pass did reach the partitions.
+  EXPECT_GT(large.last_partitioned.partition_bytes, kLarge * wire::kExchangeRequestSize);
 }
 
 }  // namespace

@@ -77,7 +77,6 @@ TestChain<Server> MakeChain(uint64_t seed, double mu) {
     config.chain_length = kServers;
     config.conversation_noise = {.params = {mu, mu / 4.0 + 1.0}, .deterministic = true};
     config.dialing_noise = {.params = {mu, mu / 4.0 + 1.0}, .deterministic = true};
-    config.exchange_shards = 1;
     chain.servers.push_back(
         std::make_unique<Server>(config, key_pairs[i], chain.public_keys, rng_seeds[i]));
   }

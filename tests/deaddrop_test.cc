@@ -5,7 +5,9 @@
 
 #include "src/deaddrop/conversation_table.h"
 #include "src/deaddrop/invitation_table.h"
+#include "src/util/batch.h"
 #include "src/util/random.h"
+#include "src/wire/messages.h"
 
 namespace vuvuzela::deaddrop {
 namespace {
@@ -17,11 +19,30 @@ wire::ExchangeRequest MakeRequest(uint8_t drop_tag, uint8_t envelope_tag) {
   return req;
 }
 
+// The exchange reads serialized requests, as the last hop holds them after
+// peeling; these run it over serialized copies of `requests`.
+ExchangeOutcome Exchange(const std::vector<wire::ExchangeRequest>& requests) {
+  std::vector<util::Bytes> serialized;
+  for (const wire::ExchangeRequest& request : requests) {
+    serialized.push_back(request.Serialize());
+  }
+  return ExchangeRound(util::ViewsOf(serialized));
+}
+
+ExchangeOutcome ShardedExchange(const std::vector<wire::ExchangeRequest>& requests,
+                                size_t num_shards) {
+  std::vector<util::Bytes> serialized;
+  for (const wire::ExchangeRequest& request : requests) {
+    serialized.push_back(request.Serialize());
+  }
+  return ShardedExchangeRound(util::ViewsOf(serialized), num_shards);
+}
+
 TEST(ExchangeRound, PairSwapsEnvelopes) {
   std::vector<wire::ExchangeRequest> requests = {MakeRequest(1, 0xaa), MakeRequest(1, 0xbb)};
-  ExchangeOutcome out = ExchangeRound(requests);
-  EXPECT_EQ(out.results[0], requests[1].envelope);
-  EXPECT_EQ(out.results[1], requests[0].envelope);
+  ExchangeOutcome out = Exchange(requests);
+  EXPECT_EQ(out.partner[0], 1u);
+  EXPECT_EQ(out.partner[1], 0u);
   EXPECT_EQ(out.histogram.pairs, 1u);
   EXPECT_EQ(out.histogram.singles, 0u);
   EXPECT_EQ(out.messages_exchanged, 2u);
@@ -29,8 +50,8 @@ TEST(ExchangeRound, PairSwapsEnvelopes) {
 
 TEST(ExchangeRound, SingleEchoesBack) {
   std::vector<wire::ExchangeRequest> requests = {MakeRequest(7, 0xcc)};
-  ExchangeOutcome out = ExchangeRound(requests);
-  EXPECT_EQ(out.results[0], requests[0].envelope);
+  ExchangeOutcome out = Exchange(requests);
+  EXPECT_EQ(out.partner[0], 0u);
   EXPECT_EQ(out.histogram.singles, 1u);
   EXPECT_EQ(out.messages_exchanged, 0u);
 }
@@ -40,12 +61,12 @@ TEST(ExchangeRound, MixedDrops) {
       MakeRequest(1, 0x01), MakeRequest(2, 0x02), MakeRequest(1, 0x03),
       MakeRequest(3, 0x04), MakeRequest(3, 0x05),
   };
-  ExchangeOutcome out = ExchangeRound(requests);
-  EXPECT_EQ(out.results[0], requests[2].envelope);
-  EXPECT_EQ(out.results[2], requests[0].envelope);
-  EXPECT_EQ(out.results[1], requests[1].envelope);  // lone → echo
-  EXPECT_EQ(out.results[3], requests[4].envelope);
-  EXPECT_EQ(out.results[4], requests[3].envelope);
+  ExchangeOutcome out = Exchange(requests);
+  EXPECT_EQ(out.partner[0], 2u);
+  EXPECT_EQ(out.partner[2], 0u);
+  EXPECT_EQ(out.partner[1], 1u);  // lone → echo
+  EXPECT_EQ(out.partner[3], 4u);
+  EXPECT_EQ(out.partner[4], 3u);
   EXPECT_EQ(out.histogram.pairs, 2u);
   EXPECT_EQ(out.histogram.singles, 1u);
   EXPECT_EQ(out.messages_exchanged, 4u);
@@ -55,17 +76,17 @@ TEST(ExchangeRound, CrowdedDropPairsInOrderOddEchoes) {
   // Only adversarial clients share a drop 3+ ways; behavior must stay sane.
   std::vector<wire::ExchangeRequest> requests = {MakeRequest(9, 0x01), MakeRequest(9, 0x02),
                                                  MakeRequest(9, 0x03)};
-  ExchangeOutcome out = ExchangeRound(requests);
-  EXPECT_EQ(out.results[0], requests[1].envelope);
-  EXPECT_EQ(out.results[1], requests[0].envelope);
-  EXPECT_EQ(out.results[2], requests[2].envelope);  // odd one out echoes
+  ExchangeOutcome out = Exchange(requests);
+  EXPECT_EQ(out.partner[0], 1u);
+  EXPECT_EQ(out.partner[1], 0u);
+  EXPECT_EQ(out.partner[2], 2u);  // odd one out echoes
   EXPECT_EQ(out.histogram.crowded, 1u);
   EXPECT_EQ(out.messages_exchanged, 2u);
 }
 
 TEST(ExchangeRound, EmptyRound) {
   ExchangeOutcome out = ExchangeRound({});
-  EXPECT_TRUE(out.results.empty());
+  EXPECT_TRUE(out.partner.empty());
   EXPECT_EQ(out.histogram.singles + out.histogram.pairs + out.histogram.crowded, 0u);
 }
 
@@ -88,7 +109,7 @@ TEST(ExchangeRound, LargeRoundHistogramAddsUp) {
     rng.Fill(a.envelope);
     requests.push_back(a);
   }
-  ExchangeOutcome out = ExchangeRound(requests);
+  ExchangeOutcome out = Exchange(requests);
   EXPECT_EQ(out.histogram.pairs, 100u);
   EXPECT_EQ(out.histogram.singles, 50u);
   EXPECT_EQ(out.messages_exchanged, 200u);
@@ -139,9 +160,9 @@ std::vector<wire::ExchangeRequest> RandomWorkload(uint64_t seed, size_t pairs, s
 }
 
 void ExpectSameOutcome(const ExchangeOutcome& a, const ExchangeOutcome& b) {
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (size_t i = 0; i < a.results.size(); ++i) {
-    ASSERT_EQ(a.results[i], b.results[i]) << "result " << i << " diverges";
+  ASSERT_EQ(a.partner.size(), b.partner.size());
+  for (size_t i = 0; i < a.partner.size(); ++i) {
+    ASSERT_EQ(a.partner[i], b.partner[i]) << "partner " << i << " diverges";
   }
   EXPECT_EQ(a.histogram.singles, b.histogram.singles);
   EXPECT_EQ(a.histogram.pairs, b.histogram.pairs);
@@ -151,21 +172,21 @@ void ExpectSameOutcome(const ExchangeOutcome& a, const ExchangeOutcome& b) {
 
 TEST(ShardedExchangeRound, ByteIdenticalToSequential) {
   std::vector<wire::ExchangeRequest> requests = RandomWorkload(11, 400, 150, 20);
-  ExchangeOutcome sequential = ExchangeRound(requests);
+  ExchangeOutcome sequential = Exchange(requests);
   for (size_t shards : {2u, 3u, 8u, 64u}) {
-    ExchangeOutcome sharded = ShardedExchangeRound(requests, shards);
+    ExchangeOutcome sharded = ShardedExchange(requests, shards);
     ExpectSameOutcome(sequential, sharded);
   }
 }
 
 TEST(ShardedExchangeRound, MoreShardsThanRequestsFallsBack) {
   std::vector<wire::ExchangeRequest> requests = RandomWorkload(12, 3, 2, 0);
-  ExpectSameOutcome(ExchangeRound(requests), ShardedExchangeRound(requests, 64));
+  ExpectSameOutcome(Exchange(requests), ShardedExchange(requests, 64));
 }
 
 TEST(ShardedExchangeRound, EmptyRound) {
   ExchangeOutcome out = ShardedExchangeRound({}, 8);
-  EXPECT_TRUE(out.results.empty());
+  EXPECT_TRUE(out.partner.empty());
   EXPECT_EQ(out.messages_exchanged, 0u);
 }
 
@@ -176,7 +197,7 @@ TEST(ShardedExchangeRound, AdversarialSameIdLoad) {
   for (int i = 0; i < 101; ++i) {
     requests.push_back(MakeRequest(42, static_cast<uint8_t>(i)));
   }
-  ExpectSameOutcome(ExchangeRound(requests), ShardedExchangeRound(requests, 16));
+  ExpectSameOutcome(Exchange(requests), ShardedExchange(requests, 16));
 }
 
 TEST(InvitationDropForKey, StableAndInRange) {

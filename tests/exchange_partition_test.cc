@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <future>
+#include <thread>
 
+#include "src/crypto/onion.h"
 #include "src/deaddrop/exchange_backend.h"
 #include "src/engine/round_scheduler.h"
 #include "src/sim/workload.h"
@@ -68,6 +71,14 @@ std::vector<wire::ExchangeRequest> MixedExchangeRequests(uint64_t seed) {
   return requests;
 }
 
+std::vector<util::Bytes> Serialized(const std::vector<wire::ExchangeRequest>& requests) {
+  std::vector<util::Bytes> serialized;
+  for (const wire::ExchangeRequest& request : requests) {
+    serialized.push_back(request.Serialize());
+  }
+  return serialized;
+}
+
 std::vector<wire::DialRequest> MixedDialRequests(uint32_t num_drops, uint64_t seed) {
   util::Xoshiro256Rng rng(seed);
   std::vector<wire::DialRequest> requests;
@@ -102,7 +113,8 @@ class ExchangePartitionConformance : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ExchangePartitionConformance, ConversationByteIdenticalToInProcessPaths) {
   size_t num_shards = GetParam();
-  std::vector<wire::ExchangeRequest> requests = MixedExchangeRequests(101);
+  std::vector<util::Bytes> serialized = Serialized(MixedExchangeRequests(101));
+  std::vector<util::ByteSpan> requests = util::ViewsOf(serialized);
 
   deaddrop::ExchangeOutcome sequential = deaddrop::ExchangeRound(requests);
   deaddrop::ExchangeOutcome sharded = deaddrop::ShardedExchangeRound(requests, num_shards);
@@ -113,10 +125,11 @@ TEST_P(ExchangePartitionConformance, ConversationByteIdenticalToInProcessPaths) 
   ASSERT_NE(router, nullptr);
   deaddrop::ExchangeOutcome partitioned = router->ExchangeConversation(7, requests);
 
-  // The three paths must agree byte for byte: per-request envelopes, the
-  // adversary-observable histogram, and the exchange count.
-  EXPECT_EQ(sequential.results, sharded.results);
-  EXPECT_EQ(sequential.results, partitioned.results);
+  // The three paths must agree byte for byte: the pairing (which envelope
+  // each request receives), the adversary-observable histogram, and the
+  // exchange count.
+  EXPECT_EQ(sequential.partner, sharded.partner);
+  EXPECT_EQ(sequential.partner, partitioned.partner);
   for (const deaddrop::ExchangeOutcome* outcome : {&sharded, &partitioned}) {
     EXPECT_EQ(outcome->histogram.singles, sequential.histogram.singles);
     EXPECT_EQ(outcome->histogram.pairs, sequential.histogram.pairs);
@@ -166,7 +179,6 @@ mixnet::ChainConfig PartitionChainConfig() {
   config.num_servers = 3;
   config.conversation_noise = {.params = {3.0, 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-  config.exchange_shards = 1;
   return config;
 }
 
@@ -387,6 +399,173 @@ TEST(ExchangeWire, OversizedReassemblyHitsCeiling) {
   EXPECT_EQ(status, BatchAssembler::Status::kError);
 }
 
+// --- Router: checking a partition's pairing -----------------------------------
+//
+// A partition answers with partner indices only, so the router checks them
+// before it maps them back: a partition that names a request outside its
+// slice, answers with something that is not a pairing, or pairs requests of
+// different dead drops fails the round, and the last hop seals no response.
+
+// A stand-in exchange partition (shard 0 of 1) that answers every
+// conversation exchange with the partner indices `answer` computes from the
+// request's items, and a histogram whose exchange count matches them.
+class FakePartition {
+ public:
+  using Answer = std::function<std::vector<uint32_t>(std::span<const util::ByteSpan>)>;
+
+  explicit FakePartition(Answer answer)
+      : listener_(std::move(*net::TcpListener::Listen(0))), answer_(std::move(answer)) {
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~FakePartition() {
+    listener_.Shutdown();
+    thread_.join();
+  }
+
+  ExchangeRouterConfig RouterConfig() const {
+    ExchangeRouterConfig config;
+    config.partitions.push_back({"127.0.0.1", listener_.port()});
+    return config;
+  }
+
+ private:
+  void Serve() {
+    while (auto conn = listener_.Accept()) {
+      while (auto frame = conn->RecvFrame()) {
+        auto request = ReadBatchMessage(*conn, std::move(*frame));
+        if (!request) {
+          break;
+        }
+        std::vector<uint32_t> partner = answer_(request->items);
+        uint64_t paired = 0;
+        for (size_t j = 0; j < partner.size(); ++j) {
+          paired += partner[j] != j ? 1 : 0;
+        }
+        wire::Writer header(32);
+        WriteHistogram(header, {}, paired);
+        util::PackedItems items = EncodePartnerIndices(partner);
+        if (!SendBatchMessage(*conn, request->op, request->round, header.Take(), items.items)) {
+          break;
+        }
+      }
+    }
+  }
+
+  net::TcpListener listener_;
+  Answer answer_;
+  std::thread thread_;
+};
+
+// One last-hop server (a chain of one) and a round of onions for it carrying
+// `requests`.
+struct LastHop {
+  std::unique_ptr<mixnet::MixServer> server;
+  std::vector<util::Bytes> onions;
+};
+
+LastHop MakeLastHop(uint64_t round, const std::vector<wire::ExchangeRequest>& requests) {
+  util::Xoshiro256Rng rng(61);
+  crypto::X25519KeyPair key_pair = crypto::X25519KeyPair::Generate(rng);
+  std::vector<crypto::X25519PublicKey> chain = {key_pair.public_key};
+  mixnet::MixServerConfig config;
+  crypto::ChaCha20Key seed;
+  rng.Fill(seed);
+  LastHop hop;
+  hop.server = std::make_unique<mixnet::MixServer>(config, key_pair, chain, seed);
+  for (const wire::ExchangeRequest& request : requests) {
+    hop.onions.push_back(crypto::OnionWrap(chain, round, request.Serialize(), rng).data);
+  }
+  return hop;
+}
+
+// Runs one last-hop round through a fake partition that answers `answer`.
+// Returns the responses, or throws what the round threw.
+std::vector<util::Bytes> RunThroughFakePartition(const FakePartition::Answer& answer) {
+  std::vector<wire::ExchangeRequest> requests = MixedExchangeRequests(505);
+  LastHop hop = MakeLastHop(3, requests);
+  FakePartition partition(answer);
+  auto router = ExchangeRouter::Connect(partition.RouterConfig());
+  EXPECT_NE(router, nullptr);
+  hop.server->SetExchangeBackend(router.get());
+  mixnet::MixServer::LastHopOutput output =
+      hop.server->ProcessConversationLastHop(3, util::ViewsOf(hop.onions));
+  return output.responses.ToVectors();
+}
+
+// Expects the round to fail with a HopError naming `reason`.
+void ExpectRoundFails(const FakePartition::Answer& answer, const std::string& reason) {
+  try {
+    std::vector<util::Bytes> responses = RunThroughFakePartition(answer);
+    ADD_FAILURE() << "round sealed " << responses.size() << " responses; expected: " << reason;
+  } catch (const HopError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+  }
+}
+
+TEST(ExchangeRouterPairingCheck, HonestFakePartitionMatchesInProcessExchange) {
+  // The harness itself: a fake that answers the true pairing completes the
+  // round with the in-process exchange's bytes.
+  std::vector<util::Bytes> routed = RunThroughFakePartition(
+      [](std::span<const util::ByteSpan> items) { return deaddrop::ExchangeRound(items).partner; });
+  LastHop hop = MakeLastHop(3, MixedExchangeRequests(505));
+  std::vector<util::Bytes> in_process =
+      hop.server->ProcessConversationLastHop(3, util::ViewsOf(hop.onions)).responses.ToVectors();
+  EXPECT_EQ(routed, in_process);
+}
+
+TEST(ExchangeRouterPairingCheck, OutOfRangeIndexFailsTheRound) {
+  ExpectRoundFails(
+      [](std::span<const util::ByteSpan> items) {
+        std::vector<uint32_t> partner = deaddrop::ExchangeRound(items).partner;
+        partner.back() = static_cast<uint32_t>(items.size());
+        return partner;
+      },
+      "partner index out of range");
+}
+
+TEST(ExchangeRouterPairingCheck, NonPairingFailsTheRound) {
+  // Every index in range, but a rotation: partner[partner[i]] != i.
+  ExpectRoundFails(
+      [](std::span<const util::ByteSpan> items) {
+        std::vector<uint32_t> partner(items.size());
+        for (size_t j = 0; j < items.size(); ++j) {
+          partner[j] = static_cast<uint32_t>((j + 1) % items.size());
+        }
+        return partner;
+      },
+      "partner indices are not a pairing");
+}
+
+TEST(ExchangeRouterPairingCheck, PairingAcrossDeadDropsFailsTheRound) {
+  // A valid involution, but two single accesses of different drops swapped:
+  // each would receive a stranger's envelope.
+  ExpectRoundFails(
+      [](std::span<const util::ByteSpan> items) {
+        deaddrop::ExchangeOutcome outcome = deaddrop::ExchangeRound(items);
+        std::vector<uint32_t> singles;
+        for (uint32_t j = 0; j < items.size(); ++j) {
+          if (outcome.partner[j] == j) {
+            singles.push_back(j);
+          }
+        }
+        EXPECT_GE(singles.size(), 2u);
+        outcome.partner[singles[0]] = singles[1];
+        outcome.partner[singles[1]] = singles[0];
+        return outcome.partner;
+      },
+      "paired requests in different dead drops");
+}
+
+TEST(ExchangeRouterPairingCheck, MissingIndicesFailTheRound) {
+  ExpectRoundFails(
+      [](std::span<const util::ByteSpan> items) {
+        std::vector<uint32_t> partner = deaddrop::ExchangeRound(items).partner;
+        partner.pop_back();
+        return partner;
+      },
+      "partner index count mismatch");
+}
+
 // --- Daemon robustness -------------------------------------------------------
 
 TEST(ExchangedDaemonRobustness, RejectsMismatchedPartitionMapAndKeepsServing) {
@@ -416,9 +595,9 @@ TEST(ExchangedDaemonRobustness, RejectsMismatchedPartitionMapAndKeepsServing) {
   // The daemon accepts a fresh connection and serves a real exchange.
   auto router = ExchangeRouter::Connect(group->RouterConfig());
   ASSERT_NE(router, nullptr);
-  auto requests = MixedExchangeRequests(404);
-  deaddrop::ExchangeOutcome outcome = router->ExchangeConversation(8, requests);
-  EXPECT_EQ(outcome.results.size(), requests.size());
+  std::vector<util::Bytes> requests = Serialized(MixedExchangeRequests(404));
+  deaddrop::ExchangeOutcome outcome = router->ExchangeConversation(8, util::ViewsOf(requests));
+  EXPECT_EQ(outcome.partner.size(), requests.size());
   EXPECT_GT(outcome.messages_exchanged, 0u);
 }
 

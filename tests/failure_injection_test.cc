@@ -3,6 +3,7 @@
 // available and honest clients must stay correct and private.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
@@ -575,6 +576,81 @@ TEST_F(CrashRecovery, ReplySlotReleasedOnFirstFrameOfAnotherPass) {
   transport::BatchMessage reply = call(*backward, [&] { await_entries(0); });
   EXPECT_EQ(reply.op, net::FrameType::kHopBackwardConversation);
   EXPECT_EQ(reply.items.size(), batch.size());
+  await_entries(1);
+}
+
+// Every request that fits in one chunk arrives as one frame, so releasing the
+// slot on a first frame that has been received whole would still hold the
+// last reply next to the whole next request. The slot is released once the
+// header of another pass's frame has arrived, before its payload is
+// allocated: here the hop sees the header and half the payload, and must
+// have let the reply go before the rest is sent.
+TEST_F(CrashRecovery, ReplySlotReleasedOnHeaderOfAnotherPass) {
+  auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed);
+  ASSERT_NE(chain, nullptr);
+  const transport::HopDaemon& daemon = *chain->daemon(0);
+  auto await_entries = [&](size_t entries) {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (daemon.replay_entries() != entries && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(daemon.replay_entries(), entries);
+  };
+  util::Xoshiro256Rng rng(10);
+  auto keys = transport::DeriveChainKeys(kRecoverySeed, 3);
+  std::vector<util::Bytes> batch;
+  for (int i = 0; i < 4; ++i) {
+    wire::ExchangeRequest request;
+    rng.Fill(request.dead_drop);
+    rng.Fill(request.envelope);
+    batch.push_back(crypto::OnionWrap(keys.public_keys, 1, request.Serialize(), rng).data);
+  }
+  std::vector<util::Bytes> forward;
+  {
+    transport::TcpTransportConfig transport_config;
+    transport_config.port = chain->port(0);
+    auto hop = transport::TcpTransport::Connect(transport_config);
+    ASSERT_NE(hop, nullptr);
+    forward = hop->ForwardConversation(1, batch, nullptr);
+  }
+  await_entries(1);
+
+  // The backward pass as one frame, on the wire: [u32 length][header][payload].
+  std::vector<util::Bytes> responses;
+  for (size_t i = 0; i < forward.size(); ++i) {
+    responses.push_back(rng.RandomBytes(wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead));
+  }
+  auto frames = transport::EncodeBatchChunks(net::FrameType::kHopBackwardConversation, 1, {},
+                                             util::ViewsOf(responses));
+  ASSERT_TRUE(frames.has_value());
+  ASSERT_EQ(frames->size(), 1u);
+  util::Bytes encoded = net::EncodeFrame((*frames)[0]);
+  util::Bytes wire_bytes(4);
+  util::StoreBe32(wire_bytes.data(), static_cast<uint32_t>(encoded.size()));
+  util::Append(wire_bytes, encoded);
+  const size_t half = 4 + net::kFrameHeaderBytes + (*frames)[0].payload.size() / 2;
+
+  auto conn = net::TcpConnection::Connect("127.0.0.1", chain->port(0));
+  ASSERT_TRUE(conn.has_value());
+  const int fd = conn->ReleaseFd();
+  net::TcpConnection reader(fd);  // owns the descriptor from here on
+  auto send_all = [&](util::ByteSpan bytes) {
+    while (!bytes.empty()) {
+      ssize_t sent = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      ASSERT_GT(sent, 0);
+      bytes = bytes.subspan(static_cast<size_t>(sent));
+    }
+  };
+  send_all(util::ByteSpan(wire_bytes).first(half));
+  await_entries(0);
+  send_all(util::ByteSpan(wire_bytes).subspan(half));
+
+  auto first = reader.RecvFrame();
+  ASSERT_TRUE(first.has_value());
+  auto reply = transport::ReadBatchMessage(reader, std::move(*first));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->op, net::FrameType::kHopBackwardConversation);
+  EXPECT_EQ(reply->items.size(), batch.size());
   await_entries(1);
 }
 

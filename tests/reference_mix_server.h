@@ -3,8 +3,9 @@
 //
 // Every pass here is the plainest form the paper describes: one onion at a
 // time on the calling thread, a fresh DH per onion (no SecretCache), the
-// Montgomery ladder for every cover-onion layer (no comb tables), and a
-// one-shard dead-drop exchange. None of MixServer's pass code is shared. The
+// Montgomery ladder for every cover-onion layer (no comb tables), and its own
+// envelope-swapping dead-drop exchange (a map over dead-drop IDs) in place of
+// deaddrop::ExchangeRound. None of MixServer's pass code is shared. The
 // per-(round, pass) RNG is rederived here from the server's seed (HKDF, info
 // "vz-rng/" ‖ pass ‖ round as 8 little-endian bytes), so byte-identical
 // output also pins MixServer's determinism contract from outside the class:
@@ -20,6 +21,7 @@
 #ifndef VUVUZELA_TESTS_REFERENCE_MIX_SERVER_H_
 #define VUVUZELA_TESTS_REFERENCE_MIX_SERVER_H_
 
+#include <map>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -38,8 +40,7 @@ namespace vuvuzela::mixnet {
 
 class ReferenceMixServer {
  public:
-  // Same arguments as MixServer. `exchange_shards` is ignored: the oracle's
-  // exchange is always the sequential one.
+  // Same arguments as MixServer.
   ReferenceMixServer(const MixServerConfig& config, crypto::X25519KeyPair key_pair,
                      std::vector<crypto::X25519PublicKey> chain_public_keys,
                      const crypto::ChaCha20Key& rng_seed)
@@ -134,14 +135,12 @@ class ReferenceMixServer {
     }
     local.requests_dropped = unwrapped.dropped;
 
-    deaddrop::ExchangeOutcome outcome = deaddrop::ExchangeRound(requests);
     MixServer::LastServerResult result;
-    result.histogram = outcome.histogram;
-    result.messages_exchanged = outcome.messages_exchanged;
+    std::vector<wire::Envelope> envelopes =
+        SwapEnvelopes(requests, result.histogram, result.messages_exchanged);
     result.responses.resize(batch.size());
     for (size_t j = 0; j < requests.size(); ++j) {
-      result.responses[orig_index[j]] =
-          crypto::OnionSealResponse(keys[j], round, outcome.results[j]);
+      result.responses[orig_index[j]] = crypto::OnionSealResponse(keys[j], round, envelopes[j]);
     }
     crypto::ChaChaRng rng = RoundRng(kLastConversation, round);
     FillEmpty(result.responses, wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead, rng);
@@ -240,6 +239,38 @@ class ReferenceMixServer {
     crypto::ChaCha20Key key;
     std::copy(okm.begin(), okm.end(), key.begin());
     return crypto::ChaChaRng(key);
+  }
+
+  // The dead-drop exchange (Algorithm 2 step 3b): accesses grouped by ID,
+  // paired in input order within a drop, an odd access out getting its own
+  // envelope back. Returns the envelope each request receives.
+  static std::vector<wire::Envelope> SwapEnvelopes(
+      const std::vector<wire::ExchangeRequest>& requests, deaddrop::AccessHistogram& histogram,
+      uint64_t& messages_exchanged) {
+    std::map<wire::DeadDropId, std::vector<size_t>> drops;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      drops[requests[i].dead_drop].push_back(i);
+    }
+    std::vector<wire::Envelope> envelopes(requests.size());
+    for (const auto& [id, accesses] : drops) {
+      if (accesses.size() == 1) {
+        histogram.singles++;
+      } else if (accesses.size() == 2) {
+        histogram.pairs++;
+      } else {
+        histogram.crowded++;
+      }
+      size_t k = 0;
+      for (; k + 1 < accesses.size(); k += 2) {
+        envelopes[accesses[k]] = requests[accesses[k + 1]].envelope;
+        envelopes[accesses[k + 1]] = requests[accesses[k]].envelope;
+        messages_exchanged += 2;
+      }
+      if (k < accesses.size()) {
+        envelopes[accesses[k]] = requests[accesses[k]].envelope;
+      }
+    }
+    return envelopes;
   }
 
   static wire::ExchangeRequest FakeExchange(util::Rng& rng) {

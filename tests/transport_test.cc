@@ -24,7 +24,6 @@ mixnet::ChainConfig TestChainConfig() {
   config.num_servers = 3;
   config.conversation_noise = {.params = {3.0, 1.0}, .deterministic = true};
   config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
-  config.exchange_shards = 1;
   return config;
 }
 

@@ -45,9 +45,11 @@ void AeadSealInto(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad
                   util::ByteSpan plaintext, util::MutableByteSpan out);
 
 // `plaintext_out` must be exactly ciphertext_and_tag.size() - kAeadTagSize
-// bytes and must not overlap the input. Returns false (leaving
-// `plaintext_out` unspecified) if the tag fails or the input is shorter than
-// a tag.
+// bytes. It may start at `ciphertext_and_tag` (an in-place open: the mix
+// pass peels each onion where it lies) but must not overlap it any other
+// way. The tag is checked before any byte is written, so a false return
+// (the tag fails, or the input is shorter than a tag) leaves `plaintext_out`
+// untouched.
 bool AeadOpenInto(const AeadKey& key, const AeadNonce& nonce, util::ByteSpan aad,
                   util::ByteSpan ciphertext_and_tag, util::MutableByteSpan plaintext_out);
 

@@ -56,7 +56,9 @@ void WrapInto(size_t num_layers, uint64_t round, util::ByteSpan payload,
   if (out.size() != OnionRequestSize(payload.size(), num_layers)) {
     throw std::invalid_argument("onion wrap: output size mismatch");
   }
-  std::memmove(out.data() + num_layers * kX25519KeySize, payload.data(), payload.size());
+  if (!payload.empty()) {  // an empty payload's data() may be null
+    std::memmove(out.data() + num_layers * kX25519KeySize, payload.data(), payload.size());
+  }
   size_t inner_size = payload.size();
   for (size_t idx = num_layers; idx-- > 0;) {
     Layer layer = derive(idx);

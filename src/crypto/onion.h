@@ -82,12 +82,14 @@ std::optional<util::Bytes> OnionOpenResponse(std::span<const AeadKey> layer_keys
 util::ByteSpan OnionContext();
 
 // Allocation-free unwrap for block processing. `inner_out` must be exactly
-// layer.size() - kOnionRequestLayerOverhead bytes (a slot in the caller's
-// preallocated results block) and must not overlap `layer`. When `cache` is
-// non-null the shared-secret derivation goes through it (one DH per client
-// per key epoch instead of one per onion per round); null means a direct DH,
-// as OnionUnwrapLayer does. Returns false on malformed or forged
-// layers, leaving `inner_out` unspecified.
+// layer.size() - kOnionRequestLayerOverhead bytes. It may be the layer's own
+// ciphertext, layer.subspan(kX25519KeySize, inner size) — an in-place open,
+// which is how the mix pass peels each onion inside the buffer it arrived
+// in — but must not overlap `layer` any other way. When `cache` is non-null
+// the shared-secret derivation goes through it (one DH per client per key
+// epoch instead of one per onion per round); null means a direct DH, as
+// OnionUnwrapLayer does. Returns false on malformed or forged layers, leaving
+// `inner_out` (and so an in-place layer) untouched.
 bool OnionUnwrapLayerInto(const X25519SecretKey& server_sk, SecretCache* cache, uint64_t round,
                           util::ByteSpan layer, util::MutableByteSpan inner_out,
                           AeadKey& response_key);

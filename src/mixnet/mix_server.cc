@@ -1,5 +1,6 @@
 #include "src/mixnet/mix_server.h"
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -29,13 +30,21 @@ wire::ExchangeRequest FakeExchange(util::Rng& rng) {
   return req;
 }
 
-ServerRoundStats Incoming(std::span<const util::ByteSpan> batch) {
+template <typename Item>
+ServerRoundStats Incoming(std::span<const Item> batch) {
   ServerRoundStats stats;
   stats.requests_in = batch.size();
   for (util::ByteSpan item : batch) {
     stats.bytes_in += item.size();
   }
   return stats;
+}
+
+// Where a request's inner layer lies once it is peeled in place: after the
+// ephemeral key, over the ciphertext (the tag's 16 bytes are left over).
+// `item` must be at least kOnionRequestLayerOverhead bytes.
+util::MutableByteSpan Inner(util::MutableByteSpan item) {
+  return item.subspan(crypto::kX25519KeySize, item.size() - crypto::kOnionRequestLayerOverhead);
 }
 
 // Onions per block: the work-stealing unit of ParallelForBlocks and the reuse
@@ -162,18 +171,18 @@ void MixServer::WrapNoise(uint64_t round, const util::Batch& payloads, crypto::C
   });
 }
 
-MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::ByteSpan> batch,
-                                  util::Batch& out) {
+MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::MutableByteSpan> batch,
+                                  size_t inner_size) {
   const size_t n = batch.size();
-  const size_t request_size = out.item_size() + crypto::kOnionRequestLayerOverhead;
+  const size_t request_size = inner_size + crypto::kOnionRequestLayerOverhead;
   Peeled peeled;
   peeled.ok.assign(n, 0);
   peeled.keys.resize(n);
 
-  // Each worker owns a contiguous block of onions and writes each inner
-  // layer into its stride of `out`; shared-secret derivation goes through
-  // the cross-round cache. Advancing its generation first bounds it to the
-  // keys of this pass and the one before.
+  // Each worker owns a contiguous block of onions and opens each inner layer
+  // over its own ciphertext; shared-secret derivation goes through the
+  // cross-round cache. Advancing its generation first bounds it to the keys
+  // of this pass and the one before.
   secret_cache_.Advance();
   util::GlobalPool().ParallelForBlocks(n, kBlock, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
@@ -181,7 +190,7 @@ MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::ByteSpan
         continue;
       }
       peeled.ok[i] = crypto::OnionUnwrapLayerInto(key_pair_.secret_key, &secret_cache_, round,
-                                                  batch[i], out[i], peeled.keys[i])
+                                                  batch[i], Inner(batch[i]), peeled.keys[i])
                          ? 1
                          : 0;
     }
@@ -192,51 +201,51 @@ MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::ByteSpan
   return peeled;
 }
 
-util::Batch MixServer::PeelAndMix(uint64_t round, std::span<const util::ByteSpan> batch,
-                                  size_t payload_size, const util::Batch& noise_payloads,
-                                  crypto::ChaChaRng& rng, ServerRoundStats& stats,
-                                  RoundState& state) {
+util::InPlaceBatch MixServer::PeelAndMix(uint64_t round,
+                                         std::span<const util::MutableByteSpan> batch,
+                                         size_t payload_size, const util::Batch& noise_payloads,
+                                         crypto::ChaChaRng& rng, ServerRoundStats& stats,
+                                         RoundState& state) {
   const size_t n = batch.size();
   const size_t noise = noise_payloads.size();
-  util::Batch out(n + noise, crypto::OnionRequestSize(payload_size, ChainSuffix().size()));
-  Peeled peeled = Peel(round, batch, out);
-  WrapNoise(round, noise_payloads, rng, out, n);
+  const size_t inner_size = crypto::OnionRequestSize(payload_size, ChainSuffix().size());
+  Peeled peeled = Peel(round, batch, inner_size);
+  util::InPlaceBatch out;
+  out.owned = util::Batch(noise, inner_size);
+  WrapNoise(round, noise_payloads, rng, out.owned, 0);
 
-  // Valid inners keep their input order and the cover onions follow them:
-  // close the holes the rejected onions left.
-  state.orig_index.reserve(n - peeled.dropped);
-  state.response_keys.reserve(n - peeled.dropped);
-  size_t kept = 0;
+  // Valid inners keep their input order and the cover onions follow them.
+  const size_t kept = n - peeled.dropped;
+  out.items.reserve(kept + noise);
+  state.orig_index.reserve(kept);
+  state.response_keys.reserve(kept);
   for (size_t i = 0; i < n; ++i) {
-    if (!peeled.ok[i]) {
-      continue;
+    if (peeled.ok[i]) {
+      out.items.push_back(Inner(batch[i]));
+      state.orig_index.push_back(static_cast<uint32_t>(i));
+      state.response_keys.push_back(peeled.keys[i]);
     }
-    if (kept != i) {
-      std::memcpy(out[kept].data(), out[i].data(), out.item_size());
-    }
-    state.orig_index.push_back(static_cast<uint32_t>(i));
-    state.response_keys.push_back(peeled.keys[i]);
-    ++kept;
   }
-  if (kept != n && noise > 0) {
-    std::memmove(out[kept].data(), out[n].data(), noise * out.item_size());
+  for (size_t k = 0; k < noise; ++k) {
+    out.items.push_back(out.owned[k]);
   }
-  out.Truncate(kept + noise);
 
+  // The shuffle permutes the views; no onion moves.
   Permutation perm =
       config_.mix ? Permutation::Random(out.size(), rng) : Permutation::Identity(out.size());
-  out.Permute(perm.indices());
+  out.items = perm.Apply(std::move(out.items));
   state.perm = perm.indices();
 
   stats.requests_dropped = peeled.dropped;
   stats.noise_requests_added = noise;
   stats.dh_ops += n + noise * ChainSuffix().size();
-  stats.bytes_out = out.bytes().size();
+  stats.bytes_out = out.size() * inner_size;
   return out;
 }
 
-util::Batch MixServer::ForwardConversation(uint64_t round, std::span<const util::ByteSpan> batch,
-                                           ServerRoundStats* stats) {
+util::InPlaceBatch MixServer::ForwardConversation(uint64_t round,
+                                                  std::span<const util::MutableByteSpan> batch,
+                                                  ServerRoundStats* stats) {
   if (is_last()) {
     throw std::logic_error("ForwardConversation called on the last server");
   }
@@ -264,8 +273,8 @@ util::Batch MixServer::ForwardConversation(uint64_t round, std::span<const util:
   RoundState state;
   state.input_size = batch.size();
   state.response_size_in = ResponseSizeFromNextHop();
-  util::Batch out = PeelAndMix(round, batch, wire::kExchangeRequestSize, noise_payloads, rng,
-                               local, state);
+  util::InPlaceBatch out = PeelAndMix(round, batch, wire::kExchangeRequestSize, noise_payloads,
+                                      rng, local, state);
   rounds_[round] = std::move(state);
   if (stats) {
     *stats = local;
@@ -321,17 +330,19 @@ MixServer::LastServerResult MixServer::ToLastServerResult(const LastHopOutput& o
 }
 
 MixServer::LastHopOutput MixServer::ProcessConversationLastHop(
-    uint64_t round, std::span<const util::ByteSpan> batch, ServerRoundStats* stats) {
+    uint64_t round, std::span<const util::MutableByteSpan> batch, ServerRoundStats* stats) {
   if (!is_last()) {
     throw std::logic_error("ProcessConversationLastHop called on a non-last server");
   }
+  static_assert(wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead ==
+                    wire::kExchangeRequestSize,
+                "a response is sealed over its peeled request");
   ServerRoundStats local = Incoming(batch);
   local.dh_ops += batch.size();
 
-  // The valid requests, viewed in place in `inners`, with their input
-  // positions; their response keys move to the front of peeled.keys.
-  util::Batch inners(batch.size(), wire::kExchangeRequestSize);
-  Peeled peeled = Peel(round, batch, inners);
+  // The valid requests, peeled in place, with their input positions; their
+  // response keys move to the front of peeled.keys.
+  Peeled peeled = Peel(round, batch, wire::kExchangeRequestSize);
   local.requests_dropped = peeled.dropped;
   std::vector<util::ByteSpan> requests;
   std::vector<uint32_t> orig_index;
@@ -340,44 +351,87 @@ MixServer::LastHopOutput MixServer::ProcessConversationLastHop(
   for (size_t i = 0; i < batch.size(); ++i) {
     if (peeled.ok[i]) {
       peeled.keys[requests.size()] = peeled.keys[i];
-      requests.push_back(inners[i]);
+      requests.push_back(Inner(batch[i]));
       orig_index.push_back(static_cast<uint32_t>(i));
     }
   }
 
   deaddrop::ExchangeOutcome outcome = Backend().ExchangeConversation(round, requests);
-  if (outcome.partner.size() != requests.size()) {
+  const std::vector<uint32_t>& partner = outcome.partner;
+  if (partner.size() != requests.size()) {
     throw std::runtime_error("ProcessConversationLastHop: exchange pairing size mismatch");
   }
-  // Request j's response carries its partner's envelope, read where it lies
-  // (after the partner's dead-drop ID).
-  std::vector<util::ByteSpan> envelopes(requests.size());
-  for (size_t j = 0; j < requests.size(); ++j) {
-    if (outcome.partner[j] >= requests.size()) {
+  // Sealing in place overwrites each request's envelope, so every envelope
+  // must be read by exactly one other request (or by itself): the pairing
+  // must be an involution.
+  for (size_t j = 0; j < partner.size(); ++j) {
+    if (partner[j] >= partner.size()) {
       throw std::runtime_error("ProcessConversationLastHop: exchange partner out of range");
     }
-    envelopes[j] = requests[outcome.partner[j]].subspan(wire::kDeadDropIdSize);
+    if (partner[partner[j]] != j) {
+      throw std::runtime_error("ProcessConversationLastHop: exchange pairing is not symmetric");
+    }
   }
 
+  // Request j's response carries its partner's envelope and is sealed over
+  // request j. A pair is sealed by its lower index: save one envelope, seal
+  // the other over it, then seal the saved one over the partner, so each
+  // pair touches only its own two regions.
+  util::GlobalPool().ParallelForBlocks(requests.size(), kBlock, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      const size_t p = partner[j];
+      if (p < j) {
+        continue;
+      }
+      util::MutableByteSpan region = Inner(batch[orig_index[j]]);
+      std::array<uint8_t, wire::kEnvelopeSize> saved;
+      std::memcpy(saved.data(), region.data() + wire::kDeadDropIdSize, saved.size());
+      if (p != j) {
+        util::MutableByteSpan partner_region = Inner(batch[orig_index[p]]);
+        crypto::OnionSealResponseInto(peeled.keys[j], round,
+                                      partner_region.subspan(wire::kDeadDropIdSize), region);
+        region = partner_region;
+      }
+      crypto::OnionSealResponseInto(peeled.keys[p], round, saved, region);
+    }
+  });
+
+  // Every other slot gets random bytes, drawn in slot order: a request that
+  // failed authentication over its own region, a missized one in a slot of
+  // the owned batch (its region is not a response's size).
+  const size_t response_size = wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead;
+  const size_t request_size = wire::kExchangeRequestSize + crypto::kOnionRequestLayerOverhead;
+  size_t missized = 0;
+  for (util::MutableByteSpan item : batch) {
+    missized += item.size() == request_size ? 0 : 1;
+  }
   LastHopOutput result;
   result.histogram = outcome.histogram;
   result.messages_exchanged = outcome.messages_exchanged;
-  result.responses =
-      util::Batch(batch.size(), wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead);
-  std::span<const crypto::AeadKey> keys(peeled.keys.data(), requests.size());
-  std::vector<uint8_t> sealed = SealBlocks(round, envelopes, keys, orig_index, result.responses);
+  result.responses.owned = util::Batch(missized, response_size);
+  result.responses.items.reserve(batch.size());
   crypto::ChaChaRng rng = RoundRng(kRngLastConversation, round);
-  FillEmptySlots(result.responses, sealed, rng);
+  size_t next_owned = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    util::MutableByteSpan slot = batch[i].size() == request_size
+                                     ? Inner(batch[i])
+                                     : result.responses.owned[next_owned++];
+    if (!peeled.ok[i]) {
+      rng.Fill(slot);
+    }
+    result.responses.items.push_back(slot);
+  }
 
-  local.bytes_out = result.responses.bytes().size();
+  local.bytes_out = batch.size() * response_size;
   if (stats) {
     *stats = local;
   }
   return result;
 }
 
-util::Batch MixServer::ForwardDialing(uint64_t round, std::span<const util::ByteSpan> batch,
-                                      uint32_t num_drops, ServerRoundStats* stats) {
+util::InPlaceBatch MixServer::ForwardDialing(uint64_t round,
+                                             std::span<const util::MutableByteSpan> batch,
+                                             uint32_t num_drops, ServerRoundStats* stats) {
   if (is_last()) {
     throw std::logic_error("ForwardDialing called on the last server");
   }
@@ -402,7 +456,7 @@ util::Batch MixServer::ForwardDialing(uint64_t round, std::span<const util::Byte
   }
   // Dialing has no return pass, so the round state is not kept.
   RoundState state;
-  util::Batch out =
+  util::InPlaceBatch out =
       PeelAndMix(round, batch, wire::kDialRequestSize, noise_payloads, rng, local, state);
   if (stats) {
     *stats = local;
@@ -420,10 +474,9 @@ void MixServer::ExpireRounds(uint64_t newest_round, uint64_t keep) {
   }
 }
 
-deaddrop::InvitationTable MixServer::ProcessDialingLastHop(uint64_t round,
-                                                           std::span<const util::ByteSpan> batch,
-                                                           uint32_t num_drops,
-                                                           ServerRoundStats* stats) {
+deaddrop::InvitationTable MixServer::ProcessDialingLastHop(
+    uint64_t round, std::span<const util::MutableByteSpan> batch, uint32_t num_drops,
+    ServerRoundStats* stats) {
   if (!is_last()) {
     throw std::logic_error("ProcessDialingLastHop called on a non-last server");
   }
@@ -433,15 +486,14 @@ deaddrop::InvitationTable MixServer::ProcessDialingLastHop(uint64_t round,
   ServerRoundStats local = Incoming(batch);
   local.dh_ops += batch.size();
 
-  util::Batch inners(batch.size(), wire::kDialRequestSize);
-  Peeled peeled = Peel(round, batch, inners);
+  Peeled peeled = Peel(round, batch, wire::kDialRequestSize);
   std::vector<wire::DialRequest> requests;
   requests.reserve(batch.size() - peeled.dropped);
   for (size_t i = 0; i < batch.size(); ++i) {
     if (!peeled.ok[i]) {
       continue;
     }
-    auto parsed = wire::DialRequest::Parse(inners[i]);
+    auto parsed = wire::DialRequest::Parse(Inner(batch[i]));
     if (!parsed) {
       peeled.dropped++;
       continue;

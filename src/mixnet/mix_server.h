@@ -20,10 +20,10 @@
 // crashed round and get output byte-identical to an uninterrupted run.
 //
 // One implementation of each pass: onions are processed in cache-friendly
-// blocks over ThreadPool::ParallelForBlocks, writing into the strides of one
-// flat output batch (no per-onion allocation), per-client shared secrets
-// are cached across rounds in a two-generation SecretCache advanced once per
-// unwrap pass (the round number only enters the AEAD nonce, so a hit cannot
+// blocks over ThreadPool::ParallelForBlocks, each peeled where it lies in the
+// caller's buffer (no per-onion allocation and no second batch), per-client
+// shared secrets are cached across rounds in a two-generation SecretCache
+// advanced once per unwrap pass (the round number only enters the AEAD nonce, so a hit cannot
 // change any output byte; keys not seen for two passes leave, so the cache
 // holds one pass's clients, not every cover onion ever unwrapped), and noise
 // onions are wrapped against precomputed comb tables for the chain suffix's
@@ -107,13 +107,23 @@ class MixServer {
 
   // --- Conversation rounds ------------------------------------------------
   //
-  // Every pass reads its input as views over the caller's buffers (the hop
-  // daemon passes views straight into the received chunks) and only during
-  // the call; nothing is retained, so the backing buffers may be freed as
-  // soon as it returns. Every pass writes its output into one util::Batch:
-  // all items one size, one buffer allocated on the calling thread, whose
-  // strides the pool workers fill (unwrap, cover-onion wrap, response seal,
-  // empty-slot fill) without an allocation per onion.
+  // The peeling passes (both forward passes and both last hops) work inside
+  // the caller's buffers: `batch` views the requests (the hop daemon passes
+  // views straight into the received chunks; no two items may overlap), and
+  // the pass may overwrite every byte of every item. Each onion is opened
+  // where it lies — a layer's plaintext is its ciphertext minus the 48-byte
+  // ephemeral key and tag, so the inner onion of request i is
+  // batch[i].subspan(32, size - 48) — and a last hop seals each response
+  // over its own request there. Their outputs are util::InPlaceBatch views
+  // that alias `batch`, so the caller keeps the input buffers alive for as
+  // long as it reads the output, and holds one batch a pass instead of two.
+  // The only bytes a peeling pass allocates for items are its own: the cover
+  // onions, and the response slots of missized requests.
+  //
+  // BackwardConversation reads its input as views only during the call (its
+  // output is 16 bytes an item larger than its input, so it cannot work in
+  // place) and writes one util::Batch: one buffer allocated on the calling
+  // thread, whose strides the pool workers fill.
   //
   // Size rule: at one position in one round type every request has one size,
   // crypto::OnionRequestSize(payload, servers left). A request of any other
@@ -121,10 +131,12 @@ class MixServer {
   // authentication, so no onion carries a size of its own across a shuffle.
 
   // Intermediate server: peel one layer from each onion, add cover traffic,
-  // shuffle, and return the batch for the next hop. Stores round state for
-  // the return pass.
-  util::Batch ForwardConversation(uint64_t round, std::span<const util::ByteSpan> batch,
-                                  ServerRoundStats* stats = nullptr);
+  // shuffle, and return the batch for the next hop: views of the peeled
+  // onions inside `batch`, shuffled together with the cover onions of the
+  // returned batch's `owned`. Stores round state for the return pass.
+  util::InPlaceBatch ForwardConversation(uint64_t round,
+                                         std::span<const util::MutableByteSpan> batch,
+                                         ServerRoundStats* stats = nullptr);
 
   // Intermediate server, return pass: `responses` aligned with the batch
   // returned by ForwardConversation. Returns responses aligned with that
@@ -133,16 +145,19 @@ class MixServer {
                                    ServerRoundStats* stats = nullptr);
 
   // Last server: peel the final layer, run the dead-drop exchange, and seal
-  // each response. Responses aligned with the input batch. The peeled
-  // requests stay in one batch: the exchange reads their dead-drop IDs in
-  // place and each response is sealed from its partner's envelope bytes
-  // there, so no request or envelope is copied.
+  // each response. Responses aligned with the input batch. The exchange
+  // reads the dead-drop IDs of the requests peeled in place, and each
+  // response is sealed into its own request's region, from its partner's
+  // envelope there (a response, kEnvelopeSize + 16 bytes, is exactly a
+  // peeled request's size), so no request, envelope or response batch is
+  // allocated. Only a missized request's response slot is `owned`.
   struct LastHopOutput {
-    util::Batch responses;
+    util::InPlaceBatch responses;
     deaddrop::AccessHistogram histogram;
     uint64_t messages_exchanged = 0;
   };
-  LastHopOutput ProcessConversationLastHop(uint64_t round, std::span<const util::ByteSpan> batch,
+  LastHopOutput ProcessConversationLastHop(uint64_t round,
+                                           std::span<const util::MutableByteSpan> batch,
                                            ServerRoundStats* stats = nullptr);
 
   // The last hop's result with one owned vector per response: the form the
@@ -157,15 +172,17 @@ class MixServer {
   // --- Dialing rounds -----------------------------------------------------
 
   // Intermediate server: peel, add per-drop noise invitations, shuffle,
-  // forward. Dialing has no return pass through the chain (§5.5): clients
-  // download their invitation drop out-of-band.
-  util::Batch ForwardDialing(uint64_t round, std::span<const util::ByteSpan> batch,
-                             uint32_t num_drops, ServerRoundStats* stats = nullptr);
+  // forward — in place, like ForwardConversation. Dialing has no return pass
+  // through the chain (§5.5): clients download their invitation drop
+  // out-of-band.
+  util::InPlaceBatch ForwardDialing(uint64_t round, std::span<const util::MutableByteSpan> batch,
+                                    uint32_t num_drops, ServerRoundStats* stats = nullptr);
 
-  // Last server: peel, deposit invitations into the table, add this server's
-  // own noise directly.
+  // Last server: peel in place, deposit invitations into the table, add this
+  // server's own noise directly. The table owns its invitations, so `batch`
+  // may be freed once this returns.
   deaddrop::InvitationTable ProcessDialingLastHop(uint64_t round,
-                                                  std::span<const util::ByteSpan> batch,
+                                                  std::span<const util::MutableByteSpan> batch,
                                                   uint32_t num_drops,
                                                   ServerRoundStats* stats = nullptr);
 
@@ -211,22 +228,25 @@ class MixServer {
     size_t response_size_in = 0;
   };
 
-  // Peels batch[i] into out[i] for every input, on the pool. A request that
-  // is not out.item_size() + kOnionRequestLayerOverhead bytes, or fails
-  // authentication, is not ok.
+  // Peels every input in place on the pool: the inner layer of batch[i] is
+  // opened into Inner(batch[i]). A request that is not inner_size +
+  // kOnionRequestLayerOverhead bytes, or fails authentication, is not ok
+  // (and a failed open leaves its bytes untouched).
   struct Peeled {
     std::vector<uint8_t> ok;            // per input; uint8_t: written concurrently
     std::vector<crypto::AeadKey> keys;  // response key per ok input
     uint64_t dropped = 0;
   };
-  Peeled Peel(uint64_t round, std::span<const util::ByteSpan> batch, util::Batch& out);
+  Peeled Peel(uint64_t round, std::span<const util::MutableByteSpan> batch, size_t inner_size);
 
-  // The forward pass of both round types: peels the batch, wraps the cover
-  // payloads after it, drops the strides of rejected onions, and shuffles.
-  // Fills `state` (orig_index, response_keys, perm) and the pass's stats.
-  util::Batch PeelAndMix(uint64_t round, std::span<const util::ByteSpan> batch,
-                         size_t payload_size, const util::Batch& noise_payloads,
-                         crypto::ChaChaRng& rng, ServerRoundStats& stats, RoundState& state);
+  // The forward pass of both round types: peels the batch in place, wraps
+  // the cover payloads into the output's owned batch, and shuffles the views
+  // of the valid inners and the cover onions. Fills `state` (orig_index,
+  // response_keys, perm) and the pass's stats.
+  util::InPlaceBatch PeelAndMix(uint64_t round, std::span<const util::MutableByteSpan> batch,
+                                size_t payload_size, const util::Batch& noise_payloads,
+                                crypto::ChaChaRng& rng, ServerRoundStats& stats,
+                                RoundState& state);
 
   deaddrop::ExchangeBackend& Backend() {
     return exchange_backend_ != nullptr ? *exchange_backend_ : in_process_exchange_;

@@ -155,16 +155,20 @@ size_t HopDaemon::replay_entries() const {
 
 bool HopDaemon::SendAndCache(net::TcpConnection& conn, const BatchMessage& request,
                              const crypto::Sha256Digest& digest, util::Bytes header,
-                             util::PackedItems body) {
+                             util::PackedItems body, std::vector<util::Bytes> request_chunks) {
   bool sent = SendBatchMessage(conn, request.op, request.round, header, body.items,
                                config_.chunk_payload);
   // Keep the reply even when the send failed mid-stream: the pass already
   // executed, and a re-send after the coordinator reconnects is exactly the
   // case the slot exists for (the lost-reply problem).
-  int64_t bytes = static_cast<int64_t>(header.size() + body.bytes.size());
+  size_t bytes = header.size() + body.bytes.size();
+  for (const util::Bytes& chunk : request_chunks) {
+    bytes += chunk.size();
+  }
   std::lock_guard<std::mutex> lock(replay_mutex_);
-  last_reply_ = CachedReply{request.op, request.round, digest, std::move(header), std::move(body)};
-  obs_replay_bytes_->Set(bytes);
+  last_reply_ = CachedReply{request.op, request.round, digest, std::move(header),
+                            std::move(request_chunks), std::move(body)};
+  obs_replay_bytes_->Set(static_cast<int64_t>(bytes));
   return sent;
 }
 
@@ -235,32 +239,34 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
   return sent;
 }
 
-bool HopDaemon::RunPass(net::TcpConnection& conn, const BatchMessage& request,
-                        wire::Reader& header, const crypto::Sha256Digest& digest) {
-  std::span<const util::ByteSpan> items = request.items;
+bool HopDaemon::RunPass(net::TcpConnection& conn, BatchMessage& request, wire::Reader& header,
+                        const crypto::Sha256Digest& digest) {
   mixnet::ServerRoundStats stats;
   try {
     switch (request.op) {
       case net::FrameType::kHopForwardConversation: {
-        util::Batch batch = server_->ForwardConversation(request.round, items, &stats);
+        util::InPlaceBatch batch =
+            server_->ForwardConversation(request.round, request.MutableItems(), &stats);
         wire::Writer reply(48);
         WriteStats(reply, stats);
-        return SendAndCache(conn, request, digest, reply.Take(), std::move(batch).Pack());
+        return SendAndCache(conn, request, digest, reply.Take(), std::move(batch).Pack(),
+                            std::move(request.chunks));
       }
       case net::FrameType::kHopBackwardConversation: {
-        util::Batch responses = server_->BackwardConversation(request.round, items, &stats);
+        util::Batch responses =
+            server_->BackwardConversation(request.round, request.items, &stats);
         wire::Writer reply(48);
         WriteStats(reply, stats);
         return SendAndCache(conn, request, digest, reply.Take(), std::move(responses).Pack());
       }
       case net::FrameType::kHopLastConversation: {
         mixnet::MixServer::LastHopOutput result =
-            server_->ProcessConversationLastHop(request.round, items, &stats);
+            server_->ProcessConversationLastHop(request.round, request.MutableItems(), &stats);
         wire::Writer reply(80);
         WriteStats(reply, stats);
         WriteHistogram(reply, result.histogram, result.messages_exchanged);
         return SendAndCache(conn, request, digest, reply.Take(),
-                            std::move(result.responses).Pack());
+                            std::move(result.responses).Pack(), std::move(request.chunks));
       }
       case net::FrameType::kHopForwardDialing:
       case net::FrameType::kHopLastDialing: {
@@ -269,14 +275,15 @@ bool HopDaemon::RunPass(net::TcpConnection& conn, const BatchMessage& request,
           return SendRpcError(conn, request.round, "truncated dialing header");
         }
         if (request.op == net::FrameType::kHopForwardDialing) {
-          util::Batch batch =
-              server_->ForwardDialing(request.round, items, *num_drops, &stats);
+          util::InPlaceBatch batch = server_->ForwardDialing(
+              request.round, request.MutableItems(), *num_drops, &stats);
           wire::Writer reply(48);
           WriteStats(reply, stats);
-          return SendAndCache(conn, request, digest, reply.Take(), std::move(batch).Pack());
+          return SendAndCache(conn, request, digest, reply.Take(), std::move(batch).Pack(),
+                              std::move(request.chunks));
         }
-        deaddrop::InvitationTable table =
-            server_->ProcessDialingLastHop(request.round, items, *num_drops, &stats);
+        deaddrop::InvitationTable table = server_->ProcessDialingLastHop(
+            request.round, request.MutableItems(), *num_drops, &stats);
         wire::Writer reply(48);
         WriteStats(reply, stats);
         return SendAndCache(conn, request, digest, reply.Take(), deaddrop::PackDrops(table));

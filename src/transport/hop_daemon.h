@@ -15,7 +15,11 @@
 // the daemon keeps serving: one poisoned round must not take the hop down.
 //
 // Idempotent replay: the daemon keeps exactly one reply, the last one it
-// served, tagged with a digest of the request's op, round and content.
+// served, tagged with a digest of the request's op, round and content. The
+// digest is taken before the pass runs: a peeling pass overwrites the
+// request's chunks, and the slot keeps those chunks, since the reply's items
+// (peeled onions, sealed responses) lie in them, plus the pass's own small
+// batch.
 // When a coordinator reconnects after a connection failure and re-sends the
 // pass it was waiting on — it cannot know whether the reply was lost on the
 // wire or never computed — the daemon re-serves those bytes instead of
@@ -125,8 +129,14 @@ class HopDaemon {
     // Binds op, round and content (DigestRequest in the .cc).
     crypto::Sha256Digest request_digest{};
     util::Bytes header;
-    // The reply's one buffer — the pass's output batch, or the packed drops
-    // of a dialing last hop — and a view of each item in it.
+    // The request's chunks, when the pass worked inside them (a forward pass
+    // or a conversation last hop): most reply items are the peeled onions or
+    // the sealed responses there. Empty otherwise.
+    std::vector<util::Bytes> request_chunks;
+    // The reply's own buffer — the backward pass's output batch, the cover
+    // onions or missized-request slots of an in-place pass, or the packed
+    // drops of a dialing last hop — and a view of each reply item, in it or
+    // in request_chunks.
     util::PackedItems body;
   };
 
@@ -140,15 +150,16 @@ class HopDaemon {
   // request's first frame.
   void ReleaseReplyUnlessFor(net::FrameType op, uint64_t round);
   // The op switch proper (the timed part of Dispatch): runs the pass over
-  // `request.items`, views into the received chunks, and sends (and keeps)
-  // the reply.
-  bool RunPass(net::TcpConnection& conn, const BatchMessage& request, wire::Reader& header,
+  // `request.items`, views into the received chunks (a peeling pass works
+  // inside them), and sends (and keeps) the reply.
+  bool RunPass(net::TcpConnection& conn, BatchMessage& request, wire::Reader& header,
                const crypto::Sha256Digest& digest);
-  // Sends the reply from its buffer and keeps that buffer in the replay
-  // slot; the reply is never copied.
+  // Sends the reply from its buffers and keeps them in the replay slot: its
+  // own buffer, and the request's chunks when the reply's items lie in them
+  // (empty otherwise). The reply is never copied.
   bool SendAndCache(net::TcpConnection& conn, const BatchMessage& request,
                     const crypto::Sha256Digest& digest, util::Bytes header,
-                    util::PackedItems body);
+                    util::PackedItems body, std::vector<util::Bytes> request_chunks = {});
 
   HopDaemonConfig config_;
   std::unique_ptr<mixnet::MixServer> server_;

@@ -79,15 +79,16 @@ class HopTransport {
 };
 
 // In-process backend: the stage calls the MixServer directly. The server must
-// outlive the transport. This is where a pass's flat util::Batch becomes the
-// seam's one vector per item.
+// outlive the transport. This is where a pass's output becomes the seam's one
+// vector per item: a peeling pass works inside the batch this transport took
+// by value, and its output is copied out before that batch dies.
 class LocalTransport : public HopTransport {
  public:
   explicit LocalTransport(mixnet::MixServer& server) : server_(server) {}
 
   std::vector<util::Bytes> ForwardConversation(uint64_t round, std::vector<util::Bytes> batch,
                                                mixnet::ServerRoundStats* stats) override {
-    return server_.ForwardConversation(round, util::ViewsOf(batch), stats).ToVectors();
+    return server_.ForwardConversation(round, util::MutableViewsOf(batch), stats).ToVectors();
   }
   std::vector<util::Bytes> BackwardConversation(uint64_t round,
                                                 std::vector<util::Bytes> responses,
@@ -97,17 +98,18 @@ class LocalTransport : public HopTransport {
   mixnet::MixServer::LastServerResult ProcessConversationLastHop(
       uint64_t round, std::vector<util::Bytes> batch, mixnet::ServerRoundStats* stats) override {
     return mixnet::MixServer::ToLastServerResult(
-        server_.ProcessConversationLastHop(round, util::ViewsOf(batch), stats));
+        server_.ProcessConversationLastHop(round, util::MutableViewsOf(batch), stats));
   }
   std::vector<util::Bytes> ForwardDialing(uint64_t round, std::vector<util::Bytes> batch,
                                           uint32_t num_drops,
                                           mixnet::ServerRoundStats* stats) override {
-    return server_.ForwardDialing(round, util::ViewsOf(batch), num_drops, stats).ToVectors();
+    return server_.ForwardDialing(round, util::MutableViewsOf(batch), num_drops, stats)
+        .ToVectors();
   }
   deaddrop::InvitationTable ProcessDialingLastHop(uint64_t round, std::vector<util::Bytes> batch,
                                                   uint32_t num_drops,
                                                   mixnet::ServerRoundStats* stats) override {
-    return server_.ProcessDialingLastHop(round, util::ViewsOf(batch), num_drops, stats);
+    return server_.ProcessDialingLastHop(round, util::MutableViewsOf(batch), num_drops, stats);
   }
   void ExpireRounds(uint64_t newest_round, uint64_t keep) override {
     server_.ExpireRounds(newest_round, keep);

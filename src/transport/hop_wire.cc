@@ -82,6 +82,17 @@ std::vector<util::Bytes> BatchMessage::CopyItems() const {
   return copies;
 }
 
+std::vector<util::MutableByteSpan> BatchMessage::MutableItems() {
+  // `items` are read-only views into `chunks`, which this message owns as
+  // writable buffers, so dropping the const writes the message's own bytes.
+  std::vector<util::MutableByteSpan> views;
+  views.reserve(items.size());
+  for (util::ByteSpan item : items) {
+    views.emplace_back(const_cast<uint8_t*>(item.data()), item.size());
+  }
+  return views;
+}
+
 std::optional<std::vector<net::Frame>> EncodeBatchChunks(net::FrameType op, uint64_t round,
                                                          util::ByteSpan header,
                                                          std::span<const util::ByteSpan> items,
@@ -150,6 +161,14 @@ BatchAssembler::Status BatchAssembler::Consume(net::Frame&& frame) {
   auto count = r.U32();
   if (!count) {
     return Fail("truncated item count");
+  }
+  // Size the views for the whole chunk at once, but only for as many items
+  // as the rest of the payload can frame (each needs a 4-byte length), so a
+  // forged count cannot force a large reservation. Growth across chunks
+  // stays geometric, so a many-chunk message is not copied once per chunk.
+  size_t needed = message_.items.size() + std::min<size_t>(*count, r.remaining() / 4);
+  if (needed > message_.items.capacity()) {
+    message_.items.reserve(std::max(needed, 2 * message_.items.capacity()));
   }
   for (uint32_t i = 0; i < *count; ++i) {
     auto item = r.Var();

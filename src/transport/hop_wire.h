@@ -15,7 +15,12 @@
 // Copies per direction: the sender gathers each chunk straight from its item
 // buffers into the socket (SendBatchMessage), and the receiver reads each
 // chunk payload in place and adopts it whole (ReadBatchMessage), so item
-// bytes cross user space without a staging copy on either side.
+// bytes cross user space without a staging copy on either side. A hop then
+// peels each onion inside the chunk it arrived in (BatchMessage::
+// MutableItems) and sends the peeled onions from there, so a forward hop or
+// the last hop holds one batch — the received chunks plus a small batch of
+// its own items — instead of the chunks plus a peeled copy (at 2.2M requests
+// that copy would be about 0.8 GB a hop).
 //
 // Chunk payload layout:
 //   first frame  (type = op):          [u8 flags][u32 header_len][header]
@@ -58,11 +63,11 @@ inline constexpr size_t kMaxBatchMessageBytes = 4ull << 30;
 // Decoding copies no item. Each chunk's wire payload is adopted whole into
 // `chunks`, and `items` holds one span per item pointing into those buffers,
 // so a hop's pass input goes straight from the received chunks to
-// MixServer's passes, which read views. The spans stay valid across moves of
-// the whole message (moving a vector keeps its heap buffers) and die with it.
-// A caller that keeps items past the message takes CopyItems(). Copying the
-// message is disabled: a copy's spans would still point into the original's
-// chunks.
+// MixServer's passes, which work on views. The spans stay valid across moves
+// of the whole message (moving a vector keeps its heap buffers, and so does
+// moving `chunks` out) and die with the chunks. A caller that keeps items
+// past the message takes CopyItems(). Copying the message is disabled: a
+// copy's spans would still point into the original's chunks.
 struct BatchMessage {
   net::FrameType op = net::FrameType::kHopError;
   uint64_t round = 0;
@@ -84,6 +89,10 @@ struct BatchMessage {
   // Owned copies of the items, for interfaces that hand out byte vectors
   // (the HopTransport seam).
   std::vector<util::Bytes> CopyItems() const;
+  // Writable views of the items, for a pass that works inside the received
+  // chunks (the hop daemon's in-place peel). They write the message's own
+  // bytes, which `items` then view.
+  std::vector<util::MutableByteSpan> MutableItems();
 };
 
 // Splits a batch message into frames, none of whose payloads exceed

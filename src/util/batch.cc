@@ -1,7 +1,5 @@
 #include "src/util/batch.h"
 
-#include <stdexcept>
-
 namespace vuvuzela::util {
 
 Batch::Batch(size_t count, size_t item_size)
@@ -39,42 +37,6 @@ std::vector<Bytes> Batch::ToVectors() const {
   return items;
 }
 
-void Batch::Truncate(size_t count) {
-  if (count > count_) {
-    throw std::invalid_argument("Batch::Truncate: count exceeds size");
-  }
-  count_ = count;
-}
-
-void Batch::Permute(std::span<const uint32_t> perm) {
-  if (perm.size() != count_) {
-    throw std::invalid_argument("Batch::Permute: size mismatch");
-  }
-  // Follow each cycle once: save the item its first position loses, pull
-  // every later source forward, and drop the saved item into the last hole.
-  std::vector<uint8_t> placed(count_, 0);
-  Bytes held(item_size_);
-  for (size_t start = 0; start < count_; ++start) {
-    if (placed[start] || perm[start] == start) {
-      continue;
-    }
-    std::memcpy(held.data(), (*this)[start].data(), item_size_);
-    for (size_t k = start;;) {
-      placed[k] = 1;
-      size_t source = perm[k];
-      if (source == start) {
-        std::memcpy((*this)[k].data(), held.data(), item_size_);
-        break;
-      }
-      if (source >= count_ || placed[source]) {
-        throw std::invalid_argument("Batch::Permute: not a permutation");
-      }
-      std::memcpy((*this)[k].data(), (*this)[source].data(), item_size_);
-      k = source;
-    }
-  }
-}
-
 PackedItems Batch::Pack() && {
   PackedItems packed;
   packed.items = Views();
@@ -83,8 +45,29 @@ PackedItems Batch::Pack() && {
   return packed;
 }
 
+std::vector<Bytes> InPlaceBatch::ToVectors() const {
+  std::vector<Bytes> copies;
+  copies.reserve(items.size());
+  for (ByteSpan item : items) {
+    copies.emplace_back(item.begin(), item.end());
+  }
+  return copies;
+}
+
+PackedItems InPlaceBatch::Pack() && {
+  PackedItems packed;
+  packed.items.assign(items.begin(), items.end());
+  packed.bytes = std::move(owned).Pack().bytes;
+  items.clear();
+  return packed;
+}
+
 std::vector<ByteSpan> ViewsOf(const std::vector<Bytes>& items) {
   return std::vector<ByteSpan>(items.begin(), items.end());
+}
+
+std::vector<MutableByteSpan> MutableViewsOf(std::vector<Bytes>& items) {
+  return std::vector<MutableByteSpan>(items.begin(), items.end());
 }
 
 }  // namespace vuvuzela::util

@@ -11,6 +11,10 @@
 // hop's invitation drops — and the form a Batch takes when it is handed to a
 // sender that keeps it (the hop daemon's replay slot): one buffer plus a view
 // of each item inside it.
+//
+// InPlaceBatch is the output of a pass that works inside its caller's
+// buffer: a view of each item, most of them into that buffer, the rest into
+// the one small batch the pass made itself.
 
 #ifndef VUVUZELA_SRC_UTIL_BATCH_H_
 #define VUVUZELA_SRC_UTIL_BATCH_H_
@@ -67,14 +71,6 @@ class Batch {
   // An owned copy of each item, for interfaces that hand out byte vectors.
   std::vector<Bytes> ToVectors() const;
 
-  // Keeps the first `count` items (count <= size()); the buffer is kept.
-  void Truncate(size_t count);
-
-  // Reorders the items in place so that item k afterwards holds what item
-  // perm[k] held before — Permutation::Apply over strides. `perm` must be a
-  // permutation of [0, size()).
-  void Permute(std::span<const uint32_t> perm);
-
   // Hands the buffer over with a view of each item, leaving this batch
   // empty.
   PackedItems Pack() &&;
@@ -85,9 +81,29 @@ class Batch {
   Bytes data_;
 };
 
+// A pass's output written inside its caller's buffer: `items` views each
+// item in order, either where the pass left it in that buffer (a peeled
+// onion, a response sealed over its request) or in `owned`, the one batch of
+// items the pass made itself (cover onions, the slots of missized requests).
+// The views stay valid while the caller's buffer lives and survive a move
+// (`owned`'s heap block moves with it). Move-only, like Batch.
+struct InPlaceBatch {
+  std::vector<MutableByteSpan> items;
+  Batch owned;
+
+  size_t size() const { return items.size(); }
+  // An owned copy of each item, for interfaces that hand out byte vectors.
+  std::vector<Bytes> ToVectors() const;
+  // Hands `owned`'s buffer over with a view of each item, leaving this batch
+  // empty. The views into the caller's buffer stay views into it.
+  PackedItems Pack() &&;
+};
+
 // A view of each vector item, for the span interfaces (the mix passes, the
 // batch-message senders). The views die with `items`.
 std::vector<ByteSpan> ViewsOf(const std::vector<Bytes>& items);
+// Writable views, for the passes that work inside their input.
+std::vector<MutableByteSpan> MutableViewsOf(std::vector<Bytes>& items);
 
 }  // namespace vuvuzela::util
 

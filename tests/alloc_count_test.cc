@@ -1,20 +1,23 @@
-// Heap allocations per mix pass must not grow with the batch, and the last
-// hop must not copy it.
+// Heap allocations per mix pass must not grow with the batch, and the
+// peeling passes must not copy it.
 //
-// Every item of a batch has one size at one hop, so a pass needs one buffer
-// per batch, not one heap block per onion. This binary replaces the global
-// operator new with one that counts calls and bytes, and runs each pass kind
-// — forward, backward, conversation last hop, forward dialing — at 256 and
-// at 2,048 onions with the same noise. The two call counts may differ only by
-// a small slack: per-pass bookkeeping is fine, per-onion allocation is not (a
-// per-onion block shows up as about 1,800 extra allocations).
+// Every item of a batch has one size at one hop, so a pass needs at most one
+// buffer per batch, not one heap block per onion. This binary replaces the
+// global operator new with one that counts calls and bytes, and runs each
+// pass kind — forward, backward, conversation last hop, forward dialing — at
+// 256 and at 2,048 onions with the same noise. The two call counts may differ
+// only by a small slack: per-pass bookkeeping is fine, per-onion allocation
+// is not (a per-onion block shows up as about 1,800 extra allocations).
 //
+// The peeling passes — both forward passes and the conversation last hop —
+// open each onion inside the caller's buffer, and the last hop seals each
+// response over its own request there. So at 2,048 onions such a pass may
+// allocate its cover onions (none at the last hop), a few dozen bytes per
+// onion for keys, views and indices, and a fixed 64 KiB — not one
+// onion-sized batch: no peeled copy of the requests and no response batch.
 // The last hop runs twice per round: with the in-process exchange, and
 // through an ExchangeRouter to two exchange partitions served from this
-// process. The exchange decides a pairing, so at 2,048 onions the pass may
-// allocate one peeled batch, one response batch and a few dozen bytes per
-// onion for keys, views and indices — not a copy of the requests or of the
-// envelopes. The partitions' serve threads count apart (in a deployment they
+// process. The partitions' serve threads count apart (in a deployment they
 // are processes of their own): together they may hold the requests they
 // received plus a few dozen bytes per request.
 //
@@ -36,6 +39,7 @@
 #include "src/mixnet/mix_server.h"
 #include "src/transport/exchange_daemon.h"
 #include "src/transport/exchange_router.h"
+#include "src/util/batch.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
 #include "src/wire/constants.h"
@@ -120,6 +124,10 @@ struct PassAllocations {
   Allocations last;
   Allocations last_partitioned;
   Allocations forward_dialing;
+  // Bytes of the cover onions each forward pass made: the one batch a
+  // peeling pass owns.
+  uint64_t forward_cover_bytes = 0;
+  uint64_t forward_dialing_cover_bytes = 0;
 };
 
 template <typename Pass>
@@ -226,11 +234,15 @@ PassAllocations Measure(size_t n) {
   for (uint64_t round = 1; round <= kWarmupPasses + 1; ++round) {
     const bool measured = round == kWarmupPasses + 1;
 
+    // Each peeling pass works inside its input, so each gets a fresh batch,
+    // and its output views stay valid while that batch lives.
     std::vector<util::Bytes> onions = wrap(round, chain, wire::kExchangeRequestSize);
-    std::vector<util::ByteSpan> views = util::ViewsOf(onions);
-    util::Batch forwarded;
-    Allocations forward = CountAllocations(
-        [&] { forwarded = servers.front()->ForwardConversation(round, views); });
+    std::vector<util::MutableByteSpan> views = util::MutableViewsOf(onions);
+    ServerRoundStats forward_stats;
+    util::InPlaceBatch forwarded;
+    Allocations forward = CountAllocations([&] {
+      forwarded = servers.front()->ForwardConversation(round, views, &forward_stats);
+    });
 
     util::Xoshiro256Rng response_rng(round);
     util::Batch responses(forwarded.size(),
@@ -245,7 +257,9 @@ PassAllocations Measure(size_t n) {
     EXPECT_EQ(returned.size(), n);
 
     std::vector<util::Bytes> last_onions = wrap(round, last_only, wire::kExchangeRequestSize);
-    std::vector<util::ByteSpan> last_views = util::ViewsOf(last_onions);
+    std::vector<util::Bytes> routed_onions = last_onions;
+    std::vector<util::MutableByteSpan> last_views = util::MutableViewsOf(last_onions);
+    std::vector<util::MutableByteSpan> routed_views = util::MutableViewsOf(routed_onions);
     ServerRoundStats last_stats;
     MixServer::LastHopOutput output;
     Allocations last = CountAllocations([&] {
@@ -257,23 +271,32 @@ PassAllocations Measure(size_t n) {
     servers.back()->SetExchangeBackend(router.get());
     MixServer::LastHopOutput partitioned;
     Allocations last_partitioned = CountAllocations([&] {
-      partitioned = servers.back()->ProcessConversationLastHop(round, last_views, &last_stats);
+      partitioned = servers.back()->ProcessConversationLastHop(round, routed_views, &last_stats);
     });
     servers.back()->SetExchangeBackend(nullptr);
-    EXPECT_TRUE(std::ranges::equal(partitioned.responses.bytes(), output.responses.bytes()));
+    EXPECT_EQ(partitioned.responses.ToVectors(), output.responses.ToVectors());
 
     const uint64_t dial_round = (uint64_t{1} << 63) + round;
     std::vector<util::Bytes> dial_onions = wrap(dial_round, chain, wire::kDialRequestSize);
-    std::vector<util::ByteSpan> dial_views = util::ViewsOf(dial_onions);
+    std::vector<util::MutableByteSpan> dial_views = util::MutableViewsOf(dial_onions);
     ServerRoundStats dial_stats;
-    util::Batch dialed;
+    util::InPlaceBatch dialed;
     Allocations forward_dialing = CountAllocations([&] {
       dialed = servers.front()->ForwardDialing(dial_round, dial_views, kDrops, &dial_stats);
     });
     EXPECT_EQ(dial_stats.requests_dropped, 0u);
 
     if (measured) {
-      counts = PassAllocations{forward, backward, last, last_partitioned, forward_dialing};
+      counts = PassAllocations{
+          forward,
+          backward,
+          last,
+          last_partitioned,
+          forward_dialing,
+          forward_stats.noise_requests_added *
+              crypto::OnionRequestSize(wire::kExchangeRequestSize, kServers - 1),
+          dial_stats.noise_requests_added *
+              crypto::OnionRequestSize(wire::kDialRequestSize, kServers - 1)};
     }
   }
   // Every unwrap of the measured passes hit the primed cache.
@@ -282,9 +305,38 @@ PassAllocations Measure(size_t n) {
   return counts;
 }
 
+// The 2,048-onion measurement, taken once and shared by the tests below.
+const PassAllocations& Large() {
+  static const PassAllocations large = Measure(kLarge);
+  return large;
+}
+
+// Keys, views and indices: a few dozen bytes an onion, on every path.
+constexpr uint64_t kPerOnion = 192;
+// Per-pass bookkeeping that does not scale with the batch (the cover
+// payloads before they are wrapped among it).
+constexpr uint64_t kFixed = 64 << 10;
+// What a peeling pass may allocate beside the cover onions it owns.
+constexpr uint64_t kBookkeeping = kPerOnion * kLarge + kFixed;
+
+double PerOnion(uint64_t bytes) { return static_cast<double>(bytes) / kLarge; }
+
+// `onion_size` is the size of the onions the pass peels out (and of the
+// responses the last hop seals): a peeled copy, or an output batch, would be
+// kLarge of them. Beside the cover onions the pass stays within the
+// bookkeeping bound and below one such batch.
+void ExpectInPlace(const char* pass, const Allocations& at_large, uint64_t cover_bytes,
+                   size_t onion_size) {
+  const uint64_t bound = cover_bytes + kBookkeeping;
+  std::printf("%-18s %.0f bytes an onion (bound %.0f, of which cover onions %.0f)\n", pass,
+              PerOnion(at_large.bytes), PerOnion(bound), PerOnion(cover_bytes));
+  EXPECT_LE(at_large.bytes, bound) << pass;
+  EXPECT_LT(at_large.bytes, cover_bytes + kLarge * onion_size) << pass;
+}
+
 TEST(AllocCount, PassAllocationsDoNotGrowWithBatchSize) {
   const PassAllocations small = Measure(kSmall);
-  const PassAllocations large = Measure(kLarge);
+  const PassAllocations& large = Large();
   // The pool submits one helper task per worker, up to one per block of 64
   // onions, and each submit allocates: scheduling, not per-onion work, but it
   // differs between the two sizes by up to two pool-wide fan-outs per pass.
@@ -308,29 +360,27 @@ TEST(AllocCount, PassAllocationsDoNotGrowWithBatchSize) {
   EXPECT_GT(small.forward.calls, 0u);
 }
 
+TEST(AllocCount, ForwardPassesAllocateNoBatchCopies) {
+  const PassAllocations& large = Large();
+  ExpectInPlace("forward", large.forward, large.forward_cover_bytes,
+                crypto::OnionRequestSize(wire::kExchangeRequestSize, kServers - 1));
+  ExpectInPlace("forward dialing", large.forward_dialing, large.forward_dialing_cover_bytes,
+                crypto::OnionRequestSize(wire::kDialRequestSize, kServers - 1));
+  // The forward passes did make cover onions.
+  EXPECT_GT(large.forward_cover_bytes, 0u);
+  EXPECT_GT(large.forward_dialing_cover_bytes, 0u);
+}
+
 TEST(AllocCount, LastHopAllocatesNoBatchCopies) {
-  const PassAllocations large = Measure(kLarge);
-  // One peeled batch and one response batch, each 272 bytes an onion.
-  const uint64_t batches = kLarge * wire::kExchangeRequestSize +
-                           kLarge * (wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead);
-  // Keys, views and indices: a few dozen bytes an onion, on either path.
-  const uint64_t per_onion = 192;
-  // Per-pass bookkeeping that does not scale with the batch.
-  const uint64_t fixed = 64 << 10;
-  const uint64_t bound = batches + per_onion * kLarge + fixed;
+  const PassAllocations& large = Large();
+  ExpectInPlace("last hop", large.last, 0, wire::kExchangeRequestSize);
+  ExpectInPlace("last hop, routed", large.last_partitioned, 0, wire::kExchangeRequestSize);
   // The partitions receive the requests (each with a 4-byte length prefix)
   // and may add a few dozen bytes a request for views and indices.
-  const uint64_t partition_bound = kLarge * (wire::kExchangeRequestSize + 4) +
-                                   per_onion * kLarge + fixed;
-  auto per = [](uint64_t bytes) { return static_cast<double>(bytes) / kLarge; };
-  std::printf("last hop:           %.0f bytes an onion (bound %.0f)\n", per(large.last.bytes),
-              per(bound));
-  std::printf("last hop, routed:   %.0f bytes an onion (bound %.0f); partitions %.0f (bound "
-              "%.0f)\n",
-              per(large.last_partitioned.bytes), per(bound),
-              per(large.last_partitioned.partition_bytes), per(partition_bound));
-  EXPECT_LE(large.last.bytes, bound);
-  EXPECT_LE(large.last_partitioned.bytes, bound);
+  const uint64_t partition_bound =
+      kLarge * (wire::kExchangeRequestSize + 4) + kPerOnion * kLarge + kFixed;
+  std::printf("partitions         %.0f bytes a request (bound %.0f)\n",
+              PerOnion(large.last_partitioned.partition_bytes), PerOnion(partition_bound));
   EXPECT_LE(large.last_partitioned.partition_bytes, partition_bound);
   // The routed pass did reach the partitions.
   EXPECT_GT(large.last_partitioned.partition_bytes, kLarge * wire::kExchangeRequestSize);

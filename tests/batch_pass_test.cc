@@ -107,13 +107,15 @@ std::vector<util::Bytes> MakeDialingBatch(const std::vector<crypto::X25519Public
   return batch;
 }
 
-// MixServer's passes read views and write flat batches; the oracle takes and
-// returns byte vectors. These overloads give both the oracle's shape, so one
-// test body drives either.
+// MixServer's peeling passes work inside their input and return views of it
+// (the backward pass reads views and writes a flat batch); the oracle takes
+// and returns byte vectors. These overloads give both the oracle's shape, so
+// one test body drives either: MixServer's overloads peel a copy of the batch
+// and copy their output out.
 std::vector<util::Bytes> ForwardPass(MixServer& server, uint64_t round,
-                                     const std::vector<util::Bytes>& batch,
+                                     std::vector<util::Bytes> batch,
                                      ServerRoundStats* stats = nullptr) {
-  return server.ForwardConversation(round, util::ViewsOf(batch), stats).ToVectors();
+  return server.ForwardConversation(round, util::MutableViewsOf(batch), stats).ToVectors();
 }
 std::vector<util::Bytes> ForwardPass(ReferenceMixServer& server, uint64_t round,
                                      const std::vector<util::Bytes>& batch,
@@ -131,10 +133,9 @@ std::vector<util::Bytes> BackwardPass(ReferenceMixServer& server, uint64_t round
   return server.BackwardConversation(round, responses, stats);
 }
 MixServer::LastServerResult LastPass(MixServer& server, uint64_t round,
-                                     const std::vector<util::Bytes>& batch,
-                                     ServerRoundStats* stats) {
+                                     std::vector<util::Bytes> batch, ServerRoundStats* stats) {
   return MixServer::ToLastServerResult(
-      server.ProcessConversationLastHop(round, util::ViewsOf(batch), stats));
+      server.ProcessConversationLastHop(round, util::MutableViewsOf(batch), stats));
 }
 MixServer::LastServerResult LastPass(ReferenceMixServer& server, uint64_t round,
                                      const std::vector<util::Bytes>& batch,
@@ -142,9 +143,10 @@ MixServer::LastServerResult LastPass(ReferenceMixServer& server, uint64_t round,
   return server.ProcessConversationLastHop(round, batch, stats);
 }
 std::vector<util::Bytes> ForwardDialingPass(MixServer& server, uint64_t round,
-                                            const std::vector<util::Bytes>& batch,
-                                            uint32_t num_drops, ServerRoundStats* stats) {
-  return server.ForwardDialing(round, util::ViewsOf(batch), num_drops, stats).ToVectors();
+                                            std::vector<util::Bytes> batch, uint32_t num_drops,
+                                            ServerRoundStats* stats) {
+  return server.ForwardDialing(round, util::MutableViewsOf(batch), num_drops, stats)
+      .ToVectors();
 }
 std::vector<util::Bytes> ForwardDialingPass(ReferenceMixServer& server, uint64_t round,
                                             const std::vector<util::Bytes>& batch,
@@ -251,7 +253,7 @@ TEST_P(BatchConformance, DialingRoundByteIdentical) {
     ExpectSameStats(sa, sb, i);
   }
   auto table_a =
-      production.servers.back()->ProcessDialingLastHop(1, util::ViewsOf(a), kDrops, &sa);
+      production.servers.back()->ProcessDialingLastHop(1, util::MutableViewsOf(a), kDrops, &sa);
   auto table_b = oracle.servers.back()->ProcessDialingLastHop(1, std::move(b), kDrops, &sb);
   ASSERT_EQ(table_a.num_drops(), table_b.num_drops());
   for (uint32_t d = 0; d < table_a.num_drops(); ++d) {
@@ -482,13 +484,15 @@ TEST(SecretCacheConformance, RotatedKeyServesNoStaleSecrets) {
 
   auto wrap = [&](uint64_t round, const std::vector<crypto::X25519PublicKey>& pks) {
     util::Xoshiro256Rng payload_rng(round);
-    return crypto::OnionWrapWithKeys(pks, layer_keys, round,
-                                     payload_rng.RandomBytes(wire::kExchangeRequestSize))
-        .data;
+    return std::vector<util::Bytes>{
+        crypto::OnionWrapWithKeys(pks, layer_keys, round,
+                                  payload_rng.RandomBytes(wire::kExchangeRequestSize))
+            .data};
   };
 
   ServerRoundStats stats;
-  hop.ForwardConversation(1, util::ViewsOf({wrap(1, chain.public_keys)}), &stats);
+  std::vector<util::Bytes> batch1 = wrap(1, chain.public_keys);
+  hop.ForwardConversation(1, util::MutableViewsOf(batch1), &stats);
   EXPECT_EQ(stats.requests_dropped, 0u);
   ASSERT_EQ(hop.secret_cache().GetStats().entries, 1u);
   const uint64_t epoch_before = hop.secret_cache().epoch();
@@ -499,14 +503,16 @@ TEST(SecretCacheConformance, RotatedKeyServesNoStaleSecrets) {
   EXPECT_EQ(hop.secret_cache().GetStats().entries, 0u);
 
   // Old-key onion: rejected under the new key.
-  hop.ForwardConversation(2, util::ViewsOf({wrap(2, chain.public_keys)}), &stats);
+  std::vector<util::Bytes> batch2 = wrap(2, chain.public_keys);
+  hop.ForwardConversation(2, util::MutableViewsOf(batch2), &stats);
   EXPECT_EQ(stats.requests_dropped, 1u);
 
   // New-key onion from the same client: accepted — a stale cache entry for
   // this client pk (derived under the old server key) would drop it.
   std::vector<crypto::X25519PublicKey> new_chain = chain.public_keys;
   new_chain[0] = new_pair.public_key;
-  hop.ForwardConversation(3, util::ViewsOf({wrap(3, new_chain)}), &stats);
+  std::vector<util::Bytes> batch3 = wrap(3, new_chain);
+  hop.ForwardConversation(3, util::MutableViewsOf(batch3), &stats);
   EXPECT_EQ(stats.requests_dropped, 0u);
   EXPECT_EQ(hop.secret_cache().GetStats().entries, 1u);
 }

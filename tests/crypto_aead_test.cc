@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/crypto/aead.h"
@@ -141,6 +142,47 @@ TEST_P(AeadRoundTripTest, SealOpenRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AeadRoundTripTest,
                          ::testing::Values(1, 15, 16, 17, 63, 64, 65, 240, 256, 1000, 4096));
+
+// The mix pass opens each onion layer where it lies: the plaintext is
+// written over the ciphertext it came from.
+TEST(Aead, InPlaceOpenMatchesOutOfPlace) {
+  util::Xoshiro256Rng rng(31);
+  for (size_t size : {0u, 1u, 15u, 16u, 17u, 63u, 64u, 65u, 272u, 368u, 1000u}) {
+    AeadKey key;
+    rng.Fill(key);
+    AeadNonce nonce;
+    rng.Fill(nonce);
+    Bytes aad = rng.RandomBytes(size % 7);
+    Bytes sealed = AeadSeal(key, nonce, aad, rng.RandomBytes(size));
+
+    Bytes out_of_place(size);
+    ASSERT_TRUE(AeadOpenInto(key, nonce, aad, sealed, out_of_place)) << "size " << size;
+    Bytes buffer = sealed;
+    util::MutableByteSpan in_place(buffer.data(), size);
+    ASSERT_TRUE(AeadOpenInto(key, nonce, aad, buffer, in_place)) << "size " << size;
+    EXPECT_EQ(Bytes(in_place.begin(), in_place.end()), out_of_place) << "size " << size;
+    // The tag after the plaintext is left as it was.
+    EXPECT_TRUE(std::equal(buffer.begin() + size, buffer.end(), sealed.begin() + size));
+  }
+}
+
+// The tag is checked before any byte is written, so a forged in-place open
+// leaves the whole buffer as it was.
+TEST(Aead, ForgedInPlaceOpenLeavesBufferUnchanged) {
+  util::Xoshiro256Rng rng(32);
+  for (size_t size : {1u, 64u, 272u}) {
+    AeadKey key;
+    rng.Fill(key);
+    AeadNonce nonce;
+    rng.Fill(nonce);
+    Bytes forged = AeadSeal(key, nonce, {}, rng.RandomBytes(size));
+    forged.back() ^= 0x01;
+    Bytes buffer = forged;
+    EXPECT_FALSE(AeadOpenInto(key, nonce, {}, buffer, util::MutableByteSpan(buffer.data(), size)))
+        << "size " << size;
+    EXPECT_EQ(buffer, forged) << "size " << size;
+  }
+}
 
 TEST(Aead, NonceFromUint64Layout) {
   AeadNonce n = NonceFromUint64(0x0102030405060708ULL, 0xa0b0c0d0);

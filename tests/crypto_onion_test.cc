@@ -104,6 +104,55 @@ TEST(Onion, TamperedLayerRejected) {
   EXPECT_FALSE(OnionUnwrapLayer(chain.servers[0].secret_key, 1, tampered).has_value());
 }
 
+// The mix pass peels each onion inside the buffer it arrived in: the inner
+// layer is opened over the ciphertext, after the ephemeral key.
+TEST(Onion, InPlaceUnwrapMatchesOutOfPlace) {
+  util::Xoshiro256Rng rng(33);
+  for (size_t layers : {1u, 2u, 3u}) {
+    Chain chain = MakeChain(layers, rng);
+    for (size_t payload : {0u, 16u, 272u}) {
+      WrappedOnion onion = OnionWrap(chain.public_keys, 4, rng.RandomBytes(payload), rng);
+      const size_t inner_size = onion.data.size() - kOnionRequestLayerOverhead;
+
+      Bytes out_of_place(inner_size);
+      AeadKey key_out;
+      ASSERT_TRUE(OnionUnwrapLayerInto(chain.servers[0].secret_key, nullptr, 4, onion.data,
+                                       out_of_place, key_out));
+      Bytes buffer = onion.data;
+      util::MutableByteSpan in_place =
+          util::MutableByteSpan(buffer).subspan(kX25519KeySize, inner_size);
+      AeadKey key_in;
+      ASSERT_TRUE(OnionUnwrapLayerInto(chain.servers[0].secret_key, nullptr, 4, buffer,
+                                       in_place, key_in));
+      EXPECT_EQ(Bytes(in_place.begin(), in_place.end()), out_of_place)
+          << layers << " layers, payload " << payload;
+      EXPECT_EQ(key_in, key_out);
+      EXPECT_EQ(key_in, onion.layer_keys[0]);
+    }
+  }
+}
+
+// A forged layer opened in place fails before any byte is written: the
+// buffer, ephemeral key and tag included, is left as it was.
+TEST(Onion, ForgedInPlaceUnwrapLeavesBufferUnchanged) {
+  util::Xoshiro256Rng rng(34);
+  Chain chain = MakeChain(2, rng);
+  WrappedOnion onion = OnionWrap(chain.public_keys, 1, rng.RandomBytes(272), rng);
+  for (size_t flip : {size_t{0}, size_t{40}, onion.data.size() - 1}) {
+    Bytes forged = onion.data;
+    forged[flip] ^= 0x01;
+    Bytes buffer = forged;
+    AeadKey key;
+    EXPECT_FALSE(OnionUnwrapLayerInto(
+        chain.servers[0].secret_key, nullptr, 1, buffer,
+        util::MutableByteSpan(buffer).subspan(kX25519KeySize,
+                                              buffer.size() - kOnionRequestLayerOverhead),
+        key))
+        << "byte " << flip;
+    EXPECT_EQ(buffer, forged) << "byte " << flip;
+  }
+}
+
 TEST(Onion, TruncatedLayerRejected) {
   util::Xoshiro256Rng rng(10);
   Chain chain = MakeChain(1, rng);

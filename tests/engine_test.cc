@@ -48,7 +48,8 @@ TEST(RoundScheduler, ExpiresRoundsAbandonedMidPipeline) {
   // Strand round 1 at server 0: its forward pass ran but the rest of the
   // chain never saw it (a crashed downstream hop). Its return-pass state is
   // now pinned in server 0's memory.
-  chain.server(0).ForwardConversation(1, util::ViewsOf(ConversationBatch(chain, 1, 4, 11)));
+  std::vector<util::Bytes> stranded = ConversationBatch(chain, 1, 4, 11);
+  chain.server(0).ForwardConversation(1, util::MutableViewsOf(stranded));
   ASSERT_EQ(chain.server(0).pending_rounds(), 1u);
 
   RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()),
@@ -75,7 +76,8 @@ TEST(RoundScheduler, ExpiryKeepsRecentRoundsAlive) {
 
   // A round just behind the pipeline window must NOT be expired: with
   // expire_keep = 8, round 4's state survives rounds 5..10.
-  chain.server(0).ForwardConversation(4, util::ViewsOf(ConversationBatch(chain, 4, 4, 21)));
+  std::vector<util::Bytes> behind = ConversationBatch(chain, 4, 4, 21);
+  chain.server(0).ForwardConversation(4, util::MutableViewsOf(behind));
 
   RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()),
                            {.max_in_flight = 2, .expire_keep = 8});

@@ -488,7 +488,7 @@ std::vector<util::Bytes> RunThroughFakePartition(const FakePartition::Answer& an
   EXPECT_NE(router, nullptr);
   hop.server->SetExchangeBackend(router.get());
   mixnet::MixServer::LastHopOutput output =
-      hop.server->ProcessConversationLastHop(3, util::ViewsOf(hop.onions));
+      hop.server->ProcessConversationLastHop(3, util::MutableViewsOf(hop.onions));
   return output.responses.ToVectors();
 }
 
@@ -509,7 +509,8 @@ TEST(ExchangeRouterPairingCheck, HonestFakePartitionMatchesInProcessExchange) {
       [](std::span<const util::ByteSpan> items) { return deaddrop::ExchangeRound(items).partner; });
   LastHop hop = MakeLastHop(3, MixedExchangeRequests(505));
   std::vector<util::Bytes> in_process =
-      hop.server->ProcessConversationLastHop(3, util::ViewsOf(hop.onions)).responses.ToVectors();
+      hop.server->ProcessConversationLastHop(3, util::MutableViewsOf(hop.onions))
+          .responses.ToVectors();
   EXPECT_EQ(routed, in_process);
 }
 

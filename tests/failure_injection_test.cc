@@ -18,6 +18,7 @@
 #include "src/dialing/protocol.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
+#include "src/obs/registry.h"
 #include "src/transport/coord_daemon.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
@@ -149,8 +150,9 @@ TEST_F(FailureInjectionTest, EmptyRoundStillProducesNoise) {
 }
 
 TEST_F(FailureInjectionTest, MismatchedResponseCountThrows) {
-  auto onion = WrapExchange(9, conversation::BuildFakeExchangeRequest(alice_, 9, rng_));
-  util::Batch out = chain_.server(0).ForwardConversation(9, util::ViewsOf({onion}));
+  std::vector<util::Bytes> batch = {
+      WrapExchange(9, conversation::BuildFakeExchangeRequest(alice_, 9, rng_))};
+  util::InPlaceBatch out = chain_.server(0).ForwardConversation(9, util::MutableViewsOf(batch));
   std::vector<util::Bytes> bad(out.size() + 1, util::Bytes(16));
   EXPECT_THROW(chain_.server(0).BackwardConversation(9, util::ViewsOf(bad)),
                std::invalid_argument);
@@ -652,6 +654,76 @@ TEST_F(CrashRecovery, ReplySlotReleasedOnHeaderOfAnotherPass) {
   EXPECT_EQ(reply->op, net::FrameType::kHopBackwardConversation);
   EXPECT_EQ(reply->items.size(), batch.size());
   await_entries(1);
+}
+
+// The last hop peels its request and seals each response inside the chunks
+// it received, so its replay slot keeps those chunks. The coordinator's
+// connection dies after the reply was sent, and the same pass arrives again
+// on a new connection: it is served from the slot, byte-identical to the
+// first reply and to an in-process hop's, and the slot holds the request's
+// chunks plus the pass's own batch — here the response slot of the one
+// missized request — and the reply header, nothing more.
+TEST_F(CrashRecovery, LastHopPassPeeledInPlaceIsReplayed) {
+  auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed);
+  ASSERT_NE(chain, nullptr);
+  transport::TcpTransportConfig transport_config;
+  transport_config.port = chain->port(2);
+  const transport::HopDaemon& daemon = *chain->daemon(2);
+
+  util::Xoshiro256Rng rng(10);
+  auto keys = transport::DeriveChainKeys(kRecoverySeed, 3);
+  std::span<const crypto::X25519PublicKey> last_only =
+      std::span<const crypto::X25519PublicKey>(keys.public_keys).last(1);
+  std::vector<util::Bytes> batch;
+  wire::ExchangeRequest pair_first;
+  for (int i = 0; i < 5; ++i) {
+    wire::ExchangeRequest request;
+    rng.Fill(request.dead_drop);
+    rng.Fill(request.envelope);
+    if (i == 0) {
+      pair_first = request;
+    } else if (i == 3) {
+      request.dead_drop = pair_first.dead_drop;  // requests 0 and 3 meet
+    }
+    batch.push_back(crypto::OnionWrap(last_only, 1, request.Serialize(), rng).data);
+  }
+  batch.push_back(rng.RandomBytes(100));  // missized: dropped, its slot is the hop's own
+
+  auto hop = transport::TcpTransport::Connect(transport_config);
+  ASSERT_NE(hop, nullptr);
+  mixnet::ServerRoundStats stats;
+  auto first = hop->ProcessConversationLastHop(1, batch, &stats);
+  EXPECT_EQ(stats.requests_dropped, 1u);
+  EXPECT_EQ(first.messages_exchanged, 2u);
+  hop = transport::TcpTransport::Connect(transport_config);  // the old connection is gone
+  ASSERT_NE(hop, nullptr);
+  auto again = hop->ProcessConversationLastHop(1, batch, nullptr);
+  EXPECT_EQ(daemon.replay_hits(), 1u);
+  EXPECT_EQ(again.responses, first.responses);
+  EXPECT_EQ(again.messages_exchanged, first.messages_exchanged);
+
+  std::unique_ptr<mixnet::MixServer> in_process =
+      transport::BuildMixServer(RecoveryChainConfig(), keys, 2);
+  transport::LocalTransport local(*in_process);
+  EXPECT_EQ(local.ProcessConversationLastHop(1, batch, nullptr).responses, first.responses);
+
+  auto request_chunks =
+      transport::EncodeBatchChunks(net::FrameType::kHopLastConversation, 1, {},
+                                   util::ViewsOf(batch), transport::kDefaultChunkPayload);
+  ASSERT_TRUE(request_chunks.has_value());
+  size_t chunk_bytes = 0;
+  for (const net::Frame& chunk : *request_chunks) {
+    chunk_bytes += chunk.payload.size();
+  }
+  wire::Writer reply_header;
+  transport::WriteStats(reply_header, {});
+  transport::WriteHistogram(reply_header, {}, 0);
+  const size_t owned = wire::kEnvelopeSize + crypto::kOnionResponseLayerOverhead;
+  EXPECT_EQ(daemon.replay_entries(), 1u);
+  EXPECT_EQ(obs::Registry::Global()
+                .GetGauge("vuvuzela_hop_replay_bytes", "Bytes held in the replay slot")
+                ->Value(),
+            static_cast<int64_t>(reply_header.Take().size() + chunk_bytes + owned));
 }
 
 // The replay slot holds one reply per hop however many rounds the hop has

@@ -13,7 +13,6 @@
 #include "src/mixnet/chain.h"
 #include "src/mixnet/shuffler.h"
 #include "src/transport/hop_chain.h"
-#include "src/util/batch.h"
 #include "src/util/random.h"
 
 namespace vuvuzela::mixnet {
@@ -63,25 +62,6 @@ TEST(Permutation, UniformityChiSquared) {
   }
   // 7 degrees of freedom: chi2 < 24.3 at p=0.001.
   EXPECT_LT(chi2, 24.3);
-}
-
-// The mix pass shuffles its flat batch in place, stride by stride; that must
-// be exactly Permutation::Apply over the items.
-TEST(Permutation, BatchPermuteMatchesApply) {
-  util::Xoshiro256Rng rng(23);
-  for (size_t n : {0u, 1u, 2u, 7u, 64u, 513u}) {
-    util::Batch batch(n, 5);
-    for (size_t i = 0; i < n; ++i) {
-      rng.Fill(batch[i]);
-    }
-    std::vector<util::Bytes> items = batch.ToVectors();
-    Permutation perm = Permutation::Random(n, rng);
-    batch.Permute(perm.indices());
-    EXPECT_EQ(batch.ToVectors(), perm.Apply(std::move(items))) << "n = " << n;
-  }
-  util::Batch batch(3, 1);
-  std::vector<uint32_t> not_a_permutation = {1, 1, 0};
-  EXPECT_THROW(batch.Permute(not_a_permutation), std::invalid_argument);
 }
 
 TEST(Permutation, IdentityKeepsOrder) {

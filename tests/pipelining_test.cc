@@ -79,21 +79,25 @@ TEST_F(PipeliningTest, ThreeRoundsInFlightAtServerLevel) {
   // Drive the servers by hand: forward rounds 1..3 through the whole chain
   // before running any return pass, then return them out of order.
   std::vector<PreparedRound> preps;
-  std::vector<util::Batch> last_hop_responses(4);
+  std::vector<std::vector<util::Bytes>> last_hop_responses(4);
   for (uint64_t round = 1; round <= 3; ++round) {
     preps.push_back(Prepare(round));
-    util::Batch batch = chain_->server(0).ForwardConversation(
-        round, util::ViewsOf({preps.back().alice_onion.data, preps.back().bob_onion.data}));
-    batch = chain_->server(1).ForwardConversation(round, batch.Views());
-    auto result = chain_->server(2).ProcessConversationLastHop(round, batch.Views());
-    last_hop_responses[round] = std::move(result.responses);
+    std::vector<util::Bytes> onions = {preps.back().alice_onion.data,
+                                       preps.back().bob_onion.data};
+    // Each pass peels the one before it in place: its views point into
+    // `onions` and the earlier passes' cover onions.
+    util::InPlaceBatch first =
+        chain_->server(0).ForwardConversation(round, util::MutableViewsOf(onions));
+    util::InPlaceBatch second = chain_->server(1).ForwardConversation(round, first.items);
+    auto result = chain_->server(2).ProcessConversationLastHop(round, second.items);
+    last_hop_responses[round] = result.responses.ToVectors();
   }
   EXPECT_EQ(chain_->server(0).pending_rounds(), 3u);
 
   // Return passes in order 2, 1, 3 — per-round state must not interfere.
   for (uint64_t round : {2u, 1u, 3u}) {
-    util::Batch responses =
-        chain_->server(1).BackwardConversation(round, last_hop_responses[round].Views());
+    util::Batch responses = chain_->server(1).BackwardConversation(
+        round, util::ViewsOf(last_hop_responses[round]));
     responses = chain_->server(0).BackwardConversation(round, responses.Views());
     CheckDelivery(preps[round - 1], responses.ToVectors());
   }
@@ -117,29 +121,31 @@ TEST_F(PipeliningTest, DialingInterleavedWithConversations) {
   // A dialing round between two in-flight conversation rounds must not
   // disturb either (disjoint round-number spaces).
   PreparedRound conv = Prepare(5);
-  util::Batch batch = chain_->server(0).ForwardConversation(
-      5, util::ViewsOf({conv.alice_onion.data, conv.bob_onion.data}));
+  std::vector<util::Bytes> onions = {conv.alice_onion.data, conv.bob_onion.data};
+  util::InPlaceBatch batch = chain_->server(0).ForwardConversation(5, util::MutableViewsOf(onions));
 
   // Dialing round through the same servers while round 5 is in flight.
   dialing::RoundConfig dial_config{.num_real_drops = 1};
   wire::DialRequest dial =
       dialing::BuildDialRequest(dial_config, alice_.public_key, bob_.public_key, rng_);
   uint64_t dial_round = 1ULL << 63;
-  auto dial_onion =
-      crypto::OnionWrap(chain_->public_keys(), dial_round, dial.Serialize(), rng_);
-  util::Batch dial_batch = chain_->server(0).ForwardDialing(
-      dial_round, util::ViewsOf({dial_onion.data}), dial_config.total_drops());
-  dial_batch = chain_->server(1).ForwardDialing(dial_round, dial_batch.Views(),
-                                                dial_config.total_drops());
-  auto table = chain_->server(2).ProcessDialingLastHop(dial_round, dial_batch.Views(),
+  std::vector<util::Bytes> dial_onions = {
+      crypto::OnionWrap(chain_->public_keys(), dial_round, dial.Serialize(), rng_).data};
+  util::InPlaceBatch dial_first = chain_->server(0).ForwardDialing(
+      dial_round, util::MutableViewsOf(dial_onions), dial_config.total_drops());
+  util::InPlaceBatch dial_second = chain_->server(1).ForwardDialing(
+      dial_round, dial_first.items, dial_config.total_drops());
+  auto table = chain_->server(2).ProcessDialingLastHop(dial_round, dial_second.items,
                                                        dial_config.total_drops());
   auto callers = dialing::ScanInvitations(bob_, table.Drop(0));
   ASSERT_EQ(callers.size(), 1u);
 
   // Now finish conversation round 5.
-  batch = chain_->server(1).ForwardConversation(5, batch.Views());
-  auto result = chain_->server(2).ProcessConversationLastHop(5, batch.Views());
-  util::Batch responses = chain_->server(1).BackwardConversation(5, result.responses.Views());
+  util::InPlaceBatch second = chain_->server(1).ForwardConversation(5, batch.items);
+  auto result = chain_->server(2).ProcessConversationLastHop(5, second.items);
+  std::vector<util::Bytes> last_responses = result.responses.ToVectors();
+  util::Batch responses =
+      chain_->server(1).BackwardConversation(5, util::ViewsOf(last_responses));
   responses = chain_->server(0).BackwardConversation(5, responses.Views());
   CheckDelivery(conv, responses.ToVectors());
 }

@@ -232,8 +232,9 @@ TEST(MixServerHygiene, ExpireRoundsDropsAbandonedState) {
   for (uint64_t round = 1; round <= 3; ++round) {
     auto user = crypto::X25519KeyPair::Generate(rng);
     auto request = conversation::BuildFakeExchangeRequest(user, round, rng);
-    auto onion = crypto::OnionWrap(chain.public_keys(), round, request.Serialize(), rng);
-    chain.server(0).ForwardConversation(round, util::ViewsOf({onion.data}));
+    std::vector<util::Bytes> batch = {
+        crypto::OnionWrap(chain.public_keys(), round, request.Serialize(), rng).data};
+    chain.server(0).ForwardConversation(round, util::MutableViewsOf(batch));
   }
   EXPECT_EQ(chain.server(0).pending_rounds(), 3u);
 

@@ -325,6 +325,22 @@ TEST(HopChunk, RejectsTruncatedItem) {
   EXPECT_EQ(assembler.Consume(frame), BatchAssembler::Status::kError);
 }
 
+// The assembler sizes its item views from each chunk's count, capped by what
+// the chunk's payload can frame: a forged count of 0xFFFFFFFF items in a
+// 64-byte payload reserves at most 13 views and still fails as truncated.
+TEST(HopChunk, ForgedItemCountFailsAsTruncated) {
+  wire::Writer w;
+  w.U8(1);   // final chunk
+  w.U32(0);  // empty header
+  w.U32(0xFFFFFFFFu);
+  util::Bytes payload = w.Take();
+  payload.resize(64, 0);  // zero-length items, then three bytes of a length
+  BatchAssembler assembler;
+  EXPECT_EQ(assembler.Consume(net::Frame{net::FrameType::kBatch, 1, payload}),
+            BatchAssembler::Status::kError);
+  EXPECT_EQ(assembler.error(), "truncated item");
+}
+
 // Chunking removes the per-frame size cap, so the assembler enforces a total
 // ceiling: an endless stream of final-flag-less continuations cannot grow one
 // message without bound.

@@ -7,12 +7,14 @@
 //  * aggregate invitation distribution: ~12 GB/s for 1M users (CDN).
 
 #include <cstdio>
+#include <future>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "bench/round_runner.h"
-#include "src/client/dialing_fetcher.h"
 #include "src/crypto/onion.h"
 #include "src/net/frame.h"
+#include "src/sim/client_fleet.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/wiretap.h"
 #include "src/transport/coord_daemon.h"
@@ -22,11 +24,12 @@
 using namespace vuvuzela;
 
 // Measured per-client cost row: a real deployment (loopback hop daemons +
-// dist shards) driven by the real coordinator, with the coordd→hop0 link
-// behind a sim::WireTap. Conversation up/down bytes per client come off the
-// tapped wire (frame-attributed, so only the conversation passes count);
-// the dialing download comes from a real client::DialingFetcher pull against
-// the dist fleet — the same accounting §8.3 quotes per client.
+// dist shards) driven by the real coordinator and a sim::RunClientFleet of
+// `users` clients, with the coordd→hop0 link behind a sim::WireTap.
+// Conversation up/down bytes per client come off the tapped wire
+// (frame-attributed, so only the conversation passes count); the dialing
+// download is what the fleet's bucket fetches carried, per fetch — the same
+// accounting §8.3 quotes per client.
 static void MeasuredPerClientRow() {
   const uint64_t users = bench::FullScale() ? 200 : 24;
   const uint64_t rounds = 8;
@@ -62,16 +65,20 @@ static void MeasuredPerClientRow() {
   }
   config.schedule.conversation_rounds_per_dialing_round = 3;
   config.total_rounds = rounds;
-  config.admission_window_seconds = 0.002;
-  config.synthetic_users = users;
-  config.key_seed = kSeed;
-  const uint32_t dial_drops = config.schedule.dial_dead_drops;
+  config.admission_window_seconds = 1.0;  // closes as soon as every client submitted
+  config.num_clients = users;
   transport::CoordinatorDaemon coordinator(std::move(config));
   if (!coordinator.Start()) {
     std::printf("    (skipped: coordinator failed to start)\n");
     return;
   }
+  sim::ClientFleetConfig fleet_config;
+  fleet_config.coordinator.port = coordinator.client_port();
+  fleet_config.chain = chain->public_keys();
+  fleet_config.users = users;
+  auto fleet = std::async(std::launch::async, sim::RunClientFleet, fleet_config);
   transport::CoordDaemonResult result = coordinator.Run();
+  std::optional<sim::ClientFleetResult> fleet_result = fleet.get();
 
   uint64_t up_bytes = 0, down_bytes = 0;
   for (const auto& record : tap->Records()) {
@@ -91,20 +98,13 @@ static void MeasuredPerClientRow() {
   double up_per_client = denom > 0 ? static_cast<double>(up_bytes) / denom : 0.0;
   double down_per_client = denom > 0 ? static_cast<double>(down_bytes) / denom : 0.0;
 
-  // One client's dialing download, off the real dist fleet: the newest
-  // retained dialing round's whole bucket (every client polling a bucket
-  // downloads the same bytes — see dialing_fetcher.h).
-  client::DialingFetcher fetcher(dist->FetcherConfig());
-  double dial_bytes_per_client = 0.0;
-  for (uint64_t r = result.dialing_rounds_completed; r-- > 0;) {
-    try {
-      fetcher.FetchBucket(coord::kDialingRoundBase + r, 0, dial_drops);
-      dial_bytes_per_client = static_cast<double>(fetcher.bytes_fetched());
-      break;
-    } catch (const std::exception&) {
-      continue;  // round not retained on this shard; try an older one
-    }
-  }
+  // A client's dialing download: one whole bucket per dialing round, the
+  // mean over every fetch the fleet made through coordd.
+  double dial_bytes_per_client =
+      fleet_result && fleet_result->dialing_fetches > 0
+          ? static_cast<double>(fleet_result->dialing_fetch_bytes) /
+                static_cast<double>(fleet_result->dialing_fetches)
+          : 0.0;
 
   std::printf("    %llu users, %llu conv + %llu dial rounds (wire-tapped):\n",
               static_cast<unsigned long long>(users),
@@ -112,7 +112,7 @@ static void MeasuredPerClientRow() {
               static_cast<unsigned long long>(result.dialing_rounds_completed));
   std::printf("    conversation: %.0f B up + %.0f B down per client per round\n",
               up_per_client, down_per_client);
-  std::printf("    dialing download: %.0f B per client per round (bucket 0)\n",
+  std::printf("    dialing download: %.0f B per client per round (mean bucket)\n",
               dial_bytes_per_client);
   bench::EmitJson("tab_bw_per_client",
                   {{"users", static_cast<double>(users)},

@@ -1,13 +1,13 @@
 // vuvuzela-coordd — the round coordinator as a standalone process (§7).
 //
-//   $ vuvuzela-coordd --hops 127.0.0.1:7341,127.0.0.1:7342,127.0.0.1:7343 \
-//       --seed 42 --mu 50 --rounds 20 --k 3 --users 40
+//   $ vuvuzela-coordd --hops 127.0.0.1:7341,127.0.0.1:7342,127.0.0.1:7343
+//         --rounds 20 --k 3 --clients 40 --client-port 7331
 //
-// Connects to one vuvuzela-hopd per chain hop, announces rounds, and drives
-// them through the pipelined engine with K rounds in flight. With --users N
-// it generates a synthetic workload in-process (§8.1's simulated clients);
-// with --clients N it instead listens for N TCP clients and runs a real
-// per-round admission window. Exits 0 iff every announced round completed.
+// Connects to one vuvuzela-hopd per chain hop, waits for N TCP clients (a
+// tools/client_fleet process plays §8.1's simulated users), announces rounds
+// with a per-round admission window, and drives them through the pipelined
+// engine with K rounds in flight. The coordinator holds no chain keys: it
+// checks only onion sizes. Exits 0 iff every announced round completed.
 
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/coord/keydir.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/coord_daemon.h"
@@ -24,67 +23,21 @@ using namespace vuvuzela;
 
 namespace {
 
-struct Flags {
-  std::vector<transport::HopEndpoint> hops;
-  std::vector<transport::HopEndpoint> dist;
-  size_t dist_keep = 4;
-  uint64_t seed = 1;
-  std::string key_dir;
-  uint64_t rounds = 20;
-  size_t k = 3;
-  uint64_t users = 40;
-  size_t clients = 0;
-  uint16_t client_port = 0;
-  double window = 0.02;
-  int hop_timeout_ms = 10000;
-  uint64_t conv_per_dial = 20;
-  // Fault tolerance: submission attempts per round (1 = abandon on first
-  // failure, the pre-recovery behavior).
-  uint32_t retries = 3;
-  // /metrics + /trace HTTP port (-1 = disabled, 0 = ephemeral).
-  int metrics_port = -1;
-  // Privacy budget accountant (§6). The noise means must match the hop
-  // daemons' --mu / --dial-mu so the accountant charges what the deployment
-  // actually adds; epsilon_budget > 0 arms refusal-before-announcement.
-  double mu = 50.0;
-  double dial_mu = 10.0;
-  double epsilon_budget = 0.0;
-  double delta_budget = 1e-4;
-};
-
-bool ParseHops(const std::string& list, std::vector<transport::HopEndpoint>* hops) {
-  size_t start = 0;
-  while (start < list.size()) {
-    size_t comma = list.find(',', start);
-    std::string entry = list.substr(start, comma == std::string::npos ? comma : comma - start);
-    size_t colon = entry.rfind(':');
-    if (colon == std::string::npos) {
-      return false;
-    }
-    unsigned long port = std::strtoul(entry.c_str() + colon + 1, nullptr, 10);
-    if (entry.substr(0, colon).empty() || port == 0 || port > 65535) {
-      return false;  // reject rather than silently truncating to 16 bits
-    }
-    transport::HopEndpoint endpoint;
-    endpoint.host = entry.substr(0, colon);
-    endpoint.port = static_cast<uint16_t>(port);
-    hops->push_back(std::move(endpoint));
-    start = comma == std::string::npos ? list.size() : comma + 1;
-  }
-  return !hops->empty();
-}
+// The noise vuvuzela-hopd adds for --mu M: the privacy-budget accountant
+// (§6) must charge exactly what the deployment adds.
+noise::LaplaceParams HopNoise(double mu) { return {mu, mu / 20.0 + 1.0}; }
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --hops host:port[,host:port...] [--seed S | --key-dir CHAIN.pub]\n"
+               "usage: %s --hops host:port[,host:port...] --clients C [--client-port P]\n"
                "          [--dist host:port[,host:port...]] [--dist-keep R]\n"
-               "          [--rounds N] [--k K] [--users U | --clients C [--client-port P]]\n"
-               "          [--window SEC] [--timeout-ms MS] [--conv-per-dial N] [--retries R]\n"
-               "          [--metrics-port P]\n"
+               "          [--rounds N] [--k K] [--window SEC] [--timeout-ms MS]\n"
+               "          [--conv-per-dial N] [--retries R] [--metrics-port P]\n"
                "          [--mu M --dial-mu D --epsilon-budget E [--delta-budget DLT]]\n"
-               "--key-dir loads the chain's public keys from vuvuzela-keygen output instead\n"
-               "of deriving them from the shared seed. --retries bounds submission attempts\n"
-               "per round (crashed rounds re-enter the next admission window; 1 disables).\n"
+               "Rounds begin once C clients have connected; a round's admission window\n"
+               "closes after SEC or once every live client has submitted. --retries bounds\n"
+               "submission attempts per round (crashed rounds re-enter the next admission\n"
+               "window; 1 disables).\n"
                "--dist publishes each dialing round's invitation table to those\n"
                "vuvuzela-distd shards (omitted: in-process distribution); --dist-keep is\n"
                "the number of published rounds every backend retains (floored to K+4 so a\n"
@@ -96,49 +49,46 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-bool Parse(int argc, char** argv, Flags* flags) {
+bool Parse(int argc, char** argv, transport::CoordDaemonConfig* config) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     const char* value = nullptr;
     if (arg == "--hops" && (value = next())) {
-      if (!ParseHops(value, &flags->hops)) {
+      if (!net::ParseEndpointList(value, &config->hops)) {
         return false;
       }
     } else if (arg == "--dist" && (value = next())) {
-      if (!ParseHops(value, &flags->dist)) {
+      if (!net::ParseEndpointList(value, &config->dist)) {
         return false;
       }
     } else if (arg == "--dist-keep" && (value = next())) {
-      flags->dist_keep = std::strtoul(value, nullptr, 10);
-      if (flags->dist_keep == 0) {
+      config->dist_keep_rounds = std::strtoul(value, nullptr, 10);
+      if (config->dist_keep_rounds == 0) {
         return false;
       }
-    } else if (arg == "--seed" && (value = next())) {
-      flags->seed = std::strtoull(value, nullptr, 10);
     } else if (arg == "--rounds" && (value = next())) {
-      flags->rounds = std::strtoull(value, nullptr, 10);
+      config->total_rounds = std::strtoull(value, nullptr, 10);
     } else if (arg == "--k" && (value = next())) {
-      flags->k = std::strtoul(value, nullptr, 10);
-    } else if (arg == "--users" && (value = next())) {
-      flags->users = std::strtoull(value, nullptr, 10);
+      config->scheduler.max_in_flight = std::strtoul(value, nullptr, 10);
     } else if (arg == "--clients" && (value = next())) {
-      flags->clients = std::strtoul(value, nullptr, 10);
+      config->num_clients = std::strtoul(value, nullptr, 10);
     } else if (arg == "--client-port" && (value = next())) {
       unsigned long port = std::strtoul(value, nullptr, 10);
       if (port > 65535) {
         return false;
       }
-      flags->client_port = static_cast<uint16_t>(port);
+      config->client_port = static_cast<uint16_t>(port);
     } else if (arg == "--window" && (value = next())) {
-      flags->window = std::strtod(value, nullptr);
+      config->admission_window_seconds = std::strtod(value, nullptr);
     } else if (arg == "--timeout-ms" && (value = next())) {
-      flags->hop_timeout_ms = static_cast<int>(std::strtol(value, nullptr, 10));
+      config->hop_timeout_ms = static_cast<int>(std::strtol(value, nullptr, 10));
     } else if (arg == "--conv-per-dial" && (value = next())) {
-      flags->conv_per_dial = std::strtoull(value, nullptr, 10);
+      config->schedule.conversation_rounds_per_dialing_round = std::strtoull(value, nullptr, 10);
     } else if (arg == "--retries" && (value = next())) {
-      flags->retries = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-      if (flags->retries == 0) {
+      // Submission attempts per round (1 = abandon on first failure).
+      config->max_round_attempts = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+      if (config->max_round_attempts == 0) {
         return false;
       }
     } else if (arg == "--metrics-port" && (value = next())) {
@@ -146,88 +96,56 @@ bool Parse(int argc, char** argv, Flags* flags) {
       if (port > 65535) {
         return false;
       }
-      flags->metrics_port = static_cast<int>(port);
+      config->metrics_port = static_cast<int>(port);
     } else if (arg == "--mu" && (value = next())) {
-      flags->mu = std::strtod(value, nullptr);
+      config->budget.conversation_noise = HopNoise(std::strtod(value, nullptr));
     } else if (arg == "--dial-mu" && (value = next())) {
-      flags->dial_mu = std::strtod(value, nullptr);
+      config->budget.dialing_noise = HopNoise(std::strtod(value, nullptr));
     } else if (arg == "--epsilon-budget" && (value = next())) {
-      flags->epsilon_budget = std::strtod(value, nullptr);
+      config->budget.epsilon_budget = std::strtod(value, nullptr);  // > 0 arms the accountant
     } else if (arg == "--delta-budget" && (value = next())) {
-      flags->delta_budget = std::strtod(value, nullptr);
-    } else if (arg == "--key-dir" && (value = next())) {
-      flags->key_dir = value;
+      config->budget.delta_budget = std::strtod(value, nullptr);
     } else {
       return false;
     }
   }
-  return !flags->hops.empty();
+  return !config->hops.empty();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!Parse(argc, argv, &flags)) {
+  transport::CoordDaemonConfig config;
+  config.admission_window_seconds = 0.02;
+  config.shutdown_hops_on_exit = true;
+  config.budget.conversation_noise = HopNoise(50.0);
+  config.budget.dialing_noise = HopNoise(10.0);
+  config.budget.delta_budget = 1e-4;
+  if (!Parse(argc, argv, &config)) {
     Usage(argv[0]);
     return 2;
   }
-
-  transport::CoordDaemonConfig config;
-  config.hops = flags.hops;
-  config.dist = flags.dist;
-  config.dist_keep_rounds = flags.dist_keep;
-  config.scheduler.max_in_flight = flags.k;
-  config.schedule.conversation_rounds_per_dialing_round = flags.conv_per_dial;
-  config.total_rounds = flags.rounds;
-  config.admission_window_seconds = flags.window;
-  config.hop_timeout_ms = flags.hop_timeout_ms;
-  config.shutdown_hops_on_exit = true;
-  config.max_round_attempts = flags.retries;
-  config.client_port = flags.client_port;
-  config.num_clients = flags.clients;
-  config.metrics_port = flags.metrics_port;
-  config.synthetic_users = flags.users;
-  if (flags.epsilon_budget > 0.0) {
-    config.budget.conversation_noise = {flags.mu, flags.mu / 20.0 + 1.0};
-    config.budget.dialing_noise = {flags.dial_mu, flags.dial_mu / 20.0 + 1.0};
-    config.budget.epsilon_budget = flags.epsilon_budget;
-    config.budget.delta_budget = flags.delta_budget;
-  }
-  config.key_seed = flags.seed;
-  config.workload_seed = flags.seed ^ 0x9e3779b97f4a7c15ULL;
-  if (!flags.key_dir.empty()) {
-    auto directory = coord::KeyDirectory::LoadFromFile(flags.key_dir);
-    if (!directory) {
-      std::fprintf(stderr, "vuvuzela-coordd: cannot read key directory %s\n",
-                   flags.key_dir.c_str());
-      return 1;
-    }
-    auto chain_keys = directory->ChainPublicKeys(flags.hops.size());
-    if (!chain_keys) {
-      std::fprintf(stderr, "vuvuzela-coordd: key directory %s lacks hop0..hop%zu\n",
-                   flags.key_dir.c_str(), flags.hops.size() - 1);
-      return 1;
-    }
-    config.public_keys = std::move(*chain_keys);
-  }
+  const noise::BudgetAccountantConfig budget = config.budget;
+  const uint64_t rounds = config.total_rounds;
+  const size_t clients = config.num_clients;
+  const bool sharded_dist = !config.dist.empty();
 
   obs::TraceJournal::Global().SetProcess("coordd");
   transport::CoordinatorDaemon coordinator(std::move(config));
   if (!coordinator.Start()) {
-    std::fprintf(stderr, "vuvuzela-coordd: failed to reach every hop\n");
+    std::fprintf(stderr, "vuvuzela-coordd: cannot start (--clients and --k must be >= 1, every "
+                         "hop and dist shard reachable, and the ports free)\n");
+    Usage(argv[0]);
     return 1;
   }
-  if (flags.metrics_port >= 0) {
+  if (coordinator.metrics_port() != 0) {
     std::printf("vuvuzela-coordd: metrics on http://127.0.0.1:%u/metrics\n",
                 coordinator.metrics_port());
     std::fflush(stdout);
   }
-  if (flags.clients > 0) {
-    std::printf("vuvuzela-coordd: waiting for %zu clients on 127.0.0.1:%u\n", flags.clients,
-                coordinator.client_port());
-    std::fflush(stdout);
-  }
+  std::printf("vuvuzela-coordd: waiting for %zu clients on 127.0.0.1:%u\n", clients,
+              coordinator.client_port());
+  std::fflush(stdout);
 
   transport::CoordDaemonResult result = coordinator.Run();
   uint64_t completed = result.conversation_rounds_completed + result.dialing_rounds_completed;
@@ -240,19 +158,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.rounds_retried),
               static_cast<unsigned long long>(result.messages_exchanged), result.wall_seconds,
               result.wall_seconds > 0 ? result.messages_exchanged / result.wall_seconds : 0.0);
-  std::printf("vuvuzela-coordd: dialing downloads: %llu/%llu bucket fetches over %llu dialing "
-              "rounds, %llu bytes (%s)\n",
+  std::printf("vuvuzela-coordd: dialing downloads: %llu bucket fetches served over %llu "
+              "dialing rounds, %llu bytes (%s)\n",
               static_cast<unsigned long long>(result.dialing_fetches),
-              static_cast<unsigned long long>(result.dialing_fetches_expected),
               static_cast<unsigned long long>(result.dialing_rounds_completed),
               static_cast<unsigned long long>(result.dialing_fetch_bytes),
-              flags.dist.empty() ? "in-process distributor"
-                                 : "sharded vuvuzela-distd fleet");
-  if (flags.epsilon_budget > 0.0) {
+              sharded_dist ? "sharded vuvuzela-distd fleet" : "in-process distributor");
+  if (budget.epsilon_budget > 0.0) {
     std::printf("vuvuzela-coordd: privacy budget: eps_spent=%.4f/%.4f "
                 "delta_spent=%.3g/%.3g, %llu rounds refused\n",
-                result.epsilon_spent, flags.epsilon_budget, result.delta_spent,
-                flags.delta_budget, static_cast<unsigned long long>(result.rounds_refused));
+                result.epsilon_spent, budget.epsilon_budget, result.delta_spent,
+                budget.delta_budget,
+                static_cast<unsigned long long>(result.rounds_refused));
   }
   // Machine-readable final snapshot of every registry metric, one line —
   // what post-mortem tooling parses when no scraper ran during the schedule.
@@ -261,11 +178,8 @@ int main(int argc, char** argv) {
   // armed, so smoke runs can assert zero refusals.
   std::printf("vuvuzela-coordd: metrics %s\n",
               obs::Registry::Global().SnapshotJson().c_str());
-  // Synthetic mode asserts the modeled download fan-out in full; client mode
-  // leaves expected at 0 (clients fetch on their own schedule). A refused
-  // round never completed, so an exhausted budget exits nonzero by
-  // construction.
-  bool downloads_ok = result.dialing_fetches_expected == 0 ||
-                      result.dialing_fetches == result.dialing_fetches_expected;
-  return (completed == flags.rounds && result.rounds_abandoned == 0 && downloads_ok) ? 0 : 1;
+  // A refused round never completed, so an exhausted budget exits nonzero by
+  // construction. Whether every client got its buckets is the clients' to
+  // report (tools/client_fleet checks it).
+  return (completed == rounds && result.rounds_abandoned == 0) ? 0 : 1;
 }

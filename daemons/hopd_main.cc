@@ -51,7 +51,7 @@ struct Flags {
   std::string key_dir;
   double mu = 50.0;
   double dial_mu = 10.0;
-  std::vector<transport::ExchangePartitionEndpoint> exchange;  // last hop only
+  std::vector<net::Endpoint> exchange;  // last hop only
   int metrics_port = -1;  // /metrics + /trace (-1 = disabled, 0 = ephemeral)
 };
 
@@ -68,26 +68,6 @@ void Usage(const char* argv0) {
                "--exchange partitions the last hop's dead-drop exchange across\n"
                "vuvuzela-exchanged shard servers (endpoint i serves shard i).\n",
                argv0);
-}
-
-bool ParseExchange(const std::string& list,
-                   std::vector<transport::ExchangePartitionEndpoint>* endpoints) {
-  size_t start = 0;
-  while (start < list.size()) {
-    size_t comma = list.find(',', start);
-    std::string entry = list.substr(start, comma == std::string::npos ? comma : comma - start);
-    size_t colon = entry.rfind(':');
-    if (colon == std::string::npos) {
-      return false;
-    }
-    unsigned long port = std::strtoul(entry.c_str() + colon + 1, nullptr, 10);
-    if (entry.substr(0, colon).empty() || port == 0 || port > 65535) {
-      return false;
-    }
-    endpoints->push_back({entry.substr(0, colon), static_cast<uint16_t>(port)});
-    start = comma == std::string::npos ? list.size() : comma + 1;
-  }
-  return !endpoints->empty();
 }
 
 bool Parse(int argc, char** argv, Flags* flags) {
@@ -118,7 +98,7 @@ bool Parse(int argc, char** argv, Flags* flags) {
     } else if (arg == "--dial-mu" && (value = next())) {
       flags->dial_mu = std::strtod(value, nullptr);
     } else if (arg == "--exchange" && (value = next())) {
-      if (!ParseExchange(value, &flags->exchange)) {
+      if (!net::ParseEndpointList(value, &flags->exchange)) {
         return false;
       }
     } else if (arg == "--metrics-port" && (value = next())) {

@@ -94,7 +94,6 @@ int main() {
   coord_config.total_rounds = kRounds;
   coord_config.admission_window_seconds = 0.25;
   coord_config.num_clients = 2;
-  coord_config.key_seed = kSeed;
   transport::CoordinatorDaemon coordinator(std::move(coord_config));
   if (!coordinator.Start()) {
     std::fprintf(stderr, "coordinator failed to reach the hops\n");

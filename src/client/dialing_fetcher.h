@@ -26,6 +26,7 @@
 
 #include "src/client/client.h"
 #include "src/dialing/protocol.h"
+#include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
 #include "src/transport/hop_wire.h"
 #include "src/transport/shard_link.h"
@@ -33,12 +34,8 @@
 namespace vuvuzela::client {
 
 struct DialingFetcherConfig {
-  struct Endpoint {
-    std::string host = "127.0.0.1";
-    uint16_t port = 0;
-  };
   // One endpoint per dist shard; endpoint i serves shard i of shards.size().
-  std::vector<Endpoint> shards;
+  std::vector<net::Endpoint> shards;
   // Receive deadline per fetch RPC — the dead-shard detector.
   int recv_timeout_ms = 10000;
   // Connect deadline per (re)connect attempt; 0 = OS blocking connect.

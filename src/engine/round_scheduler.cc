@@ -143,9 +143,7 @@ RoundScheduler::RoundScheduler(std::vector<std::unique_ptr<transport::HopTranspo
   if (config_.max_in_flight == 0) {
     throw std::invalid_argument("RoundScheduler: max_in_flight must be >= 1");
   }
-  if (config_.expire_keep == 0) {
-    config_.expire_keep = 2 * config_.max_in_flight + 2;
-  }
+  config_.expire_keep = ExpireKeep(config_);
   if (config_.expire_keep < config_.max_in_flight) {
     throw std::invalid_argument("RoundScheduler: expire_keep must cover the in-flight window");
   }

@@ -106,6 +106,12 @@ struct SchedulerConfig {
   bool record_latencies = false;
 };
 
+// The round-expiry horizon: expire_keep, or 2*K + 2 when that is 0. State
+// kept per round beside the scheduler is reclaimed on the same horizon.
+inline uint64_t ExpireKeep(const SchedulerConfig& config) {
+  return config.expire_keep != 0 ? config.expire_keep : 2 * config.max_in_flight + 2;
+}
+
 // Aggregate counters; one snapshot is cheap and thread-safe to take.
 struct SchedulerStats {
   uint64_t conversation_rounds_completed = 0;

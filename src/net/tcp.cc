@@ -13,10 +13,26 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <vector>
 
 namespace vuvuzela::net {
+
+bool ParseEndpointList(const std::string& list, std::vector<Endpoint>* endpoints) {
+  std::istringstream entries(list);
+  for (std::string entry; std::getline(entries, entry, ',');) {
+    size_t colon = entry.rfind(':');
+    unsigned long port =
+        colon == std::string::npos ? 0 : std::strtoul(entry.c_str() + colon + 1, nullptr, 10);
+    if (colon == 0 || port == 0 || port > 65535) {
+      return false;  // reject rather than silently truncating to 16 bits
+    }
+    endpoints->push_back({entry.substr(0, colon), static_cast<uint16_t>(port)});
+  }
+  return !endpoints->empty();
+}
 
 TcpConnection::~TcpConnection() { Close(); }
 

@@ -23,10 +23,22 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/net/frame.h"
 
 namespace vuvuzela::net {
+
+// A TCP peer address: a hop, an exchange or dist shard, or the coordinator.
+struct Endpoint {
+  std::string host = "127.0.0.1";
+  uint16_t port = 0;
+};
+
+// Appends the endpoints of a comma-separated "host:port[,host:port...]" list
+// (the daemons' command-line form). False on an empty list, an empty host, or
+// a port outside 1..65535.
+bool ParseEndpointList(const std::string& list, std::vector<Endpoint>* endpoints);
 
 // Why RecvFrame failed. A dead remote hop (timeout) must be distinguishable
 // from an orderly close (EOF): the round engine abandons the round on the

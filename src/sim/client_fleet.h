@@ -1,0 +1,53 @@
+// §8.1's simulated users as real clients of the coordinator: RunClientFleet
+// opens `users` connections to coordd's front door. Each round, client i
+// sends onion i of a batch the workload generator builds once per round
+// (sim/workload.h); after each dialing round's kDialAck it downloads bucket
+// i mod m through coordd's kInvitationFetch proxy (§5.5). A thread per client
+// suits the tens of clients the tests and the CI smoke run;
+// bench/fig12_frontdoor loads the front door at scale.
+
+#ifndef VUVUZELA_SRC_SIM_CLIENT_FLEET_H_
+#define VUVUZELA_SRC_SIM_CLIENT_FLEET_H_
+
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <vector>
+
+#include "src/crypto/x25519.h"
+#include "src/net/tcp.h"
+#include "src/util/bytes.h"
+
+namespace vuvuzela::sim {
+
+struct ClientFleetConfig {
+  net::Endpoint coordinator;
+  // The chain's public keys, hop 0 first.
+  std::vector<crypto::X25519PublicKey> chain;
+  uint64_t users = 0;
+  // Round r's batch comes from seed + r, with fresh ephemerals.
+  uint64_t seed = 1;
+  // Adversarial-suite hook: conversation round r has entry (r - 1) mod size
+  // users, and clients from that index on sit the round out (the varying
+  // load the wiretap attack traces). Empty: every user sends every round.
+  std::vector<uint64_t> users_per_round;
+};
+
+struct ClientFleetResult {
+  // responses[i][r]: client i's conversation response for round r.
+  std::vector<std::map<uint64_t, util::Bytes>> responses;
+  // Bucket fetches sent (one per client per acknowledged dialing round),
+  // fetches answered with a bucket, and the bytes those buckets carried.
+  uint64_t dialing_fetches_expected = 0;
+  uint64_t dialing_fetches = 0;
+  uint64_t dialing_fetch_bytes = 0;
+};
+
+// Connects every client, then plays rounds until coordd shuts the clients
+// down; run it beside CoordinatorDaemon::Run. nullopt if a client cannot
+// connect; a client's exception is rethrown once every client has finished.
+std::optional<ClientFleetResult> RunClientFleet(const ClientFleetConfig& config);
+
+}  // namespace vuvuzela::sim
+
+#endif  // VUVUZELA_SRC_SIM_CLIENT_FLEET_H_

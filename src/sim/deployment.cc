@@ -11,7 +11,6 @@ mixnet::ChainConfig ToChainConfig(const DeploymentConfig& config) {
   chain_config.num_servers = config.num_servers;
   chain_config.conversation_noise = config.conversation_noise;
   chain_config.dialing_noise = config.dialing_noise;
-  chain_config.non_mixing_positions = config.non_mixing_positions;
   return chain_config;
 }
 

@@ -31,8 +31,6 @@ struct DeploymentConfig {
   size_t max_conversations_per_client = 1;
   uint32_t num_real_dial_drops = 1;
   uint64_t seed = 1;
-  // Positions of servers that do not mix (compromised); tests only.
-  std::vector<size_t> non_mixing_positions;
 };
 
 class Deployment {

@@ -4,14 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <utility>
 
 #include "src/crypto/onion.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
-#include "src/sim/workload.h"
-#include "src/transport/hop_chain.h"
 #include "src/util/logging.h"
 #include "src/util/stats.h"
 
@@ -53,7 +50,8 @@ size_t CoordinatorDaemon::admission_dedup_rounds() const {
 }
 
 bool CoordinatorDaemon::Start() {
-  if (config_.hops.empty()) {
+  if (config_.hops.empty() || config_.num_clients == 0 ||
+      config_.scheduler.max_in_flight == 0) {
     return false;
   }
   if (config_.budget.epsilon_budget > 0.0) {
@@ -63,16 +61,6 @@ bool CoordinatorDaemon::Start() {
       VZ_LOG_ERROR << "coordinator: privacy budget misconfigured: " << e.what();
       return false;
     }
-  }
-  if (!config_.public_keys.empty()) {
-    if (config_.public_keys.size() != config_.hops.size()) {
-      VZ_LOG_ERROR << "coordinator: key directory has " << config_.public_keys.size()
-                   << " hops, deployment has " << config_.hops.size();
-      return false;
-    }
-    public_keys_ = config_.public_keys;
-  } else {
-    public_keys_ = DeriveChainKeys(config_.key_seed, config_.hops.size()).public_keys;
   }
   for (const auto& endpoint : config_.hops) {
     TcpTransportConfig transport_config;
@@ -91,19 +79,17 @@ bool CoordinatorDaemon::Start() {
     recon_hops_.push_back(transport.get());
     hop_transports_.push_back(std::move(transport));
   }
-  // The collector serves/models bucket downloads only after a dialing round
-  // completes. SubmitAttempt bounds the uncollected backlog to K+2 rounds
-  // (plus the one being collected), so retaining K+4 publications guarantees
-  // a table can never expire before its downloads run.
+  // Clients fetch their buckets only once a dialing round is collected.
+  // SubmitAttempt bounds the uncollected backlog to K+2 rounds (plus the one
+  // being collected), so retaining K+4 publications guarantees a table can
+  // never expire before its downloads run.
   size_t dist_keep_floor = config_.scheduler.max_in_flight + 4;
   if (config_.dist_keep_rounds < dist_keep_floor) {
     config_.dist_keep_rounds = dist_keep_floor;
   }
   if (!config_.dist.empty()) {
     DistRouterConfig dist_config;
-    for (const auto& endpoint : config_.dist) {
-      dist_config.shards.push_back({endpoint.host, endpoint.port});
-    }
+    dist_config.shards = config_.dist;
     dist_config.recv_timeout_ms = config_.hop_timeout_ms;
     dist_config.connect_timeout_ms = config_.connect_timeout_ms;
     dist_config.chunk_payload = config_.chunk_payload;
@@ -118,38 +104,35 @@ bool CoordinatorDaemon::Start() {
   } else {
     dist_backend_ = std::make_unique<coord::InvitationDistributor>();
   }
-  if (config_.num_clients > 0) {
-    FrontDoorConfig door_config;
-    door_config.port = config_.client_port;
-    door_config.backlog = config_.client_backlog;
-    FrontDoorHandlers door_handlers;
-    door_handlers.on_frame = [this](size_t index, net::Frame&& frame) {
-      OnClientFrame(index, std::move(frame));
-    };
-    door_handlers.on_fetch = [this](size_t client, uint64_t round, util::Bytes payload) {
-      net::Frame reply = BuildFetchReply(round, payload);
-      std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
-      if (owed_fetches_.erase({round, client}) > 0) {
-        owed_fetch_cv_.notify_all();
-      }
-      return reply;
-    };
-    door_handlers.on_disconnect = [this](size_t client) {
-      {
-        // A window waiting on "every live client contributed" must re-check.
-        std::lock_guard<std::mutex> lock(admission_mutex_);
-        admission_cv_.notify_all();
-      }
-      // A client that hung up owes no fetch.
-      std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
-      std::erase_if(owed_fetches_, [client](const auto& owed) { return owed.second == client; });
+  FrontDoorConfig door_config;
+  door_config.port = config_.client_port;
+  FrontDoorHandlers door_handlers;
+  door_handlers.on_frame = [this](size_t index, net::Frame&& frame) {
+    OnClientFrame(index, std::move(frame));
+  };
+  door_handlers.on_fetch = [this](size_t client, uint64_t round, util::Bytes payload) {
+    net::Frame reply = BuildFetchReply(round, payload);
+    std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
+    if (owed_fetches_.erase({round, client}) > 0) {
       owed_fetch_cv_.notify_all();
-    };
-    front_door_ = FrontDoor::Create(door_config, std::move(door_handlers));
-    if (!front_door_ || !front_door_->Start()) {
-      front_door_.reset();
-      return false;
     }
+    return reply;
+  };
+  door_handlers.on_disconnect = [this](size_t client) {
+    {
+      // A window waiting on "every live client contributed" must re-check.
+      std::lock_guard<std::mutex> lock(admission_mutex_);
+      admission_cv_.notify_all();
+    }
+    // A client that hung up owes no fetch.
+    std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
+    std::erase_if(owed_fetches_, [client](const auto& owed) { return owed.second == client; });
+    owed_fetch_cv_.notify_all();
+  };
+  front_door_ = FrontDoor::Create(door_config, std::move(door_handlers));
+  if (!front_door_ || !front_door_->Start()) {
+    front_door_.reset();
+    return false;
   }
   if (config_.metrics_port >= 0) {
     metrics_server_ =
@@ -222,15 +205,15 @@ net::Frame CoordinatorDaemon::BuildFetchReply(uint64_t round, util::ByteSpan pay
       known_dead = it != failed_fetch_buckets_.end() && it->second.contains(bucket_index);
     }
     if (known_dead) {
-      // Same guard the synthetic fan-out applies: one deadline per dead
-      // bucket per round, never one per fetching client.
+      // One deadline per dead bucket per round, never one per fetching
+      // client.
       reply.type = net::FrameType::kHopError;
       const char* what = "bucket unavailable this round";
       reply.payload.assign(what, what + std::strlen(what));
     } else {
-      // Served fetches are counted; `expected` is not raised here — a client
-      // fetching a bogus or long-expired round gets an error reply, and that
-      // client-side mistake must not flip the coordinator's exit code.
+      // Only served fetches are counted: a client fetching a bogus or
+      // long-expired round gets an error reply, and that client-side mistake
+      // must not read as a coordinator failure.
       try {
         std::vector<wire::Invitation> bucket = dist_backend_->Fetch(round, bucket_index);
         reply.type = net::FrameType::kInvitationDrop;
@@ -270,63 +253,18 @@ net::Frame CoordinatorDaemon::BuildFetchReply(uint64_t round, util::ByteSpan pay
   return reply;
 }
 
-void CoordinatorDaemon::SyntheticFetchFanOut(const wire::RoundAnnouncement& announcement) {
-  // Every synthetic user downloads its whole bucket, exactly as a real
-  // client fleet would each dialing round — the bandwidth §8.3 attributes to
-  // dialing. Buckets are assigned uniformly (user index mod m), the same
-  // distribution H(pk) mod m induces. A fetch that fails (dead dist shard
-  // mid-download) costs that download only; the round itself completed.
-  uint32_t num_drops = announcement.num_dial_dead_drops;
-  if (num_drops == 0 || dist_backend_ == nullptr) {
-    return;
-  }
-  // A bucket that failed once this round is skipped for the remaining users
-  // polling it: retrying a dead dist shard per user would pay a full connect
-  // (or receive) deadline each time, stalling the collector — and through
-  // the pending-queue backpressure, the announcer — for the whole fleet. One
-  // deadline per bucket bounds the stall; the skipped downloads are counted
-  // missed, which the report and exit code surface.
-  std::set<uint32_t> failed_buckets;
-  for (uint64_t user = 0; user < config_.synthetic_users; ++user) {
-    dialing_fetches_expected_.fetch_add(1);
-    uint32_t bucket_index = static_cast<uint32_t>(user % num_drops);
-    if (failed_buckets.contains(bucket_index)) {
-      continue;
-    }
-    try {
-      std::vector<wire::Invitation> bucket =
-          dist_backend_->Fetch(announcement.round, bucket_index);
-      dialing_fetches_.fetch_add(1);
-      dialing_fetch_bytes_.fetch_add(bucket.size() * wire::kInvitationSize);
-      obs_fetches_->Add();
-      obs_fetch_bytes_->Add(bucket.size() * wire::kInvitationSize);
-    } catch (const std::exception& e) {
-      failed_buckets.insert(bucket_index);
-      VZ_LOG_WARN << "coordinator: bucket " << bucket_index << " fetch failed (round "
-                  << announcement.round << "): " << e.what();
-    }
-  }
-}
-
 void CoordinatorDaemon::PruneAdmissionDedup(uint64_t announced_round) {
-  // Same horizon the scheduler derives for hop-state expiry: once a round is
+  // Same horizon the scheduler uses for hop-state expiry: once a round is
   // `keep` behind the newest announcement in its number space, it can no
   // longer complete — whether it finished or was abandoned on a dead hop —
   // so its dedup record is dead weight.
-  uint64_t keep = config_.scheduler.expire_keep != 0 ? config_.scheduler.expire_keep
-                                                     : 2 * config_.scheduler.max_in_flight + 2;
+  uint64_t keep = engine::ExpireKeep(config_.scheduler);
   uint64_t base = announced_round >= coord::kDialingRoundBase ? coord::kDialingRoundBase : 0;
   if (announced_round - base <= keep) {
     return;
   }
   admission_dedup_.erase(admission_dedup_.lower_bound(base),
                          admission_dedup_.lower_bound(announced_round - keep));
-}
-
-void CoordinatorDaemon::BroadcastAnnouncement(const wire::RoundAnnouncement& announcement) {
-  front_door_->Broadcast(
-      net::Frame{net::FrameType::kRoundAnnouncement, announcement.round,
-                 announcement.Serialize()});
 }
 
 std::pair<std::vector<util::Bytes>, std::vector<size_t>> CoordinatorDaemon::CloseAdmission() {
@@ -339,27 +277,6 @@ std::pair<std::vector<util::Bytes>, std::vector<size_t>> CoordinatorDaemon::Clos
   });
   admission_open_ = false;
   return {std::move(admission_onions_), std::move(admission_contributors_)};
-}
-
-std::vector<util::Bytes> CoordinatorDaemon::SyntheticBatch(
-    const wire::RoundAnnouncement& announcement) {
-  sim::WorkloadConfig workload;
-  workload.num_users = config_.synthetic_users;
-  if (announcement.type == wire::RoundType::kConversation &&
-      !config_.synthetic_user_schedule.empty()) {
-    workload.num_users = config_.synthetic_user_schedule[synthetic_schedule_index_++ %
-                                                         config_.synthetic_user_schedule.size()];
-  }
-  workload.pairing_fraction = 1.0;
-  workload.seed = config_.workload_seed + announcement.round;
-  if (announcement.type == wire::RoundType::kConversation) {
-    return sim::GenerateConversationWorkload(workload, public_keys_, announcement.round);
-  }
-  dialing::RoundConfig dial_config;
-  dial_config.num_real_drops =
-      announcement.num_dial_dead_drops > 1 ? announcement.num_dial_dead_drops - 1 : 1;
-  return sim::GenerateDialingWorkload(workload, public_keys_, announcement.round, dial_config,
-                                      config_.synthetic_dial_fraction);
 }
 
 void CoordinatorDaemon::CollectLoop(CoordDaemonResult& result) {
@@ -385,11 +302,6 @@ void CoordinatorDaemon::CollectLoop(CoordDaemonResult& result) {
         // the download side.
         round.dialing.get();
         ++result.dialing_rounds_completed;
-        if (front_door_ == nullptr) {
-          // Synthetic mode: model the client fleet downloading its buckets
-          // from the (now published) table — the §5.5 CDN fan-out.
-          SyntheticFetchFanOut(round.announcement);
-        }
         // Acknowledge the round to contributing clients; they follow up with
         // kInvitationFetch for their bucket (BuildFetchReply), which the
         // teardown waits for.
@@ -412,16 +324,10 @@ void CoordinatorDaemon::CollectLoop(CoordDaemonResult& result) {
         result.messages_exchanged += conversation.messages_exchanged;
         ++result.conversation_rounds_completed;
         for (size_t slot = 0; slot < round.contributors.size(); ++slot) {
-          // Copy only when the batch is also being retained for the test
-          // hook; the production path moves as before.
-          front_door_->Send(
-              round.contributors[slot],
-              net::Frame{net::FrameType::kConversationResponse, round.announcement.round,
-                         config_.record_responses ? conversation.responses[slot]
-                                                  : std::move(conversation.responses[slot])});
-        }
-        if (config_.record_responses) {
-          result.responses[round.announcement.round] = std::move(conversation.responses);
+          front_door_->Send(round.contributors[slot],
+                            net::Frame{net::FrameType::kConversationResponse,
+                                       round.announcement.round,
+                                       std::move(conversation.responses[slot])});
         }
       }
     } catch (const std::exception& e) {
@@ -490,10 +396,10 @@ void CoordinatorDaemon::SubmitAttempt(engine::RoundScheduler& scheduler, Pending
   {
     // Backpressure the announcer against the collector: the scheduler's K
     // bound covers rounds in flight, not rounds completed-but-uncollected,
-    // and the collector also serves each dialing round's download fan-out.
-    // Without this bound a slow collector could lag arbitrarily far behind —
-    // far enough for a published invitation table to expire before its
-    // downloads ran.
+    // and clients download a dialing round's buckets only once the collector
+    // has acknowledged it. Without this bound a slow collector could lag
+    // arbitrarily far behind — far enough for a published invitation table
+    // to expire before its downloads ran.
     std::unique_lock<std::mutex> lock(pending_mutex_);
     pending_cv_.wait(lock, [this] {
       return pending_.size() < config_.scheduler.max_in_flight + 2;
@@ -549,11 +455,9 @@ void CoordinatorDaemon::SubmitRetries(engine::RoundScheduler& scheduler) {
 CoordDaemonResult CoordinatorDaemon::Run() {
   CoordDaemonResult result;
 
-  if (front_door_ != nullptr) {
-    // The reactor has been accepting since Start(); rounds begin once the
-    // expected fleet is registered (disconnected clients keep their index).
-    front_door_->WaitForClients(config_.num_clients);
-  }
+  // The reactor has been accepting since Start(); rounds begin once the
+  // expected fleet is registered (disconnected clients keep their index).
+  front_door_->WaitForClients(config_.num_clients);
 
   // The scheduler drives the pipeline phases of the shared round lifecycle;
   // this daemon drives announcements and the failure policy.
@@ -607,8 +511,7 @@ CoordDaemonResult CoordinatorDaemon::Run() {
       char detail[96];
       std::snprintf(detail, sizeof detail, "type=%s window=%.3f clients=%zu",
                     announcement.type == wire::RoundType::kConversation ? "conv" : "dialing",
-                    config_.admission_window_seconds,
-                    front_door_ != nullptr ? front_door_->alive() : size_t{0});
+                    config_.admission_window_seconds, front_door_->alive());
       obs::TraceJournal::Global().Emit(announcement.round, "admission/open", detail);
     }
     {
@@ -618,30 +521,21 @@ CoordDaemonResult CoordinatorDaemon::Run() {
     PendingRound pending;
     pending.announcement = announcement;
 
-    if (front_door_ == nullptr) {
-      if (config_.admission_window_seconds > 0) {
-        // Pace synthetic rounds like real admission windows (also what keeps
-        // multi-process smoke runs long enough to inject failures into).
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(config_.admission_window_seconds));
-      }
-      pending.onions = SyntheticBatch(announcement);
-    } else {
-      {
-        std::lock_guard<std::mutex> lock(admission_mutex_);
-        admission_open_ = true;
-        admission_round_ = announcement.round;
-        admission_type_ = announcement.type;
-        admission_onions_.clear();
-        admission_contributors_.clear();
-        admission_dedup_[announcement.round].assign(front_door_->clients_seen(), 0);
-        PruneAdmissionDedup(announcement.round);
-      }
-      BroadcastAnnouncement(announcement);
-      auto closed = CloseAdmission();
-      pending.onions = std::move(closed.first);
-      pending.contributors = std::move(closed.second);
+    {
+      std::lock_guard<std::mutex> lock(admission_mutex_);
+      admission_open_ = true;
+      admission_round_ = announcement.round;
+      admission_type_ = announcement.type;
+      admission_onions_.clear();
+      admission_contributors_.clear();
+      admission_dedup_[announcement.round].assign(front_door_->clients_seen(), 0);
+      PruneAdmissionDedup(announcement.round);
     }
+    front_door_->Broadcast(net::Frame{net::FrameType::kRoundAnnouncement, announcement.round,
+                                      announcement.Serialize()});
+    auto closed = CloseAdmission();
+    pending.onions = std::move(closed.first);
+    pending.contributors = std::move(closed.second);
     {
       char detail[64];
       std::snprintf(detail, sizeof detail, "onions=%zu", pending.onions.size());
@@ -687,19 +581,17 @@ CoordDaemonResult CoordinatorDaemon::Run() {
   }
   result.wall_seconds = SecondsSince(start);
 
-  if (front_door_ != nullptr) {
-    // Orderly cascade: answer the bucket fetches still owed for acked
-    // dialing rounds (bounded, for clients that never fetch), announce
-    // shutdown, give clients a beat to hang up themselves, cut the
-    // stragglers, then stop the reactor.
-    {
-      std::unique_lock<std::mutex> lock(owed_fetch_mutex_);
-      owed_fetch_cv_.wait_for(lock, std::chrono::seconds(2),
-                              [this] { return owed_fetches_.empty(); });
-    }
-    front_door_->CloseClients(net::Frame{net::FrameType::kShutdown, 0, {}}, /*grace_ms=*/2000);
-    front_door_->Shutdown();
+  // Orderly cascade: answer the bucket fetches still owed for acked dialing
+  // rounds (bounded, for clients that never fetch), announce shutdown, give
+  // clients a beat to hang up themselves, cut the stragglers, then stop the
+  // reactor.
+  {
+    std::unique_lock<std::mutex> lock(owed_fetch_mutex_);
+    owed_fetch_cv_.wait_for(lock, std::chrono::seconds(2),
+                            [this] { return owed_fetches_.empty(); });
   }
+  front_door_->CloseClients(net::Frame{net::FrameType::kShutdown, 0, {}}, /*grace_ms=*/2000);
+  front_door_->Shutdown();
 
   if (config_.shutdown_hops_on_exit) {
     for (ReconnectingTransport* hop : recon_hops_) {
@@ -712,7 +604,6 @@ CoordDaemonResult CoordinatorDaemon::Run() {
   recon_hops_.clear();
 
   result.dialing_fetches = dialing_fetches_.load();
-  result.dialing_fetches_expected = dialing_fetches_expected_.load();
   result.dialing_fetch_bytes = dialing_fetch_bytes_.load();
   if (accountant_) {
     noise::PrivacyBound spent = accountant_->Spent();

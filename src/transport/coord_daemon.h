@@ -29,16 +29,12 @@
 //     accounting — and the scheduler's expiry path reclaims its state at
 //     the surviving hops.
 //
-// Two client modes:
-//  * TCP clients (num_clients > 0): real connections, kRoundAnnouncement /
-//    kConversationRequest / kConversationResponse frames, a per-round
-//    admission window (clients that miss it are excluded from the batch).
-//    Only onions of the chain's request size for the round type are
-//    admitted; a missized frame is dropped without taking the client's
-//    slot.
-//  * Synthetic (num_clients == 0): the coordinator generates
-//    `synthetic_users` onions per round in-process (§8.1's simulated
-//    clients) — what the multi-process CI smoke and benches run.
+// Admission: num_clients TCP clients connect through the FrontDoor and
+// submit onions inside a per-round admission window (clients that miss it
+// are excluded from the batch). The coordinator holds no chain keys: it
+// admits only onions of the chain's request size for the round type, and a
+// missized frame does not take the client's slot. §8.1's simulated users are
+// a client fleet on the far side of the socket (sim::RunClientFleet).
 
 #ifndef VUVUZELA_SRC_TRANSPORT_COORD_DAEMON_H_
 #define VUVUZELA_SRC_TRANSPORT_COORD_DAEMON_H_
@@ -76,18 +72,13 @@ class Gauge;
 
 namespace vuvuzela::transport {
 
-struct HopEndpoint {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-};
-
 struct CoordDaemonConfig {
-  std::vector<HopEndpoint> hops;
+  std::vector<net::Endpoint> hops;
   engine::SchedulerConfig scheduler;
   coord::ScheduleConfig schedule;
   uint64_t total_rounds = 20;
-  // Admission window per round (§3.1). Client mode holds the window open for
-  // submissions; synthetic mode sleeps it as round pacing (0 disables).
+  // Admission window per round (§3.1): the longest the coordinator waits for
+  // submissions. It closes early once every live client has contributed.
   double admission_window_seconds = 0.05;
   // Receive deadline per hop RPC — the dead-hop detector.
   int hop_timeout_ms = 10000;
@@ -103,9 +94,8 @@ struct CoordDaemonConfig {
   // publishes each dialing round's table to these vuvuzela-distd shards
   // through a DistRouter. Empty: an in-process InvitationDistributor — the
   // same engine-driven path, single-process. Either way the coordinator
-  // models the client download fan-out after each dialing round (synthetic
-  // mode) and serves kInvitationFetch to its TCP clients.
-  std::vector<HopEndpoint> dist;
+  // serves kInvitationFetch to its clients.
+  std::vector<net::Endpoint> dist;
   // Publications each distribution backend keeps.
   size_t dist_keep_rounds = 4;
 
@@ -121,27 +111,12 @@ struct CoordDaemonConfig {
   int supervisor_interval_ms = 100;
   double retry_backoff_seconds = 0.1;
 
-  // Client admission (TCP mode). 0 clients selects synthetic mode. The
-  // client edge is a net::EventLoop reactor (transport::FrontDoor): one
-  // thread serves every client, and one connection multiplexes submissions
-  // and bucket fetches by frame type.
+  // Client admission. Rounds begin once num_clients (>= 1) clients have
+  // connected. The client edge is a net::EventLoop reactor
+  // (transport::FrontDoor): one thread serves every client, and one
+  // connection multiplexes submissions and bucket fetches by frame type.
   uint16_t client_port = 0;  // 0 picks an ephemeral port
   size_t num_clients = 0;
-  int client_backlog = 4096;
-
-  // Synthetic mode.
-  uint64_t synthetic_users = 0;
-  double synthetic_dial_fraction = 0.05;
-  // Chain key-ceremony seed (must match the hop daemons'); synthetic onions
-  // are wrapped for the derived public keys — unless `public_keys` is set
-  // (key-directory ceremony), which overrides the seed derivation.
-  uint64_t key_seed = 1;
-  uint64_t workload_seed = 1;
-  std::vector<crypto::X25519PublicKey> public_keys;
-
-  // Test hook: keep every completed round's response batch in the result,
-  // keyed by round number (byte-identity assertions in the recovery suite).
-  bool record_responses = false;
 
   // /metrics + /trace HTTP port: < 0 disables it, 0 picks an ephemeral port
   // (metrics_port() reports the binding). Start() opens it last, once the
@@ -157,28 +132,16 @@ struct CoordDaemonConfig {
   // vuvuzela_privacy_rounds_refused_total counter, and a budget/refused
   // trace span.
   noise::BudgetAccountantConfig budget;
-
-  // Adversarial-suite hook (synthetic mode): per-conversation-round user
-  // counts, cycled in announcement order — the varying load the wiretap
-  // correlation attack tries to trace through the chain. Empty keeps
-  // `synthetic_users` for every round; dialing rounds always use
-  // `synthetic_users`.
-  std::vector<uint64_t> synthetic_user_schedule;
 };
 
 struct CoordDaemonResult {
   uint64_t conversation_rounds_completed = 0;
   uint64_t dialing_rounds_completed = 0;
   uint64_t rounds_abandoned = 0;
-  // Dialing download fan-out (§5.5/§8.3): bucket fetches served (synthetic
-  // fan-out plus client-proxied), the bytes they transferred, and — in
-  // synthetic mode only — how many the modeled client fleet should have
-  // performed (one per user per completed dialing round). TCP-client mode
-  // leaves `expected` at 0: clients fetch on their own schedule, and a
-  // client's mistake (e.g. fetching an expired round) must not read as a
-  // coordinator failure.
+  // Dialing download fan-out (§5.5/§8.3): bucket fetches the coordinator
+  // served for its clients, and the bytes they transferred. Clients fetch
+  // on their own schedule, so nothing here counts fetches owed.
   uint64_t dialing_fetches = 0;
-  uint64_t dialing_fetches_expected = 0;
   uint64_t dialing_fetch_bytes = 0;
   // Re-submissions of failed rounds (a round retried twice counts twice).
   uint64_t rounds_retried = 0;
@@ -189,29 +152,28 @@ struct CoordDaemonResult {
   double epsilon_spent = 0.0;
   double delta_spent = 0.0;
   double wall_seconds = 0.0;
-  // Populated when config.record_responses is set.
-  std::map<uint64_t, std::vector<util::Bytes>> responses;
 };
 
 class CoordinatorDaemon {
  public:
   explicit CoordinatorDaemon(CoordDaemonConfig config);
 
-  // Connects every hop and (in client mode) binds the client listener.
-  // False if a hop is unreachable or the listener cannot bind.
+  // Connects every hop and binds the client listener. False if the config
+  // has no hops, no clients or K = 0, if a hop is unreachable, or if a
+  // listener cannot bind.
   bool Start();
 
-  // Valid after Start() in client mode.
+  // Valid after Start().
   uint16_t client_port() const { return front_door_ ? front_door_->port() : 0; }
 
   // Bound /metrics port (valid after Start()); 0 when disabled.
   uint16_t metrics_port() const { return metrics_server_ ? metrics_server_->port() : 0; }
 
-  // Accepts clients (client mode), announces and drives all rounds, drains
-  // the pipeline, and shuts clients (and optionally hops) down.
+  // Waits for the clients, announces and drives all rounds, drains the
+  // pipeline, and shuts clients (and optionally hops) down.
   CoordDaemonResult Run();
 
-  // Rounds with a live admission-dedup record (client mode). Bounded by the
+  // Rounds with a live admission-dedup record. Bounded by the
   // round-expiry window however many rounds were announced or abandoned; the
   // dedup-pruning regression test pins that down.
   size_t admission_dedup_rounds() const;
@@ -219,10 +181,6 @@ class CoordinatorDaemon {
   // Live view of the per-round state machine (poll-safe from other threads;
   // the recovery tests use it to time failure injection).
   const engine::RoundLifecycle& lifecycle() const { return lifecycle_; }
-
-  // The invitation-distribution backend (valid after Start(); in-process
-  // distributor or DistRouter depending on config.dist).
-  coord::DistributionBackend* distribution() const { return dist_backend_.get(); }
 
  private:
   struct PendingRound {
@@ -245,9 +203,6 @@ class CoordinatorDaemon {
   // distribution backend (the coordinator proxies for TCP clients that have
   // no dist-fleet route). Runs on the FrontDoor fetch worker.
   net::Frame BuildFetchReply(uint64_t round, util::ByteSpan payload);
-  // Synthetic mode: models the §5.5 download fan-out — every synthetic user
-  // fetches its bucket of the completed dialing round.
-  void SyntheticFetchFanOut(const wire::RoundAnnouncement& announcement);
   // Submits one attempt of a round into the scheduler and enqueues it for
   // the collector. Banks the onions when further attempts remain.
   void SubmitAttempt(engine::RoundScheduler& scheduler, PendingRound round);
@@ -258,15 +213,12 @@ class CoordinatorDaemon {
   // Drops dedup records for rounds that left the expiry window (same horizon
   // the scheduler uses for hop state). Requires admission_mutex_ held.
   void PruneAdmissionDedup(uint64_t announced_round);
-  void BroadcastAnnouncement(const wire::RoundAnnouncement& announcement);
   // Waits out the admission window (returning early once every live client
   // contributed) and closes the round's batch.
   std::pair<std::vector<util::Bytes>, std::vector<size_t>> CloseAdmission();
-  std::vector<util::Bytes> SyntheticBatch(const wire::RoundAnnouncement& announcement);
   void CollectLoop(CoordDaemonResult& result);
 
   CoordDaemonConfig config_;
-  std::vector<crypto::X25519PublicKey> public_keys_;
   std::vector<std::unique_ptr<HopTransport>> hop_transports_;
   // Borrowed views for the supervisor's Probe() and shutdown frames; valid
   // while the scheduler (which takes ownership) is alive.
@@ -279,10 +231,8 @@ class CoordinatorDaemon {
   // cascade.
   std::unique_ptr<coord::DistributionBackend> dist_backend_;
   DistRouter* dist_router_ = nullptr;
-  // Fetch accounting, written by the collector (synthetic fan-out) and the
-  // client reader threads (proxied fetches).
+  // Fetch accounting, written by the FrontDoor fetch worker.
   std::atomic<uint64_t> dialing_fetches_{0};
-  std::atomic<uint64_t> dialing_fetches_expected_{0};
   std::atomic<uint64_t> dialing_fetch_bytes_{0};
   // Dead-bucket memo for proxied fetches: a (round, bucket) whose download
   // hit a dead dist shard is refused immediately for the rest of its round,
@@ -313,7 +263,7 @@ class CoordinatorDaemon {
   std::deque<PendingRound> retry_queue_;
   uint64_t unresolved_rounds_ = 0;
 
-  // The reactor-backed client edge (client mode; nullptr in synthetic mode).
+  // The reactor-backed client edge (set by Start()).
   std::unique_ptr<FrontDoor> front_door_;
   // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
   std::unique_ptr<obs::MetricsHttpServer> metrics_server_;
@@ -336,8 +286,6 @@ class CoordinatorDaemon {
 
   // Armed in Start() when config_.budget.epsilon_budget > 0.
   std::optional<noise::BudgetAccountant> accountant_;
-  // Cursor into config_.synthetic_user_schedule (announce thread only).
-  uint64_t synthetic_schedule_index_ = 0;
 
   // Admission state for the currently announced round.
   mutable std::mutex admission_mutex_;

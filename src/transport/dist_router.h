@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/coord/distributor.h"
+#include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
 #include "src/transport/hop_wire.h"
 #include "src/transport/shard_link.h"
@@ -36,14 +37,9 @@
 
 namespace vuvuzela::transport {
 
-struct DistShardEndpoint {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-};
-
 struct DistRouterConfig {
   // One endpoint per shard; endpoint i serves shard i of shards.size().
-  std::vector<DistShardEndpoint> shards;
+  std::vector<net::Endpoint> shards;
   // Receive deadline per shard RPC — the dead-shard detector.
   int recv_timeout_ms = 10000;
   // Connect deadline per (re)connect attempt; 0 = OS blocking connect.

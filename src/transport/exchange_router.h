@@ -26,20 +26,16 @@
 #include <vector>
 
 #include "src/deaddrop/exchange_backend.h"
+#include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
 #include "src/transport/hop_wire.h"
 #include "src/transport/shard_link.h"
 
 namespace vuvuzela::transport {
 
-struct ExchangePartitionEndpoint {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-};
-
 struct ExchangeRouterConfig {
   // One endpoint per shard; endpoint i serves shard i of partitions.size().
-  std::vector<ExchangePartitionEndpoint> partitions;
+  std::vector<net::Endpoint> partitions;
   // Receive deadline per partition RPC — the dead-partition detector.
   int recv_timeout_ms = 10000;
   // Connect deadline per (re)connect attempt; 0 = OS blocking connect.

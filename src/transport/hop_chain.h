@@ -1,7 +1,8 @@
 // Chain construction for multi-process deployments.
 //
-// Every process in a deployment — hop daemons, the coordinator, synthetic
-// clients — must agree on the chain's key material and noise parameters.
+// Every process in a deployment — hop daemons and the clients that wrap
+// onions for them — must agree on the chain's key material and noise
+// parameters.
 // DeriveChainKeys is the demo-grade key ceremony: all processes derive the
 // full chain deterministically from a shared seed, and each hop keeps only
 // its own secret (a real deployment would distribute keys out-of-band; the

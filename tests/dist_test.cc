@@ -513,7 +513,6 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
   config.admission_window_seconds = 0.2;  // closes early once the client contributed
   config.hop_timeout_ms = 2000;
   config.num_clients = 1;
-  config.key_seed = kSeed;
   config.shutdown_hops_on_exit = true;
 
   CoordinatorDaemon coordinator(std::move(config));
@@ -580,9 +579,6 @@ TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
   EXPECT_EQ(error_replies.load(), 1);  // the unknown-round probe was refused
   EXPECT_EQ(result.dialing_fetches, 2u);
   EXPECT_GT(result.dialing_fetch_bytes, 0u);
-  // Client-proxied fetches never raise `expected` — a client mistake must
-  // not read as a coordinator failure.
-  EXPECT_EQ(result.dialing_fetches_expected, 0u);
 }
 
 // Fetch replies the worker still owes when teardown starts — one in flight,
@@ -711,7 +707,6 @@ TEST(CoordinatorDaemon, ClientModeServesMetrics) {
     config.hops.push_back({"127.0.0.1", chain->port(i)});
   }
   config.num_clients = 1;
-  config.key_seed = 77;
   config.metrics_port = 0;
   CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());

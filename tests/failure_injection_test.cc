@@ -9,6 +9,7 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <optional>
 #include <thread>
 
 #include "src/conversation/protocol.h"
@@ -19,6 +20,7 @@
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 #include "src/obs/registry.h"
+#include "src/sim/client_fleet.h"
 #include "src/transport/coord_daemon.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
@@ -351,13 +353,10 @@ class CrashRecovery : public ::testing::Test {
     config.scheduler.max_in_flight = 3;
     config.schedule.conversation_rounds_per_dialing_round = 10;
     config.total_rounds = total_rounds;
-    config.admission_window_seconds = 0.02;  // paces synthetic rounds
+    config.admission_window_seconds = 1.0;  // closes once every client submitted
     config.hop_timeout_ms = 2000;
     config.connect_timeout_ms = 500;
-    config.synthetic_users = 8;
-    config.key_seed = kRecoverySeed;
-    config.workload_seed = 77;
-    config.record_responses = true;
+    config.num_clients = kUsers;
     // Generous budget so a ~200 ms outage can never exhaust it; the
     // never-returns test pins the bounded end of the spectrum.
     config.max_round_attempts = 8;
@@ -368,11 +367,62 @@ class CrashRecovery : public ::testing::Test {
     return config;
   }
 
+  // What a run leaves behind: the coordinator's accounting and what every
+  // client received.
+  struct Outcome {
+    transport::CoordDaemonResult coord;
+    sim::ClientFleetResult fleet;
+  };
+
+  // Runs the started coordinator's schedule beside a kUsers-client fleet at
+  // its front door. `during` runs on the calling thread while the schedule
+  // is in progress (failure injection).
+  static Outcome RunWithFleet(transport::CoordinatorDaemon& coordinator,
+                              const std::function<void()>& during = {}) {
+    sim::ClientFleetConfig fleet_config;
+    fleet_config.coordinator.port = coordinator.client_port();
+    fleet_config.chain = transport::DeriveChainKeys(kRecoverySeed, 3).public_keys;
+    fleet_config.users = kUsers;
+    fleet_config.seed = 77;
+    auto fleet = std::async(std::launch::async, sim::RunClientFleet, fleet_config);
+    Outcome outcome;
+    std::thread runner([&] { outcome.coord = coordinator.Run(); });
+    if (during) {
+      during();
+    }
+    runner.join();
+    std::optional<sim::ClientFleetResult> fleet_result = fleet.get();
+    EXPECT_TRUE(fleet_result.has_value());
+    if (fleet_result) {
+      outcome.fleet = std::move(*fleet_result);
+    }
+    return outcome;
+  }
+
+  // Byte-identity, client by client and round by round: recovery left no
+  // fingerprint in what any client received. Admission order is arrival
+  // order, so batch slots are not comparable across runs; clients are.
+  static void ExpectSameResponses(const Outcome& run, const Outcome& reference) {
+    ASSERT_EQ(run.fleet.responses.size(), kUsers);
+    ASSERT_EQ(reference.fleet.responses.size(), kUsers);
+    for (size_t client = 0; client < kUsers; ++client) {
+      const auto& expected = reference.fleet.responses[client];
+      const auto& got = run.fleet.responses[client];
+      EXPECT_EQ(expected.size(), reference.coord.conversation_rounds_completed)
+          << "client " << client;
+      ASSERT_EQ(got.size(), expected.size()) << "client " << client;
+      for (const auto& [round, response] : expected) {
+        auto it = got.find(round);
+        ASSERT_NE(it, got.end()) << "missing: client " << client << " round " << round;
+        EXPECT_EQ(it->second, response) << "diverged: client " << client << " round " << round;
+      }
+    }
+  }
+
   // Uninterrupted reference: same seed, same schedule, no failures. An
   // empty result (reported via ADD_FAILURE) means the deployment could not
   // start — callers' equality assertions then fail cleanly.
-  static transport::CoordDaemonResult ReferenceRun(uint64_t total_rounds,
-                                                   size_t exchange_partitions = 0) {
+  static Outcome ReferenceRun(uint64_t total_rounds, size_t exchange_partitions = 0) {
     std::unique_ptr<transport::ExchangePartitionGroup> group;
     transport::ExchangeRouterConfig exchange;
     if (exchange_partitions > 0) {
@@ -390,11 +440,15 @@ class CrashRecovery : public ::testing::Test {
       return {};
     }
     transport::CoordinatorDaemon coordinator(CoordConfig(*chain, total_rounds));
-    EXPECT_TRUE(coordinator.Start());
-    return coordinator.Run();
+    if (!coordinator.Start()) {
+      ADD_FAILURE() << "reference coordinator failed to start";
+      return {};
+    }
+    return RunWithFleet(coordinator);
   }
 
   static constexpr uint64_t kRecoverySeed = 0xfa117;
+  static constexpr size_t kUsers = 8;
 };
 
 // Idempotent hop replay, directly: the same forward pass sent twice (the
@@ -789,12 +843,12 @@ TEST_F(CrashRecovery, ReplaySlotHoldsOneReplyAcrossPipelinedRounds) {
 }
 
 // A hop killed and restarted mid-schedule: zero lost onions, zero abandoned
-// rounds, and every recovered round's response batch byte-identical to the
+// rounds, and every client's response in every round byte-identical to the
 // uninterrupted reference run.
 TEST_F(CrashRecovery, HopdKilledAndRestartedMidScheduleIsLossless) {
   constexpr uint64_t kRounds = 60;
-  transport::CoordDaemonResult reference = ReferenceRun(kRounds);
-  ASSERT_EQ(reference.rounds_abandoned, 0u);
+  Outcome reference = ReferenceRun(kRounds);
+  ASSERT_EQ(reference.coord.rounds_abandoned, 0u);
 
   auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed);
   ASSERT_NE(chain, nullptr);
@@ -807,32 +861,25 @@ TEST_F(CrashRecovery, HopdKilledAndRestartedMidScheduleIsLossless) {
   transport::CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
 
-  transport::CoordDaemonResult result;
-  std::thread runner([&] { result = coordinator.Run(); });
-
   // Kill the middle hop once the schedule is visibly moving, hold it down
   // long enough that in-call reconnects alone cannot bridge the gap (the
   // round-level re-submission path must engage), then restart it.
-  while (coordinator.lifecycle().counters().completed < 5) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  chain->Kill(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(700));
-  ASSERT_TRUE(chain->Restart(1));
-  runner.join();
+  Outcome run = RunWithFleet(coordinator, [&] {
+    while (coordinator.lifecycle().counters().completed < 5) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    chain->Kill(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    EXPECT_TRUE(chain->Restart(1));
+  });
+  const transport::CoordDaemonResult& result = run.coord;
 
   EXPECT_EQ(result.rounds_abandoned, 0u);
   EXPECT_GT(result.rounds_retried, 0u);  // recovery actually engaged
-  EXPECT_EQ(result.conversation_rounds_completed, reference.conversation_rounds_completed);
-  EXPECT_EQ(result.dialing_rounds_completed, reference.dialing_rounds_completed);
-  EXPECT_EQ(result.messages_exchanged, reference.messages_exchanged);
-  // Byte-identity, round by round: recovery left no fingerprint in the data.
-  ASSERT_EQ(result.responses.size(), reference.responses.size());
-  for (const auto& [round, responses] : reference.responses) {
-    auto it = result.responses.find(round);
-    ASSERT_NE(it, result.responses.end()) << "round " << round << " missing";
-    EXPECT_EQ(it->second, responses) << "round " << round << " diverged";
-  }
+  EXPECT_EQ(result.conversation_rounds_completed, reference.coord.conversation_rounds_completed);
+  EXPECT_EQ(result.dialing_rounds_completed, reference.coord.dialing_rounds_completed);
+  EXPECT_EQ(result.messages_exchanged, reference.coord.messages_exchanged);
+  ExpectSameResponses(run, reference);
 }
 
 // Same discipline for an exchange shard server: vuvuzela-exchanged is
@@ -841,8 +888,8 @@ TEST_F(CrashRecovery, HopdKilledAndRestartedMidScheduleIsLossless) {
 TEST_F(CrashRecovery, ExchangedKilledAndRestartedMidScheduleIsLossless) {
   constexpr uint64_t kRounds = 30;
   constexpr size_t kPartitions = 2;
-  transport::CoordDaemonResult reference = ReferenceRun(kRounds, kPartitions);
-  ASSERT_EQ(reference.rounds_abandoned, 0u);
+  Outcome reference = ReferenceRun(kRounds, kPartitions);
+  ASSERT_EQ(reference.coord.rounds_abandoned, 0u);
 
   auto group = transport::ExchangePartitionGroup::Start(kPartitions);
   ASSERT_NE(group, nullptr);
@@ -853,24 +900,20 @@ TEST_F(CrashRecovery, ExchangedKilledAndRestartedMidScheduleIsLossless) {
   transport::CoordinatorDaemon coordinator(CoordConfig(*chain, kRounds));
   ASSERT_TRUE(coordinator.Start());
 
-  transport::CoordDaemonResult result;
-  std::thread runner([&] { result = coordinator.Run(); });
-
-  while (coordinator.lifecycle().counters().completed < 5) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  group->Kill(0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  ASSERT_TRUE(group->Restart(0));
-  runner.join();
+  Outcome run = RunWithFleet(coordinator, [&] {
+    while (coordinator.lifecycle().counters().completed < 5) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    group->Kill(0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_TRUE(group->Restart(0));
+  });
+  const transport::CoordDaemonResult& result = run.coord;
 
   EXPECT_EQ(result.rounds_abandoned, 0u);
-  EXPECT_EQ(result.conversation_rounds_completed, reference.conversation_rounds_completed);
-  EXPECT_EQ(result.messages_exchanged, reference.messages_exchanged);
-  ASSERT_EQ(result.responses.size(), reference.responses.size());
-  for (const auto& [round, responses] : reference.responses) {
-    EXPECT_EQ(result.responses.at(round), responses) << "round " << round << " diverged";
-  }
+  EXPECT_EQ(result.conversation_rounds_completed, reference.coord.conversation_rounds_completed);
+  EXPECT_EQ(result.messages_exchanged, reference.coord.messages_exchanged);
+  ExpectSameResponses(run, reference);
 }
 
 // The bounded end of the spectrum: a hop that never comes back exhausts the
@@ -882,14 +925,13 @@ TEST_F(CrashRecovery, HopThatNeverReturnsDegradesToBoundedAbandonment) {
   ASSERT_NE(chain, nullptr);
 
   transport::CoordDaemonConfig config = CoordConfig(*chain, kRounds);
-  config.record_responses = false;
   config.hop_timeout_ms = 200;
   config.max_round_attempts = 2;  // one retry each, then abandon
   transport::CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
   chain->Kill(1);  // dies before any round and never restarts
 
-  transport::CoordDaemonResult result = coordinator.Run();
+  transport::CoordDaemonResult result = RunWithFleet(coordinator).coord;
   EXPECT_EQ(result.rounds_abandoned, kRounds);
   EXPECT_EQ(result.conversation_rounds_completed, 0u);
   EXPECT_EQ(result.rounds_retried, kRounds * 1u);

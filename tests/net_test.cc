@@ -11,6 +11,7 @@
 #include <chrono>
 #include <future>
 #include <thread>
+#include <vector>
 
 #include "src/net/frame.h"
 #include "src/net/tcp.h"
@@ -62,6 +63,22 @@ TEST(Frame, RejectsLyingLength) {
   util::Bytes data = EncodeFrame(frame);
   data[9 + 3] = 0xff;  // length field claims far more than present
   EXPECT_FALSE(DecodeFrame(data).has_value());
+}
+
+// The daemons' --hops / --dist / --exchange form and client_fleet's --coord.
+TEST(Endpoint, ParsesListsAndRejectsMalformedEntries) {
+  std::vector<Endpoint> endpoints;
+  ASSERT_TRUE(ParseEndpointList("127.0.0.1:7341,localhost:65535", &endpoints));
+  ASSERT_EQ(endpoints.size(), 2u);
+  EXPECT_EQ(endpoints[0].host, "127.0.0.1");
+  EXPECT_EQ(endpoints[0].port, 7341);
+  EXPECT_EQ(endpoints[1].host, "localhost");
+  EXPECT_EQ(endpoints[1].port, 65535);
+  for (const char* bad : {"", "127.0.0.1", ":7341", "127.0.0.1:0", "127.0.0.1:65536",
+                          "127.0.0.1:7341,,127.0.0.1:7342"}) {
+    std::vector<Endpoint> rejected;
+    EXPECT_FALSE(ParseEndpointList(bad, &rejected)) << bad;
+  }
 }
 
 TEST(Tcp, LoopbackFrameExchange) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +18,7 @@
 #include "src/noise/accountant.h"
 #include "src/noise/privacy.h"
 #include "src/obs/registry.h"
+#include "src/sim/client_fleet.h"
 #include "src/transport/coord_daemon.h"
 #include "src/transport/hop_chain.h"
 
@@ -24,6 +26,7 @@ namespace vuvuzela {
 namespace {
 
 constexpr uint64_t kSeed = 0xbadb1a5;
+constexpr uint64_t kUsers = 6;
 
 // Paper-flavored parameters small enough to keep deterministic noise cheap:
 // µ = 10, b = 1.5 gives ε = 4/b ≈ 2.67 and δ = e^{(2-µ)/b} ≈ 4.8e-3 per
@@ -153,10 +156,22 @@ transport::CoordDaemonConfig BudgetCoordConfig(const transport::LoopbackChain& c
   config.scheduler.max_in_flight = 2;
   config.schedule.conversation_rounds_per_dialing_round = 1000;  // conversation only
   config.total_rounds = total_rounds;
-  config.admission_window_seconds = 0.01;
-  config.synthetic_users = 6;
-  config.key_seed = kSeed;
+  config.admission_window_seconds = 2.0;  // closes once every client submitted
+  config.num_clients = kUsers;
   return config;
+}
+
+// Runs the started coordinator's schedule with a client fleet at its front
+// door.
+transport::CoordDaemonResult RunWithFleet(transport::CoordinatorDaemon& coordinator) {
+  sim::ClientFleetConfig fleet_config;
+  fleet_config.coordinator.port = coordinator.client_port();
+  fleet_config.chain = transport::DeriveChainKeys(kSeed, 2).public_keys;
+  fleet_config.users = kUsers;
+  auto fleet = std::async(std::launch::async, sim::RunClientFleet, fleet_config);
+  transport::CoordDaemonResult result = coordinator.Run();
+  EXPECT_TRUE(fleet.get().has_value());
+  return result;
 }
 
 // Regression for the tentpole guarantee: the coordinator refuses — before
@@ -194,7 +209,7 @@ TEST(PrivacyBudgetIntegration, CoordinatorRefusesRoundsPastBudget) {
   uint16_t metrics_port = coordinator.metrics_port();
   ASSERT_NE(metrics_port, 0u);
 
-  transport::CoordDaemonResult result = coordinator.Run();
+  transport::CoordDaemonResult result = RunWithFleet(coordinator);
 
   EXPECT_EQ(result.conversation_rounds_completed, admitted_rounds);
   EXPECT_EQ(result.rounds_refused, kTotalRounds - admitted_rounds);
@@ -230,7 +245,7 @@ TEST(PrivacyBudgetIntegration, GenerousBudgetRefusesNothing) {
 
   transport::CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
-  transport::CoordDaemonResult result = coordinator.Run();
+  transport::CoordDaemonResult result = RunWithFleet(coordinator);
   EXPECT_EQ(result.conversation_rounds_completed, kTotalRounds);
   EXPECT_EQ(result.rounds_refused, 0u);
   EXPECT_GT(result.epsilon_spent, 0.0);
@@ -242,6 +257,7 @@ TEST(PrivacyBudgetIntegration, GenerousBudgetRefusesNothing) {
 TEST(PrivacyBudgetIntegration, DegenerateBudgetFailsStart) {
   transport::CoordDaemonConfig config;
   config.hops.push_back({"127.0.0.1", 1});  // never dialed: Start() fails first
+  config.num_clients = 1;                    // so the budget check is what fails
   config.budget.conversation_noise = {0.0, 0.0};
   config.budget.dialing_noise = kNoise;
   config.budget.epsilon_budget = 10.0;

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <map>
 #include <optional>
 #include <thread>
 
 #include "src/crypto/onion.h"
 #include "src/engine/round_scheduler.h"
 #include "src/obs/registry.h"
+#include "src/sim/client_fleet.h"
 #include "src/sim/workload.h"
 #include "src/transport/coord_daemon.h"
 #include "src/transport/hop_chain.h"
@@ -236,9 +238,23 @@ TEST(HopDaemonRobustness, SurvivesMalformedBatchMessage) {
   EXPECT_GT(batch.size(), 0u);
 }
 
-// The coordinator process drives a synthetic multi-process deployment:
-// conversation rounds interleaved with dialing rounds, K in flight, over
-// loopback hop daemons.
+// Plays `users` clients wrapping for `chain` through the started
+// coordinator's front door while it runs its schedule.
+CoordDaemonResult RunWithFleet(CoordinatorDaemon& coordinator,
+                               std::vector<crypto::X25519PublicKey> chain, uint64_t users) {
+  sim::ClientFleetConfig fleet_config;
+  fleet_config.coordinator.port = coordinator.client_port();
+  fleet_config.chain = std::move(chain);
+  fleet_config.users = users;
+  auto fleet = std::async(std::launch::async, sim::RunClientFleet, fleet_config);
+  CoordDaemonResult result = coordinator.Run();
+  EXPECT_TRUE(fleet.get().has_value());
+  return result;
+}
+
+// The coordinator process drives a multi-process deployment with a client
+// fleet at its front door: conversation rounds interleaved with dialing
+// rounds, K in flight, over loopback hop daemons.
 TEST(CoordinatorDaemon, DrivesInterleavedRoundsOverLoopbackHops) {
   auto chain = LoopbackChain::Start(TestChainConfig(), kKeySeed);
   ASSERT_NE(chain, nullptr);
@@ -251,16 +267,36 @@ TEST(CoordinatorDaemon, DrivesInterleavedRoundsOverLoopbackHops) {
   config.schedule.conversation_rounds_per_dialing_round = 3;
   config.total_rounds = 7;
   config.hop_timeout_ms = 10000;
-  config.synthetic_users = 12;
-  config.key_seed = kKeySeed;
+  config.admission_window_seconds = 2.0;  // closes once all 12 clients submitted
+  config.num_clients = 12;
 
   CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
-  CoordDaemonResult result = coordinator.Run();
+  CoordDaemonResult result = RunWithFleet(coordinator, chain->public_keys(), 12);
   EXPECT_EQ(result.conversation_rounds_completed + result.dialing_rounds_completed, 7u);
   EXPECT_GE(result.dialing_rounds_completed, 1u);
   EXPECT_EQ(result.rounds_abandoned, 0u);
   EXPECT_GT(result.messages_exchanged, 0u);
+}
+
+// Start() refuses a configuration it cannot run: no clients to admit, or
+// K = 0 (which RoundScheduler would reject only once Run() began).
+TEST(CoordinatorDaemon, StartRejectsNoClientsAndZeroInFlight) {
+  auto chain = LoopbackChain::Start(TestChainConfig(), kKeySeed);
+  ASSERT_NE(chain, nullptr);
+  CoordDaemonConfig config;
+  for (size_t i = 0; i < chain->size(); ++i) {
+    config.hops.push_back({"127.0.0.1", chain->port(i)});
+  }
+  config.num_clients = 1;
+
+  CoordDaemonConfig no_clients = config;
+  no_clients.num_clients = 0;
+  EXPECT_FALSE(CoordinatorDaemon(no_clients).Start());
+  CoordDaemonConfig zero_k = config;
+  zero_k.scheduler.max_in_flight = 0;
+  EXPECT_FALSE(CoordinatorDaemon(zero_k).Start());
+  EXPECT_TRUE(CoordinatorDaemon(config).Start());
 }
 
 // Regression: the admission-window dedup map is keyed by round and must be
@@ -292,7 +328,6 @@ TEST(CoordinatorDaemon, PrunesAdmissionDedupForAbandonedRounds) {
   config.admission_window_seconds = 0.2;  // closes early once the client contributed
   config.hop_timeout_ms = 100;
   config.num_clients = 1;
-  config.key_seed = kKeySeed;
   // This test is about dedup pruning under abandonment, not recovery: pin
   // the legacy abandon-on-first-failure policy so every round fails once.
   config.max_round_attempts = 1;
@@ -358,8 +393,6 @@ TEST(CoordinatorDaemon, AdmitsOnlyOnionSizedRequests) {
   config.total_rounds = 2;
   config.admission_window_seconds = 0.3;
   config.num_clients = 1;
-  config.key_seed = kKeySeed;
-  config.record_responses = true;
   CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
   // Every attempt banks exactly the batch it submits, so the submitted
@@ -372,6 +405,7 @@ TEST(CoordinatorDaemon, AdmitsOnlyOnionSizedRequests) {
   // whole onion.
   std::vector<uint64_t> rounds;
   std::optional<crypto::WrappedOnion> admitted;
+  std::map<uint64_t, std::vector<util::Bytes>> responses;  // by round
   std::thread client([&] {
     auto conn = net::TcpConnection::Connect("127.0.0.1", coordinator.client_port());
     if (!conn) {
@@ -381,6 +415,9 @@ TEST(CoordinatorDaemon, AdmitsOnlyOnionSizedRequests) {
     while (auto frame = conn->RecvFrame()) {
       if (frame->type == net::FrameType::kShutdown) {
         return;
+      }
+      if (frame->type == net::FrameType::kConversationResponse) {
+        responses[frame->round].push_back(std::move(frame->payload));
       }
       if (frame->type != net::FrameType::kRoundAnnouncement) {
         continue;
@@ -406,11 +443,10 @@ TEST(CoordinatorDaemon, AdmitsOnlyOnionSizedRequests) {
   ASSERT_TRUE(admitted.has_value());
   EXPECT_EQ(result.conversation_rounds_completed, 2u);
   EXPECT_EQ(submitted->Value() - submitted_before, 1u);
-  EXPECT_TRUE(result.responses.at(rounds[0]).empty());
-  const std::vector<util::Bytes>& responses = result.responses.at(rounds[1]);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_TRUE(
-      crypto::OnionOpenResponse(admitted->layer_keys, rounds[1], responses[0]).has_value());
+  EXPECT_FALSE(responses.contains(rounds[0]));
+  ASSERT_EQ(responses[rounds[1]].size(), 1u);
+  EXPECT_TRUE(crypto::OnionOpenResponse(admitted->layer_keys, rounds[1], responses[rounds[1]][0])
+                  .has_value());
 }
 
 // A dead hop in the chain: every round that reaches it is abandoned — counted,
@@ -444,8 +480,8 @@ TEST(CoordinatorDaemon, AbandonsRoundsStuckOnDeadHop) {
   config.scheduler.max_in_flight = 2;
   config.total_rounds = 3;
   config.hop_timeout_ms = 150;
-  config.synthetic_users = 6;
-  config.key_seed = kKeySeed;
+  config.admission_window_seconds = 2.0;  // closes once all 6 clients submitted
+  config.num_clients = 6;
   // Bounded abandonment is the subject here: disable recovery so each round
   // fails exactly once (the recovery paths get their own suite).
   config.max_round_attempts = 1;
@@ -453,7 +489,7 @@ TEST(CoordinatorDaemon, AbandonsRoundsStuckOnDeadHop) {
 
   CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
-  CoordDaemonResult result = coordinator.Run();
+  CoordDaemonResult result = RunWithFleet(coordinator, keys.public_keys, 6);
   EXPECT_EQ(result.rounds_abandoned, 3u);
   EXPECT_EQ(result.conversation_rounds_completed, 0u);
 

@@ -4,9 +4,10 @@
 // The adversary of §3 watches every link. This test builds that adversary for
 // real: two deployments — three vuvuzela-hopd-equivalent processes plus a
 // vuvuzela-exchanged-equivalent process each — with a WireTap relay inserted
-// on every edge (coordd→hop0/1/2, last-hop→exchanged), and a per-round user
-// load that varies round to round (the signal a traffic-analysis adversary
-// wants to trace). Deployment A runs sampled paper-style noise; deployment B
+// on every edge (coordd→hop0/1/2, last-hop→exchanged), and a client fleet
+// entering through the coordinator's front door with a per-round user load
+// that varies round to round (the signal a traffic-analysis adversary wants
+// to trace). Deployment A runs sampled paper-style noise; deployment B
 // runs the same schedule with noise disabled.
 //
 // The Bahramali-style segment-matching attack cross-correlates the per-round
@@ -31,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -39,6 +41,7 @@
 #include "bench/forked_fleet.h"
 #include "src/mixnet/chain.h"
 #include "src/net/frame.h"
+#include "src/sim/client_fleet.h"
 #include "src/sim/correlation.h"
 #include "src/sim/wiretap.h"
 #include "src/transport/coord_daemon.h"
@@ -53,15 +56,17 @@ constexpr uint64_t kRounds = 36;
 constexpr size_t kSegments = 6;
 constexpr uint64_t kSeedA = 0x7ab5;
 constexpr uint64_t kSeedB = 0x7ab6;
+// The fleet: the largest round of the schedule below.
+constexpr uint64_t kUsers = 23;
 
-// Per-round synthetic user counts: the varying load the attack traces. A
-// fixed LCG keeps it reproducible and segment-distinct.
+// Per-round user counts: the varying load the attack traces. A fixed LCG
+// keeps it reproducible and segment-distinct.
 std::vector<uint64_t> UserSchedule() {
   std::vector<uint64_t> schedule;
   uint64_t state = 0x5eed;
   for (uint64_t i = 0; i < kRounds; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
-    schedule.push_back(6 + (state >> 33) % 18);  // 6..23 users
+    schedule.push_back(6 + (state >> 33) % 18);  // 6..kUsers users
   }
   return schedule;
 }
@@ -139,7 +144,8 @@ void Reap(TappedDeployment& d) {
 }
 
 // Drives the full schedule through the tapped deployment from an in-process
-// coordinator (the same CoordinatorDaemon class vuvuzela-coordd runs).
+// coordinator (the same CoordinatorDaemon class vuvuzela-coordd runs), with
+// the scheduled users arriving as a client fleet.
 transport::CoordDaemonResult RunCoordinator(const TappedDeployment& d, uint64_t seed) {
   transport::CoordDaemonConfig config;
   for (const auto& tap : d.hop_taps) {
@@ -148,18 +154,26 @@ transport::CoordDaemonResult RunCoordinator(const TappedDeployment& d, uint64_t 
   config.scheduler.max_in_flight = 2;
   config.schedule.conversation_rounds_per_dialing_round = 1000;  // conversation only
   config.total_rounds = kRounds;
-  config.admission_window_seconds = 0.005;
+  // Most rounds leave some of the fleet silent, so their windows run out in
+  // full: long enough for every scheduled client to submit.
+  config.admission_window_seconds = 0.1;
   config.hop_timeout_ms = 10000;
-  config.synthetic_users = 8;
-  config.synthetic_user_schedule = UserSchedule();
-  config.key_seed = seed;
-  config.workload_seed = seed;
+  config.num_clients = kUsers;
   config.shutdown_hops_on_exit = true;  // cascades to the exchanged process
   transport::CoordinatorDaemon coordinator(std::move(config));
   if (!coordinator.Start()) {
     return {};
   }
-  return coordinator.Run();
+  sim::ClientFleetConfig fleet_config;
+  fleet_config.coordinator.port = coordinator.client_port();
+  fleet_config.chain = transport::DeriveChainKeys(seed, kHops).public_keys;
+  fleet_config.users = kUsers;
+  fleet_config.seed = seed;
+  fleet_config.users_per_round = UserSchedule();
+  auto fleet = std::async(std::launch::async, sim::RunClientFleet, fleet_config);
+  transport::CoordDaemonResult result = coordinator.Run();
+  EXPECT_TRUE(fleet.get().has_value());
+  return result;
 }
 
 // Sender-side observable: per-round bytes of forward-conversation frames on

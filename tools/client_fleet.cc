@@ -1,0 +1,73 @@
+// client_fleet — §8.1's simulated users as one process of real clients
+// (sim::RunClientFleet) for a vuvuzela-coordd started with --clients N:
+//
+//   $ client_fleet --coord 127.0.0.1:7331 --users 40 --hops 3 --seed 42
+//
+// --key-dir CHAIN.pub takes the chain keys from vuvuzela-keygen output
+// instead of the shared seed, which then seeds only the workload. Exits 0
+// once coordd shuts the clients down, iff every bucket fetch was answered.
+
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "src/coord/keydir.h"
+#include "src/sim/client_fleet.h"
+#include "src/transport/hop_chain.h"
+
+using namespace vuvuzela;
+
+int main(int argc, char** argv) {
+  std::vector<net::Endpoint> coordinator;
+  sim::ClientFleetConfig config;
+  size_t hops = 0;
+  std::string key_dir;
+  bool ok = argc % 2 == 1;  // flag/value pairs
+  for (int i = 1; ok && i + 1 < argc; i += 2) {
+    std::string arg = argv[i];
+    const char* value = argv[i + 1];
+    if (arg == "--coord") {
+      ok = net::ParseEndpointList(value, &coordinator);
+    } else if (arg == "--users") {
+      config.users = std::strtoull(value, nullptr, 10);
+    } else if (arg == "--hops") {
+      hops = std::strtoul(value, nullptr, 10);
+    } else if (arg == "--seed") {
+      config.seed = std::strtoull(value, nullptr, 10);
+    } else if (arg == "--key-dir") {
+      key_dir = value;
+    } else {
+      ok = false;
+    }
+  }
+  if (!ok || coordinator.size() != 1 || config.users == 0 || (hops == 0) == key_dir.empty()) {
+    std::fprintf(stderr,
+                 "usage: %s --coord host:port --users N\n"
+                 "          (--hops H --seed S | --key-dir CHAIN.pub [--seed S])\n",
+                 argv[0]);
+    return 2;
+  }
+  config.coordinator = coordinator[0];
+  if (key_dir.empty()) {
+    config.chain = transport::DeriveChainKeys(config.seed, hops).public_keys;
+  } else if (auto directory = coord::KeyDirectory::LoadFromFile(key_dir)) {
+    config.chain = directory->ChainPublicKeys(directory->ChainLength()).value_or(config.chain);
+  }
+  if (config.chain.empty()) {
+    std::fprintf(stderr, "client_fleet: cannot read chain keys from %s\n", key_dir.c_str());
+    return 1;
+  }
+
+  auto result = sim::RunClientFleet(config);
+  if (!result) {
+    std::fprintf(stderr, "client_fleet: cannot connect %llu clients\n",
+                 static_cast<unsigned long long>(config.users));
+    return 1;
+  }
+  std::printf("client_fleet: dialing downloads: %llu/%llu bucket fetches, %llu bytes\n",
+              static_cast<unsigned long long>(result->dialing_fetches),
+              static_cast<unsigned long long>(result->dialing_fetches_expected),
+              static_cast<unsigned long long>(result->dialing_fetch_bytes));
+  return result->dialing_fetches == result->dialing_fetches_expected ? 0 : 1;
+}

@@ -193,7 +193,7 @@ inline MultiRound RunPipelinedConversationRounds(uint64_t users, size_t servers,
 }
 
 // TCP-transport driver: the same engine and workload shape, but every stage
-// is a TcpTransport speaking to a loopback HopDaemon — the wire cost of the
+// is a ReconnectingTransport speaking to a loopback HopDaemon — the wire cost of the
 // multi-process (§7) deployment, isolated from network latency. Mirrors
 // RunPipelinedConversationRounds so the two are directly comparable.
 inline MultiRound RunTcpPipelinedConversationRounds(uint64_t users, size_t servers, double mu,

@@ -18,6 +18,7 @@
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/coord_daemon.h"
+#include "src/util/flags.h"
 
 using namespace vuvuzela;
 
@@ -45,7 +46,8 @@ void Usage(const char* argv0) {
                "--max-rounds to at least that floor).\n"
                "--epsilon-budget E arms the privacy-budget accountant: rounds whose\n"
                "composed (Theorem 2) bound would exceed (E, --delta-budget) are refused\n"
-               "before announcement. --mu/--dial-mu must match the hop daemons' flags.\n",
+               "before announcement. --mu/--dial-mu must match the hop daemons' flags.\n"
+               "Noise and budget values must be finite and non-negative.\n",
                argv0);
 }
 
@@ -98,13 +100,26 @@ bool Parse(int argc, char** argv, transport::CoordDaemonConfig* config) {
       }
       config->metrics_port = static_cast<int>(port);
     } else if (arg == "--mu" && (value = next())) {
-      config->budget.conversation_noise = HopNoise(std::strtod(value, nullptr));
+      double mu = 0.0;
+      if (!util::ParseNonNegative(value, &mu)) {
+        return false;
+      }
+      config->budget.conversation_noise = HopNoise(mu);
     } else if (arg == "--dial-mu" && (value = next())) {
-      config->budget.dialing_noise = HopNoise(std::strtod(value, nullptr));
+      double dial_mu = 0.0;
+      if (!util::ParseNonNegative(value, &dial_mu)) {
+        return false;
+      }
+      config->budget.dialing_noise = HopNoise(dial_mu);
     } else if (arg == "--epsilon-budget" && (value = next())) {
-      config->budget.epsilon_budget = std::strtod(value, nullptr);  // > 0 arms the accountant
+      // > 0 arms the accountant.
+      if (!util::ParseNonNegative(value, &config->budget.epsilon_budget)) {
+        return false;
+      }
     } else if (arg == "--delta-budget" && (value = next())) {
-      config->budget.delta_budget = std::strtod(value, nullptr);
+      if (!util::ParseNonNegative(value, &config->budget.delta_budget)) {
+        return false;
+      }
     } else {
       return false;
     }

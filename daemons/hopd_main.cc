@@ -34,6 +34,7 @@
 #include "src/obs/trace.h"
 #include "src/transport/hop_chain.h"
 #include "src/transport/hop_daemon.h"
+#include "src/util/flags.h"
 #include "src/util/logging.h"
 
 using namespace vuvuzela;
@@ -66,7 +67,8 @@ void Usage(const char* argv0) {
                "own secret; position and chain length come from the files). --seed is the\n"
                "shared-seed test ceremony and needs --position/--servers.\n"
                "--exchange partitions the last hop's dead-drop exchange across\n"
-               "vuvuzela-exchanged shard servers (endpoint i serves shard i).\n",
+               "vuvuzela-exchanged shard servers (endpoint i serves shard i).\n"
+               "--mu/--dial-mu must be finite and non-negative (0 adds no cover traffic).\n",
                argv0);
 }
 
@@ -94,9 +96,13 @@ bool Parse(int argc, char** argv, Flags* flags) {
     } else if (arg == "--seed" && (value = next())) {
       flags->seed = std::strtoull(value, nullptr, 10);
     } else if (arg == "--mu" && (value = next())) {
-      flags->mu = std::strtod(value, nullptr);
+      if (!util::ParseNonNegative(value, &flags->mu)) {
+        return false;
+      }
     } else if (arg == "--dial-mu" && (value = next())) {
-      flags->dial_mu = std::strtod(value, nullptr);
+      if (!util::ParseNonNegative(value, &flags->dial_mu)) {
+        return false;
+      }
     } else if (arg == "--exchange" && (value = next())) {
       if (!net::ParseEndpointList(value, &flags->exchange)) {
         return false;

@@ -7,16 +7,22 @@
 //
 // Each chain hop runs as a transport::HopDaemon behind its own listener (here
 // on threads of one process; daemons/hopd_main.cc is the same daemon as a
-// standalone binary). The coordinator connects one TcpTransport per hop and
-// drives rounds through engine::RoundScheduler — the identical pipelining
-// discipline the in-process harness uses, now with every mix pass crossing a
-// socket as a chunked batch message. The clients are real VuvuzelaClients on
-// real connections: they answer round announcements inside the admission
-// window and handle responses for earlier rounds while later rounds are
-// already in flight (client-side pipelining, §8.3).
+// standalone binary). The coordinator connects one ReconnectingTransport per
+// hop (one transport::PeerLink each) and drives rounds through
+// engine::RoundScheduler — the identical pipelining discipline the
+// in-process harness uses, now with every mix pass crossing a socket as a
+// chunked batch message. The clients are real VuvuzelaClients on real
+// connections: they answer round announcements inside the admission window
+// and handle responses for earlier rounds while later rounds are already in
+// flight (client-side pipelining, §8.3).
+//
+// Exits 0 iff every round completed and each client received its partner's
+// message.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,9 +40,11 @@ constexpr uint64_t kRounds = 6;
 constexpr uint64_t kSeed = 20151005;
 
 // A client over TCP: answers announcements with onions, decrypts responses as
-// they surface (possibly after later rounds were announced).
+// they surface (possibly after later rounds were announced), and appends the
+// messages it receives to `received`.
 void RunClient(const char* name, client::VuvuzelaClient* vuvuzela, uint16_t coord_port,
-               const crypto::X25519PublicKey& partner, const char* to_send) {
+               const crypto::X25519PublicKey& partner, const char* to_send,
+               std::vector<std::string>* received) {
   auto conn = net::TcpConnection::Connect("127.0.0.1", coord_port);
   if (!conn) {
     return;
@@ -57,8 +65,8 @@ void RunClient(const char* name, client::VuvuzelaClient* vuvuzela, uint16_t coor
       std::vector<util::Bytes> responses = {frame->payload};
       vuvuzela->HandleConversationResponses(frame->round, responses);
       for (const auto& m : vuvuzela->TakeReceivedMessages()) {
-        std::printf("  [%s] received: \"%s\"\n", name,
-                    std::string(m.payload.begin(), m.payload.end()).c_str());
+        received->emplace_back(m.payload.begin(), m.payload.end());
+        std::printf("  [%s] received: \"%s\"\n", name, received->back().c_str());
       }
     }
   }
@@ -118,10 +126,14 @@ int main() {
   client::VuvuzelaClient alice = make_client(alice_keys);
   client::VuvuzelaClient bob = make_client(bob_keys);
 
+  const std::string alice_says = "meet at the usual place";
+  const std::string bob_says = "confirmed, bring the docs";
+  std::vector<std::string> alice_received;
+  std::vector<std::string> bob_received;
   std::thread alice_thread(RunClient, "alice", &alice, coord_port, bob_keys.public_key,
-                           "meet at the usual place");
+                           alice_says.c_str(), &alice_received);
   std::thread bob_thread(RunClient, "bob", &bob, coord_port, alice_keys.public_key,
-                         "confirmed, bring the docs");
+                         bob_says.c_str(), &bob_received);
 
   transport::CoordDaemonResult result = coordinator.Run();
   alice_thread.join();
@@ -132,5 +144,12 @@ int main() {
               "pipelined through the chain.\n",
               static_cast<unsigned long long>(result.conversation_rounds_completed),
               static_cast<unsigned long long>(result.messages_exchanged));
+  auto got = [](const std::vector<std::string>& received, const std::string& message) {
+    return std::find(received.begin(), received.end(), message) != received.end();
+  };
+  if (!got(alice_received, bob_says) || !got(bob_received, alice_says)) {
+    std::fprintf(stderr, "a client did not receive its partner's message\n");
+    return 1;
+  }
   return result.conversation_rounds_completed == kRounds ? 0 : 1;
 }

@@ -13,11 +13,12 @@ DialingFetcher::DialingFetcher(DialingFetcherConfig config) : config_(std::move(
   if (config_.shards.empty()) {
     throw std::invalid_argument("DialingFetcher: need at least one dist shard endpoint");
   }
-  transport::ShardLinkConfig link_config{config_.recv_timeout_ms, config_.connect_timeout_ms,
-                                         config_.chunk_payload};
   for (const auto& endpoint : config_.shards) {
-    shards_.push_back(std::make_unique<transport::ShardLink>("dist shard", endpoint.host,
-                                                             endpoint.port, link_config));
+    shards_.push_back(std::make_unique<transport::PeerLink>(
+        "dist shard",
+        transport::TcpTransportConfig{endpoint.host, endpoint.port, config_.recv_timeout_ms,
+                                      config_.connect_timeout_ms, config_.chunk_payload},
+        transport::ReconnectPolicy{}, transport::ShardReconnects()));
   }
 }
 
@@ -28,7 +29,7 @@ std::vector<wire::Invitation> DialingFetcher::FetchBucket(uint64_t round, uint32
   }
   drop_index %= num_drops;
   size_t shard_index = deaddrop::ShardOfInvitationDrop(drop_index, num_drops, shards_.size());
-  transport::ShardLink& shard = *shards_[shard_index];
+  transport::PeerLink& shard = *shards_[shard_index];
 
   transport::InvitationFetchHeader header{static_cast<uint32_t>(shard_index),
                                           static_cast<uint32_t>(shards_.size()), num_drops,

@@ -12,9 +12,10 @@
 // vuvuzela-distd shard owning the client's bucket. The shard map is the same
 // contiguous-range split the coordinator's DistRouter publishes under, so a
 // client needs only the fleet's endpoint list (its "CDN configuration") and
-// the round announcement's bucket count. Connections are lazy with one
-// reconnect attempt per fetch: a dead shard costs the client the dialing
-// rounds routed to it, never a hung thread (receive deadlines throughout).
+// the round announcement's bucket count. Connections are lazy, and each fetch
+// runs under the shard links' policy (transport/peer_link.h): a dead shard
+// costs the client the dialing rounds routed to it, never a hung thread
+// (receive deadlines throughout).
 
 #ifndef VUVUZELA_SRC_CLIENT_DIALING_FETCHER_H_
 #define VUVUZELA_SRC_CLIENT_DIALING_FETCHER_H_
@@ -29,7 +30,7 @@
 #include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
 #include "src/transport/hop_wire.h"
-#include "src/transport/shard_link.h"
+#include "src/transport/peer_link.h"
 
 namespace vuvuzela::client {
 
@@ -69,9 +70,9 @@ class DialingFetcher {
 
  private:
   DialingFetcherConfig config_;
-  // Per-shard persistent links — same lazy connect / reconnect-once / poison
-  // discipline as the routers'.
-  std::vector<std::unique_ptr<transport::ShardLink>> shards_;
+  // Per-shard persistent links, under the routers' failure rule
+  // (transport/peer_link.h).
+  std::vector<std::unique_ptr<transport::PeerLink>> shards_;
   uint64_t bytes_fetched_ = 0;
   uint64_t buckets_fetched_ = 0;
 };

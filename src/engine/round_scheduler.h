@@ -41,11 +41,11 @@
 // Each stage drives a transport::HopTransport rather than a MixServer
 // directly, so the same pipelining discipline runs over in-process servers
 // (LocalTransport; transport::MakeLocalTransports wraps a mixnet::Chain's
-// servers) or remote per-hop daemons (TcpTransport, §7's
-// one-process-per-server deployment). A hop that times out or fails surfaces
-// through the round's future as a transport::HopError; the slot is released
-// and the expiry path reclaims the abandoned round's state at the surviving
-// hops.
+// servers) or remote per-hop daemons (transport::ReconnectingTransport, §7's
+// one-process-per-server deployment). A hop that times out or fails once its
+// link's policy has no re-send left surfaces through the round's future as a
+// transport::HopError; the slot is released and the expiry path reclaims the
+// abandoned round's state at the surviving hops.
 
 #ifndef VUVUZELA_SRC_ENGINE_ROUND_SCHEDULER_H_
 #define VUVUZELA_SRC_ENGINE_ROUND_SCHEDULER_H_

@@ -26,7 +26,7 @@ enum class FrameType : uint8_t {
   kBatch = 8,             // reserved: the retired single-frame batch codec
   kBatchResponse = 9,     // reserved, as kBatch
   kShutdown = 10,
-  // Hop RPC (transport::TcpTransport ↔ transport::HopDaemon). Each op is a
+  // Hop RPC (transport::ReconnectingTransport ↔ transport::HopDaemon). Each op is a
   // chunked batch message (transport/hop_wire.h): a first frame of the op
   // type followed by zero or more kBatchChunk continuations, so one logical
   // batch can exceed kMaxFramePayload while each frame stays bounded.

@@ -26,6 +26,9 @@ CoordinatorDaemon::CoordinatorDaemon(CoordDaemonConfig config) : config_(std::mo
   obs_retry_budget_ = registry.GetCounter(
       "vuvuzela_retry_budget_burned_total",
       "Round attempts that failed, each consuming one unit of the retry budget");
+  obs_hop_reconnects_ = registry.GetCounter(
+      "vuvuzela_hop_reconnects_total",
+      "Hop-link reconnects after a connection failure (each re-sends the failed pass)");
   obs_banked_onions_ = registry.GetGauge(
       "vuvuzela_banked_onions",
       "Client onions banked for possible re-submission of in-flight rounds");
@@ -70,7 +73,8 @@ bool CoordinatorDaemon::Start() {
     transport_config.connect_timeout_ms = config_.connect_timeout_ms;
     transport_config.chunk_payload = config_.chunk_payload;
     auto transport =
-        std::make_unique<ReconnectingTransport>(transport_config, config_.reconnect);
+        std::make_unique<ReconnectingTransport>(transport_config, config_.reconnect,
+                                                obs_hop_reconnects_);
     if (!transport->Connect()) {
       VZ_LOG_ERROR << "coordinator: hop " << endpoint.host << ":" << endpoint.port
                    << " unreachable";
@@ -205,7 +209,7 @@ net::Frame CoordinatorDaemon::BuildFetchReply(uint64_t round, util::ByteSpan pay
       known_dead = it != failed_fetch_buckets_.end() && it->second.contains(bucket_index);
     }
     if (known_dead) {
-      // One deadline per dead bucket per round, never one per fetching
+      // One failed call per dead bucket per round, never one per fetching
       // client.
       reply.type = net::FrameType::kHopError;
       const char* what = "bucket unavailable this round";
@@ -231,9 +235,9 @@ net::Frame CoordinatorDaemon::BuildFetchReply(uint64_t round, util::ByteSpan pay
         reply.type = net::FrameType::kHopError;
         reply.payload.assign(e.what(), e.what() + std::strlen(e.what()));
       } catch (const HopError& e) {
-        // A dead dist shard (connection-level failure, a full deadline
-        // paid): memo the bucket so the fleet's remaining fetches for it
-        // fail fast.
+        // A dead dist shard (connection-level failure on every attempt the
+        // link's policy allows): memo the bucket so the fleet's remaining
+        // fetches for it fail fast.
         {
           std::lock_guard<std::mutex> lock(failed_fetch_mutex_);
           failed_fetch_buckets_[round].insert(bucket_index);

@@ -4,18 +4,20 @@
 // the round number, holds the admission window open while clients submit
 // onions, closes the batch, and pushes it down the chain. CoordinatorDaemon
 // is that process for the hop-transport deployment: it connects one
-// TcpTransport per remote hop, drives rounds through engine::RoundScheduler
+// ReconnectingTransport per remote hop, drives rounds through engine::RoundScheduler
 // (K in flight, §8.3), and multiplexes client connections — the untrusted
 // entry-server role folded in, seeing only onion ciphertexts.
 //
-// Failure model: each hop transport carries a receive deadline, so a hop
-// that stops answering fails the rounds that touch it (HopTimeoutError
-// through the round future) instead of wedging the pipeline. Recovery is
-// part of the round state machine (engine::RoundLifecycle), in three layers:
+// Failure model: each hop link carries a receive deadline, so a hop that
+// stops answering fails the rounds that touch it (HopTimeoutError through
+// the round future, once the link's policy has no re-send left) instead of
+// wedging the pipeline. Recovery is part of the round state machine
+// (engine::RoundLifecycle), in three layers:
 //
-//  1. Reconnecting transports. Every hop connection is a
-//     transport::ReconnectingTransport (bounded-backoff reconnect + in-call
-//     re-send, idempotent thanks to the hop daemons' replay caches), and a
+//  1. The link's policy. Every hop connection is one transport::PeerLink
+//     under the configured ReconnectPolicy (bounded-backoff reconnect and
+//     in-call re-send, idempotent thanks to the hop daemons' replay slots;
+//     peer_link.h), counted in vuvuzela_hop_reconnects_total, and a
 //     connection supervisor thread Probe()s disconnected hops between
 //     rounds, so a restarted vuvuzela-hopd rejoins mid-schedule.
 //  2. Onion re-submission. The coordinator banks every admitted round's
@@ -63,7 +65,6 @@
 #include "src/transport/dist_router.h"
 #include "src/transport/front_door.h"
 #include "src/transport/reconnecting_transport.h"
-#include "src/transport/tcp_transport.h"
 
 namespace vuvuzela::obs {
 class Counter;
@@ -236,7 +237,8 @@ class CoordinatorDaemon {
   std::atomic<uint64_t> dialing_fetch_bytes_{0};
   // Dead-bucket memo for proxied fetches: a (round, bucket) whose download
   // hit a dead dist shard is refused immediately for the rest of its round,
-  // so N fetching clients pay one connect/receive deadline, not N serial
+  // so N fetching clients pay one failed call — up to the link policy's
+  // attempts, each a connect or receive deadline plus backoff — not N serial
   // ones (the reader threads that would otherwise queue on the shard link
   // also carry the clients' onion submissions). Bounded to a handful of
   // recent rounds.
@@ -273,6 +275,8 @@ class CoordinatorDaemon {
   obs::Counter* obs_fetches_;
   obs::Counter* obs_fetch_bytes_;
   obs::Counter* obs_retry_budget_;
+  // Hop-link reconnects (each re-sends the pass it failed on).
+  obs::Counter* obs_hop_reconnects_;
   obs::Gauge* obs_banked_onions_;
   obs::Gauge* obs_pending_rounds_;
   obs::Gauge* obs_retry_depth_;

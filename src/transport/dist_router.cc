@@ -10,13 +10,13 @@
 namespace vuvuzela::transport {
 
 DistRouter::DistRouter(const DistRouterConfig& config) : config_(config) {
-  ShardLinkConfig link_config{config.recv_timeout_ms, config.connect_timeout_ms,
-                              config.chunk_payload};
   for (const auto& endpoint : config.shards) {
-    publish_links_.push_back(
-        std::make_unique<ShardLink>("dist shard", endpoint.host, endpoint.port, link_config));
-    fetch_links_.push_back(
-        std::make_unique<ShardLink>("dist shard", endpoint.host, endpoint.port, link_config));
+    TcpTransportConfig link_config{endpoint.host, endpoint.port, config.recv_timeout_ms,
+                                   config.connect_timeout_ms, config.chunk_payload};
+    for (auto* links : {&publish_links_, &fetch_links_}) {
+      links->push_back(std::make_unique<PeerLink>("dist shard", link_config, ReconnectPolicy{},
+                                                  ShardReconnects()));
+    }
   }
 }
 
@@ -28,7 +28,7 @@ std::unique_ptr<DistRouter> DistRouter::Connect(const DistRouterConfig& config) 
   // Strict-connect the publish side only (startup wants unreachable-shard
   // errors up front); fetch links connect lazily at the first download.
   for (auto& shard : router->publish_links_) {
-    if (!shard->ConnectStrict()) {
+    if (!shard->Connect()) {
       return nullptr;
     }
   }

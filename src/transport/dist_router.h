@@ -9,15 +9,17 @@
 // byte-identical to the in-process InvitationDistributor fed the same tables
 // (the dist conformance suite pins this down).
 //
-// Failure model mirrors ExchangeRouter: a shard that stops answering within
-// the receive deadline surfaces as HopTimeoutError, any other wire failure as
-// HopError; either poisons that shard's connection only. Publish contacts
-// every shard owning buckets, so a dead dist shard fails exactly the dialing
-// rounds published during its outage (the coordinator's retry policy
-// re-publishes — idempotent, the daemons replace slices); conversation rounds
-// never touch the dist tier. Each call to a poisoned shard tries one
-// reconnect first, so a restarted shard rejoins on the next dialing round
-// with no recovery protocol.
+// Failure model mirrors ExchangeRouter: every shard link is a PeerLink under
+// the link's policy (peer_link.h, default ReconnectPolicy), which re-sends a
+// call after a connection-level failure (fetches read and publishes replace
+// their slice, so a re-send is harmless). Once the policy has no re-send
+// left, a shard that stopped answering within the receive deadline surfaces
+// as HopTimeoutError and any other wire failure as HopError, on that shard's
+// link only. Publish contacts every shard owning buckets, so a dead dist
+// shard fails exactly the dialing rounds published during its outage (the
+// coordinator's retry policy re-publishes); conversation rounds never touch
+// the dist tier. A restarted shard rejoins on the next call that routes to
+// it, with no recovery protocol.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_DIST_ROUTER_H_
 #define VUVUZELA_SRC_TRANSPORT_DIST_ROUTER_H_
@@ -32,7 +34,7 @@
 #include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
 #include "src/transport/hop_wire.h"
-#include "src/transport/shard_link.h"
+#include "src/transport/peer_link.h"
 #include "src/util/keep_latest.h"
 
 namespace vuvuzela::transport {
@@ -86,9 +88,9 @@ class DistRouter final : public coord::DistributionBackend {
   // over fetch_links_, so a burst of bucket fetches can never head-of-line-
   // block the next dialing round's publish (the daemons serve any number of
   // connections; the per-link mutex is the only serialization). Each link
-  // reconnects independently under the shared discipline.
-  std::vector<std::unique_ptr<ShardLink>> publish_links_;
-  std::vector<std::unique_ptr<ShardLink>> fetch_links_;
+  // reconnects independently under peer_link.h's one failure rule.
+  std::vector<std::unique_ptr<PeerLink>> publish_links_;
+  std::vector<std::unique_ptr<PeerLink>> fetch_links_;
 
   // Rounds fully published (every owning shard acked) and their bucket
   // counts — what routes a fetch to its owning shard.

@@ -8,11 +8,12 @@
 namespace vuvuzela::transport {
 
 ExchangeRouter::ExchangeRouter(const ExchangeRouterConfig& config) {
-  ShardLinkConfig link_config{config.recv_timeout_ms, config.connect_timeout_ms,
-                              config.chunk_payload};
   for (const auto& endpoint : config.partitions) {
-    partitions_.push_back(std::make_unique<ShardLink>("exchange partition", endpoint.host,
-                                                      endpoint.port, link_config));
+    partitions_.push_back(std::make_unique<PeerLink>(
+        "exchange partition",
+        TcpTransportConfig{endpoint.host, endpoint.port, config.recv_timeout_ms,
+                           config.connect_timeout_ms, config.chunk_payload},
+        ReconnectPolicy{}, ShardReconnects()));
   }
 }
 
@@ -22,7 +23,7 @@ std::unique_ptr<ExchangeRouter> ExchangeRouter::Connect(const ExchangeRouterConf
   }
   std::unique_ptr<ExchangeRouter> router(new ExchangeRouter(config));
   for (auto& partition : router->partitions_) {
-    if (!partition->ConnectStrict()) {
+    if (!partition->Connect()) {
       return nullptr;
     }
   }

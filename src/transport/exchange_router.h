@@ -10,13 +10,15 @@
 // round-batch positions, and histograms are summed in shard order, so the
 // merged outcome is byte-identical to the in-process sharded exchange.
 //
-// Failure model mirrors TcpTransport: a partition that stops answering
-// within the receive deadline surfaces as HopTimeoutError, any other wire
-// failure as HopError; either poisons that partition's connection only. The
-// next round that routes to the dead partition tries one reconnect and fails
-// fast if it is still down, while rounds whose requests all land on live
+// Failure model: each partition is one PeerLink under the link's policy
+// (peer_link.h, default ReconnectPolicy). A connection-level failure
+// reconnects after a backoff and re-sends the slice — exchange slices are
+// stateless, so a re-send is harmless — and only once the policy has no
+// re-send left does the round fail: HopTimeoutError if the partition stopped
+// answering within the receive deadline, HopError otherwise. A failure
+// touches that partition's link only: rounds whose requests all land on live
 // partitions keep completing — a dead shard server costs exactly the rounds
-// in flight on it, mirroring the dead-hop accounting.
+// that route to it while it is down, mirroring the dead-hop accounting.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_EXCHANGE_ROUTER_H_
 #define VUVUZELA_SRC_TRANSPORT_EXCHANGE_ROUTER_H_
@@ -29,7 +31,7 @@
 #include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
 #include "src/transport/hop_wire.h"
-#include "src/transport/shard_link.h"
+#include "src/transport/peer_link.h"
 
 namespace vuvuzela::transport {
 
@@ -65,8 +67,8 @@ class ExchangeRouter : public deaddrop::ExchangeBackend {
  private:
   explicit ExchangeRouter(const ExchangeRouterConfig& config);
 
-  // Per-shard persistent links (shared connect/reconnect/poison discipline).
-  std::vector<std::unique_ptr<ShardLink>> partitions_;
+  // Per-shard persistent links (peer_link.h's one failure rule).
+  std::vector<std::unique_ptr<PeerLink>> partitions_;
 };
 
 }  // namespace vuvuzela::transport

@@ -279,8 +279,9 @@ std::vector<std::unique_ptr<HopTransport>> LoopbackChain::ConnectTransports(
     config.port = port;
     config.recv_timeout_ms = recv_timeout_ms;
     config.chunk_payload = chunk_payload_;
-    auto transport = TcpTransport::Connect(config);
-    if (!transport) {
+    auto transport =
+        std::make_unique<ReconnectingTransport>(config, ReconnectPolicy{.max_call_attempts = 1});
+    if (!transport->Connect()) {
       return {};
     }
     transports.push_back(std::move(transport));

@@ -13,7 +13,7 @@
 //
 // LoopbackChain is the §7 topology without the processes: N HopDaemons on
 // ephemeral loopback ports, each served from its own thread, plus factory
-// methods for the matching TcpTransports. Tests, the TRANSPORT bench section,
+// methods for the matching hop transports. Tests, the TRANSPORT bench section,
 // and examples/tcp_demo all deploy through it.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_HOP_CHAIN_H_
@@ -31,7 +31,7 @@
 #include "src/transport/exchange_router.h"
 #include "src/transport/hop_daemon.h"
 #include "src/transport/hop_transport.h"
-#include "src/transport/tcp_transport.h"
+#include "src/transport/reconnecting_transport.h"
 
 namespace vuvuzela::transport {
 
@@ -166,8 +166,8 @@ class LoopbackChain {
   // while the hop is killed.
   HopDaemon* daemon(size_t position) const { return daemons_[position].get(); }
 
-  // Connects one TcpTransport per hop; empty vector if any hop is
-  // unreachable.
+  // Connects one ReconnectingTransport per hop, with one send per call (no
+  // in-call re-send); empty vector if any hop is unreachable.
   std::vector<std::unique_ptr<HopTransport>> ConnectTransports(int recv_timeout_ms = 10000) const;
 
   // Warms every live hop's shared-secret cache for a static client

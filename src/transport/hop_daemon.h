@@ -26,10 +26,11 @@
 // running the pass twice. That protects pass-consumes-state ops (a backward
 // pass erases its round state; running it again would fail). One slot is
 // enough because a re-send can only ever target the last pass served:
-//  * TcpTransport holds its connection from sending a request until it has
-//    read the whole reply, so a hop never has two passes outstanding;
-//  * ReconnectingTransport re-sends a failed call on the new connection
-//    before it sends any other call;
+//  * the coordinator's PeerLink holds its mutex and its connection from
+//    sending a request until it has read the whole reply, so a hop never
+//    has two passes outstanding;
+//  * the link re-sends a failed call, on its new connection, before it
+//    sends any other call;
 //  * any older pass a coordinator submits again (a round-level retry) is
 //    simply recomputed: forward and last passes are pure functions of
 //    (seed, round, batch), so the recomputed reply is byte-identical.

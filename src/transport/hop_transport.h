@@ -3,16 +3,18 @@
 // The round engine pipelines a round across chain stages; each stage drives
 // one *hop* through this interface. LocalTransport wraps an in-process
 // mixnet::MixServer — the seed behavior, used by tests and single-machine
-// benches. TcpTransport (tcp_transport.h) speaks the hop RPC protocol to a
-// remote HopDaemon, one process per chain server, which is the paper's
-// deployment: each server is a network-isolated unit that touches only its
-// slice of traffic.
+// benches. ReconnectingTransport (reconnecting_transport.h) speaks the hop
+// RPC protocol to a remote HopDaemon, one process per chain server, which is
+// the paper's deployment: each server is a network-isolated unit that
+// touches only its slice of traffic.
 //
 // A transport call either returns the pass result or throws: HopError for a
 // protocol/connection failure, HopTimeoutError when the hop stopped
-// responding (the receive deadline elapsed). The scheduler's failure path
-// turns either into a failed round; its expiry path reclaims the abandoned
-// round's state at the surviving hops.
+// responding (the receive deadline elapsed), each once the link's policy
+// (peer_link.h) has no re-send left. The scheduler's failure path turns
+// either into a failed round; its expiry path reclaims the abandoned round's
+// state at the surviving hops. A transport is driven by one thread at a time
+// (its scheduler stage's worker).
 
 #ifndef VUVUZELA_SRC_TRANSPORT_HOP_TRANSPORT_H_
 #define VUVUZELA_SRC_TRANSPORT_HOP_TRANSPORT_H_
@@ -41,7 +43,7 @@ class HopTimeoutError : public HopError {
 // frame): the connection framing is intact and the failure is semantic — a
 // pass that threw at the hop, e.g. a backward pass whose round state died
 // with a restarted process. Re-sending the same request would fail the same
-// way, so reconnect/retry layers must pass this through instead of retrying.
+// way, so the link (peer_link.h) passes this through instead of re-sending.
 class HopRemoteError : public HopError {
  public:
   explicit HopRemoteError(const std::string& message) : HopError(message) {}

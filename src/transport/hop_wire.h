@@ -160,8 +160,8 @@ bool SendBatchMessage(net::TcpConnection& conn, net::FrameType op, uint64_t roun
 std::optional<BatchMessage> ReadBatchMessage(net::TcpConnection& conn, net::Frame first);
 
 // One batch-message request/response over an established connection — the
-// RPC core every shard-fleet caller (ExchangeRouter, DistRouter,
-// client::DialingFetcher) shares, with the uniform failure mapping:
+// RPC core of PeerLink::Call (peer_link.h), its one caller, which every hop
+// and shard-fleet link goes through. The failure mapping:
 // HopTimeoutError when the receive deadline elapses, HopRemoteError when the
 // peer answered with a kHopError report (framing intact, connection left
 // open — a re-send would fail the same way), HopError for any other wire
@@ -169,7 +169,7 @@ std::optional<BatchMessage> ReadBatchMessage(net::TcpConnection& conn, net::Fram
 // throw except HopRemoteError the connection has been Close()d first: the
 // RPC may have died mid-stream, so its framing can no longer be trusted.
 // `peer_label` prefixes error messages (e.g. "dist shard 127.0.0.1:7361").
-// The caller owns connection setup, locking, and reconnect policy.
+// PeerLink owns connection setup, locking and the reconnect policy.
 BatchMessage CallBatchRpc(net::TcpConnection& conn, const std::string& peer_label,
                           net::FrameType op, uint64_t round, util::ByteSpan header,
                           std::span<const util::ByteSpan> items,

@@ -1,201 +1,114 @@
 #include "src/transport/reconnecting_transport.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
-
-#include "src/util/logging.h"
 
 namespace vuvuzela::transport {
 
 namespace {
 
-std::string Endpoint(const TcpTransportConfig& config) {
-  return config.host + ":" + std::to_string(config.port);
+// Every hop reply header starts with the pass's stats.
+void TakeStats(PeerLink& link, wire::Reader& r, mixnet::ServerRoundStats* stats) {
+  auto remote = ReadStats(r);
+  if (!remote) {
+    link.Fail("truncated stats header");
+  }
+  if (stats) {
+    *stats = *remote;
+  }
 }
 
 }  // namespace
 
-ReconnectingTransport::ReconnectingTransport(TcpTransportConfig config, ReconnectPolicy policy)
-    : config_(std::move(config)), policy_(policy) {
-  policy_.max_call_attempts = std::max(policy_.max_call_attempts, 1);
-  policy_.backoff_initial_ms = std::max(policy_.backoff_initial_ms, 1);
-  policy_.backoff_max_ms = std::max(policy_.backoff_max_ms, policy_.backoff_initial_ms);
-}
-
-bool ReconnectingTransport::Connect() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (inner_ && inner_->connected()) {
-    return true;
-  }
-  return TryConnectLocked();
-}
-
-bool ReconnectingTransport::connected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return inner_ && inner_->connected();
-}
-
-uint64_t ReconnectingTransport::reconnects() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return reconnects_;
-}
-
-int ReconnectingTransport::NextBackoffMsLocked() {
-  // First failure waits the configured initial value; doubling starts with
-  // the second.
-  int backoff = policy_.backoff_initial_ms;
-  for (int i = 1; i < consecutive_connect_failures_ && backoff < policy_.backoff_max_ms; ++i) {
-    backoff *= 2;
-  }
-  return std::min(backoff, policy_.backoff_max_ms);
-}
-
-bool ReconnectingTransport::TryConnectLocked() {
-  auto transport = TcpTransport::Connect(config_);
-  if (!transport) {
-    ++consecutive_connect_failures_;
-    next_connect_attempt_ =
-        Clock::now() + std::chrono::milliseconds(NextBackoffMsLocked());
-    return false;
-  }
-  inner_ = std::move(transport);
-  consecutive_connect_failures_ = 0;
-  next_connect_attempt_ = Clock::time_point{};
-  if (ever_connected_) {
-    ++reconnects_;
-    VZ_LOG_INFO << "hop " << Endpoint(config_) << ": reconnected";
-  }
-  ever_connected_ = true;
-  if (has_pending_expire_) {
-    // Deferred hygiene survives the torn-down connection.
-    inner_->ExpireRounds(pending_expire_newest_, pending_expire_keep_);
-  }
-  return true;
-}
-
-void ReconnectingTransport::EnsureConnectedLocked() {
-  if (inner_ && inner_->connected()) {
-    return;
-  }
-  auto now = Clock::now();
-  if (now < next_connect_attempt_) {
-    std::this_thread::sleep_until(next_connect_attempt_);
-  }
-  if (!TryConnectLocked()) {
-    throw HopError("hop " + Endpoint(config_) + ": unreachable");
-  }
-}
-
-bool ReconnectingTransport::Probe() {
-  std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    return false;  // an RPC is in flight; it reconnects for itself
-  }
-  if (inner_ && inner_->connected()) {
-    return true;
-  }
-  if (Clock::now() < next_connect_attempt_) {
-    return false;  // inside the backoff window
-  }
-  return TryConnectLocked();
-}
-
-void ReconnectingTransport::SendShutdown() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!inner_ || !inner_->connected()) {
-    // A torn-down connection must not exempt a still-running (e.g. just
-    // restarted) hop from the shutdown cascade: reconnect once.
-    if (!TryConnectLocked()) {
-      return;  // genuinely gone; nothing to stop
-    }
-  }
-  inner_->SendShutdown();
-}
-
-template <typename Fn>
-auto ReconnectingTransport::CallWithRetry(Fn&& fn)
-    -> decltype(fn(std::declval<TcpTransport&>(), true)) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::exception_ptr last_error;
-  for (int attempt = 0; attempt < policy_.max_call_attempts; ++attempt) {
-    try {
-      EnsureConnectedLocked();
-      return fn(*inner_, attempt + 1 == policy_.max_call_attempts);
-    } catch (const HopRemoteError&) {
-      // The hop executed the RPC and reported a semantic failure; re-sending
-      // the identical request would fail identically.
-      throw;
-    } catch (const HopError&) {
-      // Connection-level failure (includes timeouts): tear down, back off,
-      // reconnect, re-send. The hop's replay cache makes the re-send
-      // idempotent if the pass actually completed remotely.
-      if (inner_) {
-        inner_.reset();
-        ++consecutive_connect_failures_;
-        next_connect_attempt_ =
-            Clock::now() + std::chrono::milliseconds(NextBackoffMsLocked());
-      }
-      last_error = std::current_exception();
-    }
-  }
-  std::rethrow_exception(last_error);
-}
-
-// A retry must be able to re-send the batch, so attempts with budget left
-// send a copy; the last permitted attempt moves it. (max_call_attempts = 1
-// is therefore exactly as copy-free as a bare TcpTransport.)
+ReconnectingTransport::ReconnectingTransport(TcpTransportConfig config, ReconnectPolicy policy,
+                                             obs::Counter* reconnects)
+    : link_("hop", std::move(config), policy, reconnects) {}
 
 std::vector<util::Bytes> ReconnectingTransport::ForwardConversation(
     uint64_t round, std::vector<util::Bytes> batch, mixnet::ServerRoundStats* stats) {
-  return CallWithRetry([&](TcpTransport& hop, bool last_attempt) {
-    return hop.ForwardConversation(round, last_attempt ? std::move(batch) : batch, stats);
-  });
+  Expiry expire = pending_expire_.value_or(Expiry{});
+  wire::Writer header(16);
+  header.U64(expire.newest_round);
+  header.U64(expire.keep);
+  BatchMessage reply = link_.Call(net::FrameType::kHopForwardConversation, round, header.Take(),
+                                  util::ViewsOf(batch));
+  pending_expire_.reset();
+  wire::Reader r(reply.header);
+  TakeStats(link_, r, stats);
+  return reply.CopyItems();
 }
 
 std::vector<util::Bytes> ReconnectingTransport::BackwardConversation(
     uint64_t round, std::vector<util::Bytes> responses, mixnet::ServerRoundStats* stats) {
-  return CallWithRetry([&](TcpTransport& hop, bool last_attempt) {
-    return hop.BackwardConversation(round, last_attempt ? std::move(responses) : responses,
-                                    stats);
-  });
+  BatchMessage reply = link_.Call(net::FrameType::kHopBackwardConversation, round, {},
+                                  util::ViewsOf(responses));
+  wire::Reader r(reply.header);
+  TakeStats(link_, r, stats);
+  return reply.CopyItems();
 }
 
 mixnet::MixServer::LastServerResult ReconnectingTransport::ProcessConversationLastHop(
     uint64_t round, std::vector<util::Bytes> batch, mixnet::ServerRoundStats* stats) {
-  return CallWithRetry([&](TcpTransport& hop, bool last_attempt) {
-    return hop.ProcessConversationLastHop(round, last_attempt ? std::move(batch) : batch,
-                                          stats);
-  });
+  BatchMessage reply =
+      link_.Call(net::FrameType::kHopLastConversation, round, {}, util::ViewsOf(batch));
+  wire::Reader r(reply.header);
+  TakeStats(link_, r, stats);
+  auto histogram = ReadHistogram(r);
+  if (!histogram) {
+    link_.Fail("truncated exchange header");
+  }
+  mixnet::MixServer::LastServerResult result;
+  result.responses = reply.CopyItems();
+  result.histogram = histogram->histogram;
+  result.messages_exchanged = histogram->messages_exchanged;
+  return result;
 }
 
 std::vector<util::Bytes> ReconnectingTransport::ForwardDialing(uint64_t round,
                                                                std::vector<util::Bytes> batch,
                                                                uint32_t num_drops,
                                                                mixnet::ServerRoundStats* stats) {
-  return CallWithRetry([&](TcpTransport& hop, bool last_attempt) {
-    return hop.ForwardDialing(round, last_attempt ? std::move(batch) : batch, num_drops,
-                              stats);
-  });
+  wire::Writer header(4);
+  header.U32(num_drops);
+  BatchMessage reply = link_.Call(net::FrameType::kHopForwardDialing, round, header.Take(),
+                                  util::ViewsOf(batch));
+  wire::Reader r(reply.header);
+  TakeStats(link_, r, stats);
+  return reply.CopyItems();
 }
 
 deaddrop::InvitationTable ReconnectingTransport::ProcessDialingLastHop(
     uint64_t round, std::vector<util::Bytes> batch, uint32_t num_drops,
     mixnet::ServerRoundStats* stats) {
-  return CallWithRetry([&](TcpTransport& hop, bool last_attempt) {
-    return hop.ProcessDialingLastHop(round, last_attempt ? std::move(batch) : batch, num_drops,
-                                     stats);
-  });
+  wire::Writer header(4);
+  header.U32(num_drops);
+  BatchMessage reply = link_.Call(net::FrameType::kHopLastDialing, round, header.Take(),
+                                  util::ViewsOf(batch));
+  wire::Reader r(reply.header);
+  TakeStats(link_, r, stats);
+  // Response items: one per invitation drop, each a concatenation of
+  // fixed-size invitations.
+  if (reply.items.empty()) {
+    link_.Fail("empty invitation table");
+  }
+  deaddrop::InvitationTable table(static_cast<uint32_t>(reply.items.size()));
+  for (uint32_t drop = 0; drop < reply.items.size(); ++drop) {
+    util::ByteSpan packed = reply.items[drop];
+    if (packed.size() % wire::kInvitationSize != 0) {
+      link_.Fail("ragged invitation drop");
+    }
+    for (size_t offset = 0; offset < packed.size(); offset += wire::kInvitationSize) {
+      wire::Invitation invitation;
+      std::copy(packed.begin() + offset, packed.begin() + offset + wire::kInvitationSize,
+                invitation.begin());
+      table.Add(drop, invitation);
+    }
+  }
+  return table;
 }
 
 void ReconnectingTransport::ExpireRounds(uint64_t newest_round, uint64_t keep) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  has_pending_expire_ = true;
-  pending_expire_newest_ = newest_round;
-  pending_expire_keep_ = keep;
-  if (inner_ && inner_->connected()) {
-    inner_->ExpireRounds(newest_round, keep);
-  }
+  pending_expire_ = Expiry{newest_round, keep};
 }
 
 }  // namespace vuvuzela::transport

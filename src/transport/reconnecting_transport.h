@@ -1,75 +1,55 @@
-// Self-healing wrapper around TcpTransport (crash recovery, ROADMAP).
+// TCP backend for HopTransport: the hop RPC protocol to a remote HopDaemon
+// over one PeerLink.
 //
-// A bare TcpTransport poisons its connection on the first failure and fails
-// every later call fast — correct for one round's accounting, but it turns a
-// *restarted* hop daemon into a permanent outage: every subsequent round
-// that touches the stage fails even though the process came back. This
-// wrapper makes the stage self-healing:
+// This is the only TCP HopTransport. It encodes each pass's request header
+// and decodes the reply; the link owns the connection and its failure rule
+// (peer_link.h): a connection-level failure (send or receive error, EOF,
+// receive deadline) reconnects after a bounded backoff and re-sends the same
+// pass, up to `max_call_attempts` sends. The hop daemon's replay slot makes
+// the re-send idempotent: a pass the hop already completed returns the kept
+// byte-identical reply instead of running twice. A HopRemoteError (the hop
+// ran the pass and reported failure, e.g. round state lost in a restart) and
+// a malformed reply are not re-sent; they propagate to the round engine,
+// which abandons the attempt and lets the coordinator's re-submission policy
+// decide. Between rounds a connection supervisor can Probe() the link, so a
+// restarted hop rejoins before the next pass needs it.
 //
-//  * Each RPC gets up to `max_call_attempts` tries. A connection-level
-//    failure (send/receive error, poisoned framing, receive deadline)
-//    tears the inner transport down, sleeps a bounded exponential backoff,
-//    reconnects, and re-sends the *same* pass. The hop daemon's replay cache
-//    makes the re-send idempotent: a pass the hop already completed returns
-//    the cached byte-identical reply instead of running twice.
-//  * A HopRemoteError (the hop executed the RPC and reported a semantic
-//    failure, e.g. round state lost in a restart) is never retried here — it
-//    propagates to the round engine, which abandons the attempt and lets the
-//    coordinator's re-submission policy decide.
-//  * Between rounds, a connection supervisor can call Probe() on a cadence:
-//    if the transport is disconnected and its backoff window has elapsed, it
-//    attempts one reconnect, so a restarted hop rejoins the schedule before
-//    the next pass needs it rather than inside one. Probe() never blocks on
-//    an in-flight RPC.
+// Batches cross the wire as chunked batch messages (hop_wire.h), sent
+// straight from the caller's items, so a batch larger than
+// net::kMaxFramePayload streams hop-to-hop in bounded memory and is never
+// copied, re-sends included.
 //
-// Retries happen *inside* the round's pass slot — a recovered round occupies
-// the same pipeline stage sequence as a never-failed one, so recovery does
-// not add observable message kinds to the wire (Bahramali et al.: recovery
-// behavior is as fingerprintable as steady state).
+// Each scheduler stage owns one transport and drives it from its one stage
+// worker thread; the pending expiry record below is that thread's state.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_RECONNECTING_TRANSPORT_H_
 #define VUVUZELA_SRC_TRANSPORT_RECONNECTING_TRANSPORT_H_
 
-#include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <optional>
 
-#include "src/transport/tcp_transport.h"
+#include "src/transport/hop_transport.h"
+#include "src/transport/peer_link.h"
 
 namespace vuvuzela::transport {
-
-struct ReconnectPolicy {
-  // RPC attempts per pass (1 disables in-call retry; the coordinator's
-  // round re-submission still applies).
-  int max_call_attempts = 3;
-  // Bounded exponential backoff between reconnect attempts.
-  int backoff_initial_ms = 50;
-  int backoff_max_ms = 1000;
-};
 
 class ReconnectingTransport : public HopTransport {
  public:
   // Does not connect; call Connect() (strict startup) or let the first RPC /
-  // Probe() establish the connection lazily.
-  ReconnectingTransport(TcpTransportConfig config, ReconnectPolicy policy = {});
+  // Probe() establish the connection lazily. `reconnects`, if not null,
+  // counts the link's reconnects.
+  explicit ReconnectingTransport(TcpTransportConfig config, ReconnectPolicy policy = {},
+                                 obs::Counter* reconnects = nullptr);
 
   // Strict initial connect (deployment startup wants unreachable-hop errors
   // up front). False if the hop is unreachable right now.
-  bool Connect();
-
-  bool connected() const;
-  // Successful re-connects after a failure (observability; tests assert the
-  // recovery path actually ran).
-  uint64_t reconnects() const;
-
-  // Supervisor hook: if disconnected and the backoff window has elapsed, try
-  // one reconnect now. Never blocks on an in-flight RPC (try-lock; an RPC in
-  // progress reconnects for itself). Returns connected-after-probe.
-  bool Probe();
-
+  bool Connect() { return link_.Connect(); }
+  bool connected() const { return link_.connected(); }
+  uint64_t reconnects() const { return link_.reconnects(); }
+  // Supervisor hook (PeerLink::Probe).
+  bool Probe() { return link_.Probe(); }
   // Best-effort shutdown frame to the hop daemon (orderly teardown).
-  void SendShutdown();
+  void SendShutdown() { link_.SendShutdown(); }
 
   std::vector<util::Bytes> ForwardConversation(uint64_t round, std::vector<util::Bytes> batch,
                                                mixnet::ServerRoundStats* stats) override;
@@ -84,37 +64,21 @@ class ReconnectingTransport : public HopTransport {
   deaddrop::InvitationTable ProcessDialingLastHop(uint64_t round, std::vector<util::Bytes> batch,
                                                   uint32_t num_drops,
                                                   mixnet::ServerRoundStats* stats) override;
+
+  // Deferred: recorded here and piggybacked on the next forward-conversation
+  // request, so hygiene costs no extra round trip.
   void ExpireRounds(uint64_t newest_round, uint64_t keep) override;
 
  private:
-  using Clock = std::chrono::steady_clock;
+  struct Expiry {
+    uint64_t newest_round = 0;
+    uint64_t keep = 0;
+  };
 
-  // Requires mutex_. Connects the inner transport if absent; throws HopError
-  // when the hop stays unreachable. Counts reconnects.
-  void EnsureConnectedLocked();
-  // Requires mutex_. One connect attempt; true on success.
-  bool TryConnectLocked();
-  int NextBackoffMsLocked();
-
-  // `fn(transport, last_attempt)`: last_attempt lets the wrapper move its
-  // batch into the final send instead of copying.
-  template <typename Fn>
-  auto CallWithRetry(Fn&& fn) -> decltype(fn(std::declval<TcpTransport&>(), true));
-
-  TcpTransportConfig config_;
-  ReconnectPolicy policy_;
-
-  mutable std::mutex mutex_;
-  std::unique_ptr<TcpTransport> inner_;
-  bool ever_connected_ = false;
-  uint64_t reconnects_ = 0;
-  int consecutive_connect_failures_ = 0;
-  Clock::time_point next_connect_attempt_{};
-  // Re-armed on the inner transport after every reconnect so deferred
-  // expiry is never lost with a torn-down connection.
-  bool has_pending_expire_ = false;
-  uint64_t pending_expire_newest_ = 0;
-  uint64_t pending_expire_keep_ = 0;
+  PeerLink link_;
+  // Cleared only once a forward-conversation call carrying it succeeded, so
+  // a failed call cannot lose it.
+  std::optional<Expiry> pending_expire_;
 };
 
 }  // namespace vuvuzela::transport

@@ -39,6 +39,7 @@
 #include "src/mixnet/mix_server.h"
 #include "src/transport/exchange_daemon.h"
 #include "src/transport/exchange_router.h"
+#include "src/transport/reconnecting_transport.h"
 #include "src/util/batch.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
@@ -384,6 +385,48 @@ TEST(AllocCount, LastHopAllocatesNoBatchCopies) {
   EXPECT_LE(large.last_partitioned.partition_bytes, partition_bound);
   // The routed pass did reach the partitions.
   EXPECT_GT(large.last_partitioned.partition_bytes, kLarge * wire::kExchangeRequestSize);
+}
+
+// The hop link sends a forward batch straight from the caller's items and
+// re-sends the same views after a failure, so a call with re-sends left
+// copies nothing: its allocations stay within the per-onion bookkeeping
+// bound, below one batch. The peer answers from a thread that counts apart.
+TEST(AllocCount, HopLinkSendsTheCallersBatchWithoutCopying) {
+  constexpr size_t kItemSize = 1024;
+  auto listener = net::TcpListener::Listen(0);
+  ASSERT_TRUE(listener.has_value());
+  std::thread peer([&] {
+    t_partition_thread = true;
+    auto conn = listener->Accept();
+    ASSERT_TRUE(conn.has_value());
+    auto first = conn->RecvFrame();
+    ASSERT_TRUE(first.has_value());
+    auto request = transport::ReadBatchMessage(*conn, std::move(*first));
+    ASSERT_TRUE(request.has_value());
+    EXPECT_EQ(request->items.size(), kLarge);
+    wire::Writer header(64);
+    transport::WriteStats(header, ServerRoundStats{});
+    transport::SendBatchMessage(*conn, request->op, request->round, header.Take(), {});
+    conn->RecvFrame();  // until the link's kShutdown
+  });
+
+  transport::TcpTransportConfig config;
+  config.port = listener->port();
+  // Three sends per call: two re-sends left, as coordd and vzbench run.
+  transport::ReconnectingTransport hop(config, transport::ReconnectPolicy{});
+  ASSERT_TRUE(hop.Connect());
+  std::vector<util::Bytes> batch(kLarge, util::Bytes(kItemSize, 0x5a));
+  Allocations call = CountAllocations([&] {
+    EXPECT_TRUE(hop.ForwardConversation(1, std::move(batch), nullptr).empty());
+  });
+  std::printf("hop link call      %.0f bytes an onion (bound %.0f)\n", PerOnion(call.bytes),
+              PerOnion(kBookkeeping));
+  EXPECT_LE(call.bytes, kBookkeeping);
+  EXPECT_LT(call.bytes, kLarge * kItemSize);
+  EXPECT_LT(call.calls, kLarge);
+
+  hop.SendShutdown();
+  peer.join();
 }
 
 }  // namespace

@@ -30,6 +30,15 @@ namespace {
 
 using conversation::Session;
 
+// A hop transport that sends each call once (no in-call re-send), connected
+// now; nullptr if the hop is unreachable.
+std::unique_ptr<transport::ReconnectingTransport> ConnectHop(
+    const transport::TcpTransportConfig& config) {
+  auto hop = std::make_unique<transport::ReconnectingTransport>(
+      config, transport::ReconnectPolicy{.max_call_attempts = 1});
+  return hop->Connect() ? std::move(hop) : nullptr;
+}
+
 ChainConfig Config(size_t servers, double mu = 2.0) {
   ChainConfig config;
   config.num_servers = servers;
@@ -460,7 +469,7 @@ TEST_F(CrashRecovery, ReplayedForwardPassIsServedOnceAndByteIdentical) {
   ASSERT_NE(chain, nullptr);
   transport::TcpTransportConfig transport_config;
   transport_config.port = chain->port(0);
-  auto hop = transport::TcpTransport::Connect(transport_config);
+  auto hop = ConnectHop(transport_config);
   ASSERT_NE(hop, nullptr);
 
   util::Xoshiro256Rng rng(7);
@@ -526,10 +535,10 @@ TEST_F(CrashRecovery, PassResentOnNewConnectionIsReplayed) {
   };
   std::vector<util::Bytes> batch = make_batch(1);
 
-  auto hop = transport::TcpTransport::Connect(transport_config);
+  auto hop = ConnectHop(transport_config);
   ASSERT_NE(hop, nullptr);
   auto forward = hop->ForwardConversation(1, batch, nullptr);
-  hop = transport::TcpTransport::Connect(transport_config);  // the old connection is gone
+  hop = ConnectHop(transport_config);  // the old connection is gone
   ASSERT_NE(hop, nullptr);
   auto forward_again = hop->ForwardConversation(1, batch, nullptr);
   EXPECT_EQ(daemon.replay_hits(), 1u);
@@ -541,7 +550,7 @@ TEST_F(CrashRecovery, PassResentOnNewConnectionIsReplayed) {
     responses.push_back(rng.RandomBytes(response_size));
   }
   auto backward = hop->BackwardConversation(1, responses, nullptr);
-  hop = transport::TcpTransport::Connect(transport_config);
+  hop = ConnectHop(transport_config);
   ASSERT_NE(hop, nullptr);
   auto backward_again = hop->BackwardConversation(1, responses, nullptr);
   EXPECT_EQ(daemon.replay_hits(), 2u);
@@ -585,7 +594,7 @@ TEST_F(CrashRecovery, ReplySlotReleasedOnFirstFrameOfAnotherPass) {
   {
     transport::TcpTransportConfig transport_config;
     transport_config.port = chain->port(0);
-    auto hop = transport::TcpTransport::Connect(transport_config);
+    auto hop = ConnectHop(transport_config);
     ASSERT_NE(hop, nullptr);
     forward = hop->ForwardConversation(1, batch, nullptr);
   }
@@ -665,7 +674,7 @@ TEST_F(CrashRecovery, ReplySlotReleasedOnHeaderOfAnotherPass) {
   {
     transport::TcpTransportConfig transport_config;
     transport_config.port = chain->port(0);
-    auto hop = transport::TcpTransport::Connect(transport_config);
+    auto hop = ConnectHop(transport_config);
     ASSERT_NE(hop, nullptr);
     forward = hop->ForwardConversation(1, batch, nullptr);
   }
@@ -743,13 +752,13 @@ TEST_F(CrashRecovery, LastHopPassPeeledInPlaceIsReplayed) {
   }
   batch.push_back(rng.RandomBytes(100));  // missized: dropped, its slot is the hop's own
 
-  auto hop = transport::TcpTransport::Connect(transport_config);
+  auto hop = ConnectHop(transport_config);
   ASSERT_NE(hop, nullptr);
   mixnet::ServerRoundStats stats;
   auto first = hop->ProcessConversationLastHop(1, batch, &stats);
   EXPECT_EQ(stats.requests_dropped, 1u);
   EXPECT_EQ(first.messages_exchanged, 2u);
-  hop = transport::TcpTransport::Connect(transport_config);  // the old connection is gone
+  hop = ConnectHop(transport_config);  // the old connection is gone
   ASSERT_NE(hop, nullptr);
   auto again = hop->ProcessConversationLastHop(1, batch, nullptr);
   EXPECT_EQ(daemon.replay_hits(), 1u);

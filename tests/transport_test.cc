@@ -1,13 +1,18 @@
 // Hop transport subsystem tests: backend conformance (LocalTransport vs
-// loopback TcpTransport must produce byte-identical rounds), dead-hop
-// timeout behavior, daemon robustness, and the multi-process coordinator.
+// loopback ReconnectingTransport must produce byte-identical rounds),
+// dead-hop timeout behavior, the peer link's one failure rule against
+// scripted peers, daemon robustness, and the multi-process coordinator.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <optional>
 #include <thread>
+#include <tuple>
 
 #include "src/crypto/onion.h"
 #include "src/engine/round_scheduler.h"
@@ -167,8 +172,9 @@ TEST(TcpTransportFailure, DeadHopTimesOutTheRound) {
   TcpTransportConfig config;
   config.port = listener->port();
   config.recv_timeout_ms = 100;
-  auto transport = TcpTransport::Connect(config);
-  ASSERT_NE(transport, nullptr);
+  auto transport =
+      std::make_unique<ReconnectingTransport>(config, ReconnectPolicy{.max_call_attempts = 1});
+  ASSERT_TRUE(transport->Connect());
 
   std::vector<std::unique_ptr<HopTransport>> hops;
   hops.push_back(std::move(transport));
@@ -199,8 +205,9 @@ TEST(TcpTransportFailure, ClosedHopIsNotATimeout) {
   TcpTransportConfig config;
   config.port = listener->port();
   config.recv_timeout_ms = 2000;
-  auto transport = TcpTransport::Connect(config);
-  ASSERT_NE(transport, nullptr);
+  auto transport =
+      std::make_unique<ReconnectingTransport>(config, ReconnectPolicy{.max_call_attempts = 1});
+  ASSERT_TRUE(transport->Connect());
   closer.join();
   try {
     transport->ForwardConversation(1, {util::Bytes(16, 0xcd)}, nullptr);
@@ -211,6 +218,264 @@ TEST(TcpTransportFailure, ClosedHopIsNotATimeout) {
   }
   // The connection is poisoned: later calls fail fast.
   EXPECT_FALSE(transport->connected());
+}
+
+// --- The peer link's one failure rule -------------------------------------
+//
+// A scripted loopback peer stands in for a hop daemon: it accepts one
+// connection at a time, reassembles each request and handles it as the
+// script says — answer it, close the connection, report kHopError, or stay
+// silent. It records every request's frames as they arrived.
+
+class ScriptedPeer {
+ public:
+  enum class Action { kAnswer, kClose, kRemoteError, kSilent };
+
+  explicit ScriptedPeer(std::function<Action(size_t request)> script, uint16_t port = 0)
+      : script_(std::move(script)), listener_(*net::TcpListener::Listen(port)) {
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~ScriptedPeer() {
+    listener_.Shutdown();
+    thread_.join();
+  }
+
+  uint16_t port() const { return listener_.port(); }
+  size_t accepted() const { return accepted_.load(); }
+  size_t shutdowns() const { return shutdowns_.load(); }
+  size_t num_requests() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return requests_.size();
+  }
+  // Request i's frames, each as (type, round, payload).
+  std::vector<std::tuple<net::FrameType, uint64_t, util::Bytes>> frames(size_t i) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return requests_.at(i).frames;
+  }
+  util::Bytes header(size_t i) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return requests_.at(i).header;
+  }
+
+ private:
+  struct Request {
+    std::vector<std::tuple<net::FrameType, uint64_t, util::Bytes>> frames;
+    util::Bytes header;
+  };
+
+  void Serve() {
+    while (auto conn = listener_.Accept()) {
+      ++accepted_;
+      while (ServeRequest(*conn)) {
+      }
+    }
+  }
+
+  // False once the connection is done with.
+  bool ServeRequest(net::TcpConnection& conn) {
+    Request request;
+    BatchAssembler assembler;
+    auto status = BatchAssembler::Status::kNeedMore;
+    while (status == BatchAssembler::Status::kNeedMore) {
+      auto frame = conn.RecvFrame();
+      if (!frame) {
+        return false;
+      }
+      if (frame->type == net::FrameType::kShutdown) {
+        ++shutdowns_;
+        return false;
+      }
+      request.frames.emplace_back(frame->type, frame->round, frame->payload);
+      status = assembler.Consume(std::move(*frame));
+    }
+    if (status != BatchAssembler::Status::kDone) {
+      return false;
+    }
+    BatchMessage message = assembler.Take();
+    request.header = message.header;
+    size_t index;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      index = requests_.size();
+      requests_.push_back(std::move(request));
+    }
+    switch (script_(index)) {
+      case Action::kAnswer: {
+        // Echoes the items behind an empty stats header: a valid reply to
+        // a forward pass.
+        wire::Writer reply_header(64);
+        WriteStats(reply_header, mixnet::ServerRoundStats{});
+        return SendBatchMessage(conn, message.op, message.round, reply_header.Take(),
+                                message.items);
+      }
+      case Action::kClose:
+        return false;
+      case Action::kRemoteError:
+        return SendRpcError(conn, message.round, "scripted failure");
+      case Action::kSilent:
+        return true;
+    }
+    return false;
+  }
+
+  std::function<Action(size_t)> script_;
+  net::TcpListener listener_;
+  std::thread thread_;
+  std::atomic<size_t> accepted_{0};
+  std::atomic<size_t> shutdowns_{0};
+  mutable std::mutex mutex_;
+  std::vector<Request> requests_;
+};
+
+// Polls `done` for up to two seconds.
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+TcpTransportConfig PeerConfig(uint16_t port, int recv_timeout_ms = 2000) {
+  TcpTransportConfig config;
+  config.port = port;
+  config.recv_timeout_ms = recv_timeout_ms;
+  return config;
+}
+
+util::Bytes ExpiryHeader(uint64_t newest_round, uint64_t keep) {
+  wire::Writer header(16);
+  header.U64(newest_round);
+  header.U64(keep);
+  return header.Take();
+}
+
+const std::vector<util::Bytes> kLinkBatch = {util::Bytes(40, 0x11), util::Bytes(40, 0x22),
+                                             util::Bytes(40, 0x33)};
+
+// A peer that reads the request and closes: the link reconnects once and
+// re-sends the same frames, the piggybacked expiry included, and the
+// record is cleared only once that call succeeded.
+TEST(PeerLink, ResendsTheSameFramesOnceOnANewConnection) {
+  ScriptedPeer peer([](size_t request) {
+    return request == 0 ? ScriptedPeer::Action::kClose : ScriptedPeer::Action::kAnswer;
+  });
+  ReconnectingTransport hop(PeerConfig(peer.port()), {.backoff_initial_ms = 10});
+  ASSERT_TRUE(hop.Connect());
+  hop.ExpireRounds(7, 3);
+  EXPECT_EQ(hop.ForwardConversation(9, kLinkBatch, nullptr), kLinkBatch);
+  EXPECT_EQ(hop.reconnects(), 1u);
+  EXPECT_EQ(peer.accepted(), 2u);
+  ASSERT_EQ(peer.num_requests(), 2u);
+  EXPECT_EQ(peer.frames(1), peer.frames(0));
+  EXPECT_EQ(peer.header(0), ExpiryHeader(7, 3));
+
+  hop.ForwardConversation(10, kLinkBatch, nullptr);
+  ASSERT_EQ(peer.num_requests(), 3u);
+  EXPECT_EQ(peer.header(2), ExpiryHeader(0, 0));
+  EXPECT_EQ(hop.reconnects(), 1u);
+}
+
+// With no re-send left, a failed call keeps the expiry record for the next
+// forward request.
+TEST(PeerLink, FailedCallKeepsThePendingExpiry) {
+  ScriptedPeer peer([](size_t request) {
+    return request == 0 ? ScriptedPeer::Action::kClose : ScriptedPeer::Action::kAnswer;
+  });
+  ReconnectingTransport hop(PeerConfig(peer.port()),
+                            {.max_call_attempts = 1, .backoff_initial_ms = 10});
+  ASSERT_TRUE(hop.Connect());
+  hop.ExpireRounds(7, 3);
+  EXPECT_THROW(hop.ForwardConversation(9, kLinkBatch, nullptr), HopError);
+  EXPECT_FALSE(hop.connected());
+  EXPECT_EQ(hop.ForwardConversation(9, kLinkBatch, nullptr), kLinkBatch);
+  ASSERT_EQ(peer.num_requests(), 2u);
+  EXPECT_EQ(peer.header(1), ExpiryHeader(7, 3));
+}
+
+// The peer ran the request and reported failure: the same request would
+// fail the same way, so it is not re-sent, and the connection stays up.
+TEST(PeerLink, RemoteErrorIsNotResent) {
+  ScriptedPeer peer([](size_t) { return ScriptedPeer::Action::kRemoteError; });
+  ReconnectingTransport hop(PeerConfig(peer.port()));
+  ASSERT_TRUE(hop.Connect());
+  EXPECT_THROW(hop.ForwardConversation(9, kLinkBatch, nullptr), HopRemoteError);
+  EXPECT_EQ(peer.num_requests(), 1u);
+  EXPECT_TRUE(hop.connected());
+  EXPECT_EQ(hop.reconnects(), 0u);
+}
+
+// A peer that never answers costs one receive deadline per send.
+TEST(PeerLink, BlackHoleTimesOutEverySend) {
+  ScriptedPeer peer([](size_t) { return ScriptedPeer::Action::kSilent; });
+  ReconnectingTransport hop(PeerConfig(peer.port(), /*recv_timeout_ms=*/100),
+                            {.max_call_attempts = 2, .backoff_initial_ms = 10});
+  ASSERT_TRUE(hop.Connect());
+  EXPECT_THROW(hop.ForwardConversation(9, kLinkBatch, nullptr), HopTimeoutError);
+  EXPECT_TRUE(WaitFor([&] { return peer.num_requests() >= 2; }));
+  EXPECT_EQ(peer.num_requests(), 2u);
+  EXPECT_EQ(peer.accepted(), 2u);
+  EXPECT_EQ(hop.reconnects(), 1u);
+}
+
+// No listener: every attempt is one connect, each after the backoff the
+// previous failure armed (40 ms, then 80 ms), and the call reports the peer
+// unreachable.
+TEST(PeerLink, UnreachablePeerFailsAfterEveryAttemptConnected) {
+  uint16_t port = net::TcpListener::Listen(0)->port();  // closed again at once
+  PeerLink link("exchange partition", PeerConfig(port),
+                {.max_call_attempts = 3, .backoff_initial_ms = 40});
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    link.Call(net::FrameType::kExchangeConversation, 1, {}, {});
+    FAIL() << "call to a closed port succeeded";
+  } catch (const HopTimeoutError&) {
+    FAIL() << "refused connect misreported as a timeout";
+  } catch (const HopError& e) {
+    EXPECT_NE(std::string(e.what()).find("exchange partition 127.0.0.1:"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(": unreachable"), std::string::npos);
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(120));
+  EXPECT_FALSE(link.connected());
+  EXPECT_EQ(link.reconnects(), 0u);
+}
+
+// A supervisor's Probe() inside the backoff window does not connect; once
+// the window has passed it reconnects.
+TEST(PeerLink, ProbeHonoursTheBackoffWindow) {
+  ScriptedPeer peer([](size_t) { return ScriptedPeer::Action::kClose; });
+  PeerLink link("hop", PeerConfig(peer.port()),
+                {.max_call_attempts = 1, .backoff_initial_ms = 300});
+  ASSERT_TRUE(link.Connect());
+  EXPECT_THROW(link.Call(net::FrameType::kHopBackwardConversation, 1, {}, {}), HopError);
+  EXPECT_FALSE(link.connected());
+  EXPECT_FALSE(link.Probe());
+  EXPECT_FALSE(link.connected());
+  EXPECT_EQ(peer.accepted(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(350));
+  EXPECT_TRUE(link.Probe());
+  EXPECT_EQ(link.reconnects(), 1u);
+  EXPECT_TRUE(WaitFor([&] { return peer.accepted() == 2; }));
+}
+
+// A link whose peer died reconnects once to deliver kShutdown, so a peer
+// restarted on the same port is not exempt from the shutdown cascade.
+TEST(PeerLink, ShutdownReachesAPeerRestartedOnTheSamePort) {
+  auto first = std::make_unique<ScriptedPeer>(
+      [](size_t) { return ScriptedPeer::Action::kClose; });
+  const uint16_t port = first->port();
+  PeerLink link("dist shard", PeerConfig(port), {.max_call_attempts = 1});
+  ASSERT_TRUE(link.Connect());
+  EXPECT_THROW(link.Call(net::FrameType::kInvitationFetch, 1, {}, {}), HopError);
+  first.reset();
+
+  ScriptedPeer restarted([](size_t) { return ScriptedPeer::Action::kAnswer; }, port);
+  link.SendShutdown();
+  EXPECT_TRUE(WaitFor([&] { return restarted.shutdowns() == 1; }));
+  EXPECT_EQ(link.reconnects(), 1u);
 }
 
 // One malformed request must not take the hop daemon down: it reports

@@ -10,7 +10,6 @@
 // checks only onion sizes. Exits 0 iff every announced round completed.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -65,40 +64,49 @@ bool Parse(int argc, char** argv, transport::CoordDaemonConfig* config) {
         return false;
       }
     } else if (arg == "--dist-keep" && (value = next())) {
-      config->dist_keep_rounds = std::strtoul(value, nullptr, 10);
-      if (config->dist_keep_rounds == 0) {
+      if (!util::ParseUnsigned(value, UINT64_MAX, &config->dist_keep_rounds) ||
+          config->dist_keep_rounds == 0) {
         return false;
       }
     } else if (arg == "--rounds" && (value = next())) {
-      config->total_rounds = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--k" && (value = next())) {
-      config->scheduler.max_in_flight = std::strtoul(value, nullptr, 10);
-    } else if (arg == "--clients" && (value = next())) {
-      config->num_clients = std::strtoul(value, nullptr, 10);
-    } else if (arg == "--client-port" && (value = next())) {
-      unsigned long port = std::strtoul(value, nullptr, 10);
-      if (port > 65535) {
+      if (!util::ParseUnsigned(value, UINT64_MAX, &config->total_rounds)) {
         return false;
       }
-      config->client_port = static_cast<uint16_t>(port);
+    } else if (arg == "--k" && (value = next())) {
+      if (!util::ParseUnsigned(value, UINT64_MAX, &config->scheduler.max_in_flight)) {
+        return false;
+      }
+    } else if (arg == "--clients" && (value = next())) {
+      if (!util::ParseUnsigned(value, UINT64_MAX, &config->num_clients)) {
+        return false;
+      }
+    } else if (arg == "--client-port" && (value = next())) {
+      if (!util::ParseUnsigned(value, 65535, &config->client_port)) {
+        return false;
+      }
     } else if (arg == "--window" && (value = next())) {
-      config->admission_window_seconds = std::strtod(value, nullptr);
+      if (!util::ParseNonNegative(value, &config->admission_window_seconds)) {
+        return false;
+      }
     } else if (arg == "--timeout-ms" && (value = next())) {
-      config->hop_timeout_ms = static_cast<int>(std::strtol(value, nullptr, 10));
+      if (!util::ParseUnsigned(value, UINT64_MAX, &config->hop_timeout_ms)) {
+        return false;
+      }
     } else if (arg == "--conv-per-dial" && (value = next())) {
-      config->schedule.conversation_rounds_per_dialing_round = std::strtoull(value, nullptr, 10);
+      if (!util::ParseUnsigned(value, UINT64_MAX,
+                               &config->schedule.conversation_rounds_per_dialing_round)) {
+        return false;
+      }
     } else if (arg == "--retries" && (value = next())) {
       // Submission attempts per round (1 = abandon on first failure).
-      config->max_round_attempts = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-      if (config->max_round_attempts == 0) {
+      if (!util::ParseUnsigned(value, UINT32_MAX, &config->max_round_attempts) ||
+          config->max_round_attempts == 0) {
         return false;
       }
     } else if (arg == "--metrics-port" && (value = next())) {
-      unsigned long port = std::strtoul(value, nullptr, 10);
-      if (port > 65535) {
+      if (!util::ParseUnsigned(value, 65535, &config->metrics_port)) {
         return false;
       }
-      config->metrics_port = static_cast<int>(port);
     } else if (arg == "--mu" && (value = next())) {
       double mu = 0.0;
       if (!util::ParseNonNegative(value, &mu)) {

@@ -10,12 +10,12 @@
 // it, and a restarted instance rejoins the next round automatically.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/exchange_daemon.h"
+#include "src/util/flags.h"
 #include "src/util/logging.h"
 
 using namespace vuvuzela;
@@ -45,23 +45,25 @@ bool Parse(int argc, char** argv, Flags* flags) {
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     const char* value = nullptr;
     if (arg == "--shard" && (value = next())) {
-      flags->shard = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (arg == "--shards" && (value = next())) {
-      flags->shards = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (arg == "--port" && (value = next())) {
-      unsigned long port = std::strtoul(value, nullptr, 10);
-      if (port > 65535) {
-        return false;  // reject rather than silently truncating to 16 bits
-      }
-      flags->port = static_cast<uint16_t>(port);
-    } else if (arg == "--local-shards" && (value = next())) {
-      flags->local_shards = std::strtoul(value, nullptr, 10);
-    } else if (arg == "--metrics-port" && (value = next())) {
-      unsigned long port = std::strtoul(value, nullptr, 10);
-      if (port > 65535) {
+      if (!util::ParseUnsigned(value, UINT32_MAX, &flags->shard)) {
         return false;
       }
-      flags->metrics_port = static_cast<int>(port);
+    } else if (arg == "--shards" && (value = next())) {
+      if (!util::ParseUnsigned(value, UINT32_MAX, &flags->shards)) {
+        return false;
+      }
+    } else if (arg == "--port" && (value = next())) {
+      if (!util::ParseUnsigned(value, 65535, &flags->port)) {
+        return false;
+      }
+    } else if (arg == "--local-shards" && (value = next())) {
+      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->local_shards)) {
+        return false;
+      }
+    } else if (arg == "--metrics-port" && (value = next())) {
+      if (!util::ParseUnsigned(value, 65535, &flags->metrics_port)) {
+        return false;
+      }
     } else {
       return false;
     }

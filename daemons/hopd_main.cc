@@ -23,7 +23,6 @@
 // On orderly shutdown the hop forwards kShutdown to its partitions.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -78,23 +77,27 @@ bool Parse(int argc, char** argv, Flags* flags) {
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     const char* value = nullptr;
     if (arg == "--position" && (value = next())) {
-      flags->position = std::strtoul(value, nullptr, 10);
+      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->position)) {
+        return false;
+      }
       flags->have_position = true;
     } else if (arg == "--servers" && (value = next())) {
-      flags->servers = std::strtoul(value, nullptr, 10);
+      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->servers)) {
+        return false;
+      }
       flags->have_servers = true;
     } else if (arg == "--key-file" && (value = next())) {
       flags->key_file = value;
     } else if (arg == "--key-dir" && (value = next())) {
       flags->key_dir = value;
     } else if (arg == "--port" && (value = next())) {
-      unsigned long port = std::strtoul(value, nullptr, 10);
-      if (port > 65535) {
-        return false;  // reject rather than silently truncating to 16 bits
+      if (!util::ParseUnsigned(value, 65535, &flags->port)) {
+        return false;
       }
-      flags->port = static_cast<uint16_t>(port);
     } else if (arg == "--seed" && (value = next())) {
-      flags->seed = std::strtoull(value, nullptr, 10);
+      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->seed)) {
+        return false;
+      }
     } else if (arg == "--mu" && (value = next())) {
       if (!util::ParseNonNegative(value, &flags->mu)) {
         return false;
@@ -108,11 +111,9 @@ bool Parse(int argc, char** argv, Flags* flags) {
         return false;
       }
     } else if (arg == "--metrics-port" && (value = next())) {
-      unsigned long port = std::strtoul(value, nullptr, 10);
-      if (port > 65535) {
+      if (!util::ParseUnsigned(value, 65535, &flags->metrics_port)) {
         return false;
       }
-      flags->metrics_port = static_cast<int>(port);
     } else {
       return false;
     }

@@ -20,13 +20,13 @@
 #include <sys/stat.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/coord/keydir.h"
 #include "src/crypto/drbg.h"
 #include "src/transport/hop_chain.h"
+#include "src/util/flags.h"
 
 using namespace vuvuzela;
 
@@ -56,17 +56,21 @@ bool Parse(int argc, char** argv, Flags* flags) {
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     const char* value = nullptr;
     if (arg == "--servers" && (value = next())) {
-      flags->servers = std::strtoul(value, nullptr, 10);
+      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->servers)) {
+        return false;
+      }
     } else if (arg == "--out" && (value = next())) {
       flags->out = value;
     } else if (arg == "--seed" && (value = next())) {
-      flags->seed = std::strtoull(value, nullptr, 10);
+      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->seed)) {
+        return false;
+      }
       flags->seeded = true;
     } else if (arg == "--metrics-port" && (value = next())) {
       // Accepted so fleet launchers can pass a uniform flag set to every
       // vuvuzela-* binary; keygen exits before any scrape could land.
-      unsigned long port = std::strtoul(value, nullptr, 10);
-      if (port > 65535) {
+      uint16_t port = 0;
+      if (!util::ParseUnsigned(value, 65535, &port)) {
         return false;
       }
     } else {

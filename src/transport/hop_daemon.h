@@ -177,6 +177,7 @@ class HopDaemon {
   obs::Counter* obs_pass_onions_;
   obs::Counter* obs_pass_errors_;
   obs::Histogram* obs_pass_seconds_;
+  obs::Histogram* obs_digest_seconds_;
   // Per-process series (one hopd per process), refreshed after every pass.
   obs::Gauge* obs_cache_entries_;
   obs::Counter* obs_cache_misses_;

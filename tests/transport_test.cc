@@ -503,6 +503,24 @@ TEST(HopDaemonRobustness, SurvivesMalformedBatchMessage) {
   EXPECT_GT(batch.size(), 0u);
 }
 
+// A hop digests every request for its replay slot before the pass runs, and
+// times the digest in a histogram of its own. The digest is observed before
+// the reply is sent, so the count is exact once the call returns.
+TEST(HopDaemonMetrics, TimesEveryRequestDigest) {
+  auto chain = LoopbackChain::Start(TestChainConfig(), kKeySeed);
+  ASSERT_NE(chain, nullptr);
+  obs::Histogram* digest = obs::Registry::Global().GetHistogram(
+      "vuvuzela_hop_request_digest_seconds", "", obs::PassLatencyBuckets());
+  const uint64_t digests_before = digest->Snap().count;
+
+  auto transports = chain->ConnectTransports();
+  ASSERT_EQ(transports.size(), 3u);
+  Workload workload = MakeWorkload();
+  transports[0]->ForwardConversation(1, workload.conversation_batches[0], nullptr);
+  transports[0]->ForwardConversation(2, workload.conversation_batches[0], nullptr);
+  EXPECT_EQ(digest->Snap().count - digests_before, 2u);
+}
+
 // Plays `users` clients wrapping for `chain` through the started
 // coordinator's front door while it runs its schedule.
 CoordDaemonResult RunWithFleet(CoordinatorDaemon& coordinator,

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/util/bytes.h"
+#include "src/util/flags.h"
 #include "src/util/random.h"
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
@@ -272,6 +273,55 @@ TEST(ThreadPool, OneWorkerBlocksRunInlineInOrder) {
   const std::vector<std::pair<size_t, size_t>> expected = {
       {0, 64}, {64, 128}, {128, 192}, {192, 200}};
   EXPECT_EQ(blocks, expected);
+}
+
+// --- Flag values ---------------------------------------------------------------
+
+TEST(Flags, ParseUnsignedAcceptsWholeDecimalValuesUpToMax) {
+  uint64_t wide = 7;
+  EXPECT_TRUE(ParseUnsigned("0", 10, &wide));
+  EXPECT_EQ(wide, 0u);
+  EXPECT_TRUE(ParseUnsigned("10", 10, &wide));
+  EXPECT_EQ(wide, 10u);
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615", UINT64_MAX, &wide));
+  EXPECT_EQ(wide, UINT64_MAX);
+  uint16_t port = 0;
+  EXPECT_TRUE(ParseUnsigned("65535", 65535, &port));
+  EXPECT_EQ(port, 65535u);
+}
+
+TEST(Flags, ParseUnsignedRejectsAnythingElseAndLeavesTheOutputAlone) {
+  for (const char* text : {"", "two", "1x", "-1", "+1", " 1", "1 ", "0x10", "1.5", "11",
+                           "18446744073709551616", "99999999999999999999999"}) {
+    uint64_t value = 42;
+    EXPECT_FALSE(ParseUnsigned(text, 10, &value)) << '"' << text << '"';
+    EXPECT_EQ(value, 42u) << '"' << text << '"';
+  }
+  // The target type bounds the value too: no silent truncation.
+  uint32_t shards = 1;
+  EXPECT_FALSE(ParseUnsigned("4294967297", UINT64_MAX, &shards));
+  EXPECT_EQ(shards, 1u);
+  int metrics_port = -1;
+  EXPECT_FALSE(ParseUnsigned("2147483648", UINT64_MAX, &metrics_port));
+  EXPECT_EQ(metrics_port, -1);
+}
+
+TEST(Flags, ParseNonNegativeAcceptsFiniteNonNegativeNumbers) {
+  double value = -1.0;
+  EXPECT_TRUE(ParseNonNegative("0", &value));
+  EXPECT_EQ(value, 0.0);
+  EXPECT_TRUE(ParseNonNegative("0.05", &value));
+  EXPECT_EQ(value, 0.05);
+  EXPECT_TRUE(ParseNonNegative("1e3", &value));
+  EXPECT_EQ(value, 1000.0);
+}
+
+TEST(Flags, ParseNonNegativeRejectsGarbageNegativesAndNonFinite) {
+  for (const char* text : {"", "fifty", "1x", "-1", "-0.5", "nan", "inf", "-inf", "1e999"}) {
+    double value = 3.0;
+    EXPECT_FALSE(ParseNonNegative(text, &value)) << '"' << text << '"';
+    EXPECT_EQ(value, 3.0) << '"' << text << '"';
+  }
 }
 
 }  // namespace

@@ -8,13 +8,13 @@
 // once coordd shuts the clients down, iff every bucket fetch was answered.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/coord/keydir.h"
 #include "src/sim/client_fleet.h"
 #include "src/transport/hop_chain.h"
+#include "src/util/flags.h"
 
 using namespace vuvuzela;
 
@@ -30,11 +30,11 @@ int main(int argc, char** argv) {
     if (arg == "--coord") {
       ok = net::ParseEndpointList(value, &coordinator);
     } else if (arg == "--users") {
-      config.users = std::strtoull(value, nullptr, 10);
+      ok = util::ParseUnsigned(value, UINT64_MAX, &config.users);
     } else if (arg == "--hops") {
-      hops = std::strtoul(value, nullptr, 10);
+      ok = util::ParseUnsigned(value, UINT64_MAX, &hops);
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(value, nullptr, 10);
+      ok = util::ParseUnsigned(value, UINT64_MAX, &config.seed);
     } else if (arg == "--key-dir") {
       key_dir = value;
     } else {

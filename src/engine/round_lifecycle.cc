@@ -1,5 +1,6 @@
 #include "src/engine/round_lifecycle.h"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "src/obs/registry.h"
@@ -50,6 +51,57 @@ std::string PhaseDetail(const RoundStatus& status) {
   return detail;
 }
 
+// --- The edge table -----------------------------------------------------------
+//
+// Indexed by the phase a round moves *to*: the phases it may come from, and
+// what the edge requires beyond that.
+
+constexpr uint16_t Bit(RoundPhase phase) { return uint16_t{1} << static_cast<int>(phase); }
+
+// Phases a live round can fail out of (Retrying / Abandoned).
+constexpr uint16_t kLivePhases = Bit(RoundPhase::kAnnounced) | Bit(RoundPhase::kSubmitting) |
+                                 Bit(RoundPhase::kForward) | Bit(RoundPhase::kExchange) |
+                                 Bit(RoundPhase::kBackward) | Bit(RoundPhase::kDistributing);
+
+enum class HopRule : uint8_t {
+  kKeep,     // the recorded hop is left as it is
+  kAdvance,  // recorded; re-entering the phase must move to a later hop
+  kDescend,  // recorded; re-entering the phase must move to an earlier hop
+};
+
+struct Edge {
+  uint16_t from;      // Bit() of every phase the round may come from
+  bool creates;       // an unknown round may take this edge (record created)
+  HopRule hop_rule;
+  bool dialing_only;  // only dialing rounds may take this edge
+};
+
+constexpr Edge kEdges[] = {
+    // kAnnounced: the coordinator registers a round it has not seen.
+    {0, true, HopRule::kKeep, false},
+    // kSubmitting: first attempt (announced or not), or a re-submission.
+    {Bit(RoundPhase::kAnnounced) | Bit(RoundPhase::kRetrying), true, HopRule::kKeep, false},
+    // kForward
+    {Bit(RoundPhase::kSubmitting) | Bit(RoundPhase::kForward), false, HopRule::kAdvance, false},
+    // kExchange: a single-hop chain enters it straight from submission.
+    {Bit(RoundPhase::kSubmitting) | Bit(RoundPhase::kForward), false, HopRule::kKeep, false},
+    // kBackward
+    {Bit(RoundPhase::kExchange) | Bit(RoundPhase::kBackward), false, HopRule::kDescend, false},
+    // kDistributing: only a dialing round whose exchange (table build)
+    // finished has a table to distribute.
+    {Bit(RoundPhase::kExchange), false, HopRule::kKeep, true},
+    // kComplete: a conversation round off its final backward pass (or the
+    // exchange itself on a single-hop chain); a dialing round off the
+    // exchange (no return pass) or off the Distribute stage.
+    {Bit(RoundPhase::kExchange) | Bit(RoundPhase::kBackward) | Bit(RoundPhase::kDistributing),
+     false, HopRule::kKeep, false},
+    // kRetrying
+    {kLivePhases, false, HopRule::kKeep, false},
+    // kAbandoned: also once the retry budget runs out.
+    {kLivePhases | Bit(RoundPhase::kRetrying), false, HopRule::kKeep, false},
+};
+static_assert(std::size(kEdges) == static_cast<size_t>(RoundPhase::kAbandoned) + 1);
+
 }  // namespace
 
 const char* RoundPhaseName(RoundPhase phase) {
@@ -89,21 +141,6 @@ RoundLifecycle::RoundLifecycle(Listener listener) : listener_(std::move(listener
   obs_live_ = registry.GetGauge("vuvuzela_rounds_live", "Rounds currently in flight");
 }
 
-RoundStatus& RoundLifecycle::Require(uint64_t round, const char* verb) {
-  auto it = rounds_.find(round);
-  if (it == rounds_.end()) {
-    throw std::logic_error(std::string("RoundLifecycle: ") + verb + " on unknown round " +
-                           std::to_string(round));
-  }
-  return it->second;
-}
-
-void RoundLifecycle::Reject(const RoundStatus& status, const char* verb) {
-  throw std::logic_error(std::string("RoundLifecycle: invalid transition ") +
-                         RoundPhaseName(status.phase) + " -> " + verb + " (round " +
-                         std::to_string(status.round) + ")");
-}
-
 void RoundLifecycle::Notify(const RoundStatus& status) {
   obs::TraceJournal::Global().Emit(status.round, PhaseSpan(status.phase), PhaseDetail(status));
   if (listener_) {
@@ -111,172 +148,95 @@ void RoundLifecycle::Notify(const RoundStatus& status) {
   }
 }
 
-void RoundLifecycle::Announce(uint64_t round, wire::RoundType type) {
+void RoundLifecycle::Step(uint64_t round, RoundPhase to, size_t hop, wire::RoundType type,
+                          const std::string& error) {
+  const Edge& edge = kEdges[static_cast<size_t>(to)];
   RoundStatus snapshot;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = rounds_.try_emplace(round);
-    if (!inserted) {
-      Reject(it->second, "Announced");
-    }
-    it->second.round = round;
-    it->second.type = type;
-    it->second.phase = RoundPhase::kAnnounced;
-    ++counters_.announced;
-    obs_announced_->Add();
-    obs_live_->Set(static_cast<int64_t>(rounds_.size()));
-    snapshot = it->second;
-  }
-  Notify(snapshot);
-}
-
-void RoundLifecycle::BeginAttempt(uint64_t round, wire::RoundType type) {
-  RoundStatus snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = rounds_.try_emplace(round);
-    RoundStatus& status = it->second;
-    if (inserted) {
-      // Direct scheduler users skip the coordinator's announcement.
-      status.round = round;
-      status.type = type;
+    auto it = rounds_.find(round);
+    if (it == rounds_.end()) {
+      if (!edge.creates) {
+        throw std::logic_error(std::string("RoundLifecycle: ") + RoundPhaseName(to) +
+                               " on unknown round " + std::to_string(round));
+      }
+      it = rounds_.try_emplace(round).first;
+      it->second.round = round;
+      it->second.type = type;
       ++counters_.announced;
       obs_announced_->Add();
       obs_live_->Set(static_cast<int64_t>(rounds_.size()));
-    } else if (status.phase == RoundPhase::kRetrying) {
+    } else {
+      const RoundStatus& status = it->second;
+      bool legal = (edge.from & Bit(status.phase)) != 0 &&
+                   (!edge.dialing_only || status.type == wire::RoundType::kDialing);
+      if (legal && status.phase == to) {
+        legal = (edge.hop_rule == HopRule::kAdvance && hop > status.hop) ||
+                (edge.hop_rule == HopRule::kDescend && hop < status.hop);
+      }
+      if (!legal) {
+        throw std::logic_error(std::string("RoundLifecycle: invalid transition ") +
+                               RoundPhaseName(status.phase) + " -> " + RoundPhaseName(to) +
+                               " (round " + std::to_string(round) + ")");
+      }
+    }
+
+    RoundStatus& status = it->second;
+    if (to == RoundPhase::kSubmitting && status.phase == RoundPhase::kRetrying) {
       ++status.attempt;
       ++counters_.retries;
       obs_retries_->Add();
-    } else if (status.phase != RoundPhase::kAnnounced) {
-      Reject(status, "Submitting");
     }
-    status.phase = RoundPhase::kSubmitting;
+    status.phase = to;
+    if (edge.hop_rule != HopRule::kKeep) {
+      status.hop = hop;
+    }
+    if (to == RoundPhase::kRetrying || to == RoundPhase::kAbandoned) {
+      status.last_error = error;
+    }
     snapshot = status;
+    if (to == RoundPhase::kComplete || to == RoundPhase::kAbandoned) {
+      if (to == RoundPhase::kComplete) {
+        ++counters_.completed;
+        obs_completed_->Add();
+      } else {
+        ++counters_.abandoned;
+        obs_abandoned_->Add();
+      }
+      rounds_.erase(it);
+      obs_live_->Set(static_cast<int64_t>(rounds_.size()));
+    }
   }
   Notify(snapshot);
 }
 
-void RoundLifecycle::EnterForward(uint64_t round, size_t hop) {
-  RoundStatus snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RoundStatus& status = Require(round, "Forward");
-    bool from_submit = status.phase == RoundPhase::kSubmitting;
-    bool advances = status.phase == RoundPhase::kForward && hop > status.hop;
-    if (!from_submit && !advances) {
-      Reject(status, "Forward");
-    }
-    status.phase = RoundPhase::kForward;
-    status.hop = hop;
-    snapshot = status;
-  }
-  Notify(snapshot);
+void RoundLifecycle::Announce(uint64_t round, wire::RoundType type) {
+  Step(round, RoundPhase::kAnnounced, 0, type, {});
 }
 
-void RoundLifecycle::EnterExchange(uint64_t round) {
-  RoundStatus snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RoundStatus& status = Require(round, "Exchange");
-    // A single-hop chain enters the exchange straight from submission.
-    if (status.phase != RoundPhase::kForward && status.phase != RoundPhase::kSubmitting) {
-      Reject(status, "Exchange");
-    }
-    status.phase = RoundPhase::kExchange;
-    snapshot = status;
-  }
-  Notify(snapshot);
+void RoundLifecycle::BeginAttempt(uint64_t round, wire::RoundType type) {
+  Step(round, RoundPhase::kSubmitting, 0, type, {});
 }
 
-void RoundLifecycle::EnterBackward(uint64_t round, size_t hop) {
-  RoundStatus snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RoundStatus& status = Require(round, "Backward");
-    bool from_exchange = status.phase == RoundPhase::kExchange;
-    bool descends = status.phase == RoundPhase::kBackward && hop < status.hop;
-    if (!from_exchange && !descends) {
-      Reject(status, "Backward");
-    }
-    status.phase = RoundPhase::kBackward;
-    status.hop = hop;
-    snapshot = status;
+void RoundLifecycle::Enter(uint64_t round, RoundPhase phase, size_t hop) {
+  if (phase != RoundPhase::kForward && phase != RoundPhase::kExchange &&
+      phase != RoundPhase::kBackward && phase != RoundPhase::kDistributing) {
+    throw std::logic_error(std::string("RoundLifecycle: ") + RoundPhaseName(phase) +
+                           " is not a pipeline phase");
   }
-  Notify(snapshot);
-}
-
-void RoundLifecycle::EnterDistribute(uint64_t round) {
-  RoundStatus snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RoundStatus& status = Require(round, "Distributing");
-    // Only a dialing round whose exchange (table build) finished has a table
-    // to distribute.
-    if (status.phase != RoundPhase::kExchange || status.type != wire::RoundType::kDialing) {
-      Reject(status, "Distributing");
-    }
-    status.phase = RoundPhase::kDistributing;
-    snapshot = status;
-  }
-  Notify(snapshot);
+  Step(round, phase, hop, wire::RoundType::kConversation, {});
 }
 
 void RoundLifecycle::Complete(uint64_t round) {
-  RoundStatus snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RoundStatus& status = Require(round, "Complete");
-    // Conversation rounds complete off the final backward pass (or the
-    // exchange itself on a single-hop chain); dialing rounds complete off the
-    // exchange (no return pass) or off the Distribute stage when the engine
-    // publishes their table.
-    if (status.phase != RoundPhase::kBackward && status.phase != RoundPhase::kExchange &&
-        status.phase != RoundPhase::kDistributing) {
-      Reject(status, "Complete");
-    }
-    status.phase = RoundPhase::kComplete;
-    ++counters_.completed;
-    obs_completed_->Add();
-    snapshot = status;
-    rounds_.erase(round);
-    obs_live_->Set(static_cast<int64_t>(rounds_.size()));
-  }
-  Notify(snapshot);
+  Step(round, RoundPhase::kComplete, 0, wire::RoundType::kConversation, {});
 }
 
 void RoundLifecycle::Retrying(uint64_t round, const std::string& error) {
-  RoundStatus snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RoundStatus& status = Require(round, "Retrying");
-    if (status.phase == RoundPhase::kComplete || status.phase == RoundPhase::kAbandoned ||
-        status.phase == RoundPhase::kRetrying) {
-      Reject(status, "Retrying");
-    }
-    status.phase = RoundPhase::kRetrying;
-    status.last_error = error;
-    snapshot = status;
-  }
-  Notify(snapshot);
+  Step(round, RoundPhase::kRetrying, 0, wire::RoundType::kConversation, error);
 }
 
 void RoundLifecycle::Abandon(uint64_t round, const std::string& error) {
-  RoundStatus snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RoundStatus& status = Require(round, "Abandoned");
-    if (status.phase == RoundPhase::kComplete || status.phase == RoundPhase::kAbandoned) {
-      Reject(status, "Abandoned");
-    }
-    status.phase = RoundPhase::kAbandoned;
-    status.last_error = error;
-    ++counters_.abandoned;
-    obs_abandoned_->Add();
-    snapshot = status;
-    rounds_.erase(round);
-    obs_live_->Set(static_cast<int64_t>(rounds_.size()));
-  }
-  Notify(snapshot);
+  Step(round, RoundPhase::kAbandoned, 0, wire::RoundType::kConversation, error);
 }
 
 std::optional<RoundStatus> RoundLifecycle::Status(uint64_t round) const {

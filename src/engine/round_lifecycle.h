@@ -11,8 +11,9 @@
 //
 // with Retrying → Submitting on re-submission (the attempt counter ticks).
 // The coordinator announces rounds and decides failure policy (retry with the
-// banked onions, or abandon); the scheduler drives the per-hop phases as the
-// round crosses stage workers; tests and operators observe the same record.
+// banked onions, or abandon); the scheduler drives the per-hop phases
+// through one seam, Enter(round, phase, hop), as the round crosses stage
+// workers; tests and operators observe the same record.
 // Dialing rounds are forward-only: Submitting → Forward(0..i) → Exchange →
 // [Distributing →] Complete (the invitation-table deposit is their exchange;
 // Distributing appears when the engine publishes the finished table through a
@@ -24,10 +25,12 @@
 // never-failed one (traffic-analysis resistance literature is clear that
 // recovery behavior is as fingerprintable as steady state).
 //
-// Transitions are validated: an impossible transition throws std::logic_error
-// so a mis-driven pipeline fails loudly in tests instead of silently
-// corrupting accounting. All methods are thread-safe (phases are driven from
-// stage worker threads, failure policy from the collector thread).
+// Every transition, whichever seam drives it, goes through one private step
+// that checks it against one table of legal edges (round_lifecycle.cc): an
+// impossible transition throws std::logic_error so a mis-driven pipeline
+// fails loudly in tests instead of silently corrupting accounting. All
+// methods are thread-safe (phases are driven from stage worker threads,
+// failure policy from the collector thread).
 
 #ifndef VUVUZELA_SRC_ENGINE_ROUND_LIFECYCLE_H_
 #define VUVUZELA_SRC_ENGINE_ROUND_LIFECYCLE_H_
@@ -100,13 +103,13 @@ class RoundLifecycle {
   // round with attempt+1, and rejects re-submission of a live round.
   void BeginAttempt(uint64_t round, wire::RoundType type);
 
-  // Scheduler seam: per-hop phases.
-  void EnterForward(uint64_t round, size_t hop);
-  void EnterExchange(uint64_t round);
-  void EnterBackward(uint64_t round, size_t hop);
-  // Scheduler seam, dialing rounds with a distribution backend: the round's
-  // invitation table is being published to the distribution tier.
-  void EnterDistribute(uint64_t round);
+  // Scheduler seam: the round enters a pipeline phase — kForward or
+  // kBackward at `hop`, kExchange at the last hop, or (dialing rounds with a
+  // distribution backend) kDistributing while its invitation table is
+  // published to the distribution tier. `hop` is recorded only for kForward
+  // and kBackward. Any other phase is not a pipeline phase and throws
+  // std::logic_error.
+  void Enter(uint64_t round, RoundPhase phase, size_t hop = 0);
 
   // Terminal / failure-policy seam (driven by whoever owns the round future).
   void Complete(uint64_t round);
@@ -119,8 +122,12 @@ class RoundLifecycle {
   Counters counters() const;
 
  private:
-  RoundStatus& Require(uint64_t round, const char* verb);
-  [[noreturn]] void Reject(const RoundStatus& status, const char* verb);
+  // The one transition step: checks `to` against the edge table, applies it
+  // under the lock, and notifies with the lock released. `type` is used only
+  // when the step creates the round's record; `error` only by the failure
+  // phases.
+  void Step(uint64_t round, RoundPhase to, size_t hop, wire::RoundType type,
+            const std::string& error);
   void Notify(const RoundStatus& status);
 
   Listener listener_;

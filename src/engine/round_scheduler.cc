@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -63,6 +64,19 @@ std::exception_ptr CopyForFuture(std::exception_ptr error) {
   }
 }
 
+const char* StageName(RoundPhase stage) {
+  switch (stage) {
+    case RoundPhase::kForward:
+      return "forward";
+    case RoundPhase::kExchange:
+      return "exchange";
+    case RoundPhase::kBackward:
+      return "backward";
+    default:
+      return "distribute";
+  }
+}
+
 }  // namespace
 
 // --- StageWorker ------------------------------------------------------------
@@ -106,30 +120,33 @@ void RoundScheduler::StageWorker::Loop() {
   }
 }
 
-// --- Round contexts ---------------------------------------------------------
+// --- Round context ----------------------------------------------------------
 
-struct RoundScheduler::ConversationContext {
-  uint64_t round = 0;
+struct RoundScheduler::RoundContext {
+  using Promise = std::variant<std::promise<mixnet::Chain::ConversationResult>,
+                               std::promise<mixnet::Chain::DialingResult>>;
+
+  RoundContext(uint64_t round, std::vector<util::Bytes> batch, uint32_t num_drops,
+               Promise promise)
+      : round(round), num_drops(num_drops), batch(std::move(batch)), promise(std::move(promise)) {}
+
+  bool dialing() const { return promise.index() == 1; }
+  wire::RoundType type() const {
+    return dialing() ? wire::RoundType::kDialing : wire::RoundType::kConversation;
+  }
+
+  uint64_t round;
+  uint32_t num_drops;  // dialing
   std::vector<util::Bytes> batch;
+  // The conversation result as the stages fill it in; a dialing round uses
+  // only its stats.
   mixnet::Chain::ConversationResult result;
-  std::promise<mixnet::Chain::ConversationResult> promise;
-  Clock::time_point submitted;
-  Clock::time_point forward_start;
-  Clock::time_point backward_start;
-};
-
-struct RoundScheduler::DialingContext {
-  uint64_t round = 0;
-  uint32_t num_drops = 0;
-  std::vector<util::Bytes> batch;
-  // DialingResult has no default constructor (the table needs a drop
-  // count), so its parts live here until the last hop assembles it. With a
-  // distribution backend the table parks here between the last hop and the
-  // Distribute stage, then moves into the backend.
+  // Dialing: the last hop's invitation table. With a distribution backend it
+  // parks here until the Distribute stage moves it into the backend.
   std::optional<deaddrop::InvitationTable> table;
-  mixnet::RoundStats stats;
-  std::promise<mixnet::Chain::DialingResult> promise;
-  Clock::time_point forward_start;
+  Promise promise;
+  Clock::time_point submitted;
+  Clock::time_point backward_start;
 };
 
 // --- RoundScheduler ---------------------------------------------------------
@@ -191,15 +208,21 @@ void RoundScheduler::Admit() {
   stats_.max_observed_in_flight = std::max(stats_.max_observed_in_flight, in_flight_);
 }
 
-void RoundScheduler::Release(bool failed, double latency_seconds, bool dialing) {
+void RoundScheduler::Release(const RoundContext& ctx, Outcome outcome, double latency_seconds) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --in_flight_;
-    if (failed) {
+    if (outcome != Outcome::kRejected && !ctx.dialing()) {
+      auto it = active_conversation_rounds_.find(ctx.round);
+      if (it != active_conversation_rounds_.end()) {
+        active_conversation_rounds_.erase(it);
+      }
+    }
+    if (outcome == Outcome::kFailed) {
       ++stats_.rounds_failed;
-    } else if (dialing) {
+    } else if (outcome == Outcome::kCompleted && ctx.dialing()) {
       ++stats_.dialing_rounds_completed;
-    } else {
+    } else if (outcome == Outcome::kCompleted) {
       ++stats_.conversation_rounds_completed;
       stats_.total_conversation_latency_seconds += latency_seconds;
       if (config_.record_latencies) {
@@ -209,14 +232,6 @@ void RoundScheduler::Release(bool failed, double latency_seconds, bool dialing) 
   }
   admit_cv_.notify_one();
   drain_cv_.notify_all();
-}
-
-void RoundScheduler::RemoveActiveRound(uint64_t round) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = active_conversation_rounds_.find(round);
-  if (it != active_conversation_rounds_.end()) {
-    active_conversation_rounds_.erase(it);
-  }
 }
 
 uint64_t RoundScheduler::ExpiryHorizon() const {
@@ -240,300 +255,205 @@ SchedulerStats RoundScheduler::stats() const {
   return stats_;
 }
 
-// Failure paths mirror the completion path's ordering: account the round
-// first, then surface the exception, so future.get() never observes stale
-// scheduler state.
-void RoundScheduler::FailConversation(std::shared_ptr<ConversationContext> ctx,
-                                      std::exception_ptr error) {
-  RemoveActiveRound(ctx->round);
-  Release(/*failed=*/true, 0.0, /*dialing=*/false);
-  ctx->promise.set_exception(CopyForFuture(std::move(error)));
-}
-
-void RoundScheduler::FailDialing(std::shared_ptr<DialingContext> ctx, std::exception_ptr error) {
-  Release(/*failed=*/true, 0.0, /*dialing=*/true);
-  ctx->promise.set_exception(CopyForFuture(std::move(error)));
-}
-
-// --- Conversation pipeline --------------------------------------------------
+// --- The pipeline -----------------------------------------------------------
 
 std::future<mixnet::Chain::ConversationResult> RoundScheduler::SubmitConversation(
     uint64_t round, std::vector<util::Bytes> onions) {
-  Admit();
-  if (config_.lifecycle) {
-    config_.lifecycle->BeginAttempt(round, wire::RoundType::kConversation);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    newest_conversation_round_ = std::max(newest_conversation_round_, round);
-    active_conversation_rounds_.insert(round);
-  }
-
-  auto ctx = std::make_shared<ConversationContext>();
-  ctx->round = round;
-  ctx->batch = std::move(onions);
-  ctx->result.stats.forward.resize(num_stages());
-  ctx->result.stats.backward.resize(num_stages() - 1);
-  ctx->submitted = Clock::now();
-  ctx->forward_start = ctx->submitted;
-  obs_onions_submitted_->Add(ctx->batch.size());
-  std::future<mixnet::Chain::ConversationResult> future = ctx->promise.get_future();
-
-  if (num_stages() == 1) {
-    PostConversationLastHop(std::move(ctx));
-  } else {
-    PostConversationForward(std::move(ctx), 0);
-  }
+  std::promise<mixnet::Chain::ConversationResult> promise;
+  auto future = promise.get_future();
+  Submit(std::make_shared<RoundContext>(round, std::move(onions), 0, std::move(promise)));
   return future;
 }
 
-void RoundScheduler::PostConversationForward(std::shared_ptr<ConversationContext> ctx,
-                                             size_t position) {
-  EmitStageSpan(ctx->round, "stage/enqueue", "forward", position, ctx->batch.size());
-  workers_[position]->Post([this, ctx = std::move(ctx), position]() mutable {
-    transport::HopTransport& hop = *hops_[position];
+std::future<mixnet::Chain::DialingResult> RoundScheduler::SubmitDialing(
+    uint64_t round, std::vector<util::Bytes> onions, uint32_t num_drops) {
+  std::promise<mixnet::Chain::DialingResult> promise;
+  auto future = promise.get_future();
+  Submit(std::make_shared<RoundContext>(round, std::move(onions), num_drops, std::move(promise)));
+  return future;
+}
+
+void RoundScheduler::Submit(std::shared_ptr<RoundContext> ctx) {
+  Admit();
+  if (config_.lifecycle) {
+    try {
+      config_.lifecycle->BeginAttempt(ctx->round, ctx->type());
+    } catch (...) {
+      // The round never entered the pipeline; its slot goes back.
+      Release(*ctx, Outcome::kRejected);
+      throw;
+    }
+  }
+  ctx->result.stats.forward.resize(num_stages());
+  if (!ctx->dialing()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    newest_conversation_round_ = std::max(newest_conversation_round_, ctx->round);
+    active_conversation_rounds_.insert(ctx->round);
+    ctx->result.stats.backward.resize(num_stages() - 1);
+  }
+  ctx->submitted = Clock::now();
+  obs_onions_submitted_->Add(ctx->batch.size());
+  if (num_stages() == 1) {
+    PostStage(std::move(ctx), RoundPhase::kExchange, 0);
+  } else {
+    PostStage(std::move(ctx), RoundPhase::kForward, 0);
+  }
+}
+
+void RoundScheduler::PostStage(std::shared_ptr<RoundContext> ctx, RoundPhase stage, size_t hop) {
+  const char* name = StageName(stage);
+  EmitStageSpan(ctx->round, "stage/enqueue", name, hop, ctx->batch.size());
+  StageWorker& worker = hop == num_stages() ? *dist_worker_ : *workers_[hop];
+  worker.Post([this, ctx = std::move(ctx), stage, hop, name]() mutable {
     const auto pass_start = Clock::now();
     try {
       if (config_.lifecycle) {
-        config_.lifecycle->EnterForward(ctx->round, position);
+        config_.lifecycle->Enter(ctx->round, stage, hop);
       }
-      // Shed state from rounds abandoned mid-pipeline before taking on
-      // more. The horizon is the oldest round still in flight, so a live
-      // round can never be expired, whatever the round numbering gaps.
-      // (Remote hops piggyback this on the forward request.)
-      hop.ExpireRounds(ExpiryHorizon(), config_.expire_keep);
-
-      std::vector<util::Bytes> input_copy;
-      if (observer_) {
-        input_copy = ctx->batch;
-      }
-      ctx->batch = hop.ForwardConversation(ctx->round, std::move(ctx->batch),
-                                           &ctx->result.stats.forward[position]);
-      if (observer_) {
-        observer_->OnForwardPass(position, ctx->round, input_copy, ctx->batch);
-      }
+      RunPass(*ctx, stage, hop);
     } catch (...) {
-      FailConversation(std::move(ctx), std::current_exception());
+      Fail(std::move(ctx), std::current_exception());
       return;
     }
     const double pass_seconds = SecondsSince(pass_start);
     obs_pass_seconds_->Observe(pass_seconds);
     obs_stage_onions_->Add(ctx->batch.size());
-    EmitStageSpan(ctx->round, "stage/pass", "forward", position, ctx->batch.size(), pass_seconds);
-    if (position + 2 == num_stages()) {
-      PostConversationLastHop(std::move(ctx));
-    } else {
-      PostConversationForward(std::move(ctx), position + 1);
-    }
+    EmitStageSpan(ctx->round, "stage/pass", name, hop, ctx->batch.size(), pass_seconds);
+    Advance(std::move(ctx), stage, hop);
   });
 }
 
-void RoundScheduler::PostConversationLastHop(std::shared_ptr<ConversationContext> ctx) {
-  size_t last = num_stages() - 1;
-  EmitStageSpan(ctx->round, "stage/enqueue", "exchange", last, ctx->batch.size());
-  workers_[last]->Post([this, ctx = std::move(ctx), last]() mutable {
-    const auto pass_start = Clock::now();
-    try {
-      if (config_.lifecycle) {
-        config_.lifecycle->EnterExchange(ctx->round);
+void RoundScheduler::RunPass(RoundContext& ctx, RoundPhase stage, size_t hop) {
+  mixnet::RoundStats& stats = ctx.result.stats;
+  std::vector<util::Bytes> input;  // the observer's copy of the pass input
+  switch (stage) {
+    case RoundPhase::kForward:
+      if (!ctx.dialing()) {
+        // Shed state from rounds abandoned mid-pipeline before taking on
+        // more. The horizon is the oldest round still in flight, so a live
+        // round can never be expired, whatever the round numbering gaps.
+        // (Remote hops piggyback this on the forward request.)
+        hops_[hop]->ExpireRounds(ExpiryHorizon(), config_.expire_keep);
       }
-      std::vector<util::Bytes> input_copy;
       if (observer_) {
-        input_copy = ctx->batch;
+        input = ctx.batch;
       }
-      mixnet::MixServer::LastServerResult last_result =
-          hops_[last]->ProcessConversationLastHop(ctx->round, std::move(ctx->batch),
-                                                  &ctx->result.stats.forward[last]);
-      ctx->result.histogram = last_result.histogram;
-      ctx->result.messages_exchanged = last_result.messages_exchanged;
-      ctx->batch = std::move(last_result.responses);
+      if (ctx.dialing()) {
+        ctx.batch = hops_[hop]->ForwardDialing(ctx.round, std::move(ctx.batch), ctx.num_drops,
+                                               &stats.forward[hop]);
+      } else {
+        ctx.batch = hops_[hop]->ForwardConversation(ctx.round, std::move(ctx.batch),
+                                                    &stats.forward[hop]);
+      }
       if (observer_) {
-        observer_->OnForwardPass(last, ctx->round, input_copy, ctx->batch);
-        observer_->OnDeadDrops(ctx->round, ctx->result.histogram);
+        observer_->OnForwardPass(hop, ctx.round, input, ctx.batch);
       }
-      ctx->result.stats.forward_seconds = SecondsSince(ctx->forward_start);
-      ctx->backward_start = Clock::now();
-    } catch (...) {
-      FailConversation(std::move(ctx), std::current_exception());
+      return;
+    case RoundPhase::kExchange:
+      if (ctx.dialing()) {
+        // The invitation table replaces the batch: the pass reports no onions.
+        ctx.table = hops_[hop]->ProcessDialingLastHop(ctx.round, std::move(ctx.batch),
+                                                      ctx.num_drops, &stats.forward[hop]);
+        ctx.batch.clear();
+      } else {
+        if (observer_) {
+          input = ctx.batch;
+        }
+        mixnet::MixServer::LastServerResult last = hops_[hop]->ProcessConversationLastHop(
+            ctx.round, std::move(ctx.batch), &stats.forward[hop]);
+        ctx.result.histogram = std::move(last.histogram);
+        ctx.result.messages_exchanged = last.messages_exchanged;
+        ctx.batch = std::move(last.responses);
+        if (observer_) {
+          observer_->OnForwardPass(hop, ctx.round, input, ctx.batch);
+          observer_->OnDeadDrops(ctx.round, ctx.result.histogram);
+        }
+      }
+      stats.forward_seconds = SecondsSince(ctx.submitted);
+      ctx.backward_start = Clock::now();
+      return;
+    case RoundPhase::kBackward:
+      ctx.batch = hops_[hop]->BackwardConversation(ctx.round, std::move(ctx.batch),
+                                                   &stats.backward[hop]);
+      return;
+    case RoundPhase::kDistributing: {
+      // The table moves into the distribution tier, where clients download
+      // it by bucket; the round's result keeps only the bucket count. A
+      // failed publish (dead dist shard) fails this dialing round alone —
+      // the coordinator's retry policy re-publishes idempotently.
+      config_.distribution->Publish(ctx.round, std::move(*ctx.table));
+      ctx.table.reset();
+      config_.distribution->Expire(config_.distribution_keep);
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.invitation_tables_distributed;
       return;
     }
-    const double pass_seconds = SecondsSince(pass_start);
-    obs_pass_seconds_->Observe(pass_seconds);
-    obs_stage_onions_->Add(ctx->batch.size());
-    EmitStageSpan(ctx->round, "stage/pass", "exchange", last, ctx->batch.size(), pass_seconds);
-    if (last == 0) {
-      CompleteConversation(std::move(ctx));
-    } else {
-      PostConversationBackward(std::move(ctx), last - 1);
-    }
-  });
+    default:
+      throw std::logic_error("RoundScheduler: not a pipeline stage");
+  }
 }
 
-void RoundScheduler::PostConversationBackward(std::shared_ptr<ConversationContext> ctx,
-                                              size_t position) {
-  EmitStageSpan(ctx->round, "stage/enqueue", "backward", position, ctx->batch.size());
-  workers_[position]->Post([this, ctx = std::move(ctx), position]() mutable {
-    const auto pass_start = Clock::now();
-    try {
-      if (config_.lifecycle) {
-        config_.lifecycle->EnterBackward(ctx->round, position);
-      }
-      ctx->batch = hops_[position]->BackwardConversation(
-          ctx->round, std::move(ctx->batch), &ctx->result.stats.backward[position]);
-    } catch (...) {
-      FailConversation(std::move(ctx), std::current_exception());
+void RoundScheduler::Advance(std::shared_ptr<RoundContext> ctx, RoundPhase stage, size_t hop) {
+  switch (stage) {
+    case RoundPhase::kForward:
+      PostStage(std::move(ctx),
+                hop + 2 == num_stages() ? RoundPhase::kExchange : RoundPhase::kForward, hop + 1);
       return;
-    }
-    const double pass_seconds = SecondsSince(pass_start);
-    obs_pass_seconds_->Observe(pass_seconds);
-    obs_stage_onions_->Add(ctx->batch.size());
-    EmitStageSpan(ctx->round, "stage/pass", "backward", position, ctx->batch.size(), pass_seconds);
-    if (position == 0) {
-      CompleteConversation(std::move(ctx));
-    } else {
-      PostConversationBackward(std::move(ctx), position - 1);
-    }
-  });
+    case RoundPhase::kExchange:
+      if (ctx->dialing()) {
+        if (config_.distribution != nullptr) {
+          PostStage(std::move(ctx), RoundPhase::kDistributing, num_stages());
+        } else {
+          Complete(std::move(ctx));
+        }
+        return;
+      }
+      [[fallthrough]];  // a conversation round returns along the chain
+    case RoundPhase::kBackward:
+      if (hop == 0) {
+        Complete(std::move(ctx));
+      } else {
+        PostStage(std::move(ctx), RoundPhase::kBackward, hop - 1);
+      }
+      return;
+    default:  // kDistributing: RunPass admits no other stage
+      Complete(std::move(ctx));
+      return;
+  }
 }
 
-void RoundScheduler::CompleteConversation(std::shared_ptr<ConversationContext> ctx) {
-  ctx->result.stats.backward_seconds = SecondsSince(ctx->backward_start);
-  ctx->result.responses = std::move(ctx->batch);
-  double latency = SecondsSince(ctx->submitted);
+void RoundScheduler::Complete(std::shared_ptr<RoundContext> ctx) {
+  double latency = 0.0;
+  if (ctx->dialing()) {
+    if (!ctx->table) {
+      ctx->table.emplace(ctx->num_drops);  // distributed: keep the bucket count
+    }
+  } else {
+    ctx->result.stats.backward_seconds = SecondsSince(ctx->backward_start);
+    ctx->result.responses = std::move(ctx->batch);
+    latency = SecondsSince(ctx->submitted);
+  }
   if (config_.lifecycle) {
     config_.lifecycle->Complete(ctx->round);
   }
   // Release before fulfilling the promise: a caller woken by future.get()
   // must observe the round already counted in stats() and in_flight().
-  RemoveActiveRound(ctx->round);
-  Release(/*failed=*/false, latency, /*dialing=*/false);
-  ctx->promise.set_value(std::move(ctx->result));
-}
-
-// --- Dialing pipeline -------------------------------------------------------
-
-std::future<mixnet::Chain::DialingResult> RoundScheduler::SubmitDialing(
-    uint64_t round, std::vector<util::Bytes> onions, uint32_t num_drops) {
-  Admit();
-  if (config_.lifecycle) {
-    config_.lifecycle->BeginAttempt(round, wire::RoundType::kDialing);
-  }
-
-  auto ctx = std::make_shared<DialingContext>();
-  ctx->round = round;
-  ctx->num_drops = num_drops;
-  ctx->batch = std::move(onions);
-  ctx->stats.forward.resize(num_stages());
-  ctx->forward_start = Clock::now();
-  obs_onions_submitted_->Add(ctx->batch.size());
-  std::future<mixnet::Chain::DialingResult> future = ctx->promise.get_future();
-
-  if (num_stages() == 1) {
-    PostDialingLastHop(std::move(ctx));
+  Release(*ctx, Outcome::kCompleted, latency);
+  if (ctx->dialing()) {
+    std::get<1>(ctx->promise).set_value(
+        mixnet::Chain::DialingResult{std::move(*ctx->table), std::move(ctx->result.stats)});
   } else {
-    PostDialingForward(std::move(ctx), 0);
+    std::get<0>(ctx->promise).set_value(std::move(ctx->result));
   }
-  return future;
 }
 
-void RoundScheduler::PostDialingForward(std::shared_ptr<DialingContext> ctx, size_t position) {
-  EmitStageSpan(ctx->round, "stage/enqueue", "forward", position, ctx->batch.size());
-  workers_[position]->Post([this, ctx = std::move(ctx), position]() mutable {
-    const auto pass_start = Clock::now();
-    try {
-      if (config_.lifecycle) {
-        config_.lifecycle->EnterForward(ctx->round, position);
-      }
-      std::vector<util::Bytes> input_copy;
-      if (observer_) {
-        input_copy = ctx->batch;
-      }
-      ctx->batch = hops_[position]->ForwardDialing(ctx->round, std::move(ctx->batch),
-                                                   ctx->num_drops, &ctx->stats.forward[position]);
-      if (observer_) {
-        observer_->OnForwardPass(position, ctx->round, input_copy, ctx->batch);
-      }
-    } catch (...) {
-      FailDialing(std::move(ctx), std::current_exception());
-      return;
-    }
-    const double pass_seconds = SecondsSince(pass_start);
-    obs_pass_seconds_->Observe(pass_seconds);
-    obs_stage_onions_->Add(ctx->batch.size());
-    EmitStageSpan(ctx->round, "stage/pass", "forward", position, ctx->batch.size(), pass_seconds);
-    if (position + 2 == num_stages()) {
-      PostDialingLastHop(std::move(ctx));
-    } else {
-      PostDialingForward(std::move(ctx), position + 1);
-    }
-  });
-}
-
-void RoundScheduler::PostDialingLastHop(std::shared_ptr<DialingContext> ctx) {
-  size_t last = num_stages() - 1;
-  EmitStageSpan(ctx->round, "stage/enqueue", "exchange", last, ctx->batch.size());
-  workers_[last]->Post([this, ctx = std::move(ctx), last]() mutable {
-    const auto pass_start = Clock::now();
-    try {
-      if (config_.lifecycle) {
-        config_.lifecycle->EnterExchange(ctx->round);
-      }
-      ctx->table = hops_[last]->ProcessDialingLastHop(ctx->round, std::move(ctx->batch),
-                                                      ctx->num_drops, &ctx->stats.forward[last]);
-      ctx->stats.forward_seconds = SecondsSince(ctx->forward_start);
-    } catch (...) {
-      FailDialing(std::move(ctx), std::current_exception());
-      return;
-    }
-    const double pass_seconds = SecondsSince(pass_start);
-    obs_pass_seconds_->Observe(pass_seconds);
-    EmitStageSpan(ctx->round, "stage/pass", "exchange", last, 0, pass_seconds);
-    if (config_.distribution != nullptr) {
-      PostDialingDistribute(std::move(ctx));
-    } else {
-      CompleteDialing(std::move(ctx));
-    }
-  });
-}
-
-void RoundScheduler::PostDialingDistribute(std::shared_ptr<DialingContext> ctx) {
-  EmitStageSpan(ctx->round, "stage/enqueue", "distribute", num_stages(), 0);
-  dist_worker_->Post([this, ctx = std::move(ctx)]() mutable {
-    const auto pass_start = Clock::now();
-    try {
-      if (config_.lifecycle) {
-        config_.lifecycle->EnterDistribute(ctx->round);
-      }
-      // The table moves into the distribution tier, where clients download
-      // it by bucket; the round's result keeps only the bucket count. A
-      // failed publish (dead dist shard) fails this dialing round alone —
-      // the coordinator's retry policy re-publishes idempotently.
-      config_.distribution->Publish(ctx->round, std::move(*ctx->table));
-      ctx->table.reset();
-      config_.distribution->Expire(config_.distribution_keep);
-    } catch (...) {
-      FailDialing(std::move(ctx), std::current_exception());
-      return;
-    }
-    const double pass_seconds = SecondsSince(pass_start);
-    obs_pass_seconds_->Observe(pass_seconds);
-    EmitStageSpan(ctx->round, "stage/pass", "distribute", num_stages(), 0, pass_seconds);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.invitation_tables_distributed;
-    }
-    CompleteDialing(std::move(ctx));
-  });
-}
-
-void RoundScheduler::CompleteDialing(std::shared_ptr<DialingContext> ctx) {
-  if (config_.lifecycle) {
-    config_.lifecycle->Complete(ctx->round);
-  }
-  deaddrop::InvitationTable table =
-      ctx->table.has_value() ? std::move(*ctx->table) : deaddrop::InvitationTable(ctx->num_drops);
-  Release(/*failed=*/false, 0.0, /*dialing=*/true);
-  ctx->promise.set_value(mixnet::Chain::DialingResult{std::move(table), std::move(ctx->stats)});
+// The failure path mirrors the completion path's ordering: account the round
+// first, then surface the exception, so future.get() never observes stale
+// scheduler state.
+void RoundScheduler::Fail(std::shared_ptr<RoundContext> ctx, std::exception_ptr error) {
+  Release(*ctx, Outcome::kFailed);
+  std::exception_ptr copy = CopyForFuture(std::move(error));
+  std::visit([&](auto& promise) { promise.set_exception(copy); }, ctx->promise);
 }
 
 }  // namespace vuvuzela::engine

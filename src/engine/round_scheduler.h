@@ -31,12 +31,24 @@
 // worker, so the §5.5 download fan-out overlaps conversation rounds the same
 // way every chain pass does.
 //
+// Both round types run through one pipeline: one context type, one submit
+// path, and one stage runner that posts a stage to its worker, times the
+// pass, makes the hop call, records the stage span and routes the round to
+// its next stage. The stages are the RoundLifecycle pipeline phases:
+//
+//   conversation: Forward(0..n-2) → Exchange(n-1) → Backward(n-2..0)
+//   dialing:      Forward(0..n-2) → Exchange(n-1) [→ Distribute]
+//
+// so the stage a round runs and the phase its lifecycle record enters are
+// the same value, and a round moves to its next stage in one place.
+//
 // At most `max_in_flight` (K) rounds are admitted at once; Submit* blocks
 // when the pipeline is full, which is the backpressure the paper gets from
-// its fixed round epoch. Forward stages expire stalled per-round state
-// (MixServer::ExpireRounds) as newer rounds flow through, so a round
-// abandoned mid-pipeline — a crashed downstream server, a DoS — cannot pin
-// server memory.
+// its fixed round epoch. A submission the lifecycle rejects (a re-submitted
+// live round) throws and gives its slot back. Forward stages expire stalled
+// per-round state (MixServer::ExpireRounds) as newer rounds flow through, so
+// a round abandoned mid-pipeline — a crashed downstream server, a DoS —
+// cannot pin server memory.
 //
 // Each stage drives a transport::HopTransport rather than a MixServer
 // directly, so the same pipelining discipline runs over in-process servers
@@ -185,32 +197,37 @@ class RoundScheduler {
     std::thread thread_;
   };
 
-  struct ConversationContext;
-  struct DialingContext;
+  // One context type for both round types; the promise's alternative says
+  // which.
+  struct RoundContext;
+  // How a round gives back its pipeline slot: completed or failed rounds
+  // are counted in stats(); a submission the lifecycle rejected never
+  // entered the pipeline and is not.
+  enum class Outcome { kCompleted, kFailed, kRejected };
 
   size_t num_stages() const { return hops_.size(); }
 
   void Admit();
-  void Release(bool failed, double latency_seconds, bool dialing);
-  void RemoveActiveRound(uint64_t round);
+  void Release(const RoundContext& ctx, Outcome outcome, double latency_seconds = 0.0);
   // The round number expiry is measured against: the oldest conversation
   // round still in flight (never expires live state), or the newest
   // submitted round when nothing is in flight.
   uint64_t ExpiryHorizon() const;
 
-  void PostConversationForward(std::shared_ptr<ConversationContext> ctx, size_t position);
-  void PostConversationLastHop(std::shared_ptr<ConversationContext> ctx);
-  void PostConversationBackward(std::shared_ptr<ConversationContext> ctx, size_t position);
-  void CompleteConversation(std::shared_ptr<ConversationContext> ctx);
-  void FailConversation(std::shared_ptr<ConversationContext> ctx, std::exception_ptr error);
-
-  void PostDialingForward(std::shared_ptr<DialingContext> ctx, size_t position);
-  void PostDialingLastHop(std::shared_ptr<DialingContext> ctx);
-  // Distribute stage (config_.distribution set): publishes the finished
-  // table into the backend on dist_worker_, pipelined with other rounds.
-  void PostDialingDistribute(std::shared_ptr<DialingContext> ctx);
-  void CompleteDialing(std::shared_ptr<DialingContext> ctx);
-  void FailDialing(std::shared_ptr<DialingContext> ctx, std::exception_ptr error);
+  // The one submit path: admission, the lifecycle's Submitting, then the
+  // first stage (Forward at hop 0, or the last hop on a one-hop chain).
+  void Submit(std::shared_ptr<RoundContext> ctx);
+  // The one stage runner: posts `stage` (a pipeline phase) to the worker of
+  // `hop`, times the pass, records it, and hands the round to Advance. The
+  // Distribute stage (config_.distribution set) runs at hop num_stages() on
+  // dist_worker_.
+  void PostStage(std::shared_ptr<RoundContext> ctx, RoundPhase stage, size_t hop);
+  // The stage's hop call (or publish), run on its worker.
+  void RunPass(RoundContext& ctx, RoundPhase stage, size_t hop);
+  // Routes a round whose pass succeeded to its next stage, or completes it.
+  void Advance(std::shared_ptr<RoundContext> ctx, RoundPhase stage, size_t hop);
+  void Complete(std::shared_ptr<RoundContext> ctx);
+  void Fail(std::shared_ptr<RoundContext> ctx, std::exception_ptr error);
 
   std::vector<std::unique_ptr<transport::HopTransport>> hops_;
   mixnet::ChainObserver* observer_ = nullptr;

@@ -17,6 +17,16 @@ namespace vuvuzela::transport {
 using Clock = std::chrono::steady_clock;
 using util::SecondsSince;
 
+namespace {
+
+// Spaces a round's re-submissions so a fast-failing round (e.g. a hop
+// reporting errors while its dependency restarts) cannot burn its whole
+// attempt budget inside one short outage: retried rounds re-enter at
+// admission-window cadence, not in a tight loop.
+constexpr auto kRetryBackoff = std::chrono::milliseconds(100);
+
+}  // namespace
+
 CoordinatorDaemon::CoordinatorDaemon(CoordDaemonConfig config) : config_(std::move(config)) {
   auto& registry = obs::Registry::Global();
   obs_fetches_ = registry.GetCounter("vuvuzela_dialing_fetches_total",
@@ -71,7 +81,6 @@ bool CoordinatorDaemon::Start() {
     transport_config.port = endpoint.port;
     transport_config.recv_timeout_ms = config_.hop_timeout_ms;
     transport_config.connect_timeout_ms = config_.connect_timeout_ms;
-    transport_config.chunk_payload = config_.chunk_payload;
     auto transport =
         std::make_unique<ReconnectingTransport>(transport_config, config_.reconnect,
                                                 obs_hop_reconnects_);
@@ -96,7 +105,6 @@ bool CoordinatorDaemon::Start() {
     dist_config.shards = config_.dist;
     dist_config.recv_timeout_ms = config_.hop_timeout_ms;
     dist_config.connect_timeout_ms = config_.connect_timeout_ms;
-    dist_config.chunk_payload = config_.chunk_payload;
     dist_config.keep_rounds = static_cast<uint32_t>(config_.dist_keep_rounds);
     auto router = DistRouter::Connect(dist_config);
     if (!router) {
@@ -345,9 +353,7 @@ void CoordinatorDaemon::CollectLoop(CoordDaemonResult& result) {
                     << " (attempt " << round.attempt << "): " << e.what();
         ++result.rounds_retried;
         ++round.attempt;
-        round.not_before = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                              std::chrono::duration<double>(
-                                                  config_.retry_backoff_seconds));
+        round.not_before = Clock::now() + kRetryBackoff;
         round.conversation = {};
         round.dialing = {};
         {

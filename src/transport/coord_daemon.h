@@ -85,7 +85,6 @@ struct CoordDaemonConfig {
   int hop_timeout_ms = 10000;
   // Connect deadline per hop (re)connect attempt.
   int connect_timeout_ms = 5000;
-  size_t chunk_payload = kDefaultChunkPayload;
   // On exit, send kShutdown to every hop daemon and dist shard
   // (multi-process deployments; the last hop cascades to its exchange
   // partitions).
@@ -103,14 +102,9 @@ struct CoordDaemonConfig {
   // Fault tolerance (see the class comment). max_round_attempts = 1 restores
   // the pre-recovery abandon-on-first-failure behavior; supervisor interval
   // 0 disables the background reconnect probes (in-call reconnect remains).
-  // retry_backoff_seconds spaces a round's re-submissions so a fast-failing
-  // round (e.g. a hop reporting errors while its dependency restarts) cannot
-  // burn its whole attempt budget inside one short outage — retried rounds
-  // re-enter at admission-window cadence, not in a tight loop.
   ReconnectPolicy reconnect;
   uint32_t max_round_attempts = 3;
   int supervisor_interval_ms = 100;
-  double retry_backoff_seconds = 0.1;
 
   // Client admission. Rounds begin once num_clients (>= 1) clients have
   // connected. The client edge is a net::EventLoop reactor

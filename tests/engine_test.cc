@@ -1,9 +1,11 @@
 // RoundScheduler engine tests: state expiry for rounds abandoned
-// mid-pipeline, failure isolation, and scheduler configuration.
+// mid-pipeline, failure isolation, slot accounting, and scheduler
+// configuration.
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <stdexcept>
 
 #include "src/coord/coordinator.h"
 #include "src/engine/round_scheduler.h"
@@ -131,6 +133,36 @@ TEST(RoundScheduler, FailedRoundReleasesItsSlot) {
   EXPECT_EQ(stats.rounds_failed, 1u);
   EXPECT_EQ(stats.conversation_rounds_completed, 1u);
   EXPECT_EQ(scheduler.in_flight(), 0u);
+}
+
+TEST(RoundScheduler, RejectedSubmissionReturnsItsSlot) {
+  util::Xoshiro256Rng rng(6);
+  mixnet::Chain chain = MakeChain(rng);
+  // Round 1 waits at its first forward stage until the gate opens, so it is
+  // certainly live when it is submitted again.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  RoundLifecycle lifecycle([&](const RoundStatus& status) {
+    if (status.phase == RoundPhase::kForward) {
+      opened.wait();
+    }
+  });
+  RoundScheduler scheduler(transport::MakeLocalTransports(chain.servers()),
+                           {.max_in_flight = 2, .lifecycle = &lifecycle});
+
+  auto first = scheduler.SubmitConversation(1, ConversationBatch(chain, 1, 4, 41));
+  // The lifecycle rejects re-submitting a live round; the rejected call must
+  // give back the pipeline slot it was admitted into.
+  EXPECT_THROW(scheduler.SubmitConversation(1, ConversationBatch(chain, 1, 4, 42)),
+               std::logic_error);
+  gate.set_value();
+  EXPECT_NO_THROW(first.get());
+
+  EXPECT_EQ(scheduler.in_flight(), 0u);
+  scheduler.Drain();
+  auto stats = scheduler.stats();
+  EXPECT_EQ(stats.conversation_rounds_completed, 1u);
+  EXPECT_EQ(stats.rounds_failed, 0u);
 }
 
 TEST(RoundScheduler, SingleServerChainCompletesRounds) {

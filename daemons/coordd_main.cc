@@ -30,19 +30,18 @@ noise::LaplaceParams HopNoise(double mu) { return {mu, mu / 20.0 + 1.0}; }
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --hops host:port[,host:port...] --clients C [--client-port P]\n"
-               "          [--dist host:port[,host:port...]] [--dist-keep R]\n"
+               "          [--dist host:port[,host:port...]]\n"
                "          [--rounds N] [--k K] [--window SEC] [--timeout-ms MS]\n"
                "          [--conv-per-dial N] [--retries R] [--metrics-port P]\n"
                "          [--mu M --dial-mu D --epsilon-budget E [--delta-budget DLT]]\n"
                "Rounds begin once C clients have connected; a round's admission window\n"
-               "closes after SEC or once every live client has submitted. --retries bounds\n"
-               "submission attempts per round (crashed rounds re-enter the next admission\n"
-               "window; 1 disables).\n"
+               "closes after SEC or once every connected client has submitted. --retries\n"
+               "bounds submission attempts per round (a crashed round is re-submitted\n"
+               "before the next announcement; 1 disables).\n"
                "--dist publishes each dialing round's invitation table to those\n"
-               "vuvuzela-distd shards (omitted: in-process distribution); --dist-keep is\n"
-               "the number of published rounds every backend retains (floored to K+4 so a\n"
-               "table cannot expire before its downloads run; size the shards'\n"
-               "--max-rounds to at least that floor).\n"
+               "vuvuzela-distd shards (omitted: in-process distribution). Every backend\n"
+               "retains K+4 published rounds, so a table cannot expire before its\n"
+               "downloads run; size the shards' --max-rounds to at least K+4.\n"
                "--epsilon-budget E arms the privacy-budget accountant: rounds whose\n"
                "composed (Theorem 2) bound would exceed (E, --delta-budget) are refused\n"
                "before announcement. --mu/--dial-mu must match the hop daemons' flags.\n"
@@ -61,11 +60,6 @@ bool Parse(int argc, char** argv, transport::CoordDaemonConfig* config) {
       }
     } else if (arg == "--dist" && (value = next())) {
       if (!net::ParseEndpointList(value, &config->dist)) {
-        return false;
-      }
-    } else if (arg == "--dist-keep" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &config->dist_keep_rounds) ||
-          config->dist_keep_rounds == 0) {
         return false;
       }
     } else if (arg == "--rounds" && (value = next())) {
@@ -148,13 +142,8 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  const noise::BudgetAccountantConfig budget = config.budget;
-  const uint64_t rounds = config.total_rounds;
-  const size_t clients = config.num_clients;
-  const bool sharded_dist = !config.dist.empty();
-
   obs::TraceJournal::Global().SetProcess("coordd");
-  transport::CoordinatorDaemon coordinator(std::move(config));
+  transport::CoordinatorDaemon coordinator(config);
   if (!coordinator.Start()) {
     std::fprintf(stderr, "vuvuzela-coordd: cannot start (--clients and --k must be >= 1, every "
                          "hop and dist shard reachable, and the ports free)\n");
@@ -166,7 +155,7 @@ int main(int argc, char** argv) {
                 coordinator.metrics_port());
     std::fflush(stdout);
   }
-  std::printf("vuvuzela-coordd: waiting for %zu clients on 127.0.0.1:%u\n", clients,
+  std::printf("vuvuzela-coordd: waiting for %zu clients on 127.0.0.1:%u\n", config.num_clients,
               coordinator.client_port());
   std::fflush(stdout);
 
@@ -186,12 +175,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.dialing_fetches),
               static_cast<unsigned long long>(result.dialing_rounds_completed),
               static_cast<unsigned long long>(result.dialing_fetch_bytes),
-              sharded_dist ? "sharded vuvuzela-distd fleet" : "in-process distributor");
-  if (budget.epsilon_budget > 0.0) {
+              config.dist.empty() ? "in-process distributor" : "sharded vuvuzela-distd fleet");
+  if (config.budget.epsilon_budget > 0.0) {
     std::printf("vuvuzela-coordd: privacy budget: eps_spent=%.4f/%.4f "
                 "delta_spent=%.3g/%.3g, %llu rounds refused\n",
-                result.epsilon_spent, budget.epsilon_budget, result.delta_spent,
-                budget.delta_budget,
+                result.epsilon_spent, config.budget.epsilon_budget, result.delta_spent,
+                config.budget.delta_budget,
                 static_cast<unsigned long long>(result.rounds_refused));
   }
   // Machine-readable final snapshot of every registry metric, one line —
@@ -204,5 +193,5 @@ int main(int argc, char** argv) {
   // A refused round never completed, so an exhausted budget exits nonzero by
   // construction. Whether every client got its buckets is the clients' to
   // report (tools/client_fleet checks it).
-  return (completed == rounds && result.rounds_abandoned == 0) ? 0 : 1;
+  return (completed == config.total_rounds && result.rounds_abandoned == 0) ? 0 : 1;
 }

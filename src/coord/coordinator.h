@@ -1,16 +1,15 @@
-// Round coordination (§3.1, §7).
+// Round numbering (§3.1, §5.2).
 //
 // The first server coordinates rounds: it announces the round number, waits a
-// fixed collection window for client requests, and closes the round. The
+// collection window for client requests, and closes the round. The
 // prototype's additional *entry server* (§7) multiplexes many client
 // connections into a single batch per round and demultiplexes the results;
 // it is untrusted — it sees only onion ciphertexts, the same view as a
-// network adversary. Here that role has no class of its own: coordd's
-// FrontDoor admission (transport::CoordinatorDaemon) and sim::Deployment's
-// per-client slot ranges each fold it into the code that submits the batch
-// to engine::RoundScheduler.
+// network adversary. Both roles are coordd's coord::RoundPolicy
+// (round_policy.h); sim::Deployment plays them for in-process tests by
+// per-client slot ranges.
 //
-// RoundSchedule models the paper's timing: conversation rounds are
+// RoundSchedule is the numbering both follow: conversation rounds are
 // back-to-back (tens of seconds each, pipelined), dialing rounds fire every
 // 10 minutes (§5.2).
 

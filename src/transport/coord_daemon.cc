@@ -3,7 +3,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 
 #include "src/crypto/onion.h"
@@ -15,17 +17,11 @@
 namespace vuvuzela::transport {
 
 using Clock = std::chrono::steady_clock;
-using util::SecondsSince;
 
-namespace {
-
-// Spaces a round's re-submissions so a fast-failing round (e.g. a hop
-// reporting errors while its dependency restarts) cannot burn its whole
-// attempt budget inside one short outage: retried rounds re-enter at
-// admission-window cadence, not in a tight loop.
-constexpr auto kRetryBackoff = std::chrono::milliseconds(100);
-
-}  // namespace
+// How often the supervisor probes disconnected hop links: often enough for
+// a restarted hopd to rejoin within a round or two, rare enough that probing
+// costs nothing beside the rounds themselves.
+constexpr auto kSupervisorInterval = std::chrono::milliseconds(100);
 
 CoordinatorDaemon::CoordinatorDaemon(CoordDaemonConfig config) : config_(std::move(config)) {
   auto& registry = obs::Registry::Global();
@@ -58,8 +54,8 @@ CoordinatorDaemon::CoordinatorDaemon(CoordDaemonConfig config) : config_(std::mo
 }
 
 size_t CoordinatorDaemon::admission_dedup_rounds() const {
-  std::lock_guard<std::mutex> lock(admission_mutex_);
-  return admission_dedup_.size();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return policy_ ? policy_->dedup_rounds() : 0;
 }
 
 bool CoordinatorDaemon::Start() {
@@ -67,23 +63,29 @@ bool CoordinatorDaemon::Start() {
       config_.scheduler.max_in_flight == 0) {
     return false;
   }
-  if (config_.budget.epsilon_budget > 0.0) {
-    try {
-      accountant_.emplace(config_.budget);
-    } catch (const std::exception& e) {
-      VZ_LOG_ERROR << "coordinator: privacy budget misconfigured: " << e.what();
-      return false;
-    }
+  coord::RoundPolicyConfig policy;
+  policy.schedule = config_.schedule;
+  policy.total_rounds = config_.total_rounds;
+  policy.max_in_flight = config_.scheduler.max_in_flight;
+  policy.expire_keep = engine::ExpireKeep(config_.scheduler);
+  policy.admission_window_seconds = config_.admission_window_seconds;
+  policy.conversation_onion_size =
+      crypto::OnionRequestSize(wire::kExchangeRequestSize, config_.hops.size());
+  policy.dialing_onion_size = crypto::OnionRequestSize(wire::kDialRequestSize, config_.hops.size());
+  policy.max_round_attempts = config_.max_round_attempts;
+  policy.budget = config_.budget;
+  try {
+    policy_.emplace(std::move(policy));
+  } catch (const std::exception& e) {
+    VZ_LOG_ERROR << "coordinator: privacy budget misconfigured: " << e.what();
+    return false;
   }
   for (const auto& endpoint : config_.hops) {
-    TcpTransportConfig transport_config;
-    transport_config.host = endpoint.host;
-    transport_config.port = endpoint.port;
-    transport_config.recv_timeout_ms = config_.hop_timeout_ms;
-    transport_config.connect_timeout_ms = config_.connect_timeout_ms;
+    TcpTransportConfig link{.host = endpoint.host, .port = endpoint.port};
+    link.recv_timeout_ms = config_.hop_timeout_ms;
+    link.connect_timeout_ms = config_.connect_timeout_ms;
     auto transport =
-        std::make_unique<ReconnectingTransport>(transport_config, config_.reconnect,
-                                                obs_hop_reconnects_);
+        std::make_unique<ReconnectingTransport>(link, config_.reconnect, obs_hop_reconnects_);
     if (!transport->Connect()) {
       VZ_LOG_ERROR << "coordinator: hop " << endpoint.host << ":" << endpoint.port
                    << " unreachable";
@@ -92,20 +94,11 @@ bool CoordinatorDaemon::Start() {
     recon_hops_.push_back(transport.get());
     hop_transports_.push_back(std::move(transport));
   }
-  // Clients fetch their buckets only once a dialing round is collected.
-  // SubmitAttempt bounds the uncollected backlog to K+2 rounds (plus the one
-  // being collected), so retaining K+4 publications guarantees a table can
-  // never expire before its downloads run.
-  size_t dist_keep_floor = config_.scheduler.max_in_flight + 4;
-  if (config_.dist_keep_rounds < dist_keep_floor) {
-    config_.dist_keep_rounds = dist_keep_floor;
-  }
   if (!config_.dist.empty()) {
-    DistRouterConfig dist_config;
-    dist_config.shards = config_.dist;
+    DistRouterConfig dist_config{.shards = config_.dist};
     dist_config.recv_timeout_ms = config_.hop_timeout_ms;
     dist_config.connect_timeout_ms = config_.connect_timeout_ms;
-    dist_config.keep_rounds = static_cast<uint32_t>(config_.dist_keep_rounds);
+    dist_config.keep_rounds = static_cast<uint32_t>(policy_->dist_keep());
     auto router = DistRouter::Connect(dist_config);
     if (!router) {
       VZ_LOG_ERROR << "coordinator: dist shard fleet unreachable";
@@ -116,32 +109,36 @@ bool CoordinatorDaemon::Start() {
   } else {
     dist_backend_ = std::make_unique<coord::InvitationDistributor>();
   }
-  FrontDoorConfig door_config;
-  door_config.port = config_.client_port;
   FrontDoorHandlers door_handlers;
   door_handlers.on_frame = [this](size_t index, net::Frame&& frame) {
-    OnClientFrame(index, std::move(frame));
+    // Admission runs on the reactor thread: a cheap decision under the lock.
+    if (frame.type == net::FrameType::kShutdown) {
+      front_door_->Disconnect(index);  // client deregistering
+      return;
+    }
+    bool conversation = frame.type == net::FrameType::kConversationRequest;
+    if (!conversation && frame.type != net::FrameType::kDialRequest) {
+      return;
+    }
+    auto type = conversation ? wire::RoundType::kConversation : wire::RoundType::kDialing;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (policy_->Admit(index, type, frame.round, std::move(frame.payload))) {
+      cv_.notify_all();
+    }
   };
   door_handlers.on_fetch = [this](size_t client, uint64_t round, util::Bytes payload) {
     net::Frame reply = BuildFetchReply(round, payload);
-    std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
-    if (owed_fetches_.erase({round, client}) > 0) {
-      owed_fetch_cv_.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    policy_->FetchServed(round, client);
+    cv_.notify_all();
     return reply;
   };
   door_handlers.on_disconnect = [this](size_t client) {
-    {
-      // A window waiting on "every live client contributed" must re-check.
-      std::lock_guard<std::mutex> lock(admission_mutex_);
-      admission_cv_.notify_all();
-    }
-    // A client that hung up owes no fetch.
-    std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
-    std::erase_if(owed_fetches_, [client](const auto& owed) { return owed.second == client; });
-    owed_fetch_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    policy_->ClientDisconnected(client);
+    cv_.notify_all();
   };
-  front_door_ = FrontDoor::Create(door_config, std::move(door_handlers));
+  front_door_ = FrontDoor::Create({.port = config_.client_port}, std::move(door_handlers));
   if (!front_door_ || !front_door_->Start()) {
     front_door_.reset();
     return false;
@@ -157,452 +154,235 @@ bool CoordinatorDaemon::Start() {
   return true;
 }
 
-void CoordinatorDaemon::OnClientFrame(size_t index, net::Frame&& frame) {
-  // Runs on the FrontDoor's reactor thread: fetches were already peeled off
-  // to the blocking-safe worker, so everything here is a cheap admission
-  // decision under admission_mutex_.
-  if (frame.type == net::FrameType::kShutdown) {
-    front_door_->Disconnect(index);  // client deregistering
-    return;
-  }
-  bool conversation = frame.type == net::FrameType::kConversationRequest;
-  bool dial = frame.type == net::FrameType::kDialRequest;
-  if (!conversation && !dial) {
-    return;
-  }
-  // Every hop drops an onion of the wrong size, so banking one (and
-  // re-submitting it on retry) buys nothing; it is refused here and does not
-  // take the client's slot, so a correctly sized resubmission still counts.
-  size_t onion_size = crypto::OnionRequestSize(
-      conversation ? wire::kExchangeRequestSize : wire::kDialRequestSize, config_.hops.size());
-  if (frame.payload.size() != onion_size) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(admission_mutex_);
-  // Admission discipline (§3.1): only onions for the currently announced
-  // round, while its window is open, enter the batch — at most one per
-  // client, so duplicates cannot close the window early.
-  bool type_matches = conversation ? admission_type_ == wire::RoundType::kConversation
-                                   : admission_type_ == wire::RoundType::kDialing;
-  auto dedup = admission_dedup_.find(frame.round);
-  if (admission_open_ && frame.round == admission_round_ && type_matches &&
-      dedup != admission_dedup_.end() && index < dedup->second.size() &&
-      !dedup->second[index]) {
-    dedup->second[index] = 1;
-    admission_onions_.push_back(std::move(frame.payload));
-    admission_contributors_.push_back(index);
-    admission_cv_.notify_all();
-  }
-}
-
 net::Frame CoordinatorDaemon::BuildFetchReply(uint64_t round, util::ByteSpan payload) {
-  // Dialing download (§5.5): the coordinator proxies the bucket fetch
-  // through the distribution backend for clients that have no direct
-  // dist-fleet route. Runs on the FrontDoor's fetch worker; with a sharded
-  // backend concurrent downloads serialize on the shard's dedicated fetch
-  // link — never with the engine's publishes (DistRouter keeps the two
-  // traffic classes on separate links).
-  net::Frame reply;
-  reply.round = round;
-  if (payload.size() != 4 || dist_backend_ == nullptr) {
-    reply.type = net::FrameType::kHopError;
-    const char* what = "malformed invitation fetch";
-    reply.payload.assign(what, what + std::strlen(what));
+  // Dialing download (§5.5), proxied through the distribution backend for
+  // clients with no dist-fleet route. With a sharded backend, downloads
+  // share the shard's fetch link, never the engine's publish link.
+  auto error = [round](std::string_view what) {
+    return net::Frame{net::FrameType::kHopError, round, util::Bytes(what.begin(), what.end())};
+  };
+  if (payload.size() != 4) {
+    return error("malformed invitation fetch");
+  }
+  uint32_t bucket_index = util::LoadBe32(payload.data());
+  {
+    // One failed call per dead bucket per round, never one per client.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (policy_->BucketDead(round, bucket_index)) {
+      return error("bucket unavailable this round");
+    }
+  }
+  try {
+    std::vector<wire::Invitation> bucket = dist_backend_->Fetch(round, bucket_index);
+    net::Frame reply{net::FrameType::kInvitationDrop, round, {}};
+    reply.payload.reserve(bucket.size() * wire::kInvitationSize);
+    for (const auto& invitation : bucket) {
+      util::Append(reply.payload, invitation);
+    }
+    // Only served fetches count: a bogus or expired round is the client's
+    // mistake, not a coordinator failure.
+    dialing_fetches_.fetch_add(1);
+    dialing_fetch_bytes_.fetch_add(reply.payload.size());
+    obs_fetches_->Add();
+    obs_fetch_bytes_->Add(reply.payload.size());
+    return reply;
+  } catch (const HopRemoteError& e) {
+    return error(e.what());  // the shard is alive and answered: no memo
+  } catch (const HopError& e) {
+    // A dead shard, after every attempt the link's policy allows: the
+    // fleet's remaining fetches for the bucket fail fast.
+    std::lock_guard<std::mutex> lock(mutex_);
+    policy_->MarkBucketDead(round, bucket_index);
+    return error(e.what());
+  } catch (const std::exception& e) {
+    return error(e.what());  // a cheap local failure (unknown round)
+  }
+}
+
+void CoordinatorDaemon::PublishGauges() {
+  obs_banked_onions_->Set(static_cast<int64_t>(policy_->banked_onions()));
+  obs_pending_rounds_->Set(static_cast<int64_t>(policy_->pending_rounds()));
+  obs_retry_depth_->Set(static_cast<int64_t>(policy_->retry_depth()));
+}
+
+void CoordinatorDaemon::SubmitAttempt(std::unique_lock<std::mutex>& lock,
+                                      engine::RoundScheduler& scheduler, coord::Attempt attempt) {
+  PublishGauges();  // the attempt's bank
+  const wire::RoundAnnouncement round = attempt.announcement;
+  Submission submission;
+  lock.unlock();
+  if (round.type == wire::RoundType::kConversation) {
+    submission.conversation = scheduler.SubmitConversation(round.round, std::move(attempt.onions));
   } else {
-    uint32_t bucket_index = util::LoadBe32(payload.data());
-    bool known_dead = false;
-    {
-      std::lock_guard<std::mutex> lock(failed_fetch_mutex_);
-      auto it = failed_fetch_buckets_.find(round);
-      known_dead = it != failed_fetch_buckets_.end() && it->second.contains(bucket_index);
-    }
-    if (known_dead) {
-      // One failed call per dead bucket per round, never one per fetching
-      // client.
-      reply.type = net::FrameType::kHopError;
-      const char* what = "bucket unavailable this round";
-      reply.payload.assign(what, what + std::strlen(what));
-    } else {
-      // Only served fetches are counted: a client fetching a bogus or
-      // long-expired round gets an error reply, and that client-side mistake
-      // must not read as a coordinator failure.
-      try {
-        std::vector<wire::Invitation> bucket = dist_backend_->Fetch(round, bucket_index);
-        reply.type = net::FrameType::kInvitationDrop;
-        reply.payload.reserve(bucket.size() * wire::kInvitationSize);
-        for (const auto& invitation : bucket) {
-          util::Append(reply.payload, invitation);
-        }
-        dialing_fetches_.fetch_add(1);
-        dialing_fetch_bytes_.fetch_add(reply.payload.size());
-        obs_fetches_->Add();
-        obs_fetch_bytes_->Add(reply.payload.size());
-      } catch (const HopRemoteError& e) {
-        // The shard answered with a definitive report (fast, no deadline
-        // paid): relay it without memoing — the shard is alive.
-        reply.type = net::FrameType::kHopError;
-        reply.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-      } catch (const HopError& e) {
-        // A dead dist shard (connection-level failure on every attempt the
-        // link's policy allows): memo the bucket so the fleet's remaining
-        // fetches for it fail fast.
-        {
-          std::lock_guard<std::mutex> lock(failed_fetch_mutex_);
-          failed_fetch_buckets_[round].insert(bucket_index);
-          while (failed_fetch_buckets_.size() > 8) {
-            failed_fetch_buckets_.erase(failed_fetch_buckets_.begin());
-          }
-        }
-        reply.type = net::FrameType::kHopError;
-        reply.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-      } catch (const std::exception& e) {
-        // Cheap local failures (unknown/expired round) need no memo.
-        reply.type = net::FrameType::kHopError;
-        reply.payload.assign(e.what(), e.what() + std::strlen(e.what()));
-      }
-    }
+    submission.dialing = scheduler.SubmitDialing(round.round, std::move(attempt.onions),
+                                                 round.num_dial_dead_drops);
   }
-  return reply;
-}
-
-void CoordinatorDaemon::PruneAdmissionDedup(uint64_t announced_round) {
-  // Same horizon the scheduler uses for hop-state expiry: once a round is
-  // `keep` behind the newest announcement in its number space, it can no
-  // longer complete — whether it finished or was abandoned on a dead hop —
-  // so its dedup record is dead weight.
-  uint64_t keep = engine::ExpireKeep(config_.scheduler);
-  uint64_t base = announced_round >= coord::kDialingRoundBase ? coord::kDialingRoundBase : 0;
-  if (announced_round - base <= keep) {
-    return;
-  }
-  admission_dedup_.erase(admission_dedup_.lower_bound(base),
-                         admission_dedup_.lower_bound(announced_round - keep));
-}
-
-std::pair<std::vector<util::Bytes>, std::vector<size_t>> CoordinatorDaemon::CloseAdmission() {
-  auto deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                     std::chrono::duration<double>(
-                                         config_.admission_window_seconds));
-  std::unique_lock<std::mutex> lock(admission_mutex_);
-  admission_cv_.wait_until(lock, deadline, [this] {
-    return admission_onions_.size() >= front_door_->alive();
-  });
-  admission_open_ = false;
-  return {std::move(admission_onions_), std::move(admission_contributors_)};
+  lock.lock();
+  submissions_.emplace(round.round, std::move(submission));
+  cv_.notify_all();
 }
 
 void CoordinatorDaemon::CollectLoop(CoordDaemonResult& result) {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    PendingRound round;
-    {
-      std::unique_lock<std::mutex> lock(pending_mutex_);
-      pending_cv_.wait(lock, [this] { return !pending_.empty() || submitting_done_; });
-      if (pending_.empty()) {
-        return;
-      }
-      round = std::move(pending_.front());
-      pending_.pop_front();
-      obs_pending_rounds_->Set(static_cast<int64_t>(pending_.size()));
-      // Wake an announcer blocked on the pending bound (SubmitAttempt).
-      pending_cv_.notify_all();
+    cv_.wait(lock, [this] { return policy_->pending_rounds() > 0 || policy_->Done(); });
+    std::optional<wire::RoundAnnouncement> round = policy_->Collect();
+    if (!round) {
+      return;  // every round is terminal
     }
+    // Its attempt may still be on its way into the scheduler.
+    cv_.wait(lock, [&] { return submissions_.contains(round->round); });
+    Submission submission = std::move(submissions_.extract(round->round).mapped());
+    PublishGauges();
+    cv_.notify_all();  // room under the backlog bound
+    lock.unlock();
+    // The scheduler drives the lifecycle's pipeline phases, Complete
+    // included; the failure transitions are the policy's.
+    std::optional<mixnet::Chain::ConversationResult> conversation;
+    std::optional<std::string> error;
     try {
-      if (round.announcement.type == wire::RoundType::kDialing) {
-        // The scheduler drives the lifecycle's Complete transition (and the
-        // Distribute stage that published the round's invitation table) as
-        // the final pass finishes; this thread resolves the accounting and
-        // the download side.
-        round.dialing.get();
-        ++result.dialing_rounds_completed;
-        // Acknowledge the round to contributing clients; they follow up with
-        // kInvitationFetch for their bucket (BuildFetchReply), which the
-        // teardown waits for.
-        {
-          const uint64_t number = round.announcement.round;
-          std::lock_guard<std::mutex> lock(owed_fetch_mutex_);
-          std::erase_if(owed_fetches_, [&](const auto& owed) {
-            return owed.first + config_.dist_keep_rounds <= number;  // no longer held
-          });
-          for (size_t contributor : round.contributors) {
-            owed_fetches_.insert({number, contributor});
-          }
-        }
-        for (size_t contributor : round.contributors) {
-          front_door_->Send(contributor,
-                            net::Frame{net::FrameType::kDialAck, round.announcement.round, {}});
-        }
+      if (round->type == wire::RoundType::kDialing) {
+        submission.dialing.get();
       } else {
-        mixnet::Chain::ConversationResult conversation = round.conversation.get();
-        result.messages_exchanged += conversation.messages_exchanged;
-        ++result.conversation_rounds_completed;
-        for (size_t slot = 0; slot < round.contributors.size(); ++slot) {
-          front_door_->Send(round.contributors[slot],
-                            net::Frame{net::FrameType::kConversationResponse,
-                                       round.announcement.round,
-                                       std::move(conversation.responses[slot])});
-        }
+        conversation = submission.conversation.get();
       }
     } catch (const std::exception& e) {
+      error = e.what();
+    }
+    lock.lock();
+    coord::Settlement settlement = policy_->Finish(round->round, !error, Clock::now());
+    PublishGauges();
+    cv_.notify_all();
+    if (settlement.kind != coord::Settlement::Kind::kDeliver) {
+      // Recorded under the lock, so a retry cannot be re-submitted ahead of
+      // its Retrying transition.
       obs_retry_budget_->Add();
-      if (round.attempt < config_.max_round_attempts) {
-        // Recovery: re-enqueue the banked onions under the SAME round number
-        // for the announcing thread to re-submit into the next admission
-        // window. A crash costs latency, not messages.
-        lifecycle_.Retrying(round.announcement.round, e.what());
-        VZ_LOG_WARN << "coordinator: retrying round " << round.announcement.round
-                    << " (attempt " << round.attempt << "): " << e.what();
+      if (settlement.kind == coord::Settlement::Kind::kRetry) {
         ++result.rounds_retried;
-        ++round.attempt;
-        round.not_before = Clock::now() + kRetryBackoff;
-        round.conversation = {};
-        round.dialing = {};
-        {
-          std::lock_guard<std::mutex> lock(retry_mutex_);
-          retry_queue_.push_back(std::move(round));
-          obs_retry_depth_->Set(static_cast<int64_t>(retry_queue_.size()));
-        }
-        retry_cv_.notify_all();
-        continue;
+        lifecycle_.Retrying(round->round, *error);
+        VZ_LOG_WARN << "coordinator: retrying round " << round->round << " (attempt "
+                    << settlement.attempt << "): " << *error;
+      } else {
+        ++result.rounds_abandoned;
+        lifecycle_.Abandon(round->round, *error);
+        VZ_LOG_WARN << "coordinator: abandoning round " << round->round << " after "
+                    << settlement.attempt << " attempts: " << *error;
       }
-      // Bounded abandonment: the retry budget is exhausted (or retries are
-      // disabled); the scheduler's expiry path reclaims the round's state at
-      // the surviving hops.
-      lifecycle_.Abandon(round.announcement.round, e.what());
-      ++result.rounds_abandoned;
-      VZ_LOG_WARN << "coordinator: abandoning round " << round.announcement.round << " after "
-                  << round.attempt << " attempts: " << e.what();
-    }
-    // Terminal state reached (complete or abandoned): the banked onions are
-    // released. Rounds re-queued for retry above never reach here.
-    obs_banked_onions_->Add(-static_cast<int64_t>(round.onions.size()));
-    {
-      std::lock_guard<std::mutex> lock(retry_mutex_);
-      --unresolved_rounds_;
-    }
-    retry_cv_.notify_all();
-  }
-}
-
-void CoordinatorDaemon::SupervisorLoop() {
-  // Between rounds, proactively reconnect dead hop links so a restarted
-  // daemon rejoins the schedule before the next pass needs it. Probe() never
-  // blocks on an in-flight RPC and honors each transport's backoff window.
-  std::unique_lock<std::mutex> lock(supervisor_mutex_);
-  while (!supervisor_stop_) {
-    supervisor_cv_.wait_for(lock, std::chrono::milliseconds(config_.supervisor_interval_ms),
-                            [this] { return supervisor_stop_; });
-    if (supervisor_stop_) {
-      return;
+      continue;
     }
     lock.unlock();
-    for (ReconnectingTransport* hop : recon_hops_) {
-      hop->Probe();
+    if (round->type == wire::RoundType::kDialing) {
+      // Contributors follow the ack with their bucket fetch.
+      ++result.dialing_rounds_completed;
+      for (size_t contributor : settlement.contributors) {
+        front_door_->Send(contributor, net::Frame{net::FrameType::kDialAck, round->round, {}});
+      }
+    } else {
+      result.messages_exchanged += conversation->messages_exchanged;
+      ++result.conversation_rounds_completed;
+      for (size_t slot = 0; slot < settlement.contributors.size(); ++slot) {
+        front_door_->Send(settlement.contributors[slot],
+                          net::Frame{net::FrameType::kConversationResponse, round->round,
+                                     std::move(conversation->responses[slot])});
+      }
     }
     lock.lock();
   }
 }
 
-void CoordinatorDaemon::SubmitAttempt(engine::RoundScheduler& scheduler, PendingRound round) {
-  {
-    // Backpressure the announcer against the collector: the scheduler's K
-    // bound covers rounds in flight, not rounds completed-but-uncollected,
-    // and clients download a dialing round's buckets only once the collector
-    // has acknowledged it. Without this bound a slow collector could lag
-    // arbitrarily far behind — far enough for a published invitation table
-    // to expire before its downloads ran.
-    std::unique_lock<std::mutex> lock(pending_mutex_);
-    pending_cv_.wait(lock, [this] {
-      return pending_.size() < config_.scheduler.max_in_flight + 2;
-    });
-  }
-  std::vector<util::Bytes> batch;
-  if (round.attempt < config_.max_round_attempts) {
-    batch = round.onions;  // bank for further attempts
-    if (round.attempt == 1) {
-      obs_banked_onions_->Add(static_cast<int64_t>(batch.size()));
-    }
-  } else {
-    batch = std::move(round.onions);
-    round.onions.clear();
-    if (config_.max_round_attempts > 1) {
-      // The final attempt ships the bank itself; nothing is held back.
-      obs_banked_onions_->Add(-static_cast<int64_t>(batch.size()));
-    }
-  }
-  // Submit blocks while K rounds are in flight — the §8.3 backpressure.
-  if (round.announcement.type == wire::RoundType::kConversation) {
-    round.conversation = scheduler.SubmitConversation(round.announcement.round, std::move(batch));
-  } else {
-    round.dialing = scheduler.SubmitDialing(round.announcement.round, std::move(batch),
-                                            round.announcement.num_dial_dead_drops);
-  }
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_.push_back(std::move(round));
-    obs_pending_rounds_->Set(static_cast<int64_t>(pending_.size()));
-  }
-  pending_cv_.notify_one();
-}
-
-void CoordinatorDaemon::SubmitRetries(engine::RoundScheduler& scheduler) {
-  for (;;) {
-    PendingRound retry;
-    {
-      std::lock_guard<std::mutex> lock(retry_mutex_);
-      // Failures are timestamped in collection order, so the queue is sorted
-      // by not_before: a not-yet-due head means nothing later is due either.
-      if (retry_queue_.empty() || Clock::now() < retry_queue_.front().not_before) {
-        return;
-      }
-      retry = std::move(retry_queue_.front());
-      retry_queue_.pop_front();
-      obs_retry_depth_->Set(static_cast<int64_t>(retry_queue_.size()));
-    }
-    SubmitAttempt(scheduler, std::move(retry));
-  }
-}
-
 CoordDaemonResult CoordinatorDaemon::Run() {
   CoordDaemonResult result;
-
-  // The reactor has been accepting since Start(); rounds begin once the
-  // expected fleet is registered (disconnected clients keep their index).
+  // Rounds begin once the expected fleet is registered.
   front_door_->WaitForClients(config_.num_clients);
-
-  // The scheduler drives the pipeline phases of the shared round lifecycle;
-  // this daemon drives announcements and the failure policy.
   engine::SchedulerConfig scheduler_config = config_.scheduler;
   scheduler_config.lifecycle = &lifecycle_;
-  // The engine owns the Distribute stage: every dialing round's table is
-  // published through the backend before the round completes.
   scheduler_config.distribution = dist_backend_.get();
-  scheduler_config.distribution_keep = config_.dist_keep_rounds;
+  scheduler_config.distribution_keep = policy_->dist_keep();
   engine::RoundScheduler scheduler(std::move(hop_transports_), scheduler_config);
-  coord::RoundSchedule schedule(config_.schedule);
   std::thread collector([this, &result] { CollectLoop(result); });
-  if (config_.supervisor_interval_ms > 0) {
-    supervisor_ = std::thread([this] { SupervisorLoop(); });
-  }
+  std::thread supervisor([this] {
+    // Reconnects dead hop links between rounds, so a restarted hop rejoins
+    // before the next pass needs it. Probe() never blocks on an RPC.
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!cv_.wait_for(lock, kSupervisorInterval, [this] { return policy_->Done(); })) {
+      lock.unlock();
+      for (ReconnectingTransport* hop : recon_hops_) {
+        hop->Probe();
+      }
+      lock.lock();
+    }
+  });
 
   auto start = Clock::now();
-  for (uint64_t i = 0; i < config_.total_rounds; ++i) {
-    // Recovered rounds rejoin ahead of the next admission window.
-    SubmitRetries(scheduler);
-
-    wire::RoundAnnouncement announcement = schedule.Next();
-    if (accountant_) {
-      // The budget gate runs before Announce: a refused round is never
-      // admitted, never announced, and never reaches the hops — the §6.4
-      // "shut down after k rounds" policy enforced per round.
-      bool admitted = announcement.type == wire::RoundType::kConversation
-                          ? accountant_->AdmitConversation()
-                          : accountant_->AdmitDialing();
-      noise::PrivacyBound spent = accountant_->Spent();
-      obs_epsilon_spent_micro_->Set(static_cast<int64_t>(std::llround(spent.epsilon * 1e6)));
-      obs_delta_spent_nano_->Set(static_cast<int64_t>(std::llround(spent.delta * 1e9)));
-      char detail[128];
-      std::snprintf(detail, sizeof detail,
-                    "type=%s eps_spent=%.4f/%.4f delta_spent=%.3g/%.3g",
-                    announcement.type == wire::RoundType::kConversation ? "conv" : "dialing",
-                    spent.epsilon, config_.budget.epsilon_budget, spent.delta,
-                    config_.budget.delta_budget);
-      if (!admitted) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!policy_->Done()) {
+    // Recovered rounds rejoin ahead of the next announcement.
+    if (std::optional<coord::Attempt> retry = policy_->TakeDueRetry(Clock::now())) {
+      SubmitAttempt(lock, scheduler, std::move(*retry));
+      continue;
+    }
+    std::optional<coord::Announcement> next =
+        policy_->Announce(Clock::now(), front_door_->clients_seen());
+    if (!next) {
+      // Held by the backlog bound or a retry's backoff, or past the last
+      // announcement with rounds still in flight.
+      if (std::optional<Clock::time_point> wake = policy_->NextRetry()) {
+        cv_.wait_until(lock, *wake);
+      } else {
+        cv_.wait(lock);
+      }
+      continue;
+    }
+    const wire::RoundAnnouncement& round = next->round;
+    const char* type = round.type == wire::RoundType::kConversation ? "conv" : "dialing";
+    char detail[128];
+    if (next->spent) {
+      // The budget gate ran before Announce (§6.4: "shut down after k
+      // rounds", enforced per round).
+      result.epsilon_spent = next->spent->epsilon;
+      result.delta_spent = next->spent->delta;
+      obs_epsilon_spent_micro_->Set(std::llround(next->spent->epsilon * 1e6));
+      obs_delta_spent_nano_->Set(std::llround(next->spent->delta * 1e9));
+      std::snprintf(detail, sizeof detail, "type=%s eps_spent=%.4f/%.4f delta_spent=%.3g/%.3g",
+                    type, next->spent->epsilon, config_.budget.epsilon_budget,
+                    next->spent->delta, config_.budget.delta_budget);
+      obs::TraceJournal::Global().Emit(round.round,
+                                       next->refused ? "budget/refused" : "budget/charged", detail);
+      if (next->refused) {
         ++result.rounds_refused;
         obs_rounds_refused_->Add();
-        obs::TraceJournal::Global().Emit(announcement.round, "budget/refused", detail);
-        VZ_LOG_WARN << "coordinator: refusing round " << announcement.round
+        VZ_LOG_WARN << "coordinator: refusing round " << round.round
                     << " (privacy budget exhausted or per-round bound violated): " << detail;
         continue;
       }
-      obs::TraceJournal::Global().Emit(announcement.round, "budget/charged", detail);
     }
-    lifecycle_.Announce(announcement.round, announcement.type);
-    {
-      char detail[96];
-      std::snprintf(detail, sizeof detail, "type=%s window=%.3f clients=%zu",
-                    announcement.type == wire::RoundType::kConversation ? "conv" : "dialing",
-                    config_.admission_window_seconds, front_door_->alive());
-      obs::TraceJournal::Global().Emit(announcement.round, "admission/open", detail);
+    lifecycle_.Announce(round.round, round.type);
+    std::snprintf(detail, sizeof detail, "type=%s window=%.3f clients=%zu", type,
+                  config_.admission_window_seconds, front_door_->alive());
+    obs::TraceJournal::Global().Emit(round.round, "admission/open", detail);
+    front_door_->Broadcast(
+        net::Frame{net::FrameType::kRoundAnnouncement, round.round, round.Serialize()});
+    std::optional<coord::Attempt> batch;
+    while (!(batch = policy_->CloseAdmission(Clock::now()))) {
+      cv_.wait_until(lock, policy_->admission_deadline());
     }
-    {
-      std::lock_guard<std::mutex> lock(retry_mutex_);
-      ++unresolved_rounds_;
-    }
-    PendingRound pending;
-    pending.announcement = announcement;
-
-    {
-      std::lock_guard<std::mutex> lock(admission_mutex_);
-      admission_open_ = true;
-      admission_round_ = announcement.round;
-      admission_type_ = announcement.type;
-      admission_onions_.clear();
-      admission_contributors_.clear();
-      admission_dedup_[announcement.round].assign(front_door_->clients_seen(), 0);
-      PruneAdmissionDedup(announcement.round);
-    }
-    front_door_->Broadcast(net::Frame{net::FrameType::kRoundAnnouncement, announcement.round,
-                                      announcement.Serialize()});
-    auto closed = CloseAdmission();
-    pending.onions = std::move(closed.first);
-    pending.contributors = std::move(closed.second);
-    {
-      char detail[64];
-      std::snprintf(detail, sizeof detail, "onions=%zu", pending.onions.size());
-      obs::TraceJournal::Global().Emit(announcement.round, "admission/close", detail);
-    }
-    SubmitAttempt(scheduler, std::move(pending));
+    std::snprintf(detail, sizeof detail, "onions=%zu", batch->onions.size());
+    obs::TraceJournal::Global().Emit(round.round, "admission/close", detail);
+    SubmitAttempt(lock, scheduler, std::move(*batch));
   }
-
-  // Tail drain: keep re-submitting recovered rounds until every announced
-  // round reaches a terminal state (Complete or Abandoned).
-  for (;;) {
-    Clock::time_point not_before;
-    {
-      std::unique_lock<std::mutex> lock(retry_mutex_);
-      retry_cv_.wait(lock,
-                     [this] { return !retry_queue_.empty() || unresolved_rounds_ == 0; });
-      if (retry_queue_.empty()) {
-        if (unresolved_rounds_ == 0) {
-          break;
-        }
-        continue;
-      }
-      not_before = retry_queue_.front().not_before;
-    }
-    std::this_thread::sleep_until(not_before);
-    SubmitRetries(scheduler);
-  }
-
+  lock.unlock();
   scheduler.Drain();
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    submitting_done_ = true;
-  }
-  pending_cv_.notify_all();
   collector.join();
-  if (supervisor_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(supervisor_mutex_);
-      supervisor_stop_ = true;
-    }
-    supervisor_cv_.notify_all();
-    supervisor_.join();
-  }
-  result.wall_seconds = SecondsSince(start);
+  supervisor.join();
+  result.wall_seconds = util::SecondsSince(start);
 
-  // Orderly cascade: answer the bucket fetches still owed for acked dialing
-  // rounds (bounded, for clients that never fetch), announce shutdown, give
-  // clients a beat to hang up themselves, cut the stragglers, then stop the
-  // reactor.
-  {
-    std::unique_lock<std::mutex> lock(owed_fetch_mutex_);
-    owed_fetch_cv_.wait_for(lock, std::chrono::seconds(2),
-                            [this] { return owed_fetches_.empty(); });
-  }
+  // Orderly cascade: answer the bucket fetches still owed (for up to 2 s),
+  // then shut the clients, the reactor, and optionally the fleet down.
+  lock.lock();
+  cv_.wait_for(lock, std::chrono::seconds(2), [this] { return policy_->owed_fetches() == 0; });
+  lock.unlock();
   front_door_->CloseClients(net::Frame{net::FrameType::kShutdown, 0, {}}, /*grace_ms=*/2000);
   front_door_->Shutdown();
-
   if (config_.shutdown_hops_on_exit) {
     for (ReconnectingTransport* hop : recon_hops_) {
       hop->SendShutdown();
@@ -615,11 +395,6 @@ CoordDaemonResult CoordinatorDaemon::Run() {
 
   result.dialing_fetches = dialing_fetches_.load();
   result.dialing_fetch_bytes = dialing_fetch_bytes_.load();
-  if (accountant_) {
-    noise::PrivacyBound spent = accountant_->Spent();
-    result.epsilon_spent = spent.epsilon;
-    result.delta_spent = spent.delta;
-  }
   return result;
 }
 

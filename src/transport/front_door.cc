@@ -58,9 +58,6 @@ void FrontDoor::HandleAccept(net::EventLoop::ConnId id) {
     alive_.fetch_add(1);
   }
   clients_cv_.notify_all();
-  if (handlers_.on_connect) {
-    handlers_.on_connect(index);
-  }
 }
 
 void FrontDoor::HandleFrame(net::EventLoop::ConnId id, net::Frame&& frame) {

@@ -3,9 +3,8 @@
 // FrontDoor is the piece of the entry server that faces the million-client
 // fleet (§7): it owns the client listener, runs one reactor thread that
 // serves every client connection, and presents the daemon with dense client
-// indices (0..N-1, accept order) — the same indexing the admission dedup
-// vectors and batch contributor lists always used, so CoordinatorDaemon's
-// round logic is unchanged by the port from thread-per-client.
+// indices (0..N-1, accept order) — the indexing coord::RoundPolicy's
+// admission dedup records and batch contributor lists use.
 //
 // One connection carries both traffic classes, multiplexed by frame type
 // (the op tag in the net::Frame header):
@@ -27,7 +26,7 @@
 //
 // THREADING CONTRACT. Create/Start/Shutdown belong to the owning thread.
 // Broadcast/Send/frame building are thread-safe (they post to the loop).
-// on_connect/on_frame/on_disconnect run on the loop thread; on_fetch runs on
+// on_frame/on_disconnect run on the loop thread; on_fetch runs on
 // the fetch worker. Client indices are assigned on the loop thread before
 // any handler sees them and are never reused.
 //
@@ -71,8 +70,6 @@ struct FrontDoorConfig {
 };
 
 struct FrontDoorHandlers {
-  // Loop thread. The client index is newly assigned, never reused.
-  std::function<void(size_t client)> on_connect;
   // Loop thread. Every non-fetch frame. Must not block.
   std::function<void(size_t client, net::Frame&&)> on_frame;
   // Fetch worker thread. Returns the reply frame to deliver to the client

@@ -372,7 +372,6 @@ class CrashRecovery : public ::testing::Test {
     config.reconnect.max_call_attempts = 3;
     config.reconnect.backoff_initial_ms = 20;
     config.reconnect.backoff_max_ms = 100;
-    config.supervisor_interval_ms = 50;
     return config;
   }
 

@@ -732,6 +732,79 @@ TEST(CoordinatorDaemon, AdmitsOnlyOnionSizedRequests) {
                   .has_value());
 }
 
+// A client that contributed and then hung up does not close the window on
+// everyone else: the window waits for every connected client that holds a
+// slot. Client A submits and disconnects; client B submits 300 ms later and
+// still makes the batch.
+TEST(CoordinatorDaemon, ClientThatHungUpDoesNotCloseTheWindowEarly) {
+  auto chain = LoopbackChain::Start(TestChainConfig(), kKeySeed);
+  ASSERT_NE(chain, nullptr);
+
+  CoordDaemonConfig config;
+  for (size_t i = 0; i < chain->size(); ++i) {
+    config.hops.push_back({"127.0.0.1", chain->port(i)});
+  }
+  config.schedule.conversation_rounds_per_dialing_round = 1000;  // conversation only
+  config.total_rounds = 1;
+  config.admission_window_seconds = 2.0;
+  config.num_clients = 2;
+  CoordinatorDaemon coordinator(std::move(config));
+  ASSERT_TRUE(coordinator.Start());
+  obs::Counter* submitted = obs::Registry::Global().GetCounter(
+      "vuvuzela_onions_submitted_total", "Onions admitted into the round pipeline");
+  const uint64_t submitted_before = submitted->Value();
+
+  // Answers the first announcement with one onion after `delay`; with
+  // `hang_up`, closes the connection right after sending it.
+  auto run_client = [&](uint64_t seed, std::chrono::milliseconds delay, bool hang_up,
+                        std::optional<crypto::WrappedOnion>* sent,
+                        std::vector<util::Bytes>* responses) {
+    auto conn = net::TcpConnection::Connect("127.0.0.1", coordinator.client_port());
+    if (!conn) {
+      return;
+    }
+    util::Xoshiro256Rng rng(seed);
+    while (auto frame = conn->RecvFrame()) {
+      if (frame->type == net::FrameType::kShutdown) {
+        return;
+      }
+      if (frame->type == net::FrameType::kConversationResponse) {
+        responses->push_back(std::move(frame->payload));
+      }
+      if (frame->type != net::FrameType::kRoundAnnouncement) {
+        continue;
+      }
+      std::this_thread::sleep_for(delay);
+      wire::ExchangeRequest request;
+      rng.Fill(request.dead_drop);
+      rng.Fill(request.envelope);
+      *sent = crypto::OnionWrap(chain->public_keys(), frame->round, request.Serialize(), rng);
+      conn->SendFrame(
+          net::Frame{net::FrameType::kConversationRequest, frame->round, (*sent)->data});
+      if (hang_up) {
+        return;
+      }
+    }
+  };
+  std::optional<crypto::WrappedOnion> onion_a;
+  std::optional<crypto::WrappedOnion> onion_b;
+  std::vector<util::Bytes> responses_a;
+  std::vector<util::Bytes> responses_b;
+  std::thread client_a(run_client, 11, std::chrono::milliseconds(0), true, &onion_a,
+                       &responses_a);
+  std::thread client_b(run_client, 12, std::chrono::milliseconds(300), false, &onion_b,
+                       &responses_b);
+
+  CoordDaemonResult result = coordinator.Run();
+  client_a.join();
+  client_b.join();
+  EXPECT_EQ(result.conversation_rounds_completed, 1u);
+  EXPECT_EQ(submitted->Value() - submitted_before, 2u);
+  ASSERT_TRUE(onion_b.has_value());
+  ASSERT_EQ(responses_b.size(), 1u);
+  EXPECT_TRUE(crypto::OnionOpenResponse(onion_b->layer_keys, 1, responses_b[0]).has_value());
+}
+
 // A dead hop in the chain: every round that reaches it is abandoned — counted,
 // reclaimed, and the coordinator finishes instead of hanging.
 TEST(CoordinatorDaemon, AbandonsRoundsStuckOnDeadHop) {

@@ -6,6 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/crypto/aead.h"
@@ -33,6 +36,28 @@ void BM_X25519SharedSecret(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_X25519SharedSecret);
+
+// One scalar (a hop's key) times `range(0)` fresh points, the shape of a
+// peeling block's cache misses; items are DHs, so items_per_second compares
+// directly with BM_X25519SharedSecret's 1/time.
+void BM_X25519Many(benchmark::State& state) {
+  util::Xoshiro256Rng rng(1);
+  auto server = crypto::X25519KeyPair::Generate(rng);
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<crypto::X25519PublicKey> points(n);
+  for (auto& point : points) {
+    point = crypto::X25519KeyPair::Generate(rng).public_key;
+  }
+  std::vector<crypto::X25519SharedSecret> out(n);
+  for (auto _ : state) {
+    crypto::X25519Many(server.secret_key, points, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+  state.SetLabel(std::to_string(crypto::X25519ManyLanes()) + " lanes");
+}
+BENCHMARK(BM_X25519Many)->Arg(8)->Arg(64);
 
 void BM_X25519KeyGen(benchmark::State& state) {
   util::Xoshiro256Rng rng(2);
@@ -160,11 +185,13 @@ void BM_OnionUnwrapLayerCached(benchmark::State& state) {
   util::Bytes payload = rng.RandomBytes(wire::kExchangeRequestSize);
   auto onion = crypto::OnionWrap(chain, 1, payload, rng);
   crypto::SecretCache cache;
+  crypto::X25519PublicKey ephemeral;
+  std::memcpy(ephemeral.data(), onion.data.data(), ephemeral.size());
   util::Bytes inner(onion.data.size() - crypto::kOnionRequestLayerOverhead);
-  crypto::AeadKey response_key;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::OnionUnwrapLayerInto(server.secret_key, &cache, 1,
-                                                          onion.data, inner, response_key));
+    benchmark::DoNotOptimize(crypto::OnionOpenLayerInto(
+        cache.Get(server.secret_key, ephemeral, crypto::OnionContext()), 1,
+        onion.data, inner));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -224,7 +251,7 @@ double TimeUs(size_t iters, Fn&& fn) {
 }
 
 // The batch-vs-scalar summary the CI trajectory tracks: one JSONL row pinning
-// the three per-onion savings the batched MixServer pass is built on. Printed
+// the four per-onion savings the batched MixServer pass is built on. Printed
 // (and emitted to $VUVUZELA_BENCH_JSON) on every run, independently of the
 // google-benchmark registry above, so the bench-trajectory job gets it from
 // the same invocation that produces the human-readable table.
@@ -235,7 +262,7 @@ void PrintBatchVsScalarSection() {
   auto server = crypto::X25519KeyPair::Generate(rng);
   auto table = crypto::X25519Precomp::Create(server.public_key);
 
-  constexpr size_t kLadderIters = 200;   // ~55us each
+  constexpr size_t kLadderIters = 200;   // 50-120us each on the ladder
   constexpr size_t kFastIters = 2000;    // cached / comb paths
 
   double mult_ladder_us = TimeUs(kLadderIters, [&] {
@@ -245,18 +272,34 @@ void PrintBatchVsScalarSection() {
     benchmark::DoNotOptimize(table->Mult(client.secret_key));
   });
 
+  // A peeling block's cache misses: one hop key times 64 fresh points.
+  util::Xoshiro256Rng fresh_rng(100);
+  std::vector<crypto::X25519PublicKey> fresh(64);
+  for (auto& point : fresh) {
+    point = crypto::X25519KeyPair::Generate(fresh_rng).public_key;
+  }
+  std::vector<crypto::X25519SharedSecret> fresh_secrets(fresh.size());
+  double miss_batch_us = TimeUs(kLadderIters / 8, [&] {
+                           crypto::X25519Many(server.secret_key, fresh, fresh_secrets);
+                           benchmark::DoNotOptimize(fresh_secrets.data());
+                         }) /
+                         static_cast<double>(fresh.size());
+
+
   std::vector<crypto::X25519PublicKey> chain = {server.public_key};
   util::Bytes payload = rng.RandomBytes(wire::kExchangeRequestSize);
   auto onion = crypto::OnionWrap(chain, 1, payload, rng);
   crypto::SecretCache cache;
+  crypto::X25519PublicKey ephemeral;
+  std::memcpy(ephemeral.data(), onion.data.data(), ephemeral.size());
   util::Bytes inner(onion.data.size() - crypto::kOnionRequestLayerOverhead);
-  crypto::AeadKey response_key;
   double unwrap_scalar_us = TimeUs(kLadderIters, [&] {
     benchmark::DoNotOptimize(crypto::OnionUnwrapLayer(server.secret_key, 1, onion.data));
   });
   double unwrap_cached_us = TimeUs(kFastIters, [&] {
-    benchmark::DoNotOptimize(crypto::OnionUnwrapLayerInto(server.secret_key, &cache, 1,
-                                                          onion.data, inner, response_key));
+    benchmark::DoNotOptimize(crypto::OnionOpenLayerInto(
+        cache.Get(server.secret_key, ephemeral, crypto::OnionContext()), 1,
+        onion.data, inner));
   });
 
   std::vector<crypto::X25519PublicKey> suffix;
@@ -275,6 +318,9 @@ void PrintBatchVsScalarSection() {
   std::printf("\n=== TAB-DOMCOST-BATCH: batch primitives vs scalar reference ===\n");
   std::printf("  X25519 mult:  ladder %8.2f us  comb table %8.2f us  (%.2fx)\n", mult_ladder_us,
               mult_precomp_us, mult_ladder_us / mult_precomp_us);
+  std::printf("  cache-miss DH: ladder %7.2f us  batch kernel %6.2f us  (%.2fx, %zu lanes)\n",
+              mult_ladder_us, miss_batch_us, mult_ladder_us / miss_batch_us,
+              crypto::X25519ManyLanes());
   std::printf("  layer unwrap: scalar %8.2f us  cached+scratch %4.2f us  (%.1fx)\n",
               unwrap_scalar_us, unwrap_cached_us, unwrap_scalar_us / unwrap_cached_us);
   std::printf("  noise wrap 3: ladder %8.2f us  precomp %6.2f us  (%.2fx)\n", wrap_ladder_us,
@@ -284,6 +330,10 @@ void PrintBatchVsScalarSection() {
                   {{"mult_ladder_us", mult_ladder_us},
                    {"mult_precomp_us", mult_precomp_us},
                    {"mult_speedup", mult_ladder_us / mult_precomp_us},
+                   {"miss_dh_ladder_us", mult_ladder_us},
+                   {"miss_dh_batch_us", miss_batch_us},
+                   {"miss_dh_speedup", mult_ladder_us / miss_batch_us},
+                   {"miss_dh_lanes", static_cast<double>(crypto::X25519ManyLanes())},
                    {"unwrap_scalar_us", unwrap_scalar_us},
                    {"unwrap_cached_us", unwrap_cached_us},
                    {"unwrap_speedup", unwrap_scalar_us / unwrap_cached_us},

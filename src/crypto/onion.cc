@@ -114,27 +114,13 @@ util::Bytes OnionSealResponse(const AeadKey& key, uint64_t round, util::ByteSpan
 
 util::ByteSpan OnionContext() { return kOnionContext(); }
 
-bool OnionUnwrapLayerInto(const X25519SecretKey& server_sk, SecretCache* cache, uint64_t round,
-                          util::ByteSpan layer, util::MutableByteSpan inner_out,
-                          AeadKey& response_key) {
+bool OnionOpenLayerInto(const AeadKey& key, uint64_t round, util::ByteSpan layer,
+                        util::MutableByteSpan inner_out) {
   if (layer.size() < kOnionRequestLayerOverhead) {
     return false;
   }
-  X25519PublicKey ephemeral_pk;
-  std::memcpy(ephemeral_pk.data(), layer.data(), ephemeral_pk.size());
-  AeadKey key;
-  if (cache != nullptr) {
-    key = cache->Get(server_sk, ephemeral_pk, kOnionContext());
-  } else {
-    X25519SharedSecret shared = X25519(server_sk, ephemeral_pk);
-    key = DeriveBoxKey(shared, kOnionContext());
-  }
-  if (!AeadOpenInto(key, NonceFromUint64(round, kRequestDomain), /*aad=*/{},
-                    layer.subspan(kX25519KeySize), inner_out)) {
-    return false;
-  }
-  response_key = key;
-  return true;
+  return AeadOpenInto(key, NonceFromUint64(round, kRequestDomain), /*aad=*/{},
+                      layer.subspan(kX25519KeySize), inner_out);
 }
 
 void OnionSealResponseInto(const AeadKey& key, uint64_t round, util::ByteSpan response,

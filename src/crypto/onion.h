@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/crypto/box.h"
-#include "src/crypto/secret_cache.h"
 #include "src/crypto/x25519_precomp.h"
 #include "src/util/bytes.h"
 
@@ -81,18 +80,18 @@ std::optional<util::Bytes> OnionOpenResponse(std::span<const AeadKey> layer_keys
 // keys OnionUnwrapLayer would derive.
 util::ByteSpan OnionContext();
 
-// Allocation-free unwrap for block processing. `inner_out` must be exactly
-// layer.size() - kOnionRequestLayerOverhead bytes. It may be the layer's own
-// ciphertext, layer.subspan(kX25519KeySize, inner size) — an in-place open,
-// which is how the mix pass peels each onion inside the buffer it arrived
-// in — but must not overlap `layer` any other way. When `cache` is non-null
-// the shared-secret derivation goes through it (one DH per client per key
-// epoch instead of one per onion per round); null means a direct DH, as
-// OnionUnwrapLayer does. Returns false on malformed or forged layers, leaving
-// `inner_out` (and so an in-place layer) untouched.
-bool OnionUnwrapLayerInto(const X25519SecretKey& server_sk, SecretCache* cache, uint64_t round,
-                          util::ByteSpan layer, util::MutableByteSpan inner_out,
-                          AeadKey& response_key);
+// Allocation-free open of one request layer under its key, for block
+// processing: `key` is DeriveBoxKey(X25519(server_sk, ephemeral key),
+// OnionContext()), which the mix pass gets for a whole block from
+// SecretCache::GetMany (one DH per client per key epoch instead of one per
+// onion per round). `inner_out` must be exactly layer.size() -
+// kOnionRequestLayerOverhead bytes. It may be the layer's own ciphertext,
+// layer.subspan(kX25519KeySize, inner size) — an in-place open, which is how
+// the mix pass peels each onion inside the buffer it arrived in — but must
+// not overlap `layer` any other way. Returns false on malformed or forged
+// layers, leaving `inner_out` (and so an in-place layer) untouched.
+bool OnionOpenLayerInto(const AeadKey& key, uint64_t round, util::ByteSpan layer,
+                        util::MutableByteSpan inner_out);
 
 // Allocation-free response seal: `out` must be exactly response.size() +
 // kOnionResponseLayerOverhead bytes and must not overlap `response`.

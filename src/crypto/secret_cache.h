@@ -5,11 +5,13 @@
 // its onion key pair fixed presents the same ephemeral public key to a hop
 // every round, and X25519(server_sk, client_pk) -> HKDF is a pure function of
 // the two keys. Recomputing it per round is the single largest per-onion cost
-// (one ~55us scalar multiplication); this cache pays it once per (client,
-// server-key epoch) and answers subsequent rounds from a hash map. The round
-// number only enters the AEAD *nonce*, never the key derivation, so a cache
-// hit is byte-identical to a fresh derivation — which is what lets the mix
-// pass stay bit-for-bit equal to the uncached test oracle.
+// (one scalar multiplication: 50-90us on the portable ladder, 9-11us per
+// point on the 8-lane IFMA kernel, see X25519Many); this cache pays it once
+// per (client, server-key epoch) and answers subsequent rounds from a hash
+// map. The round number only enters the AEAD *nonce*, never the key
+// derivation, so a cache hit is byte-identical to a fresh derivation — which
+// is what lets the mix pass stay bit-for-bit equal to the uncached test
+// oracle.
 //
 // Generations: the cache holds two, a current and a previous one. The mix
 // pass calls Advance() once per batched unwrap: the current generation
@@ -32,11 +34,23 @@
 // serve exactly one (server secret key, HKDF context) pair. Use a separate
 // cache per context if you ever need two.
 //
+// Batches: GetMany answers a block of lookups at once (the mix pass hands it
+// each 64-onion block's ephemeral keys). Hits are answered one by one as Get
+// answers them; the block's misses are derived together, through X25519Many,
+// so on an IFMA CPU eight fresh keys share one ladder.
+//
+// Hashing: the shard and the bucket of a key come from SipHash-2-4 over all
+// 32 bytes under a key drawn from the OS at construction. Client keys are
+// attacker-chosen and enter the cache before their onion's tag is checked,
+// so a hash of fixed key bytes would let hostile clients pile one pass's
+// onions into a single bucket under a single shard lock.
+//
 // Threading/ownership: internally sharded (16 shards, one mutex each);
-// Get/Advance/Invalidate/GetStats are safe from any number of threads
-// concurrently, including the mix pass's ParallelFor workers. Misses compute
-// the DH outside the shard lock, so a burst of new clients serializes only on
-// map insertion. The cache owns all entries; returned AeadKeys are copies.
+// Get/GetMany/Advance/Invalidate/GetStats are safe from any number of
+// threads concurrently, including the mix pass's ParallelForBlocks workers.
+// Misses compute the DH outside the shard locks, so a burst of new clients
+// serializes only on map insertion. The cache owns all entries; returned
+// AeadKeys are copies.
 
 #ifndef VUVUZELA_SRC_CRYPTO_SECRET_CACHE_H_
 #define VUVUZELA_SRC_CRYPTO_SECRET_CACHE_H_
@@ -44,6 +58,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "src/crypto/box.h"
@@ -65,6 +80,14 @@ class SecretCache {
   AeadKey Get(const X25519SecretKey& server_sk, const X25519PublicKey& client_pk,
               util::ByteSpan context);
 
+  // keys[i] = Get(server_sk, client_pks[i], context) for every i, with the
+  // same hits, misses and generation moves as those calls made in order (a
+  // key repeated within the call misses once). The misses of each run of up
+  // to 64 keys are derived together, outside the shard locks. `keys` must be
+  // exactly as long as `client_pks`.
+  void GetMany(const X25519SecretKey& server_sk, std::span<const X25519PublicKey> client_pks,
+               util::ByteSpan context, std::span<AeadKey> keys);
+
   // Starts a new pass: drops every key not presented during the last two
   // passes. Call once per pass, before its first Get.
   void Advance();
@@ -82,27 +105,44 @@ class SecretCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     size_t entries = 0;  // both generations
+    uint64_t miss_dh_nanos = 0;  // summed wall time of the misses' X25519Many calls
   };
   Stats GetStats() const;
 
+  // How evenly the cached keys lie: the fullest shard's entry count and the
+  // longest bucket chain, over both generations.
+  struct Spread {
+    size_t max_shard_entries = 0;
+    size_t max_bucket_entries = 0;
+  };
+  Spread GetSpread() const;
+
  private:
+  // SipHash-2-4 of the key's 32 bytes under `key`.
   struct PkHash {
-    // Client public keys are uniformly random curve points; their first
-    // eight bytes are already a good hash.
-    size_t operator()(const X25519PublicKey& pk) const {
-      return static_cast<size_t>(util::LoadLe64(pk.data()));
-    }
+    uint64_t key[2];
+    size_t operator()(const X25519PublicKey& pk) const;
   };
   using Map = std::unordered_map<X25519PublicKey, AeadKey, PkHash>;
   struct Shard {
-    std::mutex mu;
+    mutable std::mutex mu;
     Map current;
     Map previous;
   };
   static constexpr size_t kShards = 16;
 
-  Shard& ShardFor(const X25519PublicKey& pk) { return shards_[pk[31] % kShards]; }
+  // The top bits pick the shard; the map reduces the same hash modulo its
+  // bucket count.
+  Shard& ShardFor(size_t hash) { return shards_[hash >> (8 * sizeof(size_t) - 4)]; }
+  static_assert(kShards == 16, "ShardFor takes the hash's top four bits");
 
+  // GetMany over one run of at most kGetManyBlock keys, with its scratch on
+  // the stack.
+  static constexpr size_t kGetManyBlock = 64;
+  void GetBlock(const X25519SecretKey& server_sk, std::span<const X25519PublicKey> client_pks,
+                util::ByteSpan context, std::span<AeadKey> keys);
+
+  const PkHash hash_;
   Shard shards_[kShards];
   const size_t max_entries_;
   std::atomic<size_t> entries_{0};
@@ -110,6 +150,7 @@ class SecretCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> miss_dh_nanos_{0};
 };
 
 }  // namespace vuvuzela::crypto

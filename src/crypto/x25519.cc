@@ -1,8 +1,10 @@
 #include "src/crypto/x25519.h"
 
 #include <cstring>
+#include <stdexcept>
 
 #include "src/crypto/fe25519.h"
+#include "src/crypto/x25519_internal.h"
 #include "src/crypto/x25519_precomp.h"
 
 namespace vuvuzela::crypto {
@@ -81,7 +83,50 @@ void ScalarMult(uint8_t out[32], const uint8_t scalar[32], const uint8_t point[3
   FeToBytes(out, result);
 }
 
+using ManyKernel = void (*)(const X25519SecretKey& scalar, const X25519PublicKey* points,
+                           X25519SharedSecret* out, size_t n);
+
+// Chosen on first use, like Sha256's kernel, so a static initialiser in
+// another translation unit still gets one.
+ManyKernel ActiveManyKernel() {
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+  static const ManyKernel kernel =
+      internal::CpuHasAvx512Ifma() ? internal::X25519ManyIfma : internal::X25519ManyPortable;
+  return kernel;
+#else
+  return internal::X25519ManyPortable;
+#endif
+}
+
 }  // namespace
+
+namespace internal {
+
+void X25519ManyPortable(const X25519SecretKey& scalar, const X25519PublicKey* points,
+                        X25519SharedSecret* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    ScalarMult(out[i].data(), scalar.data(), points[i].data());
+  }
+}
+
+}  // namespace internal
+
+void X25519Many(const X25519SecretKey& scalar, std::span<const X25519PublicKey> points,
+                std::span<X25519SharedSecret> out) {
+  if (out.size() != points.size()) {
+    throw std::invalid_argument("X25519Many: output and point counts differ");
+  }
+  ActiveManyKernel()(scalar, points.data(), out.data(), points.size());
+}
+
+size_t X25519ManyLanes() {
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+  if (ActiveManyKernel() == internal::X25519ManyIfma) {
+    return internal::kX25519IfmaLanes;
+  }
+#endif
+  return 1;
+}
 
 X25519SharedSecret X25519(const X25519SecretKey& scalar, const X25519PublicKey& point) {
   X25519SharedSecret out;

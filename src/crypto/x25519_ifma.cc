@@ -1,0 +1,364 @@
+// The 8-lane X25519 kernel: one scalar times eight points per Montgomery
+// ladder, on AVX-512 IFMA (vpmadd52luq/vpmadd52huq).
+//
+// Field elements keep the 5 x 51-bit limbs of fe25519.h, one element per
+// 64-bit lane. vpmadd52 multiplies the low 52 bits of two lanes and adds the
+// low or the high 52 bits of the 104-bit product to an accumulator, so every
+// limb fed to a multiply must be below 2^52. The bounds that keep it there:
+//
+//   - Mul, Sq, AddCarry, SubCarry and MulSmallAdd all end in Carry, which
+//     returns limbs below 2^51 + 2^14 ("carried").
+//   - Mul and Sq take carried inputs (or the loaded point, below 2^51). Each
+//     partial product's low and high halves are below 2^52, a product column
+//     sums at most five of each, so column k of the unreduced product is
+//     below 15 * 2^52, and after folding columns 5..9 back times 19
+//     (2^255 = 19 mod p) each limb is below 300 * 2^52 < 2^61.
+//   - Carry moves each limb's bits above 51 into the next limb at once (the
+//     top limb's into limb 0, times 19). From a product's limbs, below
+//     600 * 2^51, the carries are below 600, and 19 times that is below
+//     2^14; from a sum or difference, below 2^53, they are below 4.
+//   - SubCarry adds 2p before subtracting, which cannot underflow because a
+//     carried limb is below 2p's smallest limb, 2^52 - 38.
+//
+// The scalar is the same in every lane: its bits only ever become a
+// broadcast all-ones or all-zeros swap mask, so no branch and no memory
+// index depends on it. Each lane runs its own Fermat inversion at the end,
+// so a low-order point (z = 0) gives the all-zero secret in its lane, as the
+// portable ladder does, and no lane's value can reach another's.
+
+#include "src/crypto/x25519_internal.h"
+
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+
+#include <immintrin.h>
+
+#include <algorithm>
+#include <cstring>
+
+#include "src/crypto/fe25519.h"
+
+#define VUVUZELA_IFMA_TARGET __attribute__((target("avx512f,avx512ifma")))
+#define VUVUZELA_IFMA_INLINE inline __attribute__((target("avx512f,avx512ifma"), always_inline))
+
+namespace vuvuzela::crypto::internal {
+
+namespace {
+
+// One 8-lane ladder costs about as much as one portable ladder, so a
+// remainder this long or longer is worth padding into a full group.
+constexpr size_t kMinTail = 2;
+
+// Eight field elements: lane l of v[i] is limb i of element l.
+struct Fe8 {
+  __m512i v[5];
+};
+
+// Lane-wise 64-bit shifts through the vector extension: GCC's
+// _mm512_s{l,r}li_epi64 trip its own -Wuninitialized.
+using U64x8 = uint64_t __attribute__((vector_size(64)));
+
+// The limb loops below must unroll, at -O2 too, or their arrays of vectors
+// live in memory; hence the unroll pragmas.
+
+VUVUZELA_IFMA_INLINE __m512i Add(__m512i a, __m512i b) { return _mm512_add_epi64(a, b); }
+VUVUZELA_IFMA_INLINE __m512i Shl(__m512i a, int n) {
+  return reinterpret_cast<__m512i>(reinterpret_cast<U64x8>(a) << n);
+}
+VUVUZELA_IFMA_INLINE __m512i Shr(__m512i a, int n) {
+  return reinterpret_cast<__m512i>(reinterpret_cast<U64x8>(a) >> n);
+}
+
+VUVUZELA_IFMA_INLINE Fe8 Broadcast(uint64_t limb0) {
+  Fe8 out;
+  out.v[0] = _mm512_set1_epi64(static_cast<long long>(limb0));
+#pragma GCC unroll 10
+  for (int i = 1; i < 5; ++i) {
+    out.v[i] = _mm512_setzero_si512();
+  }
+  return out;
+}
+
+// One parallel carry round over limbs below 2^63.
+VUVUZELA_IFMA_INLINE void Carry(Fe8& out, const __m512i t[5]) {
+  const __m512i mask = _mm512_set1_epi64(fe25519::kMask51);
+  __m512i c[5];
+#pragma GCC unroll 10
+  for (int i = 0; i < 5; ++i) {
+    c[i] = Shr(t[i], 51);
+  }
+  // c[4] < 2^12, so the 52-bit multiply by 19 is exact.
+  out.v[0] = _mm512_madd52lo_epu64(_mm512_and_si512(t[0], mask), c[4], _mm512_set1_epi64(19));
+#pragma GCC unroll 10
+  for (int i = 1; i < 5; ++i) {
+    out.v[i] = Add(_mm512_and_si512(t[i], mask), c[i - 1]);
+  }
+}
+
+// Folds the ten columns of an unreduced product (each below 2^57) into five
+// limbs and carries them.
+VUVUZELA_IFMA_INLINE void Reduce(Fe8& out, const __m512i col[10]) {
+  __m512i t[5];
+#pragma GCC unroll 10
+  for (int i = 0; i < 5; ++i) {
+    const __m512i high = col[i + 5];
+    // 19 * high = high + 2 * high + 16 * high.
+    const __m512i high19 =
+        Add(Add(high, Shl(high, 1)), Shl(high, 4));
+    t[i] = Add(col[i], high19);
+  }
+  Carry(out, t);
+}
+
+// out = a * b. A partial product a_i b_j = lo + 2^52 hi adds lo to column
+// i + j and, since 2^52 = 2 * 2^51, 2 hi to column i + j + 1.
+VUVUZELA_IFMA_INLINE void Mul(Fe8& out, const Fe8& a, const Fe8& b) {
+  __m512i lo[10], hi[10];
+#pragma GCC unroll 10
+  for (int k = 0; k < 10; ++k) {
+    lo[k] = _mm512_setzero_si512();
+    hi[k] = _mm512_setzero_si512();
+  }
+#pragma GCC unroll 10
+  for (int i = 0; i < 5; ++i) {
+#pragma GCC unroll 10
+    for (int j = 0; j < 5; ++j) {
+      lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], a.v[i], b.v[j]);
+      hi[i + j + 1] = _mm512_madd52hi_epu64(hi[i + j + 1], a.v[i], b.v[j]);
+    }
+  }
+  __m512i col[10];
+#pragma GCC unroll 10
+  for (int k = 0; k < 10; ++k) {
+    col[k] = Add(lo[k], Add(hi[k], hi[k]));
+  }
+  Reduce(out, col);
+}
+
+// out = a^2 with the 10 cross products a_i a_j (i < j) taken once and
+// doubled: column k is diag_lo + 2 (cross_lo + diag_hi) + 4 cross_hi.
+VUVUZELA_IFMA_INLINE void Sq(Fe8& out, const Fe8& a) {
+  __m512i once[10], twice[10], four[10];
+#pragma GCC unroll 10
+  for (int k = 0; k < 10; ++k) {
+    once[k] = _mm512_setzero_si512();
+    twice[k] = _mm512_setzero_si512();
+    four[k] = _mm512_setzero_si512();
+  }
+#pragma GCC unroll 10
+  for (int i = 0; i < 5; ++i) {
+    once[2 * i] = _mm512_madd52lo_epu64(once[2 * i], a.v[i], a.v[i]);
+    twice[2 * i + 1] = _mm512_madd52hi_epu64(twice[2 * i + 1], a.v[i], a.v[i]);
+#pragma GCC unroll 10
+    for (int j = i + 1; j < 5; ++j) {
+      twice[i + j] = _mm512_madd52lo_epu64(twice[i + j], a.v[i], a.v[j]);
+      four[i + j + 1] = _mm512_madd52hi_epu64(four[i + j + 1], a.v[i], a.v[j]);
+    }
+  }
+  __m512i col[10];
+#pragma GCC unroll 10
+  for (int k = 0; k < 10; ++k) {
+    const __m512i doubled = Add(twice[k], Add(four[k], four[k]));
+    col[k] = Add(once[k], Add(doubled, doubled));
+  }
+  Reduce(out, col);
+}
+
+VUVUZELA_IFMA_INLINE void AddCarry(Fe8& out, const Fe8& a, const Fe8& b) {
+  __m512i t[5];
+#pragma GCC unroll 10
+  for (int i = 0; i < 5; ++i) {
+    t[i] = Add(a.v[i], b.v[i]);
+  }
+  Carry(out, t);
+}
+
+// out = a - b + 2p.
+VUVUZELA_IFMA_INLINE void SubCarry(Fe8& out, const Fe8& a, const Fe8& b) {
+  __m512i t[5];
+  t[0] = _mm512_sub_epi64(Add(a.v[0], _mm512_set1_epi64(0xfffffffffffdaLL)), b.v[0]);
+#pragma GCC unroll 10
+  for (int i = 1; i < 5; ++i) {
+    t[i] = _mm512_sub_epi64(Add(a.v[i], _mm512_set1_epi64(0xffffffffffffeLL)), b.v[i]);
+  }
+  Carry(out, t);
+}
+
+// out = a + k * e for a constant k below 2^52. The high half of e_4 k wraps
+// to limb 0 as 2 * 19 = 38 times itself.
+VUVUZELA_IFMA_INLINE void MulSmallAdd(Fe8& out, const Fe8& a, const Fe8& e, uint64_t k) {
+  const __m512i kv = _mm512_set1_epi64(static_cast<long long>(k));
+  __m512i hi[5], t[5];
+#pragma GCC unroll 10
+  for (int i = 0; i < 5; ++i) {
+    hi[i] = _mm512_madd52hi_epu64(_mm512_setzero_si512(), e.v[i], kv);
+    t[i] = _mm512_madd52lo_epu64(a.v[i], e.v[i], kv);
+  }
+  t[0] = _mm512_madd52lo_epu64(t[0], hi[4], _mm512_set1_epi64(38));
+#pragma GCC unroll 10
+  for (int i = 1; i < 5; ++i) {
+    t[i] = Add(t[i], Add(hi[i - 1], hi[i - 1]));
+  }
+  Carry(out, t);
+}
+
+// Swaps a and b in every lane where mask is all ones; mask is all ones or
+// all zeros in every lane.
+VUVUZELA_IFMA_INLINE void Cswap(__m512i mask, Fe8& a, Fe8& b) {
+#pragma GCC unroll 10
+  for (int i = 0; i < 5; ++i) {
+    const __m512i x = _mm512_and_si512(mask, _mm512_xor_si512(a.v[i], b.v[i]));
+    a.v[i] = _mm512_xor_si512(a.v[i], x);
+    b.v[i] = _mm512_xor_si512(b.v[i], x);
+  }
+}
+
+VUVUZELA_IFMA_INLINE void SqTimes(Fe8& out, const Fe8& a, int n) {
+  Sq(out, a);
+  for (int i = 1; i < n; ++i) {
+    Sq(out, out);
+  }
+}
+
+// out = z^(p-2) lane by lane: fe25519::FeInvert's addition chain. The
+// inverse of 0 is 0.
+VUVUZELA_IFMA_INLINE void Invert(Fe8& out, const Fe8& z) {
+  Fe8 t0, t1, t2, t3;
+  Sq(t0, z);            // 2
+  SqTimes(t1, t0, 2);   // 8
+  Mul(t1, z, t1);       // 9
+  Mul(t0, t0, t1);      // 11
+  Sq(t2, t0);           // 22
+  Mul(t1, t1, t2);      // 2^5 - 1
+  SqTimes(t2, t1, 5);   // 2^10 - 2^5
+  Mul(t1, t2, t1);      // 2^10 - 1
+  SqTimes(t2, t1, 10);  // 2^20 - 2^10
+  Mul(t2, t2, t1);      // 2^20 - 1
+  SqTimes(t3, t2, 20);  // 2^40 - 2^20
+  Mul(t2, t3, t2);      // 2^40 - 1
+  SqTimes(t2, t2, 10);  // 2^50 - 2^10
+  Mul(t1, t2, t1);      // 2^50 - 1
+  SqTimes(t2, t1, 50);  // 2^100 - 2^50
+  Mul(t2, t2, t1);      // 2^100 - 1
+  SqTimes(t3, t2, 100); // 2^200 - 2^100
+  Mul(t2, t3, t2);      // 2^200 - 1
+  SqTimes(t2, t2, 50);  // 2^250 - 2^50
+  Mul(t1, t2, t1);      // 2^250 - 1
+  SqTimes(t1, t1, 5);   // 2^255 - 2^5
+  Mul(out, t1, t0);     // 2^255 - 21
+}
+
+// out[l] = X25519(e, points[l]) for eight points, `e` already clamped.
+VUVUZELA_IFMA_TARGET void Ladder8(const uint8_t e[32], const X25519PublicKey* points,
+                                  X25519SharedSecret* out) {
+  alignas(64) uint64_t limbs[5][kX25519IfmaLanes] = {};
+  for (size_t l = 0; l < kX25519IfmaLanes; ++l) {
+    // FeFromBytes drops bit 255 of u, as RFC 7748 asks.
+    fe25519::Fe u;
+    fe25519::FeFromBytes(u, points[l].data());
+    for (int i = 0; i < 5; ++i) {
+      limbs[i][l] = u.v[i];
+    }
+  }
+  Fe8 x1;
+  for (int i = 0; i < 5; ++i) {
+    x1.v[i] = _mm512_load_si512(limbs[i]);
+  }
+
+  Fe8 x2 = Broadcast(1);
+  Fe8 z2 = Broadcast(0);
+  Fe8 x3 = x1;
+  Fe8 z3 = Broadcast(1);
+  uint64_t swap = 0;
+  for (int t = 254; t >= 0; --t) {
+    const uint64_t k_t = (e[t / 8] >> (t % 8)) & 1;
+    swap ^= k_t;
+    const __m512i mask = _mm512_set1_epi64(static_cast<long long>(0 - swap));
+    Cswap(mask, x2, x3);
+    Cswap(mask, z2, z3);
+    swap = k_t;
+
+    Fe8 a, aa, b, bb, eiv, c, d, da, cb, tmp;
+    AddCarry(a, x2, z2);
+    Sq(aa, a);
+    SubCarry(b, x2, z2);
+    Sq(bb, b);
+    SubCarry(eiv, aa, bb);
+    AddCarry(c, x3, z3);
+    SubCarry(d, x3, z3);
+    Mul(da, d, a);
+    Mul(cb, c, b);
+
+    AddCarry(tmp, da, cb);
+    Sq(x3, tmp);
+    SubCarry(tmp, da, cb);
+    Sq(tmp, tmp);
+    Mul(z3, x1, tmp);
+
+    Mul(x2, aa, bb);
+    MulSmallAdd(tmp, aa, eiv, 121665);
+    Mul(z2, eiv, tmp);
+  }
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(0 - swap));
+  Cswap(mask, x2, x3);
+  Cswap(mask, z2, z3);
+
+  Fe8 z_inv, result;
+  Invert(z_inv, z2);
+  Mul(result, x2, z_inv);
+  for (int i = 0; i < 5; ++i) {
+    _mm512_store_si512(limbs[i], result.v[i]);
+  }
+  for (size_t l = 0; l < kX25519IfmaLanes; ++l) {
+    fe25519::Fe r;
+    for (int i = 0; i < 5; ++i) {
+      r.v[i] = limbs[i][l];
+    }
+    fe25519::FeToBytes(out[l].data(), r);
+  }
+}
+
+}  // namespace
+
+void X25519ManyIfma(const X25519SecretKey& scalar, const X25519PublicKey* points,
+                    X25519SharedSecret* out, size_t n) {
+  uint8_t e[32];
+  std::memcpy(e, scalar.data(), 32);
+  e[0] &= 248;
+  e[31] &= 127;
+  e[31] |= 64;
+
+  size_t i = 0;
+  for (; i + kX25519IfmaLanes <= n; i += kX25519IfmaLanes) {
+    Ladder8(e, points + i, out + i);
+  }
+  const size_t tail = n - i;
+  if (tail >= kMinTail) {
+    // Idle lanes repeat the last point; their results are dropped.
+    X25519PublicKey padded[kX25519IfmaLanes]{};
+    X25519SharedSecret results[kX25519IfmaLanes]{};
+    for (size_t l = 0; l < kX25519IfmaLanes; ++l) {
+      padded[l] = points[i + std::min(l, tail - 1)];
+    }
+    Ladder8(e, padded, results);
+    std::copy(results, results + tail, out + i);
+  } else if (tail > 0) {
+    X25519ManyPortable(scalar, points + i, out + i, tail);
+  }
+}
+
+bool CpuHasAvx512Ifma() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma");
+}
+
+}  // namespace vuvuzela::crypto::internal
+
+#else
+
+namespace vuvuzela::crypto::internal {
+
+bool CpuHasAvx512Ifma() { return false; }
+
+}  // namespace vuvuzela::crypto::internal
+
+#endif  // VUVUZELA_X25519_IFMA_KERNEL

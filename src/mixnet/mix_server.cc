@@ -123,8 +123,10 @@ void MixServer::RotateKey(const crypto::X25519KeyPair& key_pair) {
 }
 
 void MixServer::PrimeClientSecrets(std::span<const crypto::X25519PublicKey> client_pks) {
-  util::GlobalPool().ParallelFor(client_pks.size(), [&](size_t i) {
-    secret_cache_.Get(key_pair_.secret_key, client_pks[i], crypto::OnionContext());
+  util::GlobalPool().ParallelForBlocks(client_pks.size(), kBlock, [&](size_t begin, size_t end) {
+    crypto::AeadKey keys[kBlock]{};
+    secret_cache_.GetMany(key_pair_.secret_key, client_pks.subspan(begin, end - begin),
+                          crypto::OnionContext(), {keys, end - begin});
   });
 }
 
@@ -179,20 +181,30 @@ MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::MutableB
   peeled.ok.assign(n, 0);
   peeled.keys.resize(n);
 
-  // Each worker owns a contiguous block of onions and opens each inner layer
-  // over its own ciphertext; shared-secret derivation goes through the
-  // cross-round cache. Advancing its generation first bounds it to the keys
-  // of this pass and the one before.
+  // Each worker owns a contiguous block of onions. It hands the block's
+  // ephemeral keys to the cross-round cache in one GetMany, so the block's
+  // misses share the batch DH kernel, then opens each inner layer over its
+  // own ciphertext. Advancing the cache's generation first bounds it to the
+  // keys of this pass and the one before.
   secret_cache_.Advance();
   util::GlobalPool().ParallelForBlocks(n, kBlock, [&](size_t begin, size_t end) {
+    crypto::X25519PublicKey pks[kBlock]{};
+    crypto::AeadKey keys[kBlock]{};
+    size_t index[kBlock]{};
+    size_t m = 0;
     for (size_t i = begin; i < end; ++i) {
-      if (batch[i].size() != request_size) {
-        continue;
+      if (batch[i].size() == request_size) {
+        std::memcpy(pks[m].data(), batch[i].data(), crypto::kX25519KeySize);
+        index[m++] = i;
       }
-      peeled.ok[i] = crypto::OnionUnwrapLayerInto(key_pair_.secret_key, &secret_cache_, round,
-                                                  batch[i], Inner(batch[i]), peeled.keys[i])
-                         ? 1
-                         : 0;
+    }
+    secret_cache_.GetMany(key_pair_.secret_key, {pks, m}, crypto::OnionContext(), {keys, m});
+    for (size_t j = 0; j < m; ++j) {
+      const size_t i = index[j];
+      if (crypto::OnionOpenLayerInto(keys[j], round, batch[i], Inner(batch[i]))) {
+        peeled.ok[i] = 1;
+        peeled.keys[i] = keys[j];
+      }
     }
   });
   for (uint8_t ok : peeled.ok) {

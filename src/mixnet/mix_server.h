@@ -25,7 +25,8 @@
 // shared secrets are cached across rounds in a two-generation SecretCache
 // advanced once per unwrap pass (the round number only enters the AEAD nonce, so a hit cannot
 // change any output byte; keys not seen for two passes leave, so the cache
-// holds one pass's clients, not every cover onion ever unwrapped), and noise
+// holds one pass's clients, not every cover onion ever unwrapped; a block's
+// misses are derived together, eight per ladder on AVX-512 IFMA), and noise
 // onions are wrapped against precomputed comb tables for the chain suffix's
 // static keys. A serial, uncached, ladder-only reference of every pass lives
 // in tests/reference_mix_server.h; tests/batch_pass_test.cc pins this class

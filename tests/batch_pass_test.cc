@@ -21,12 +21,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
+#include <cstring>
 #include <future>
 #include <mutex>
 #include <string>
 
 #include "src/coord/coordinator.h"
+#include "src/crypto/aead.h"
+#include "src/crypto/box.h"
 #include "src/crypto/onion.h"
 #include "src/crypto/secret_cache.h"
 #include "src/crypto/x25519.h"
@@ -569,9 +573,11 @@ TEST(SecretCacheConformance, ChurnLeavesStaticKeysResident) {
             crypto::OnionUnwrapLayer(servers[hop].secret_key, round, layer);
         ASSERT_TRUE(cold.has_value());
         util::Bytes inner(layer.size() - crypto::kOnionRequestLayerOverhead);
-        crypto::AeadKey key;
-        ASSERT_TRUE(crypto::OnionUnwrapLayerInto(servers[hop].secret_key, &cache, round, layer,
-                                                 inner, key));
+        crypto::X25519PublicKey ephemeral;
+        std::memcpy(ephemeral.data(), layer.data(), ephemeral.size());
+        const crypto::AeadKey key =
+            cache.Get(servers[hop].secret_key, ephemeral, crypto::OnionContext());
+        ASSERT_TRUE(crypto::OnionOpenLayerInto(key, round, layer, inner));
         ASSERT_EQ(inner, cold->inner) << "round " << round << " hop " << hop;
         ASSERT_EQ(key, cold->response_key) << "round " << round << " hop " << hop;
         layer = std::move(inner);
@@ -588,6 +594,156 @@ TEST(SecretCacheConformance, ChurnLeavesStaticKeysResident) {
   for (const auto& cache : caches) {
     EXPECT_EQ(cache->GetStats().misses, kStatic + kFreshPerPass * kPasses);
   }
+}
+
+// GetMany answers a run of keys exactly as Get answers them one by one:
+// the same keys, hits, misses and entries, across a generation change and
+// with keys repeated inside one call.
+TEST(SecretCacheConformance, GetManyCountsLikeGetInOrder) {
+  util::Xoshiro256Rng rng(61);
+  const crypto::X25519KeyPair server = crypto::X25519KeyPair::Generate(rng);
+  std::vector<crypto::X25519PublicKey> pool(40);
+  for (auto& pk : pool) {
+    rng.Fill(pk);
+  }
+  crypto::SecretCache one_by_one;
+  crypto::SecretCache batched;
+  for (int pass = 0; pass < 3; ++pass) {
+    one_by_one.Advance();
+    batched.Advance();
+    // 150 keys drawn from the pool: repeats within the call, keys of the
+    // previous pass and new ones.
+    std::vector<crypto::X25519PublicKey> pks(150);
+    for (auto& pk : pks) {
+      pk = pool[rng.UniformUint64(10 + 15 * pass)];
+    }
+    std::vector<crypto::AeadKey> keys(pks.size());
+    batched.GetMany(server.secret_key, pks, crypto::OnionContext(), keys);
+    for (size_t i = 0; i < pks.size(); ++i) {
+      ASSERT_EQ(keys[i], one_by_one.Get(server.secret_key, pks[i], crypto::OnionContext()))
+          << "pass " << pass << " key " << i;
+    }
+    crypto::SecretCache::Stats a = one_by_one.GetStats();
+    crypto::SecretCache::Stats b = batched.GetStats();
+    EXPECT_EQ(a.hits, b.hits) << "pass " << pass;
+    EXPECT_EQ(a.misses, b.misses) << "pass " << pass;
+    EXPECT_EQ(a.entries, b.entries) << "pass " << pass;
+  }
+}
+
+// Client keys are attacker-chosen and reach the cache before their onion's
+// tag is checked. 4,096 keys that agree on every byte a fixed-byte hash
+// could read (the first eight and the last) must still spread over the
+// shards and the buckets; under such a hash they would all share one shard
+// mutex and one bucket chain, and each pass would go quadratic.
+TEST(SecretCacheConformance, HostileKeysSpreadOverShardsAndBuckets) {
+  constexpr size_t kKeys = 4096;
+  constexpr size_t kShards = 16;
+  util::Xoshiro256Rng rng(62);
+  const crypto::X25519KeyPair server = crypto::X25519KeyPair::Generate(rng);
+  std::vector<crypto::X25519PublicKey> pks(kKeys);
+  for (auto& pk : pks) {
+    rng.Fill(pk);
+    std::fill(pk.begin(), pk.begin() + 8, 0x5a);
+    pk[31] = 0x10;
+  }
+  crypto::SecretCache cache;
+  std::vector<crypto::AeadKey> keys(kKeys);
+  cache.GetMany(server.secret_key, pks, crypto::OnionContext(), keys);
+  ASSERT_EQ(cache.GetStats().entries, kKeys);
+
+  crypto::SecretCache::Spread spread = cache.GetSpread();
+  // 256 keys a shard on average; twice that means some shard went unused.
+  EXPECT_LE(spread.max_shard_entries, 2 * kKeys / kShards);
+  // Under one key per bucket on average, the longest chain stays short.
+  EXPECT_LE(spread.max_bucket_entries, 12u);
+}
+
+// --- Batch DH ---------------------------------------------------------------
+
+// The secret of a low-order point is all zero whatever the hop's key, so
+// anyone can seal a layer every hop accepts: layer = point || AEAD under
+// DeriveBoxKey(0). `inner` is the onion for the rest of the chain.
+util::Bytes LowOrderLayer(const crypto::X25519PublicKey& point, uint64_t round,
+                          util::ByteSpan inner) {
+  const crypto::AeadKey key = crypto::DeriveBoxKey(crypto::X25519SharedSecret{},
+                                                   crypto::OnionContext());
+  util::Bytes sealed =
+      crypto::AeadSeal(key, crypto::NonceFromUint64(round, /*request domain=*/1), {}, inner);
+  util::Bytes layer(point.begin(), point.end());
+  layer.insert(layer.end(), sealed.begin(), sealed.end());
+  util::Bytes opened(inner.size());
+  EXPECT_TRUE(crypto::OnionOpenLayerInto(key, round, layer, opened));
+  return layer;
+}
+
+// One pass whose 64-onion blocks mix every key the batch DH meets: cached
+// static keys, fresh ephemerals, low-order points (some repeated in a
+// block), random garbage and missized items. A block's misses share 8-lane
+// ladders, so a lane that gives zero or garbage must not reach its
+// neighbours: every stage must equal the serial, uncached oracle.
+TEST(BatchDhConformance, MixedKeysMatchOracle) {
+  constexpr uint64_t kRound = 5;
+  TestChain<MixServer> production = MakeChain(/*seed=*/41, /*mu=*/6);
+  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/41, /*mu=*/6);
+  const std::vector<crypto::X25519PublicKey>& pks = production.public_keys;
+  const std::vector<crypto::X25519PublicKey> suffix(pks.begin() + 1, pks.end());
+
+  util::Xoshiro256Rng rng(43);
+  std::vector<crypto::X25519KeyPair> statics;
+  std::vector<crypto::X25519PublicKey> static_pks;
+  for (int i = 0; i < 40; ++i) {
+    statics.push_back(crypto::X25519KeyPair::Generate(rng));
+    static_pks.push_back(statics.back().public_key);
+  }
+  production.servers[0]->PrimeClientSecrets(static_pks);
+
+  crypto::X25519PublicKey order8;
+  std::memcpy(order8.data(),
+              util::HexDecode("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800")
+                  .data(),
+              order8.size());
+  const std::vector<crypto::X25519PublicKey> low_order = {
+      crypto::X25519PublicKey{}, crypto::X25519PublicKey{1}, order8};
+
+  const size_t request_size = crypto::OnionRequestSize(wire::kExchangeRequestSize, kServers);
+  std::vector<util::Bytes> batch;
+  size_t next_static = 0;
+  for (size_t i = 0; i < 200; ++i) {
+    util::Bytes payload = rng.RandomBytes(wire::kExchangeRequestSize);
+    switch (i % 5) {
+      case 0:
+      case 1:
+        if (next_static < statics.size()) {
+          std::vector<crypto::X25519KeyPair> layer_keys(kServers, statics[next_static++]);
+          batch.push_back(crypto::OnionWrapWithKeys(pks, layer_keys, kRound, payload).data);
+          break;
+        }
+        [[fallthrough]];
+      case 2:
+        batch.push_back(crypto::OnionWrap(pks, kRound, payload, rng).data);
+        break;
+      case 3:
+        batch.push_back(LowOrderLayer(low_order[(i / 5) % low_order.size()], kRound,
+                                      crypto::OnionWrap(suffix, kRound, payload, rng).data));
+        break;
+      default:
+        batch.push_back(rng.RandomBytes(i % 25 == 4 ? request_size - 1 : request_size));
+        break;
+    }
+  }
+
+  auto a = RunConversation(production, kRound, batch);
+  auto b = RunConversation(oracle, kRound, std::move(batch));
+  ExpectIdentical(a, b);
+  // 40 garbage onions, 8 of them missized, are dropped; the low-order ones
+  // pass.
+  EXPECT_EQ(a.stats[0].requests_dropped, 40u);
+  crypto::SecretCache::Stats stats = production.servers[0]->secret_cache().GetStats();
+  // The primed statics hit, and so does every repeat of a low-order point
+  // but the first in each of the four blocks.
+  EXPECT_GE(stats.hits, 40u + 40u - 4u * low_order.size());
+  EXPECT_GT(stats.misses, 40u);
 }
 
 // --- Precomputed-table DH vs the ladder --------------------------------------

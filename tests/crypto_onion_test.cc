@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "src/crypto/onion.h"
@@ -104,6 +106,13 @@ TEST(Onion, TamperedLayerRejected) {
   EXPECT_FALSE(OnionUnwrapLayer(chain.servers[0].secret_key, 1, tampered).has_value());
 }
 
+// The key a hop derives for `layer`: its DH with the layer's ephemeral key.
+AeadKey LayerKey(const X25519SecretKey& server_sk, util::ByteSpan layer) {
+  X25519PublicKey ephemeral;
+  std::memcpy(ephemeral.data(), layer.data(), ephemeral.size());
+  return DeriveBoxKey(X25519(server_sk, ephemeral), OnionContext());
+}
+
 // The mix pass peels each onion inside the buffer it arrived in: the inner
 // layer is opened over the ciphertext, after the ephemeral key.
 TEST(Onion, InPlaceUnwrapMatchesOutOfPlace) {
@@ -114,20 +123,20 @@ TEST(Onion, InPlaceUnwrapMatchesOutOfPlace) {
       WrappedOnion onion = OnionWrap(chain.public_keys, 4, rng.RandomBytes(payload), rng);
       const size_t inner_size = onion.data.size() - kOnionRequestLayerOverhead;
 
+      const AeadKey key = LayerKey(chain.servers[0].secret_key, onion.data);
+      EXPECT_EQ(key, onion.layer_keys[0]);
       Bytes out_of_place(inner_size);
-      AeadKey key_out;
-      ASSERT_TRUE(OnionUnwrapLayerInto(chain.servers[0].secret_key, nullptr, 4, onion.data,
-                                       out_of_place, key_out));
+      ASSERT_TRUE(OnionOpenLayerInto(key, 4, onion.data, out_of_place));
+      std::optional<UnwrappedLayer> reference =
+          OnionUnwrapLayer(chain.servers[0].secret_key, 4, onion.data);
+      ASSERT_TRUE(reference.has_value());
+      EXPECT_EQ(out_of_place, reference->inner);
       Bytes buffer = onion.data;
       util::MutableByteSpan in_place =
           util::MutableByteSpan(buffer).subspan(kX25519KeySize, inner_size);
-      AeadKey key_in;
-      ASSERT_TRUE(OnionUnwrapLayerInto(chain.servers[0].secret_key, nullptr, 4, buffer,
-                                       in_place, key_in));
+      ASSERT_TRUE(OnionOpenLayerInto(key, 4, buffer, in_place));
       EXPECT_EQ(Bytes(in_place.begin(), in_place.end()), out_of_place)
           << layers << " layers, payload " << payload;
-      EXPECT_EQ(key_in, key_out);
-      EXPECT_EQ(key_in, onion.layer_keys[0]);
     }
   }
 }
@@ -142,12 +151,10 @@ TEST(Onion, ForgedInPlaceUnwrapLeavesBufferUnchanged) {
     Bytes forged = onion.data;
     forged[flip] ^= 0x01;
     Bytes buffer = forged;
-    AeadKey key;
-    EXPECT_FALSE(OnionUnwrapLayerInto(
-        chain.servers[0].secret_key, nullptr, 1, buffer,
+    EXPECT_FALSE(OnionOpenLayerInto(
+        LayerKey(chain.servers[0].secret_key, buffer), 1, buffer,
         util::MutableByteSpan(buffer).subspan(kX25519KeySize,
-                                              buffer.size() - kOnionRequestLayerOverhead),
-        key))
+                                              buffer.size() - kOnionRequestLayerOverhead)))
         << "byte " << flip;
     EXPECT_EQ(buffer, forged) << "byte " << flip;
   }

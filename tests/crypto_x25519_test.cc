@@ -1,11 +1,16 @@
 // X25519 against RFC 7748 §5.2 scalar-multiplication vectors (including the
-// 1,000-iteration vector) and the §6.1 Diffie-Hellman vector.
+// 1,000-iteration vector) and the §6.1 Diffie-Hellman vector, and the batch
+// kernels behind X25519Many against that ladder.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "src/crypto/x25519.h"
+#include "src/crypto/x25519_internal.h"
+#include "src/crypto/x25519_precomp.h"
 #include "src/util/bytes.h"
 #include "src/util/random.h"
 
@@ -123,6 +128,303 @@ TEST(X25519, HighBitOfPointIsMasked) {
   X25519SecretKey s;
   rng.Fill(s);
   EXPECT_EQ(X25519(s, point), X25519(s, masked));
+}
+
+// --- Batch kernels ----------------------------------------------------------
+//
+// X25519Many must equal X25519 byte for byte, whichever kernel this CPU
+// selects, and so must the IFMA kernel called directly. Each property runs
+// once through the dispatcher and once through the IFMA kernel (skipped
+// where the CPU lacks it).
+
+using Secrets = std::vector<X25519SharedSecret>;
+using BatchKernel = Secrets (*)(const X25519SecretKey&, const std::vector<X25519PublicKey>&);
+
+Secrets ViaDispatcher(const X25519SecretKey& scalar, const std::vector<X25519PublicKey>& points) {
+  Secrets out(points.size());
+  X25519Many(scalar, points, out);
+  return out;
+}
+
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+Secrets ViaIfma(const X25519SecretKey& scalar, const std::vector<X25519PublicKey>& points) {
+  Secrets out(points.size());
+  internal::X25519ManyIfma(scalar, points.data(), out.data(), points.size());
+  return out;
+}
+#endif
+
+// The IFMA kernel, or null where this build or CPU cannot run it.
+BatchKernel IfmaKernel() {
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+  if (internal::CpuHasAvx512Ifma()) {
+    return ViaIfma;
+  }
+#endif
+  return nullptr;
+}
+
+// 2^255 - 19, little-endian.
+X25519PublicKey FieldPrime() {
+  X25519PublicKey p;
+  p.fill(0xff);
+  p[0] = 0xed;
+  p[31] = 0x7f;
+  return p;
+}
+
+// a + b mod 2^256, little-endian.
+X25519PublicKey Add256(const X25519PublicKey& a, const X25519PublicKey& b) {
+  X25519PublicKey out;
+  unsigned carry = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    unsigned sum = a[i] + b[i] + carry;
+    out[i] = static_cast<uint8_t>(sum);
+    carry = sum >> 8;
+  }
+  return out;
+}
+
+X25519PublicKey PrimeMinusOne() {
+  X25519PublicKey u = FieldPrime();
+  u[0] = 0xec;
+  return u;
+}
+
+X25519PublicKey Small(uint8_t v) {
+  X25519PublicKey u{};
+  u[0] = v;
+  return u;
+}
+
+// Runs `points` through `kernel` inside full 8-point groups (the point list
+// is padded by repeating it, so every point takes a ladder lane rather than
+// a short tail) and compares each result with the one-point ladder.
+void ExpectMatchesLadder(BatchKernel kernel, const X25519SecretKey& scalar,
+                         std::vector<X25519PublicKey> points) {
+  const size_t n = points.size();
+  for (size_t i = n; i % 8 != 0 || i < 8; ++i) {
+    points.push_back(points[i % n]);
+  }
+  Secrets batch = kernel(scalar, points);
+  ASSERT_EQ(batch.size(), points.size());
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(HexEncode(batch[i]), HexEncode(X25519(scalar, points[i])))
+        << "point " << i << " u=" << HexEncode(points[i]);
+  }
+}
+
+void CheckRfc7748Vectors(BatchKernel kernel) {
+  util::Xoshiro256Rng rng(7748);
+  auto scalar1 = FromHex<X25519SecretKey>(
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+  auto point1 = FromHex<X25519PublicKey>(
+      "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
+  auto scalar2 = FromHex<X25519SecretKey>(
+      "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
+  auto point2 = FromHex<X25519PublicKey>(
+      "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
+  // Each vector's point shares a group with seven random points.
+  std::vector<X25519PublicKey> group(8);
+  for (auto& p : group) {
+    rng.Fill(p);
+  }
+  group[3] = point1;
+  EXPECT_EQ(HexEncode(kernel(scalar1, group)[3]),
+            "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
+  group[6] = point2;
+  EXPECT_EQ(HexEncode(kernel(scalar2, group)[6]),
+            "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+
+  // The iterated vector, its point moving through every lane.
+  X25519SecretKey k = Small(9);
+  X25519PublicKey u = Small(9);
+  for (int i = 1; i <= 1000; ++i) {
+    group[i % 8] = u;
+    X25519SharedSecret result = kernel(k, group)[i % 8];
+    u = k;
+    k = result;
+    if (i == 1) {
+      EXPECT_EQ(HexEncode(k), "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(HexEncode(k), "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+// 10,000 random (scalar, point) pairs: 1,250 scalars, eight points each.
+void CheckRandomPairs(BatchKernel kernel) {
+  util::Xoshiro256Rng rng(2510);
+  for (int s = 0; s < 1250; ++s) {
+    X25519SecretKey scalar;
+    rng.Fill(scalar);
+    std::vector<X25519PublicKey> points(8);
+    for (auto& p : points) {
+      rng.Fill(p);
+    }
+    ExpectMatchesLadder(kernel, scalar, points);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// Points the decoder must treat exactly as the ladder does: the high bit
+// set, non-canonical u in [p, 2^255) with and without it, and points on the
+// twist.
+void CheckEdgePoints(BatchKernel kernel) {
+  util::Xoshiro256Rng rng(2511);
+  std::vector<X25519PublicKey> points;
+  for (int i = 0; i < 8; ++i) {
+    X25519PublicKey p = X25519KeyPair::Generate(rng).public_key;
+    p[31] |= 0x80;
+    points.push_back(p);
+  }
+  for (uint8_t i = 0; i < 19; ++i) {
+    X25519PublicKey u = Add256(FieldPrime(), Small(i));  // p + i < 2^255
+    points.push_back(u);
+    u[31] |= 0x80;
+    points.push_back(u);
+  }
+  points.push_back(Add256(FieldPrime(), Small(19)));  // 2^255: the masked 0
+  size_t twist = 0;
+  while (twist < 16) {
+    X25519PublicKey u;
+    rng.Fill(u);
+    u[31] &= 0x7f;
+    if (!X25519Precomp::Create(u)) {  // no curve point has this u
+      points.push_back(u);
+      ++twist;
+    }
+  }
+  for (int s = 0; s < 4; ++s) {
+    X25519SecretKey scalar;
+    rng.Fill(scalar);
+    ExpectMatchesLadder(kernel, scalar, points);
+  }
+}
+
+// Every low-order u (0, 1, p - 1 and the two order-8 points) and each plus
+// p, as a 256-bit string. The low-order ones give the all-zero secret in
+// their own lane, whatever their neighbours hold.
+void CheckLowOrderPoints(BatchKernel kernel) {
+  const std::vector<X25519PublicKey> low_order = {
+      Small(0),
+      Small(1),
+      PrimeMinusOne(),
+      FromHex<X25519PublicKey>(
+          "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+      FromHex<X25519PublicKey>(
+          "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+  };
+  std::vector<X25519PublicKey> points = low_order;
+  for (const X25519PublicKey& u : low_order) {
+    points.push_back(Add256(u, FieldPrime()));
+  }
+  util::Xoshiro256Rng rng(2512);
+  for (int s = 0; s < 4; ++s) {
+    X25519SecretKey scalar;
+    rng.Fill(scalar);
+    ExpectMatchesLadder(kernel, scalar, points);
+    // Mixed with random points, so zero and nonzero lanes share ladders.
+    std::vector<X25519PublicKey> mixed;
+    for (const X25519PublicKey& u : low_order) {
+      mixed.push_back(u);
+      X25519PublicKey r;
+      rng.Fill(r);
+      mixed.push_back(r);
+    }
+    Secrets out = kernel(scalar, mixed);
+    for (size_t i = 0; i < mixed.size(); ++i) {
+      EXPECT_EQ(out[i], X25519(scalar, mixed[i])) << "point " << i;
+      if (i % 2 == 0) {
+        EXPECT_EQ(out[i], X25519SharedSecret{}) << "low-order point " << i / 2;
+      }
+    }
+  }
+}
+
+// Every batch length from 0 to 17, and 64, with repeated points, straight
+// through the kernel: whole groups, padded tails and ladder tails.
+void CheckBatchLengths(BatchKernel kernel) {
+  util::Xoshiro256Rng rng(2513);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 17; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(64);
+  for (size_t n : lengths) {
+    X25519SecretKey scalar;
+    rng.Fill(scalar);
+    std::vector<X25519PublicKey> points(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (i % 3 == 2) {
+        points[i] = points[rng.UniformUint64(i)];
+      } else {
+        rng.Fill(points[i]);
+      }
+    }
+    Secrets out = kernel(scalar, points);
+    ASSERT_EQ(out.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], X25519(scalar, points[i])) << "length " << n << ", point " << i;
+    }
+  }
+}
+
+TEST(X25519Kernels, SelectedLanesFollowCpu) {
+  EXPECT_EQ(X25519ManyLanes(), internal::CpuHasAvx512Ifma() ? 8u : 1u);
+}
+
+TEST(X25519Kernels, ManyRejectsMismatchedOutput) {
+  std::vector<X25519PublicKey> points(3);
+  Secrets out(2);
+  EXPECT_THROW(X25519Many(X25519SecretKey{}, points, out), std::invalid_argument);
+}
+
+TEST(X25519Kernels, DispatcherMatchesRfc7748Vectors) { CheckRfc7748Vectors(ViaDispatcher); }
+TEST(X25519Kernels, DispatcherMatchesLadderOnRandomPairs) { CheckRandomPairs(ViaDispatcher); }
+TEST(X25519Kernels, DispatcherMatchesLadderOnEdgePoints) { CheckEdgePoints(ViaDispatcher); }
+TEST(X25519Kernels, DispatcherMatchesLadderOnLowOrderPoints) {
+  CheckLowOrderPoints(ViaDispatcher);
+}
+TEST(X25519Kernels, DispatcherMatchesLadderOnEveryBatchLength) {
+  CheckBatchLengths(ViaDispatcher);
+}
+
+TEST(X25519Kernels, IfmaMatchesRfc7748Vectors) {
+  BatchKernel kernel = IfmaKernel();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
+  }
+  CheckRfc7748Vectors(kernel);
+}
+TEST(X25519Kernels, IfmaMatchesLadderOnRandomPairs) {
+  BatchKernel kernel = IfmaKernel();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
+  }
+  CheckRandomPairs(kernel);
+}
+TEST(X25519Kernels, IfmaMatchesLadderOnEdgePoints) {
+  BatchKernel kernel = IfmaKernel();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
+  }
+  CheckEdgePoints(kernel);
+}
+TEST(X25519Kernels, IfmaMatchesLadderOnLowOrderPoints) {
+  BatchKernel kernel = IfmaKernel();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
+  }
+  CheckLowOrderPoints(kernel);
+}
+TEST(X25519Kernels, IfmaMatchesLadderOnEveryBatchLength) {
+  BatchKernel kernel = IfmaKernel();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
+  }
+  CheckBatchLengths(kernel);
 }
 
 }  // namespace

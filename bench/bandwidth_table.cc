@@ -28,7 +28,8 @@ using namespace vuvuzela;
 // `users` clients, with the coordd→hop0 link behind a sim::WireTap.
 // Conversation up/down bytes per client come off the tapped wire
 // (frame-attributed, so only the conversation passes count); the dialing
-// download is what the fleet's bucket fetches carried, per fetch — the same
+// download is what the fleet's client::DialingFetchers took off the wire
+// from the dist shards, chunk framing included, per fetch — the same
 // accounting §8.3 quotes per client.
 static void MeasuredPerClientRow() {
   const uint64_t users = bench::FullScale() ? 200 : 24;
@@ -67,13 +68,14 @@ static void MeasuredPerClientRow() {
   config.total_rounds = rounds;
   config.admission_window_seconds = 1.0;  // closes as soon as every client submitted
   config.num_clients = users;
-  transport::CoordinatorDaemon coordinator(std::move(config));
+  transport::CoordinatorDaemon coordinator(config);
   if (!coordinator.Start()) {
     std::printf("    (skipped: coordinator failed to start)\n");
     return;
   }
   sim::ClientFleetConfig fleet_config;
   fleet_config.coordinator.port = coordinator.client_port();
+  fleet_config.dist = config.dist;
   fleet_config.chain = chain->public_keys();
   fleet_config.users = users;
   auto fleet = std::async(std::launch::async, sim::RunClientFleet, fleet_config);
@@ -99,7 +101,7 @@ static void MeasuredPerClientRow() {
   double down_per_client = denom > 0 ? static_cast<double>(down_bytes) / denom : 0.0;
 
   // A client's dialing download: one whole bucket per dialing round, the
-  // mean over every fetch the fleet made through coordd.
+  // mean over every fetch the fleet made from the dist shards.
   double dial_bytes_per_client =
       fleet_result && fleet_result->dialing_fetches > 0
           ? static_cast<double>(fleet_result->dialing_fetch_bytes) /

@@ -8,10 +8,10 @@
 //  * FRONTDOOR — a fleet of forked server processes, each running the same
 //    transport::FrontDoor the coordinator's client edge runs, absorbs a
 //    synchronized admission storm: every synthetic client opens a
-//    connection, submits one onion, and — on the *same* connection,
-//    exercising the frame-type multiplexing — downloads an invitation
-//    bucket. All connections are held open until every client in the fleet
-//    has finished, so the reported connection count is truly concurrent.
+//    connection and submits one onion. All connections are held open until
+//    every client in the fleet has been acked, so the reported connection
+//    count is truly concurrent. Clients download invitation buckets from
+//    distd, never through the front door; the next section measures that.
 //    At VUVUZELA_BENCH_SCALE=full the fleet holds 100K+ connections (the
 //    per-process fd ceiling forces the fleet shape: ~13K clients per server
 //    process and per driver process).
@@ -120,23 +120,16 @@ struct DriverPipes {
 // --- the front-door server process ------------------------------------------
 
 // What the coordinator's client edge does per frame, minus the round engine:
-// admission ops ack immediately, bucket fetches answer from a canned table.
-// Runs the identical FrontDoor class coordd runs, so the reactor path, the
-// fetch-worker offload, and the multiplexing are the production code paths.
+// admission ops ack immediately. Runs the identical FrontDoor class coordd
+// runs, so the reactor path is the production code path.
 class BenchDoor {
  public:
   static std::unique_ptr<BenchDoor> Create() {
     auto door = std::make_unique<BenchDoor>();
-    util::Xoshiro256Rng rng(4242);
-    door->bucket_.resize(kInvitationsPerDrop * wire::kInvitationSize);
-    rng.Fill(door->bucket_);
     transport::FrontDoorConfig config;
     transport::FrontDoorHandlers handlers;
     handlers.on_frame = [d = door.get()](size_t client, net::Frame&& frame) {
       d->OnFrame(client, std::move(frame));
-    };
-    handlers.on_fetch = [d = door.get()](size_t, uint64_t round, util::Bytes) {
-      return net::Frame{net::FrameType::kInvitationDrop, round, d->bucket_};
     };
     door->door_ = transport::FrontDoor::Create(config, std::move(handlers));
     if (door->door_ == nullptr) {
@@ -187,7 +180,6 @@ class BenchDoor {
   }
 
   std::unique_ptr<transport::FrontDoor> door_;
-  util::Bytes bucket_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
@@ -214,33 +206,19 @@ struct ClientState {
 int RunFrontDoorDriver(uint16_t port, size_t conns, int results_fd, int go_fd) {
   DriverResult result;
   std::unordered_map<net::EventLoop::ConnId, ClientState> states;
-  size_t completed = 0;
 
   net::EventLoop* loop_ptr = nullptr;
   net::EventLoop::Handlers handlers;
   handlers.on_frame = [&](net::EventLoop::ConnId id, net::Frame&& frame) {
     auto it = states.find(id);
-    if (it == states.end()) {
+    if (it == states.end() || it->second.acked ||
+        frame.type != net::FrameType::kConversationResponse) {
       return;
     }
-    ClientState& state = it->second;
-    double ms = SecondsSince(state.sent_at) * 1e3;
-    if (frame.type == net::FrameType::kConversationResponse && !state.acked) {
-      state.acked = true;
-      result.submit_ms.push_back(ms);
-      // Multiplex: the bucket download rides the same connection the onion
-      // was admitted on, while other clients' admissions are still in flight.
-      state.sent_at = std::chrono::steady_clock::now();
-      util::Bytes index(4, 0);
-      loop_ptr->Send(id, net::Frame{net::FrameType::kInvitationFetch, kRound, index});
-      return;
-    }
-    if (frame.type == net::FrameType::kInvitationDrop && state.acked) {
-      result.fetch_ms.push_back(ms);
-      completed += 1;
-      if (completed == states.size()) {
-        loop_ptr->Stop();
-      }
+    it->second.acked = true;
+    result.submit_ms.push_back(SecondsSince(it->second.sent_at) * 1e3);
+    if (result.submit_ms.size() == states.size()) {
+      loop_ptr->Stop();
     }
   };
   handlers.on_close = [&](net::EventLoop::ConnId id) { states.erase(id); };
@@ -465,8 +443,7 @@ bool CollectDrivers(const std::vector<DriverPipes>& drivers, std::vector<double>
 
 void RunFrontDoorSection(uint32_t num_servers, size_t conns_per_server) {
   std::printf("\n  FRONTDOOR: admission storm against %u FrontDoor server processes\n"
-              "  (%zu clients each; every client submits one %zu-byte onion and downloads\n"
-              "  one invitation bucket on the same multiplexed connection):\n",
+              "  (%zu clients each; every client submits one %zu-byte onion):\n",
               num_servers, conns_per_server, kOnionBytes);
 
   auto servers = bench::SpawnForkedFleet(
@@ -482,10 +459,10 @@ void RunFrontDoorSection(uint32_t num_servers, size_t conns_per_server) {
   });
 
   std::vector<double> submit_ms;
-  std::vector<double> fetch_ms;
+  std::vector<double> unused;
   size_t connections = 0;
   bool ok = drivers.size() == servers.size() &&
-            CollectDrivers(drivers, &submit_ms, &fetch_ms, &connections);
+            CollectDrivers(drivers, &submit_ms, &unused, &connections);
   double storm_seconds = SecondsSince(storm_start);
 
   // Orderly teardown: a control connection tells each server to stop.
@@ -507,23 +484,16 @@ void RunFrontDoorSection(uint32_t num_servers, size_t conns_per_server) {
 
   double submit_p50 = bench::Percentile(submit_ms, 50);
   double submit_p99 = bench::Percentile(submit_ms, 99);
-  double fetch_p50 = bench::Percentile(fetch_ms, 50);
-  double fetch_p99 = bench::Percentile(fetch_ms, 99);
-  std::printf("  %-24s %-12s %-12s %-12s %-12s\n", "concurrent connections", "submit p50",
-              "submit p99", "fetch p50", "fetch p99");
-  std::printf("  %-24s %-12s %-12s %-12s %-12s\n", bench::Human(connections).c_str(),
+  std::printf("  %-24s %-12s %-12s\n", "concurrent connections", "submit p50", "submit p99");
+  std::printf("  %-24s %-12s %-12s\n", bench::Human(connections).c_str(),
               (std::to_string(submit_p50).substr(0, 6) + " ms").c_str(),
-              (std::to_string(submit_p99).substr(0, 6) + " ms").c_str(),
-              (std::to_string(fetch_p50).substr(0, 6) + " ms").c_str(),
-              (std::to_string(fetch_p99).substr(0, 6) + " ms").c_str());
+              (std::to_string(submit_p99).substr(0, 6) + " ms").c_str());
   std::printf("  storm wall time %.2fs, %s admissions/sec\n", storm_seconds,
               bench::Human(submit_ms.size() / storm_seconds).c_str());
   bench::EmitJson("fig12_frontdoor", {{"connections", static_cast<double>(connections)},
                                       {"servers", static_cast<double>(num_servers)},
                                       {"submit_p50_ms", submit_p50},
                                       {"submit_p99_ms", submit_p99},
-                                      {"fetch_p50_ms", fetch_p50},
-                                      {"fetch_p99_ms", fetch_p99},
                                       {"admissions_per_sec", submit_ms.size() / storm_seconds}});
   std::printf("  One reactor thread per server process serves its whole cohort; p99 is\n"
               "  bounded by the storm drain (every submission is already queued when the\n"

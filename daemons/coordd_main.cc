@@ -23,8 +23,9 @@ using namespace vuvuzela;
 
 namespace {
 
-// The noise vuvuzela-hopd adds for --mu M: the privacy-budget accountant
-// (§6) must charge exactly what the deployment adds.
+// The Laplace parameters vuvuzela-hopd derives from --mu M, which the
+// privacy-budget accountant (§6) charges. The hops add a fixed µ instead of
+// sampling them, so the charge is not a guarantee (see the usage text).
 noise::LaplaceParams HopNoise(double mu) { return {mu, mu / 20.0 + 1.0}; }
 
 void Usage(const char* argv0) {
@@ -39,12 +40,15 @@ void Usage(const char* argv0) {
                "bounds submission attempts per round (a crashed round is re-submitted\n"
                "before the next announcement; 1 disables).\n"
                "--dist publishes each dialing round's invitation table to those\n"
-               "vuvuzela-distd shards (omitted: in-process distribution). Every backend\n"
-               "retains K+4 published rounds, so a table cannot expire before its\n"
-               "downloads run; size the shards' --max-rounds to at least K+4.\n"
+               "vuvuzela-distd shards, which clients download their buckets from\n"
+               "(omitted: tables are not published). coordd keeps K+4 published rounds\n"
+               "routable; size the shards' --max-rounds to at least K+4.\n"
                "--epsilon-budget E arms the privacy-budget accountant: rounds whose\n"
                "composed (Theorem 2) bound would exceed (E, --delta-budget) are refused\n"
                "before announcement. --mu/--dial-mu must match the hop daemons' flags.\n"
+               "The charge is Theorem 1's bound for Laplace(mu, mu/20+1) noise, but\n"
+               "vuvuzela-hopd adds a fixed mu cover messages per pass, for which no\n"
+               "(eps, delta) guarantee holds: the spend is what sampling hops would spend.\n"
                "Noise and budget values must be finite and non-negative.\n",
                argv0);
 }
@@ -170,12 +174,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.rounds_retried),
               static_cast<unsigned long long>(result.messages_exchanged), result.wall_seconds,
               result.wall_seconds > 0 ? result.messages_exchanged / result.wall_seconds : 0.0);
-  std::printf("vuvuzela-coordd: dialing downloads: %llu bucket fetches served over %llu "
-              "dialing rounds, %llu bytes (%s)\n",
-              static_cast<unsigned long long>(result.dialing_fetches),
-              static_cast<unsigned long long>(result.dialing_rounds_completed),
-              static_cast<unsigned long long>(result.dialing_fetch_bytes),
-              config.dist.empty() ? "in-process distributor" : "sharded vuvuzela-distd fleet");
   if (config.budget.epsilon_budget > 0.0) {
     std::printf("vuvuzela-coordd: privacy budget: eps_spent=%.4f/%.4f "
                 "delta_spent=%.3g/%.3g, %llu rounds refused\n",

@@ -67,7 +67,10 @@ void Usage(const char* argv0) {
                "shared-seed test ceremony and needs --position/--servers.\n"
                "--exchange partitions the last hop's dead-drop exchange across\n"
                "vuvuzela-exchanged shard servers (endpoint i serves shard i).\n"
-               "--mu/--dial-mu must be finite and non-negative (0 adds no cover traffic).\n",
+               "--mu/--dial-mu must be finite and non-negative (0 adds no cover traffic).\n"
+               "Cover traffic is deterministic (the paper's evaluation mode): every pass\n"
+               "adds exactly mu (rounded) cover messages, not a Laplace sample, so this\n"
+               "hop gives no differential-privacy guarantee.\n",
                argv0);
 }
 
@@ -192,6 +195,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Deterministic noise: a fixed µ per pass, not a Laplace sample (see the
+  // usage text).
   mixnet::ChainConfig chain_config;
   chain_config.num_servers = flags.servers;
   chain_config.conversation_noise = {.params = {flags.mu, flags.mu / 20.0 + 1.0},

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/deaddrop/invitation_table.h"
+#include "src/transport/dist_router.h"
 #include "src/obs/registry.h"
 
 namespace vuvuzela::client {
@@ -27,37 +27,21 @@ std::vector<wire::Invitation> DialingFetcher::FetchBucket(uint64_t round, uint32
   if (num_drops == 0) {
     throw std::invalid_argument("DialingFetcher: num_drops must be positive");
   }
-  drop_index %= num_drops;
-  size_t shard_index = deaddrop::ShardOfInvitationDrop(drop_index, num_drops, shards_.size());
-  transport::PeerLink& shard = *shards_[shard_index];
-
-  transport::InvitationFetchHeader header{static_cast<uint32_t>(shard_index),
-                                          static_cast<uint32_t>(shards_.size()), num_drops,
-                                          drop_index};
-  // Call connects lazily (first fetch, or a reconnect after a poisoned RPC)
-  // and closes the link on every failure it throws except a remote error
-  // report such as an expired round.
-  transport::BatchMessage message =
-      shard.Call(net::FrameType::kInvitationFetch, round,
-                 transport::EncodeInvitationFetchHeader(header), {});
-
-  auto bucket = transport::DecodeInvitationItems(message.items);
-  if (!bucket) {
-    shard.Fail("ragged invitation in bucket");  // garbage stream; poison it
-  }
+  transport::FetchedBucket bucket =
+      transport::FetchInvitationBucket(shards_, round, drop_index, num_drops);
   // §8.3 client bandwidth: charge what actually crossed the wire — every
   // chunk's framing included — not just the invitation payloads, which
   // undercount by the per-frame overhead.
-  bytes_fetched_ += message.wire_bytes;
+  bytes_fetched_ += bucket.wire_bytes;
   ++buckets_fetched_;
   static obs::Counter* fetch_bytes = obs::Registry::Global().GetCounter(
       "vuvuzela_client_fetch_bytes_total",
       "On-the-wire bytes of bucket downloads, framing included");
   static obs::Counter* fetch_buckets = obs::Registry::Global().GetCounter(
       "vuvuzela_client_buckets_fetched_total", "Invitation buckets downloaded by clients");
-  fetch_bytes->Add(message.wire_bytes);
+  fetch_bytes->Add(bucket.wire_bytes);
   fetch_buckets->Add();
-  return std::move(*bucket);
+  return std::move(bucket.invitations);
 }
 
 size_t DialingFetcher::FetchFor(VuvuzelaClient& client, uint64_t round,

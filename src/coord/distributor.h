@@ -5,19 +5,21 @@
 // The authors did not implement it; we provide the seam they describe:
 //
 //  * DistributionBackend is the interface the round engine publishes each
-//    dialing round's invitation table through and clients download buckets
-//    from. Downloads are *bucketed*: a client always fetches its entire drop
+//    dialing round's invitation table through. Downloads are *bucketed*: a client always fetches its entire drop
 //    (H(pk) mod m), never a per-user query, so the download side of dialing
 //    looks identical for every client (the Bahramali et al. traffic-analysis
 //    point: per-user fetch patterns would be as linkable as the deposits the
 //    mixnet just protected).
 //  * InvitationDistributor is the in-process backend — the seed behavior —
 //    serving published drops and accounting the bytes each download costs,
-//    which is what the §8.3 client-bandwidth numbers need.
-//  * transport::DistRouter is the sharded backend: it slices each table
-//    across vuvuzela-distd shard daemons by contiguous bucket range and
-//    routes fetches to the owning shard (the CDN fan-out tier, scaled
-//    horizontally like the exchange partitions).
+//    which is what the §8.3 client-bandwidth numbers need. The in-process
+//    deployments (sim::Deployment, the tests) use it.
+//  * transport::DistRouter is the sharded backend coordd runs: it slices
+//    each table across vuvuzela-distd shard daemons by contiguous bucket
+//    range (the CDN fan-out tier, scaled horizontally like the exchange
+//    partitions). Deployed clients download their buckets from those
+//    shards themselves (client::DialingFetcher), over the same RPC as
+//    DistRouter::Fetch; coordd serves no downloads.
 //
 // Two backends fed the same published tables serve byte-identical buckets;
 // the conformance suite in tests/dist_test.cc pins that down.
@@ -37,7 +39,7 @@ namespace vuvuzela::coord {
 
 // Where published invitation tables live and how clients download them.
 // Implementations must be safe to call from multiple threads: the engine's
-// Distribute stage publishes while client reader threads fetch.
+// Distribute stage publishes while downloaders fetch.
 class DistributionBackend {
  public:
   virtual ~DistributionBackend() = default;
@@ -64,8 +66,8 @@ class DistributionBackend {
 };
 
 // In-process backend: the whole table lives in this process's memory and
-// buckets are served by copy. The seed behavior, used by tests, the sim
-// deployment, and single-process coordinator runs.
+// buckets are served by copy. The seed behavior, used by tests and the sim
+// deployment.
 class InvitationDistributor final : public DistributionBackend {
  public:
   void Publish(uint64_t round, deaddrop::InvitationTable table) override;

@@ -75,7 +75,6 @@ void RoundPolicy::ClientDisconnected(size_t client) {
     const std::vector<uint8_t>& slots = dedup_.at(window_->round);
     window_->waiting -= client < slots.size() && !slots[client] ? 1 : 0;
   }
-  std::erase_if(owed_fetches_, [client](const auto& owed) { return owed.second == client; });
 }
 
 std::optional<Attempt> RoundPolicy::CloseAdmission(PolicyTime now) {
@@ -129,15 +128,6 @@ Settlement RoundPolicy::Finish(uint64_t round, bool succeeded, PolicyTime now) {
   }
   settlement.kind = succeeded ? Settlement::Kind::kDeliver : Settlement::Kind::kAbandon;
   settlement.contributors = std::move(finished.contributors);
-  if (succeeded && finished.announcement.type == wire::RoundType::kDialing) {
-    // Owed before the acks go out, so a fetch sent right after its ack
-    // settles; tables past the distribution keep are gone.
-    std::erase_if(owed_fetches_,
-                  [&](const auto& owed) { return owed.first + dist_keep() <= round; });
-    for (size_t client : settlement.contributors) {
-      owed_fetches_.insert({round, client});
-    }
-  }
   rounds_.erase(it);  // terminal: the bank is released
   return settlement;
 }
@@ -164,18 +154,6 @@ std::optional<Attempt> RoundPolicy::TakeDueRetry(PolicyTime now) {
 std::optional<PolicyTime> RoundPolicy::NextRetry() const {
   const Round* soonest = SoonestRetry();
   return soonest ? std::optional(soonest->not_before) : std::nullopt;
-}
-
-bool RoundPolicy::BucketDead(uint64_t round, uint32_t bucket) const {
-  auto it = dead_buckets_.find(round);
-  return it != dead_buckets_.end() && it->second.contains(bucket);
-}
-
-void RoundPolicy::MarkBucketDead(uint64_t round, uint32_t bucket) {
-  dead_buckets_[round].insert(bucket);
-  while (dead_buckets_.size() > kDeadBucketRounds) {
-    dead_buckets_.erase(dead_buckets_.begin());
-  }
 }
 
 size_t RoundPolicy::banked_onions() const {

@@ -2,9 +2,8 @@
 // server and entry-server roles make. What to announce, behind the
 // privacy-budget gate (§6.4); what the admission window admits and when it
 // closes; the per-round dedup records; the banked onions, retries and
-// abandonment of failed rounds; the K+2 bound on rounds awaiting
-// collection; and the bucket fetches owed for delivered dialing rounds.
-// transport::CoordinatorDaemon is the I/O shell that carries them out.
+// abandonment of failed rounds; and the K+2 bound on rounds awaiting
+// collection. transport::CoordinatorDaemon is the I/O shell that carries them out.
 //
 // It owns no threads, sockets, locks or clock: `now` is always an argument,
 // so its tests drive it on a fake clock. The daemon guards it with one mutex.
@@ -17,7 +16,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "src/coord/coordinator.h"
@@ -73,7 +71,6 @@ class RoundPolicy {
   // Spaces a round's re-submissions, so a round failing fast while a hop's
   // dependency restarts cannot burn its whole attempt budget in one outage.
   static constexpr std::chrono::milliseconds kRetryBackoff{100};
-  static constexpr size_t kDeadBucketRounds = 8;
 
   // Throws std::invalid_argument if an armed budget is degenerate.
   explicit RoundPolicy(RoundPolicyConfig config);
@@ -85,7 +82,7 @@ class RoundPolicy {
   // True if the onion enters the open window's batch: its round and type, the
   // chain's onion size, and one per client. A refused frame takes no slot.
   bool Admit(size_t client, wire::RoundType type, uint64_t round, util::Bytes onion);
-  // The client no longer holds the window open and owes no bucket fetch.
+  // The client no longer holds the window open.
   void ClientDisconnected(size_t client);
   // The window's first attempt, once its deadline has passed or every
   // connected client with a slot has contributed.
@@ -103,11 +100,6 @@ class RoundPolicy {
   // Every schedule entry was refused or reached a terminal state.
   bool Done() const { return scheduled_ == config_.total_rounds && rounds_.empty(); }
 
-  // A delivered dialing round owes each contributor's bucket fetch until the
-  // client fetches or hangs up.
-  void FetchServed(uint64_t round, size_t client) { owed_fetches_.erase({round, client}); }
-  bool BucketDead(uint64_t round, uint32_t bucket) const;
-  void MarkBucketDead(uint64_t round, uint32_t bucket);
   // Publications each distribution backend keeps: above the K+2 rounds
   // awaiting collection and the one being collected.
   size_t dist_keep() const { return config_.max_in_flight + 4; }
@@ -116,7 +108,6 @@ class RoundPolicy {
   size_t pending_rounds() const { return Count(State::kSubmitted); }  // awaiting collection
   size_t retry_depth() const { return Count(State::kRetrying); }  // awaiting re-submission
   size_t dedup_rounds() const { return dedup_.size(); }
-  size_t owed_fetches() const { return owed_fetches_.size(); }
 
  private:
   enum class State { kAdmitting, kSubmitted, kCollecting, kRetrying };
@@ -155,8 +146,6 @@ class RoundPolicy {
   // responses, and abandoned rounds must not pin memory.
   std::map<uint64_t, std::vector<uint8_t>> dedup_;
   std::set<size_t> disconnected_;
-  std::set<std::pair<uint64_t, size_t>> owed_fetches_;  // (round, client)
-  std::map<uint64_t, std::set<uint32_t>> dead_buckets_;
 };
 
 }  // namespace vuvuzela::coord

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <stdexcept>
 
 #include "src/util/random.h"
@@ -64,7 +65,7 @@ SecretCache::SecretCache(size_t max_entries)
 AeadKey SecretCache::Get(const X25519SecretKey& server_sk, const X25519PublicKey& client_pk,
                          util::ByteSpan context) {
   AeadKey key{};
-  GetBlock(server_sk, {&client_pk, 1}, context, {&key, 1});
+  GetMany(server_sk, {&client_pk, 1}, context, {&key, 1});
   return key;
 }
 
@@ -74,25 +75,24 @@ void SecretCache::GetMany(const X25519SecretKey& server_sk,
   if (keys.size() != client_pks.size()) {
     throw std::invalid_argument("SecretCache::GetMany: key and output counts differ");
   }
-  for (size_t begin = 0; begin < client_pks.size(); begin += kGetManyBlock) {
-    const size_t n = std::min(kGetManyBlock, client_pks.size() - begin);
-    GetBlock(server_sk, client_pks.subspan(begin, n), context, keys.subspan(begin, n));
+  uint8_t keep[kBlock];
+  std::fill(std::begin(keep), std::end(keep), 1);
+  for (size_t begin = 0; begin < client_pks.size(); begin += kBlock) {
+    const size_t n = std::min(kBlock, client_pks.size() - begin);
+    Misses misses;
+    Lookup(server_sk, client_pks.subspan(begin, n), context, keys.subspan(begin, n), misses);
+    Commit(misses, {keep, n});
   }
 }
 
-void SecretCache::GetBlock(const X25519SecretKey& server_sk,
-                           std::span<const X25519PublicKey> client_pks, util::ByteSpan context,
-                           std::span<AeadKey> keys) {
-  // The distinct keys that missed with their hashes, and for each key the
-  // miss it takes its derived key from (kHit if the cache answered it).
-  constexpr uint8_t kHit = 0xff;
-  static_assert(kGetManyBlock < kHit, "miss indices fit below kHit");
-  X25519PublicKey miss_pks[kGetManyBlock]{};
-  size_t miss_hashes[kGetManyBlock]{};
-  uint8_t from_miss[kGetManyBlock]{};
-  size_t misses = 0;
+void SecretCache::Lookup(const X25519SecretKey& server_sk,
+                         std::span<const X25519PublicKey> client_pks, util::ByteSpan context,
+                         std::span<AeadKey> keys, Misses& misses) {
+  if (keys.size() != client_pks.size() || client_pks.size() > kBlock) {
+    throw std::invalid_argument("SecretCache::Lookup: mismatched or oversized block");
+  }
+  misses.count = 0;
   uint64_t hits = 0;
-
   for (size_t i = 0; i < client_pks.size(); ++i) {
     const X25519PublicKey& pk = client_pks[i];
     const size_t hash = hash_(pk);
@@ -102,7 +102,7 @@ void SecretCache::GetBlock(const X25519SecretKey& server_sk,
       auto it = shard.current.find(pk);
       if (it != shard.current.end()) {
         keys[i] = it->second;
-        from_miss[i] = kHit;
+        misses.of[i] = kHit;
         ++hits;
         continue;
       }
@@ -111,7 +111,7 @@ void SecretCache::GetBlock(const X25519SecretKey& server_sk,
         // Presented again: the node moves into the current generation
         // without reallocating.
         keys[i] = shard.current.insert(shard.previous.extract(prev)).position->second;
-        from_miss[i] = kHit;
+        misses.of[i] = kHit;
         ++hits;
         continue;
       }
@@ -119,43 +119,61 @@ void SecretCache::GetBlock(const X25519SecretKey& server_sk,
     // A key already missed in this block is a hit, as it would be for a
     // second Get once the first had inserted it.
     size_t j = 0;
-    while (j < misses && !(miss_hashes[j] == hash && miss_pks[j] == pk)) {
+    while (j < misses.count && !(misses.hashes[j] == hash && misses.pks[j] == pk)) {
       ++j;
     }
-    if (j < misses) {
+    if (j < misses.count) {
       ++hits;
     } else {
-      miss_pks[misses] = pk;
-      miss_hashes[misses] = hash;
-      ++misses;
+      misses.pks[j] = pk;
+      misses.hashes[j] = hash;
+      ++misses.count;
     }
-    from_miss[i] = static_cast<uint8_t>(j);
+    misses.of[i] = static_cast<uint8_t>(j);
   }
   hits_.fetch_add(hits, std::memory_order_relaxed);
-  if (misses == 0) {
+  if (misses.count == 0) {
     return;
   }
 
   // The expensive DH + HKDF, outside every lock. Two threads racing on the
   // same new client derive the same key twice and one insert wins — wasted
   // work, never a wrong answer.
-  misses_.fetch_add(misses, std::memory_order_relaxed);
-  X25519SharedSecret shared[kGetManyBlock]{};
+  misses_.fetch_add(misses.count, std::memory_order_relaxed);
+  X25519SharedSecret shared[kBlock]{};
   const auto dh_start = std::chrono::steady_clock::now();
-  X25519Many(server_sk, {miss_pks, misses}, {shared, misses});
+  X25519Many(server_sk, {misses.pks, misses.count}, {shared, misses.count});
   miss_dh_nanos_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                std::chrono::steady_clock::now() - dh_start)
                                .count(),
                            std::memory_order_relaxed);
-  AeadKey derived[kGetManyBlock]{};
-  for (size_t j = 0; j < misses; ++j) {
-    derived[j] = DeriveBoxKey(shared[j], context);
+  for (size_t j = 0; j < misses.count; ++j) {
+    misses.keys[j] = DeriveBoxKey(shared[j], context);
   }
+  for (size_t i = 0; i < client_pks.size(); ++i) {
+    if (misses.of[i] != kHit) {
+      keys[i] = misses.keys[misses.of[i]];
+    }
+  }
+}
 
-  for (size_t j = 0; j < misses; ++j) {
-    Shard& shard = ShardFor(miss_hashes[j]);
+void SecretCache::Commit(const Misses& misses, std::span<const uint8_t> keep) {
+  if (keep.size() > kBlock) {
+    throw std::invalid_argument("SecretCache::Commit: oversized block");
+  }
+  bool kept[kBlock]{};
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i] != 0 && misses.of[i] != kHit) {
+      kept[misses.of[i]] = true;
+    }
+  }
+  for (size_t j = 0; j < misses.count; ++j) {
+    if (!kept[j]) {
+      continue;
+    }
+    Shard& shard = ShardFor(misses.hashes[j]);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.current.contains(miss_pks[j])) {
+    if (shard.current.contains(misses.pks[j])) {
       continue;
     }
     if (entries_.load(std::memory_order_relaxed) >= max_entries_) {
@@ -166,13 +184,8 @@ void SecretCache::GetBlock(const X25519SecretKey& server_sk,
         evictions_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    shard.current.emplace(miss_pks[j], derived[j]);
+    shard.current.emplace(misses.pks[j], misses.keys[j]);
     entries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  for (size_t i = 0; i < client_pks.size(); ++i) {
-    if (from_miss[i] != kHit) {
-      keys[i] = derived[from_miss[i]];
-    }
   }
 }
 

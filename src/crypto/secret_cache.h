@@ -34,20 +34,24 @@
 // serve exactly one (server secret key, HKDF context) pair. Use a separate
 // cache per context if you ever need two.
 //
-// Batches: GetMany answers a block of lookups at once (the mix pass hands it
-// each 64-onion block's ephemeral keys). Hits are answered one by one as Get
-// answers them; the block's misses are derived together, through X25519Many,
-// so on an IFMA CPU eight fresh keys share one ladder.
+// Batches: Lookup answers a block of up to kBlock lookups at once (the mix
+// pass hands it each 64-onion block's ephemeral keys). Hits are answered one
+// by one as Get answers them; the block's misses are derived together,
+// through X25519Many, so on an IFMA CPU eight fresh keys share one ladder.
+// Lookup caches nothing: Commit then caches the misses the caller vouches
+// for. The mix pass commits only the keys whose onion's AEAD tag verified,
+// so a flood of forged fresh-key onions costs their DH but cannot evict the
+// resident keys of static clients. Get and GetMany commit every key.
 //
 // Hashing: the shard and the bucket of a key come from SipHash-2-4 over all
 // 32 bytes under a key drawn from the OS at construction. Client keys are
-// attacker-chosen and enter the cache before their onion's tag is checked,
-// so a hash of fixed key bytes would let hostile clients pile one pass's
-// onions into a single bucket under a single shard lock.
+// attacker-chosen, and a lookup hashes its key before any onion tag is
+// checked, so a hash of fixed key bytes would let hostile clients pile one
+// pass's lookups into a single bucket under a single shard lock.
 //
 // Threading/ownership: internally sharded (16 shards, one mutex each);
-// Get/GetMany/Advance/Invalidate/GetStats are safe from any number of
-// threads concurrently, including the mix pass's ParallelForBlocks workers.
+// every method is safe from any number of threads concurrently, including
+// the mix pass's ParallelForBlocks workers.
 // Misses compute the DH outside the shard locks, so a burst of new clients
 // serializes only on map insertion. The cache owns all entries; returned
 // AeadKeys are copies.
@@ -83,10 +87,37 @@ class SecretCache {
   // keys[i] = Get(server_sk, client_pks[i], context) for every i, with the
   // same hits, misses and generation moves as those calls made in order (a
   // key repeated within the call misses once). The misses of each run of up
-  // to 64 keys are derived together, outside the shard locks. `keys` must be
-  // exactly as long as `client_pks`.
+  // to kBlock keys are derived together, outside the shard locks. `keys`
+  // must be exactly as long as `client_pks`.
   void GetMany(const X25519SecretKey& server_sk, std::span<const X25519PublicKey> client_pks,
                util::ByteSpan context, std::span<AeadKey> keys);
+
+  // The misses of one Lookup, derived but not cached: the distinct keys the
+  // cache did not hold, their hashes and AEAD keys, and for each looked-up
+  // key the miss it took (kHit if the cache answered it). Lives on the
+  // caller's stack.
+  static constexpr size_t kBlock = 64;
+  static constexpr uint8_t kHit = 0xff;
+  static_assert(kBlock < kHit, "miss indices fit below kHit");
+  struct Misses {
+    size_t count = 0;
+    X25519PublicKey pks[kBlock]{};
+    size_t hashes[kBlock]{};
+    AeadKey keys[kBlock]{};
+    uint8_t of[kBlock]{};
+  };
+
+  // GetMany over at most kBlock keys, minus the inserts: hits are answered
+  // and counted, and move generations, as Get's are; misses are counted and
+  // derived into `misses`, and keys[i] holds every key's AEAD key either
+  // way. Throws if `keys` and `client_pks` differ in length or exceed kBlock.
+  void Lookup(const X25519SecretKey& server_sk, std::span<const X25519PublicKey> client_pks,
+              util::ByteSpan context, std::span<AeadKey> keys, Misses& misses);
+
+  // Caches the miss of every looked-up key i of the Lookup that filled
+  // `misses` for which keep[i] != 0 (at most one entry per distinct key).
+  // `keep` is as long as that Lookup's block.
+  void Commit(const Misses& misses, std::span<const uint8_t> keep);
 
   // Starts a new pass: drops every key not presented during the last two
   // passes. Call once per pass, before its first Get.
@@ -135,12 +166,6 @@ class SecretCache {
   // bucket count.
   Shard& ShardFor(size_t hash) { return shards_[hash >> (8 * sizeof(size_t) - 4)]; }
   static_assert(kShards == 16, "ShardFor takes the hash's top four bits");
-
-  // GetMany over one run of at most kGetManyBlock keys, with its scratch on
-  // the stack.
-  static constexpr size_t kGetManyBlock = 64;
-  void GetBlock(const X25519SecretKey& server_sk, std::span<const X25519PublicKey> client_pks,
-                util::ByteSpan context, std::span<AeadKey> keys);
 
   const PkHash hash_;
   Shard shards_[kShards];

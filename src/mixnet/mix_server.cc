@@ -181,16 +181,20 @@ MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::MutableB
   peeled.ok.assign(n, 0);
   peeled.keys.resize(n);
 
-  // Each worker owns a contiguous block of onions. It hands the block's
-  // ephemeral keys to the cross-round cache in one GetMany, so the block's
+  // Each worker owns a contiguous block of onions. It looks the block's
+  // ephemeral keys up in the cross-round cache in one call, so the block's
   // misses share the batch DH kernel, then opens each inner layer over its
-  // own ciphertext. Advancing the cache's generation first bounds it to the
-  // keys of this pass and the one before.
+  // own ciphertext, and caches only the keys whose onion opened: a forged
+  // onion's key must not evict a client's. Advancing the cache's generation
+  // first bounds it to the keys of this pass and the one before.
   secret_cache_.Advance();
+  static_assert(kBlock <= crypto::SecretCache::kBlock);
   util::GlobalPool().ParallelForBlocks(n, kBlock, [&](size_t begin, size_t end) {
     crypto::X25519PublicKey pks[kBlock]{};
     crypto::AeadKey keys[kBlock]{};
     size_t index[kBlock]{};
+    uint8_t opened[kBlock]{};
+    crypto::SecretCache::Misses misses;
     size_t m = 0;
     for (size_t i = begin; i < end; ++i) {
       if (batch[i].size() == request_size) {
@@ -198,14 +202,17 @@ MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::MutableB
         index[m++] = i;
       }
     }
-    secret_cache_.GetMany(key_pair_.secret_key, {pks, m}, crypto::OnionContext(), {keys, m});
+    secret_cache_.Lookup(key_pair_.secret_key, {pks, m}, crypto::OnionContext(), {keys, m},
+                         misses);
     for (size_t j = 0; j < m; ++j) {
       const size_t i = index[j];
       if (crypto::OnionOpenLayerInto(keys[j], round, batch[i], Inner(batch[i]))) {
         peeled.ok[i] = 1;
         peeled.keys[i] = keys[j];
+        opened[j] = 1;
       }
     }
+    secret_cache_.Commit(misses, {opened, m});
   });
   for (uint8_t ok : peeled.ok) {
     peeled.dropped += ok ? 0 : 1;

@@ -21,8 +21,8 @@ enum class FrameType : uint8_t {
   kConversationResponse = 3,
   kDialRequest = 4,
   kDialAck = 5,
-  kInvitationFetch = 6,   // payload: u32 drop index
-  kInvitationDrop = 7,    // payload: concatenated invitations
+  kInvitationFetch = 6,   // a chunked batch message, like kInvitationPublish below
+  kInvitationDrop = 7,    // reserved: the retired coordinator bucket-fetch reply
   kBatch = 8,             // reserved: the retired single-frame batch codec
   kBatchResponse = 9,     // reserved, as kBatch
   kShutdown = 10,
@@ -46,9 +46,7 @@ enum class FrameType : uint8_t {
   // Invitation-distribution RPC (coordinator/clients ↔ vuvuzela-distd, §5.5).
   // The coordinator pushes each dialing round's invitation-table slice to the
   // dist shard owning it (kInvitationPublish); clients download their bucket
-  // with kInvitationFetch. Both are chunked batch messages; the pre-existing
-  // kInvitationFetch/kInvitationDrop single-frame forms remain the
-  // coordinator↔client proxy path.
+  // with kInvitationFetch. Both are chunked batch messages.
   kInvitationPublish = 20,
 };
 

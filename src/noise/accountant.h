@@ -34,8 +34,11 @@
 namespace vuvuzela::noise {
 
 struct BudgetAccountantConfig {
-  // The deployment's noise parameters — must mirror what the hop daemons
-  // actually add (vuvuzela-hopd derives {µ, µ/20 + 1} from --mu).
+  // The deployment's noise parameters — must mirror the hop daemons'
+  // (vuvuzela-hopd derives {µ, µ/20 + 1} from --mu). The bound assumes the
+  // hops sample Laplace(µ, b); vuvuzela-hopd adds a fixed µ instead (§8.1's
+  // deterministic mode), so for a deployed fleet the charge is what a
+  // sampling fleet would spend, not a guarantee.
   LaplaceParams conversation_noise{0.0, 1.0};
   LaplaceParams dialing_noise{0.0, 1.0};
   // Cumulative budget the composed bound must stay within.

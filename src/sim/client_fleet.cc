@@ -1,12 +1,14 @@
 #include "src/sim/client_fleet.h"
 
 #include <atomic>
+#include <exception>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <utility>
 
+#include "src/client/dialing_fetcher.h"
 #include "src/sim/workload.h"
-#include "src/wire/messages.h"
 
 namespace vuvuzela::sim {
 
@@ -48,6 +50,7 @@ std::optional<ClientFleetResult> RunClientFleet(const ClientFleetConfig& config)
   }
   ClientFleetResult result;
   result.responses.resize(conns.size());
+  result.buckets.resize(conns.size());
   std::atomic<uint64_t> fetches_sent{0}, fetches{0}, fetch_bytes{0};
   // The announced round's batch, built by the first client to see the round.
   std::mutex batch_mutex;
@@ -64,19 +67,28 @@ std::optional<ClientFleetResult> RunClientFleet(const ClientFleetConfig& config)
 
   auto play = [&](size_t i) {
     uint32_t dial_drops = 0;  // announced in every dialing round
+    // One fetcher per client, as a real client holds one: its shard links
+    // connect at its first download.
+    std::unique_ptr<client::DialingFetcher> fetcher;
+    if (!config.dist.empty()) {
+      fetcher = std::make_unique<client::DialingFetcher>(
+          client::DialingFetcherConfig{.shards = config.dist});
+    }
     while (auto frame = conns[i].RecvFrame()) {
       if (frame->type == net::FrameType::kShutdown) {
-        return;
+        break;
       } else if (frame->type == net::FrameType::kConversationResponse) {
         result.responses[i][frame->round] = std::move(frame->payload);
-      } else if (frame->type == net::FrameType::kInvitationDrop) {
-        ++fetches;
-        fetch_bytes += frame->payload.size();
-      } else if (frame->type == net::FrameType::kDialAck && dial_drops > 0) {
-        util::Bytes bucket(4);
-        util::StoreBe32(bucket.data(), static_cast<uint32_t>(i % dial_drops));
+      } else if (frame->type == net::FrameType::kDialAck && fetcher && dial_drops > 0) {
+        // The download finishes before the next frame is read, so it is
+        // never cut short by coordd's kShutdown.
         ++fetches_sent;
-        conns[i].SendFrame(net::Frame{net::FrameType::kInvitationFetch, frame->round, bucket});
+        try {
+          result.buckets[i][frame->round] =
+              fetcher->FetchBucket(frame->round, static_cast<uint32_t>(i % dial_drops), dial_drops);
+        } catch (const std::exception&) {
+          // Unanswered: the fetcher counts answered fetches only.
+        }
       } else if (frame->type == net::FrameType::kRoundAnnouncement) {
         auto announcement = wire::RoundAnnouncement::Parse(frame->payload);
         if (!announcement) {
@@ -92,6 +104,10 @@ std::optional<ClientFleetResult> RunClientFleet(const ClientFleetConfig& config)
           conns[i].SendFrame(net::Frame{request, announcement->round, std::move(onion)});
         }
       }
+    }
+    if (fetcher) {
+      fetches += fetcher->buckets_fetched();
+      fetch_bytes += fetcher->bytes_fetched();
     }
   };
   // Futures rather than threads: a client's exception reaches the caller

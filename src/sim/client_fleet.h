@@ -2,7 +2,8 @@
 // opens `users` connections to coordd's front door. Each round, client i
 // sends onion i of a batch the workload generator builds once per round
 // (sim/workload.h); after each dialing round's kDialAck it downloads bucket
-// i mod m through coordd's kInvitationFetch proxy (§5.5). A thread per client
+// i mod m straight from the vuvuzela-distd shards with its own
+// client::DialingFetcher (§5.5), as a real client does. A thread per client
 // suits the tens of clients the tests and the CI smoke run;
 // bench/fig12_frontdoor loads the front door at scale.
 
@@ -17,11 +18,15 @@
 #include "src/crypto/x25519.h"
 #include "src/net/tcp.h"
 #include "src/util/bytes.h"
+#include "src/wire/messages.h"
 
 namespace vuvuzela::sim {
 
 struct ClientFleetConfig {
   net::Endpoint coordinator;
+  // The dist shards coordd publishes to, endpoint i serving shard i. Empty:
+  // coordd publishes no tables, and the fleet downloads nothing.
+  std::vector<net::Endpoint> dist;
   // The chain's public keys, hop 0 first.
   std::vector<crypto::X25519PublicKey> chain;
   uint64_t users = 0;
@@ -36,8 +41,12 @@ struct ClientFleetConfig {
 struct ClientFleetResult {
   // responses[i][r]: client i's conversation response for round r.
   std::vector<std::map<uint64_t, util::Bytes>> responses;
+  // buckets[i][r]: the invitation bucket client i downloaded for dialing
+  // round r.
+  std::vector<std::map<uint64_t, std::vector<wire::Invitation>>> buckets;
   // Bucket fetches sent (one per client per acknowledged dialing round),
-  // fetches answered with a bucket, and the bytes those buckets carried.
+  // fetches answered with a bucket, and their on-the-wire bytes, chunk
+  // framing included (client::DialingFetcher::bytes_fetched).
   uint64_t dialing_fetches_expected = 0;
   uint64_t dialing_fetches = 0;
   uint64_t dialing_fetch_bytes = 0;
@@ -46,6 +55,7 @@ struct ClientFleetResult {
 // Connects every client, then plays rounds until coordd shuts the clients
 // down; run it beside CoordinatorDaemon::Run. nullopt if a client cannot
 // connect; a client's exception is rethrown once every client has finished.
+// A failed bucket fetch is not an exception: it counts as unanswered.
 std::optional<ClientFleetResult> RunClientFleet(const ClientFleetConfig& config);
 
 }  // namespace vuvuzela::sim

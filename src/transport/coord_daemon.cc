@@ -1,10 +1,10 @@
 #include "src/transport/coord_daemon.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -25,10 +25,6 @@ constexpr auto kSupervisorInterval = std::chrono::milliseconds(100);
 
 CoordinatorDaemon::CoordinatorDaemon(CoordDaemonConfig config) : config_(std::move(config)) {
   auto& registry = obs::Registry::Global();
-  obs_fetches_ = registry.GetCounter("vuvuzela_dialing_fetches_total",
-                                     "Bucket downloads served through the coordinator");
-  obs_fetch_bytes_ = registry.GetCounter("vuvuzela_dialing_fetch_bytes_total",
-                                         "Invitation bytes served to downloaders (§5.5)");
   obs_retry_budget_ = registry.GetCounter(
       "vuvuzela_retry_budget_burned_total",
       "Round attempts that failed, each consuming one unit of the retry budget");
@@ -75,7 +71,7 @@ bool CoordinatorDaemon::Start() {
   policy.max_round_attempts = config_.max_round_attempts;
   policy.budget = config_.budget;
   try {
-    policy_.emplace(std::move(policy));
+    policy_.emplace(policy);
   } catch (const std::exception& e) {
     VZ_LOG_ERROR << "coordinator: privacy budget misconfigured: " << e.what();
     return false;
@@ -99,15 +95,11 @@ bool CoordinatorDaemon::Start() {
     dist_config.recv_timeout_ms = config_.hop_timeout_ms;
     dist_config.connect_timeout_ms = config_.connect_timeout_ms;
     dist_config.keep_rounds = static_cast<uint32_t>(policy_->dist_keep());
-    auto router = DistRouter::Connect(dist_config);
-    if (!router) {
+    dist_router_ = DistRouter::Connect(dist_config);
+    if (!dist_router_) {
       VZ_LOG_ERROR << "coordinator: dist shard fleet unreachable";
       return false;
     }
-    dist_router_ = router.get();
-    dist_backend_ = std::move(router);
-  } else {
-    dist_backend_ = std::make_unique<coord::InvitationDistributor>();
   }
   FrontDoorHandlers door_handlers;
   door_handlers.on_frame = [this](size_t index, net::Frame&& frame) {
@@ -126,19 +118,17 @@ bool CoordinatorDaemon::Start() {
       cv_.notify_all();
     }
   };
-  door_handlers.on_fetch = [this](size_t client, uint64_t round, util::Bytes payload) {
-    net::Frame reply = BuildFetchReply(round, payload);
-    std::lock_guard<std::mutex> lock(mutex_);
-    policy_->FetchServed(round, client);
-    cv_.notify_all();
-    return reply;
-  };
   door_handlers.on_disconnect = [this](size_t client) {
     std::lock_guard<std::mutex> lock(mutex_);
     policy_->ClientDisconnected(client);
     cv_.notify_all();
   };
-  front_door_ = FrontDoor::Create({.port = config_.client_port}, std::move(door_handlers));
+  // Clients send onions only, so a frame announcing more than the larger
+  // onion is cut off at its header.
+  FrontDoorConfig door_config{.port = config_.client_port};
+  door_config.max_frame_payload =
+      std::max(policy.conversation_onion_size, policy.dialing_onion_size);
+  front_door_ = FrontDoor::Create(door_config, std::move(door_handlers));
   if (!front_door_ || !front_door_->Start()) {
     front_door_.reset();
     return false;
@@ -152,51 +142,6 @@ bool CoordinatorDaemon::Start() {
     }
   }
   return true;
-}
-
-net::Frame CoordinatorDaemon::BuildFetchReply(uint64_t round, util::ByteSpan payload) {
-  // Dialing download (§5.5), proxied through the distribution backend for
-  // clients with no dist-fleet route. With a sharded backend, downloads
-  // share the shard's fetch link, never the engine's publish link.
-  auto error = [round](std::string_view what) {
-    return net::Frame{net::FrameType::kHopError, round, util::Bytes(what.begin(), what.end())};
-  };
-  if (payload.size() != 4) {
-    return error("malformed invitation fetch");
-  }
-  uint32_t bucket_index = util::LoadBe32(payload.data());
-  {
-    // One failed call per dead bucket per round, never one per client.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (policy_->BucketDead(round, bucket_index)) {
-      return error("bucket unavailable this round");
-    }
-  }
-  try {
-    std::vector<wire::Invitation> bucket = dist_backend_->Fetch(round, bucket_index);
-    net::Frame reply{net::FrameType::kInvitationDrop, round, {}};
-    reply.payload.reserve(bucket.size() * wire::kInvitationSize);
-    for (const auto& invitation : bucket) {
-      util::Append(reply.payload, invitation);
-    }
-    // Only served fetches count: a bogus or expired round is the client's
-    // mistake, not a coordinator failure.
-    dialing_fetches_.fetch_add(1);
-    dialing_fetch_bytes_.fetch_add(reply.payload.size());
-    obs_fetches_->Add();
-    obs_fetch_bytes_->Add(reply.payload.size());
-    return reply;
-  } catch (const HopRemoteError& e) {
-    return error(e.what());  // the shard is alive and answered: no memo
-  } catch (const HopError& e) {
-    // A dead shard, after every attempt the link's policy allows: the
-    // fleet's remaining fetches for the bucket fail fast.
-    std::lock_guard<std::mutex> lock(mutex_);
-    policy_->MarkBucketDead(round, bucket_index);
-    return error(e.what());
-  } catch (const std::exception& e) {
-    return error(e.what());  // a cheap local failure (unknown round)
-  }
 }
 
 void CoordinatorDaemon::PublishGauges() {
@@ -272,7 +217,7 @@ void CoordinatorDaemon::CollectLoop(CoordDaemonResult& result) {
     }
     lock.unlock();
     if (round->type == wire::RoundType::kDialing) {
-      // Contributors follow the ack with their bucket fetch.
+      // Contributors follow the ack with their bucket download from distd.
       ++result.dialing_rounds_completed;
       for (size_t contributor : settlement.contributors) {
         front_door_->Send(contributor, net::Frame{net::FrameType::kDialAck, round->round, {}});
@@ -296,7 +241,7 @@ CoordDaemonResult CoordinatorDaemon::Run() {
   front_door_->WaitForClients(config_.num_clients);
   engine::SchedulerConfig scheduler_config = config_.scheduler;
   scheduler_config.lifecycle = &lifecycle_;
-  scheduler_config.distribution = dist_backend_.get();
+  scheduler_config.distribution = dist_router_.get();
   scheduler_config.distribution_keep = policy_->dist_keep();
   engine::RoundScheduler scheduler(std::move(hop_transports_), scheduler_config);
   std::thread collector([this, &result] { CollectLoop(result); });
@@ -376,25 +321,21 @@ CoordDaemonResult CoordinatorDaemon::Run() {
   supervisor.join();
   result.wall_seconds = util::SecondsSince(start);
 
-  // Orderly cascade: answer the bucket fetches still owed (for up to 2 s),
-  // then shut the clients, the reactor, and optionally the fleet down.
-  lock.lock();
-  cv_.wait_for(lock, std::chrono::seconds(2), [this] { return policy_->owed_fetches() == 0; });
-  lock.unlock();
+  // Orderly cascade: the clients, the reactor, then optionally the hops and
+  // dist shards. No bucket download is cut short: a client finishes the
+  // fetch that follows its ack before it reads kShutdown, and CloseClients
+  // waits for every client to hang up before the shards get theirs.
   front_door_->CloseClients(net::Frame{net::FrameType::kShutdown, 0, {}}, /*grace_ms=*/2000);
   front_door_->Shutdown();
   if (config_.shutdown_hops_on_exit) {
     for (ReconnectingTransport* hop : recon_hops_) {
       hop->SendShutdown();
     }
-    if (dist_router_ != nullptr) {
+    if (dist_router_) {
       dist_router_->SendShutdown();
     }
   }
   recon_hops_.clear();
-
-  result.dialing_fetches = dialing_fetches_.load();
-  result.dialing_fetch_bytes = dialing_fetch_bytes_.load();
   return result;
 }
 

@@ -1,12 +1,14 @@
 // The coordinator process (§7): the I/O shell around coord::RoundPolicy,
 // which makes every round decision. CoordinatorDaemon owns the hop links,
-// the distribution backend, the client edge (transport::FrontDoor), the
-// clock and three threads: Run() announces rounds and submits them to
+// the dist-shard router, the client edge (transport::FrontDoor), the clock
+// and three threads: Run() announces rounds and submits them to
 // engine::RoundScheduler (K in flight, §8.3), a collector delivers each
 // round's result, and a supervisor probes dead hop links. The policy sits
-// behind one mutex and one condition variable; scheduler submissions,
-// bucket fetches and client sends run outside that lock. The coordinator
-// holds no chain keys and sees only onion ciphertexts.
+// behind one mutex and one condition variable; scheduler submissions and
+// client sends run outside that lock. The coordinator holds no chain keys
+// and sees only onion ciphertexts. It takes onions from clients and
+// nothing else: clients download their invitation buckets straight from
+// the vuvuzela-distd shards (client::DialingFetcher, §5.5).
 //
 // Failure model: a hop link's receive deadline fails the rounds a dead hop
 // touches instead of wedging the pipeline. Recovery has three layers: the
@@ -20,7 +22,6 @@
 #ifndef VUVUZELA_SRC_TRANSPORT_COORD_DAEMON_H_
 #define VUVUZELA_SRC_TRANSPORT_COORD_DAEMON_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -30,7 +31,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/coord/distributor.h"
 #include "src/coord/round_policy.h"
 #include "src/engine/round_lifecycle.h"
 #include "src/engine/round_scheduler.h"
@@ -65,9 +65,9 @@ struct CoordDaemonConfig {
   bool shutdown_hops_on_exit = false;
 
   // Invitation distribution (§5.5): the engine's Distribute stage publishes
-  // each dialing round's table to these vuvuzela-distd shards, or to an
-  // in-process InvitationDistributor when empty, keeping the policy's
-  // dist_keep() (K+4) rounds. The coordinator serves clients' fetches.
+  // each dialing round's table to these vuvuzela-distd shards, which keep
+  // the policy's dist_keep() (K+4) rounds and serve the clients' bucket
+  // downloads. Empty: dialing tables are not published.
   std::vector<net::Endpoint> dist;
 
   // Fault tolerance (see the header comment).
@@ -92,11 +92,6 @@ struct CoordDaemonResult {
   uint64_t conversation_rounds_completed = 0;
   uint64_t dialing_rounds_completed = 0;
   uint64_t rounds_abandoned = 0;
-  // Dialing download fan-out (§5.5/§8.3): bucket fetches the coordinator
-  // served for its clients, and the bytes they transferred. Clients fetch
-  // on their own schedule, so nothing here counts fetches owed.
-  uint64_t dialing_fetches = 0;
-  uint64_t dialing_fetch_bytes = 0;
   // Re-submissions of failed rounds (a round retried twice counts twice).
   uint64_t rounds_retried = 0;
   uint64_t messages_exchanged = 0;
@@ -112,9 +107,9 @@ class CoordinatorDaemon {
  public:
   explicit CoordinatorDaemon(CoordDaemonConfig config);
 
-  // Connects every hop and binds the client listener. False if the config
-  // has no hops, no clients or K = 0, if a hop is unreachable, or if a
-  // listener cannot bind.
+  // Connects every hop and dist shard and binds the client listener. False
+  // if the config has no hops, no clients or K = 0, if a hop or dist shard
+  // is unreachable, or if a listener cannot bind.
   bool Start();
 
   // Valid after Start().
@@ -143,9 +138,6 @@ class CoordinatorDaemon {
     std::future<mixnet::Chain::DialingResult> dialing;
   };
 
-  // A client's bucket fetch, proxied to the distribution backend (FrontDoor
-  // fetch worker).
-  net::Frame BuildFetchReply(uint64_t round, util::ByteSpan payload);
   // Submits one attempt with `lock` released (Submit blocks while K rounds
   // are in flight) and files its future for the collector.
   void SubmitAttempt(std::unique_lock<std::mutex>& lock, engine::RoundScheduler& scheduler,
@@ -162,13 +154,9 @@ class CoordinatorDaemon {
   std::vector<ReconnectingTransport*> recon_hops_;
   engine::RoundLifecycle lifecycle_;
 
-  // The backend the Distribute stage publishes into and fetches are served
-  // from; dist_router_ is its sharded view (nullptr in-process), kept for
-  // the shutdown cascade.
-  std::unique_ptr<coord::DistributionBackend> dist_backend_;
-  DistRouter* dist_router_ = nullptr;
-  std::atomic<uint64_t> dialing_fetches_{0};
-  std::atomic<uint64_t> dialing_fetch_bytes_{0};
+  // What the Distribute stage publishes into (nullptr without dist shards),
+  // kept for the shutdown cascade.
+  std::unique_ptr<DistRouter> dist_router_;
 
   // The reactor-backed client edge (set by Start()).
   std::unique_ptr<FrontDoor> front_door_;
@@ -178,8 +166,6 @@ class CoordinatorDaemon {
   // Registry telemetry. The budget series are registered even when the
   // accountant is off, so smoke runs can assert zeros; gauges are integers,
   // so budget burn exports in micro-ε and nano-δ.
-  obs::Counter* obs_fetches_;
-  obs::Counter* obs_fetch_bytes_;
   obs::Counter* obs_retry_budget_;
   obs::Counter* obs_hop_reconnects_;
   obs::Gauge* obs_banked_onions_;

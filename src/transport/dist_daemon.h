@@ -3,9 +3,8 @@
 // A DistDaemon owns a contiguous bucket range — deaddrop::
 // InvitationDropsOfShard(shard, num_drops, num_shards) — of every published
 // dialing round's invitation table. The coordinator's DistRouter pushes each
-// round's slice over kInvitationPublish; clients (client::DialingFetcher, or
-// the coordinator proxying for its TCP clients) download whole buckets over
-// kInvitationFetch. This is the paper's §5.5 CDN tier: downloads need no
+// round's slice over kInvitationPublish; clients (client::DialingFetcher)
+// download whole buckets over kInvitationFetch. This is the paper's §5.5 CDN tier: downloads need no
 // mixing or noising, only bandwidth, so the serving layer scales by adding
 // shard processes exactly like a CDN adds edges.
 //

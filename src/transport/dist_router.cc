@@ -9,6 +9,24 @@
 
 namespace vuvuzela::transport {
 
+FetchedBucket FetchInvitationBucket(std::span<const std::unique_ptr<PeerLink>> shards,
+                                    uint64_t round, uint32_t drop_index, uint32_t num_drops) {
+  drop_index %= num_drops;  // same malformed-index tolerance as the table
+  size_t shard = deaddrop::ShardOfInvitationDrop(drop_index, num_drops, shards.size());
+  InvitationFetchHeader header{static_cast<uint32_t>(shard),
+                               static_cast<uint32_t>(shards.size()), num_drops, drop_index};
+  // Call connects lazily (first fetch, or a reconnect after a poisoned RPC)
+  // and closes the link on every failure it throws except a remote error
+  // report such as an expired round.
+  BatchMessage reply = shards[shard]->Call(net::FrameType::kInvitationFetch, round,
+                                           EncodeInvitationFetchHeader(header), {});
+  auto bucket = DecodeInvitationItems(reply.items);
+  if (!bucket) {
+    shards[shard]->Fail("ragged invitation in fetched bucket");  // garbage stream
+  }
+  return {std::move(*bucket), reply.wire_bytes};
+}
+
 DistRouter::DistRouter(const DistRouterConfig& config) : config_(config) {
   for (const auto& endpoint : config.shards) {
     TcpTransportConfig link_config{endpoint.host, endpoint.port, config.recv_timeout_ms,
@@ -98,33 +116,23 @@ std::vector<wire::Invitation> DistRouter::Fetch(uint64_t round, uint32_t drop_in
     }
     num_drops = *drops;
   }
-  drop_index %= num_drops;  // same malformed-index tolerance as the table
-  size_t shard = deaddrop::ShardOfInvitationDrop(drop_index, num_drops, fetch_links_.size());
-  InvitationFetchHeader header{static_cast<uint32_t>(shard),
-                               static_cast<uint32_t>(fetch_links_.size()), num_drops, drop_index};
-  BatchMessage reply = [&] {
-    try {
-      return fetch_links_[shard]->Call(net::FrameType::kInvitationFetch, round,
-                                       EncodeInvitationFetchHeader(header), {});
-    } catch (const HopRemoteError& e) {
-      // The shard no longer holds a round the local map still routes — it
-      // restarted empty, or its --max-rounds horizon is tighter than ours.
-      // The DistributionBackend contract promises out_of_range for a round
-      // the tier cannot serve (other shards may still hold their slices, so
-      // the routing map stays); other remote reports propagate as-is.
-      if (std::string(e.what()).find(kDistUnknownRoundError) != std::string::npos) {
-        throw std::out_of_range("DistRouter: round expired at shard");
-      }
-      throw;
+  FetchedBucket bucket;
+  try {
+    bucket = FetchInvitationBucket(fetch_links_, round, drop_index, num_drops);
+  } catch (const HopRemoteError& e) {
+    // The shard no longer holds a round the local map still routes — it
+    // restarted empty, or its --max-rounds horizon is tighter than ours.
+    // The DistributionBackend contract promises out_of_range for a round
+    // the tier cannot serve (other shards may still hold their slices, so
+    // the routing map stays); other remote reports propagate as-is.
+    if (std::string(e.what()).find(kDistUnknownRoundError) != std::string::npos) {
+      throw std::out_of_range("DistRouter: round expired at shard");
     }
-  }();
-  auto bucket = DecodeInvitationItems(reply.items);
-  if (!bucket) {
-    fetch_links_[shard]->Fail("ragged invitation in fetched bucket");
+    throw;
   }
-  bytes_served_.fetch_add(bucket->size() * wire::kInvitationSize);
+  bytes_served_.fetch_add(bucket.invitations.size() * wire::kInvitationSize);
   downloads_served_.fetch_add(1);
-  return std::move(*bucket);
+  return std::move(bucket.invitations);
 }
 
 bool DistRouter::HasRound(uint64_t round) const {

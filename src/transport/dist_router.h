@@ -27,6 +27,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,18 @@
 #include "src/util/keep_latest.h"
 
 namespace vuvuzela::transport {
+
+// One bucket download (§5.5), the RPC under both DistRouter::Fetch and
+// client::DialingFetcher: routes bucket `drop_index` mod `num_drops` (> 0)
+// of `round` to the one of `shards` (endpoint i serves shard i) that owns
+// it, calls kInvitationFetch over that link and decodes the reply. Throws
+// what PeerLink::Call throws; a ragged reply poisons the link (HopError).
+struct FetchedBucket {
+  std::vector<wire::Invitation> invitations;
+  uint64_t wire_bytes = 0;  // every chunk's framing included
+};
+FetchedBucket FetchInvitationBucket(std::span<const std::unique_ptr<PeerLink>> shards,
+                                    uint64_t round, uint32_t drop_index, uint32_t num_drops);
 
 struct DistRouterConfig {
   // One endpoint per shard; endpoint i serves shard i of shards.size().

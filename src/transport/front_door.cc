@@ -44,7 +44,6 @@ bool FrontDoor::Start() {
   }
   started_ = true;
   loop_thread_ = std::thread([this] { loop_->Run(); });
-  fetch_thread_ = std::thread([this] { FetchWorker(); });
   return true;
 }
 
@@ -65,18 +64,8 @@ void FrontDoor::HandleFrame(net::EventLoop::ConnId id, net::Frame&& frame) {
   if (it == index_of_.end()) {
     return;
   }
-  size_t index = it->second;
-  if (frame.type == net::FrameType::kInvitationFetch) {
-    // Off the loop: the fetch proxies through a blocking dist-shard RPC.
-    {
-      std::lock_guard<std::mutex> lock(fetch_mutex_);
-      fetch_queue_.push_back(FetchJob{index, frame.round, std::move(frame.payload)});
-    }
-    fetch_cv_.notify_one();
-    return;
-  }
   if (handlers_.on_frame) {
-    handlers_.on_frame(index, std::move(frame));
+    handlers_.on_frame(it->second, std::move(frame));
   }
 }
 
@@ -150,20 +139,11 @@ void FrontDoor::CloseClients(const net::Frame& frame, int grace_ms) {
   if (!loop_) {
     return;
   }
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(grace_ms);
-  // A fetch the client already sent must be answered before the shutdown
-  // frame: the worker posts each reply to the loop before it goes idle, and
-  // posted tasks run in order, so broadcasting after the worker drains puts
-  // every reply ahead of `frame` on the wire.
-  {
-    std::unique_lock<std::mutex> lock(fetch_mutex_);
-    fetch_idle_cv_.wait_until(lock, deadline,
-                              [this] { return fetch_queue_.empty() && !fetch_busy_; });
-  }
   Broadcast(frame);
   {
     std::unique_lock<std::mutex> lock(clients_mutex_);
-    clients_cv_.wait_until(lock, deadline, [this] { return alive_.load() == 0; });
+    clients_cv_.wait_for(lock, std::chrono::milliseconds(grace_ms),
+                         [this] { return alive_.load() == 0; });
   }
   loop_->Post([this] {
     for (net::EventLoop::ConnId id : slots_) {
@@ -174,42 +154,11 @@ void FrontDoor::CloseClients(const net::Frame& frame, int grace_ms) {
   });
 }
 
-void FrontDoor::FetchWorker() {
-  for (;;) {
-    FetchJob job;
-    {
-      std::unique_lock<std::mutex> lock(fetch_mutex_);
-      fetch_cv_.wait(lock, [this] { return fetch_stop_ || !fetch_queue_.empty(); });
-      if (fetch_stop_ && fetch_queue_.empty()) {
-        return;
-      }
-      job = std::move(fetch_queue_.front());
-      fetch_queue_.pop_front();
-      fetch_busy_ = true;
-    }
-    if (handlers_.on_fetch) {
-      net::Frame reply = handlers_.on_fetch(job.client, job.round, std::move(job.payload));
-      Send(job.client, std::move(reply));
-    }
-    {
-      std::lock_guard<std::mutex> lock(fetch_mutex_);
-      fetch_busy_ = false;
-    }
-    fetch_idle_cv_.notify_all();
-  }
-}
-
 void FrontDoor::Shutdown() {
   if (!started_) {
     return;
   }
   started_ = false;
-  {
-    std::lock_guard<std::mutex> lock(fetch_mutex_);
-    fetch_stop_ = true;
-  }
-  fetch_cv_.notify_all();
-  fetch_thread_.join();
   loop_->Stop();
   loop_thread_.join();
   loop_.reset();

@@ -6,19 +6,13 @@
 // indices (0..N-1, accept order) — the indexing coord::RoundPolicy's
 // admission dedup records and batch contributor lists use.
 //
-// One connection carries both traffic classes, multiplexed by frame type
-// (the op tag in the net::Frame header):
-//
-//  * Admission ops (kConversationRequest, kDialRequest, and anything else) —
-//    dispatched to `on_frame` ON THE LOOP THREAD. These handlers must be
-//    cheap and non-blocking (push an onion under a mutex, never an RPC):
-//    while one runs, no other client is served.
-//  * kInvitationFetch — queued to a dedicated fetch worker thread and
-//    dispatched to `on_fetch` THERE. Bucket fetches proxy through a blocking
-//    dist-shard RPC; running them on the loop would head-of-line-block every
-//    admission in flight. The worker's reply frame is posted back to the
-//    loop for delivery, so a client can keep submitting onions on the same
-//    connection while its previous fetch is still in flight.
+// Every client frame (kConversationRequest, kDialRequest, kShutdown, and
+// anything else) is dispatched to `on_frame` ON THE LOOP THREAD. Handlers
+// must be cheap and non-blocking (push an onion under a mutex, never an
+// RPC): while one runs, no other client is served. Clients download their
+// invitation buckets from the vuvuzela-distd tier (client::DialingFetcher),
+// never through this edge, so nothing a client sends here is larger than an
+// onion and nothing here blocks.
 //
 // The loop carries client frames only. The owning daemon serves /metrics
 // and /trace from its own obs::MetricsHttpServer, so a scrape never shares
@@ -26,13 +20,13 @@
 //
 // THREADING CONTRACT. Create/Start/Shutdown belong to the owning thread.
 // Broadcast/Send/frame building are thread-safe (they post to the loop).
-// on_frame/on_disconnect run on the loop thread; on_fetch runs on
-// the fetch worker. Client indices are assigned on the loop thread before
-// any handler sees them and are never reused.
+// on_frame/on_disconnect run on the loop thread. Client indices are
+// assigned on the loop thread before any handler sees them and are never
+// reused.
 //
 // OWNERSHIP. FrontDoor owns the listener, the loop, and every client
-// connection; Shutdown() (also run by the destructor) stops and joins both
-// threads. After a client disconnects its index stays valid for Send — the
+// connection; Shutdown() (also run by the destructor) stops and joins the
+// loop thread. After a client disconnects its index stays valid for Send — the
 // send is silently dropped — so racing round completions need no liveness
 // handshake.
 
@@ -42,7 +36,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -63,18 +56,16 @@ struct FrontDoorConfig {
   // shows up as admission-latency outliers, so front doors run deep queues
   // (the kernel additionally caps this at somaxconn).
   int backlog = 4096;
-  // Clients send onions and 4-byte fetch indices; anything announcing a
-  // larger frame is hostile and is cut off before the allocation.
+  // Clients send onions; anything announcing a larger frame is hostile and
+  // is cut off at its header, before the allocation. The owner sets this to
+  // its largest admissible onion.
   size_t max_frame_payload = 16u << 20;
   size_t max_write_buffer = 64u << 20;
 };
 
 struct FrontDoorHandlers {
-  // Loop thread. Every non-fetch frame. Must not block.
+  // Loop thread. Every client frame. Must not block.
   std::function<void(size_t client, net::Frame&&)> on_frame;
-  // Fetch worker thread. Returns the reply frame to deliver to the client
-  // (e.g. kInvitationDrop or kHopError). May block on backend RPCs.
-  std::function<net::Frame(size_t client, uint64_t round, util::Bytes payload)> on_fetch;
   // Loop thread. The index's connection is gone (its Sends now no-op).
   std::function<void(size_t client)> on_disconnect;
 };
@@ -89,7 +80,7 @@ class FrontDoor {
 
   uint16_t port() const { return port_; }
 
-  // Spawns the loop thread and the fetch worker; accepting begins now.
+  // Spawns the loop thread; accepting begins now.
   bool Start();
 
   // Blocks until `count` clients have ever connected (disconnected ones
@@ -112,29 +103,20 @@ class FrontDoor {
   // that announced kShutdown is deregistering). Thread-safe.
   void Disconnect(size_t client);
 
-  // Within one `grace_ms` budget: lets queued and in-flight fetches post
-  // their replies, broadcasts `frame` (typically kShutdown) behind them,
-  // gives clients the rest of the budget to hang up on their own, then
-  // closes the stragglers. Thread-safe; call before Shutdown() for an
-  // orderly cascade.
+  // Broadcasts `frame` (typically kShutdown), gives clients up to `grace_ms`
+  // to hang up on their own, then closes the stragglers. Thread-safe; call
+  // before Shutdown() for an orderly cascade.
   void CloseClients(const net::Frame& frame, int grace_ms);
 
-  // Stops and joins the loop and worker threads. Idempotent.
+  // Stops and joins the loop thread. Idempotent.
   void Shutdown();
 
  private:
-  struct FetchJob {
-    size_t client = 0;
-    uint64_t round = 0;
-    util::Bytes payload;
-  };
-
   FrontDoor(const FrontDoorConfig& config, FrontDoorHandlers handlers, net::TcpListener listener);
 
   void HandleAccept(net::EventLoop::ConnId id);
   void HandleFrame(net::EventLoop::ConnId id, net::Frame&& frame);
   void HandleClose(net::EventLoop::ConnId id);
-  void FetchWorker();
 
   FrontDoorConfig config_;
   FrontDoorHandlers handlers_;
@@ -153,14 +135,6 @@ class FrontDoor {
   std::atomic<size_t> alive_{0};
   std::mutex clients_mutex_;
   std::condition_variable clients_cv_;
-
-  std::thread fetch_thread_;
-  std::mutex fetch_mutex_;
-  std::condition_variable fetch_cv_;       // wakes the worker: a job or stop
-  std::condition_variable fetch_idle_cv_;  // wakes CloseClients: worker idle
-  std::deque<FetchJob> fetch_queue_;
-  bool fetch_busy_ = false;  // the worker holds a job whose reply is not yet posted
-  bool fetch_stop_ = false;
 };
 
 }  // namespace vuvuzela::transport

@@ -596,6 +596,94 @@ TEST(SecretCacheConformance, ChurnLeavesStaticKeysResident) {
   }
 }
 
+// A flood of forged fresh-key onions many times a small cache's size costs
+// the flood its DH, but the pass caches a key only once its onion opened,
+// so every static client's key is still resident after the flood. Were the
+// flood's keys cached on lookup, they would evict the statics at the cap.
+TEST(SecretCacheConformance, ForgedKeyFloodLeavesStaticKeysResident) {
+  constexpr size_t kCap = 32;
+  constexpr size_t kStatic = 16;
+  constexpr size_t kForgedPerPass = 4 * kCap;
+  constexpr size_t kBlock = crypto::SecretCache::kBlock;
+  util::Xoshiro256Rng rng(93);
+  const crypto::X25519KeyPair server = crypto::X25519KeyPair::Generate(rng);
+  std::vector<crypto::X25519PublicKey> statics(kStatic);
+  for (auto& pk : statics) {
+    rng.Fill(pk);
+  }
+  crypto::SecretCache cache(kCap);
+  // Looks `pks` up block by block as MixServer::Peel does, and commits them
+  // if their onions opened.
+  auto present = [&](std::span<const crypto::X25519PublicKey> pks, bool opened) {
+    for (size_t begin = 0; begin < pks.size(); begin += kBlock) {
+      const size_t n = std::min(kBlock, pks.size() - begin);
+      crypto::AeadKey keys[kBlock]{};
+      crypto::SecretCache::Misses misses;
+      cache.Lookup(server.secret_key, pks.subspan(begin, n), crypto::OnionContext(), {keys, n},
+                   misses);
+      uint8_t keep[kBlock]{};
+      std::fill(keep, keep + n, opened ? 1 : 0);
+      cache.Commit(misses, {keep, n});
+    }
+  };
+  cache.Advance();
+  present(statics, true);
+  ASSERT_EQ(cache.GetStats().entries, kStatic);
+
+  for (int pass = 0; pass < 3; ++pass) {
+    cache.Advance();
+    std::vector<crypto::X25519PublicKey> forged(kForgedPerPass);
+    for (auto& pk : forged) {
+      rng.Fill(pk);
+    }
+    const uint64_t misses_before = cache.GetStats().misses;
+    present(forged, false);
+    present(statics, true);
+    crypto::SecretCache::Stats stats = cache.GetStats();
+    EXPECT_EQ(stats.misses - misses_before, kForgedPerPass) << "pass " << pass;
+    EXPECT_EQ(stats.entries, kStatic) << "pass " << pass;
+    EXPECT_EQ(stats.evictions, 0u) << "pass " << pass;
+  }
+}
+
+// A hop's forward pass leaves forged onions out of its cache: after passes
+// that mix primed static clients with right-sized garbage, the cache holds
+// the statics and nothing else, and the statics hit on every pass.
+TEST(SecretCacheConformance, ForgedOnionsNeverEnterTheHopsCache) {
+  constexpr size_t kStatic = 16;
+  constexpr size_t kForged = 100;
+  TestChain<MixServer> chain = MakeChain(/*seed=*/23, /*mu=*/0);
+  MixServer& hop = *chain.servers[0];
+  util::Xoshiro256Rng rng(94);
+  std::vector<crypto::X25519KeyPair> clients;
+  std::vector<crypto::X25519PublicKey> client_pks;
+  for (size_t i = 0; i < kStatic; ++i) {
+    clients.push_back(crypto::X25519KeyPair::Generate(rng));
+    client_pks.push_back(clients.back().public_key);
+  }
+  hop.PrimeClientSecrets(client_pks);
+  const size_t request_size = crypto::OnionRequestSize(wire::kExchangeRequestSize, kServers);
+
+  for (uint64_t round = 1; round <= 3; ++round) {
+    std::vector<util::Bytes> batch;
+    for (const auto& kp : clients) {
+      std::vector<crypto::X25519KeyPair> layer_keys(kServers, kp);
+      batch.push_back(crypto::OnionWrapWithKeys(chain.public_keys, layer_keys, round,
+                                                rng.RandomBytes(wire::kExchangeRequestSize))
+                          .data);
+    }
+    for (size_t i = 0; i < kForged; ++i) {
+      batch.push_back(rng.RandomBytes(request_size));
+    }
+    const uint64_t misses_before = hop.secret_cache().GetStats().misses;
+    ServerRoundStats stats;
+    hop.ForwardConversation(round, util::MutableViewsOf(batch), &stats);
+    EXPECT_EQ(stats.requests_dropped, kForged) << "round " << round;
+    EXPECT_EQ(hop.secret_cache().GetStats().misses - misses_before, kForged) << "round " << round;
+    EXPECT_EQ(hop.secret_cache().GetStats().entries, kStatic) << "round " << round;
+  }
+}
+
 // GetMany answers a run of keys exactly as Get answers them one by one:
 // the same keys, hits, misses and entries, across a generation change and
 // with keys repeated inside one call.

@@ -2,10 +2,10 @@
 // in-process InvitationDistributor and the sharded DistRouter →
 // vuvuzela-distd path (byte-identical buckets for shard counts {1,2,4}),
 // wire-header robustness, the engine's Distribute stage, the client-side
-// DialingFetcher end to end, failure injection (a dead dist shard costs only
-// the dialing rounds routed to it and rejoins after restart), concurrent
-// bucket downloads against one shard fleet, the FrontDoor's fetch-reply
-// ordering at teardown, and /metrics on the reactor daemons.
+// DialingFetcher end to end, a coordinator-driven client fleet downloading
+// from the shards, failure injection (a dead dist shard costs only the
+// dialing rounds routed to it and rejoins after restart), concurrent bucket
+// downloads against one shard fleet, and /metrics on the reactor daemons.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "src/engine/round_lifecycle.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
+#include "src/sim/client_fleet.h"
 #include "src/sim/deployment.h"
 #include "src/sim/workload.h"
 #include "src/transport/dist_router.h"
@@ -486,148 +487,84 @@ TEST(DialingFetcher, SurfacesIncomingCallEndToEnd) {
   EXPECT_EQ(calls[0].caller, deployment.client(alice).public_key());
 }
 
-TEST(CoordinatorProxy, ServesClientBucketFetchesOverTcp) {
-  // The coordinator's kInvitationFetch proxy: a TCP client with no direct
-  // dist-fleet route asks the coordinator for its bucket after each dialing
-  // round's ack, and gets the bucket bytes (kInvitationDrop) — or an error
-  // report for a round the distribution tier no longer holds.
+// The one client download path, end to end: coordd drives three loopback
+// hops and publishes each dialing round to a two-shard distd fleet, and
+// after every kDialAck fleet client i downloads bucket i mod m straight from
+// the shards. Every fetch is answered, and every bucket is byte-identical to
+// what an in-process InvitationDistributor fed the published tables serves.
+TEST(ClientFleet, DownloadsEveryAckedBucketFromTheDistShards) {
   const uint64_t kSeed = 4242;
+  constexpr uint64_t kUsers = 6;
+  constexpr uint32_t kDrops = 4;  // buckets 0-1 on shard 0, 2-3 on shard 1
   mixnet::ChainConfig chain_config;
-  chain_config.num_servers = 2;
+  chain_config.num_servers = 3;
   chain_config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
   chain_config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
   auto chain = LoopbackChain::Start(chain_config, kSeed);
+  auto group = DistGroup::Start(2);
   ASSERT_NE(chain, nullptr);
+  ASSERT_NE(group, nullptr);
 
   CoordDaemonConfig config;
   for (size_t i = 0; i < chain->size(); ++i) {
     config.hops.push_back({"127.0.0.1", chain->port(i)});
   }
+  for (size_t i = 0; i < group->size(); ++i) {
+    config.dist.push_back({"127.0.0.1", group->port(i)});
+  }
   config.scheduler.max_in_flight = 2;
   config.schedule.conversation_rounds_per_dialing_round = 1;  // alternate C/D
-  // 3 conversation + 2 dialing. Ending on a conversation round makes sure
-  // the second dialing round's fetch reaches the coordinator before
-  // teardown; from there CloseClients answers it ahead of kShutdown (see
-  // FrontDoor.CloseClientsSendsQueuedFetchRepliesBeforeShutdown).
-  config.total_rounds = 5;
-  config.admission_window_seconds = 0.2;  // closes early once the client contributed
-  config.hop_timeout_ms = 2000;
-  config.num_clients = 1;
-  config.shutdown_hops_on_exit = true;
-
-  CoordinatorDaemon coordinator(std::move(config));
+  config.schedule.dial_dead_drops = kDrops;
+  config.total_rounds = 5;  // 3 conversation + 2 dialing
+  config.admission_window_seconds = 2.0;  // closes once every client submitted
+  config.num_clients = kUsers;
+  CoordinatorDaemon coordinator(config);
   ASSERT_TRUE(coordinator.Start());
 
-  std::atomic<int> buckets_received{0};
-  std::atomic<int> ragged_buckets{0};
-  std::atomic<int> error_replies{0};
-  std::thread client([&] {
-    auto conn = net::TcpConnection::Connect("127.0.0.1", coordinator.client_port());
-    if (!conn) {
-      return;
-    }
-    bool probed_unknown_round = false;
-    while (auto frame = conn->RecvFrame()) {
-      if (frame->type == net::FrameType::kShutdown) {
-        return;
-      }
-      if (frame->type == net::FrameType::kRoundAnnouncement) {
-        auto announcement = wire::RoundAnnouncement::Parse(frame->payload);
-        if (!announcement) {
-          continue;
-        }
-        // Garbage onions exercise the round plumbing only; the chain drops
-        // them and the dialing table still carries its noise invitations.
-        // They have an onion's size for the round type, which admission
-        // requires.
-        bool conversation = announcement->type == wire::RoundType::kConversation;
-        net::FrameType type = conversation ? net::FrameType::kConversationRequest
-                                           : net::FrameType::kDialRequest;
-        size_t size = crypto::OnionRequestSize(
-            conversation ? wire::kExchangeRequestSize : wire::kDialRequestSize, chain->size());
-        conn->SendFrame(net::Frame{type, announcement->round, util::Bytes(size, 0xab)});
-      } else if (frame->type == net::FrameType::kDialAck) {
-        // The ack means the round completed AND its table was distributed:
-        // download bucket 0 through the coordinator.
-        util::Bytes index(4, 0);
-        conn->SendFrame(net::Frame{net::FrameType::kInvitationFetch, frame->round, index});
-        if (!probed_unknown_round) {
-          probed_unknown_round = true;
-          conn->SendFrame(
-              net::Frame{net::FrameType::kInvitationFetch, frame->round + 999, index});
-        }
-      } else if (frame->type == net::FrameType::kInvitationDrop) {
-        ++buckets_received;
-        // Deterministic mu=2 noise guarantees a non-empty bucket of whole
-        // invitations.
-        if (frame->payload.empty() || frame->payload.size() % wire::kInvitationSize != 0) {
-          ++ragged_buckets;
-        }
-      } else if (frame->type == net::FrameType::kHopError) {
-        ++error_replies;
-      }
-    }
-  });
-
+  sim::ClientFleetConfig fleet_config;
+  fleet_config.coordinator.port = coordinator.client_port();
+  fleet_config.dist = config.dist;
+  fleet_config.chain = chain->public_keys();
+  fleet_config.users = kUsers;
+  fleet_config.seed = kSeed;
+  auto fleet = std::async(std::launch::async, sim::RunClientFleet, fleet_config);
   CoordDaemonResult result = coordinator.Run();
-  client.join();
-
+  std::optional<sim::ClientFleetResult> downloads = fleet.get();
+  ASSERT_TRUE(downloads.has_value());
   EXPECT_EQ(result.dialing_rounds_completed, 2u);
   EXPECT_EQ(result.rounds_abandoned, 0u);
-  EXPECT_EQ(buckets_received.load(), 2);  // one proxied download per dialing round
-  EXPECT_EQ(ragged_buckets.load(), 0);
-  EXPECT_EQ(error_replies.load(), 1);  // the unknown-round probe was refused
-  EXPECT_EQ(result.dialing_fetches, 2u);
-  EXPECT_GT(result.dialing_fetch_bytes, 0u);
-}
+  EXPECT_EQ(downloads->dialing_fetches_expected, 2 * kUsers);
+  EXPECT_EQ(downloads->dialing_fetches, downloads->dialing_fetches_expected);
+  EXPECT_GT(downloads->dialing_fetch_bytes, 0u);
 
-// Fetch replies the worker still owes when teardown starts — one in flight,
-// one queued behind it — go out before the shutdown frame, not after it.
-TEST(FrontDoor, CloseClientsSendsQueuedFetchRepliesBeforeShutdown) {
-  std::atomic<int> fetches_started{0};
-  FrontDoorHandlers handlers;
-  handlers.on_fetch = [&](size_t, uint64_t round, util::Bytes) {
-    fetches_started.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));  // a slow shard RPC
-    return net::Frame{net::FrameType::kInvitationDrop, round,
-                      util::Bytes(wire::kInvitationSize, 0x5a)};
-  };
-  auto door = FrontDoor::Create(FrontDoorConfig{}, std::move(handlers));
-  ASSERT_NE(door, nullptr);
-  ASSERT_TRUE(door->Start());
-  auto conn = net::TcpConnection::Connect("127.0.0.1", door->port());
-  ASSERT_TRUE(conn.has_value());
-  conn->SetRecvTimeout(10000);
-  ASSERT_TRUE(door->WaitForClients(1, 5000));
-
-  util::Bytes index(4, 0);
-  ASSERT_TRUE(conn->SendFrame(net::Frame{net::FrameType::kInvitationFetch, 7, index}));
-  ASSERT_TRUE(conn->SendFrame(net::Frame{net::FrameType::kInvitationFetch, 8, index}));
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (fetches_started.load() == 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // The published tables, read back whole from the shards (the coordinator
+  // leaves them running), feed the in-process reference.
+  coord::InvitationDistributor reference;
+  client::DialingFetcher reader(group->FetcherConfig());
+  ASSERT_EQ(downloads->buckets[0].size(), 2u);
+  for (const auto& [round, bucket] : downloads->buckets[0]) {
+    deaddrop::InvitationTable table(kDrops);
+    for (uint32_t drop = 0; drop < kDrops; ++drop) {
+      for (const wire::Invitation& invitation : reader.FetchBucket(round, drop, kDrops)) {
+        table.Add(drop, invitation);
+      }
+    }
+    reference.Publish(round, std::move(table));
   }
-  ASSERT_EQ(fetches_started.load(), 1);
-
-  std::thread closer([&] {
-    door->CloseClients(net::Frame{net::FrameType::kShutdown, 0, {}}, /*grace_ms=*/5000);
-  });
-  std::vector<std::pair<net::FrameType, uint64_t>> received;
-  while (auto frame = conn->RecvFrame()) {
-    received.emplace_back(frame->type, frame->round);
-    if (frame->type == net::FrameType::kShutdown) {
-      break;
+  for (uint64_t i = 0; i < kUsers; ++i) {
+    ASSERT_EQ(downloads->buckets[i].size(), 2u) << "client " << i;
+    for (const auto& [round, bucket] : downloads->buckets[i]) {
+      // Deterministic noise fills every bucket.
+      EXPECT_FALSE(bucket.empty()) << "client " << i << " round " << round;
+      EXPECT_EQ(bucket, reference.Fetch(round, static_cast<uint32_t>(i % kDrops)))
+          << "client " << i << " round " << round;
     }
   }
-  conn->Close();
-  closer.join();
-  door->Shutdown();
-
-  std::vector<std::pair<net::FrameType, uint64_t>> expected = {
-      {net::FrameType::kInvitationDrop, 7},
-      {net::FrameType::kInvitationDrop, 8},
-      {net::FrameType::kShutdown, 0}};
-  EXPECT_EQ(received, expected);
+  // Both shards served, and nothing but these downloads reached them.
+  EXPECT_GT(group->daemon(0)->fetches_served(), 0u);
+  EXPECT_GT(group->daemon(1)->fetches_served(), 0u);
+  EXPECT_EQ(group->daemon(0)->fetches_served() + group->daemon(1)->fetches_served(),
+            2 * kUsers + 2 * kDrops);
 }
 
 // --- /metrics beside the reactor ---------------------------------------------

@@ -20,8 +20,6 @@ constexpr size_t kDialSize = 60;
 constexpr wire::RoundType kConv = wire::RoundType::kConversation;
 constexpr wire::RoundType kDial = wire::RoundType::kDialing;
 
-uint64_t Dial(uint64_t n) { return kDialingRoundBase + n; }
-
 std::string RoundName(uint64_t round) {
   return round >= kDialingRoundBase ? "d" + std::to_string(round - kDialingRoundBase)
                                     : std::to_string(round);
@@ -52,9 +50,6 @@ struct Call {
     kFinish,      // Finish(round, ok, now)
     kRetry,       // TakeDueRetry(now)
     kNextRetry,   // NextRetry()
-    kFetched,     // FetchServed(round, client)
-    kMarkDead,    // MarkBucketDead(round, bucket)
-    kBucketDead,  // BucketDead(round, bucket)
     kState,       // the bookkeeping counts and Done()
   };
   Kind kind;
@@ -63,7 +58,6 @@ struct Call {
   wire::RoundType type = kConv;
   size_t size = kConvSize;
   bool ok = true;
-  uint32_t bucket = 0;
 };
 
 Call Announce(size_t clients) { return {.kind = Call::kAnnounce, .client = clients}; }
@@ -78,15 +72,6 @@ Call Collect() { return {.kind = Call::kCollect}; }
 Call Finish(uint64_t round, bool ok) { return {.kind = Call::kFinish, .round = round, .ok = ok}; }
 Call Retry() { return {.kind = Call::kRetry}; }
 Call NextRetry() { return {.kind = Call::kNextRetry}; }
-Call Fetched(uint64_t round, size_t client) {
-  return {.kind = Call::kFetched, .client = client, .round = round};
-}
-Call MarkDead(uint64_t round, uint32_t bucket) {
-  return {.kind = Call::kMarkDead, .round = round, .bucket = bucket};
-}
-Call BucketDead(uint64_t round, uint32_t bucket) {
-  return {.kind = Call::kBucketDead, .round = round, .bucket = bucket};
-}
 Call State() { return {.kind = Call::kState}; }
 
 struct Step {
@@ -161,20 +146,11 @@ std::string Apply(RoundPolicy& policy, const Step& step) {
       std::optional<PolicyTime> next = policy.NextRetry();
       return next ? "at " + std::to_string(Ms(*next)) : "none";
     }
-    case Call::kFetched:
-      policy.FetchServed(call.round, call.client);
-      return "ok";
-    case Call::kMarkDead:
-      policy.MarkBucketDead(call.round, call.bucket);
-      return "ok";
-    case Call::kBucketDead:
-      return policy.BucketDead(call.round, call.bucket) ? "dead" : "alive";
     case Call::kState:
       return "banked=" + std::to_string(policy.banked_onions()) +
              " pending=" + std::to_string(policy.pending_rounds()) +
              " retrying=" + std::to_string(policy.retry_depth()) +
-             " dedup=" + std::to_string(policy.dedup_rounds()) +
-             " owed=" + std::to_string(policy.owed_fetches()) + (policy.Done() ? " done" : "");
+             " dedup=" + std::to_string(policy.dedup_rounds()) + (policy.Done() ? " done" : "");
   }
   return "?";
 }
@@ -268,13 +244,13 @@ TEST(RoundPolicy, FailedAttemptIsRetriedWithTheSameOnionsThenAbandoned) {
       {0, Announce(2), "announce 1"},
       {0, Admit(1, 1), "admitted"},
       {0, Admit(0, 1), "admitted"},
-      {0, State(), "banked=0 pending=0 retrying=0 dedup=1 owed=0"},
+      {0, State(), "banked=0 pending=0 retrying=0 dedup=1"},
       {0, Close(), "batch 1 attempt 1 onions [1,0]"},
-      {0, State(), "banked=2 pending=1 retrying=0 dedup=1 owed=0"},
+      {0, State(), "banked=2 pending=1 retrying=0 dedup=1"},
       {0, Collect(), "collect 1"},
-      {0, State(), "banked=2 pending=0 retrying=0 dedup=1 owed=0"},
+      {0, State(), "banked=2 pending=0 retrying=0 dedup=1"},
       {10, Finish(1, false), "retry at 110"},
-      {10, State(), "banked=2 pending=0 retrying=1 dedup=1 owed=0"},
+      {10, State(), "banked=2 pending=0 retrying=1 dedup=1"},
       {10, NextRetry(), "at 110"},
       {109, Retry(), "none"},
       {110, Retry(), "batch 1 attempt 2 onions [1,0]"},
@@ -282,12 +258,12 @@ TEST(RoundPolicy, FailedAttemptIsRetriedWithTheSameOnionsThenAbandoned) {
       {200, Finish(1, false), "retry at 300"},
       // The final attempt ships the bank: nothing is held back.
       {300, Retry(), "batch 1 attempt 3 onions [1,0]"},
-      {300, State(), "banked=0 pending=1 retrying=0 dedup=1 owed=0"},
+      {300, State(), "banked=0 pending=1 retrying=0 dedup=1"},
       {300, Collect(), "collect 1"},
       {400, Finish(1, false), "abandon after 3"},
       {400, NextRetry(), "none"},
       // Terminal; the dedup record outlives it until the expiry horizon.
-      {400, State(), "banked=0 pending=0 retrying=0 dedup=1 owed=0 done"},
+      {400, State(), "banked=0 pending=0 retrying=0 dedup=1 done"},
   };
   RunTable(TestConfig(), steps);
 }
@@ -297,17 +273,17 @@ TEST(RoundPolicy, BankedOnionsReturnToZeroOnDelivery) {
   config.total_rounds = 2;
   std::vector<Step> steps;
   AppendDeliveredRound(steps, 0, 1);
-  steps.push_back({0, State(), "banked=0 pending=0 retrying=0 dedup=1 owed=0"});
+  steps.push_back({0, State(), "banked=0 pending=0 retrying=0 dedup=1"});
   steps.push_back({0, Announce(1), "announce 2"});
   steps.push_back({0, Admit(0, 2), "admitted"});
   steps.push_back({0, Close(), "batch 2 attempt 1 onions [0]"});
   steps.push_back({0, Collect(), "collect 2"});
   steps.push_back({5, Finish(2, false), "retry at 105"});
   steps.push_back({105, Retry(), "batch 2 attempt 2 onions [0]"});
-  steps.push_back({105, State(), "banked=1 pending=1 retrying=0 dedup=2 owed=0"});
+  steps.push_back({105, State(), "banked=1 pending=1 retrying=0 dedup=2"});
   steps.push_back({105, Collect(), "collect 2"});
   steps.push_back({110, Finish(2, true), "deliver [0]"});
-  steps.push_back({110, State(), "banked=0 pending=0 retrying=0 dedup=2 owed=0 done"});
+  steps.push_back({110, State(), "banked=0 pending=0 retrying=0 dedup=2 done"});
   RunTable(config, steps);
 }
 
@@ -327,7 +303,7 @@ TEST(RoundPolicy, DedupRecordsStayBoundedWhenEveryRoundIsAbandoned) {
     steps.push_back({now, Finish(round, false), "abandon after 1"});
   }
   // The newest round plus the expire_keep rounds behind it.
-  steps.push_back({1000, State(), "banked=0 pending=0 retrying=0 dedup=5 owed=0 done"});
+  steps.push_back({1000, State(), "banked=0 pending=0 retrying=0 dedup=5 done"});
   RunTable(config, steps);
 }
 
@@ -393,75 +369,25 @@ TEST(RoundPolicy, BudgetRefusesBeforeAnnouncement) {
     steps.push_back({0, Admit(0, round), "refused"});
   }
   std::string drained = "banked=0 pending=0 retrying=0 dedup=" + std::to_string(admitted);
-  steps.push_back({0, State(), drained + " owed=0 done"});
+  steps.push_back({0, State(), drained + " done"});
   steps.push_back({0, Announce(1), "hold"});
   RunTable(config, steps);
-}
-
-TEST(RoundPolicy, OwedFetchesSettleByFetchOrDisconnectAndArePrunedAtTheKeep) {
-  RoundPolicyConfig config = TestConfig();
-  config.schedule.conversation_rounds_per_dialing_round = 0;  // dialing only
-  config.total_rounds = 7;
-  config.max_in_flight = 1;  // dist_keep = K + 4 = 5
-  RoundPolicy policy(config);
-  ASSERT_EQ(policy.dist_keep(), 5u);
-  std::vector<Step> steps = {
-      {0, Announce(3), "announce d0"},
-      {0, Admit(0, Dial(0), kDial), "admitted"},
-      {0, Admit(1, Dial(0), kDial), "admitted"},
-      {0, Admit(2, Dial(0), kDial), "admitted"},
-      {0, Close(), "batch d0 attempt 1 onions [0,1,2]"},
-      {0, Collect(), "collect d0"},
-      {0, Finish(Dial(0), true), "deliver [0,1,2]"},
-      {0, State(), "banked=0 pending=0 retrying=0 dedup=1 owed=3"},
-      {0, Fetched(Dial(0), 0), "ok"},
-      {0, Disconnect(1), "ok"},
-      {0, State(), "banked=0 pending=0 retrying=0 dedup=1 owed=1"},
-      {0, Disconnect(0), "ok"},  // owed nothing any more
-  };
-  // Client 2 stays and never fetches. Its d0 fetch is owed until d5 is
-  // delivered: the keep no longer holds d0's table then.
-  for (uint64_t n = 1; n <= 5; ++n) {
-    std::string name = "d" + std::to_string(n);
-    steps.push_back({0, Announce(3), "announce " + name});
-    steps.push_back({0, Admit(2, Dial(n), kDial), "admitted"});
-    steps.push_back({0, Close(), "batch " + name + " attempt 1 onions [2]"});
-    steps.push_back({0, Collect(), "collect " + name});
-    steps.push_back({0, Finish(Dial(n), true), "deliver [2]"});
-  }
-  steps.push_back({0, State(), "banked=0 pending=0 retrying=0 dedup=5 owed=5"});
-  steps.push_back({0, Disconnect(2), "ok"});
-  steps.push_back({0, State(), "banked=0 pending=0 retrying=0 dedup=5 owed=0"});
-  RunTable(policy, steps);
-}
-
-TEST(RoundPolicy, DeadBucketMemoKeepsEightRounds) {
-  std::vector<Step> steps;
-  for (uint64_t n = 0; n < 9; ++n) {
-    steps.push_back({0, MarkDead(Dial(n), 3), "ok"});
-  }
-  steps.push_back({0, BucketDead(Dial(0), 3), "alive"});  // the ninth round evicted it
-  for (uint64_t n = 1; n < 9; ++n) {
-    steps.push_back({0, BucketDead(Dial(n), 3), "dead"});
-  }
-  steps.push_back({0, BucketDead(Dial(8), 4), "alive"});
-  RunTable(TestConfig(), steps);
 }
 
 TEST(RoundPolicy, DoneOnlyOnceEveryScheduledRoundIsTerminal) {
   RoundPolicyConfig config = TestConfig();
   config.total_rounds = 1;
   const std::vector<Step> steps = {
-      {0, State(), "banked=0 pending=0 retrying=0 dedup=0 owed=0"},
+      {0, State(), "banked=0 pending=0 retrying=0 dedup=0"},
       {0, Announce(1), "announce 1"},
       {0, Admit(0, 1), "admitted"},
       {0, Close(), "batch 1 attempt 1 onions [0]"},
-      {0, State(), "banked=1 pending=1 retrying=0 dedup=1 owed=0"},
+      {0, State(), "banked=1 pending=1 retrying=0 dedup=1"},
       {0, Announce(1), "hold"},  // the schedule is played
       {0, Collect(), "collect 1"},
       {0, Collect(), "none"},
       {0, Finish(1, true), "deliver [0]"},
-      {0, State(), "banked=0 pending=0 retrying=0 dedup=1 owed=0 done"},
+      {0, State(), "banked=0 pending=0 retrying=0 dedup=1 done"},
   };
   RunTable(config, steps);
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -730,6 +733,82 @@ TEST(CoordinatorDaemon, AdmitsOnlyOnionSizedRequests) {
   ASSERT_EQ(responses[rounds[1]].size(), 1u);
   EXPECT_TRUE(crypto::OnionOpenResponse(admitted->layer_keys, rounds[1], responses[rounds[1]][0])
                   .has_value());
+}
+
+// Clients send nothing but onions, so the front door takes no frame larger
+// than the chain's larger onion. A client that announces one byte more is
+// cut off at the frame header, without sending the payload, and the honest
+// clients' rounds go on without waiting for it.
+TEST(CoordinatorDaemon, CutsOffAClientFrameOneByteOverTheLargestOnion) {
+  auto chain = LoopbackChain::Start(TestChainConfig(), kKeySeed);
+  ASSERT_NE(chain, nullptr);
+  constexpr uint64_t kHonest = 3;
+  const size_t cap = std::max(crypto::OnionRequestSize(wire::kExchangeRequestSize, chain->size()),
+                              crypto::OnionRequestSize(wire::kDialRequestSize, chain->size()));
+
+  CoordDaemonConfig config;
+  for (size_t i = 0; i < chain->size(); ++i) {
+    config.hops.push_back({"127.0.0.1", chain->port(i)});
+  }
+  config.schedule.conversation_rounds_per_dialing_round = 1;  // C, D, C
+  config.total_rounds = 3;
+  config.admission_window_seconds = 1.0;  // closes once every connected client submitted
+  config.num_clients = kHonest + 1;
+  CoordinatorDaemon coordinator(std::move(config));
+  ASSERT_TRUE(coordinator.Start());
+
+  std::atomic<bool> cut_off{false};
+  std::atomic<bool> saw_shutdown{false};
+  std::thread hostile([&] {
+    auto conn = net::TcpConnection::Connect("127.0.0.1", coordinator.client_port());
+    if (!conn) {
+      return;
+    }
+    std::optional<net::Frame> announcement = conn->RecvFrame();
+    if (!announcement) {
+      return;
+    }
+    // [u32 frame length][frame header] announcing cap + 1 payload bytes.
+    uint8_t head[4 + net::kFrameHeaderBytes];
+    util::StoreBe32(head, static_cast<uint32_t>(net::kFrameHeaderBytes + cap + 1));
+    auto header = net::EncodeFrameHeader({net::FrameType::kConversationRequest,
+                                          announcement->round, static_cast<uint32_t>(cap + 1)});
+    std::copy(header.begin(), header.end(), head + 4);
+    const int fd = conn->ReleaseFd();
+    const bool sent =
+        ::send(fd, head, sizeof head, MSG_NOSIGNAL) == static_cast<ssize_t>(sizeof head);
+    net::TcpConnection raw(fd);
+    raw.SetRecvTimeout(30000);
+    if (!sent) {
+      return;
+    }
+    while (auto frame = raw.RecvFrame()) {
+      if (frame->type == net::FrameType::kShutdown) {
+        saw_shutdown = true;
+        return;
+      }
+    }
+    cut_off = raw.last_recv_status() != net::RecvStatus::kTimeout;
+  });
+
+  sim::ClientFleetConfig fleet_config;
+  fleet_config.coordinator.port = coordinator.client_port();
+  fleet_config.chain = chain->public_keys();
+  fleet_config.users = kHonest;
+  auto fleet = std::async(std::launch::async, sim::RunClientFleet, fleet_config);
+  CoordDaemonResult result = coordinator.Run();
+  std::optional<sim::ClientFleetResult> honest = fleet.get();
+  hostile.join();
+
+  EXPECT_TRUE(cut_off);
+  EXPECT_FALSE(saw_shutdown);
+  EXPECT_EQ(result.conversation_rounds_completed, 2u);
+  EXPECT_EQ(result.dialing_rounds_completed, 1u);
+  EXPECT_EQ(result.rounds_abandoned, 0u);
+  ASSERT_TRUE(honest.has_value());
+  for (uint64_t i = 0; i < kHonest; ++i) {
+    EXPECT_EQ(honest->responses[i].size(), 2u) << "client " << i;
+  }
 }
 
 // A client that contributed and then hung up does not close the window on

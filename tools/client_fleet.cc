@@ -2,10 +2,14 @@
 // (sim::RunClientFleet) for a vuvuzela-coordd started with --clients N:
 //
 //   $ client_fleet --coord 127.0.0.1:7331 --users 40 --hops 3 --seed 42
+//         [--dist 127.0.0.1:7361,127.0.0.1:7362]
 //
 // --key-dir CHAIN.pub takes the chain keys from vuvuzela-keygen output
-// instead of the shared seed, which then seeds only the workload. Exits 0
-// once coordd shuts the clients down, iff every bucket fetch was answered.
+// instead of the shared seed, which then seeds only the workload. --dist
+// names the vuvuzela-distd shards coordd publishes to (coordd's --dist);
+// each client downloads its invitation bucket from them after every dialing
+// round. Exits 0 once coordd shuts the clients down, iff every bucket fetch
+// was answered.
 
 #include <cstdio>
 #include <string>
@@ -29,6 +33,8 @@ int main(int argc, char** argv) {
     const char* value = argv[i + 1];
     if (arg == "--coord") {
       ok = net::ParseEndpointList(value, &coordinator);
+    } else if (arg == "--dist") {
+      ok = net::ParseEndpointList(value, &config.dist);
     } else if (arg == "--users") {
       ok = util::ParseUnsigned(value, UINT64_MAX, &config.users);
     } else if (arg == "--hops") {
@@ -43,7 +49,7 @@ int main(int argc, char** argv) {
   }
   if (!ok || coordinator.size() != 1 || config.users == 0 || (hops == 0) == key_dir.empty()) {
     std::fprintf(stderr,
-                 "usage: %s --coord host:port --users N\n"
+                 "usage: %s --coord host:port --users N [--dist host:port[,host:port...]]\n"
                  "          (--hops H --seed S | --key-dir CHAIN.pub [--seed S])\n",
                  argv[0]);
     return 2;

@@ -12,21 +12,19 @@
 // engine::RoundScheduler — the identical pipelining discipline the
 // in-process harness uses, now with every mix pass crossing a socket as a
 // chunked batch message. The clients are real VuvuzelaClients on real
-// connections: they answer round announcements inside the admission window
-// and handle responses for earlier rounds while later rounds are already in
-// flight (client-side pipelining, §8.3).
+// connections, each driven by client::RunSession: they answer round
+// announcements inside the admission window and handle responses for
+// earlier rounds while later rounds are already in flight (client-side
+// pipelining, §8.3).
 //
 // Exits 0 iff every round completed and each client received its partner's
 // message.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "src/client/client.h"
+#include "src/client/session.h"
 #include "src/transport/coord_daemon.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
@@ -38,39 +36,6 @@ namespace {
 constexpr size_t kNumServers = 3;
 constexpr uint64_t kRounds = 6;
 constexpr uint64_t kSeed = 20151005;
-
-// A client over TCP: answers announcements with onions, decrypts responses as
-// they surface (possibly after later rounds were announced), and appends the
-// messages it receives to `received`.
-void RunClient(const char* name, client::VuvuzelaClient* vuvuzela, uint16_t coord_port,
-               const crypto::X25519PublicKey& partner, const char* to_send,
-               std::vector<std::string>* received) {
-  auto conn = net::TcpConnection::Connect("127.0.0.1", coord_port);
-  if (!conn) {
-    return;
-  }
-  vuvuzela->AcceptCall(partner);  // keys pre-exchanged (§2.3 assumption)
-  util::Bytes payload(to_send, to_send + strlen(to_send));
-  vuvuzela->SendMessage(partner, payload);
-
-  for (;;) {
-    auto frame = conn->RecvFrame();
-    if (!frame || frame->type == net::FrameType::kShutdown) {
-      return;
-    }
-    if (frame->type == net::FrameType::kRoundAnnouncement) {
-      auto onions = vuvuzela->PrepareConversationOnions(frame->round);
-      conn->SendFrame(net::Frame{net::FrameType::kConversationRequest, frame->round, onions[0]});
-    } else if (frame->type == net::FrameType::kConversationResponse) {
-      std::vector<util::Bytes> responses = {frame->payload};
-      vuvuzela->HandleConversationResponses(frame->round, responses);
-      for (const auto& m : vuvuzela->TakeReceivedMessages()) {
-        received->emplace_back(m.payload.begin(), m.payload.end());
-        std::printf("  [%s] received: \"%s\"\n", name, received->back().c_str());
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -110,44 +75,53 @@ int main() {
   uint16_t coord_port = coordinator.client_port();
   std::printf("  [coordd] accepting clients on 127.0.0.1:%u\n\n", coord_port);
 
-  // Two clients with pre-exchanged keys, wrapping onions for the derived
-  // chain public keys.
+  // Two clients with pre-exchanged keys (§2.3 assumption), wrapping onions
+  // for the derived chain public keys, each with a message queued.
   util::Xoshiro256Rng rng(kSeed ^ 0xc11e57);
   auto alice_keys = crypto::X25519KeyPair::Generate(rng);
   auto bob_keys = crypto::X25519KeyPair::Generate(rng);
-  auto make_client = [&](const crypto::X25519KeyPair& kp) {
-    client::ClientConfig config;
-    config.keys = kp;
-    config.chain = hops->public_keys();
-    crypto::ChaCha20Key seed;
-    rng.Fill(seed);
-    return client::VuvuzelaClient(config, seed);
-  };
-  client::VuvuzelaClient alice = make_client(alice_keys);
-  client::VuvuzelaClient bob = make_client(bob_keys);
-
   const std::string alice_says = "meet at the usual place";
   const std::string bob_says = "confirmed, bring the docs";
-  std::vector<std::string> alice_received;
-  std::vector<std::string> bob_received;
-  std::thread alice_thread(RunClient, "alice", &alice, coord_port, bob_keys.public_key,
-                           alice_says.c_str(), &alice_received);
-  std::thread bob_thread(RunClient, "bob", &bob, coord_port, alice_keys.public_key,
-                         bob_says.c_str(), &bob_received);
+  auto make_client = [&](const crypto::X25519KeyPair& kp, const crypto::X25519PublicKey& partner,
+                         const std::string& says) {
+    crypto::ChaCha20Key seed;
+    rng.Fill(seed);
+    client::VuvuzelaClient vuvuzela({.keys = kp, .chain = hops->public_keys()}, seed);
+    vuvuzela.AcceptCall(partner);
+    vuvuzela.SendMessage(partner, util::Bytes(says.begin(), says.end()));
+    return vuvuzela;
+  };
+  client::VuvuzelaClient alice = make_client(alice_keys, bob_keys.public_key, alice_says);
+  client::VuvuzelaClient bob = make_client(bob_keys, alice_keys.public_key, bob_says);
+  auto run = [coord_port](client::VuvuzelaClient* vuvuzela) {
+    if (auto conn = net::TcpConnection::Connect("127.0.0.1", coord_port)) {
+      client::RunSession(*vuvuzela, *conn, /*fetcher=*/nullptr);
+    }
+  };
+  std::thread alice_thread(run, &alice);
+  std::thread bob_thread(run, &bob);
 
   transport::CoordDaemonResult result = coordinator.Run();
   alice_thread.join();
   bob_thread.join();
   hops.reset();  // stops the hop daemons
 
+  // Prints what a client received; true iff `expected` is among it.
+  auto got = [](const char* name, client::VuvuzelaClient& vuvuzela, const std::string& expected) {
+    bool found = false;
+    for (const auto& m : vuvuzela.TakeReceivedMessages()) {
+      std::string text(m.payload.begin(), m.payload.end());
+      std::printf("  [%s] received: \"%s\"\n", name, text.c_str());
+      found = found || text == expected;
+    }
+    return found;
+  };
+  const bool delivered = got("alice", alice, bob_says) & got("bob", bob, alice_says);
   std::printf("\n%llu rounds completed over real sockets (%llu messages exchanged), "
               "pipelined through the chain.\n",
               static_cast<unsigned long long>(result.conversation_rounds_completed),
               static_cast<unsigned long long>(result.messages_exchanged));
-  auto got = [](const std::vector<std::string>& received, const std::string& message) {
-    return std::find(received.begin(), received.end(), message) != received.end();
-  };
-  if (!got(alice_received, bob_says) || !got(bob_received, alice_says)) {
+  if (!delivered) {
     std::fprintf(stderr, "a client did not receive its partner's message\n");
     return 1;
   }

@@ -14,8 +14,8 @@
 //  * chat delivery is reliable and in-order via ReliableChannel.
 //
 // The round-driven methods (PrepareX/HandleX) are transport-agnostic: the
-// in-process Deployment harness, the TCP example, and the benches all drive
-// the same client.
+// in-process Deployment harness and the benches drive them directly, and
+// client::RunSession (session.h) drives them over coordd's front door.
 
 #ifndef VUVUZELA_SRC_CLIENT_CLIENT_H_
 #define VUVUZELA_SRC_CLIENT_CLIENT_H_
@@ -60,6 +60,7 @@ class VuvuzelaClient {
   VuvuzelaClient(ClientConfig config, const crypto::ChaCha20Key& rng_seed);
 
   const crypto::X25519PublicKey& public_key() const { return config_.keys.public_key; }
+  size_t max_conversations() const { return config_.max_conversations; }
 
   // --- User-facing API ----------------------------------------------------
 

@@ -44,12 +44,12 @@ std::vector<wire::Invitation> DialingFetcher::FetchBucket(uint64_t round, uint32
   return std::move(bucket.invitations);
 }
 
-size_t DialingFetcher::FetchFor(VuvuzelaClient& client, uint64_t round,
-                                const dialing::RoundConfig& dial_config) {
+std::vector<wire::Invitation> DialingFetcher::FetchFor(VuvuzelaClient& client, uint64_t round,
+                                                       const dialing::RoundConfig& dial_config) {
   std::vector<wire::Invitation> bucket =
       FetchBucket(round, client.InvitationDrop(dial_config), dial_config.total_drops());
   client.HandleInvitationDrop(bucket);
-  return bucket.size();
+  return bucket;
 }
 
 }  // namespace vuvuzela::client

@@ -60,8 +60,8 @@ class DialingFetcher {
   // The full client-side dialing download: fetches `client`'s own bucket for
   // `round` and hands it to the client, which decrypts and surfaces any calls
   // addressed to it (VuvuzelaClient::HandleInvitationDrop). Returns the
-  // bucket size (invitations scanned).
-  size_t FetchFor(VuvuzelaClient& client, uint64_t round,
+  // bucket it scanned.
+  std::vector<wire::Invitation> FetchFor(VuvuzelaClient& client, uint64_t round,
                   const dialing::RoundConfig& dial_config);
 
   // Download accounting (§8.3 client bandwidth).

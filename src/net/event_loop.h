@@ -66,9 +66,9 @@ namespace vuvuzela::net {
 
 struct EventLoopConfig {
   // Largest frame payload a peer may announce. The default matches the
-  // blocking transport's cap; client-facing edges set it far lower (clients
-  // send onions and 4-byte fetch indices, never server batches), so one
-  // hostile client cannot stage a 256 MB allocation.
+  // blocking transport's cap; coordd's front door sets it far lower (its
+  // clients send onions only, never server batches), so one hostile client
+  // cannot stage a 256 MB allocation.
   size_t max_frame_payload = kMaxFramePayload;
   // Pending-output ceiling per connection; exceeding it closes the
   // connection. Sized so a full bucket download to a briefly-stalled client

@@ -150,6 +150,11 @@ class TcpListener {
   // bounds the kernel accept queue — front-door listeners that face connect
   // storms raise it (the effective value is also capped by somaxconn).
   static std::optional<TcpListener> Listen(uint16_t port, int backlog = 128);
+  // The accept queue of the listeners clients reach (coordd's front door,
+  // distd). Admission storms are the design load: a connect burst deeper
+  // than the backlog gets SYNs dropped and retried, which shows up as
+  // admission-latency outliers.
+  static constexpr int kClientBacklog = 4096;
 
   uint16_t port() const { return port_; }
   bool valid() const { return fd_ >= 0; }

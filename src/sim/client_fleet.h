@@ -1,10 +1,9 @@
 // §8.1's simulated users as real clients of the coordinator: RunClientFleet
-// opens `users` connections to coordd's front door. Each round, client i
-// sends onion i of a batch the workload generator builds once per round
-// (sim/workload.h); after each dialing round's kDialAck it downloads bucket
-// i mod m straight from the vuvuzela-distd shards with its own
-// client::DialingFetcher (§5.5), as a real client does. A thread per client
-// suits the tens of clients the tests and the CI smoke run;
+// runs one seeded client::VuvuzelaClient per user through client::RunSession
+// (session.h) on its own front-door connection and thread. Clients
+// (2k, 2k+1) hold pre-exchanged keys in a silent conversation, so every byte
+// a client sends is a function of the seed; 2k also dials 2k+1 once, in the
+// first dialing round. Tens of clients suit the tests and the CI smoke;
 // bench/fig12_frontdoor loads the front door at scale.
 
 #ifndef VUVUZELA_SRC_SIM_CLIENT_FLEET_H_
@@ -30,7 +29,7 @@ struct ClientFleetConfig {
   // The chain's public keys, hop 0 first.
   std::vector<crypto::X25519PublicKey> chain;
   uint64_t users = 0;
-  // Round r's batch comes from seed + r, with fresh ephemerals.
+  // Client i's keys and RNG come from (seed, i).
   uint64_t seed = 1;
   // Adversarial-suite hook: conversation round r has entry (r - 1) mod size
   // users, and clients from that index on sit the round out (the varying
@@ -39,10 +38,11 @@ struct ClientFleetConfig {
 };
 
 struct ClientFleetResult {
+  std::vector<crypto::X25519PublicKey> keys;  // client i's public key
   // responses[i][r]: client i's conversation response for round r.
   std::vector<std::map<uint64_t, util::Bytes>> responses;
-  // buckets[i][r]: the invitation bucket client i downloaded for dialing
-  // round r.
+  // buckets[i][r]: client i's own invitation bucket, H(pk) mod m, as it
+  // downloaded it after dialing round r.
   std::vector<std::map<uint64_t, std::vector<wire::Invitation>>> buckets;
   // Bucket fetches sent (one per client per acknowledged dialing round),
   // fetches answered with a bucket, and their on-the-wire bytes, chunk
@@ -50,6 +50,10 @@ struct ClientFleetResult {
   uint64_t dialing_fetches_expected = 0;
   uint64_t dialing_fetches = 0;
   uint64_t dialing_fetch_bytes = 0;
+  // Scripted dials placed (downloads on, and the dialer acknowledged in a
+  // dialing round) and the calls their callees found in their buckets.
+  uint64_t calls_placed = 0;
+  uint64_t calls_received = 0;
 };
 
 // Connects every client, then plays rounds until coordd shuts the clients

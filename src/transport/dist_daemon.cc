@@ -31,7 +31,7 @@ std::unique_ptr<DistDaemon> DistDaemon::Create(const DistDaemonConfig& config) {
       config.max_rounds == 0) {
     return nullptr;
   }
-  auto listener = net::TcpListener::Listen(config.port, config.backlog);
+  auto listener = net::TcpListener::Listen(config.port, net::TcpListener::kClientBacklog);
   if (!listener) {
     return nullptr;
   }

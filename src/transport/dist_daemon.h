@@ -60,8 +60,6 @@ struct DistDaemonConfig {
   // Backstop cap on retained rounds, should a router never piggyback an
   // expiry horizon (each publish's keep_latest is the primary bound).
   size_t max_rounds = 64;
-  // Accept-queue depth: downloaders arrive in connect storms.
-  int backlog = 4096;
   // /metrics + /trace HTTP port: < 0 disables the endpoint, 0 picks an
   // ephemeral port (metrics_port() reports the binding).
   int metrics_port = -1;

@@ -31,10 +31,8 @@ DistRouter::DistRouter(const DistRouterConfig& config) : config_(config) {
   for (const auto& endpoint : config.shards) {
     TcpTransportConfig link_config{endpoint.host, endpoint.port, config.recv_timeout_ms,
                                    config.connect_timeout_ms, config.chunk_payload};
-    for (auto* links : {&publish_links_, &fetch_links_}) {
-      links->push_back(std::make_unique<PeerLink>("dist shard", link_config, ReconnectPolicy{},
-                                                  ShardReconnects()));
-    }
+    links_.push_back(std::make_unique<PeerLink>("dist shard", link_config, ReconnectPolicy{},
+                                                ShardReconnects()));
   }
 }
 
@@ -43,9 +41,8 @@ std::unique_ptr<DistRouter> DistRouter::Connect(const DistRouterConfig& config) 
     return nullptr;
   }
   std::unique_ptr<DistRouter> router(new DistRouter(config));
-  // Strict-connect the publish side only (startup wants unreachable-shard
-  // errors up front); fetch links connect lazily at the first download.
-  for (auto& shard : router->publish_links_) {
+  // Startup wants unreachable-shard errors up front.
+  for (auto& shard : router->links_) {
     if (!shard->Connect()) {
       return nullptr;
     }
@@ -54,7 +51,7 @@ std::unique_ptr<DistRouter> DistRouter::Connect(const DistRouterConfig& config) 
 }
 
 void DistRouter::Publish(uint64_t round, deaddrop::InvitationTable table) {
-  size_t num_shards = publish_links_.size();
+  size_t num_shards = links_.size();
   uint32_t num_drops = table.num_drops();
 
   // Every shard owning at least one bucket receives its slice, empty buckets
@@ -90,11 +87,10 @@ void DistRouter::Publish(uint64_t round, deaddrop::InvitationTable table) {
     InvitationPublishHeader header{static_cast<uint32_t>(shard),
                                    static_cast<uint32_t>(num_shards), num_drops,
                                    config_.keep_rounds};
-    BatchMessage reply =
-        publish_links_[shard]->Call(net::FrameType::kInvitationPublish, round,
-                                    EncodeInvitationPublishHeader(header), items.Views());
+    BatchMessage reply = links_[shard]->Call(net::FrameType::kInvitationPublish, round,
+                                             EncodeInvitationPublishHeader(header), items.Views());
     if (!reply.header.empty() || !reply.items.empty()) {
-      publish_links_[shard]->Fail("unexpected publish ack payload");
+      links_[shard]->Fail("unexpected publish ack payload");
     }
   });
 
@@ -118,7 +114,7 @@ std::vector<wire::Invitation> DistRouter::Fetch(uint64_t round, uint32_t drop_in
   }
   FetchedBucket bucket;
   try {
-    bucket = FetchInvitationBucket(fetch_links_, round, drop_index, num_drops);
+    bucket = FetchInvitationBucket(links_, round, drop_index, num_drops);
   } catch (const HopRemoteError& e) {
     // The shard no longer holds a round the local map still routes — it
     // restarted empty, or its --max-rounds horizon is tighter than ours.
@@ -148,9 +144,9 @@ void DistRouter::Expire(size_t keep_latest) {
 }
 
 void DistRouter::SendShutdown() {
-  // One shutdown per daemon: the publish link suffices (Stop() takes the
-  // whole shard process down, fetch connections included).
-  for (auto& shard : publish_links_) {
+  // One shutdown per daemon: Stop() takes the whole shard process down,
+  // every client's download connection included.
+  for (auto& shard : links_) {
     shard->SendShutdown();
   }
 }

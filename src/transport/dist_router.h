@@ -5,9 +5,9 @@
 // table into contiguous bucket ranges (deaddrop::InvitationDropsOfShard — the
 // same map the daemons enforce), pushes each slice concurrently over the
 // chunked hop RPC framing, and records the round only once every owning shard
-// acked; Fetch routes a bucket download to the owning shard. Both are
-// byte-identical to the in-process InvitationDistributor fed the same tables
-// (the dist conformance suite pins this down).
+// acked; Fetch routes a bucket download to the owning shard over the same
+// link. Both are byte-identical to the in-process InvitationDistributor fed
+// the same tables (the dist conformance suite pins this down).
 //
 // Failure model mirrors ExchangeRouter: every shard link is a PeerLink under
 // the link's policy (peer_link.h, default ReconnectPolicy), which re-sends a
@@ -73,7 +73,7 @@ class DistRouter final : public coord::DistributionBackend {
   // unreachable at startup (later deaths are per-round failures instead).
   static std::unique_ptr<DistRouter> Connect(const DistRouterConfig& config);
 
-  size_t num_shards() const { return publish_links_.size(); }
+  size_t num_shards() const { return links_.size(); }
 
   // DistributionBackend. Publish throws HopError/HopTimeoutError when an
   // owning shard cannot be reached — failing (only) the dialing round being
@@ -96,14 +96,11 @@ class DistRouter final : public coord::DistributionBackend {
   explicit DistRouter(const DistRouterConfig& config);
 
   DistRouterConfig config_;
-  // Two persistent links per shard, one per traffic class: the engine's
-  // Distribute stage publishes over publish_links_ while client downloads go
-  // over fetch_links_, so a burst of bucket fetches can never head-of-line-
-  // block the next dialing round's publish (the daemons serve any number of
-  // connections; the per-link mutex is the only serialization). Each link
-  // reconnects independently under peer_link.h's one failure rule.
-  std::vector<std::unique_ptr<PeerLink>> publish_links_;
-  std::vector<std::unique_ptr<PeerLink>> fetch_links_;
+  // One persistent link per shard, reconnecting under peer_link.h's one
+  // failure rule. Publish and Fetch share it: deployed clients download over
+  // their own client::DialingFetcher links, never through the router, so no
+  // burst of bucket fetches queues ahead of a publish.
+  std::vector<std::unique_ptr<PeerLink>> links_;
 
   // Rounds fully published (every owning shard acked) and their bucket
   // counts — what routes a fetch to its owning shard.

@@ -17,7 +17,7 @@ namespace vuvuzela::transport {
 
 ExchangedDaemon::ExchangedDaemon(const ExchangedConfig& config, net::TcpListener listener)
     : config_(config),
-      rpc_server_(std::move(listener), config.poll_interval_ms,
+      rpc_server_(std::move(listener),
                   {.serves =
                        [](net::FrameType op) {
                          return op == net::FrameType::kExchangeConversation ||

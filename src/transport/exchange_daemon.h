@@ -49,8 +49,6 @@ struct ExchangedConfig {
   size_t local_shards = 1;
   // Chunk budget for outgoing batch messages.
   size_t chunk_payload = kDefaultChunkPayload;
-  // Receive-poll interval between RPCs (see HopDaemonConfig).
-  int poll_interval_ms = 500;
   // /metrics + /trace HTTP port: < 0 disables the server, 0 picks an
   // ephemeral port (metrics_port() reports the binding).
   int metrics_port = -1;

@@ -14,7 +14,7 @@ FrontDoor::FrontDoor(const FrontDoorConfig& config, FrontDoorHandlers handlers,
 
 std::unique_ptr<FrontDoor> FrontDoor::Create(const FrontDoorConfig& config,
                                              FrontDoorHandlers handlers) {
-  auto listener = net::TcpListener::Listen(config.port, config.backlog);
+  auto listener = net::TcpListener::Listen(config.port, net::TcpListener::kClientBacklog);
   if (!listener) {
     return nullptr;
   }
@@ -30,7 +30,6 @@ bool FrontDoor::Start() {
   }
   net::EventLoopConfig loop_config;
   loop_config.max_frame_payload = config_.max_frame_payload;
-  loop_config.max_write_buffer = config_.max_write_buffer;
   net::EventLoop::Handlers loop_handlers;
   loop_handlers.on_accept = [this](net::EventLoop::ConnId id) { HandleAccept(id); };
   loop_handlers.on_frame = [this](net::EventLoop::ConnId id, net::Frame&& frame) {

@@ -51,16 +51,10 @@ namespace vuvuzela::transport {
 
 struct FrontDoorConfig {
   uint16_t port = 0;  // 0 picks an ephemeral port
-  // Accept-queue depth. Admission storms are the design load: a connect
-  // burst deeper than the backlog gets SYNs dropped and retried, which
-  // shows up as admission-latency outliers, so front doors run deep queues
-  // (the kernel additionally caps this at somaxconn).
-  int backlog = 4096;
   // Clients send onions; anything announcing a larger frame is hostile and
   // is cut off at its header, before the allocation. The owner sets this to
   // its largest admissible onion.
   size_t max_frame_payload = 16u << 20;
-  size_t max_write_buffer = 64u << 20;
 };
 
 struct FrontDoorHandlers {

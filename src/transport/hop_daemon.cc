@@ -86,7 +86,7 @@ HopDaemon::HopDaemon(const HopDaemonConfig& config, std::unique_ptr<mixnet::MixS
                      net::TcpListener listener)
     : config_(config),
       server_(std::move(server)),
-      rpc_server_(std::move(listener), config.poll_interval_ms,
+      rpc_server_(std::move(listener),
                   {.serves = IsHopOp,
                    // The last reply's memory is free again once the header of
                    // a request for another pass has arrived, before that

@@ -74,10 +74,6 @@ struct HopDaemonConfig {
   uint16_t port = 0;
   // Chunk budget for outgoing batch messages.
   size_t chunk_payload = kDefaultChunkPayload;
-  // Receive-poll interval on accepted connections: an idle wait between RPCs
-  // wakes up this often to honor Stop(). Mid-batch chunk waits are untimed —
-  // a slow coordinator stalls only its own connection (EOF still ends it).
-  int poll_interval_ms = 500;
   // Exchange partitioning (last hop only). A non-empty partition list makes
   // the daemon drive its dead-drop stage through an ExchangeRouter over
   // vuvuzela-exchanged shard servers instead of the in-process tables.

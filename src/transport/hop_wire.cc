@@ -267,9 +267,7 @@ bool BatchRpcServer::ServeConnection(net::TcpConnection& conn) {
       handlers_.on_request_header(op, round);
     }
   };
-  if (poll_interval_ms_ > 0) {
-    conn.SetRecvTimeout(poll_interval_ms_);
-  }
+  conn.SetRecvTimeout(kIdlePollMs);
   for (;;) {
     auto frame = conn.RecvFrame(on_header);
     if (!frame) {
@@ -293,14 +291,10 @@ bool BatchRpcServer::ServeConnection(net::TcpConnection& conn) {
       continue;
     }
     // The poll deadline is for idle waits between requests only.
-    if (poll_interval_ms_ > 0) {
-      conn.SetRecvTimeout(0);
-    }
+    conn.SetRecvTimeout(0);
     // The request's items are views straight into the received chunks.
     auto request = ReadBatchMessage(conn, std::move(*frame));
-    if (poll_interval_ms_ > 0) {
-      conn.SetRecvTimeout(poll_interval_ms_);
-    }
+    conn.SetRecvTimeout(kIdlePollMs);
     if (!request) {
       if (conn.last_recv_status() != net::RecvStatus::kOk) {
         return true;  // the connection itself failed mid-batch

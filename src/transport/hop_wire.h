@@ -180,11 +180,12 @@ bool SendRpcError(net::TcpConnection& conn, uint64_t round, const std::string& m
 
 // The serve loop of the hop and exchange-partition daemons: connections one
 // at a time, the batch-message requests on each in arrival order. An idle
-// wait between requests wakes every `poll_interval_ms` (0: never) to honor
-// Stop(); once a request has started, its chunks are awaited untimed (a
-// stalled caller mid-batch stalls only its own connection). A frame of an op
-// the daemon does not serve, or malformed chunk content, is answered with a
-// kHopError report and the connection kept; a kShutdown frame ends Serve().
+// wait between requests wakes every kIdlePollMs to honor Stop(); once a
+// request has started, its chunks are awaited untimed (a stalled caller
+// mid-batch stalls only its own connection; EOF still ends it). A frame of
+// an op the daemon does not serve, or malformed chunk content, is answered
+// with a kHopError report and the connection kept; a kShutdown frame ends
+// Serve().
 class BatchRpcServer {
  public:
   struct Handlers {
@@ -198,10 +199,10 @@ class BatchRpcServer {
     std::function<bool(net::TcpConnection&, BatchMessage)> dispatch;
   };
 
-  BatchRpcServer(net::TcpListener listener, int poll_interval_ms, Handlers handlers)
-      : listener_(std::move(listener)),
-        poll_interval_ms_(poll_interval_ms),
-        handlers_(std::move(handlers)) {}
+  static constexpr int kIdlePollMs = 500;
+
+  BatchRpcServer(net::TcpListener listener, Handlers handlers)
+      : listener_(std::move(listener)), handlers_(std::move(handlers)) {}
 
   uint16_t port() const { return listener_.port(); }
 
@@ -218,7 +219,6 @@ class BatchRpcServer {
   bool ServeConnection(net::TcpConnection& conn);
 
   net::TcpListener listener_;
-  int poll_interval_ms_;
   Handlers handlers_;
   std::atomic<bool> stop_{false};
   // The connection being served, so Stop() can interrupt it

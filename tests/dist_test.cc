@@ -479,9 +479,9 @@ TEST(DialingFetcher, SurfacesIncomingCallEndToEnd) {
   auto outcome = deployment.RunDialingRound();
 
   client::DialingFetcher fetcher(group->FetcherConfig());
-  size_t scanned =
+  std::vector<wire::Invitation> scanned =
       fetcher.FetchFor(deployment.client(bob), outcome.round, deployment.dial_config());
-  EXPECT_GT(scanned, 0u);
+  EXPECT_GT(scanned.size(), 0u);
   auto calls = deployment.client(bob).TakeIncomingCalls();
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0].caller, deployment.client(alice).public_key());
@@ -489,9 +489,11 @@ TEST(DialingFetcher, SurfacesIncomingCallEndToEnd) {
 
 // The one client download path, end to end: coordd drives three loopback
 // hops and publishes each dialing round to a two-shard distd fleet, and
-// after every kDialAck fleet client i downloads bucket i mod m straight from
-// the shards. Every fetch is answered, and every bucket is byte-identical to
-// what an in-process InvitationDistributor fed the published tables serves.
+// after every kDialAck each fleet client downloads its own bucket,
+// H(pk) mod m, straight from the shards. Every fetch is answered, every
+// bucket is byte-identical to what an in-process InvitationDistributor fed
+// the published tables serves for that client's drop, and every scripted
+// call reaches its callee.
 TEST(ClientFleet, DownloadsEveryAckedBucketFromTheDistShards) {
   const uint64_t kSeed = 4242;
   constexpr uint64_t kUsers = 6;
@@ -536,6 +538,8 @@ TEST(ClientFleet, DownloadsEveryAckedBucketFromTheDistShards) {
   EXPECT_EQ(downloads->dialing_fetches_expected, 2 * kUsers);
   EXPECT_EQ(downloads->dialing_fetches, downloads->dialing_fetches_expected);
   EXPECT_GT(downloads->dialing_fetch_bytes, 0u);
+  EXPECT_EQ(downloads->calls_placed, kUsers / 2);
+  EXPECT_EQ(downloads->calls_received, kUsers / 2);
 
   // The published tables, read back whole from the shards (the coordinator
   // leaves them running), feed the in-process reference.
@@ -551,13 +555,16 @@ TEST(ClientFleet, DownloadsEveryAckedBucketFromTheDistShards) {
     }
     reference.Publish(round, std::move(table));
   }
+  // coordd announces every drop; the last is the no-op drop.
+  const dialing::RoundConfig dial_config{.num_real_drops = kDrops - 1};
   for (uint64_t i = 0; i < kUsers; ++i) {
     ASSERT_EQ(downloads->buckets[i].size(), 2u) << "client " << i;
+    const uint32_t drop = dialing::DropForRecipient(dial_config, downloads->keys[i]);
     for (const auto& [round, bucket] : downloads->buckets[i]) {
       // Deterministic noise fills every bucket.
       EXPECT_FALSE(bucket.empty()) << "client " << i << " round " << round;
-      EXPECT_EQ(bucket, reference.Fetch(round, static_cast<uint32_t>(i % kDrops)))
-          << "client " << i << " round " << round;
+      EXPECT_EQ(bucket, reference.Fetch(round, drop))
+          << "client " << i << " round " << round << " drop " << drop;
     }
   }
   // Both shards served, and nothing but these downloads reached them.

@@ -1,15 +1,18 @@
 // client_fleet — §8.1's simulated users as one process of real clients
-// (sim::RunClientFleet) for a vuvuzela-coordd started with --clients N:
+// (sim::RunClientFleet: one seeded client::VuvuzelaClient per user, paired
+// into silent conversations, each pair's first client dialing the second
+// once) for a vuvuzela-coordd started with --clients N:
 //
 //   $ client_fleet --coord 127.0.0.1:7331 --users 40 --hops 3 --seed 42
 //         [--dist 127.0.0.1:7361,127.0.0.1:7362]
 //
 // --key-dir CHAIN.pub takes the chain keys from vuvuzela-keygen output
-// instead of the shared seed, which then seeds only the workload. --dist
+// instead of the shared seed, which then seeds only the clients. --dist
 // names the vuvuzela-distd shards coordd publishes to (coordd's --dist);
-// each client downloads its invitation bucket from them after every dialing
-// round. Exits 0 once coordd shuts the clients down, iff every bucket fetch
-// was answered.
+// after every dialing round each client downloads its own invitation
+// bucket, H(pk) mod m, from them. Exits 0 once coordd shuts the clients
+// down, iff every bucket fetch was answered and every placed call was
+// received.
 
 #include <cstdio>
 #include <string>
@@ -75,5 +78,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result->dialing_fetches),
               static_cast<unsigned long long>(result->dialing_fetches_expected),
               static_cast<unsigned long long>(result->dialing_fetch_bytes));
-  return result->dialing_fetches == result->dialing_fetches_expected ? 0 : 1;
+  std::printf("client_fleet: calls: %llu/%llu received\n",
+              static_cast<unsigned long long>(result->calls_received),
+              static_cast<unsigned long long>(result->calls_placed));
+  return result->dialing_fetches == result->dialing_fetches_expected &&
+                 result->calls_received == result->calls_placed
+             ? 0
+             : 1;
 }

@@ -41,7 +41,7 @@ static void MeasuredPerClientRow() {
   chain_config.conversation_noise = {.params = {6.0, 2.0}, .deterministic = true};
   chain_config.dialing_noise = {.params = {6.0, 2.0}, .deterministic = true};
 
-  auto dist = transport::DistGroup::Start(2);
+  auto dist = transport::StartDistShards(2);
   auto chain = transport::LoopbackChain::Start(chain_config, kSeed);
   if (dist == nullptr || chain == nullptr) {
     std::printf("    (skipped: deployment failed to start)\n");
@@ -61,9 +61,7 @@ static void MeasuredPerClientRow() {
   for (size_t i = 1; i < chain->size(); ++i) {
     config.hops.push_back({"127.0.0.1", chain->port(i)});
   }
-  for (size_t i = 0; i < dist->size(); ++i) {
-    config.dist.push_back({"127.0.0.1", dist->port(i)});
-  }
+  config.dist = dist->endpoints();
   config.schedule.conversation_rounds_per_dialing_round = 3;
   config.total_rounds = rounds;
   config.admission_window_seconds = 1.0;  // closes as soon as every client submitted

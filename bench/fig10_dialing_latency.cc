@@ -154,13 +154,9 @@ void RunDistSection(const std::vector<uint32_t>& shard_counts,
     }
     try {
       router->Publish(kRound, MakeRoundTable(kNumDrops, kPerBucket, 42));
-      client::DialingFetcherConfig fetcher_config;
-      for (const auto& shard : fleets[i]) {
-        fetcher_config.shards.push_back({"127.0.0.1", shard.port});
-      }
       FanOutResult result = TimeFetchFanOut(
           [&] {
-            auto fetcher = std::make_shared<client::DialingFetcher>(fetcher_config);
+            auto fetcher = std::make_shared<client::DialingFetcher>(config);
             return [fetcher](uint32_t bucket) -> uint64_t {
               return fetcher->FetchBucket(kRound, bucket, kNumDrops).size() *
                      wire::kInvitationSize;

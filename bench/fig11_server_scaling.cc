@@ -103,9 +103,9 @@ void RunPartitionSection(const std::vector<uint32_t>& shard_counts,
   }
 
   for (size_t i = 0; i < shard_counts.size(); ++i) {
-    transport::ExchangeRouterConfig config;
+    transport::ShardFleetConfig config;
     for (const auto& partition : fleets[i]) {
-      config.partitions.push_back({"127.0.0.1", partition.port});
+      config.shards.push_back({"127.0.0.1", partition.port});
     }
     auto router = transport::ExchangeRouter::Connect(config);
     if (!router) {

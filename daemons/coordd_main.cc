@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/client/client.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/coord_daemon.h"
@@ -22,6 +23,12 @@
 using namespace vuvuzela;
 
 namespace {
+
+// Rounds in flight (--k). A client keeps a round's layer keys for
+// client::kPendingRoundHorizon rounds, which must outlast the expiry horizon
+// (2K + 2 rounds) of any K this flag accepts.
+constexpr size_t kMaxInFlight = 64;
+static_assert(2 * kMaxInFlight + 2 < client::kPendingRoundHorizon);
 
 // The Laplace parameters vuvuzela-hopd derives from --mu M, which the
 // privacy-budget accountant (§6) charges. The hops add a fixed µ instead of
@@ -38,7 +45,7 @@ void Usage(const char* argv0) {
                "Rounds begin once C clients have connected; a round's admission window\n"
                "closes after SEC or once every connected client has submitted. --retries\n"
                "bounds submission attempts per round (a crashed round is re-submitted\n"
-               "before the next announcement; 1 disables).\n"
+               "before the next announcement; 1 disables). K is at most 64.\n"
                "--dist publishes each dialing round's invitation table to those\n"
                "vuvuzela-distd shards, which clients download their buckets from\n"
                "(omitted: tables are not published). coordd keeps K+4 published rounds\n"
@@ -71,7 +78,7 @@ bool Parse(int argc, char** argv, transport::CoordDaemonConfig* config) {
         return false;
       }
     } else if (arg == "--k" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &config->scheduler.max_in_flight)) {
+      if (!util::ParseUnsigned(value, kMaxInFlight, &config->scheduler.max_in_flight)) {
         return false;
       }
     } else if (arg == "--clients" && (value = next())) {

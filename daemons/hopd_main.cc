@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    transport::ChainKeyMaterial keys = transport::DeriveChainKeys(flags.seed, flags.servers);
+    mixnet::ChainKeyMaterial keys = transport::DeriveChainKeys(flags.seed, flags.servers);
     if (flags.servers == 0 || flags.position >= flags.servers) {
       Usage(argv[0]);
       return 2;
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   obs::TraceJournal::Global().SetProcess("hopd-" + std::to_string(flags.position));
   transport::HopDaemonConfig daemon_config;
   daemon_config.port = flags.port;
-  daemon_config.exchange.partitions = flags.exchange;
+  daemon_config.exchange.shards = flags.exchange;
   daemon_config.metrics_port = flags.metrics_port;
   auto daemon = transport::HopDaemon::Create(
       daemon_config,
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
   std::printf("vuvuzela-hopd: position %zu/%zu listening on 127.0.0.1:%u", flags.position,
               flags.servers, daemon->port());
   if (daemon->exchange_router()) {
-    std::printf(" (exchange partitioned %zu ways)", daemon->exchange_router()->num_partitions());
+    std::printf(" (exchange partitioned %zu ways)", daemon->exchange_router()->num_shards());
   }
   if (daemon->metrics_port() != 0) {
     std::printf(" (metrics on http://127.0.0.1:%u/metrics)", daemon->metrics_port());

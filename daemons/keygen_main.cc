@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
   ::mkdir(flags.out.c_str(), 0700);  // best-effort; write errors report below
 
-  transport::ChainKeyMaterial keys;
+  mixnet::ChainKeyMaterial keys;
   if (flags.seeded) {
     keys = transport::DeriveChainKeys(flags.seed, flags.servers);
   } else {

@@ -60,9 +60,7 @@ int main() {
 
   // The coordinator: admission window + pipelined submission over TCP hops.
   transport::CoordDaemonConfig coord_config;
-  for (size_t i = 0; i < hops->size(); ++i) {
-    coord_config.hops.push_back({"127.0.0.1", hops->port(i)});
-  }
+  coord_config.hops = hops->endpoints();
   coord_config.scheduler.max_in_flight = 3;
   coord_config.total_rounds = kRounds;
   coord_config.admission_window_seconds = 0.25;

@@ -1,5 +1,6 @@
 #include "src/client/client.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -114,6 +115,10 @@ std::vector<util::Bytes> VuvuzelaClient::PrepareConversationOnions(uint64_t roun
   for (const auto& onion : onions) {
     bytes_sent_ += onion.size();
   }
+  if (round >= kPendingRoundHorizon) {
+    pending_rounds_.erase(pending_rounds_.begin(),
+                          pending_rounds_.upper_bound(round - kPendingRoundHorizon));
+  }
   pending_rounds_[round] = std::move(pending);
   return onions;
 }
@@ -155,11 +160,13 @@ void VuvuzelaClient::HandleConversationResponses(uint64_t round,
 
 util::Bytes VuvuzelaClient::PrepareDialOnion(uint64_t round,
                                              const dialing::RoundConfig& dial_config) {
-  wire::DialRequest request;
-  if (!dial_queue_.empty()) {
-    crypto::X25519PublicKey target = dial_queue_.front();
+  if (!unacked_dial_ && !dial_queue_.empty()) {
+    unacked_dial_ = SentDial{dial_queue_.front(), round};
     dial_queue_.pop_front();
-    request = dialing::BuildDialRequest(dial_config, config_.keys.public_key, target, rng_);
+  }
+  wire::DialRequest request;
+  if (unacked_dial_) {
+    request = dialing::BuildDialRequest(dial_config, public_key(), unacked_dial_->target, rng_);
   } else {
     request = dialing::BuildIdleDialRequest(dial_config, rng_);
   }
@@ -167,6 +174,12 @@ util::Bytes VuvuzelaClient::PrepareDialOnion(uint64_t round,
       crypto::OnionWrap(config_.chain, round, request.Serialize(), rng_);
   bytes_sent_ += onion.data.size();
   return std::move(onion.data);
+}
+
+void VuvuzelaClient::HandleDialAck(uint64_t round) {
+  if (unacked_dial_ && round >= unacked_dial_->first_round) {
+    unacked_dial_.reset();
+  }
 }
 
 uint32_t VuvuzelaClient::InvitationDrop(const dialing::RoundConfig& dial_config) const {
@@ -178,8 +191,11 @@ void VuvuzelaClient::HandleInvitationDrop(std::span<const wire::Invitation> invi
   std::vector<crypto::X25519PublicKey> callers =
       dialing::ScanInvitations(config_.keys, invitations);
   for (const auto& caller : callers) {
-    if (caller == config_.keys.public_key) {
-      continue;  // ignore self-dials
+    // A self-dial, or a call already waiting (a dial re-sent after a late ack).
+    bool waiting = std::ranges::find(incoming_calls_, caller, &IncomingCall::caller) !=
+                   incoming_calls_.end();
+    if (caller == config_.keys.public_key || waiting) {
+      continue;
     }
     incoming_calls_.push_back(IncomingCall{caller});
   }

@@ -37,6 +37,16 @@
 
 namespace vuvuzela::client {
 
+// Conversation rounds a prepared round's layer keys wait for its response:
+// the client keeps those of the newest kPendingRoundHorizon rounds it
+// prepared. coordd never answers a round this far behind the newest one: at
+// most K rounds are in flight, so every round settles within its expiry
+// horizon of 2K + 2 rounds (engine::ExpireKeep), and vuvuzela-coordd's --k is
+// at most 64, a horizon of 130 (coordd_main.cc asserts the margin). Rounds
+// coordd abandoned or never answered therefore cost nothing beyond this
+// bound.
+inline constexpr uint64_t kPendingRoundHorizon = 256;
+
 struct ClientConfig {
   crypto::X25519KeyPair keys;
   // Long-term public keys of the server chain, first hop first.
@@ -98,19 +108,30 @@ class VuvuzelaClient {
   // Missing/garbled responses are tolerated: ReliableChannel retransmits.
   void HandleConversationResponses(uint64_t round, std::span<const util::Bytes> responses);
 
-  // Builds this round's single dial onion.
+  // Builds this round's single dial onion. A dial taken from the queue stays
+  // unconfirmed until HandleDialAck reports a dialing round that carried it;
+  // until then each dialing round re-sends it before taking the next one, so
+  // a call whose round coordd abandoned is not lost. An ack that arrives
+  // after the next dialing round's onion was built sends the call twice; the
+  // callee surfaces it once (HandleInvitationDrop).
   util::Bytes PrepareDialOnion(uint64_t round, const dialing::RoundConfig& dial_config);
+
+  // coordd acknowledged dialing round `round` (kDialAck): it was delivered.
+  void HandleDialAck(uint64_t round);
 
   // The invitation drop this client polls.
   uint32_t InvitationDrop(const dialing::RoundConfig& dial_config) const;
 
-  // Scans a downloaded invitation drop for calls addressed to us.
+  // Scans a downloaded invitation drop for calls addressed to us. A caller
+  // already waiting in TakeIncomingCalls is not surfaced again.
   void HandleInvitationDrop(std::span<const wire::Invitation> invitations);
 
   // --- Introspection ------------------------------------------------------
 
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t bytes_received() const { return bytes_received_; }
+  // Conversation rounds prepared and not yet answered (or pruned).
+  size_t pending_rounds() const { return pending_rounds_.size(); }
 
  private:
   struct Conversation {
@@ -137,6 +158,13 @@ class VuvuzelaClient {
   std::map<crypto::X25519PublicKey, Conversation, KeyLess> conversations_;
   std::map<uint64_t, std::vector<PendingExchange>> pending_rounds_;
   std::deque<crypto::X25519PublicKey> dial_queue_;
+  // The dial taken from the queue and not yet acknowledged, and the first
+  // dialing round that carried it: every later dialing round carries it too.
+  struct SentDial {
+    crypto::X25519PublicKey target;
+    uint64_t first_round = 0;
+  };
+  std::optional<SentDial> unacked_dial_;
   std::vector<ReceivedMessage> received_;
   std::vector<IncomingCall> incoming_calls_;
   uint64_t conversation_sequence_ = 0;

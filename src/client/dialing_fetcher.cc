@@ -1,24 +1,17 @@
 #include "src/client/dialing_fetcher.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "src/transport/dist_router.h"
 #include "src/obs/registry.h"
+#include "src/transport/dist_router.h"
 
 namespace vuvuzela::client {
 
-DialingFetcher::DialingFetcher(DialingFetcherConfig config) : config_(std::move(config)) {
-  if (config_.shards.empty()) {
+DialingFetcher::DialingFetcher(const transport::ShardFleetConfig& fleet)
+    : shards_("dist shard", fleet) {
+  if (shards_.size() == 0) {
     throw std::invalid_argument("DialingFetcher: need at least one dist shard endpoint");
-  }
-  for (const auto& endpoint : config_.shards) {
-    shards_.push_back(std::make_unique<transport::PeerLink>(
-        "dist shard",
-        transport::TcpTransportConfig{endpoint.host, endpoint.port, config_.recv_timeout_ms,
-                                      config_.connect_timeout_ms, config_.chunk_payload},
-        transport::ReconnectPolicy{}, transport::ShardReconnects()));
   }
 }
 

@@ -11,44 +11,34 @@
 // DialingFetcher speaks the kInvitationFetch batch-message RPC to the
 // vuvuzela-distd shard owning the client's bucket. The shard map is the same
 // contiguous-range split the coordinator's DistRouter publishes under, so a
-// client needs only the fleet's endpoint list (its "CDN configuration") and
-// the round announcement's bucket count. Connections are lazy, and each fetch
-// runs under the shard links' policy (transport/peer_link.h): a dead shard
-// costs the client the dialing rounds routed to it, never a hung thread
-// (receive deadlines throughout).
+// client needs only the fleet's transport::ShardFleetConfig (its "CDN
+// configuration") and the round announcement's bucket count. It holds one
+// transport::ShardLinks, the same link set the routers hold; its connections
+// are lazy, and each fetch runs under the shard links' policy
+// (transport/peer_link.h): a dead shard costs the client the dialing rounds
+// routed to it, never a hung thread (receive deadlines throughout).
 
 #ifndef VUVUZELA_SRC_CLIENT_DIALING_FETCHER_H_
 #define VUVUZELA_SRC_CLIENT_DIALING_FETCHER_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/client/client.h"
 #include "src/dialing/protocol.h"
-#include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
-#include "src/transport/hop_wire.h"
 #include "src/transport/peer_link.h"
 
 namespace vuvuzela::client {
 
-struct DialingFetcherConfig {
-  // One endpoint per dist shard; endpoint i serves shard i of shards.size().
-  std::vector<net::Endpoint> shards;
-  // Receive deadline per fetch RPC — the dead-shard detector.
-  int recv_timeout_ms = 10000;
-  // Connect deadline per (re)connect attempt; 0 = OS blocking connect.
-  int connect_timeout_ms = 5000;
-  size_t chunk_payload = transport::kDefaultChunkPayload;
-};
+// The dist fleet's config under its older name (bench/vzbench still uses it).
+using DialingFetcherConfig = transport::ShardFleetConfig;
 
 class DialingFetcher {
  public:
   // Validates the endpoint list only; connections are established lazily at
   // first fetch (a client may outlive many dist-shard restarts).
-  explicit DialingFetcher(DialingFetcherConfig config);
+  explicit DialingFetcher(const transport::ShardFleetConfig& fleet);
 
   // Downloads one whole bucket of `round`'s invitation table from the shard
   // owning it. Throws transport::HopError / HopTimeoutError when the shard is
@@ -62,17 +52,14 @@ class DialingFetcher {
   // addressed to it (VuvuzelaClient::HandleInvitationDrop). Returns the
   // bucket it scanned.
   std::vector<wire::Invitation> FetchFor(VuvuzelaClient& client, uint64_t round,
-                  const dialing::RoundConfig& dial_config);
+                                         const dialing::RoundConfig& dial_config);
 
   // Download accounting (§8.3 client bandwidth).
   uint64_t bytes_fetched() const { return bytes_fetched_; }
   uint64_t buckets_fetched() const { return buckets_fetched_; }
 
  private:
-  DialingFetcherConfig config_;
-  // Per-shard persistent links, under the routers' failure rule
-  // (transport/peer_link.h).
-  std::vector<std::unique_ptr<transport::PeerLink>> shards_;
+  transport::ShardLinks shards_;
   uint64_t bytes_fetched_ = 0;
   uint64_t buckets_fetched_ = 0;
 };

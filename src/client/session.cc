@@ -19,6 +19,7 @@ SessionLog RunSession(VuvuzelaClient& client, net::TcpConnection& conn, DialingF
       client.HandleConversationResponses(round, {&frame->payload, 1});
       log.responses[round] = std::move(frame->payload);
     } else if (frame->type == net::FrameType::kDialAck) {
+      client.HandleDialAck(round);
       ++log.dial_acks;
       // The download finishes before the next frame is read, so coordd's
       // kShutdown never cuts it short. A failed fetch is not the session's

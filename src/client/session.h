@@ -1,10 +1,11 @@
 // One client on the wire (§3.2, §5.2): RunSession drives a VuvuzelaClient
 // over its front-door connection to coordd. It answers each round
 // announcement with the client's one onion (conversation or dial), hands
-// each response back to the client, and after each kDialAck downloads the
-// client's own bucket, H(pk) mod m, from the dist tier (§5.5). Whatever the
-// user does, the client sends one request frame of one size per round: the
-// shape that is its defence against traffic analysis (Bahramali et al.).
+// each response and each kDialAck back to the client, and after each kDialAck
+// downloads the client's own bucket, H(pk) mod m, from the dist tier (§5.5).
+// Whatever the user does, the client sends one request frame of one size per
+// round: the shape that is its defence against traffic analysis (Bahramali
+// et al.).
 
 #ifndef VUVUZELA_SRC_CLIENT_SESSION_H_
 #define VUVUZELA_SRC_CLIENT_SESSION_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace vuvuzela::mixnet {
 
@@ -17,25 +18,44 @@ MixServerConfig ChainServerConfig(const ChainConfig& config, size_t position) {
   return server_config;
 }
 
+ChainKeyMaterial DrawChainKeys(size_t num_servers, util::Rng& rng) {
+  ChainKeyMaterial keys;
+  keys.key_pairs.reserve(num_servers);
+  for (size_t i = 0; i < num_servers; ++i) {
+    keys.key_pairs.push_back(crypto::X25519KeyPair::Generate(rng));
+    keys.public_keys.push_back(keys.key_pairs.back().public_key);
+  }
+  keys.rng_seeds.resize(num_servers);
+  for (auto& seed : keys.rng_seeds) {
+    rng.Fill(seed);
+  }
+  return keys;
+}
+
+std::unique_ptr<MixServer> BuildMixServer(const ChainConfig& config, const ChainKeyMaterial& keys,
+                                          size_t position) {
+  return std::make_unique<MixServer>(ChainServerConfig(config, position), keys.key_pairs[position],
+                                     keys.public_keys, keys.rng_seeds[position]);
+}
+
+std::vector<std::unique_ptr<MixServer>> BuildMixServers(const ChainConfig& config,
+                                                        const ChainKeyMaterial& keys) {
+  std::vector<std::unique_ptr<MixServer>> servers;
+  servers.reserve(keys.key_pairs.size());
+  for (size_t i = 0; i < keys.key_pairs.size(); ++i) {
+    servers.push_back(BuildMixServer(config, keys, i));
+  }
+  return servers;
+}
+
 Chain Chain::Create(const ChainConfig& config, util::Rng& rng) {
   if (config.num_servers == 0) {
     throw std::invalid_argument("Chain: need at least one server");
   }
+  ChainKeyMaterial keys = DrawChainKeys(config.num_servers, rng);
   Chain chain;
-
-  std::vector<crypto::X25519KeyPair> key_pairs;
-  key_pairs.reserve(config.num_servers);
-  for (size_t i = 0; i < config.num_servers; ++i) {
-    key_pairs.push_back(crypto::X25519KeyPair::Generate(rng));
-    chain.public_keys_.push_back(key_pairs.back().public_key);
-  }
-
-  for (size_t i = 0; i < config.num_servers; ++i) {
-    crypto::ChaCha20Key seed;
-    rng.Fill(seed);
-    chain.servers_.push_back(std::make_unique<MixServer>(ChainServerConfig(config, i),
-                                                         key_pairs[i], chain.public_keys_, seed));
-  }
+  chain.servers_ = BuildMixServers(config, keys);
+  chain.public_keys_ = std::move(keys.public_keys);
   return chain;
 }
 

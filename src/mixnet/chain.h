@@ -1,7 +1,10 @@
 // The Vuvuzela server chain (§3): key ceremony and hop construction.
 //
-// Chain::Create draws every server's long-term key pair and noise seed and
-// builds the in-process MixServers. It runs no rounds: every round, in
+// DrawChainKeys is the one key ceremony: every server's long-term key pair
+// and noise seed, drawn from an Rng in one fixed order. BuildMixServers turns
+// that material into the servers; Chain::Create runs both for an in-process
+// chain, and transport::DeriveChainKeys runs the draw over a seeded RNG for
+// every process of a deployment. A chain runs no rounds: every round, in
 // process or across hop daemons, is driven by engine::RoundScheduler, whose
 // stages reach these servers through transport::LocalTransports
 // (transport::MakeLocalTransports(chain.servers())). The round result types
@@ -63,9 +66,29 @@ struct RoundStats {
 };
 
 // The configuration of the server at `position` in a chain built from
-// `config`. Chain::Create, transport::BuildMixServer and vuvuzela-hopd all
-// assemble their servers through it.
+// `config`. BuildMixServer and vuvuzela-hopd assemble their servers through
+// it.
 MixServerConfig ChainServerConfig(const ChainConfig& config, size_t position);
+
+struct ChainKeyMaterial {
+  std::vector<crypto::X25519KeyPair> key_pairs;
+  std::vector<crypto::X25519PublicKey> public_keys;
+  // Per-server noise/shuffle RNG seed.
+  std::vector<crypto::ChaCha20Key> rng_seeds;
+};
+
+// The key ceremony: all key pairs first, then one RNG seed per server, from
+// `rng`. The order fixes the bytes of every seeded chain.
+ChainKeyMaterial DrawChainKeys(size_t num_servers, util::Rng& rng);
+
+// Builds the MixServer for `position` of a chain with the given key material
+// and shared noise configuration.
+std::unique_ptr<MixServer> BuildMixServer(const ChainConfig& config, const ChainKeyMaterial& keys,
+                                          size_t position);
+
+// Builds every server of the chain in-process.
+std::vector<std::unique_ptr<MixServer>> BuildMixServers(const ChainConfig& config,
+                                                        const ChainKeyMaterial& keys);
 
 class Chain {
  public:

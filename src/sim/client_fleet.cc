@@ -19,7 +19,7 @@ std::optional<ClientFleetResult> RunClientFleet(const ClientFleetConfig& config)
   // One fetcher per client, as a real client holds one: its shard links
   // connect at its first download.
   std::vector<std::unique_ptr<client::DialingFetcher>> fetchers;
-  const client::DialingFetcherConfig fetch_config{.shards = config.dist};
+  const transport::ShardFleetConfig fetch_config{.shards = config.dist};
   ClientFleetResult result;
   for (uint64_t i = 0; i < config.users; ++i) {
     auto conn = net::TcpConnection::Connect(config.coordinator.host, config.coordinator.port);
@@ -32,8 +32,9 @@ std::optional<ClientFleetResult> RunClientFleet(const ClientFleetConfig& config)
     rng.Fill(rng_seed);
     clients.emplace_back(client::ClientConfig{.keys = keys, .chain = config.chain}, rng_seed);
     result.keys.push_back(keys.public_key);
-    fetchers.push_back(config.dist.empty() ? nullptr
-                                           : std::make_unique<client::DialingFetcher>(fetch_config));
+    fetchers.push_back(config.dist.empty()
+                           ? nullptr
+                           : std::make_unique<client::DialingFetcher>(fetch_config));
   }
   for (uint64_t k = 0; k + 1 < config.users; k += 2) {
     clients[k].Dial(result.keys[k + 1]);  // opens the conversation too

@@ -94,12 +94,14 @@ Deployment::DialingRoundOutcome Deployment::RunDialingRound() {
   mixnet::Chain::DialingResult result =
       scheduler_->SubmitDialing(round, std::move(batch), dial_config_.total_drops()).get();
 
-  // Every online client downloads its whole invitation bucket each dialing
-  // round (§3.1, §5.5) — through whichever distribution backend is wired in.
+  // The round completed: every online client's dial is acknowledged, and
+  // each downloads its whole invitation bucket (§3.1, §5.5) — through
+  // whichever distribution backend is wired in.
   for (size_t c = 0; c < clients_.size(); ++c) {
     if (!IsClientOnline(c)) {
       continue;
     }
+    clients_[c]->HandleDialAck(round);
     const auto& drop = distribution_->Fetch(round, clients_[c]->InvitationDrop(dial_config_));
     clients_[c]->HandleInvitationDrop(drop);
   }

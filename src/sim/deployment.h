@@ -68,8 +68,9 @@ class Deployment {
   mixnet::Chain::ConversationResult RunConversationRound();
 
   // Runs one dialing round: collect dial onions, run the chain, publish the
-  // invitation table (the scheduler's Distribute stage), and have every
-  // client download and scan its drop.
+  // invitation table (the scheduler's Distribute stage), acknowledge every
+  // online client's dial (as coordd's kDialAck does), and have every client
+  // download and scan its drop.
   struct DialingRoundOutcome {
     uint64_t round = 0;
     mixnet::RoundStats stats;

@@ -91,7 +91,8 @@ bool CoordinatorDaemon::Start() {
     hop_transports_.push_back(std::move(transport));
   }
   if (!config_.dist.empty()) {
-    DistRouterConfig dist_config{.shards = config_.dist};
+    DistRouterConfig dist_config;
+    dist_config.shards = config_.dist;
     dist_config.recv_timeout_ms = config_.hop_timeout_ms;
     dist_config.connect_timeout_ms = config_.connect_timeout_ms;
     dist_config.keep_rounds = static_cast<uint32_t>(policy_->dist_keep());

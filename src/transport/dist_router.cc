@@ -9,8 +9,8 @@
 
 namespace vuvuzela::transport {
 
-FetchedBucket FetchInvitationBucket(std::span<const std::unique_ptr<PeerLink>> shards,
-                                    uint64_t round, uint32_t drop_index, uint32_t num_drops) {
+FetchedBucket FetchInvitationBucket(const ShardLinks& shards, uint64_t round, uint32_t drop_index,
+                                    uint32_t num_drops) {
   drop_index %= num_drops;  // same malformed-index tolerance as the table
   size_t shard = deaddrop::ShardOfInvitationDrop(drop_index, num_drops, shards.size());
   InvitationFetchHeader header{static_cast<uint32_t>(shard),
@@ -18,40 +18,25 @@ FetchedBucket FetchInvitationBucket(std::span<const std::unique_ptr<PeerLink>> s
   // Call connects lazily (first fetch, or a reconnect after a poisoned RPC)
   // and closes the link on every failure it throws except a remote error
   // report such as an expired round.
-  BatchMessage reply = shards[shard]->Call(net::FrameType::kInvitationFetch, round,
-                                           EncodeInvitationFetchHeader(header), {});
+  BatchMessage reply = shards[shard].Call(net::FrameType::kInvitationFetch, round,
+                                          EncodeInvitationFetchHeader(header), {});
   auto bucket = DecodeInvitationItems(reply.items);
   if (!bucket) {
-    shards[shard]->Fail("ragged invitation in fetched bucket");  // garbage stream
+    shards[shard].Fail("ragged invitation in fetched bucket");  // garbage stream
   }
   return {std::move(*bucket), reply.wire_bytes};
 }
 
-DistRouter::DistRouter(const DistRouterConfig& config) : config_(config) {
-  for (const auto& endpoint : config.shards) {
-    TcpTransportConfig link_config{endpoint.host, endpoint.port, config.recv_timeout_ms,
-                                   config.connect_timeout_ms, config.chunk_payload};
-    links_.push_back(std::make_unique<PeerLink>("dist shard", link_config, ReconnectPolicy{},
-                                                ShardReconnects()));
-  }
-}
-
 std::unique_ptr<DistRouter> DistRouter::Connect(const DistRouterConfig& config) {
-  if (config.shards.empty() || config.keep_rounds == 0) {
+  if (config.keep_rounds == 0) {
     return nullptr;
   }
   std::unique_ptr<DistRouter> router(new DistRouter(config));
-  // Startup wants unreachable-shard errors up front.
-  for (auto& shard : router->links_) {
-    if (!shard->Connect()) {
-      return nullptr;
-    }
-  }
-  return router;
+  return router->shards_.Connect() ? std::move(router) : nullptr;
 }
 
 void DistRouter::Publish(uint64_t round, deaddrop::InvitationTable table) {
-  size_t num_shards = links_.size();
+  size_t num_shards = shards_.size();
   uint32_t num_drops = table.num_drops();
 
   // Every shard owning at least one bucket receives its slice, empty buckets
@@ -86,11 +71,11 @@ void DistRouter::Publish(uint64_t round, deaddrop::InvitationTable table) {
     }
     InvitationPublishHeader header{static_cast<uint32_t>(shard),
                                    static_cast<uint32_t>(num_shards), num_drops,
-                                   config_.keep_rounds};
-    BatchMessage reply = links_[shard]->Call(net::FrameType::kInvitationPublish, round,
+                                   keep_rounds_};
+    BatchMessage reply = shards_[shard].Call(net::FrameType::kInvitationPublish, round,
                                              EncodeInvitationPublishHeader(header), items.Views());
     if (!reply.header.empty() || !reply.items.empty()) {
-      links_[shard]->Fail("unexpected publish ack payload");
+      shards_[shard].Fail("unexpected publish ack payload");
     }
   });
 
@@ -114,7 +99,7 @@ std::vector<wire::Invitation> DistRouter::Fetch(uint64_t round, uint32_t drop_in
   }
   FetchedBucket bucket;
   try {
-    bucket = FetchInvitationBucket(links_, round, drop_index, num_drops);
+    bucket = FetchInvitationBucket(shards_, round, drop_index, num_drops);
   } catch (const HopRemoteError& e) {
     // The shard no longer holds a round the local map still routes — it
     // restarted empty, or its --max-rounds horizon is tighter than ours.
@@ -141,14 +126,6 @@ void DistRouter::Expire(size_t keep_latest) {
   // publish; here only the local routing map needs pruning.
   std::lock_guard<std::mutex> lock(rounds_mutex_);
   round_drops_.Expire(keep_latest);
-}
-
-void DistRouter::SendShutdown() {
-  // One shutdown per daemon: Stop() takes the whole shard process down,
-  // every client's download connection included.
-  for (auto& shard : links_) {
-    shard->SendShutdown();
-  }
 }
 
 }  // namespace vuvuzela::transport

@@ -9,12 +9,13 @@
 // link. Both are byte-identical to the in-process InvitationDistributor fed
 // the same tables (the dist conformance suite pins this down).
 //
-// Failure model mirrors ExchangeRouter: every shard link is a PeerLink under
-// the link's policy (peer_link.h, default ReconnectPolicy), which re-sends a
-// call after a connection-level failure (fetches read and publishes replace
-// their slice, so a re-send is harmless). Once the policy has no re-send
-// left, a shard that stopped answering within the receive deadline surfaces
-// as HopTimeoutError and any other wire failure as HopError, on that shard's
+// Failure model mirrors ExchangeRouter: the shards are a shard fleet
+// (peer_link.h's ShardFleetConfig) reached through one ShardLinks, every link
+// a PeerLink under the default ReconnectPolicy, which re-sends a call after a
+// connection-level failure (fetches read and publishes replace their slice,
+// so a re-send is harmless). Once the policy has no re-send left, a shard
+// that stopped answering within the receive deadline surfaces as
+// HopTimeoutError and any other wire failure as HopError, on that shard's
 // link only. Publish contacts every shard owning buckets, so a dead dist
 // shard fails exactly the dialing rounds published during its outage (the
 // coordinator's retry policy re-publishes); conversation rounds never touch
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "src/coord/distributor.h"
-#include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
 #include "src/transport/hop_wire.h"
 #include "src/transport/peer_link.h"
@@ -42,25 +42,17 @@ namespace vuvuzela::transport {
 
 // One bucket download (§5.5), the RPC under both DistRouter::Fetch and
 // client::DialingFetcher: routes bucket `drop_index` mod `num_drops` (> 0)
-// of `round` to the one of `shards` (endpoint i serves shard i) that owns
-// it, calls kInvitationFetch over that link and decodes the reply. Throws
-// what PeerLink::Call throws; a ragged reply poisons the link (HopError).
+// of `round` to the one of `shards` that owns it, calls kInvitationFetch
+// over that link and decodes the reply. Throws what PeerLink::Call throws; a
+// ragged reply poisons the link (HopError).
 struct FetchedBucket {
   std::vector<wire::Invitation> invitations;
   uint64_t wire_bytes = 0;  // every chunk's framing included
 };
-FetchedBucket FetchInvitationBucket(std::span<const std::unique_ptr<PeerLink>> shards,
-                                    uint64_t round, uint32_t drop_index, uint32_t num_drops);
+FetchedBucket FetchInvitationBucket(const ShardLinks& shards, uint64_t round, uint32_t drop_index,
+                                    uint32_t num_drops);
 
-struct DistRouterConfig {
-  // One endpoint per shard; endpoint i serves shard i of shards.size().
-  std::vector<net::Endpoint> shards;
-  // Receive deadline per shard RPC — the dead-shard detector.
-  int recv_timeout_ms = 10000;
-  // Connect deadline per (re)connect attempt; 0 = OS blocking connect.
-  int connect_timeout_ms = 5000;
-  // Chunk budget for outgoing batch messages.
-  size_t chunk_payload = kDefaultChunkPayload;
+struct DistRouterConfig : ShardFleetConfig {
   // Expiry horizon piggybacked on every publish: each shard keeps its newest
   // `keep_rounds` publications. The engine's Distribute stage drives the
   // router's own Expire with the same value.
@@ -73,7 +65,7 @@ class DistRouter final : public coord::DistributionBackend {
   // unreachable at startup (later deaths are per-round failures instead).
   static std::unique_ptr<DistRouter> Connect(const DistRouterConfig& config);
 
-  size_t num_shards() const { return links_.size(); }
+  size_t num_shards() const { return shards_.size(); }
 
   // DistributionBackend. Publish throws HopError/HopTimeoutError when an
   // owning shard cannot be reached — failing (only) the dialing round being
@@ -89,18 +81,19 @@ class DistRouter final : public coord::DistributionBackend {
   uint64_t downloads_served() const override { return downloads_served_.load(); }
 
   // Asks every reachable dist daemon to exit its serve loop (orderly
-  // multi-process shutdown). Best-effort.
-  void SendShutdown();
+  // multi-process shutdown): Stop() takes the whole shard process down, every
+  // client's download connection included. Best-effort.
+  void SendShutdown() { shards_.SendShutdown(); }
 
  private:
-  explicit DistRouter(const DistRouterConfig& config);
+  explicit DistRouter(const DistRouterConfig& config)
+      : shards_("dist shard", config), keep_rounds_(config.keep_rounds) {}
 
-  DistRouterConfig config_;
-  // One persistent link per shard, reconnecting under peer_link.h's one
-  // failure rule. Publish and Fetch share it: deployed clients download over
-  // their own client::DialingFetcher links, never through the router, so no
-  // burst of bucket fetches queues ahead of a publish.
-  std::vector<std::unique_ptr<PeerLink>> links_;
+  // One link per shard; Publish and Fetch share it: deployed clients
+  // download over their own client::DialingFetcher links, never through the
+  // router, so no burst of bucket fetches queues ahead of a publish.
+  ShardLinks shards_;
+  uint32_t keep_rounds_;
 
   // Rounds fully published (every owning shard acked) and their bucket
   // counts — what routes a fetch to its owning shard.

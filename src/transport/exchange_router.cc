@@ -7,27 +7,9 @@
 
 namespace vuvuzela::transport {
 
-ExchangeRouter::ExchangeRouter(const ExchangeRouterConfig& config) {
-  for (const auto& endpoint : config.partitions) {
-    partitions_.push_back(std::make_unique<PeerLink>(
-        "exchange partition",
-        TcpTransportConfig{endpoint.host, endpoint.port, config.recv_timeout_ms,
-                           config.connect_timeout_ms, config.chunk_payload},
-        ReconnectPolicy{}, ShardReconnects()));
-  }
-}
-
-std::unique_ptr<ExchangeRouter> ExchangeRouter::Connect(const ExchangeRouterConfig& config) {
-  if (config.partitions.empty()) {
-    return nullptr;
-  }
-  std::unique_ptr<ExchangeRouter> router(new ExchangeRouter(config));
-  for (auto& partition : router->partitions_) {
-    if (!partition->Connect()) {
-      return nullptr;
-    }
-  }
-  return router;
+std::unique_ptr<ExchangeRouter> ExchangeRouter::Connect(const ShardFleetConfig& fleet) {
+  std::unique_ptr<ExchangeRouter> router(new ExchangeRouter(fleet));
+  return router->partitions_.Connect() ? std::move(router) : nullptr;
 }
 
 namespace {
@@ -126,19 +108,19 @@ deaddrop::ExchangeOutcome ExchangeRouter::ExchangeConversation(
     const size_t first = groups.begin[shard];
     std::span<const util::ByteSpan> slice =
         std::span<const util::ByteSpan>(views).subspan(first, groups.SliceSize(shard));
-    BatchMessage reply = partitions_[shard]->Call(net::FrameType::kExchangeConversation, round,
-                                                  EncodeExchangeConversationHeader(header), slice);
+    BatchMessage reply = partitions_[shard].Call(net::FrameType::kExchangeConversation, round,
+                                                 EncodeExchangeConversationHeader(header), slice);
     wire::Reader r(reply.header);
     auto histogram = ReadHistogram(r);
     if (!histogram || !r.AtEnd()) {
-      partitions_[shard]->Fail("truncated exchange histogram");
+      partitions_[shard].Fail("truncated exchange histogram");
     }
     auto partner = DecodePartnerIndices(reply.items, slice.size());
     if (!partner) {
-      partitions_[shard]->Fail("partner index count mismatch");
+      partitions_[shard].Fail("partner index count mismatch");
     }
     if (const char* invalid = InvalidPairing(slice, *partner, histogram->messages_exchanged)) {
-      partitions_[shard]->Fail(invalid);
+      partitions_[shard].Fail(invalid);
     }
     // Slice-local indices back to round-batch positions.
     for (size_t j = 0; j < partner->size(); ++j) {
@@ -203,7 +185,7 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
   FanOutShards(num_shards, touched, [&](size_t shard) {
     ExchangeDialingHeader header{static_cast<uint32_t>(shard), static_cast<uint32_t>(num_shards),
                                  num_drops};
-    BatchMessage reply = partitions_[shard]->Call(
+    BatchMessage reply = partitions_[shard].Call(
         net::FrameType::kExchangeDialing, round, EncodeExchangeDialingHeader(header),
         std::span<const util::ByteSpan>(views).subspan(groups.begin[shard],
                                                        groups.SliceSize(shard)));
@@ -211,13 +193,13 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
     deaddrop::InvitationDropRange range =
         deaddrop::InvitationDropsOfShard(shard, num_drops, num_shards);
     if (reply.items.size() != range.end - range.begin) {
-      partitions_[shard]->Fail("response drop count mismatch");
+      partitions_[shard].Fail("response drop count mismatch");
     }
     std::lock_guard<std::mutex> lock(table_mutex);
     for (size_t j = 0; j < reply.items.size(); ++j) {
       util::ByteSpan packed = reply.items[j];
       if (packed.size() % wire::kInvitationSize != 0) {
-        partitions_[shard]->Fail("ragged invitation drop");
+        partitions_[shard].Fail("ragged invitation drop");
       }
       for (size_t offset = 0; offset < packed.size(); offset += wire::kInvitationSize) {
         wire::Invitation invitation;
@@ -228,12 +210,6 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
     }
   });
   return table;
-}
-
-void ExchangeRouter::SendShutdown() {
-  for (auto& partition : partitions_) {
-    partition->SendShutdown();
-  }
 }
 
 }  // namespace vuvuzela::transport

@@ -10,49 +10,37 @@
 // round-batch positions, and histograms are summed in shard order, so the
 // merged outcome is byte-identical to the in-process sharded exchange.
 //
-// Failure model: each partition is one PeerLink under the link's policy
-// (peer_link.h, default ReconnectPolicy). A connection-level failure
-// reconnects after a backoff and re-sends the slice — exchange slices are
-// stateless, so a re-send is harmless — and only once the policy has no
-// re-send left does the round fail: HopTimeoutError if the partition stopped
-// answering within the receive deadline, HopError otherwise. A failure
-// touches that partition's link only: rounds whose requests all land on live
-// partitions keep completing — a dead shard server costs exactly the rounds
-// that route to it while it is down, mirroring the dead-hop accounting.
+// Failure model: the partitions are a shard fleet (peer_link.h's
+// ShardFleetConfig), reached through one ShardLinks — one PeerLink per
+// partition under the link's policy (default ReconnectPolicy). A
+// connection-level failure reconnects after a backoff and re-sends the
+// slice — exchange slices are stateless, so a re-send is harmless — and only
+// once the policy has no re-send left does the round fail: HopTimeoutError if
+// the partition stopped answering within the receive deadline, HopError
+// otherwise. A failure touches that partition's link only: rounds whose
+// requests all land on live partitions keep completing — a dead shard server
+// costs exactly the rounds that route to it while it is down, mirroring the
+// dead-hop accounting.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_EXCHANGE_ROUTER_H_
 #define VUVUZELA_SRC_TRANSPORT_EXCHANGE_ROUTER_H_
 
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "src/deaddrop/exchange_backend.h"
-#include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
 #include "src/transport/hop_wire.h"
 #include "src/transport/peer_link.h"
 
 namespace vuvuzela::transport {
 
-struct ExchangeRouterConfig {
-  // One endpoint per shard; endpoint i serves shard i of partitions.size().
-  std::vector<net::Endpoint> partitions;
-  // Receive deadline per partition RPC — the dead-partition detector.
-  int recv_timeout_ms = 10000;
-  // Connect deadline per (re)connect attempt; 0 = OS blocking connect.
-  int connect_timeout_ms = 5000;
-  // Chunk budget for outgoing batch messages.
-  size_t chunk_payload = kDefaultChunkPayload;
-};
-
 class ExchangeRouter : public deaddrop::ExchangeBackend {
  public:
   // Connects every partition; nullptr if the list is empty or any partition
   // is unreachable at startup (later deaths are per-round failures instead).
-  static std::unique_ptr<ExchangeRouter> Connect(const ExchangeRouterConfig& config);
+  static std::unique_ptr<ExchangeRouter> Connect(const ShardFleetConfig& fleet);
 
-  size_t num_partitions() const { return partitions_.size(); }
+  size_t num_shards() const { return partitions_.size(); }
 
   deaddrop::ExchangeOutcome ExchangeConversation(
       uint64_t round, std::span<const util::ByteSpan> requests) override;
@@ -62,13 +50,13 @@ class ExchangeRouter : public deaddrop::ExchangeBackend {
 
   // Asks every reachable partition daemon to exit its serve loop (orderly
   // multi-process shutdown). Best-effort.
-  void SendShutdown();
+  void SendShutdown() { partitions_.SendShutdown(); }
 
  private:
-  explicit ExchangeRouter(const ExchangeRouterConfig& config);
+  explicit ExchangeRouter(const ShardFleetConfig& fleet)
+      : partitions_("exchange partition", fleet) {}
 
-  // Per-shard persistent links (peer_link.h's one failure rule).
-  std::vector<std::unique_ptr<PeerLink>> partitions_;
+  ShardLinks partitions_;
 };
 
 }  // namespace vuvuzela::transport

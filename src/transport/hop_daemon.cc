@@ -140,7 +140,7 @@ std::unique_ptr<HopDaemon> HopDaemon::Create(const HopDaemonConfig& config,
   }
   auto daemon = std::unique_ptr<HopDaemon>(
       new HopDaemon(config, std::move(server), std::move(*listener)));
-  if (!config.exchange.partitions.empty()) {
+  if (!config.exchange.shards.empty()) {
     daemon->exchange_router_ = ExchangeRouter::Connect(config.exchange);
     if (!daemon->exchange_router_) {
       return nullptr;  // a partition is unreachable at startup

@@ -74,10 +74,10 @@ struct HopDaemonConfig {
   uint16_t port = 0;
   // Chunk budget for outgoing batch messages.
   size_t chunk_payload = kDefaultChunkPayload;
-  // Exchange partitioning (last hop only). A non-empty partition list makes
-  // the daemon drive its dead-drop stage through an ExchangeRouter over
+  // Exchange partitioning (last hop only). A non-empty shard list makes the
+  // daemon drive its dead-drop stage through an ExchangeRouter over
   // vuvuzela-exchanged shard servers instead of the in-process tables.
-  ExchangeRouterConfig exchange;
+  ShardFleetConfig exchange;
   // /metrics + /trace HTTP port: < 0 disables the server, 0 picks an
   // ephemeral port (metrics_port() reports the binding).
   int metrics_port = -1;

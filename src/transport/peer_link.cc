@@ -10,13 +10,6 @@
 
 namespace vuvuzela::transport {
 
-obs::Counter* ShardReconnects() {
-  static obs::Counter* counter = obs::Registry::Global().GetCounter(
-      "vuvuzela_shard_reconnects_total",
-      "Shard-link reconnects after a connection failure (each re-sends the failed call)");
-  return counter;
-}
-
 PeerLink::PeerLink(const std::string& kind, TcpTransportConfig config, ReconnectPolicy policy,
                    obs::Counter* reconnects)
     : label_(kind + " " + config.host + ":" + std::to_string(config.port)),
@@ -137,6 +130,38 @@ bool PeerLink::connected() const {
 uint64_t PeerLink::reconnects() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return reconnects_;
+}
+
+namespace {
+
+obs::Counter* ShardReconnects() {
+  static obs::Counter* counter = obs::Registry::Global().GetCounter(
+      "vuvuzela_shard_reconnects_total",
+      "Shard-link reconnects after a connection failure (each re-sends the failed call)");
+  return counter;
+}
+
+}  // namespace
+
+ShardLinks::ShardLinks(const std::string& kind, const ShardFleetConfig& fleet) {
+  for (const auto& endpoint : fleet.shards) {
+    links_.push_back(std::make_unique<PeerLink>(
+        kind,
+        TcpTransportConfig{endpoint.host, endpoint.port, fleet.recv_timeout_ms,
+                           fleet.connect_timeout_ms, fleet.chunk_payload},
+        ReconnectPolicy{}, ShardReconnects()));
+  }
+}
+
+bool ShardLinks::Connect() {
+  return !links_.empty() &&
+         std::ranges::all_of(links_, [](const auto& link) { return link->Connect(); });
+}
+
+void ShardLinks::SendShutdown() {
+  for (auto& link : links_) {
+    link->SendShutdown();
+  }
 }
 
 }  // namespace vuvuzela::transport

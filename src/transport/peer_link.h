@@ -1,11 +1,14 @@
 // One persistent link to a server peer, with one failure rule.
 //
 // Every server-to-server edge of a deployment is a PeerLink: the
-// coordinator's hop links (ReconnectingTransport), the last hop's links to
+// coordinator's hop links (ReconnectingTransport), and the links into the
+// two shard fleets, where endpoint i serves shard i — the last hop's links to
 // its exchange partitions (ExchangeRouter), the coordinator's links to the
 // dist shards (DistRouter) and a client's bucket-download links
-// (client::DialingFetcher). They all keep one blocking connection to one
-// peer and recover the same way:
+// (client::DialingFetcher). A shard fleet is described by one
+// ShardFleetConfig and reached through one ShardLinks, which owns one
+// PeerLink per shard. All links keep one blocking connection to one peer and
+// recover the same way:
 //
 //  * One batch RPC at a time: a mutex is held across each Call, so a
 //    connection never carries two requests, and a re-send can only target
@@ -41,9 +44,11 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/net/tcp.h"
 #include "src/transport/hop_transport.h"
@@ -76,10 +81,6 @@ struct ReconnectPolicy {
   int backoff_initial_ms = 50;
   int backoff_max_ms = 1000;
 };
-
-// The counter shard links (exchange partitions, dist shards) count their
-// reconnects into: vuvuzela_shard_reconnects_total on the global registry.
-obs::Counter* ShardReconnects();
 
 class PeerLink {
  public:
@@ -142,6 +143,38 @@ class PeerLink {
   uint64_t reconnects_ = 0;
   int consecutive_failures_ = 0;
   Clock::time_point next_connect_attempt_{};
+};
+
+// A shard fleet (exchange partitions, dist shards): endpoint i serves shard i
+// of shards.size(), and every shard link runs with the same deadlines.
+struct ShardFleetConfig {
+  std::vector<net::Endpoint> shards;
+  // Receive deadline per shard RPC — the dead-shard detector.
+  int recv_timeout_ms = 10000;
+  // Connect deadline per (re)connect attempt; 0 = OS blocking connect.
+  int connect_timeout_ms = 5000;
+  // Chunk budget for outgoing batch messages.
+  size_t chunk_payload = kDefaultChunkPayload;
+};
+
+// One PeerLink per shard of a fleet, under the default ReconnectPolicy; every
+// link counts its reconnects into vuvuzela_shard_reconnects_total.
+class ShardLinks {
+ public:
+  // `kind` labels every link (see PeerLink). Connects nothing.
+  ShardLinks(const std::string& kind, const ShardFleetConfig& fleet);
+
+  // Strict startup: connects every shard. False if the fleet is empty or any
+  // shard is unreachable right now.
+  bool Connect();
+  // Best-effort kShutdown to every shard (orderly multi-process teardown).
+  void SendShutdown();
+
+  size_t size() const { return links_.size(); }
+  PeerLink& operator[](size_t shard) const { return *links_[shard]; }
+
+ private:
+  std::vector<std::unique_ptr<PeerLink>> links_;
 };
 
 }  // namespace vuvuzela::transport

@@ -166,10 +166,10 @@ class Partitions {
       thread.join();
     }
   }
-  transport::ExchangeRouterConfig RouterConfig() const {
-    transport::ExchangeRouterConfig config;
+  transport::ShardFleetConfig fleet() const {
+    transport::ShardFleetConfig config;
     for (const auto& daemon : daemons_) {
-      config.partitions.push_back({"127.0.0.1", daemon->port()});
+      config.shards.push_back({"127.0.0.1", daemon->port()});
     }
     return config;
   }
@@ -202,7 +202,7 @@ PassAllocations Measure(size_t n) {
   }
   Partitions partitions;
   std::unique_ptr<transport::ExchangeRouter> router =
-      transport::ExchangeRouter::Connect(partitions.RouterConfig());
+      transport::ExchangeRouter::Connect(partitions.fleet());
   EXPECT_NE(router, nullptr);
 
   std::vector<crypto::X25519KeyPair> clients;

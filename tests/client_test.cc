@@ -1,10 +1,18 @@
-// Client library tests: reliable channel algebra and the client state
-// machine's fixed traffic footprint.
+// Client library tests: reliable channel algebra, the client state
+// machine's fixed traffic footprint, and its bounded recovery state (dials
+// re-sent until acknowledged, pending rounds pruned) over an in-process chain.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/client/client.h"
 #include "src/client/reliable.h"
+#include "src/coord/coordinator.h"
+#include "src/coord/distributor.h"
+#include "src/engine/round_scheduler.h"
+#include "src/mixnet/chain.h"
+#include "src/transport/hop_chain.h"
 #include "src/util/random.h"
 
 namespace vuvuzela::client {
@@ -283,6 +291,100 @@ TEST_F(ClientTest, RejectsBadConfig) {
   config.chain = chain_;
   config.max_conversations = 0;
   EXPECT_THROW(VuvuzelaClient(config, seed), std::invalid_argument);
+}
+
+// --- VuvuzelaClient over an in-process chain --------------------------------
+
+// Two clients and a two-server chain whose rounds run through the scheduler,
+// with dialing tables published to an in-process InvitationDistributor.
+class ClientRoundTest : public ::testing::Test {
+ protected:
+  ClientRoundTest()
+      : chain_(mixnet::Chain::Create(ChainConfig(), rng_)),
+        scheduler_(transport::MakeLocalTransports(chain_.servers()),
+                   {.max_in_flight = 1, .distribution = &distributor_}),
+        alice_(MakeClient(1)),
+        bob_(MakeClient(2)) {}
+
+  static mixnet::ChainConfig ChainConfig() {
+    mixnet::ChainConfig config;
+    config.num_servers = 2;
+    config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
+    config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
+    return config;
+  }
+
+  VuvuzelaClient MakeClient(uint8_t tag) {
+    crypto::ChaCha20Key seed{};
+    seed[0] = tag;
+    ClientConfig config;
+    config.keys = crypto::X25519KeyPair::Generate(rng_);
+    config.chain = chain_.public_keys();
+    return VuvuzelaClient(config, seed);
+  }
+
+  // Runs dialing round `round` with both clients' onions; returns the calls
+  // Bob finds in his bucket.
+  std::vector<IncomingCall> DialingRound(uint64_t round) {
+    std::vector<util::Bytes> batch = {alice_.PrepareDialOnion(round, dial_config_),
+                                      bob_.PrepareDialOnion(round, dial_config_)};
+    scheduler_.SubmitDialing(round, std::move(batch), dial_config_.total_drops()).get();
+    bob_.HandleInvitationDrop(distributor_.Fetch(round, bob_.InvitationDrop(dial_config_)));
+    return bob_.TakeIncomingCalls();
+  }
+
+  util::Xoshiro256Rng rng_{808};
+  mixnet::Chain chain_;
+  coord::InvitationDistributor distributor_;
+  engine::RoundScheduler scheduler_;
+  VuvuzelaClient alice_;
+  VuvuzelaClient bob_;
+  dialing::RoundConfig dial_config_{.num_real_drops = 2};
+};
+
+TEST_F(ClientRoundTest, UnacknowledgedDialIsResentInTheNextDialingRound) {
+  alice_.Dial(bob_.public_key());
+  const uint64_t first = coord::kDialingRoundBase + 1;
+  // The onion for `first` is never submitted: coordd abandoned the round, so
+  // no kDialAck comes.
+  alice_.PrepareDialOnion(first, dial_config_);
+
+  std::vector<IncomingCall> calls = DialingRound(first + 1);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].caller, alice_.public_key());
+
+  // Once a round that carried the dial is acknowledged, it is not sent again.
+  alice_.HandleDialAck(first + 1);
+  EXPECT_TRUE(DialingRound(first + 2).empty());
+}
+
+TEST_F(ClientRoundTest, PendingRoundsStayBoundedWithoutResponses) {
+  alice_.AcceptCall(bob_.public_key());
+  bob_.AcceptCall(alice_.public_key());
+  alice_.SendMessage(bob_.public_key(), Msg("still there?"));
+
+  constexpr uint64_t kRounds = 1000;
+  // The oldest round still inside the horizon once round kRounds is prepared.
+  constexpr uint64_t kAnswered = kRounds - kPendingRoundHorizon + 1;
+  std::vector<util::Bytes> answered;
+  size_t most_pending = 0;
+  for (uint64_t round = 1; round <= kRounds; ++round) {
+    std::vector<util::Bytes> from_alice = alice_.PrepareConversationOnions(round);
+    std::vector<util::Bytes> from_bob = bob_.PrepareConversationOnions(round);
+    if (round == kAnswered) {
+      answered = {std::move(from_alice[0]), std::move(from_bob[0])};
+    }
+    most_pending = std::max(most_pending, alice_.pending_rounds());
+  }
+  EXPECT_LE(most_pending, kPendingRoundHorizon);
+
+  mixnet::Chain::ConversationResult result =
+      scheduler_.SubmitConversation(kAnswered, std::move(answered)).get();
+  alice_.HandleConversationResponses(kAnswered, {&result.responses[0], 1});
+  bob_.HandleConversationResponses(kAnswered, {&result.responses[1], 1});
+  std::vector<ReceivedMessage> received = bob_.TakeReceivedMessages();
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].payload, Msg("still there?"));
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "src/client/dialing_fetcher.h"
-#include "src/transport/coord_daemon.h"
 #include "src/coord/coordinator.h"
 #include "src/coord/distributor.h"
 #include "src/crypto/onion.h"
@@ -30,6 +29,7 @@
 #include "src/sim/client_fleet.h"
 #include "src/sim/deployment.h"
 #include "src/sim/workload.h"
+#include "src/transport/coord_daemon.h"
 #include "src/transport/dist_router.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
@@ -68,9 +68,9 @@ TEST(DistConformance, RouterByteIdenticalToInProcessForShardCounts124) {
   const uint32_t kNumDrops = 7;
   for (size_t num_shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(num_shards));
-    auto group = DistGroup::Start(num_shards);
+    auto group = StartDistShards(num_shards);
     ASSERT_NE(group, nullptr);
-    auto router = DistRouter::Connect(group->RouterConfig());
+    auto router = DistRouter::Connect({group->fleet()});
     ASSERT_NE(router, nullptr);
     coord::InvitationDistributor local;
 
@@ -110,9 +110,9 @@ TEST(DistConformance, RouterByteIdenticalToInProcessForShardCounts124) {
 }
 
 TEST(DistConformance, PublishOverExistingRoundReplacesOnBothBackends) {
-  auto group = DistGroup::Start(2);
+  auto group = StartDistShards(2);
   ASSERT_NE(group, nullptr);
-  auto router = DistRouter::Connect(group->RouterConfig());
+  auto router = DistRouter::Connect({group->fleet()});
   ASSERT_NE(router, nullptr);
   coord::InvitationDistributor local;
 
@@ -131,9 +131,9 @@ TEST(DistConformance, PublishOverExistingRoundReplacesOnBothBackends) {
 }
 
 TEST(DistConformance, ExpiryDropsOldRoundsOnRouterAndShards) {
-  auto group = DistGroup::Start(2);
+  auto group = StartDistShards(2);
   ASSERT_NE(group, nullptr);
-  DistRouterConfig config = group->RouterConfig();
+  DistRouterConfig config{group->fleet()};
   config.keep_rounds = 2;  // shards hold at most 2 publications
   auto router = DistRouter::Connect(config);
   ASSERT_NE(router, nullptr);
@@ -150,7 +150,7 @@ TEST(DistConformance, ExpiryDropsOldRoundsOnRouterAndShards) {
 
   // Shard-side: a direct fetch (no router map in the way) confirms the
   // publish-piggybacked horizon evicted the old slice.
-  client::DialingFetcher fetcher(group->FetcherConfig());
+  client::DialingFetcher fetcher(group->fleet());
   EXPECT_THROW(fetcher.FetchBucket(coord::kDialingRoundBase + 1, 0, 4), HopRemoteError);
   EXPECT_EQ(fetcher.FetchBucket(coord::kDialingRoundBase + 2, 0, 4).size(), 1u);
 }
@@ -380,9 +380,9 @@ TEST(EngineDistribute, PublishedTableByteIdenticalToUndistributedRun) {
 TEST(DistFailure, DeadShardFailsOnlyDialingRoundsAndRejoinsAfterRestart) {
   util::Xoshiro256Rng rng(513);
   mixnet::Chain chain = MakeChain(rng);
-  auto group = DistGroup::Start(2);
+  auto group = StartDistShards(2);
   ASSERT_NE(group, nullptr);
-  DistRouterConfig router_config = group->RouterConfig(/*recv_timeout_ms=*/2000);
+  DistRouterConfig router_config{group->fleet(/*recv_timeout_ms=*/2000)};
   router_config.connect_timeout_ms = 1000;
   auto router = DistRouter::Connect(router_config);
   ASSERT_NE(router, nullptr);
@@ -429,16 +429,16 @@ TEST(DistFailure, DeadShardFailsOnlyDialingRoundsAndRejoinsAfterRestart) {
 // --- Client-side DialingFetcher ---------------------------------------------
 
 TEST(DialingFetcher, BucketsByteIdenticalToRouterFetch) {
-  auto group = DistGroup::Start(4);
+  auto group = StartDistShards(4);
   ASSERT_NE(group, nullptr);
-  auto router = DistRouter::Connect(group->RouterConfig());
+  auto router = DistRouter::Connect({group->fleet()});
   ASSERT_NE(router, nullptr);
 
   const uint32_t kNumDrops = 6;
   uint64_t round = coord::kDialingRoundBase + 9;
   router->Publish(round, MakeTable(kNumDrops, {4, 1, 0, 9, 2, 3}, 21));
 
-  client::DialingFetcher fetcher(group->FetcherConfig());
+  client::DialingFetcher fetcher(group->fleet());
   uint64_t expect_bytes = 0;
   for (uint32_t drop = 0; drop < kNumDrops; ++drop) {
     std::vector<wire::Invitation> bucket = fetcher.FetchBucket(round, drop, kNumDrops);
@@ -459,9 +459,9 @@ TEST(DialingFetcher, SurfacesIncomingCallEndToEnd) {
   // the round's table through the sharded backend, and the callee — offline
   // during the round — downloads its bucket with the client fetcher and
   // discovers the call.
-  auto group = DistGroup::Start(2);
+  auto group = StartDistShards(2);
   ASSERT_NE(group, nullptr);
-  auto router = DistRouter::Connect(group->RouterConfig());
+  auto router = DistRouter::Connect({group->fleet()});
   ASSERT_NE(router, nullptr);
 
   sim::DeploymentConfig config;
@@ -478,7 +478,7 @@ TEST(DialingFetcher, SurfacesIncomingCallEndToEnd) {
   deployment.SetClientOnline(bob, false);  // bob misses the round's delivery
   auto outcome = deployment.RunDialingRound();
 
-  client::DialingFetcher fetcher(group->FetcherConfig());
+  client::DialingFetcher fetcher(group->fleet());
   std::vector<wire::Invitation> scanned =
       fetcher.FetchFor(deployment.client(bob), outcome.round, deployment.dial_config());
   EXPECT_GT(scanned.size(), 0u);
@@ -503,17 +503,13 @@ TEST(ClientFleet, DownloadsEveryAckedBucketFromTheDistShards) {
   chain_config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
   chain_config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
   auto chain = LoopbackChain::Start(chain_config, kSeed);
-  auto group = DistGroup::Start(2);
+  auto group = StartDistShards(2);
   ASSERT_NE(chain, nullptr);
   ASSERT_NE(group, nullptr);
 
   CoordDaemonConfig config;
-  for (size_t i = 0; i < chain->size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain->port(i)});
-  }
-  for (size_t i = 0; i < group->size(); ++i) {
-    config.dist.push_back({"127.0.0.1", group->port(i)});
-  }
+  config.hops = chain->endpoints();
+  config.dist = group->endpoints();
   config.scheduler.max_in_flight = 2;
   config.schedule.conversation_rounds_per_dialing_round = 1;  // alternate C/D
   config.schedule.dial_dead_drops = kDrops;
@@ -544,7 +540,7 @@ TEST(ClientFleet, DownloadsEveryAckedBucketFromTheDistShards) {
   // The published tables, read back whole from the shards (the coordinator
   // leaves them running), feed the in-process reference.
   coord::InvitationDistributor reference;
-  client::DialingFetcher reader(group->FetcherConfig());
+  client::DialingFetcher reader(group->fleet());
   ASSERT_EQ(downloads->buckets[0].size(), 2u);
   for (const auto& [round, bucket] : downloads->buckets[0]) {
     deaddrop::InvitationTable table(kDrops);
@@ -647,9 +643,7 @@ TEST(CoordinatorDaemon, ClientModeServesMetrics) {
   ASSERT_NE(chain, nullptr);
 
   CoordDaemonConfig config;
-  for (size_t i = 0; i < chain->size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain->port(i)});
-  }
+  config.hops = chain->endpoints();
   config.num_clients = 1;
   config.metrics_port = 0;
   CoordinatorDaemon coordinator(std::move(config));
@@ -666,9 +660,9 @@ TEST(DistDaemon, ServesConcurrentDownloadersWhilePublishing) {
   // many client downloads run concurrently. Hammer one fleet from several
   // fetchers while new rounds publish, and require every download to be
   // internally consistent (all-or-nothing bucket bytes).
-  auto group = DistGroup::Start(2);
+  auto group = StartDistShards(2);
   ASSERT_NE(group, nullptr);
-  DistRouterConfig router_config = group->RouterConfig();
+  DistRouterConfig router_config{group->fleet()};
   router_config.keep_rounds = 16;  // keep the hammered round resident throughout
   auto router = DistRouter::Connect(router_config);
   ASSERT_NE(router, nullptr);
@@ -682,7 +676,7 @@ TEST(DistDaemon, ServesConcurrentDownloadersWhilePublishing) {
   std::vector<std::thread> downloaders;
   for (int t = 0; t < 4; ++t) {
     downloaders.emplace_back([&, t] {
-      client::DialingFetcher fetcher(group->FetcherConfig());
+      client::DialingFetcher fetcher(group->fleet());
       uint32_t drop = static_cast<uint32_t>(t) % kNumDrops;
       while (!stop.load()) {
         std::vector<wire::Invitation> bucket = fetcher.FetchBucket(base, drop, kNumDrops);

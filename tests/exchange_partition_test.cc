@@ -119,9 +119,9 @@ TEST_P(ExchangePartitionConformance, ConversationByteIdenticalToInProcessPaths) 
   deaddrop::ExchangeOutcome sequential = deaddrop::ExchangeRound(requests);
   deaddrop::ExchangeOutcome sharded = deaddrop::ShardedExchangeRound(requests, num_shards);
 
-  auto group = ExchangePartitionGroup::Start(num_shards);
+  auto group = StartExchangePartitions(num_shards);
   ASSERT_NE(group, nullptr);
-  auto router = ExchangeRouter::Connect(group->RouterConfig());
+  auto router = ExchangeRouter::Connect(group->fleet());
   ASSERT_NE(router, nullptr);
   deaddrop::ExchangeOutcome partitioned = router->ExchangeConversation(7, requests);
 
@@ -147,9 +147,9 @@ TEST_P(ExchangePartitionConformance, InvitationTableByteIdenticalToInProcess) {
   deaddrop::InProcessExchangeBackend in_process(1);
   deaddrop::InvitationTable local = in_process.BuildInvitationTable(9, kDrops, requests, noise);
 
-  auto group = ExchangePartitionGroup::Start(num_shards);
+  auto group = StartExchangePartitions(num_shards);
   ASSERT_NE(group, nullptr);
-  auto router = ExchangeRouter::Connect(group->RouterConfig());
+  auto router = ExchangeRouter::Connect(group->fleet());
   ASSERT_NE(router, nullptr);
   deaddrop::InvitationTable partitioned = router->BuildInvitationTable(9, kDrops, requests, noise);
 
@@ -240,16 +240,16 @@ RunOutcome RunChain(ChainMode mode, size_t num_partitions) {
     auto servers = BuildMixServers(config, DeriveChainKeys(kKeySeed, config.num_servers));
     return RunThroughScheduler(MakeLocalTransports(servers));
   }
-  auto group = ExchangePartitionGroup::Start(num_partitions, kTestChunkPayload);
+  auto group = StartExchangePartitions(num_partitions, kTestChunkPayload);
   EXPECT_NE(group, nullptr);
   if (mode == ChainMode::kPartitionedLocal) {
     auto servers = BuildMixServers(config, DeriveChainKeys(kKeySeed, config.num_servers));
-    auto router = ExchangeRouter::Connect(group->RouterConfig());
+    auto router = ExchangeRouter::Connect(group->fleet());
     EXPECT_NE(router, nullptr);
     servers.back()->SetExchangeBackend(router.get());
     return RunThroughScheduler(MakeLocalTransports(servers));
   }
-  auto chain = LoopbackChain::Start(config, kKeySeed, kTestChunkPayload, group->RouterConfig());
+  auto chain = LoopbackChain::Start(config, kKeySeed, kTestChunkPayload, group->fleet());
   EXPECT_NE(chain, nullptr);
   auto transports = chain->ConnectTransports();
   EXPECT_EQ(transports.size(), config.num_servers);
@@ -422,9 +422,9 @@ class FakePartition {
     thread_.join();
   }
 
-  ExchangeRouterConfig RouterConfig() const {
-    ExchangeRouterConfig config;
-    config.partitions.push_back({"127.0.0.1", listener_.port()});
+  ShardFleetConfig fleet() const {
+    ShardFleetConfig config;
+    config.shards.push_back({"127.0.0.1", listener_.port()});
     return config;
   }
 
@@ -484,7 +484,7 @@ std::vector<util::Bytes> RunThroughFakePartition(const FakePartition::Answer& an
   std::vector<wire::ExchangeRequest> requests = MixedExchangeRequests(505);
   LastHop hop = MakeLastHop(3, requests);
   FakePartition partition(answer);
-  auto router = ExchangeRouter::Connect(partition.RouterConfig());
+  auto router = ExchangeRouter::Connect(partition.fleet());
   EXPECT_NE(router, nullptr);
   hop.server->SetExchangeBackend(router.get());
   mixnet::MixServer::LastHopOutput output =
@@ -570,7 +570,7 @@ TEST(ExchangeRouterPairingCheck, MissingIndicesFailTheRound) {
 // --- Daemon robustness -------------------------------------------------------
 
 TEST(ExchangedDaemonRobustness, RejectsMismatchedPartitionMapAndKeepsServing) {
-  auto group = ExchangePartitionGroup::Start(2);
+  auto group = StartExchangePartitions(2);
   ASSERT_NE(group, nullptr);
 
   {
@@ -594,7 +594,7 @@ TEST(ExchangedDaemonRobustness, RejectsMismatchedPartitionMapAndKeepsServing) {
   }
 
   // The daemon accepts a fresh connection and serves a real exchange.
-  auto router = ExchangeRouter::Connect(group->RouterConfig());
+  auto router = ExchangeRouter::Connect(group->fleet());
   ASSERT_NE(router, nullptr);
   std::vector<util::Bytes> requests = Serialized(MixedExchangeRequests(404));
   deaddrop::ExchangeOutcome outcome = router->ExchangeConversation(8, util::ViewsOf(requests));
@@ -603,7 +603,7 @@ TEST(ExchangedDaemonRobustness, RejectsMismatchedPartitionMapAndKeepsServing) {
 }
 
 TEST(ExchangedDaemonRobustness, RejectsRequestOutsidePartition) {
-  auto group = ExchangePartitionGroup::Start(2);
+  auto group = StartExchangePartitions(2);
   ASSERT_NE(group, nullptr);
   auto raw = net::TcpConnection::Connect("127.0.0.1", group->port(0));
   ASSERT_TRUE(raw.has_value());

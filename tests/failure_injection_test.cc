@@ -15,12 +15,12 @@
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
 #include "src/crypto/sha256.h"
-#include "src/sim/workload.h"
 #include "src/dialing/protocol.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
 #include "src/obs/registry.h"
 #include "src/sim/client_fleet.h"
+#include "src/sim/workload.h"
 #include "src/transport/coord_daemon.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
@@ -236,7 +236,7 @@ class ExchangePartitionFailure : public ::testing::Test {
     config_.conversation_noise = {.params = {1.0, 1.0}, .deterministic = true};
     config_.dialing_noise = {.params = {1.0, 1.0}, .deterministic = true};
     keys_ = transport::DeriveChainKeys(9, 1);
-    server_ = transport::BuildMixServer(config_, keys_, 0);
+    server_ = mixnet::BuildMixServer(config_, keys_, 0);
   }
 
   util::Bytes Onion(uint64_t round, uint8_t id_first_byte) {
@@ -248,15 +248,15 @@ class ExchangePartitionFailure : public ::testing::Test {
   }
 
   ChainConfig config_;
-  transport::ChainKeyMaterial keys_;
+  mixnet::ChainKeyMaterial keys_;
   std::unique_ptr<MixServer> server_;
   util::Xoshiro256Rng rng_{515};
 };
 
 TEST_F(ExchangePartitionFailure, KilledPartitionAbandonsOnlyRoundsTouchingItsShard) {
-  auto group = transport::ExchangePartitionGroup::Start(2);
+  auto group = transport::StartExchangePartitions(2);
   ASSERT_NE(group, nullptr);
-  auto router = transport::ExchangeRouter::Connect(group->RouterConfig(/*recv_timeout_ms=*/500));
+  auto router = transport::ExchangeRouter::Connect(group->fleet(/*recv_timeout_ms=*/500));
   ASSERT_NE(router, nullptr);
   server_->SetExchangeBackend(router.get());
 
@@ -306,8 +306,8 @@ TEST_F(ExchangePartitionFailure, BlackHolePartitionTimesOutMidRoundWhileOthersCo
   ASSERT_NE(shard1, nullptr);
   std::thread shard1_thread([&] { shard1->Serve(); });
 
-  transport::ExchangeRouterConfig router_config;
-  router_config.partitions = {{"127.0.0.1", black_hole_listener->port()},
+  transport::ShardFleetConfig router_config;
+  router_config.shards = {{"127.0.0.1", black_hole_listener->port()},
                               {"127.0.0.1", shard1->port()}};
   router_config.recv_timeout_ms = 300;
   auto router = transport::ExchangeRouter::Connect(router_config);
@@ -356,9 +356,7 @@ class CrashRecovery : public ::testing::Test {
   static transport::CoordDaemonConfig CoordConfig(const transport::LoopbackChain& chain,
                                                   uint64_t total_rounds) {
     transport::CoordDaemonConfig config;
-    for (size_t i = 0; i < chain.size(); ++i) {
-      config.hops.push_back({"127.0.0.1", chain.port(i)});
-    }
+    config.hops = chain.endpoints();
     config.scheduler.max_in_flight = 3;
     config.schedule.conversation_rounds_per_dialing_round = 10;
     config.total_rounds = total_rounds;
@@ -432,14 +430,14 @@ class CrashRecovery : public ::testing::Test {
   // start — callers' equality assertions then fail cleanly.
   static Outcome ReferenceRun(uint64_t total_rounds, size_t exchange_partitions = 0) {
     std::unique_ptr<transport::ExchangePartitionGroup> group;
-    transport::ExchangeRouterConfig exchange;
+    transport::ShardFleetConfig exchange;
     if (exchange_partitions > 0) {
-      group = transport::ExchangePartitionGroup::Start(exchange_partitions);
+      group = transport::StartExchangePartitions(exchange_partitions);
       if (group == nullptr) {
         ADD_FAILURE() << "reference exchange partitions failed to start";
         return {};
       }
-      exchange = group->RouterConfig();
+      exchange = group->fleet();
     }
     auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed,
                                                  transport::kDefaultChunkPayload, exchange);
@@ -765,7 +763,7 @@ TEST_F(CrashRecovery, LastHopPassPeeledInPlaceIsReplayed) {
   EXPECT_EQ(again.messages_exchanged, first.messages_exchanged);
 
   std::unique_ptr<mixnet::MixServer> in_process =
-      transport::BuildMixServer(RecoveryChainConfig(), keys, 2);
+      mixnet::BuildMixServer(RecoveryChainConfig(), keys, 2);
   transport::LocalTransport local(*in_process);
   EXPECT_EQ(local.ProcessConversationLastHop(1, batch, nullptr).responses, first.responses);
 
@@ -796,11 +794,11 @@ TEST_F(CrashRecovery, ReplaySlotHoldsOneReplyAcrossPipelinedRounds) {
   constexpr uint64_t kRounds = 72;
   constexpr uint64_t kUsers = 4;
   constexpr uint32_t kDialDrops = 2;
-  auto group = transport::ExchangePartitionGroup::Start(2);
+  auto group = transport::StartExchangePartitions(2);
   ASSERT_NE(group, nullptr);
   auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed,
                                                transport::kDefaultChunkPayload,
-                                               group->RouterConfig());
+                                               group->fleet());
   ASSERT_NE(chain, nullptr);
   auto transports = chain->ConnectTransports();
   ASSERT_EQ(transports.size(), chain->size());
@@ -899,11 +897,11 @@ TEST_F(CrashRecovery, ExchangedKilledAndRestartedMidScheduleIsLossless) {
   Outcome reference = ReferenceRun(kRounds, kPartitions);
   ASSERT_EQ(reference.coord.rounds_abandoned, 0u);
 
-  auto group = transport::ExchangePartitionGroup::Start(kPartitions);
+  auto group = transport::StartExchangePartitions(kPartitions);
   ASSERT_NE(group, nullptr);
   auto chain = transport::LoopbackChain::Start(RecoveryChainConfig(), kRecoverySeed,
                                                transport::kDefaultChunkPayload,
-                                               group->RouterConfig());
+                                               group->fleet());
   ASSERT_NE(chain, nullptr);
   transport::CoordinatorDaemon coordinator(CoordConfig(*chain, kRounds));
   ASSERT_TRUE(coordinator.Start());

@@ -150,9 +150,7 @@ mixnet::ChainConfig BudgetChainConfig() {
 transport::CoordDaemonConfig BudgetCoordConfig(const transport::LoopbackChain& chain,
                                                uint64_t total_rounds) {
   transport::CoordDaemonConfig config;
-  for (size_t i = 0; i < chain.size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain.port(i)});
-  }
+  config.hops = chain.endpoints();
   config.scheduler.max_in_flight = 2;
   config.schedule.conversation_rounds_per_dialing_round = 1000;  // conversation only
   config.total_rounds = total_rounds;

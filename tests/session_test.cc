@@ -95,18 +95,14 @@ TEST(ClientSession, EveryClientShowsTheSameShapeAtTheClientEdge) {
   chain_config.conversation_noise = {.params = {2.0, 1.0}, .deterministic = true};
   chain_config.dialing_noise = {.params = {2.0, 1.0}, .deterministic = true};
   auto chain = transport::LoopbackChain::Start(chain_config, kSeed);
-  auto group = transport::DistGroup::Start(2);
+  auto group = transport::StartDistShards(2);
   ASSERT_NE(chain, nullptr);
   ASSERT_NE(group, nullptr);
 
   enum Client { kIdle, kSilent, kDialer, kDialed, kPadded, kDoubled, kClients };
   transport::CoordDaemonConfig config;
-  for (size_t i = 0; i < chain->size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain->port(i)});
-  }
-  for (size_t i = 0; i < group->size(); ++i) {
-    config.dist.push_back({"127.0.0.1", group->port(i)});
-  }
+  config.hops = chain->endpoints();
+  config.dist = group->endpoints();
   config.scheduler.max_in_flight = 2;
   config.schedule.conversation_rounds_per_dialing_round = 1;  // alternate C/D
   config.schedule.dial_dead_drops = kDrops;
@@ -134,7 +130,7 @@ TEST(ClientSession, EveryClientShowsTheSameShapeAtTheClientEdge) {
   // client reaches every dist shard through taps of its own.
   std::vector<std::unique_ptr<sim::WireTap>> coord_taps;
   std::vector<std::vector<std::unique_ptr<sim::WireTap>>> dist_taps(kDialed + 1);
-  std::vector<client::DialingFetcherConfig> fetch_configs(kDialed + 1);
+  std::vector<transport::ShardFleetConfig> fetch_configs(kDialed + 1);
   for (int i = 0; i < kClients; ++i) {
     coord_taps.push_back(Tap(coordinator.client_port()));
     ASSERT_NE(coord_taps.back(), nullptr);

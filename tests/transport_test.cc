@@ -546,9 +546,7 @@ TEST(CoordinatorDaemon, DrivesInterleavedRoundsOverLoopbackHops) {
   ASSERT_NE(chain, nullptr);
 
   CoordDaemonConfig config;
-  for (size_t i = 0; i < chain->size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain->port(i)});
-  }
+  config.hops = chain->endpoints();
   config.scheduler.max_in_flight = 3;
   config.schedule.conversation_rounds_per_dialing_round = 3;
   config.total_rounds = 7;
@@ -571,9 +569,7 @@ TEST(CoordinatorDaemon, StartRejectsNoClientsAndZeroInFlight) {
   auto chain = LoopbackChain::Start(TestChainConfig(), kKeySeed);
   ASSERT_NE(chain, nullptr);
   CoordDaemonConfig config;
-  for (size_t i = 0; i < chain->size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain->port(i)});
-  }
+  config.hops = chain->endpoints();
   config.num_clients = 1;
 
   CoordDaemonConfig no_clients = config;
@@ -672,9 +668,7 @@ TEST(CoordinatorDaemon, AdmitsOnlyOnionSizedRequests) {
   ASSERT_NE(chain, nullptr);
 
   CoordDaemonConfig config;
-  for (size_t i = 0; i < chain->size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain->port(i)});
-  }
+  config.hops = chain->endpoints();
   config.schedule.conversation_rounds_per_dialing_round = 1000;  // conversation only
   config.total_rounds = 2;
   config.admission_window_seconds = 0.3;
@@ -747,9 +741,7 @@ TEST(CoordinatorDaemon, CutsOffAClientFrameOneByteOverTheLargestOnion) {
                               crypto::OnionRequestSize(wire::kDialRequestSize, chain->size()));
 
   CoordDaemonConfig config;
-  for (size_t i = 0; i < chain->size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain->port(i)});
-  }
+  config.hops = chain->endpoints();
   config.schedule.conversation_rounds_per_dialing_round = 1;  // C, D, C
   config.total_rounds = 3;
   config.admission_window_seconds = 1.0;  // closes once every connected client submitted
@@ -820,9 +812,7 @@ TEST(CoordinatorDaemon, ClientThatHungUpDoesNotCloseTheWindowEarly) {
   ASSERT_NE(chain, nullptr);
 
   CoordDaemonConfig config;
-  for (size_t i = 0; i < chain->size(); ++i) {
-    config.hops.push_back({"127.0.0.1", chain->port(i)});
-  }
+  config.hops = chain->endpoints();
   config.schedule.conversation_rounds_per_dialing_round = 1000;  // conversation only
   config.total_rounds = 1;
   config.admission_window_seconds = 2.0;

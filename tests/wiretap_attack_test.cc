@@ -106,10 +106,10 @@ TappedDeployment SpawnTapped(const mixnet::ChainConfig& chain_config, uint64_t s
   d.hops = bench::SpawnForkedFleet(
       static_cast<uint32_t>(kHops), [&](uint32_t shard, uint32_t num_shards) {
         auto keys = transport::DeriveChainKeys(seed, num_shards);
-        auto server = transport::BuildMixServer(chain_config, keys, shard);
+        auto server = mixnet::BuildMixServer(chain_config, keys, shard);
         transport::HopDaemonConfig config;
         if (shard == num_shards - 1) {
-          config.exchange.partitions.push_back({"127.0.0.1", exchange_port});
+          config.exchange.shards.push_back({"127.0.0.1", exchange_port});
         }
         return transport::HopDaemon::Create(config, std::move(server));
       });

@@ -36,7 +36,6 @@ std::vector<bench::ForkedServer> SpawnExchangeFleet(uint32_t num_shards) {
     transport::ExchangedConfig config;
     config.shard_index = shard;
     config.num_shards = shards;
-    config.local_shards = 1;  // scaling must come from processes, not threads
     return transport::ExchangedDaemon::Create(config);
   });
 }

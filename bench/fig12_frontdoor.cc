@@ -44,8 +44,10 @@
 #include "src/transport/front_door.h"
 #include "src/transport/hop_wire.h"
 #include "src/util/random.h"
+#include "src/util/stats.h"
 
 using namespace vuvuzela;
+using util::SecondsSince;
 
 namespace {
 
@@ -53,10 +55,6 @@ constexpr uint64_t kRound = 1;
 constexpr size_t kOnionBytes = 416;        // client onion at paper depth
 constexpr uint32_t kNumDrops = 64;         // invitation buckets per table
 constexpr size_t kInvitationsPerDrop = 4;  // 320 B per bucket download
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
 
 // --- pipe plumbing ----------------------------------------------------------
 //

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/client/client.h"
+#include "src/noise/laplace.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/coord_daemon.h"
@@ -29,11 +30,6 @@ namespace {
 // (2K + 2 rounds) of any K this flag accepts.
 constexpr size_t kMaxInFlight = 64;
 static_assert(2 * kMaxInFlight + 2 < client::kPendingRoundHorizon);
-
-// The Laplace parameters vuvuzela-hopd derives from --mu M, which the
-// privacy-budget accountant (§6) charges. The hops add a fixed µ instead of
-// sampling them, so the charge is not a guarantee (see the usage text).
-noise::LaplaceParams HopNoise(double mu) { return {mu, mu / 20.0 + 1.0}; }
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -60,99 +56,45 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-bool Parse(int argc, char** argv, transport::CoordDaemonConfig* config) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    const char* value = nullptr;
-    if (arg == "--hops" && (value = next())) {
-      if (!net::ParseEndpointList(value, &config->hops)) {
-        return false;
-      }
-    } else if (arg == "--dist" && (value = next())) {
-      if (!net::ParseEndpointList(value, &config->dist)) {
-        return false;
-      }
-    } else if (arg == "--rounds" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &config->total_rounds)) {
-        return false;
-      }
-    } else if (arg == "--k" && (value = next())) {
-      if (!util::ParseUnsigned(value, kMaxInFlight, &config->scheduler.max_in_flight)) {
-        return false;
-      }
-    } else if (arg == "--clients" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &config->num_clients)) {
-        return false;
-      }
-    } else if (arg == "--client-port" && (value = next())) {
-      if (!util::ParseUnsigned(value, 65535, &config->client_port)) {
-        return false;
-      }
-    } else if (arg == "--window" && (value = next())) {
-      if (!util::ParseNonNegative(value, &config->admission_window_seconds)) {
-        return false;
-      }
-    } else if (arg == "--timeout-ms" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &config->hop_timeout_ms)) {
-        return false;
-      }
-    } else if (arg == "--conv-per-dial" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX,
-                               &config->schedule.conversation_rounds_per_dialing_round)) {
-        return false;
-      }
-    } else if (arg == "--retries" && (value = next())) {
-      // Submission attempts per round (1 = abandon on first failure).
-      if (!util::ParseUnsigned(value, UINT32_MAX, &config->max_round_attempts) ||
-          config->max_round_attempts == 0) {
-        return false;
-      }
-    } else if (arg == "--metrics-port" && (value = next())) {
-      if (!util::ParseUnsigned(value, 65535, &config->metrics_port)) {
-        return false;
-      }
-    } else if (arg == "--mu" && (value = next())) {
-      double mu = 0.0;
-      if (!util::ParseNonNegative(value, &mu)) {
-        return false;
-      }
-      config->budget.conversation_noise = HopNoise(mu);
-    } else if (arg == "--dial-mu" && (value = next())) {
-      double dial_mu = 0.0;
-      if (!util::ParseNonNegative(value, &dial_mu)) {
-        return false;
-      }
-      config->budget.dialing_noise = HopNoise(dial_mu);
-    } else if (arg == "--epsilon-budget" && (value = next())) {
-      // > 0 arms the accountant.
-      if (!util::ParseNonNegative(value, &config->budget.epsilon_budget)) {
-        return false;
-      }
-    } else if (arg == "--delta-budget" && (value = next())) {
-      if (!util::ParseNonNegative(value, &config->budget.delta_budget)) {
-        return false;
-      }
-    } else {
-      return false;
-    }
-  }
-  return !config->hops.empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   transport::CoordDaemonConfig config;
   config.admission_window_seconds = 0.02;
   config.shutdown_hops_on_exit = true;
-  config.budget.conversation_noise = HopNoise(50.0);
-  config.budget.dialing_noise = HopNoise(10.0);
   config.budget.delta_budget = 1e-4;
-  if (!Parse(argc, argv, &config)) {
+  // The accountant (§6) charges the noise the hops derive from the same
+  // --mu/--dial-mu. The hops add a fixed µ instead of sampling it, so the
+  // charge is not a guarantee (see the usage text).
+  double mu = 50.0;
+  double dial_mu = 10.0;
+  util::FlagSet flags;
+  flags.Value("--hops",
+              [&](const char* value) { return net::ParseEndpointList(value, &config.hops); });
+  flags.Value("--dist",
+              [&](const char* value) { return net::ParseEndpointList(value, &config.dist); });
+  flags.Unsigned("--rounds", UINT64_MAX, &config.total_rounds);
+  flags.Unsigned("--k", kMaxInFlight, &config.scheduler.max_in_flight);
+  flags.Unsigned("--clients", UINT64_MAX, &config.num_clients);
+  flags.Unsigned("--client-port", 65535, &config.client_port);
+  flags.NonNegative("--window", &config.admission_window_seconds);
+  flags.Unsigned("--timeout-ms", UINT64_MAX, &config.hop_timeout_ms);
+  flags.Unsigned("--conv-per-dial", UINT64_MAX,
+                 &config.schedule.conversation_rounds_per_dialing_round);
+  // Submission attempts per round (1 = abandon on first failure).
+  flags.Unsigned("--retries", UINT32_MAX, &config.max_round_attempts);
+  flags.Unsigned("--metrics-port", 65535, &config.metrics_port);
+  flags.NonNegative("--mu", &mu);
+  flags.NonNegative("--dial-mu", &dial_mu);
+  // > 0 arms the accountant.
+  flags.NonNegative("--epsilon-budget", &config.budget.epsilon_budget);
+  flags.NonNegative("--delta-budget", &config.budget.delta_budget);
+  if (!flags.Parse(argc, argv) || config.hops.empty() || config.max_round_attempts == 0) {
     Usage(argv[0]);
     return 2;
   }
+  config.budget.conversation_noise = noise::HopNoise(mu);
+  config.budget.dialing_noise = noise::HopNoise(dial_mu);
   obs::TraceJournal::Global().SetProcess("coordd");
   transport::CoordinatorDaemon coordinator(config);
   if (!coordinator.Start()) {

@@ -24,14 +24,6 @@ using namespace vuvuzela;
 
 namespace {
 
-struct Flags {
-  uint16_t port = 0;
-  uint32_t shard = 0;
-  uint32_t shards = 1;
-  size_t max_rounds = 64;
-  int metrics_port = -1;  // /metrics + /trace (-1 = disabled, 0 = ephemeral)
-};
-
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --shard I --shards N [--port P] [--max-rounds R]\n"
@@ -42,62 +34,31 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-bool Parse(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    const char* value = nullptr;
-    if (arg == "--shard" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT32_MAX, &flags->shard)) {
-        return false;
-      }
-    } else if (arg == "--shards" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT32_MAX, &flags->shards)) {
-        return false;
-      }
-    } else if (arg == "--port" && (value = next())) {
-      if (!util::ParseUnsigned(value, 65535, &flags->port)) {
-        return false;
-      }
-    } else if (arg == "--max-rounds" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->max_rounds)) {
-        return false;
-      }
-    } else if (arg == "--metrics-port" && (value = next())) {
-      if (!util::ParseUnsigned(value, 65535, &flags->metrics_port)) {
-        return false;
-      }
-    } else {
-      return false;
-    }
-  }
-  return flags->shards > 0 && flags->shard < flags->shards && flags->max_rounds > 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!Parse(argc, argv, &flags)) {
+  transport::DistDaemonConfig config;
+  util::FlagSet flags;
+  flags.Unsigned("--shard", UINT32_MAX, &config.shard_index);
+  flags.Unsigned("--shards", UINT32_MAX, &config.num_shards);
+  flags.Unsigned("--port", 65535, &config.port);
+  flags.Unsigned("--max-rounds", UINT64_MAX, &config.max_rounds);
+  flags.Unsigned("--metrics-port", 65535, &config.metrics_port);
+  if (!flags.Parse(argc, argv) || config.shard_index >= config.num_shards ||
+      config.max_rounds == 0) {
     Usage(argv[0]);
     return 2;
   }
 
-  obs::TraceJournal::Global().SetProcess("distd-" + std::to_string(flags.shard));
-  transport::DistDaemonConfig config;
-  config.port = flags.port;
-  config.shard_index = flags.shard;
-  config.num_shards = flags.shards;
-  config.max_rounds = flags.max_rounds;
-  config.metrics_port = flags.metrics_port;
+  obs::TraceJournal::Global().SetProcess("distd-" + std::to_string(config.shard_index));
   auto daemon = transport::DistDaemon::Create(config);
   if (!daemon) {
-    std::fprintf(stderr, "vuvuzela-distd: cannot listen on port %u\n", flags.port);
+    std::fprintf(stderr, "vuvuzela-distd: cannot listen on port %u\n", config.port);
     return 1;
   }
 
-  std::printf("vuvuzela-distd: shard %u/%u listening on 127.0.0.1:%u", flags.shard,
-              flags.shards, daemon->port());
+  std::printf("vuvuzela-distd: shard %u/%u listening on 127.0.0.1:%u", config.shard_index,
+              config.num_shards, daemon->port());
   if (daemon->metrics_port() != 0) {
     std::printf(" (metrics on http://127.0.0.1:%u/metrics)", daemon->metrics_port());
   }
@@ -106,7 +67,7 @@ int main(int argc, char** argv) {
   daemon->Serve();
   std::printf("vuvuzela-distd: shard %u stored %llu publishes, served %llu bucket fetches "
               "(%llu bytes), exiting\n",
-              flags.shard, static_cast<unsigned long long>(daemon->publishes_stored()),
+              config.shard_index, static_cast<unsigned long long>(daemon->publishes_stored()),
               static_cast<unsigned long long>(daemon->fetches_served()),
               static_cast<unsigned long long>(daemon->bytes_served()));
   // The final registry snapshot, one line: what smoke runs assert on, since

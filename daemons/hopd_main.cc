@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/coord/keydir.h"
+#include "src/noise/laplace.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/transport/hop_chain.h"
@@ -39,21 +40,6 @@
 using namespace vuvuzela;
 
 namespace {
-
-struct Flags {
-  size_t position = 0;
-  bool have_position = false;
-  size_t servers = 3;
-  bool have_servers = false;
-  uint16_t port = 0;
-  uint64_t seed = 1;
-  std::string key_file;
-  std::string key_dir;
-  double mu = 50.0;
-  double dial_mu = 10.0;
-  std::vector<net::Endpoint> exchange;  // last hop only
-  int metrics_port = -1;  // /metrics + /trace (-1 = disabled, 0 = ephemeral)
-};
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -74,69 +60,44 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-bool Parse(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    const char* value = nullptr;
-    if (arg == "--position" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->position)) {
-        return false;
-      }
-      flags->have_position = true;
-    } else if (arg == "--servers" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->servers)) {
-        return false;
-      }
-      flags->have_servers = true;
-    } else if (arg == "--key-file" && (value = next())) {
-      flags->key_file = value;
-    } else if (arg == "--key-dir" && (value = next())) {
-      flags->key_dir = value;
-    } else if (arg == "--port" && (value = next())) {
-      if (!util::ParseUnsigned(value, 65535, &flags->port)) {
-        return false;
-      }
-    } else if (arg == "--seed" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->seed)) {
-        return false;
-      }
-    } else if (arg == "--mu" && (value = next())) {
-      if (!util::ParseNonNegative(value, &flags->mu)) {
-        return false;
-      }
-    } else if (arg == "--dial-mu" && (value = next())) {
-      if (!util::ParseNonNegative(value, &flags->dial_mu)) {
-        return false;
-      }
-    } else if (arg == "--exchange" && (value = next())) {
-      if (!net::ParseEndpointList(value, &flags->exchange)) {
-        return false;
-      }
-    } else if (arg == "--metrics-port" && (value = next())) {
-      if (!util::ParseUnsigned(value, 65535, &flags->metrics_port)) {
-        return false;
-      }
-    } else {
-      return false;
-    }
-  }
-  // Key files carry the hop's position and the directory its chain length;
-  // either ceremony must end with a coherent (position, servers) pair.
-  if (flags->key_file.empty() != flags->key_dir.empty()) {
-    return false;  // --key-file and --key-dir travel together
-  }
-  if (flags->key_file.empty() && !flags->have_position) {
-    return false;  // shared-seed ceremony needs an explicit position
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!Parse(argc, argv, &flags)) {
+  size_t position = 0;
+  bool have_position = false;
+  size_t servers = 3;
+  bool have_servers = false;
+  uint64_t seed = 1;
+  std::string key_file;
+  std::string key_dir;
+  double mu = 50.0;
+  double dial_mu = 10.0;
+  transport::HopDaemonConfig daemon_config;
+  util::FlagSet flags;
+  flags.Value("--position", [&](const char* value) {
+    have_position = true;
+    return util::ParseUnsigned(value, UINT64_MAX, &position);
+  });
+  flags.Value("--servers", [&](const char* value) {
+    have_servers = true;
+    return util::ParseUnsigned(value, UINT64_MAX, &servers);
+  });
+  flags.String("--key-file", &key_file);
+  flags.String("--key-dir", &key_dir);
+  flags.Unsigned("--port", 65535, &daemon_config.port);
+  flags.Unsigned("--seed", UINT64_MAX, &seed);
+  flags.NonNegative("--mu", &mu);
+  flags.NonNegative("--dial-mu", &dial_mu);
+  flags.Value("--exchange", [&](const char* value) {
+    return net::ParseEndpointList(value, &daemon_config.exchange.shards);
+  });
+  flags.Unsigned("--metrics-port", 65535, &daemon_config.metrics_port);
+  // Key files carry the hop's position and the directory its chain length;
+  // either ceremony must end with a coherent (position, servers) pair. The
+  // two key files travel together, and the shared-seed ceremony needs an
+  // explicit position.
+  if (!flags.Parse(argc, argv) || key_file.empty() != key_dir.empty() ||
+      (key_file.empty() && !have_position)) {
     Usage(argv[0]);
     return 2;
   }
@@ -146,51 +107,49 @@ int main(int argc, char** argv) {
   crypto::X25519KeyPair key_pair;
   crypto::ChaCha20Key noise_seed;
   std::vector<crypto::X25519PublicKey> public_keys;
-  if (!flags.key_file.empty()) {
-    auto hop_key = coord::ReadHopKeyFile(flags.key_file);
+  if (!key_file.empty()) {
+    auto hop_key = coord::ReadHopKeyFile(key_file);
     if (!hop_key) {
-      std::fprintf(stderr, "vuvuzela-hopd: cannot read key file %s\n", flags.key_file.c_str());
+      std::fprintf(stderr, "vuvuzela-hopd: cannot read key file %s\n", key_file.c_str());
       return 1;
     }
-    auto directory = coord::KeyDirectory::LoadFromFile(flags.key_dir);
+    auto directory = coord::KeyDirectory::LoadFromFile(key_dir);
     if (!directory) {
-      std::fprintf(stderr, "vuvuzela-hopd: cannot read key directory %s\n",
-                   flags.key_dir.c_str());
+      std::fprintf(stderr, "vuvuzela-hopd: cannot read key directory %s\n", key_dir.c_str());
       return 1;
     }
     size_t chain_length = directory->ChainLength();
     auto chain_keys = directory->ChainPublicKeys(chain_length);
     if (chain_length == 0 || !chain_keys) {
       std::fprintf(stderr, "vuvuzela-hopd: key directory %s has no hop0..hopN chain\n",
-                   flags.key_dir.c_str());
+                   key_dir.c_str());
       return 1;
     }
-    flags.position = flags.have_position ? flags.position : hop_key->position;
-    flags.servers = flags.have_servers ? flags.servers : chain_length;
+    position = have_position ? position : hop_key->position;
+    servers = have_servers ? servers : chain_length;
     key_pair = hop_key->key_pair;
     noise_seed = hop_key->noise_seed;
     public_keys = std::move(*chain_keys);
-    if (flags.position != hop_key->position || flags.servers != chain_length ||
-        flags.position >= flags.servers) {
+    if (position != hop_key->position || servers != chain_length || position >= servers) {
       std::fprintf(stderr, "vuvuzela-hopd: flags disagree with key files (position %zu/%zu)\n",
-                   flags.position, flags.servers);
+                   position, servers);
       return 1;
     }
-    if (public_keys[flags.position] != key_pair.public_key) {
+    if (public_keys[position] != key_pair.public_key) {
       std::fprintf(stderr, "vuvuzela-hopd: key file secret does not match directory entry\n");
       return 1;
     }
   } else {
-    mixnet::ChainKeyMaterial keys = transport::DeriveChainKeys(flags.seed, flags.servers);
-    if (flags.servers == 0 || flags.position >= flags.servers) {
+    mixnet::ChainKeyMaterial keys = transport::DeriveChainKeys(seed, servers);
+    if (servers == 0 || position >= servers) {
       Usage(argv[0]);
       return 2;
     }
-    key_pair = keys.key_pairs[flags.position];
-    noise_seed = keys.rng_seeds[flags.position];
+    key_pair = keys.key_pairs[position];
+    noise_seed = keys.rng_seeds[position];
     public_keys = keys.public_keys;
   }
-  if (!flags.exchange.empty() && flags.position + 1 != flags.servers) {
+  if (!daemon_config.exchange.shards.empty() && position + 1 != servers) {
     std::fprintf(stderr, "vuvuzela-hopd: only the last hop hosts the dead drops\n");
     return 2;
   }
@@ -198,31 +157,25 @@ int main(int argc, char** argv) {
   // Deterministic noise: a fixed µ per pass, not a Laplace sample (see the
   // usage text).
   mixnet::ChainConfig chain_config;
-  chain_config.num_servers = flags.servers;
-  chain_config.conversation_noise = {.params = {flags.mu, flags.mu / 20.0 + 1.0},
-                                     .deterministic = true};
-  chain_config.dialing_noise = {.params = {flags.dial_mu, flags.dial_mu / 20.0 + 1.0},
-                                .deterministic = true};
+  chain_config.num_servers = servers;
+  chain_config.conversation_noise = {.params = noise::HopNoise(mu), .deterministic = true};
+  chain_config.dialing_noise = {.params = noise::HopNoise(dial_mu), .deterministic = true};
 
-  obs::TraceJournal::Global().SetProcess("hopd-" + std::to_string(flags.position));
-  transport::HopDaemonConfig daemon_config;
-  daemon_config.port = flags.port;
-  daemon_config.exchange.shards = flags.exchange;
-  daemon_config.metrics_port = flags.metrics_port;
+  obs::TraceJournal::Global().SetProcess("hopd-" + std::to_string(position));
   auto daemon = transport::HopDaemon::Create(
       daemon_config,
-      std::make_unique<mixnet::MixServer>(mixnet::ChainServerConfig(chain_config, flags.position),
+      std::make_unique<mixnet::MixServer>(mixnet::ChainServerConfig(chain_config, position),
                                           key_pair, public_keys, noise_seed));
   if (!daemon) {
     std::fprintf(stderr,
                  "vuvuzela-hopd: cannot listen on port %u (or an exchange partition is "
                  "unreachable)\n",
-                 flags.port);
+                 daemon_config.port);
     return 1;
   }
 
-  std::printf("vuvuzela-hopd: position %zu/%zu listening on 127.0.0.1:%u", flags.position,
-              flags.servers, daemon->port());
+  std::printf("vuvuzela-hopd: position %zu/%zu listening on 127.0.0.1:%u", position, servers,
+              daemon->port());
   if (daemon->exchange_router()) {
     std::printf(" (exchange partitioned %zu ways)", daemon->exchange_router()->num_shards());
   }
@@ -237,7 +190,7 @@ int main(int argc, char** argv) {
   if (daemon->exchange_router()) {
     daemon->exchange_router()->SendShutdown();
   }
-  std::printf("vuvuzela-hopd: position %zu served %llu RPCs, exiting\n", flags.position,
+  std::printf("vuvuzela-hopd: position %zu served %llu RPCs, exiting\n", position,
               static_cast<unsigned long long>(daemon->rpcs_served()));
   // The final registry snapshot, one line: what smoke runs assert on, since
   // the fleet can finish before any scrape sees this daemon's last pass.

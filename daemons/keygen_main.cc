@@ -32,99 +32,69 @@ using namespace vuvuzela;
 
 namespace {
 
-struct Flags {
-  size_t servers = 3;
-  std::string out;
-  uint64_t seed = 0;
-  bool seeded = false;
-};
-
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --servers N --out DIR [--seed S] [--metrics-port P]\n"
+               "usage: %s --servers N --out DIR [--seed S]\n"
                "Writes DIR/hop<i>.key (one secret per hop, mode 0600) and DIR/chain.pub\n"
                "(the public key directory). --seed derives the same material as the\n"
-               "daemons' shared-seed ceremony; omit it for keys from the OS entropy pool.\n"
-               "--metrics-port is accepted for fleet-launcher uniformity but ignored:\n"
-               "keygen is a one-shot ceremony with nothing to scrape.\n",
+               "daemons' shared-seed ceremony; omit it for keys from the OS entropy pool.\n",
                argv0);
-}
-
-bool Parse(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    const char* value = nullptr;
-    if (arg == "--servers" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->servers)) {
-        return false;
-      }
-    } else if (arg == "--out" && (value = next())) {
-      flags->out = value;
-    } else if (arg == "--seed" && (value = next())) {
-      if (!util::ParseUnsigned(value, UINT64_MAX, &flags->seed)) {
-        return false;
-      }
-      flags->seeded = true;
-    } else if (arg == "--metrics-port" && (value = next())) {
-      // Accepted so fleet launchers can pass a uniform flag set to every
-      // vuvuzela-* binary; keygen exits before any scrape could land.
-      uint16_t port = 0;
-      if (!util::ParseUnsigned(value, 65535, &port)) {
-        return false;
-      }
-    } else {
-      return false;
-    }
-  }
-  return flags->servers > 0 && !flags->out.empty();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
-  if (!Parse(argc, argv, &flags)) {
+  size_t servers = 3;
+  std::string out;
+  uint64_t seed = 0;
+  bool seeded = false;
+  util::FlagSet flags;
+  flags.Unsigned("--servers", UINT64_MAX, &servers);
+  flags.String("--out", &out);
+  flags.Value("--seed", [&](const char* value) {
+    seeded = true;
+    return util::ParseUnsigned(value, UINT64_MAX, &seed);
+  });
+  if (!flags.Parse(argc, argv) || servers == 0 || out.empty()) {
     Usage(argv[0]);
     return 2;
   }
 
-  ::mkdir(flags.out.c_str(), 0700);  // best-effort; write errors report below
+  ::mkdir(out.c_str(), 0700);  // best-effort; write errors report below
 
   mixnet::ChainKeyMaterial keys;
-  if (flags.seeded) {
-    keys = transport::DeriveChainKeys(flags.seed, flags.servers);
+  if (seeded) {
+    keys = transport::DeriveChainKeys(seed, servers);
   } else {
     crypto::ChaChaRng rng = crypto::ChaChaRng::FromSystem();
-    for (size_t i = 0; i < flags.servers; ++i) {
+    for (size_t i = 0; i < servers; ++i) {
       keys.key_pairs.push_back(crypto::X25519KeyPair::Generate(rng));
       keys.public_keys.push_back(keys.key_pairs.back().public_key);
     }
-    keys.rng_seeds.resize(flags.servers);
-    for (auto& seed : keys.rng_seeds) {
-      rng.Fill(seed);
+    keys.rng_seeds.resize(servers);
+    for (auto& noise_seed : keys.rng_seeds) {
+      rng.Fill(noise_seed);
     }
   }
 
   coord::KeyDirectory directory;
-  for (size_t i = 0; i < flags.servers; ++i) {
+  for (size_t i = 0; i < servers; ++i) {
     coord::HopKeyFile key_file;
     key_file.position = i;
     key_file.key_pair = keys.key_pairs[i];
     key_file.noise_seed = keys.rng_seeds[i];
-    std::string path = flags.out + "/hop" + std::to_string(i) + ".key";
+    std::string path = out + "/hop" + std::to_string(i) + ".key";
     if (!coord::WriteHopKeyFile(path, key_file)) {
       std::fprintf(stderr, "vuvuzela-keygen: cannot write %s\n", path.c_str());
       return 1;
     }
     directory.AddContact("hop" + std::to_string(i), keys.public_keys[i]);
   }
-  std::string directory_path = flags.out + "/chain.pub";
+  std::string directory_path = out + "/chain.pub";
   if (!directory.SaveToFile(directory_path)) {
     std::fprintf(stderr, "vuvuzela-keygen: cannot write %s\n", directory_path.c_str());
     return 1;
   }
-  std::printf("vuvuzela-keygen: wrote %zu hop key files and %s\n", flags.servers,
-              directory_path.c_str());
+  std::printf("vuvuzela-keygen: wrote %zu hop key files and %s\n", servers, directory_path.c_str());
   return 0;
 }

@@ -191,14 +191,17 @@ void VuvuzelaClient::HandleInvitationDrop(std::span<const wire::Invitation> invi
   std::vector<crypto::X25519PublicKey> callers =
       dialing::ScanInvitations(config_.keys, invitations);
   for (const auto& caller : callers) {
-    // A self-dial, or a call already waiting (a dial re-sent after a late ack).
+    // A self-dial, a call already waiting, or a dial the previous drop
+    // already carried (re-sent after a late ack).
     bool waiting = std::ranges::find(incoming_calls_, caller, &IncomingCall::caller) !=
                    incoming_calls_.end();
-    if (caller == config_.keys.public_key || waiting) {
+    if (caller == config_.keys.public_key || waiting ||
+        std::ranges::find(previous_drop_callers_, caller) != previous_drop_callers_.end()) {
       continue;
     }
     incoming_calls_.push_back(IncomingCall{caller});
   }
+  previous_drop_callers_ = std::move(callers);
 }
 
 }  // namespace vuvuzela::client

@@ -112,8 +112,8 @@ class VuvuzelaClient {
   // unconfirmed until HandleDialAck reports a dialing round that carried it;
   // until then each dialing round re-sends it before taking the next one, so
   // a call whose round coordd abandoned is not lost. An ack that arrives
-  // after the next dialing round's onion was built sends the call twice; the
-  // callee surfaces it once (HandleInvitationDrop).
+  // after the next dialing round's onion was built sends the call again in
+  // that round; the callee surfaces it once (HandleInvitationDrop).
   util::Bytes PrepareDialOnion(uint64_t round, const dialing::RoundConfig& dial_config);
 
   // coordd acknowledged dialing round `round` (kDialAck): it was delivered.
@@ -123,7 +123,8 @@ class VuvuzelaClient {
   uint32_t InvitationDrop(const dialing::RoundConfig& dial_config) const;
 
   // Scans a downloaded invitation drop for calls addressed to us. A caller
-  // already waiting in TakeIncomingCalls is not surfaced again.
+  // found in the previous scanned drop (a dial re-sent after a late ack), or
+  // still waiting in TakeIncomingCalls, is not surfaced again.
   void HandleInvitationDrop(std::span<const wire::Invitation> invitations);
 
   // --- Introspection ------------------------------------------------------
@@ -167,6 +168,9 @@ class VuvuzelaClient {
   std::optional<SentDial> unacked_dial_;
   std::vector<ReceivedMessage> received_;
   std::vector<IncomingCall> incoming_calls_;
+  // Every caller found in the last drop HandleInvitationDrop scanned: at most
+  // one bucket's invitations.
+  std::vector<crypto::X25519PublicKey> previous_drop_callers_;
   uint64_t conversation_sequence_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;

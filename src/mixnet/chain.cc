@@ -1,6 +1,5 @@
 #include "src/mixnet/chain.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -12,9 +11,6 @@ MixServerConfig ChainServerConfig(const ChainConfig& config, size_t position) {
   server_config.chain_length = config.num_servers;
   server_config.conversation_noise = config.conversation_noise;
   server_config.dialing_noise = config.dialing_noise;
-  server_config.mix = std::find(config.non_mixing_positions.begin(),
-                                config.non_mixing_positions.end(),
-                                position) == config.non_mixing_positions.end();
   return server_config;
 }
 

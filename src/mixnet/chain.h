@@ -50,10 +50,6 @@ struct ChainConfig {
   size_t num_servers = 3;
   noise::NoiseConfig conversation_noise;
   noise::NoiseConfig dialing_noise;
-  // Positions whose servers skip mixing (modeling compromised servers that
-  // preserve order to aid traffic analysis). Honest deployments leave this
-  // empty.
-  std::vector<size_t> non_mixing_positions;
 };
 
 struct RoundStats {

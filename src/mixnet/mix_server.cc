@@ -250,8 +250,7 @@ util::InPlaceBatch MixServer::PeelAndMix(uint64_t round,
   }
 
   // The shuffle permutes the views; no onion moves.
-  Permutation perm =
-      config_.mix ? Permutation::Random(out.size(), rng) : Permutation::Identity(out.size());
+  Permutation perm = Permutation::Random(out.size(), rng);
   out.items = perm.Apply(std::move(out.items));
   state.perm = perm.indices();
 

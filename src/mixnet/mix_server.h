@@ -70,9 +70,6 @@ struct MixServerConfig {
   size_t chain_length = 1;
   noise::NoiseConfig conversation_noise;
   noise::NoiseConfig dialing_noise;
-  // A server under adversarial control may skip mixing; tests use this to
-  // model compromise (§4.2 attack scenarios). Honest servers always mix.
-  bool mix = true;
 };
 
 // Per-round, per-server counters surfaced to benches (Figures 9-11, §8.2

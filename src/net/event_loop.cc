@@ -27,6 +27,10 @@ constexpr uint64_t kWakeId = 0;
 // growing an ever-larger dead prefix during a long partial-flush sequence.
 constexpr size_t kOutCompactThreshold = 256u << 10;
 
+// recv() granularity. Input buffers only ever hold what the socket
+// delivered, so this also bounds per-read transient memory.
+constexpr size_t kReadChunk = 64u << 10;
+
 bool SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -180,13 +184,13 @@ void EventLoop::ReadReady(ConnId id, bool peer_hup) {
       return;
     }
     // Receive into the loop-wide scratch buffer and append only what
-    // arrived: growing conn.in by a full read_chunk per recv would pin a
+    // arrived: growing conn.in by a full kReadChunk per recv would pin a
     // chunk-sized allocation on every one of 100K+ connections (and the
     // realloc churn dominates an admission storm with page faults).
-    if (read_scratch_.size() < config_.read_chunk) {
-      read_scratch_.resize(config_.read_chunk);
+    if (read_scratch_.size() < kReadChunk) {
+      read_scratch_.resize(kReadChunk);
     }
-    ssize_t n = ::recv(conn.fd, read_scratch_.data(), config_.read_chunk, 0);
+    ssize_t n = ::recv(conn.fd, read_scratch_.data(), kReadChunk, 0);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -205,7 +209,7 @@ void EventLoop::ReadReady(ConnId id, bool peer_hup) {
     if (!ParseFrames(id)) {
       return;
     }
-    if (static_cast<size_t>(n) < config_.read_chunk && !peer_hup) {
+    if (static_cast<size_t>(n) < kReadChunk && !peer_hup) {
       // Short read: the socket buffer is drained, the edge will re-arm.
       // Not taken after EPOLLRDHUP/HUP/ERR — the peer is gone, so no new
       // edge is coming and the pending EOF must be read out now.

@@ -74,9 +74,6 @@ struct EventLoopConfig {
   // connection. Sized so a full bucket download to a briefly-stalled client
   // survives, while a sink that never reads is shed.
   size_t max_write_buffer = 64u << 20;
-  // read() granularity. Input buffers only ever hold what the socket
-  // delivered, so this also bounds per-read transient memory.
-  size_t read_chunk = 64u << 10;
 };
 
 class EventLoop {

@@ -13,10 +13,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <vector>
+
+#include "src/util/flags.h"
 
 namespace vuvuzela::net {
 
@@ -24,12 +25,12 @@ bool ParseEndpointList(const std::string& list, std::vector<Endpoint>* endpoints
   std::istringstream entries(list);
   for (std::string entry; std::getline(entries, entry, ',');) {
     size_t colon = entry.rfind(':');
-    unsigned long port =
-        colon == std::string::npos ? 0 : std::strtoul(entry.c_str() + colon + 1, nullptr, 10);
-    if (colon == 0 || port == 0 || port > 65535) {
-      return false;  // reject rather than silently truncating to 16 bits
+    uint16_t port = 0;
+    if (colon == 0 || colon == std::string::npos ||
+        !util::ParseUnsigned(entry.c_str() + colon + 1, 65535, &port) || port == 0) {
+      return false;  // reject rather than truncating "7341x" to 7341
     }
-    endpoints->push_back({entry.substr(0, colon), static_cast<uint16_t>(port)});
+    endpoints->push_back({entry.substr(0, colon), port});
   }
   return !endpoints->empty();
 }

@@ -37,7 +37,7 @@ struct Endpoint {
 
 // Appends the endpoints of a comma-separated "host:port[,host:port...]" list
 // (the daemons' command-line form). False on an empty list, an empty host, or
-// a port outside 1..65535.
+// a port that is not all digits or is outside 1..65535.
 bool ParseEndpointList(const std::string& list, std::vector<Endpoint>* endpoints);
 
 // Why RecvFrame failed. A dead remote hop (timeout) must be distinguishable

@@ -12,8 +12,9 @@ BudgetAccountant::BudgetAccountant(BudgetAccountantConfig config) : config_(conf
   // configuration fails loudly at construction, not silently at round 1.
   conversation_bound_ = ConversationRound(config_.conversation_noise);
   dialing_bound_ = DialingRound(config_.dialing_noise);
-  slack_ = config_.composition_slack > 0.0 ? config_.composition_slack
-                                           : config_.delta_budget / 4.0;
+  // Slack parameter d of Theorem 2 (δ' = k·δ + d): a quarter of the δ
+  // budget, leaving most of it for the k·δ term.
+  slack_ = config_.delta_budget / 4.0;
 }
 
 PrivacyBound BudgetAccountant::SpentLocked(uint64_t conversation_rounds,

@@ -35,7 +35,7 @@ namespace vuvuzela::noise {
 
 struct BudgetAccountantConfig {
   // The deployment's noise parameters — must mirror the hop daemons'
-  // (vuvuzela-hopd derives {µ, µ/20 + 1} from --mu). The bound assumes the
+  // (vuvuzela-hopd runs noise::HopNoise(--mu)). The bound assumes the
   // hops sample Laplace(µ, b); vuvuzela-hopd adds a fixed µ instead (§8.1's
   // deterministic mode), so for a deployed fleet the charge is what a
   // sampling fleet would spend, not a guarantee.
@@ -44,10 +44,6 @@ struct BudgetAccountantConfig {
   // Cumulative budget the composed bound must stay within.
   double epsilon_budget = 0.0;
   double delta_budget = 0.0;
-  // Slack parameter d of Theorem 2 (δ' = k·δ + d). Non-positive values
-  // default to delta_budget / 4, leaving most of the δ budget for the k·δ
-  // term.
-  double composition_slack = 0.0;
 };
 
 class BudgetAccountant {

@@ -23,6 +23,11 @@ struct LaplaceParams {
   LaplaceParams Halved() const { return LaplaceParams{mu / 2.0, b / 2.0}; }
 };
 
+// The noise parameters a deployed hop runs with for `--mu M`: {µ, µ/20 + 1}.
+// vuvuzela-hopd adds that µ per pass, and vuvuzela-coordd's budget
+// accountant charges the same parameters, so both derive them here.
+inline LaplaceParams HopNoise(double mu) { return {mu, mu / 20.0 + 1.0}; }
+
 // Draws x ~ Laplace(params) by inverse-CDF sampling.
 double SampleLaplace(const LaplaceParams& params, util::Rng& rng);
 

@@ -16,6 +16,9 @@ namespace vuvuzela::sim {
 
 namespace {
 
+// Pending-connection queue of the tap's listener.
+constexpr int kListenBacklog = 64;
+
 uint64_t MonoNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
@@ -44,7 +47,7 @@ WireTap::WireTap(WireTapConfig config, net::TcpListener listener)
     : config_(std::move(config)), listener_(std::move(listener)) {}
 
 std::unique_ptr<WireTap> WireTap::Create(WireTapConfig config) {
-  auto listener = net::TcpListener::Listen(config.listen_port, config.backlog);
+  auto listener = net::TcpListener::Listen(config.listen_port, kListenBacklog);
   if (!listener) {
     return nullptr;
   }

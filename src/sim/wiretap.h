@@ -57,7 +57,6 @@ struct WireTapConfig {
   std::string upstream_host = "127.0.0.1";
   uint16_t upstream_port = 0;
   uint16_t listen_port = 0;   // 0 picks an ephemeral port
-  int backlog = 64;
 };
 
 class WireTap {

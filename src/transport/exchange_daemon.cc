@@ -111,8 +111,7 @@ bool ExchangedDaemon::HandleConversation(net::TcpConnection& conn, const BatchMe
       return SendRpcError(conn, request.round, "exchange request outside partition");
     }
   }
-  deaddrop::ExchangeOutcome outcome =
-      deaddrop::ShardedExchangeRound(request.items, config_.local_shards);
+  deaddrop::ExchangeOutcome outcome = deaddrop::ExchangeRound(request.items);
 
   wire::Writer reply(32);
   WriteHistogram(reply, outcome.histogram, outcome.messages_exchanged);

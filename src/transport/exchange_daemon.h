@@ -44,9 +44,6 @@ struct ExchangedConfig {
   // Which slice of the partition map this daemon owns.
   uint32_t shard_index = 0;
   uint32_t num_shards = 1;
-  // Thread-pool shards for this partition's own conversation table
-  // (ShardedExchangeRound within the process; byte-identical for any value).
-  size_t local_shards = 1;
   // Chunk budget for outgoing batch messages.
   size_t chunk_payload = kDefaultChunkPayload;
   // /metrics + /trace HTTP port: < 0 disables the server, 0 picks an

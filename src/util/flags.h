@@ -1,14 +1,21 @@
-// Command-line value parsing shared by the daemons.
+// Command-line parsing shared by every daemon and tool: the value parsers
+// and FlagSet, the one flag table each binary's main() fills in.
 
 #ifndef VUVUZELA_SRC_UTIL_FLAGS_H_
 #define VUVUZELA_SRC_UTIL_FLAGS_H_
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace vuvuzela::util {
 
@@ -47,6 +54,78 @@ bool ParseUnsigned(const char* text, uint64_t max, T* out) {
   *out = static_cast<T>(value);
   return true;
 }
+
+// A command line's flag table: each flag name ("--port", or "-h") is bound to
+// where its value goes, and Parse walks argv once. The caller keeps its own
+// usage text and exit code, and checks cross-flag rules after Parse.
+//
+//   transport::ExchangedConfig config;
+//   util::FlagSet flags;
+//   flags.Unsigned("--port", 65535, &config.port);
+//   if (!flags.Parse(argc, argv) || ...) { Usage(argv[0]); return 2; }
+class FlagSet {
+ public:
+  // `--name VALUE`: `parse` stores VALUE and returns false if it is malformed.
+  // A repeated flag calls `parse` once per occurrence.
+  void Value(std::string name, std::function<bool(const char*)> parse) {
+    flags_.push_back({std::move(name), true, std::move(parse)});
+  }
+  // `--name N` through ParseUnsigned; a repeated flag keeps the last value.
+  template <typename T>
+  void Unsigned(std::string name, uint64_t max, T* out) {
+    Value(std::move(name), [max, out](const char* text) { return ParseUnsigned(text, max, out); });
+  }
+  // `--name X` through ParseNonNegative.
+  void NonNegative(std::string name, double* out) {
+    Value(std::move(name), [out](const char* text) { return ParseNonNegative(text, out); });
+  }
+  void String(std::string name, std::string* out) {
+    Value(std::move(name), [out](const char* text) {
+      *out = text;
+      return true;
+    });
+  }
+  // `--name` with no value sets *out.
+  void Switch(std::string name, bool* out) {
+    auto set = [out](const char*) {
+      *out = true;
+      return true;
+    };
+    flags_.push_back({std::move(name), false, set});
+  }
+
+  // False on an unknown flag, a flag missing its value or a value its parser
+  // rejects. An argument that does not start with '-' (or is exactly "-") is
+  // positional: appended to `positional`, or an error when that is null.
+  bool Parse(int argc, char** argv, std::vector<std::string>* positional = nullptr) const {
+    for (int i = 1; i < argc; ++i) {
+      std::string_view arg = argv[i];
+      if (!arg.starts_with('-') || arg == "-") {
+        if (positional == nullptr) {
+          return false;
+        }
+        positional->emplace_back(arg);
+        continue;
+      }
+      auto flag = std::ranges::find(flags_, arg, &Flag::name);
+      if (flag == flags_.end() || (flag->takes_value && i + 1 == argc)) {
+        return false;
+      }
+      if (!flag->parse(flag->takes_value ? argv[++i] : nullptr)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct Flag {
+    std::string name;
+    bool takes_value;
+    std::function<bool(const char*)> parse;
+  };
+  std::vector<Flag> flags_;
+};
 
 }  // namespace vuvuzela::util
 

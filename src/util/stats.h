@@ -1,11 +1,9 @@
-// Small statistics helpers for benches and the simulation harness.
+// Small timing helper for the engine, coordd and the benches.
 
 #ifndef VUVUZELA_SRC_UTIL_STATS_H_
 #define VUVUZELA_SRC_UTIL_STATS_H_
 
 #include <chrono>
-#include <cstddef>
-#include <vector>
 
 namespace vuvuzela::util {
 
@@ -13,27 +11,6 @@ namespace vuvuzela::util {
 inline double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
-
-// Accumulates samples and answers summary queries. Not thread-safe.
-class Summary {
- public:
-  void Add(double x);
-
-  size_t count() const { return samples_.size(); }
-  double mean() const;
-  double stddev() const;
-  double min() const;
-  double max() const;
-  // Linear-interpolated percentile, p in [0, 100].
-  double Percentile(double p) const;
-
- private:
-  void EnsureSorted() const;
-
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
-};
 
 }  // namespace vuvuzela::util
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "src/conversation/protocol.h"
 #include "src/crypto/onion.h"
@@ -14,6 +17,7 @@
 #include "src/sim/adversary.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
+#include "tests/reference_mix_server.h"
 
 namespace vuvuzela::sim {
 namespace {
@@ -33,25 +37,65 @@ mixnet::ChainConfig DetChainConfig(size_t servers, double mu, bool deterministic
   return config;
 }
 
-// Builds onions for `num_users` users where users `pair.first` and
-// `pair.second` converse and everyone else is idle.
-std::vector<util::Bytes> BuildRoundOnions(World& world, uint64_t round,
-                                          std::pair<size_t, size_t> pair, util::Rng& rng) {
+// Builds one onion per user where users `pair.first` and `pair.second`
+// converse and everyone else is idle.
+std::vector<util::Bytes> BuildRoundOnions(std::span<const crypto::X25519PublicKey> chain_keys,
+                                          const std::vector<crypto::X25519KeyPair>& users,
+                                          uint64_t round, std::pair<size_t, size_t> pair,
+                                          util::Rng& rng) {
   std::vector<util::Bytes> onions;
-  for (size_t u = 0; u < world.users.size(); ++u) {
+  for (size_t u = 0; u < users.size(); ++u) {
     wire::ExchangeRequest request;
     if (u == pair.first || u == pair.second) {
       size_t partner = (u == pair.first) ? pair.second : pair.first;
-      Session session = Session::Derive(world.users[u], world.users[partner].public_key);
+      Session session = Session::Derive(users[u], users[partner].public_key);
       request = conversation::BuildExchangeRequest(session, round, {});
     } else {
-      request = conversation::BuildFakeExchangeRequest(world.users[u], round, rng);
+      request = conversation::BuildFakeExchangeRequest(users[u], round, rng);
     }
-    onions.push_back(
-        crypto::OnionWrap(world.chain.public_keys(), round, request.Serialize(), rng).data);
+    onions.push_back(crypto::OnionWrap(chain_keys, round, request.Serialize(), rng).data);
   }
   return onions;
 }
+
+// A compromised hop that skips the shuffle (§4.2): the reference server with
+// mixing off, behind the scheduler's hop seam. Production servers always mix.
+class NonMixingHop : public transport::HopTransport {
+ public:
+  NonMixingHop(const mixnet::ChainConfig& config, const mixnet::ChainKeyMaterial& keys,
+               size_t position)
+      : server_(mixnet::ChainServerConfig(config, position), keys.key_pairs[position],
+                keys.public_keys, keys.rng_seeds[position], /*mix=*/false) {}
+
+  std::vector<util::Bytes> ForwardConversation(uint64_t round, std::vector<util::Bytes> batch,
+                                               mixnet::ServerRoundStats* stats) override {
+    return server_.ForwardConversation(round, std::move(batch), stats);
+  }
+  std::vector<util::Bytes> BackwardConversation(uint64_t round,
+                                                std::vector<util::Bytes> responses,
+                                                mixnet::ServerRoundStats* stats) override {
+    return server_.BackwardConversation(round, std::move(responses), stats);
+  }
+  mixnet::MixServer::LastServerResult ProcessConversationLastHop(
+      uint64_t round, std::vector<util::Bytes> batch, mixnet::ServerRoundStats* stats) override {
+    return server_.ProcessConversationLastHop(round, std::move(batch), stats);
+  }
+  std::vector<util::Bytes> ForwardDialing(uint64_t round, std::vector<util::Bytes> batch,
+                                          uint32_t num_drops,
+                                          mixnet::ServerRoundStats* stats) override {
+    return server_.ForwardDialing(round, std::move(batch), num_drops, stats);
+  }
+  deaddrop::InvitationTable ProcessDialingLastHop(uint64_t round, std::vector<util::Bytes> batch,
+                                                  uint32_t num_drops,
+                                                  mixnet::ServerRoundStats* stats) override {
+    return server_.ProcessDialingLastHop(round, std::move(batch), num_drops, stats);
+  }
+  // The reference server drops a round's state on its return pass.
+  void ExpireRounds(uint64_t, uint64_t) override {}
+
+ private:
+  mixnet::ReferenceMixServer server_;
+};
 
 TEST(Adversary, LastServerHistogramInvariantAcrossWorlds) {
   // World A: users 0↔1 talk, 2..4 idle. World B: users 0↔3 talk. With
@@ -64,7 +108,7 @@ TEST(Adversary, LastServerHistogramInvariantAcrossWorlds) {
     for (int u = 0; u < 5; ++u) {
       world.users.push_back(crypto::X25519KeyPair::Generate(rng));
     }
-    auto onions = BuildRoundOnions(world, 1, pair, rng);
+    auto onions = BuildRoundOnions(world.chain.public_keys(), world.users, 1, pair, rng);
     engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()));
     return scheduler.SubmitConversation(1, std::move(onions)).get();
   };
@@ -89,7 +133,7 @@ TEST(Adversary, AllRequestsIndistinguishableAtEveryHop) {
   engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()), {},
                                    &observer);
 
-  auto onions = BuildRoundOnions(world, 1, {2, 5}, rng);
+  auto onions = BuildRoundOnions(world.chain.public_keys(), world.users, 1, {2, 5}, rng);
   scheduler.SubmitConversation(1, std::move(onions)).get();
 
   for (const auto& pass : observer.passes()) {
@@ -110,19 +154,24 @@ TEST(Adversary, HonestServerShufflesCompromisedOnesPreserveOrder) {
   // mechanically: the permutation applied is not identity for a large batch.
   util::Xoshiro256Rng rng(8);
 
-  // All compromised: no mixing anywhere, zero noise for a clean view.
-  mixnet::ChainConfig no_mix = DetChainConfig(3, 0.0);
-  no_mix.non_mixing_positions = {0, 1};
-  World world{mixnet::Chain::Create(no_mix, rng), {}};
+  // All compromised: no mixing before the last hop, zero noise for a clean
+  // view. The keys are drawn as Chain::Create draws them.
+  mixnet::ChainConfig config = DetChainConfig(3, 0.0);
+  mixnet::ChainKeyMaterial keys = mixnet::DrawChainKeys(3, rng);
+  std::unique_ptr<mixnet::MixServer> last = mixnet::BuildMixServer(config, keys, 2);
+  std::vector<crypto::X25519KeyPair> users;
   for (int u = 0; u < 8; ++u) {
-    world.users.push_back(crypto::X25519KeyPair::Generate(rng));
+    users.push_back(crypto::X25519KeyPair::Generate(rng));
   }
+  std::vector<std::unique_ptr<transport::HopTransport>> hops;
+  hops.push_back(std::make_unique<NonMixingHop>(config, keys, 0));
+  hops.push_back(std::make_unique<NonMixingHop>(config, keys, 1));
+  hops.push_back(std::make_unique<transport::LocalTransport>(*last));
   AdversaryObserver observer({2});
   observer.set_last_position(2);
-  engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()), {},
-                                   &observer);
+  engine::RoundScheduler scheduler(std::move(hops), {}, &observer);
 
-  auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
+  auto onions = BuildRoundOnions(keys.public_keys, users, 1, {0, 1}, rng);
   // Tag: remember the onions' order by size-equal but content-distinct blobs;
   // we verify order preservation by decrypting at the last hop is not
   // possible here, so instead check the batch the last server receives has
@@ -149,7 +198,7 @@ TEST(Adversary, MixingChangesOrderWithHighProbability) {
   engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()), {},
                                    &observer);
 
-  auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
+  auto onions = BuildRoundOnions(world.chain.public_keys(), world.users, 1, {0, 1}, rng);
   // Unwrap each onion's first layer ourselves to know the expected inner
   // bytes in submission order... not possible without the server key; what
   // we CAN check: the first server's output is not the identity mapping of
@@ -184,7 +233,7 @@ TEST(Adversary, SampledNoiseBuriesDisconnectionSignal) {
     }
     engine::RoundScheduler scheduler(transport::MakeLocalTransports(world.chain.servers()));
     // Round with Alice (user 0) and Bob (user 1) talking:
-    auto onions = BuildRoundOnions(world, 1, {0, 1}, rng);
+    auto onions = BuildRoundOnions(world.chain.public_keys(), world.users, 1, {0, 1}, rng);
     auto with_alice = scheduler.SubmitConversation(1, std::move(onions)).get();
     // Round where the adversary blocked Alice and Bob: all idle, one fewer
     // user visible.

@@ -358,6 +358,18 @@ TEST_F(ClientRoundTest, UnacknowledgedDialIsResentInTheNextDialingRound) {
   EXPECT_TRUE(DialingRound(first + 2).empty());
 }
 
+TEST_F(ClientRoundTest, ResentDialSurfacesItsCallerOnce) {
+  alice_.Dial(bob_.public_key());
+  const uint64_t first = coord::kDialingRoundBase + 1;
+  // The ack for `first` arrives only after the next dialing round's onion was
+  // built, so the call rides both rounds. Bob drains his calls after each.
+  size_t calls = DialingRound(first).size();
+  calls += DialingRound(first + 1).size();
+  alice_.HandleDialAck(first);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_TRUE(DialingRound(first + 2).empty());
+}
+
 TEST_F(ClientRoundTest, PendingRoundsStayBoundedWithoutResponses) {
   alice_.AcceptCall(bob_.public_key());
   bob_.AcceptCall(alice_.public_key());

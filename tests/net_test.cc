@@ -75,7 +75,7 @@ TEST(Endpoint, ParsesListsAndRejectsMalformedEntries) {
   EXPECT_EQ(endpoints[1].host, "localhost");
   EXPECT_EQ(endpoints[1].port, 65535);
   for (const char* bad : {"", "127.0.0.1", ":7341", "127.0.0.1:0", "127.0.0.1:65536",
-                          "127.0.0.1:7341,,127.0.0.1:7342"}) {
+                          "127.0.0.1:7341,,127.0.0.1:7342", "h:7341x", "h:12 "}) {
     std::vector<Endpoint> rejected;
     EXPECT_FALSE(ParseEndpointList(bad, &rejected)) << bad;
   }
@@ -357,7 +357,8 @@ TEST(Tcp, SendFramePartsMatchesJoinedFrame) {
     util::Append(joined.payload, buffer);
   }
   util::Bytes expected(4);
-  util::StoreBe32(expected.data(), static_cast<uint32_t>(kFrameHeaderBytes + joined.payload.size()));
+  util::StoreBe32(expected.data(),
+                  static_cast<uint32_t>(kFrameHeaderBytes + joined.payload.size()));
   util::Append(expected, EncodeFrame(joined));
 
   int server_fd = server_side->ReleaseFd();

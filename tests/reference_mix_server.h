@@ -40,14 +40,17 @@ namespace vuvuzela::mixnet {
 
 class ReferenceMixServer {
  public:
-  // Same arguments as MixServer.
+  // Same arguments as MixServer. `mix = false` models a compromised server
+  // that skips the shuffle and forwards its batch in order (§4.2, the
+  // adversary tests); MixServer always shuffles.
   ReferenceMixServer(const MixServerConfig& config, crypto::X25519KeyPair key_pair,
                      std::vector<crypto::X25519PublicKey> chain_public_keys,
-                     const crypto::ChaCha20Key& rng_seed)
+                     const crypto::ChaCha20Key& rng_seed, bool mix = true)
       : config_(config),
         key_pair_(key_pair),
         chain_public_keys_(std::move(chain_public_keys)),
-        rng_seed_(rng_seed) {}
+        rng_seed_(rng_seed),
+        mix_(mix) {}
 
   std::vector<util::Bytes> ForwardConversation(uint64_t round, std::vector<util::Bytes> batch,
                                                ServerRoundStats* stats = nullptr) {
@@ -352,8 +355,8 @@ class ReferenceMixServer {
     local->noise_requests_added = payloads.size();
     local->dh_ops += payloads.size() * suffix.size();
 
-    Permutation perm = config_.mix ? Permutation::Random(inners.size(), rng)
-                                   : Permutation::Identity(inners.size());
+    Permutation perm =
+        mix_ ? Permutation::Random(inners.size(), rng) : Permutation::Identity(inners.size());
     std::vector<util::Bytes> out = perm.Apply(std::move(inners));
     if (perm_out != nullptr) {
       *perm_out = std::move(perm);
@@ -365,6 +368,7 @@ class ReferenceMixServer {
   crypto::X25519KeyPair key_pair_;
   std::vector<crypto::X25519PublicKey> chain_public_keys_;
   crypto::ChaCha20Key rng_seed_;
+  bool mix_;
   std::unordered_map<uint64_t, Pending> pending_;
 };
 

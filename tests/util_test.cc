@@ -3,13 +3,14 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/util/bytes.h"
 #include "src/util/flags.h"
 #include "src/util/random.h"
-#include "src/util/stats.h"
 #include "src/util/thread_pool.h"
 
 namespace vuvuzela::util {
@@ -130,43 +131,6 @@ TEST(Xoshiro, FillMatchesNextUint64Stream) {
   StoreLe64(expect, b.NextUint64());
   StoreLe64(expect + 8, b.NextUint64());
   EXPECT_EQ(0, memcmp(buf.data(), expect, 16));
-}
-
-TEST(Summary, BasicStats) {
-  Summary s;
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-    s.Add(x);
-  }
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 3.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 5.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
-}
-
-TEST(Summary, PercentileInterpolates) {
-  Summary s;
-  s.Add(0.0);
-  s.Add(10.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 5.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(25), 2.5);
-}
-
-TEST(Summary, EmptyIsSafe) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.Percentile(50), 0.0);
-}
-
-TEST(Summary, PercentileRejectsOutOfRange) {
-  Summary s;
-  s.Add(1.0);
-  EXPECT_THROW(s.Percentile(-1), std::invalid_argument);
-  EXPECT_THROW(s.Percentile(101), std::invalid_argument);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
@@ -322,6 +286,80 @@ TEST(Flags, ParseNonNegativeRejectsGarbageNegativesAndNonFinite) {
     EXPECT_FALSE(ParseNonNegative(text, &value)) << '"' << text << '"';
     EXPECT_EQ(value, 3.0) << '"' << text << '"';
   }
+}
+
+// argv as main() receives it, with a program name in front.
+class FlagSetTest : public ::testing::Test {
+ protected:
+  FlagSetTest() {
+    flags_.Unsigned("--port", 65535, &port_);
+    flags_.NonNegative("--mu", &mu_);
+    flags_.String("--name", &name_);
+    flags_.Switch("--quiet", &quiet_);
+    flags_.Value("--hops", [this](const char* value) {
+      hops_.emplace_back(value);
+      return hops_.back() != "bad";
+    });
+  }
+
+  bool Parse(std::vector<std::string> args, std::vector<std::string>* positional = nullptr) {
+    args.insert(args.begin(), "prog");
+    std::vector<char*> argv;
+    for (std::string& arg : args) {
+      argv.push_back(arg.data());
+    }
+    return flags_.Parse(static_cast<int>(argv.size()), argv.data(), positional);
+  }
+
+  FlagSet flags_;
+  uint16_t port_ = 7;
+  double mu_ = 50.0;
+  std::string name_;
+  bool quiet_ = false;
+  std::vector<std::string> hops_;
+};
+
+TEST_F(FlagSetTest, BindsEveryKindOfFlag) {
+  EXPECT_TRUE(Parse({"--port", "7341", "--mu", "0.5", "--name", "h", "--quiet", "--hops", "a:1"}));
+  EXPECT_EQ(port_, 7341u);
+  EXPECT_EQ(mu_, 0.5);
+  EXPECT_EQ(name_, "h");
+  EXPECT_TRUE(quiet_);
+  EXPECT_EQ(hops_, std::vector<std::string>{"a:1"});
+  EXPECT_TRUE(Parse({}));
+}
+
+TEST_F(FlagSetTest, RejectsUnknownFlagsAndMissingValues) {
+  EXPECT_FALSE(Parse({"--bogus", "1"}));
+  EXPECT_FALSE(Parse({"-p", "1"}));
+  EXPECT_FALSE(Parse({"--port"}));
+  EXPECT_FALSE(Parse({"--quiet", "--name"}));
+  EXPECT_FALSE(Parse({"--hops", "bad"}));  // a custom parser's verdict stands
+}
+
+TEST_F(FlagSetTest, RejectsMalformedNumbers) {
+  for (const char* text : {"1x", "-1", "65536", "18446744073709551616", ""}) {
+    EXPECT_FALSE(Parse({"--port", text})) << '"' << text << '"';
+    EXPECT_EQ(port_, 7u) << '"' << text << '"';
+  }
+  EXPECT_FALSE(Parse({"--mu", "-1"}));
+  EXPECT_FALSE(Parse({"--mu", "nan"}));
+  EXPECT_EQ(mu_, 50.0);
+}
+
+TEST_F(FlagSetTest, RepeatedScalarKeepsTheLastAndRepeatedListAppends) {
+  EXPECT_TRUE(Parse({"--port", "1", "--port", "2", "--hops", "a:1", "--hops", "b:2"}));
+  EXPECT_EQ(port_, 2u);
+  EXPECT_EQ(hops_, (std::vector<std::string>{"a:1", "b:2"}));
+}
+
+TEST_F(FlagSetTest, CollectsPositionalArgumentsOnlyWhenAsked) {
+  std::vector<std::string> files;
+  EXPECT_TRUE(Parse({"a.jsonl", "--quiet", "-", "b.jsonl"}, &files));
+  EXPECT_EQ(files, (std::vector<std::string>{"a.jsonl", "-", "b.jsonl"}));
+  EXPECT_TRUE(quiet_);
+  EXPECT_FALSE(Parse({"a.jsonl"}));
+  EXPECT_FALSE(Parse({"--port", "1", "stray"}));
 }
 
 }  // namespace

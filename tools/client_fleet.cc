@@ -30,27 +30,17 @@ int main(int argc, char** argv) {
   sim::ClientFleetConfig config;
   size_t hops = 0;
   std::string key_dir;
-  bool ok = argc % 2 == 1;  // flag/value pairs
-  for (int i = 1; ok && i + 1 < argc; i += 2) {
-    std::string arg = argv[i];
-    const char* value = argv[i + 1];
-    if (arg == "--coord") {
-      ok = net::ParseEndpointList(value, &coordinator);
-    } else if (arg == "--dist") {
-      ok = net::ParseEndpointList(value, &config.dist);
-    } else if (arg == "--users") {
-      ok = util::ParseUnsigned(value, UINT64_MAX, &config.users);
-    } else if (arg == "--hops") {
-      ok = util::ParseUnsigned(value, UINT64_MAX, &hops);
-    } else if (arg == "--seed") {
-      ok = util::ParseUnsigned(value, UINT64_MAX, &config.seed);
-    } else if (arg == "--key-dir") {
-      key_dir = value;
-    } else {
-      ok = false;
-    }
-  }
-  if (!ok || coordinator.size() != 1 || config.users == 0 || (hops == 0) == key_dir.empty()) {
+  util::FlagSet flags;
+  flags.Value("--coord",
+              [&](const char* value) { return net::ParseEndpointList(value, &coordinator); });
+  flags.Value("--dist",
+              [&](const char* value) { return net::ParseEndpointList(value, &config.dist); });
+  flags.Unsigned("--users", UINT64_MAX, &config.users);
+  flags.Unsigned("--hops", UINT64_MAX, &hops);
+  flags.Unsigned("--seed", UINT64_MAX, &config.seed);
+  flags.String("--key-dir", &key_dir);
+  if (!flags.Parse(argc, argv) || coordinator.size() != 1 || config.users == 0 ||
+      (hops == 0) == key_dir.empty()) {
     std::fprintf(stderr,
                  "usage: %s --coord host:port --users N [--dist host:port[,host:port...]]\n"
                  "          (--hops H --seed S | --key-dir CHAIN.pub [--seed S])\n",

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -30,6 +29,7 @@
 #include <vector>
 
 #include "src/obs/trace.h"
+#include "src/util/flags.h"
 
 using namespace vuvuzela;
 
@@ -67,27 +67,23 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   size_t min_rounds = 0;
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--require" && i + 1 < argc) {
-      required.emplace_back(argv[++i]);
-    } else if (arg == "--min-rounds" && i + 1 < argc) {
-      min_rounds = std::strtoul(argv[++i], nullptr, 10);
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else if (arg.size() > 1 && arg[0] == '-' && arg != "-") {
-      Usage(argv[0]);
-      return 2;
-    } else {
-      files.push_back(std::move(arg));
-    }
-  }
-  if (files.empty()) {
+  bool help = false;
+  util::FlagSet flags;
+  flags.Value("--require", [&](const char* span) {
+    required.emplace_back(span);
+    return true;
+  });
+  flags.Unsigned("--min-rounds", UINT64_MAX, &min_rounds);
+  flags.Switch("--quiet", &quiet);
+  flags.Switch("--help", &help);
+  flags.Switch("-h", &help);
+  if (!flags.Parse(argc, argv, &files) || (files.empty() && !help)) {
     Usage(argv[0]);
     return 2;
+  }
+  if (help) {
+    Usage(argv[0]);
+    return 0;
   }
 
   std::vector<std::vector<obs::TraceRecord>> dumps;

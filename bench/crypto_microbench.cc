@@ -59,6 +59,28 @@ void BM_X25519Many(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519Many)->Arg(8)->Arg(64);
 
+// `range(0)` (scalar, point) pairs, every scalar distinct: the shape of a
+// block of cover-onion keygens and layer DHs. Items are DHs.
+void BM_X25519Lanes(benchmark::State& state) {
+  util::Xoshiro256Rng rng(1);
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<crypto::X25519SecretKey> scalars(n);
+  std::vector<crypto::X25519PublicKey> points(n);
+  for (size_t i = 0; i < n; ++i) {
+    rng.Fill(scalars[i]);
+    points[i] = crypto::X25519KeyPair::Generate(rng).public_key;
+  }
+  std::vector<crypto::X25519SharedSecret> out(n);
+  for (auto _ : state) {
+    crypto::X25519Lanes(scalars, points, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+  state.SetLabel(std::to_string(crypto::X25519ManyLanes()) + " lanes");
+}
+BENCHMARK(BM_X25519Lanes)->Arg(8)->Arg(64);
+
 void BM_X25519KeyGen(benchmark::State& state) {
   util::Xoshiro256Rng rng(2);
   for (auto _ : state) {
@@ -215,6 +237,35 @@ void BM_OnionWrapPrecomp3Servers(benchmark::State& state) {
 }
 BENCHMARK(BM_OnionWrapPrecomp3Servers);
 
+// A hop-0 forward pass's cover onions at bench scale (µ = 300: 600 onions,
+// two layers each) on one thread, by the lane path (arg 0) and the comb path
+// (arg 1) of CoverOnionWrapper. Items are onions.
+void BM_CoverOnionWrap600(benchmark::State& state) {
+  util::Xoshiro256Rng rng(8);
+  std::vector<crypto::X25519PublicKey> suffix;
+  for (int i = 0; i < 2; ++i) {
+    suffix.push_back(crypto::X25519KeyPair::Generate(rng).public_key);
+  }
+  const auto path = state.range(0) == 0 ? crypto::CoverOnionWrapper::Path::kLanes
+                                        : crypto::CoverOnionWrapper::Path::kComb;
+  const crypto::CoverOnionWrapper wrapper(suffix, path);
+  constexpr size_t kOnions = 600;
+  std::vector<crypto::ChaCha20Key> seeds(kOnions);
+  for (auto& seed : seeds) {
+    rng.Fill(seed);
+  }
+  util::Bytes payloads = rng.RandomBytes(kOnions * wire::kExchangeRequestSize);
+  util::Bytes out(kOnions * crypto::OnionRequestSize(wire::kExchangeRequestSize, suffix.size()));
+  for (auto _ : state) {
+    wrapper.WrapInto(1, seeds, payloads, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kOnions));
+  state.SetLabel(path == crypto::CoverOnionWrapper::Path::kLanes ? "lanes" : "comb");
+}
+BENCHMARK(BM_CoverOnionWrap600)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // Aggregate unwrap throughput across all cores: the server-side figure that
 // corresponds to the paper's "340,000 Curve25519 ops/sec on 36 cores".
 void BM_ParallelUnwrapThroughput(benchmark::State& state) {
@@ -284,7 +335,16 @@ void PrintBatchVsScalarSection() {
                            benchmark::DoNotOptimize(fresh_secrets.data());
                          }) /
                          static_cast<double>(fresh.size());
-
+  // The same 64 points, each with its own scalar.
+  std::vector<crypto::X25519SecretKey> lane_scalars(fresh.size());
+  for (auto& scalar : lane_scalars) {
+    fresh_rng.Fill(scalar);
+  }
+  double lanes_us = TimeUs(kLadderIters / 8, [&] {
+                      crypto::X25519Lanes(lane_scalars, fresh, fresh_secrets);
+                      benchmark::DoNotOptimize(fresh_secrets.data());
+                    }) /
+                    static_cast<double>(fresh.size());
 
   std::vector<crypto::X25519PublicKey> chain = {server.public_key};
   util::Bytes payload = rng.RandomBytes(wire::kExchangeRequestSize);
@@ -315,16 +375,41 @@ void PrintBatchVsScalarSection() {
     benchmark::DoNotOptimize(crypto::OnionWrapPrecomp(tables, 1, payload, rng));
   });
 
+  // A hop's cover wrap: 64 two-layer onions by the comb and by the lanes,
+  // per onion.
+  const std::vector<crypto::X25519PublicKey> cover_suffix(suffix.begin() + 1, suffix.end());
+  std::vector<crypto::ChaCha20Key> cover_seeds(64);
+  for (auto& seed : cover_seeds) {
+    rng.Fill(seed);
+  }
+  util::Bytes cover_payloads = rng.RandomBytes(cover_seeds.size() * payload.size());
+  util::Bytes cover_out(cover_seeds.size() *
+                        crypto::OnionRequestSize(payload.size(), cover_suffix.size()));
+  auto cover_wrap_us = [&](crypto::CoverOnionWrapper::Path path) {
+    const crypto::CoverOnionWrapper wrapper(cover_suffix, path);
+    return TimeUs(kLadderIters / 8, [&] {
+             wrapper.WrapInto(1, cover_seeds, cover_payloads, cover_out);
+             benchmark::DoNotOptimize(cover_out.data());
+           }) /
+           static_cast<double>(cover_seeds.size());
+  };
+  double cover_comb_us = cover_wrap_us(crypto::CoverOnionWrapper::Path::kComb);
+  double cover_lanes_us = cover_wrap_us(crypto::CoverOnionWrapper::Path::kLanes);
+
   std::printf("\n=== TAB-DOMCOST-BATCH: batch primitives vs scalar reference ===\n");
   std::printf("  X25519 mult:  ladder %8.2f us  comb table %8.2f us  (%.2fx)\n", mult_ladder_us,
               mult_precomp_us, mult_ladder_us / mult_precomp_us);
   std::printf("  cache-miss DH: ladder %7.2f us  batch kernel %6.2f us  (%.2fx, %zu lanes)\n",
               mult_ladder_us, miss_batch_us, mult_ladder_us / miss_batch_us,
               crypto::X25519ManyLanes());
+  std::printf("  lane DH:      ladder %8.2f us  X25519Lanes %7.2f us  (%.2fx, %zu lanes)\n",
+              mult_ladder_us, lanes_us, mult_ladder_us / lanes_us, crypto::X25519ManyLanes());
   std::printf("  layer unwrap: scalar %8.2f us  cached+scratch %4.2f us  (%.1fx)\n",
               unwrap_scalar_us, unwrap_cached_us, unwrap_scalar_us / unwrap_cached_us);
   std::printf("  noise wrap 3: ladder %8.2f us  precomp %6.2f us  (%.2fx)\n", wrap_ladder_us,
               wrap_precomp_us, wrap_ladder_us / wrap_precomp_us);
+  std::printf("  cover wrap 2: comb %10.2f us  lanes %8.2f us  (%.2fx)\n", cover_comb_us,
+              cover_lanes_us, cover_comb_us / cover_lanes_us);
 
   bench::EmitJson("tab_domcost_batch",
                   {{"mult_ladder_us", mult_ladder_us},
@@ -339,7 +424,12 @@ void PrintBatchVsScalarSection() {
                    {"unwrap_speedup", unwrap_scalar_us / unwrap_cached_us},
                    {"wrap_ladder_us", wrap_ladder_us},
                    {"wrap_precomp_us", wrap_precomp_us},
-                   {"wrap_speedup", wrap_ladder_us / wrap_precomp_us}});
+                   {"wrap_speedup", wrap_ladder_us / wrap_precomp_us},
+                   {"lane_dh_us", lanes_us},
+                   {"lane_dh_speedup", mult_ladder_us / lanes_us},
+                   {"cover_wrap_comb_us", cover_comb_us},
+                   {"cover_wrap_lanes_us", cover_lanes_us},
+                   {"cover_wrap_speedup", cover_comb_us / cover_lanes_us}});
 }
 
 }  // namespace

@@ -37,6 +37,9 @@ int main(int argc, char** argv) {
   util::FlagSet flags;
   flags.Unsigned("--shard", UINT32_MAX, &config.shard_index);
   flags.Unsigned("--shards", UINT32_MAX, &config.num_shards);
+  // Without them a launcher that forgot one would start another shard 0 of 1.
+  flags.Require("--shard");
+  flags.Require("--shards");
   flags.Unsigned("--port", 65535, &config.port);
   flags.Unsigned("--metrics-port", 65535, &config.metrics_port);
   if (!flags.Parse(argc, argv) || config.shard_index >= config.num_shards) {

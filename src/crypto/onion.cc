@@ -1,7 +1,11 @@
 #include "src/crypto/onion.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
+
+#include "src/crypto/drbg.h"
 
 namespace vuvuzela::crypto {
 
@@ -140,6 +144,91 @@ void OnionWrapPrecompInto(std::span<const X25519Precomp> server_tables, uint64_t
                           util::ByteSpan payload, util::Rng& rng, util::MutableByteSpan out) {
   WrapInto(server_tables.size(), round, payload, out, {},
            [&](size_t idx) { return PrecompLayer(server_tables[idx], rng); });
+}
+
+CoverOnionWrapper::CoverOnionWrapper(std::span<const X25519PublicKey> server_pks)
+    : CoverOnionWrapper(server_pks, X25519ManyLanes() > 1 && server_pks.size() <= kLanePairs
+                                        ? Path::kLanes
+                                        : Path::kComb) {}
+
+CoverOnionWrapper::CoverOnionWrapper(std::span<const X25519PublicKey> server_pks, Path path)
+    : server_pks_(server_pks.begin(), server_pks.end()), path_(path) {
+  if (path_ == Path::kLanes) {
+    if (server_pks_.size() > kLanePairs) {
+      throw std::invalid_argument("CoverOnionWrapper: suffix too long for the lane path");
+    }
+    return;
+  }
+  tables_.reserve(server_pks_.size());
+  for (const X25519PublicKey& pk : server_pks_) {
+    std::optional<X25519Precomp> table = X25519Precomp::Create(pk);
+    if (!table) {
+      // A non-curve key cannot be lifted; wrap with the ladder instead.
+      tables_.clear();
+      break;
+    }
+    tables_.push_back(std::move(*table));
+  }
+}
+
+void CoverOnionWrapper::WrapInto(uint64_t round, std::span<const ChaCha20Key> seeds,
+                                 util::ByteSpan payloads, util::MutableByteSpan out) const {
+  const size_t n = seeds.size();
+  const size_t layers = server_pks_.size();
+  const size_t payload_size = n == 0 ? 0 : payloads.size() / n;
+  const size_t onion_size = OnionRequestSize(payload_size, layers);
+  if (payloads.size() != n * payload_size || out.size() != n * onion_size) {
+    throw std::invalid_argument("CoverOnionWrapper: payload or output size mismatch");
+  }
+  auto payload = [&](size_t i) { return payloads.subspan(i * payload_size, payload_size); };
+  auto onion = [&](size_t i) { return out.subspan(i * onion_size, onion_size); };
+
+  if (path_ == Path::kComb) {
+    for (size_t i = 0; i < n; ++i) {
+      ChaChaRng rng(seeds[i]);
+      if (tables_.size() == layers) {
+        OnionWrapPrecompInto(tables_, round, payload(i), rng, onion(i));
+      } else {
+        OnionWrapInto(server_pks_, round, payload(i), rng, onion(i));
+      }
+    }
+    return;
+  }
+
+  static const auto kBasePoints = [] {
+    std::array<X25519PublicKey, kLanePairs> points{};
+    for (X25519PublicKey& u : points) {
+      u[0] = 9;
+    }
+    return points;
+  }();
+  // Entry c * layers + idx holds layer idx of the run's onion c.
+  const size_t run = kLanePairs / std::max<size_t>(layers, 1);
+  for (size_t begin = 0; begin < n; begin += run) {
+    const size_t count = std::min(run, n - begin);
+    const size_t entries = count * layers;
+    X25519SecretKey secrets[kLanePairs]{};
+    X25519PublicKey suffix_keys[kLanePairs]{};
+    X25519PublicKey public_keys[kLanePairs]{};
+    X25519SharedSecret shared[kLanePairs]{};
+    for (size_t c = 0; c < count; ++c) {
+      // X25519KeyPair::Generate's draw, in WrapInto's layer order.
+      ChaChaRng rng(seeds[begin + c]);
+      for (size_t idx = layers; idx-- > 0;) {
+        rng.Fill(secrets[c * layers + idx]);
+        suffix_keys[c * layers + idx] = server_pks_[idx];
+      }
+    }
+    X25519Lanes({secrets, entries}, {kBasePoints.data(), entries}, {public_keys, entries});
+    X25519Lanes({secrets, entries}, {suffix_keys, entries}, {shared, entries});
+    for (size_t c = 0; c < count; ++c) {
+      const size_t first = c * layers;
+      crypto::WrapInto(layers, round, payload(begin + c), onion(begin + c), {}, [&](size_t idx) {
+        return Layer{public_keys[first + idx],
+                     DeriveBoxKey(shared[first + idx], kOnionContext())};
+      });
+    }
+  }
 }
 
 WrappedOnion OnionWrapWithKeys(std::span<const X25519PublicKey> server_pks,

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/crypto/box.h"
+#include "src/crypto/chacha20.h"
 #include "src/crypto/x25519_precomp.h"
 #include "src/util/bytes.h"
 
@@ -102,9 +103,9 @@ void OnionSealResponseInto(const AeadKey& key, uint64_t round, util::ByteSpan re
 // the (static) server public keys. Consumes the rng stream exactly like
 // OnionWrap, so given the same rng state the output onion is byte-identical;
 // tables[i] must have been built for server_pks[i] of the intended chain
-// suffix. This is the noise-generation fast path: a mix server builds the
-// tables once per key ceremony and saves a ladder multiplication per layer
-// per cover onion.
+// suffix. Cover onions take this path (CoverOnionWrapper's kComb) on CPUs
+// without AVX-512 IFMA; the tables are built once per key ceremony and save
+// a ladder multiplication per layer per onion.
 WrappedOnion OnionWrapPrecomp(std::span<const X25519Precomp> server_tables, uint64_t round,
                               util::ByteSpan payload, util::Rng& rng);
 
@@ -118,6 +119,58 @@ void OnionWrapPrecompInto(std::span<const X25519Precomp> server_tables, uint64_t
                           util::ByteSpan payload, util::Rng& rng, util::MutableByteSpan out);
 void OnionWrapInto(std::span<const X25519PublicKey> server_pks, uint64_t round,
                    util::ByteSpan payload, util::Rng& rng, util::MutableByteSpan out);
+
+// Wraps a mix server's cover onions for one fixed chain suffix, many at a
+// time. Onion i of a call is byte-identical to
+// OnionWrapInto(server_pks, round, payload i, rng, onion i) with
+// rng = ChaChaRng(seeds[i]), and so to OnionWrapPrecompInto: each onion
+// draws its layers' ephemeral secrets from its own DRBG, in WrapInto's
+// order (the last hop's layer first).
+//
+// Two paths give those bytes:
+//   - kLanes: a run of onions draws all its layers' secrets first, then one
+//     X25519Lanes call derives every ephemeral public key (secret times the
+//     base point) and one more every layer DH, eight pairs per ladder, and
+//     each onion is sealed in place.
+//   - kComb: each layer takes a base-point comb keygen and a comb DH against
+//     its suffix key's table (the ladder where a suffix key is not on the
+//     curve). The tables, about 30 KB a key, are built only on this path.
+// The one-argument constructor picks kLanes where the X25519 kernel has
+// more than one lane (AVX-512 IFMA) and kComb elsewhere, so the choice
+// follows X25519Many's kernel and never changes a byte.
+//
+// Threading: immutable once built; WrapInto is const, allocation-free and
+// safe to call concurrently on disjoint outputs.
+class CoverOnionWrapper {
+ public:
+  enum class Path { kLanes, kComb };
+
+  // (scalar, point) pairs per X25519Lanes call on the lane path: a run of
+  // kLanePairs / (suffix keys) onions, every layer of each.
+  static constexpr size_t kLanePairs = 64;
+
+  explicit CoverOnionWrapper(std::span<const X25519PublicKey> server_pks);
+  // A given path. kLanes takes at most kLanePairs keys
+  // (std::invalid_argument otherwise); the one-argument constructor wraps a
+  // longer suffix by kComb.
+  CoverOnionWrapper(std::span<const X25519PublicKey> server_pks, Path path);
+
+  Path path() const { return path_; }
+
+  // Wraps seeds.size() onions. `payloads` holds their payloads back to back,
+  // all of one size; `out` receives the onions back to back, each
+  // OnionRequestSize(payload size, suffix keys) bytes, and must not overlap
+  // `payloads`. Throws std::invalid_argument on sizes that do not fit.
+  void WrapInto(uint64_t round, std::span<const ChaCha20Key> seeds, util::ByteSpan payloads,
+                util::MutableByteSpan out) const;
+
+ private:
+  std::vector<X25519PublicKey> server_pks_;
+  // kComb only: aligned with server_pks_, or empty where a key failed to
+  // lift (the ladder wraps instead).
+  std::vector<X25519Precomp> tables_;
+  Path path_;
+};
 
 // OnionWrap with caller-supplied per-layer key pairs instead of fresh
 // ephemerals — how a client with a static onion identity wraps so that

@@ -83,18 +83,18 @@ void ScalarMult(uint8_t out[32], const uint8_t scalar[32], const uint8_t point[3
   FeToBytes(out, result);
 }
 
-using ManyKernel = void (*)(const X25519SecretKey& scalar, const X25519PublicKey* points,
-                           X25519SharedSecret* out, size_t n);
+using LanesKernel = void (*)(const X25519SecretKey* scalars, size_t scalar_stride,
+                            const X25519PublicKey* points, X25519SharedSecret* out, size_t n);
 
 // Chosen on first use, like Sha256's kernel, so a static initialiser in
 // another translation unit still gets one.
-ManyKernel ActiveManyKernel() {
+LanesKernel ActiveKernel() {
 #ifdef VUVUZELA_X25519_IFMA_KERNEL
-  static const ManyKernel kernel =
-      internal::CpuHasAvx512Ifma() ? internal::X25519ManyIfma : internal::X25519ManyPortable;
+  static const LanesKernel kernel =
+      internal::CpuHasAvx512Ifma() ? internal::X25519LanesIfma : internal::X25519LanesPortable;
   return kernel;
 #else
-  return internal::X25519ManyPortable;
+  return internal::X25519LanesPortable;
 #endif
 }
 
@@ -102,26 +102,34 @@ ManyKernel ActiveManyKernel() {
 
 namespace internal {
 
-void X25519ManyPortable(const X25519SecretKey& scalar, const X25519PublicKey* points,
-                        X25519SharedSecret* out, size_t n) {
+void X25519LanesPortable(const X25519SecretKey* scalars, size_t scalar_stride,
+                         const X25519PublicKey* points, X25519SharedSecret* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    ScalarMult(out[i].data(), scalar.data(), points[i].data());
+    ScalarMult(out[i].data(), scalars[i * scalar_stride].data(), points[i].data());
   }
 }
 
 }  // namespace internal
+
+void X25519Lanes(std::span<const X25519SecretKey> scalars,
+                 std::span<const X25519PublicKey> points, std::span<X25519SharedSecret> out) {
+  if (scalars.size() != points.size() || out.size() != points.size()) {
+    throw std::invalid_argument("X25519Lanes: scalar, point and output counts differ");
+  }
+  ActiveKernel()(scalars.data(), 1, points.data(), out.data(), points.size());
+}
 
 void X25519Many(const X25519SecretKey& scalar, std::span<const X25519PublicKey> points,
                 std::span<X25519SharedSecret> out) {
   if (out.size() != points.size()) {
     throw std::invalid_argument("X25519Many: output and point counts differ");
   }
-  ActiveManyKernel()(scalar, points.data(), out.data(), points.size());
+  ActiveKernel()(&scalar, 0, points.data(), out.data(), points.size());
 }
 
 size_t X25519ManyLanes() {
 #ifdef VUVUZELA_X25519_IFMA_KERNEL
-  if (ActiveManyKernel() == internal::X25519ManyIfma) {
+  if (ActiveKernel() == internal::X25519LanesIfma) {
     return internal::kX25519IfmaLanes;
   }
 #endif
@@ -146,8 +154,8 @@ X25519KeyPair X25519KeyPair::Generate(util::Rng& rng) {
   rng.Fill(kp.secret_key);
   // Fixed-base scalar multiplication through the precomputed base-point
   // table — ~3x faster than the ladder and proven bit-identical to
-  // X25519BasePoint by the precomp conformance tests. Key generation is on
-  // the noise-wrapping hot path (every cover onion layer costs one keygen).
+  // X25519BasePoint by the precomp conformance tests. Clients generate their
+  // onion keys here; a hop's cover onions do too where the CPU lacks IFMA.
   kp.public_key = X25519BasePointPrecomp().Mult(kp.secret_key);
   return kp;
 }

@@ -6,8 +6,12 @@
 // field arithmetic uses five 51-bit limbs with unsigned __int128 products
 // (the portable "donna-c64" shape) and a constant-time Montgomery ladder.
 // Validated against the RFC 7748 §5.2 vectors, including the 1,000-iteration
-// vector, in tests/crypto_x25519_test.cc. X25519Many batches one scalar
-// over many points, on an AVX-512 IFMA kernel where the CPU has one.
+// vector, in tests/crypto_x25519_test.cc. X25519Lanes batches (scalar, point)
+// pairs, and X25519Many one scalar over many points, through one AVX-512 IFMA
+// ladder with a scalar per lane where the CPU has it. The hop's cache-miss
+// DH (X25519Many) and its cover-onion keygen and layer DH (X25519Lanes, via
+// crypto::CoverOnionWrapper) run on it; X25519Precomp's comb tables serve
+// client keygen and, on CPUs without IFMA, the cover-onion wrap.
 
 #ifndef VUVUZELA_SRC_CRYPTO_X25519_H_
 #define VUVUZELA_SRC_CRYPTO_X25519_H_
@@ -32,16 +36,22 @@ using X25519SharedSecret = std::array<uint8_t, kX25519KeySize>;
 // clamped per RFC 7748 before use.
 X25519SharedSecret X25519(const X25519SecretKey& scalar, const X25519PublicKey& point);
 
-// out[i] = X25519(scalar, points[i]) for every i: one scalar (a hop's secret
-// key) times many points, byte-identical to calling X25519 in a loop.
-// `out` must be exactly as long as `points`. On a CPU with AVX-512 IFMA it
-// runs eight points per Montgomery ladder; elsewhere it is that loop. The
+// out[i] = X25519(scalars[i], points[i]) for every i, byte-identical to
+// calling X25519 in a loop. `scalars` and `out` must be exactly as long as
+// `points` (std::invalid_argument otherwise). On a CPU with AVX-512 IFMA it
+// runs eight pairs per Montgomery ladder; elsewhere it is that loop. The
 // kernel is chosen once per process, on first use.
+void X25519Lanes(std::span<const X25519SecretKey> scalars,
+                 std::span<const X25519PublicKey> points, std::span<X25519SharedSecret> out);
+
+// out[i] = X25519(scalar, points[i]) for every i: one scalar (a hop's secret
+// key) times many points, X25519Lanes with every lane's scalar equal. `out`
+// must be exactly as long as `points`.
 void X25519Many(const X25519SecretKey& scalar, std::span<const X25519PublicKey> points,
                 std::span<X25519SharedSecret> out);
 
-// Points the selected X25519Many kernel multiplies per ladder: 8 on AVX-512
-// IFMA, 1 on the portable loop.
+// Pairs the selected X25519Lanes / X25519Many kernel multiplies per ladder:
+// 8 on AVX-512 IFMA, 1 on the portable loop.
 size_t X25519ManyLanes();
 
 // Computes the public key for `scalar` (scalar * base point 9).

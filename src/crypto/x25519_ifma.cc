@@ -1,4 +1,4 @@
-// The 8-lane X25519 kernel: one scalar times eight points per Montgomery
+// The 8-lane X25519 kernel: eight (scalar, point) pairs per Montgomery
 // ladder, on AVX-512 IFMA (vpmadd52luq/vpmadd52huq).
 //
 // Field elements keep the 5 x 51-bit limbs of fe25519.h, one element per
@@ -20,11 +20,13 @@
 //   - SubCarry adds 2p before subtracting, which cannot underflow because a
 //     carried limb is below 2p's smallest limb, 2^52 - 38.
 //
-// The scalar is the same in every lane: its bits only ever become a
-// broadcast all-ones or all-zeros swap mask, so no branch and no memory
-// index depends on it. Each lane runs its own Fermat inversion at the end,
-// so a low-order point (z = 0) gives the all-zero secret in its lane, as the
-// portable ladder does, and no lane's value can reach another's.
+// Each lane has its own scalar. Its bits are read at positions that depend
+// only on the ladder step, and each lane's bit only ever becomes that lane's
+// all-ones or all-zeros swap mask, so no branch and no memory index depends
+// on any lane's scalar (X25519Many is the case where all eight are equal).
+// Each lane runs its own Fermat inversion at the end, so a low-order point
+// (z = 0) gives the all-zero secret in its lane, as the portable ladder
+// does, and no lane's value can reach another's.
 
 #include "src/crypto/x25519_internal.h"
 
@@ -247,11 +249,22 @@ VUVUZELA_IFMA_INLINE void Invert(Fe8& out, const Fe8& z) {
   Mul(out, t1, t0);     // 2^255 - 21
 }
 
-// out[l] = X25519(e, points[l]) for eight points, `e` already clamped.
-VUVUZELA_IFMA_TARGET void Ladder8(const uint8_t e[32], const X25519PublicKey* points,
-                                  X25519SharedSecret* out) {
+// out[l] = X25519(scalars[l * stride], points[l]) for eight lanes. Each
+// lane's clamped scalar is held as four 64-bit words, so bit t of every lane
+// is one shift of word t / 64: the step, never a scalar, picks what is read.
+VUVUZELA_IFMA_TARGET void Ladder8(const X25519SecretKey* scalars, size_t stride,
+                                  const X25519PublicKey* points, X25519SharedSecret* out) {
+  alignas(64) uint64_t words[4][kX25519IfmaLanes];
   alignas(64) uint64_t limbs[5][kX25519IfmaLanes] = {};
   for (size_t l = 0; l < kX25519IfmaLanes; ++l) {
+    uint8_t e[32];
+    std::memcpy(e, scalars[l * stride].data(), 32);
+    e[0] &= 248;
+    e[31] &= 127;
+    e[31] |= 64;
+    for (int w = 0; w < 4; ++w) {
+      std::memcpy(&words[w][l], e + 8 * w, 8);  // little-endian, as x86-64 is
+    }
     // FeFromBytes drops bit 255 of u, as RFC 7748 asks.
     fe25519::Fe u;
     fe25519::FeFromBytes(u, points[l].data());
@@ -259,20 +272,25 @@ VUVUZELA_IFMA_TARGET void Ladder8(const uint8_t e[32], const X25519PublicKey* po
       limbs[i][l] = u.v[i];
     }
   }
+  __m512i k[4];
+  for (int w = 0; w < 4; ++w) {
+    k[w] = _mm512_load_si512(words[w]);
+  }
   Fe8 x1;
   for (int i = 0; i < 5; ++i) {
     x1.v[i] = _mm512_load_si512(limbs[i]);
   }
 
+  const __m512i one = _mm512_set1_epi64(1);
   Fe8 x2 = Broadcast(1);
   Fe8 z2 = Broadcast(0);
   Fe8 x3 = x1;
   Fe8 z3 = Broadcast(1);
-  uint64_t swap = 0;
+  __m512i swap = _mm512_setzero_si512();
   for (int t = 254; t >= 0; --t) {
-    const uint64_t k_t = (e[t / 8] >> (t % 8)) & 1;
-    swap ^= k_t;
-    const __m512i mask = _mm512_set1_epi64(static_cast<long long>(0 - swap));
+    const __m512i k_t = _mm512_and_si512(Shr(k[t / 64], t % 64), one);
+    swap = _mm512_xor_si512(swap, k_t);
+    const __m512i mask = _mm512_sub_epi64(_mm512_setzero_si512(), swap);
     Cswap(mask, x2, x3);
     Cswap(mask, z2, z3);
     swap = k_t;
@@ -298,7 +316,7 @@ VUVUZELA_IFMA_TARGET void Ladder8(const uint8_t e[32], const X25519PublicKey* po
     MulSmallAdd(tmp, aa, eiv, 121665);
     Mul(z2, eiv, tmp);
   }
-  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(0 - swap));
+  const __m512i mask = _mm512_sub_epi64(_mm512_setzero_si512(), swap);
   Cswap(mask, x2, x3);
   Cswap(mask, z2, z3);
 
@@ -319,30 +337,27 @@ VUVUZELA_IFMA_TARGET void Ladder8(const uint8_t e[32], const X25519PublicKey* po
 
 }  // namespace
 
-void X25519ManyIfma(const X25519SecretKey& scalar, const X25519PublicKey* points,
-                    X25519SharedSecret* out, size_t n) {
-  uint8_t e[32];
-  std::memcpy(e, scalar.data(), 32);
-  e[0] &= 248;
-  e[31] &= 127;
-  e[31] |= 64;
-
+void X25519LanesIfma(const X25519SecretKey* scalars, size_t scalar_stride,
+                     const X25519PublicKey* points, X25519SharedSecret* out, size_t n) {
   size_t i = 0;
   for (; i + kX25519IfmaLanes <= n; i += kX25519IfmaLanes) {
-    Ladder8(e, points + i, out + i);
+    Ladder8(scalars + i * scalar_stride, scalar_stride, points + i, out + i);
   }
   const size_t tail = n - i;
   if (tail >= kMinTail) {
-    // Idle lanes repeat the last point; their results are dropped.
-    X25519PublicKey padded[kX25519IfmaLanes]{};
-    X25519SharedSecret results[kX25519IfmaLanes]{};
+    // Idle lanes repeat the last pair; their results are dropped.
+    X25519SecretKey padded_scalars[kX25519IfmaLanes];
+    X25519PublicKey padded_points[kX25519IfmaLanes];
+    X25519SharedSecret results[kX25519IfmaLanes];
     for (size_t l = 0; l < kX25519IfmaLanes; ++l) {
-      padded[l] = points[i + std::min(l, tail - 1)];
+      const size_t j = i + std::min(l, tail - 1);
+      padded_scalars[l] = scalars[j * scalar_stride];
+      padded_points[l] = points[j];
     }
-    Ladder8(e, padded, results);
+    Ladder8(padded_scalars, 1, padded_points, results);
     std::copy(results, results + tail, out + i);
   } else if (tail > 0) {
-    X25519ManyPortable(scalar, points + i, out + i, tail);
+    X25519LanesPortable(scalars + i * scalar_stride, scalar_stride, points + i, out + i, tail);
   }
 }
 

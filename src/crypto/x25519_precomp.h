@@ -1,14 +1,19 @@
-// Precomputed-table X25519 for *fixed* points (the crypto raw-speed push).
+// Precomputed-table X25519 for *fixed* points.
 //
 // The Montgomery ladder costs ~255 ladder steps regardless of the point. When
 // the point is known in advance — the base point (every key generation) or a
-// hop's long-term public key (every noise-onion layer a mix server wraps) —
+// hop's long-term public key (every cover-onion layer a mix server wraps) —
 // a signed radix-16 comb over the birationally-equivalent twisted Edwards
 // curve does the same multiplication in 64 cached additions + 4 doublings,
-// roughly 3x faster. The tables are built once per point (microseconds) and
-// reused for every subsequent multiplication; Vuvuzela's key ceremony is
-// static between rotations, so a mix server builds its chain-suffix tables at
-// construction and amortizes them over every round until the next rotation.
+// roughly 3x faster than one ladder. The tables are built once per point and
+// reused for every subsequent multiplication.
+//
+// Who uses it: clients, for their onion keys (X25519KeyPair::Generate), and
+// mix servers on CPUs without AVX-512 IFMA, whose cover onions take a comb
+// keygen and a comb DH per layer (CoverOnionWrapper's kComb path; the server
+// builds its chain-suffix tables once per key ceremony). On IFMA CPUs the
+// cover wrap runs X25519Lanes instead, eight pairs per ladder, which beats
+// two comb multiplications per layer, and builds no tables.
 //
 // Correctness contract: for every point on the curve, Mult(scalar) is
 // bit-identical to X25519(scalar, point) — the Edwards comb computes the same

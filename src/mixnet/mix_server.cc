@@ -1,6 +1,7 @@
 #include "src/mixnet/mix_server.h"
 
 #include <array>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -52,6 +53,10 @@ util::MutableByteSpan Inner(util::MutableByteSpan item) {
 // one, so the value never changes a byte.
 constexpr size_t kBlock = 64;
 
+// Cover onions per block of the noise wrap: a few lane ladders' worth, and
+// enough blocks to keep every worker busy at bench-scale noise.
+constexpr size_t kWrapBlock = 16;
+
 // Seals responses[j] under keys[j] into out[slots[j]], block by block on the
 // pool, and returns which slots were sealed. A response that is not
 // out.item_size() - kOnionResponseLayerOverhead bytes is left unsealed, so
@@ -86,6 +91,18 @@ void FillEmptySlots(util::Batch& out, const std::vector<uint8_t>& sealed,
   }
 }
 
+// The chain after `config.position`, once the chain is checked.
+std::span<const crypto::X25519PublicKey> CheckedSuffix(
+    const MixServerConfig& config, const std::vector<crypto::X25519PublicKey>& chain) {
+  if (config.chain_length == 0 || config.position >= config.chain_length) {
+    throw std::invalid_argument("MixServer: bad chain position");
+  }
+  if (chain.size() != config.chain_length) {
+    throw std::invalid_argument("MixServer: chain key count mismatch");
+  }
+  return std::span<const crypto::X25519PublicKey>(chain).subspan(config.position + 1);
+}
+
 }  // namespace
 
 MixServer::MixServer(const MixServerConfig& config, crypto::X25519KeyPair key_pair,
@@ -94,27 +111,8 @@ MixServer::MixServer(const MixServerConfig& config, crypto::X25519KeyPair key_pa
     : config_(config),
       key_pair_(key_pair),
       chain_public_keys_(std::move(chain_public_keys)),
-      rng_seed_(rng_seed) {
-  if (config_.chain_length == 0 || config_.position >= config_.chain_length) {
-    throw std::invalid_argument("MixServer: bad chain position");
-  }
-  if (chain_public_keys_.size() != config_.chain_length) {
-    throw std::invalid_argument("MixServer: chain key count mismatch");
-  }
-  // Comb tables for the downstream servers' static keys: one-time cost per
-  // key ceremony, a ~3x cheaper DH per noise-onion layer every round after.
-  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
-  suffix_tables_.reserve(suffix.size());
-  for (const crypto::X25519PublicKey& pk : suffix) {
-    std::optional<crypto::X25519Precomp> table = crypto::X25519Precomp::Create(pk);
-    if (!table) {
-      // A non-curve key cannot be lifted; wrap with the ladder instead.
-      suffix_tables_.clear();
-      break;
-    }
-    suffix_tables_.push_back(std::move(*table));
-  }
-}
+      rng_seed_(rng_seed),
+      cover_wrapper_(CheckedSuffix(config_, chain_public_keys_)) {}
 
 void MixServer::RotateKey(const crypto::X25519KeyPair& key_pair) {
   key_pair_ = key_pair;
@@ -154,23 +152,23 @@ size_t MixServer::ResponseSizeFromNextHop() const {
 }
 
 void MixServer::WrapNoise(uint64_t round, const util::Batch& payloads, crypto::ChaChaRng& rng,
-                          util::Batch& out, size_t first) const {
-  // Each wrap gets an independent DRBG seeded from the pass's RNG (ChaChaRng
-  // is not thread-safe), so the fan-out order never changes a byte.
-  std::span<const crypto::X25519PublicKey> suffix = ChainSuffix();
+                          util::Batch& out) {
+  const auto start = std::chrono::steady_clock::now();
+  // Each onion gets an independent DRBG seed drawn from the pass's RNG
+  // (ChaChaRng is not thread-safe), so the fan-out never changes a byte.
   std::vector<crypto::ChaCha20Key> seeds(payloads.size());
   for (auto& seed : seeds) {
     rng.Fill(seed);
   }
-  const bool precomp_wrap = suffix_tables_.size() == suffix.size();
-  util::GlobalPool().ParallelFor(payloads.size(), [&](size_t i) {
-    crypto::ChaChaRng task_rng(seeds[i]);
-    if (precomp_wrap) {
-      crypto::OnionWrapPrecompInto(suffix_tables_, round, payloads[i], task_rng, out[first + i]);
-    } else {
-      crypto::OnionWrapInto(suffix, round, payloads[i], task_rng, out[first + i]);
-    }
+  const size_t payload_size = payloads.item_size();
+  const size_t onion_size = out.item_size();
+  util::GlobalPool().ParallelForBlocks(payloads.size(), kWrapBlock, [&](size_t begin, size_t end) {
+    cover_wrapper_.WrapInto(
+        round, std::span<const crypto::ChaCha20Key>(seeds).subspan(begin, end - begin),
+        payloads.bytes().subspan(begin * payload_size, (end - begin) * payload_size),
+        util::MutableByteSpan(out[begin].data(), (end - begin) * onion_size));
   });
+  noise_wrap_nanos_ += std::chrono::nanoseconds(std::chrono::steady_clock::now() - start).count();
 }
 
 MixServer::Peeled MixServer::Peel(uint64_t round, std::span<const util::MutableByteSpan> batch,
@@ -231,7 +229,7 @@ util::InPlaceBatch MixServer::PeelAndMix(uint64_t round,
   Peeled peeled = Peel(round, batch, inner_size);
   util::InPlaceBatch out;
   out.owned = util::Batch(noise, inner_size);
-  WrapNoise(round, noise_payloads, rng, out.owned, 0);
+  WrapNoise(round, noise_payloads, rng, out.owned);
 
   // Valid inners keep their input order and the cover onions follow them.
   const size_t kept = n - peeled.dropped;

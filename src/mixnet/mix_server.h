@@ -26,10 +26,11 @@
 // advanced once per unwrap pass (the round number only enters the AEAD nonce, so a hit cannot
 // change any output byte; keys not seen for two passes leave, so the cache
 // holds one pass's clients, not every cover onion ever unwrapped; a block's
-// misses are derived together, eight per ladder on AVX-512 IFMA), and noise
-// onions are wrapped against precomputed comb tables for the chain suffix's
-// static keys. A serial, uncached, ladder-only reference of every pass lives
-// in tests/reference_mix_server.h; tests/batch_pass_test.cc pins this class
+// misses are derived together, eight per ladder on AVX-512 IFMA), and cover
+// onions are wrapped in blocks by crypto::CoverOnionWrapper (eight layer
+// keygens or DHs per ladder on AVX-512 IFMA, comb tables for the suffix's
+// static keys elsewhere). A serial, uncached, ladder-only reference of every
+// pass lives in tests/reference_mix_server.h; tests/batch_pass_test.cc pins this class
 // byte-for-byte against it, which the determinism contract above makes
 // provable rather than statistical.
 //
@@ -52,7 +53,6 @@
 #include "src/crypto/onion.h"
 #include "src/crypto/secret_cache.h"
 #include "src/crypto/x25519.h"
-#include "src/crypto/x25519_precomp.h"
 #include "src/deaddrop/conversation_table.h"
 #include "src/deaddrop/exchange_backend.h"
 #include "src/deaddrop/invitation_table.h"
@@ -201,6 +201,10 @@ class MixServer {
   // rotation shows up as an epoch bump and a restart of misses.
   const crypto::SecretCache& secret_cache() const { return secret_cache_; }
 
+  // Summed wall time of every forward pass's cover-onion wrap, seed draws
+  // included; read it before and after a pass to time that pass's wrap.
+  uint64_t noise_wrap_nanos() const { return noise_wrap_nanos_; }
+
   // --- Hygiene --------------------------------------------------------------
 
   // Number of rounds awaiting their return pass.
@@ -251,10 +255,11 @@ class MixServer {
   }
   std::span<const crypto::X25519PublicKey> ChainSuffix() const;
   size_t ResponseSizeFromNextHop() const;
-  // Wraps each cover payload for the chain suffix into out[first + i] on the
-  // pool, drawing one per-onion seed from `rng` in order.
+  // Wraps each cover payload for the chain suffix into out[i], block by
+  // block on the pool, drawing one per-onion seed from `rng` in order, and
+  // adds the wall time to noise_wrap_nanos_.
   void WrapNoise(uint64_t round, const util::Batch& payloads, crypto::ChaChaRng& rng,
-                 util::Batch& out, size_t first) const;
+                 util::Batch& out);
   // Derives the per-(round, pass) RNG; `pass` is a domain-separation label so
   // the forward and backward passes of one round never share a stream.
   crypto::ChaChaRng RoundRng(uint8_t pass, uint64_t round) const;
@@ -269,10 +274,9 @@ class MixServer {
   deaddrop::InProcessExchangeBackend in_process_exchange_{util::GlobalPool().num_threads()};
   // Derived-key cache for the unwrap pass; invalidated by RotateKey.
   crypto::SecretCache secret_cache_;
-  // Comb tables for the chain suffix's public keys (noise-wrap fast path).
-  // Empty when any suffix key failed to lift (fall back to the ladder);
-  // otherwise aligned with ChainSuffix().
-  std::vector<crypto::X25519Precomp> suffix_tables_;
+  // Wraps the cover onions for ChainSuffix().
+  crypto::CoverOnionWrapper cover_wrapper_;
+  uint64_t noise_wrap_nanos_ = 0;
 };
 
 }  // namespace vuvuzela::mixnet

@@ -126,9 +126,14 @@ HopDaemon::HopDaemon(const HopDaemonConfig& config, std::unique_ptr<mixnet::MixS
       "vuvuzela_hop_miss_dh_seconds",
       "Summed X25519 time of one peeling pass's secret-cache misses, across workers",
       obs::PassLatencyBuckets());
+  obs_noise_wrap_seconds_ = registry.GetHistogram(
+      "vuvuzela_hop_noise_wrap_seconds",
+      "Wall time of one forward pass's cover-onion wrap, seed draws included",
+      obs::PassLatencyBuckets());
   registry
       .GetGauge("vuvuzela_hop_x25519_lanes",
-                "Points per ladder of the selected cache-miss DH kernel: 8 on AVX-512 IFMA, else 1")
+                "Pairs per ladder of the selected X25519 batch kernel (cache-miss DH and "
+                "cover-onion wrap): 8 on AVX-512 IFMA, else 1")
       ->Set(static_cast<int64_t>(crypto::X25519ManyLanes()));
 }
 
@@ -265,11 +270,19 @@ bool HopDaemon::Dispatch(net::TcpConnection& conn, BatchMessage request) {
 bool HopDaemon::RunPass(net::TcpConnection& conn, BatchMessage& request, wire::Reader& header,
                         const crypto::Sha256Digest& digest) {
   mixnet::ServerRoundStats stats;
+  // A forward pass's cover-onion wrap is observed before the reply is sent,
+  // so the count is exact once the caller has the reply.
+  const uint64_t noise_wrap_nanos_before = server_->noise_wrap_nanos();
+  auto observe_noise_wrap = [&] {
+    obs_noise_wrap_seconds_->Observe(
+        static_cast<double>(server_->noise_wrap_nanos() - noise_wrap_nanos_before) * 1e-9);
+  };
   try {
     switch (request.op) {
       case net::FrameType::kHopForwardConversation: {
         util::InPlaceBatch batch =
             server_->ForwardConversation(request.round, request.MutableItems(), &stats);
+        observe_noise_wrap();
         wire::Writer reply(48);
         WriteStats(reply, stats);
         return SendAndCache(conn, request, digest, reply.Take(), std::move(batch).Pack(),
@@ -300,6 +313,7 @@ bool HopDaemon::RunPass(net::TcpConnection& conn, BatchMessage& request, wire::R
         if (request.op == net::FrameType::kHopForwardDialing) {
           util::InPlaceBatch batch = server_->ForwardDialing(
               request.round, request.MutableItems(), *num_drops, &stats);
+          observe_noise_wrap();
           wire::Writer reply(48);
           WriteStats(reply, stats);
           return SendAndCache(conn, request, digest, reply.Take(), std::move(batch).Pack(),

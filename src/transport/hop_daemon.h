@@ -179,6 +179,7 @@ class HopDaemon {
   obs::Counter* obs_cache_misses_;
   obs::Gauge* obs_replay_bytes_;
   obs::Histogram* obs_miss_dh_seconds_;
+  obs::Histogram* obs_noise_wrap_seconds_;
   uint64_t reported_cache_misses_ = 0;  // serve loop only
   std::atomic<uint64_t> rpcs_served_{0};
   std::atomic<uint64_t> replay_hits_{0};

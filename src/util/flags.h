@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -94,10 +95,21 @@ class FlagSet {
     flags_.push_back({std::move(name), false, set});
   }
 
-  // False on an unknown flag, a flag missing its value or a value its parser
-  // rejects. An argument that does not start with '-' (or is exactly "-") is
-  // positional: appended to `positional`, or an error when that is null.
+  // Makes the bound flag `name` required: Parse fails when argv lacks it.
+  void Require(std::string_view name) {
+    auto flag = std::ranges::find(flags_, name, &Flag::name);
+    if (flag == flags_.end()) {
+      throw std::logic_error("FlagSet::Require: no flag " + std::string(name));
+    }
+    flag->required = true;
+  }
+
+  // False on an unknown flag, a flag missing its value, a value its parser
+  // rejects or a required flag that is absent. An argument that does not
+  // start with '-' (or is exactly "-") is positional: appended to
+  // `positional`, or an error when that is null.
   bool Parse(int argc, char** argv, std::vector<std::string>* positional = nullptr) const {
+    std::vector<bool> seen(flags_.size(), false);
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
       if (!arg.starts_with('-') || arg == "-") {
@@ -114,6 +126,12 @@ class FlagSet {
       if (!flag->parse(flag->takes_value ? argv[++i] : nullptr)) {
         return false;
       }
+      seen[flag - flags_.begin()] = true;
+    }
+    for (size_t f = 0; f < flags_.size(); ++f) {
+      if (flags_[f].required && !seen[f]) {
+        return false;
+      }
     }
     return true;
   }
@@ -123,6 +141,7 @@ class FlagSet {
     std::string name;
     bool takes_value;
     std::function<bool(const char*)> parse;
+    bool required = false;
   };
   std::vector<Flag> flags_;
 };

@@ -1,7 +1,7 @@
 // Conformance suite for the mix pass.
 //
 // MixServer has one implementation of every pass: block processing on the
-// thread pool, a cross-round secret cache and precomputed noise tables.
+// thread pool, a cross-round secret cache and a batched cover-onion wrap.
 // tests/reference_mix_server.h is a serial, uncached, ladder-only oracle of
 // the same passes. The determinism contract makes comparing the two provable:
 // every pass is a pure function of (seed, round, input batch), so two servers
@@ -9,14 +9,16 @@
 // implementation strategy they use. These tests drive full conversation and
 // dialing rounds through a production chain and an oracle chain at batch
 // sizes straddling every block boundary and compare every stage's output
-// bit-for-bit, stats included.
+// bit-for-bit, stats included, and at cover counts that leave padded
+// ladders and short runs in the wrap.
 //
 // The same oracle checks the one round driver: rounds pipelined through
 // engine::RoundScheduler must equal the oracle chain driven pass by pass.
 //
 // Also pinned here: the secret cache must not survive a key rotation, the
 // comb-table DH must agree with the Montgomery ladder (RFC 7748 vectors,
-// random pairs, twist fallback), and the wire decode must yield views into
+// random pairs, twist fallback), both paths of crypto::CoverOnionWrapper
+// must equal the one-onion wraps under the same seeds, and the wire decode must yield views into
 // its adopted chunks that survive a move of the message.
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include "src/coord/coordinator.h"
 #include "src/crypto/aead.h"
 #include "src/crypto/box.h"
+#include "src/crypto/drbg.h"
 #include "src/crypto/onion.h"
 #include "src/crypto/secret_cache.h"
 #include "src/crypto/x25519.h"
@@ -223,10 +226,11 @@ class BatchConformance : public ::testing::TestWithParam<size_t> {};
 INSTANTIATE_TEST_SUITE_P(BatchSizes, BatchConformance,
                          ::testing::Values(1u, 63u, 64u, 65u, 160u));
 
-TEST_P(BatchConformance, ConversationRoundByteIdentical) {
-  const size_t n = GetParam();
-  TestChain<MixServer> production = MakeChain(/*seed=*/7, /*mu=*/12);
-  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/7, /*mu=*/12);
+// Two conversation rounds of `n` onions through a production chain and an
+// oracle chain built from `seed` at noise `mu`, compared stage by stage.
+void ExpectConversationMatchesOracle(size_t n, uint64_t seed, double mu) {
+  TestChain<MixServer> production = MakeChain(seed, mu);
+  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(seed, mu);
   ASSERT_EQ(production.public_keys, oracle.public_keys);
 
   for (uint64_t round = 1; round <= 2; ++round) {
@@ -240,30 +244,57 @@ TEST_P(BatchConformance, ConversationRoundByteIdentical) {
   EXPECT_GT(production.servers[0]->secret_cache().GetStats().misses, 0u);
 }
 
-TEST_P(BatchConformance, DialingRoundByteIdentical) {
-  const size_t n = GetParam();
-  constexpr uint32_t kDrops = 5;
-  TestChain<MixServer> production = MakeChain(/*seed=*/9, /*mu=*/12);
-  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(/*seed=*/9, /*mu=*/12);
+// One dialing round of `n` onions over `drops` invitation drops, compared
+// the same way: both forward passes, then the last hop's table.
+void ExpectDialingMatchesOracle(size_t n, uint32_t drops, uint64_t seed, double mu) {
+  TestChain<MixServer> production = MakeChain(seed, mu);
+  TestChain<ReferenceMixServer> oracle = MakeChain<ReferenceMixServer>(seed, mu);
 
   auto batch = MakeDialingBatch(production.public_keys, 1, n, 2000);
   std::vector<util::Bytes> a = batch;
   std::vector<util::Bytes> b = batch;
   ServerRoundStats sa, sb;
   for (size_t i = 0; i + 1 < kServers; ++i) {
-    a = ForwardDialingPass(*production.servers[i], 1, a, kDrops, &sa);
-    b = ForwardDialingPass(*oracle.servers[i], 1, b, kDrops, &sb);
+    a = ForwardDialingPass(*production.servers[i], 1, a, drops, &sa);
+    b = ForwardDialingPass(*oracle.servers[i], 1, b, drops, &sb);
     ASSERT_EQ(a, b) << "dialing forward stage " << i;
     ExpectSameStats(sa, sb, i);
   }
   auto table_a =
-      production.servers.back()->ProcessDialingLastHop(1, util::MutableViewsOf(a), kDrops, &sa);
-  auto table_b = oracle.servers.back()->ProcessDialingLastHop(1, std::move(b), kDrops, &sb);
+      production.servers.back()->ProcessDialingLastHop(1, util::MutableViewsOf(a), drops, &sa);
+  auto table_b = oracle.servers.back()->ProcessDialingLastHop(1, std::move(b), drops, &sb);
   ASSERT_EQ(table_a.num_drops(), table_b.num_drops());
   for (uint32_t d = 0; d < table_a.num_drops(); ++d) {
     EXPECT_EQ(table_a.Drop(d), table_b.Drop(d)) << "drop " << d;
   }
   ExpectSameStats(sa, sb, kServers - 1);
+}
+
+TEST_P(BatchConformance, ConversationRoundByteIdentical) {
+  ExpectConversationMatchesOracle(GetParam(), /*seed=*/7, /*mu=*/12);
+}
+
+TEST_P(BatchConformance, DialingRoundByteIdentical) {
+  ExpectDialingMatchesOracle(GetParam(), /*drops=*/5, /*seed=*/9, /*mu=*/12);
+}
+
+// Cover counts that are not multiples of a ladder's 8 lanes or of a 64-onion
+// block, so the wrap's padded ladders and short runs meet the oracle. The
+// parameter is µ (deterministic noise): each forward dialing pass over one
+// drop wraps exactly µ cover onions (1, 7, 9, 65), each forward conversation
+// pass 2µ + 1 (3, 15, 19, 131).
+class CoverCountConformance : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(CoverCounts, CoverCountConformance,
+                         ::testing::Values(1u, 7u, 9u, 65u));
+
+TEST_P(CoverCountConformance, ConversationRoundByteIdentical) {
+  ExpectConversationMatchesOracle(/*n=*/20, /*seed=*/17, static_cast<double>(GetParam()));
+}
+
+TEST_P(CoverCountConformance, DialingRoundByteIdentical) {
+  ExpectDialingMatchesOracle(/*n=*/20, /*drops=*/1, /*seed=*/19,
+                             static_cast<double>(GetParam()));
 }
 
 // --- The round driver -------------------------------------------------------
@@ -892,6 +923,116 @@ TEST(PrecompConformance, RandomCurvePointsMatchLadderAndTwistFallsBack) {
   // uniform points is ~2^-64).
   EXPECT_GT(curve_points, 0u);
   EXPECT_GT(twist_points, 0u);
+}
+
+// --- Cover-onion wrap: lanes, comb and ladder ---------------------------------
+
+// `n` cover onions for `suffix` by CoverOnionWrapper on `path`, and by
+// OnionWrapPrecompInto (or, where a suffix key does not lift, OnionWrapInto)
+// one at a time under the same seeds: the two must be byte-identical.
+void ExpectCoverWrapMatchesOneByOne(const std::vector<crypto::X25519PublicKey>& suffix,
+                                    crypto::CoverOnionWrapper::Path path, size_t n,
+                                    uint64_t seed) {
+  util::Xoshiro256Rng rng(seed);
+  std::vector<crypto::ChaCha20Key> seeds(n);
+  for (auto& s : seeds) {
+    rng.Fill(s);
+  }
+  const size_t payload_size = wire::kExchangeRequestSize;
+  const size_t onion_size = crypto::OnionRequestSize(payload_size, suffix.size());
+  util::Bytes payloads = rng.RandomBytes(n * payload_size);
+  util::Bytes batched(n * onion_size);
+  crypto::CoverOnionWrapper wrapper(suffix, path);
+  ASSERT_EQ(wrapper.path(), path);
+  wrapper.WrapInto(/*round=*/5, seeds, payloads, batched);
+
+  std::vector<crypto::X25519Precomp> tables;
+  for (const crypto::X25519PublicKey& pk : suffix) {
+    if (auto table = crypto::X25519Precomp::Create(pk)) {
+      tables.push_back(std::move(*table));
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    util::ByteSpan payload = util::ByteSpan(payloads).subspan(i * payload_size, payload_size);
+    util::Bytes one(onion_size);
+    crypto::ChaChaRng one_rng(seeds[i]);
+    if (tables.size() == suffix.size()) {
+      crypto::OnionWrapPrecompInto(tables, 5, payload, one_rng, one);
+    } else {
+      crypto::OnionWrapInto(suffix, 5, payload, one_rng, one);
+    }
+    ASSERT_EQ(util::Bytes(batched.begin() + i * onion_size,
+                          batched.begin() + (i + 1) * onion_size),
+              one)
+        << "onion " << i << " of " << n << ", " << suffix.size() << " layers";
+  }
+}
+
+std::vector<crypto::X25519PublicKey> HonestSuffix(size_t layers, uint64_t seed) {
+  util::Xoshiro256Rng rng(seed);
+  std::vector<crypto::X25519PublicKey> suffix;
+  for (size_t i = 0; i < layers; ++i) {
+    suffix.push_back(crypto::X25519KeyPair::Generate(rng).public_key);
+  }
+  return suffix;
+}
+
+// Both paths at counts that leave padded ladders and short runs, for suffix
+// lengths 1 and 2 (a hop 1 and a hop 0 of three) and 3.
+TEST(CoverWrapConformance, LanesAndCombMatchOneByOneWraps) {
+  for (size_t layers : {1u, 2u, 3u}) {
+    const auto suffix = HonestSuffix(layers, 60 + layers);
+    for (size_t n : {0u, 1u, 7u, 9u, 33u, 65u}) {
+      for (auto path : {crypto::CoverOnionWrapper::Path::kLanes,
+                        crypto::CoverOnionWrapper::Path::kComb}) {
+        ExpectCoverWrapMatchesOneByOne(suffix, path, n, 70 + n);
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+// A suffix key on the twist has no comb table: the comb path wraps by the
+// ladder and the lane path needs no table; both give the one-by-one bytes.
+TEST(CoverWrapConformance, TwistSuffixKeyMatchesLadderWraps) {
+  util::Xoshiro256Rng rng(80);
+  crypto::X25519PublicKey twist;
+  do {
+    rng.Fill(twist);
+    twist[31] &= 0x7f;
+  } while (crypto::X25519Precomp::Create(twist).has_value());
+  const std::vector<crypto::X25519PublicKey> suffix = {HonestSuffix(1, 81)[0], twist};
+  for (auto path :
+       {crypto::CoverOnionWrapper::Path::kLanes, crypto::CoverOnionWrapper::Path::kComb}) {
+    ExpectCoverWrapMatchesOneByOne(suffix, path, 9, 82);
+  }
+}
+
+// The path follows the X25519 kernel: lanes with the IFMA ladder, the comb
+// tables on a one-lane (portable) kernel. A suffix too long for one lane
+// run falls back to the comb.
+TEST(CoverWrapConformance, PathFollowsTheKernel) {
+  const auto expected = crypto::X25519ManyLanes() > 1 ? crypto::CoverOnionWrapper::Path::kLanes
+                                                      : crypto::CoverOnionWrapper::Path::kComb;
+  EXPECT_EQ(crypto::CoverOnionWrapper(HonestSuffix(2, 90)).path(), expected);
+  const auto too_long = HonestSuffix(crypto::CoverOnionWrapper::kLanePairs + 1, 91);
+  EXPECT_EQ(crypto::CoverOnionWrapper(too_long).path(), crypto::CoverOnionWrapper::Path::kComb);
+  EXPECT_THROW(crypto::CoverOnionWrapper(too_long, crypto::CoverOnionWrapper::Path::kLanes),
+               std::invalid_argument);
+}
+
+TEST(CoverWrapConformance, RejectsSizesThatDoNotFit) {
+  const crypto::CoverOnionWrapper wrapper(HonestSuffix(2, 92));
+  std::vector<crypto::ChaCha20Key> seeds(3);
+  util::Bytes payloads(3 * 10);
+  util::Bytes out(3 * crypto::OnionRequestSize(10, 2));
+  EXPECT_NO_THROW(wrapper.WrapInto(1, seeds, payloads, out));
+  util::Bytes short_out(out.size() - 1);
+  EXPECT_THROW(wrapper.WrapInto(1, seeds, payloads, short_out), std::invalid_argument);
+  util::Bytes ragged(3 * 10 + 1);
+  EXPECT_THROW(wrapper.WrapInto(1, seeds, ragged, out), std::invalid_argument);
 }
 
 // --- Zero-copy wire decode ---------------------------------------------------

@@ -1,6 +1,6 @@
 // X25519 against RFC 7748 §5.2 scalar-multiplication vectors (including the
 // 1,000-iteration vector) and the §6.1 Diffie-Hellman vector, and the batch
-// kernels behind X25519Many against that ladder.
+// kernels behind X25519Many and X25519Lanes against that ladder.
 
 #include <gtest/gtest.h>
 
@@ -149,7 +149,7 @@ Secrets ViaDispatcher(const X25519SecretKey& scalar, const std::vector<X25519Pub
 #ifdef VUVUZELA_X25519_IFMA_KERNEL
 Secrets ViaIfma(const X25519SecretKey& scalar, const std::vector<X25519PublicKey>& points) {
   Secrets out(points.size());
-  internal::X25519ManyIfma(scalar, points.data(), out.data(), points.size());
+  internal::X25519LanesIfma(&scalar, 0, points.data(), out.data(), points.size());
   return out;
 }
 #endif
@@ -369,6 +369,185 @@ void CheckBatchLengths(BatchKernel kernel) {
       EXPECT_EQ(out[i], X25519(scalar, points[i])) << "length " << n << ", point " << i;
     }
   }
+}
+
+// --- A scalar per lane --------------------------------------------------------
+//
+// X25519Lanes gives each point its own scalar. Every lane of every length
+// must equal the one-point ladder, through the dispatcher and through the
+// IFMA kernel directly.
+
+using Scalars = std::vector<X25519SecretKey>;
+using Points = std::vector<X25519PublicKey>;
+using LanesKernel = Secrets (*)(const Scalars&, const Points&);
+
+Secrets LanesViaDispatcher(const Scalars& scalars, const Points& points) {
+  Secrets out(points.size());
+  X25519Lanes(scalars, points, out);
+  return out;
+}
+
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+Secrets LanesViaIfma(const Scalars& scalars, const Points& points) {
+  Secrets out(points.size());
+  internal::X25519LanesIfma(scalars.data(), 1, points.data(), out.data(), points.size());
+  return out;
+}
+#endif
+
+LanesKernel IfmaLanesKernel() {
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+  if (internal::CpuHasAvx512Ifma()) {
+    return LanesViaIfma;
+  }
+#endif
+  return nullptr;
+}
+
+// Lane i's scalar: random, then by i mod 4 the bits clamping touches (the
+// low three, bit 254 and bit 255) left random, all set, all cleared, or
+// flipped, so clamping is checked per lane.
+X25519SecretKey LaneScalar(util::Rng& rng, size_t i) {
+  X25519SecretKey s;
+  rng.Fill(s);
+  switch (i % 4) {
+    case 1:
+      s[0] |= 7;
+      s[31] |= 0xc0;
+      break;
+    case 2:
+      s[0] &= 0xf8;
+      s[31] &= 0x3f;
+      break;
+    case 3:
+      s[0] ^= 7;
+      s[31] ^= 0xc0;
+      break;
+  }
+  return s;
+}
+
+// Lane i's point: mostly random curve points, with low-order points (whose
+// lane gives the all-zero secret), a u with bit 255 set and a u >= p among
+// them.
+X25519PublicKey LanePoint(util::Rng& rng, size_t i) {
+  static const Points kLowOrder = {
+      Small(0), Small(1), PrimeMinusOne(),
+      FromHex<X25519PublicKey>("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800")};
+  X25519PublicKey u = X25519KeyPair::Generate(rng).public_key;
+  switch (i % 7) {
+    case 2:
+      return kLowOrder[(i / 7) % kLowOrder.size()];
+    case 4:
+      u[31] |= 0x80;
+      return u;
+    case 5:
+      // p + 2 <= u < 2^255; p and p + 1 would be the low-order 0 and 1.
+      return Add256(FieldPrime(), Small(static_cast<uint8_t>(2 + i % 17)));
+    default:
+      return u;
+  }
+}
+
+void CheckLanesEveryLength(LanesKernel kernel) {
+  util::Xoshiro256Rng rng(2514);
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 17; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(64);
+  for (size_t n : lengths) {
+    Scalars scalars(n);
+    Points points(n);
+    for (size_t i = 0; i < n; ++i) {
+      scalars[i] = LaneScalar(rng, i);
+      points[i] = LanePoint(rng, i);
+    }
+    for (size_t i = 1; i < n; ++i) {
+      ASSERT_NE(scalars[i], scalars[i - 1]);
+    }
+    Secrets out = kernel(scalars, points);
+    ASSERT_EQ(out.size(), n);
+    size_t zero_lanes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(HexEncode(out[i]), HexEncode(X25519(scalars[i], points[i])))
+          << "length " << n << ", lane " << i;
+      zero_lanes += out[i] == X25519SharedSecret{} ? 1 : 0;
+    }
+    // Exactly the low-order lanes (i = 2 mod 7) give the all-zero secret.
+    EXPECT_EQ(zero_lanes, (n + 4) / 7) << "length " << n;
+  }
+}
+
+// Every lane holding one scalar is X25519Many, byte for byte.
+void CheckLanesEqualScalarsAreMany(LanesKernel kernel) {
+  util::Xoshiro256Rng rng(2515);
+  for (size_t n : {1u, 7u, 8u, 9u, 64u}) {
+    X25519SecretKey scalar = LaneScalar(rng, n);
+    Points points(n);
+    for (size_t i = 0; i < n; ++i) {
+      points[i] = LanePoint(rng, i);
+    }
+    Secrets many(n);
+    X25519Many(scalar, points, many);
+    EXPECT_EQ(kernel(Scalars(n, scalar), points), many) << "length " << n;
+  }
+}
+
+TEST(X25519Lanes, DispatcherMatchesLadderOnEveryLength) {
+  CheckLanesEveryLength(LanesViaDispatcher);
+}
+TEST(X25519Lanes, DispatcherEqualScalarsMatchMany) {
+  CheckLanesEqualScalarsAreMany(LanesViaDispatcher);
+}
+TEST(X25519Lanes, DispatcherMatchesRfc7748Vectors) {
+  auto scalar1 = FromHex<X25519SecretKey>(
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+  auto point1 = FromHex<X25519PublicKey>(
+      "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
+  auto scalar2 = FromHex<X25519SecretKey>(
+      "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
+  auto point2 = FromHex<X25519PublicKey>(
+      "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
+  // The two vectors side by side in one ladder, among six random pairs.
+  util::Xoshiro256Rng rng(2516);
+  Scalars scalars(8);
+  Points points(8);
+  for (size_t i = 0; i < 8; ++i) {
+    scalars[i] = LaneScalar(rng, i);
+    points[i] = LanePoint(rng, i);
+  }
+  scalars[2] = scalar1;
+  points[2] = point1;
+  scalars[5] = scalar2;
+  points[5] = point2;
+  Secrets out = LanesViaDispatcher(scalars, points);
+  EXPECT_EQ(HexEncode(out[2]), "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
+  EXPECT_EQ(HexEncode(out[5]), "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+}
+TEST(X25519Lanes, RejectsMismatchedSpans) {
+  Scalars scalars(3);
+  Points points(3);
+  Secrets out(3);
+  Secrets short_out(2);
+  Scalars short_scalars(2);
+  EXPECT_THROW(X25519Lanes(scalars, points, short_out), std::invalid_argument);
+  EXPECT_THROW(X25519Lanes(short_scalars, points, out), std::invalid_argument);
+  X25519Lanes({}, {}, {});  // an empty batch is fine
+}
+TEST(X25519Lanes, IfmaMatchesLadderOnEveryLength) {
+  LanesKernel kernel = IfmaLanesKernel();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
+  }
+  CheckLanesEveryLength(kernel);
+}
+TEST(X25519Lanes, IfmaEqualScalarsMatchMany) {
+  LanesKernel kernel = IfmaLanesKernel();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
+  }
+  CheckLanesEqualScalarsAreMany(kernel);
 }
 
 TEST(X25519Kernels, SelectedLanesFollowCpu) {

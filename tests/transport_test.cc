@@ -524,6 +524,38 @@ TEST(HopDaemonMetrics, TimesEveryRequestDigest) {
   EXPECT_EQ(digest->Snap().count - digests_before, 2u);
 }
 
+// Every forward pass times its cover-onion wrap, before its reply is sent;
+// the last hop and the backward passes wrap nothing and observe nothing. The
+// three in-process daemons share the one series.
+TEST(HopDaemonMetrics, TimesTheNoiseWrapOfForwardPassesOnly) {
+  auto chain = LoopbackChain::Start(TestChainConfig(), kKeySeed);
+  ASSERT_NE(chain, nullptr);
+  obs::Histogram* wrap = obs::Registry::Global().GetHistogram(
+      "vuvuzela_hop_noise_wrap_seconds", "", obs::PassLatencyBuckets());
+  const obs::Histogram::Snapshot before = wrap->Snap();
+
+  auto transports = chain->ConnectTransports();
+  ASSERT_EQ(transports.size(), 3u);
+  Workload workload = MakeWorkload();
+  std::vector<util::Bytes> batch = workload.conversation_batches[0];
+  for (size_t hop = 0; hop < 2; ++hop) {
+    batch = transports[hop]->ForwardConversation(1, std::move(batch), nullptr);
+    const obs::Histogram::Snapshot after = wrap->Snap();
+    EXPECT_EQ(after.count - before.count, hop + 1);
+    EXPECT_GT(after.sum, before.sum);
+  }
+  const obs::Histogram::Snapshot forward = wrap->Snap();
+  auto last = transports[2]->ProcessConversationLastHop(1, std::move(batch), nullptr);
+  std::vector<util::Bytes> responses = std::move(last.responses);
+  for (size_t hop = 2; hop-- > 0;) {
+    responses = transports[hop]->BackwardConversation(1, std::move(responses), nullptr);
+  }
+  EXPECT_EQ(responses.size(), kUsers);
+  const obs::Histogram::Snapshot backward = wrap->Snap();
+  EXPECT_EQ(backward.count, forward.count);
+  EXPECT_EQ(backward.sum, forward.sum);
+}
+
 // Plays `users` clients wrapping for `chain` through the started
 // coordinator's front door while it runs its schedule.
 CoordDaemonResult RunWithFleet(CoordinatorDaemon& coordinator,

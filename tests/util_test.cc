@@ -362,5 +362,16 @@ TEST_F(FlagSetTest, CollectsPositionalArgumentsOnlyWhenAsked) {
   EXPECT_FALSE(Parse({"--port", "1", "stray"}));
 }
 
+TEST_F(FlagSetTest, RequiredFlagMustAppear) {
+  flags_.Require("--port");
+  flags_.Require("--name");
+  EXPECT_TRUE(Parse({"--name", "h", "--port", "1"}));
+  EXPECT_FALSE(Parse({"--port", "1"}));
+  EXPECT_FALSE(Parse({"--name", "h"}));
+  EXPECT_FALSE(Parse({}));
+  EXPECT_FALSE(Parse({"--name", "h", "--port", "1x"}));  // present but malformed
+  EXPECT_THROW(flags_.Require("--unbound"), std::logic_error);
+}
+
 }  // namespace
 }  // namespace vuvuzela::util

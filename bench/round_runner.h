@@ -20,6 +20,7 @@
 #include "bench/bench_util.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
+#include "src/noise/laplace.h"
 #include "src/sim/workload.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/random.h"
@@ -56,8 +57,8 @@ inline mixnet::Chain MakeBenchChain(size_t servers, double mu, uint64_t seed,
   config.num_servers = servers;
   // §8.1: "we configure servers to always add exactly µ noise, rather than
   // sampling the Laplace distribution" — same mean, less variance.
-  config.conversation_noise = {.params = {mu, mu / 20.0 + 1.0}, .deterministic = true};
-  config.dialing_noise = {.params = {dial_mu, dial_mu / 20.0 + 1.0}, .deterministic = true};
+  config.conversation_noise = {.params = noise::HopNoise(mu), .deterministic = true};
+  config.dialing_noise = {.params = noise::HopNoise(dial_mu), .deterministic = true};
   util::Xoshiro256Rng rng(seed);
   return mixnet::Chain::Create(config, rng);
 }
@@ -202,7 +203,7 @@ inline MultiRound RunTcpPipelinedConversationRounds(uint64_t users, size_t serve
                                                     double collection_window_seconds = 0.0) {
   mixnet::ChainConfig config;
   config.num_servers = servers;
-  config.conversation_noise = {.params = {mu, mu / 20.0 + 1.0}, .deterministic = true};
+  config.conversation_noise = {.params = noise::HopNoise(mu), .deterministic = true};
   auto chain = transport::LoopbackChain::Start(config, seed);
   if (!chain) {
     return {};

@@ -10,14 +10,12 @@
 // checks only onion sizes. Exits 0 iff every announced round completed.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/client/client.h"
 #include "src/noise/laplace.h"
-#include "src/obs/registry.h"
-#include "src/obs/trace.h"
+#include "src/obs/daemon_process.h"
 #include "src/transport/coord_daemon.h"
 #include "src/util/flags.h"
 
@@ -69,6 +67,7 @@ int main(int argc, char** argv) {
   double mu = 50.0;
   double dial_mu = 10.0;
   util::FlagSet flags;
+  obs::DaemonProcess process("vuvuzela-coordd", flags, obs::MetricsAnnouncement::kOwnLine);
   flags.Value("--hops",
               [&](const char* value) { return net::ParseEndpointList(value, &config.hops); });
   flags.Value("--dist",
@@ -83,7 +82,6 @@ int main(int argc, char** argv) {
                  &config.schedule.conversation_rounds_per_dialing_round);
   // Submission attempts per round (1 = abandon on first failure).
   flags.Unsigned("--retries", UINT32_MAX, &config.max_round_attempts);
-  flags.Unsigned("--metrics-port", 65535, &config.metrics_port);
   flags.NonNegative("--mu", &mu);
   flags.NonNegative("--dial-mu", &dial_mu);
   // > 0 arms the accountant.
@@ -95,7 +93,7 @@ int main(int argc, char** argv) {
   }
   config.budget.conversation_noise = noise::HopNoise(mu);
   config.budget.dialing_noise = noise::HopNoise(dial_mu);
-  obs::TraceJournal::Global().SetProcess("coordd");
+  process.SetTraceLabel("coordd");
   transport::CoordinatorDaemon coordinator(config);
   if (!coordinator.Start()) {
     std::fprintf(stderr, "vuvuzela-coordd: cannot start (--clients and --k must be >= 1, every "
@@ -103,14 +101,10 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 1;
   }
-  if (coordinator.metrics_port() != 0) {
-    std::printf("vuvuzela-coordd: metrics on http://127.0.0.1:%u/metrics\n",
-                coordinator.metrics_port());
-    std::fflush(stdout);
+  if (!process.Ready("waiting for " + std::to_string(config.num_clients) +
+                     " clients on 127.0.0.1:" + std::to_string(coordinator.client_port()))) {
+    return 1;
   }
-  std::printf("vuvuzela-coordd: waiting for %zu clients on 127.0.0.1:%u\n", config.num_clients,
-              coordinator.client_port());
-  std::fflush(stdout);
 
   transport::CoordDaemonResult result = coordinator.Run();
   uint64_t completed = result.conversation_rounds_completed + result.dialing_rounds_completed;
@@ -130,13 +124,9 @@ int main(int argc, char** argv) {
                 config.budget.delta_budget,
                 static_cast<unsigned long long>(result.rounds_refused));
   }
-  // Machine-readable final snapshot of every registry metric, one line —
-  // what post-mortem tooling parses when no scraper ran during the schedule.
-  // Includes the accountant state (vuvuzela_privacy_epsilon_spent_micro,
-  // vuvuzela_privacy_rounds_refused_total) whether or not the budget is
-  // armed, so smoke runs can assert zero refusals.
-  std::printf("vuvuzela-coordd: metrics %s\n",
-              obs::Registry::Global().SnapshotJson().c_str());
+  // The accountant's series are in it even when the budget is off, so smoke
+  // runs can assert zero refusals.
+  process.PrintSnapshot();
   // A refused round never completed, so an exhausted budget exits nonzero by
   // construction. Whether every client got its buckets is the clients' to
   // report (tools/client_fleet checks it).

@@ -14,11 +14,9 @@
 #include <cstdio>
 #include <string>
 
-#include "src/obs/registry.h"
-#include "src/obs/trace.h"
+#include "src/obs/daemon_process.h"
 #include "src/transport/dist_daemon.h"
 #include "src/util/flags.h"
-#include "src/util/logging.h"
 
 using namespace vuvuzela;
 
@@ -39,6 +37,7 @@ void Usage(const char* argv0) {
 int main(int argc, char** argv) {
   transport::DistDaemonConfig config;
   util::FlagSet flags;
+  obs::DaemonProcess process("vuvuzela-distd", flags);
   flags.Unsigned("--shard", UINT32_MAX, &config.shard_index);
   flags.Unsigned("--shards", UINT32_MAX, &config.num_shards);
   // Without them a launcher that forgot one would start another shard 0 of 1.
@@ -46,35 +45,30 @@ int main(int argc, char** argv) {
   flags.Require("--shards");
   flags.Unsigned("--port", 65535, &config.port);
   flags.Unsigned("--max-rounds", UINT64_MAX, &config.max_rounds);
-  flags.Unsigned("--metrics-port", 65535, &config.metrics_port);
   if (!flags.Parse(argc, argv) || config.shard_index >= config.num_shards ||
       config.max_rounds == 0) {
     Usage(argv[0]);
     return 2;
   }
 
-  obs::TraceJournal::Global().SetProcess("distd-" + std::to_string(config.shard_index));
+  process.SetTraceLabel("distd-" + std::to_string(config.shard_index));
   auto daemon = transport::DistDaemon::Create(config);
   if (!daemon) {
     std::fprintf(stderr, "vuvuzela-distd: cannot listen on port %u\n", config.port);
     return 1;
   }
 
-  std::printf("vuvuzela-distd: shard %u/%u listening on 127.0.0.1:%u", config.shard_index,
-              config.num_shards, daemon->port());
-  if (daemon->metrics_port() != 0) {
-    std::printf(" (metrics on http://127.0.0.1:%u/metrics)", daemon->metrics_port());
+  if (!process.Ready("shard " + std::to_string(config.shard_index) + "/" +
+                     std::to_string(config.num_shards) + " listening on 127.0.0.1:" +
+                     std::to_string(daemon->port()))) {
+    return 1;
   }
-  std::printf("\n");
-  std::fflush(stdout);
   daemon->Serve();
   std::printf("vuvuzela-distd: shard %u stored %llu publishes, served %llu bucket fetches "
               "(%llu bytes), exiting\n",
               config.shard_index, static_cast<unsigned long long>(daemon->publishes_stored()),
               static_cast<unsigned long long>(daemon->fetches_served()),
               static_cast<unsigned long long>(daemon->bytes_served()));
-  // The final registry snapshot, one line: what smoke runs assert on, since
-  // the fleet can finish before any scrape sees this daemon's last pass.
-  std::printf("vuvuzela-distd: metrics %s\n", obs::Registry::Global().SnapshotJson().c_str());
+  process.PrintSnapshot();
   return 0;
 }

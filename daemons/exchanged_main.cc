@@ -12,11 +12,9 @@
 #include <cstdio>
 #include <string>
 
-#include "src/obs/registry.h"
-#include "src/obs/trace.h"
+#include "src/obs/daemon_process.h"
 #include "src/transport/exchange_daemon.h"
 #include "src/util/flags.h"
-#include "src/util/logging.h"
 
 using namespace vuvuzela;
 
@@ -35,38 +33,33 @@ void Usage(const char* argv0) {
 int main(int argc, char** argv) {
   transport::ExchangedConfig config;
   util::FlagSet flags;
+  obs::DaemonProcess process("vuvuzela-exchanged", flags);
   flags.Unsigned("--shard", UINT32_MAX, &config.shard_index);
   flags.Unsigned("--shards", UINT32_MAX, &config.num_shards);
   // Without them a launcher that forgot one would start another shard 0 of 1.
   flags.Require("--shard");
   flags.Require("--shards");
   flags.Unsigned("--port", 65535, &config.port);
-  flags.Unsigned("--metrics-port", 65535, &config.metrics_port);
   if (!flags.Parse(argc, argv) || config.shard_index >= config.num_shards) {
     Usage(argv[0]);
     return 2;
   }
 
-  obs::TraceJournal::Global().SetProcess("exchanged-" + std::to_string(config.shard_index));
+  process.SetTraceLabel("exchanged-" + std::to_string(config.shard_index));
   auto daemon = transport::ExchangedDaemon::Create(config);
   if (!daemon) {
     std::fprintf(stderr, "vuvuzela-exchanged: cannot listen on port %u\n", config.port);
     return 1;
   }
 
-  std::printf("vuvuzela-exchanged: shard %u/%u listening on 127.0.0.1:%u", config.shard_index,
-              config.num_shards, daemon->port());
-  if (daemon->metrics_port() != 0) {
-    std::printf(" (metrics on http://127.0.0.1:%u/metrics)", daemon->metrics_port());
+  if (!process.Ready("shard " + std::to_string(config.shard_index) + "/" +
+                     std::to_string(config.num_shards) + " listening on 127.0.0.1:" +
+                     std::to_string(daemon->port()))) {
+    return 1;
   }
-  std::printf("\n");
-  std::fflush(stdout);
   daemon->Serve();
   std::printf("vuvuzela-exchanged: shard %u served %llu RPCs, exiting\n", config.shard_index,
               static_cast<unsigned long long>(daemon->rpcs_served()));
-  // The final registry snapshot, one line: what smoke runs assert on, since
-  // the fleet can finish before any scrape sees this daemon's last pass.
-  std::printf("vuvuzela-exchanged: metrics %s\n",
-              obs::Registry::Global().SnapshotJson().c_str());
+  process.PrintSnapshot();
   return 0;
 }

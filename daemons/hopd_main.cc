@@ -23,19 +23,16 @@
 // On orderly shutdown the hop forwards kShutdown to its partitions.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/coord/keydir.h"
 #include "src/noise/laplace.h"
-#include "src/obs/registry.h"
-#include "src/obs/trace.h"
+#include "src/obs/daemon_process.h"
 #include "src/transport/hop_chain.h"
 #include "src/transport/hop_daemon.h"
 #include "src/util/flags.h"
-#include "src/util/logging.h"
 
 using namespace vuvuzela;
 
@@ -74,6 +71,7 @@ int main(int argc, char** argv) {
   double dial_mu = 10.0;
   transport::HopDaemonConfig daemon_config;
   util::FlagSet flags;
+  obs::DaemonProcess process("vuvuzela-hopd", flags);
   flags.Value("--position", [&](const char* value) {
     have_position = true;
     return util::ParseUnsigned(value, UINT64_MAX, &position);
@@ -91,7 +89,6 @@ int main(int argc, char** argv) {
   flags.Value("--exchange", [&](const char* value) {
     return net::ParseEndpointList(value, &daemon_config.exchange.shards);
   });
-  flags.Unsigned("--metrics-port", 65535, &daemon_config.metrics_port);
   // Key files carry the hop's position and the directory its chain length;
   // either ceremony must end with a coherent (position, servers) pair. The
   // two key files travel together, and the shared-seed ceremony needs an
@@ -161,7 +158,7 @@ int main(int argc, char** argv) {
   chain_config.conversation_noise = {.params = noise::HopNoise(mu), .deterministic = true};
   chain_config.dialing_noise = {.params = noise::HopNoise(dial_mu), .deterministic = true};
 
-  obs::TraceJournal::Global().SetProcess("hopd-" + std::to_string(position));
+  process.SetTraceLabel("hopd-" + std::to_string(position));
   auto daemon = transport::HopDaemon::Create(
       daemon_config,
       std::make_unique<mixnet::MixServer>(mixnet::ChainServerConfig(chain_config, position),
@@ -174,16 +171,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("vuvuzela-hopd: position %zu/%zu listening on 127.0.0.1:%u", position, servers,
-              daemon->port());
+  std::string status = "position " + std::to_string(position) + "/" + std::to_string(servers) +
+                       " listening on 127.0.0.1:" + std::to_string(daemon->port());
   if (daemon->exchange_router()) {
-    std::printf(" (exchange partitioned %zu ways)", daemon->exchange_router()->num_shards());
+    status += " (exchange partitioned " +
+              std::to_string(daemon->exchange_router()->num_shards()) + " ways)";
   }
-  if (daemon->metrics_port() != 0) {
-    std::printf(" (metrics on http://127.0.0.1:%u/metrics)", daemon->metrics_port());
+  if (!process.Ready(status)) {
+    return 1;
   }
-  std::printf("\n");
-  std::fflush(stdout);
   daemon->Serve();
   // Orderly shutdown cascades to the exchange partitions: the coordinator
   // stops the hops, the last hop stops its shard servers.
@@ -192,8 +188,6 @@ int main(int argc, char** argv) {
   }
   std::printf("vuvuzela-hopd: position %zu served %llu RPCs, exiting\n", position,
               static_cast<unsigned long long>(daemon->rpcs_served()));
-  // The final registry snapshot, one line: what smoke runs assert on, since
-  // the fleet can finish before any scrape sees this daemon's last pass.
-  std::printf("vuvuzela-hopd: metrics %s\n", obs::Registry::Global().SnapshotJson().c_str());
+  process.PrintSnapshot();
   return 0;
 }

@@ -25,6 +25,7 @@
 
 #include "src/coord/keydir.h"
 #include "src/crypto/drbg.h"
+#include "src/mixnet/chain.h"
 #include "src/transport/hop_chain.h"
 #include "src/util/flags.h"
 
@@ -67,14 +68,7 @@ int main(int argc, char** argv) {
     keys = transport::DeriveChainKeys(seed, servers);
   } else {
     crypto::ChaChaRng rng = crypto::ChaChaRng::FromSystem();
-    for (size_t i = 0; i < servers; ++i) {
-      keys.key_pairs.push_back(crypto::X25519KeyPair::Generate(rng));
-      keys.public_keys.push_back(keys.key_pairs.back().public_key);
-    }
-    keys.rng_seeds.resize(servers);
-    for (auto& noise_seed : keys.rng_seeds) {
-      rng.Fill(noise_seed);
-    }
+    keys = mixnet::DrawChainKeys(servers, rng);
   }
 
   coord::KeyDirectory directory;

@@ -76,4 +76,21 @@ util::PackedItems PackDrops(const InvitationTable& table) {
   return packed;
 }
 
+bool UnpackDrops(std::span<const util::ByteSpan> packed, InvitationTable& table,
+                 uint32_t first_drop) {
+  for (util::ByteSpan drop : packed) {
+    if (drop.size() % wire::kInvitationSize != 0) {
+      return false;
+    }
+  }
+  for (size_t j = 0; j < packed.size(); ++j) {
+    for (size_t offset = 0; offset < packed[j].size(); offset += wire::kInvitationSize) {
+      wire::Invitation invitation;
+      std::memcpy(invitation.data(), packed[j].data() + offset, wire::kInvitationSize);
+      table.Add(first_drop + static_cast<uint32_t>(j), invitation);
+    }
+  }
+  return true;
+}
+
 }  // namespace vuvuzela::deaddrop

@@ -81,6 +81,12 @@ class InvitationTable {
 // whether the hop daemon or an exchange partition sends them.
 util::PackedItems PackDrops(const InvitationTable& table);
 
+// The inverse of PackDrops: deposits the invitations of packed[j] into drop
+// first_drop + j of `table`. False, with `table` unchanged, when a drop is
+// not a whole number of invitations.
+bool UnpackDrops(std::span<const util::ByteSpan> packed, InvitationTable& table,
+                 uint32_t first_drop = 0);
+
 }  // namespace vuvuzela::deaddrop
 
 #endif  // VUVUZELA_SRC_DEADDROP_INVITATION_TABLE_H_

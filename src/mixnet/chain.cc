@@ -16,10 +16,11 @@ MixServerConfig ChainServerConfig(const ChainConfig& config, size_t position) {
 
 ChainKeyMaterial DrawChainKeys(size_t num_servers, util::Rng& rng) {
   ChainKeyMaterial keys;
-  keys.key_pairs.reserve(num_servers);
-  for (size_t i = 0; i < num_servers; ++i) {
-    keys.key_pairs.push_back(crypto::X25519KeyPair::Generate(rng));
-    keys.public_keys.push_back(keys.key_pairs.back().public_key);
+  keys.key_pairs.resize(num_servers);
+  for (crypto::X25519KeyPair& key_pair : keys.key_pairs) {
+    rng.Fill(key_pair.secret_key);
+    key_pair.public_key = crypto::X25519BasePoint(key_pair.secret_key);
+    keys.public_keys.push_back(key_pair.public_key);
   }
   keys.rng_seeds.resize(num_servers);
   for (auto& seed : keys.rng_seeds) {

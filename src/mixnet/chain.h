@@ -74,7 +74,9 @@ struct ChainKeyMaterial {
 };
 
 // The key ceremony: all key pairs first, then one RNG seed per server, from
-// `rng`. The order fixes the bytes of every seeded chain.
+// `rng`. The order fixes the bytes of every seeded chain. Public keys come
+// from the ladder, not X25519KeyPair::Generate's comb: a handful of keys do
+// not pay for the ~30 KB base-point table in every hop process.
 ChainKeyMaterial DrawChainKeys(size_t num_servers, util::Rng& rng);
 
 // Builds the MixServer for `position` of a chain with the given key material

@@ -1,6 +1,6 @@
-// The /metrics + /trace HTTP surface. Every daemon (hopd, exchanged, distd,
-// coordd) serves it the same way: a MetricsHttpServer, one blocking
-// acceptor thread beside the daemon's own serve path, handling one
+// The /metrics + /trace HTTP surface. Every daemon process serves it the same
+// way: its shell (obs::DaemonProcess) starts one MetricsHttpServer, one
+// blocking acceptor thread beside the daemon's own serve path, handling one
 // connection at a time. A scrape every few seconds is the whole workload,
 // and the reactor daemons' event loops never see a scrape. Each connection
 // gets one deadline for reading the request and writing the response, so a

@@ -134,14 +134,6 @@ bool CoordinatorDaemon::Start() {
     front_door_.reset();
     return false;
   }
-  if (config_.metrics_port >= 0) {
-    metrics_server_ =
-        obs::MetricsHttpServer::Start(static_cast<uint16_t>(config_.metrics_port));
-    if (!metrics_server_) {
-      VZ_LOG_ERROR << "coordinator: metrics port " << config_.metrics_port << " unavailable";
-      return false;
-    }
-  }
   return true;
 }
 

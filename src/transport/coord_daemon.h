@@ -17,7 +17,8 @@
 // policy's re-submission of a failed round's banked onions under the same
 // round number, so a crash costs latency, never messages; and abandonment
 // after max_round_attempts, with the scheduler's expiry path reclaiming the
-// round's state at the surviving hops.
+// round's state at the surviving hops. /metrics and /trace are served by
+// the process shell (obs::DaemonProcess), not by the daemon.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_COORD_DAEMON_H_
 #define VUVUZELA_SRC_TRANSPORT_COORD_DAEMON_H_
@@ -35,7 +36,6 @@
 #include "src/engine/round_lifecycle.h"
 #include "src/engine/round_scheduler.h"
 #include "src/net/tcp.h"
-#include "src/obs/http.h"
 #include "src/transport/dist_router.h"
 #include "src/transport/front_door.h"
 #include "src/transport/reconnecting_transport.h"
@@ -78,10 +78,6 @@ struct CoordDaemonConfig {
   uint16_t client_port = 0;  // 0 picks an ephemeral port
   size_t num_clients = 0;
 
-  // /metrics + /trace HTTP port: < 0 disables it, 0 picks an ephemeral one.
-  // Start() opens it last, once the hop, dist and client connections are up.
-  int metrics_port = -1;
-
   // ε/δ budget accountant (§6), armed by budget.epsilon_budget > 0. Its
   // noise parameters must mirror the hop daemons' (vuvuzela-hopd derives
   // {µ, µ/20 + 1} from --mu); a degenerate one (b <= 0) fails Start().
@@ -114,9 +110,6 @@ class CoordinatorDaemon {
 
   // Valid after Start().
   uint16_t client_port() const { return front_door_ ? front_door_->port() : 0; }
-
-  // Bound /metrics port (valid after Start()); 0 when disabled.
-  uint16_t metrics_port() const { return metrics_server_ ? metrics_server_->port() : 0; }
 
   // Waits for the clients, announces and drives all rounds, drains the
   // pipeline, and shuts clients (and optionally hops) down.
@@ -160,8 +153,6 @@ class CoordinatorDaemon {
 
   // The reactor-backed client edge (set by Start()).
   std::unique_ptr<FrontDoor> front_door_;
-  // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
-  std::unique_ptr<obs::MetricsHttpServer> metrics_server_;
 
   // Registry telemetry. The budget series are registered even when the
   // accountant is off, so smoke runs can assert zeros; gauges are integers,

@@ -35,20 +35,7 @@ std::unique_ptr<DistDaemon> DistDaemon::Create(const DistDaemonConfig& config) {
   if (!listener) {
     return nullptr;
   }
-  auto daemon = std::unique_ptr<DistDaemon>(new DistDaemon(config, std::move(*listener)));
-  if (config.metrics_port >= 0) {
-    daemon->metrics_server_ =
-        obs::MetricsHttpServer::Start(static_cast<uint16_t>(config.metrics_port));
-    if (!daemon->metrics_server_) {
-      return nullptr;  // the requested metrics port is taken
-    }
-  }
-  return daemon;
-}
-
-size_t DistDaemon::rounds_held() const {
-  std::shared_lock<std::shared_mutex> lock(tables_mutex_);
-  return rounds_.size();
+  return std::unique_ptr<DistDaemon>(new DistDaemon(config, std::move(*listener)));
 }
 
 void DistDaemon::Serve() {
@@ -157,24 +144,17 @@ DistDaemon::RpcReply DistDaemon::HandleRequest(const BatchMessage& request) {
     return HandleFetch(request);
   } catch (const std::exception& e) {
     VZ_LOG_WARN << "dist shard rpc failed (round " << request.round << "): " << e.what();
-    RpcReply reply;
-    reply.error = e.what();
-    return reply;
+    return {.error = e.what()};
   }
 }
 
 DistDaemon::RpcReply DistDaemon::HandlePublish(const BatchMessage& request) {
-  RpcReply reply;
-  auto fail = [&reply](const char* message) {
-    reply.error = message;
-    return reply;
-  };
   auto header = ParseInvitationPublishHeader(request.header);
   if (!header) {
-    return fail("malformed invitation-publish header");
+    return {.error = "malformed invitation-publish header"};
   }
   if (header->shard_index != config_.shard_index || header->num_shards != config_.num_shards) {
-    return fail("dist partition map mismatch");
+    return {.error = "dist partition map mismatch"};
   }
   deaddrop::InvitationDropRange range = deaddrop::InvitationDropsOfShard(
       config_.shard_index, header->num_drops, config_.num_shards);
@@ -186,10 +166,10 @@ DistDaemon::RpcReply DistDaemon::HandlePublish(const BatchMessage& request) {
   for (const auto& item : request.items) {
     auto parsed = wire::DialRequest::Parse(item);
     if (!parsed) {
-      return fail("malformed published invitation");
+      return {.error = "malformed published invitation"};
     }
     if (parsed->dead_drop_index < range.begin || parsed->dead_drop_index >= range.end) {
-      return fail("published invitation outside bucket range");
+      return {.error = "published invitation outside bucket range"};
     }
     slice.buckets[parsed->dead_drop_index - range.begin].push_back(parsed->invitation);
   }
@@ -199,15 +179,12 @@ DistDaemon::RpcReply DistDaemon::HandlePublish(const BatchMessage& request) {
   // fetches to — a divergence from the in-process backend that would only
   // surface as sporadic unknown-round errors.
   if (header->keep_latest > config_.max_rounds) {
-    return fail("keep_latest exceeds shard --max-rounds");
+    return {.error = "keep_latest exceeds shard --max-rounds"};
   }
-  size_t held;
-  {
-    std::unique_lock<std::shared_mutex> lock(tables_mutex_);
-    rounds_.Put(request.round, std::move(slice));
-    rounds_.Expire(header->keep_latest);
-    held = rounds_.size();
-  }
+  rounds_.Put(request.round, std::move(slice));
+  rounds_.Expire(header->keep_latest);
+  size_t held = rounds_.size();
+  rounds_held_.store(held);
   publishes_stored_.fetch_add(1);
   obs_publishes_->Add();
   obs_rounds_held_->Set(static_cast<int64_t>(held));
@@ -215,51 +192,38 @@ DistDaemon::RpcReply DistDaemon::HandlePublish(const BatchMessage& request) {
   std::snprintf(detail, sizeof detail, "shard=%u invitations=%zu held=%zu", config_.shard_index,
                 request.items.size(), held);
   obs::TraceJournal::Global().Emit(request.round, "dist/publish", detail);
-  reply.ok = true;
-  reply.op = request.op;  // ack: same op, zero items
-  return reply;
+  return {.ok = true, .op = request.op};  // ack: same op, zero items
 }
 
 DistDaemon::RpcReply DistDaemon::HandleFetch(const BatchMessage& request) {
-  RpcReply reply;
-  auto fail = [&reply](const char* message) {
-    reply.error = message;
-    return reply;
-  };
   auto header = ParseInvitationFetchHeader(request.header);
   if (!header) {
-    return fail("malformed invitation-fetch header");
+    return {.error = "malformed invitation-fetch header"};
   }
   if (header->shard_index != config_.shard_index || header->num_shards != config_.num_shards) {
-    return fail("dist partition map mismatch");
+    return {.error = "dist partition map mismatch"};
   }
-  {
-    std::shared_lock<std::shared_mutex> lock(tables_mutex_);
-    const RoundSlice* found = rounds_.Find(request.round);
-    if (found == nullptr) {
-      return fail(kDistUnknownRoundError);
-    }
-    const RoundSlice& slice = *found;
-    if (header->num_drops != slice.num_drops) {
-      return fail("bucket map mismatch");
-    }
-    if (header->drop_index < slice.range_begin ||
-        header->drop_index - slice.range_begin >= slice.buckets.size()) {
-      return fail("bucket outside shard range");
-    }
-    uint32_t offset = header->drop_index - slice.range_begin;
-    const auto& bucket = slice.buckets[offset];
-    reply.items.reserve(bucket.size());
-    for (const auto& invitation : bucket) {
-      reply.items.emplace_back(invitation.begin(), invitation.end());
-    }
+  const RoundSlice* slice = rounds_.Find(request.round);
+  if (slice == nullptr) {
+    return {.error = kDistUnknownRoundError};
+  }
+  if (header->num_drops != slice->num_drops) {
+    return {.error = "bucket map mismatch"};
+  }
+  if (header->drop_index < slice->range_begin ||
+      header->drop_index - slice->range_begin >= slice->buckets.size()) {
+    return {.error = "bucket outside shard range"};
+  }
+  const auto& bucket = slice->buckets[header->drop_index - slice->range_begin];
+  RpcReply reply{.ok = true, .op = request.op};
+  reply.items.reserve(bucket.size());
+  for (const auto& invitation : bucket) {
+    reply.items.emplace_back(invitation.begin(), invitation.end());
   }
   fetches_served_.fetch_add(1);
   bytes_served_.fetch_add(reply.items.size() * wire::kInvitationSize);
   obs_fetches_->Add();
   obs_bytes_served_->Add(reply.items.size() * wire::kInvitationSize);
-  reply.ok = true;
-  reply.op = request.op;
   return reply;
 }
 

@@ -11,13 +11,12 @@
 // Unlike the hop and exchange daemons — whose one-connection-at-a-time
 // discipline *is* the engine's stage serialization — a dist shard is a
 // broadcast server: the router's persistent publish connection and any number
-// of downloading clients are served concurrently over a shared-mutex table
-// store (publishes exclusive, fetches shared). The serve path is a
+// of downloading clients are served concurrently. The serve path is a
 // net::EventLoop reactor: one thread, every connection, per-connection
 // BatchAssembler reassembly — this edge faces the client fleet, where
-// thread-per-connection cannot scale. /metrics and /trace are served beside
-// it by an obs::MetricsHttpServer acceptor thread, so a scrape never touches
-// the loop.
+// thread-per-connection cannot scale. Publishes and fetches both run on that
+// thread, so the table store needs no lock; obs::DaemonProcess serves /metrics
+// and /trace from its own acceptor thread, so a scrape never touches the loop.
 //
 // State is per-round and replaceable: a re-published round (the
 // coordinator's retry path) overwrites its slice, and every publish carries
@@ -32,13 +31,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "src/net/event_loop.h"
 #include "src/net/tcp.h"
-#include "src/obs/http.h"
 #include "src/transport/hop_wire.h"
 #include "src/util/keep_latest.h"
 
@@ -60,27 +57,21 @@ struct DistDaemonConfig {
   // Backstop cap on retained rounds, should a router never piggyback an
   // expiry horizon (each publish's keep_latest is the primary bound).
   size_t max_rounds = 64;
-  // /metrics + /trace HTTP port: < 0 disables the endpoint, 0 picks an
-  // ephemeral port (metrics_port() reports the binding).
-  int metrics_port = -1;
 };
 
 class DistDaemon {
  public:
-  // Binds the listener, then starts the metrics server; nullptr if either
-  // port is unavailable or the shard coordinates are out of range.
+  // Binds the listener; nullptr if the port is unavailable or the shard
+  // coordinates are out of range.
   static std::unique_ptr<DistDaemon> Create(const DistDaemonConfig& config);
 
   uint16_t port() const { return port_; }
-  const DistDaemonConfig& config() const { return config_; }
 
   // Observability: publishes stored, buckets served, invitation bytes served.
   uint64_t publishes_stored() const { return publishes_stored_.load(); }
   uint64_t fetches_served() const { return fetches_served_.load(); }
   uint64_t bytes_served() const { return bytes_served_.load(); }
-  size_t rounds_held() const;
-  // Bound /metrics port; 0 when the endpoint is disabled.
-  uint16_t metrics_port() const { return metrics_server_ ? metrics_server_->port() : 0; }
+  size_t rounds_held() const { return rounds_held_.load(); }
 
   // Runs the reactor, serving every connection concurrently, until a
   // kShutdown frame arrives on any of them or Stop() is called.
@@ -101,9 +92,9 @@ class DistDaemon {
   // batch-message reply, which Serve() encodes with the chunk builder.
   struct RpcReply {
     bool ok = false;
-    std::string error;              // when !ok
+    std::string error{};               // when !ok
     net::FrameType op = net::FrameType::kHopError;
-    std::vector<util::Bytes> items;  // when ok (reply headers are empty)
+    std::vector<util::Bytes> items{};  // when ok (reply headers are empty)
   };
 
   DistDaemon(const DistDaemonConfig& config, net::TcpListener listener);
@@ -117,8 +108,6 @@ class DistDaemon {
   DistDaemonConfig config_;
   uint16_t port_ = 0;
   net::TcpListener listener_;  // moved into the reactor by Serve()
-  // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
-  std::unique_ptr<obs::MetricsHttpServer> metrics_server_;
   // Global-registry mirrors of the observability accessors above.
   obs::Counter* obs_publishes_;
   obs::Counter* obs_fetches_;
@@ -127,9 +116,9 @@ class DistDaemon {
   std::atomic<uint64_t> publishes_stored_{0};
   std::atomic<uint64_t> fetches_served_{0};
   std::atomic<uint64_t> bytes_served_{0};
+  std::atomic<size_t> rounds_held_{0};  // rounds_.size(), set by HandlePublish
 
-  // Publishes write, fetches read — concurrently with each other.
-  mutable std::shared_mutex tables_mutex_;
+  // Read and written only on the reactor thread.
   util::KeepLatestMap<RoundSlice> rounds_;
 
   // The loop pointer is published under loop_mutex_ so a concurrent Stop()

@@ -47,15 +47,7 @@ std::unique_ptr<ExchangedDaemon> ExchangedDaemon::Create(const ExchangedConfig& 
   if (!listener) {
     return nullptr;
   }
-  auto daemon =
-      std::unique_ptr<ExchangedDaemon>(new ExchangedDaemon(config, std::move(*listener)));
-  if (config.metrics_port >= 0) {
-    daemon->metrics_ = obs::MetricsHttpServer::Start(static_cast<uint16_t>(config.metrics_port));
-    if (!daemon->metrics_) {
-      return nullptr;  // the requested metrics port is taken
-    }
-  }
-  return daemon;
+  return std::unique_ptr<ExchangedDaemon>(new ExchangedDaemon(config, std::move(*listener)));
 }
 
 void ExchangedDaemon::Serve() { rpc_server_.Serve(); }

@@ -18,7 +18,8 @@
 //
 // Serving discipline is HopDaemon's, through the same BatchRpcServer: one
 // connection at a time, frames in arrival order, a failed request answered
-// with kHopError rather than taking the daemon down.
+// with kHopError rather than taking the daemon down. /metrics and /trace are
+// served by the process shell (obs::DaemonProcess), not by the daemon.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_EXCHANGE_DAEMON_H_
 #define VUVUZELA_SRC_TRANSPORT_EXCHANGE_DAEMON_H_
@@ -28,7 +29,6 @@
 #include <memory>
 
 #include "src/net/tcp.h"
-#include "src/obs/http.h"
 #include "src/transport/hop_wire.h"
 
 namespace vuvuzela::obs {
@@ -46,9 +46,6 @@ struct ExchangedConfig {
   uint32_t num_shards = 1;
   // Chunk budget for outgoing batch messages.
   size_t chunk_payload = kDefaultChunkPayload;
-  // /metrics + /trace HTTP port: < 0 disables the server, 0 picks an
-  // ephemeral port (metrics_port() reports the binding).
-  int metrics_port = -1;
 };
 
 class ExchangedDaemon {
@@ -59,9 +56,6 @@ class ExchangedDaemon {
 
   uint16_t port() const { return rpc_server_.port(); }
   uint64_t rpcs_served() const { return rpcs_served_.load(); }
-  const ExchangedConfig& config() const { return config_; }
-  // Bound /metrics port; 0 when the server is disabled.
-  uint16_t metrics_port() const { return metrics_ ? metrics_->port() : 0; }
 
   // Serves connections until a kShutdown frame arrives or Stop() is called.
   void Serve();
@@ -79,8 +73,6 @@ class ExchangedDaemon {
 
   ExchangedConfig config_;
   BatchRpcServer rpc_server_;
-  // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
-  std::unique_ptr<obs::MetricsHttpServer> metrics_;
   // Global-registry mirrors of this partition's hot-path counters.
   obs::Counter* obs_rpcs_;
   obs::Counter* obs_requests_;

@@ -196,17 +196,8 @@ deaddrop::InvitationTable ExchangeRouter::BuildInvitationTable(
       partitions_[shard].Fail("response drop count mismatch");
     }
     std::lock_guard<std::mutex> lock(table_mutex);
-    for (size_t j = 0; j < reply.items.size(); ++j) {
-      util::ByteSpan packed = reply.items[j];
-      if (packed.size() % wire::kInvitationSize != 0) {
-        partitions_[shard].Fail("ragged invitation drop");
-      }
-      for (size_t offset = 0; offset < packed.size(); offset += wire::kInvitationSize) {
-        wire::Invitation invitation;
-        std::copy(packed.begin() + offset, packed.begin() + offset + wire::kInvitationSize,
-                  invitation.begin());
-        table.Add(range.begin + static_cast<uint32_t>(j), invitation);
-      }
+    if (!deaddrop::UnpackDrops(reply.items, table, range.begin)) {
+      partitions_[shard].Fail("ragged invitation drop");
     }
   });
   return table;

@@ -14,9 +14,9 @@
 // never through this edge, so nothing a client sends here is larger than an
 // onion and nothing here blocks.
 //
-// The loop carries client frames only. The owning daemon serves /metrics
-// and /trace from its own obs::MetricsHttpServer, so a scrape never shares
-// the loop with admission.
+// The loop carries client frames only. coordd's process shell
+// (obs::DaemonProcess) serves /metrics and /trace from its own acceptor
+// thread, so a scrape never shares the loop with admission.
 //
 // THREADING CONTRACT. Create/Start/Shutdown belong to the owning thread.
 // Broadcast/Send/frame building are thread-safe (they post to the loop).

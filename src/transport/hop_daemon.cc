@@ -152,12 +152,6 @@ std::unique_ptr<HopDaemon> HopDaemon::Create(const HopDaemonConfig& config,
     }
     daemon->server_->SetExchangeBackend(daemon->exchange_router_.get());
   }
-  if (config.metrics_port >= 0) {
-    daemon->metrics_ = obs::MetricsHttpServer::Start(static_cast<uint16_t>(config.metrics_port));
-    if (!daemon->metrics_) {
-      return nullptr;  // the requested metrics port is taken
-    }
-  }
   return daemon;
 }
 

@@ -43,7 +43,8 @@
 // A re-sent request whose digest does NOT match is processed normally: the
 // slot can never serve stale bytes for different input. The expiry horizon
 // piggybacked on forward passes still bounds MixServer's per-round state
-// (MixServer::ExpireRounds).
+// (MixServer::ExpireRounds). /metrics and /trace are served by the process
+// shell (obs::DaemonProcess), not by the daemon.
 
 #ifndef VUVUZELA_SRC_TRANSPORT_HOP_DAEMON_H_
 #define VUVUZELA_SRC_TRANSPORT_HOP_DAEMON_H_
@@ -57,7 +58,6 @@
 #include "src/crypto/sha256.h"
 #include "src/mixnet/mix_server.h"
 #include "src/net/tcp.h"
-#include "src/obs/http.h"
 #include "src/transport/exchange_router.h"
 #include "src/transport/hop_wire.h"
 
@@ -78,9 +78,6 @@ struct HopDaemonConfig {
   // daemon drive its dead-drop stage through an ExchangeRouter over
   // vuvuzela-exchanged shard servers instead of the in-process tables.
   ShardFleetConfig exchange;
-  // /metrics + /trace HTTP port: < 0 disables the server, 0 picks an
-  // ephemeral port (metrics_port() reports the binding).
-  int metrics_port = -1;
 };
 
 class HopDaemon {
@@ -95,8 +92,6 @@ class HopDaemon {
   // (observability; the replay-dedup tests assert these).
   uint64_t replay_hits() const { return replay_hits_.load(); }
   size_t replay_entries() const;
-  // Bound /metrics port; 0 when the server is disabled.
-  uint16_t metrics_port() const { return metrics_ ? metrics_->port() : 0; }
   // Non-null iff the daemon exchanges through partition servers.
   ExchangeRouter* exchange_router() const { return exchange_router_.get(); }
 
@@ -164,8 +159,6 @@ class HopDaemon {
   // backend pointer and makes no calls during destruction.
   std::unique_ptr<ExchangeRouter> exchange_router_;
   BatchRpcServer rpc_server_;
-  // Optional /metrics + /trace endpoint (config.metrics_port >= 0).
-  std::unique_ptr<obs::MetricsHttpServer> metrics_;
   // Global-registry mirrors of this hop's hot-path counters (registration is
   // idempotent, so multiple in-process daemons share one series).
   obs::Counter* obs_rpcs_;

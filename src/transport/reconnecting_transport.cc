@@ -1,6 +1,5 @@
 #include "src/transport/reconnecting_transport.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace vuvuzela::transport {
@@ -92,17 +91,8 @@ deaddrop::InvitationTable ReconnectingTransport::ProcessDialingLastHop(
     link_.Fail("empty invitation table");
   }
   deaddrop::InvitationTable table(static_cast<uint32_t>(reply.items.size()));
-  for (uint32_t drop = 0; drop < reply.items.size(); ++drop) {
-    util::ByteSpan packed = reply.items[drop];
-    if (packed.size() % wire::kInvitationSize != 0) {
-      link_.Fail("ragged invitation drop");
-    }
-    for (size_t offset = 0; offset < packed.size(); offset += wire::kInvitationSize) {
-      wire::Invitation invitation;
-      std::copy(packed.begin() + offset, packed.begin() + offset + wire::kInvitationSize,
-                invitation.begin());
-      table.Add(drop, invitation);
-    }
+  if (!deaddrop::UnpackDrops(reply.items, table)) {
+    link_.Fail("ragged invitation drop");
   }
   return table;
 }

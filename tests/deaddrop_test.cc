@@ -268,5 +268,40 @@ TEST(InvitationTable, DropBytesCountsInvitationSize) {
 
 TEST(InvitationTable, ZeroDropsThrows) { EXPECT_THROW(InvitationTable(0), std::invalid_argument); }
 
+TEST(PackDrops, UnpackRoundTripsEveryDrop) {
+  InvitationTable table(4);
+  util::Xoshiro256Rng rng(11);
+  std::vector<uint64_t> counts = {3, 0, 1, 5};
+  table.AddNoise(counts, rng);
+  util::PackedItems packed = PackDrops(table);
+  ASSERT_EQ(packed.items.size(), 4u);
+
+  InvitationTable unpacked(4);
+  ASSERT_TRUE(UnpackDrops(packed.items, unpacked));
+  for (uint32_t drop = 0; drop < 4; ++drop) {
+    EXPECT_EQ(unpacked.Drop(drop), table.Drop(drop)) << drop;
+  }
+
+  // A shard's slice lands at its drop range's offset.
+  InvitationTable merged(6);
+  ASSERT_TRUE(UnpackDrops(std::span(packed.items).subspan(2), merged, /*first_drop=*/4));
+  EXPECT_EQ(merged.DropSizes(), (std::vector<uint64_t>{0, 0, 0, 0, 1, 5}));
+  EXPECT_EQ(merged.Drop(5), table.Drop(3));
+}
+
+TEST(PackDrops, UnpackRejectsARaggedDropAndAddsNothing) {
+  InvitationTable table(2);
+  util::Xoshiro256Rng rng(12);
+  std::vector<uint64_t> counts = {2, 1};
+  table.AddNoise(counts, rng);
+  util::PackedItems packed = PackDrops(table);
+  // Drop 1 loses its last byte: no longer a whole number of invitations.
+  std::vector<util::ByteSpan> ragged = {packed.items[0], packed.items[1].first(
+                                                             wire::kInvitationSize - 1)};
+  InvitationTable unpacked(2);
+  EXPECT_FALSE(UnpackDrops(ragged, unpacked));
+  EXPECT_EQ(unpacked.DropSizes(), (std::vector<uint64_t>{0, 0}));
+}
+
 }  // namespace
 }  // namespace vuvuzela::deaddrop

@@ -26,6 +26,7 @@
 #include "src/engine/round_lifecycle.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/chain.h"
+#include "src/obs/http.h"
 #include "src/sim/client_fleet.h"
 #include "src/sim/deployment.h"
 #include "src/sim/workload.h"
@@ -596,16 +597,17 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   return response;
 }
 
-// Scrapes go through the daemon's own acceptor, so they are answered while
-// a connection on the reactor sits on a half-sent batch message.
+// Scrapes go through the process's acceptor beside the reactor (what
+// vuvuzela-distd's shell starts), so they are answered while a connection on
+// the reactor sits on a half-sent batch message.
 TEST(DistDaemon, ServesMetricsWhileAConnectionHoldsAHalfSentBatch) {
   const size_t kChunk = 256;
   DistDaemonConfig config;
   config.chunk_payload = kChunk;
-  config.metrics_port = 0;
   auto daemon = DistDaemon::Create(config);
   ASSERT_NE(daemon, nullptr);
-  ASSERT_NE(daemon->metrics_port(), 0u);
+  auto metrics_server = obs::MetricsHttpServer::Start(/*port=*/0);
+  ASSERT_NE(metrics_server, nullptr);
   std::thread serve([&] { daemon->Serve(); });
 
   std::vector<util::Bytes> items(8, util::Bytes(100, 0x11));
@@ -618,22 +620,14 @@ TEST(DistDaemon, ServesMetricsWhileAConnectionHoldsAHalfSentBatch) {
   ASSERT_TRUE(conn.has_value());
   ASSERT_TRUE(conn->SendFrame(frames->front()));
 
-  std::string metrics = HttpGet(daemon->metrics_port(), "/metrics");
+  std::string metrics = HttpGet(metrics_server->port(), "/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("vuvuzela_dist_fetches_total"), std::string::npos);
-  EXPECT_NE(HttpGet(daemon->metrics_port(), "/trace").find("200 OK"), std::string::npos);
+  EXPECT_NE(HttpGet(metrics_server->port(), "/trace").find("200 OK"), std::string::npos);
   EXPECT_EQ(daemon->publishes_stored(), 0u);  // the batch is still half-sent
 
   daemon->Stop();
   serve.join();
-}
-
-TEST(DistDaemon, TakenMetricsPortFailsCreate) {
-  auto squatter = net::TcpListener::Listen(0);
-  ASSERT_TRUE(squatter.has_value());
-  DistDaemonConfig config;
-  config.metrics_port = squatter->port();
-  EXPECT_EQ(DistDaemon::Create(config), nullptr);
 }
 
 TEST(CoordinatorDaemon, ClientModeServesMetrics) {
@@ -645,12 +639,12 @@ TEST(CoordinatorDaemon, ClientModeServesMetrics) {
   CoordDaemonConfig config;
   config.hops = chain->endpoints();
   config.num_clients = 1;
-  config.metrics_port = 0;
   CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
   ASSERT_NE(coordinator.client_port(), 0u);
-  ASSERT_NE(coordinator.metrics_port(), 0u);
-  std::string metrics = HttpGet(coordinator.metrics_port(), "/metrics");
+  auto metrics_server = obs::MetricsHttpServer::Start(/*port=*/0);
+  ASSERT_NE(metrics_server, nullptr);
+  std::string metrics = HttpGet(metrics_server->port(), "/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("vuvuzela_reactor_accepts_total"), std::string::npos);
 }

@@ -303,6 +303,26 @@ TEST(Chain, DialingRoundDepositsInvitation) {
   }
 }
 
+// The ceremony derives public keys with the ladder, yet draws and derives the
+// same bytes as X25519KeyPair::Generate (the comb) on the same stream: every
+// seeded deployment keeps its keys.
+TEST(Chain, KeyCeremonyMatchesGenerateOnTheSameStream) {
+  util::Xoshiro256Rng rng(42);
+  ChainKeyMaterial keys = DrawChainKeys(3, rng);
+  util::Xoshiro256Rng replay(42);
+  for (size_t i = 0; i < 3; ++i) {
+    crypto::X25519KeyPair expected = crypto::X25519KeyPair::Generate(replay);
+    EXPECT_EQ(keys.key_pairs[i].secret_key, expected.secret_key) << i;
+    EXPECT_EQ(keys.key_pairs[i].public_key, expected.public_key) << i;
+    EXPECT_EQ(keys.public_keys[i], expected.public_key) << i;
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    crypto::ChaCha20Key seed;
+    replay.Fill(seed);
+    EXPECT_EQ(keys.rng_seeds[i], seed) << i;
+  }
+}
+
 TEST(Chain, ForwardOnLastServerThrows) {
   util::Xoshiro256Rng rng(207);
   Chain chain = Chain::Create(SmallChainConfig(2), rng);

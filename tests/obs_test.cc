@@ -1,7 +1,7 @@
 // obs:: tests — metric registry (sharded counters, histogram bucket
 // boundaries, concurrent merging), Prometheus exposition round-trip, the
 // /metrics + /trace HTTP surface and its stalled-scraper bound, the bounded
-// trace ring, and the offline stitcher.
+// trace ring, the offline stitcher, and the daemons' process shell.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "src/coord/coordinator.h"
+#include "src/net/tcp.h"
+#include "src/obs/daemon_process.h"
 #include "src/obs/http.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -456,6 +458,138 @@ TEST(MetricsHttpServer, StalledScraperDoesNotWedgeServer) {
   EXPECT_TRUE(destroyed.load()) << "~MetricsHttpServer still blocked after 10 s";
   ::close(stalled);
   destroyer.join();
+}
+
+// --- DaemonProcess: the daemons' process shell -------------------------------
+
+// Parses `args` (after the program name) into `flags`.
+bool ParseFlags(const util::FlagSet& flags, std::vector<std::string> args) {
+  args.insert(args.begin(), "daemon");
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  return flags.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+// Runs Ready(status) for a `binary` shell started with `args` and returns
+// what it printed; `metrics_port` gets the endpoint it opened (0: none).
+std::string ReadyOutput(const std::string& binary, MetricsAnnouncement announcement,
+                        std::vector<std::string> args, const std::string& status,
+                        uint16_t* metrics_port) {
+  util::FlagSet flags;
+  DaemonProcess process(binary, flags, announcement);
+  EXPECT_TRUE(ParseFlags(flags, std::move(args)));
+  testing::internal::CaptureStdout();
+  bool ready = process.Ready(status);
+  std::string printed = testing::internal::GetCapturedStdout();
+  EXPECT_TRUE(ready);
+  *metrics_port = process.metrics_port();
+  if (*metrics_port != 0) {
+    // The endpoint it names serves the process-global registry and journal.
+    EXPECT_NE(HttpGet(*metrics_port, "/metrics").find("200 OK"), std::string::npos);
+    EXPECT_NE(HttpGet(*metrics_port, "/trace").find("200 OK"), std::string::npos);
+  }
+  return printed;
+}
+
+// The bytes each daemon prints are a contract: vzbench's Fleet::Spawn reads
+// hopd's, exchanged's and distd's first stdout line and needs both
+// `listening on 127.0.0.1:` and `metrics on http://127.0.0.1:` in it; coordd
+// names its endpoint on a line of its own before `waiting for …`. The
+// statuses are what each daemon's main passes to Ready().
+TEST(DaemonProcess, PinsEveryDaemonsReadyOutput) {
+  struct Case {
+    const char* binary;
+    MetricsAnnouncement announcement;
+    const char* status;
+    // What precedes and follows the endpoint's URL.
+    const char* before_url;
+    const char* after_url;
+  };
+  const auto kInline = MetricsAnnouncement::kInline;
+  const Case kCases[] = {
+      {"vuvuzela-hopd", kInline, "position 0/3 listening on 127.0.0.1:7341",
+       "vuvuzela-hopd: position 0/3 listening on 127.0.0.1:7341 (metrics on ", ")\n"},
+      {"vuvuzela-hopd", kInline,
+       "position 2/3 listening on 127.0.0.1:7343 (exchange partitioned 2 ways)",
+       "vuvuzela-hopd: position 2/3 listening on 127.0.0.1:7343 (exchange partitioned 2 ways) "
+       "(metrics on ",
+       ")\n"},
+      {"vuvuzela-exchanged", kInline, "shard 1/2 listening on 127.0.0.1:7352",
+       "vuvuzela-exchanged: shard 1/2 listening on 127.0.0.1:7352 (metrics on ", ")\n"},
+      {"vuvuzela-distd", kInline, "shard 0/2 listening on 127.0.0.1:7361",
+       "vuvuzela-distd: shard 0/2 listening on 127.0.0.1:7361 (metrics on ", ")\n"},
+      {"vuvuzela-coordd", MetricsAnnouncement::kOwnLine, "waiting for 40 clients on 127.0.0.1:7331",
+       "vuvuzela-coordd: metrics on ",
+       "\nvuvuzela-coordd: waiting for 40 clients on 127.0.0.1:7331\n"},
+  };
+  for (const Case& c : kCases) {
+    uint16_t port = 0;
+    std::string printed =
+        ReadyOutput(c.binary, c.announcement, {"--metrics-port", "0"}, c.status, &port);
+    ASSERT_NE(port, 0) << c.binary;
+    EXPECT_EQ(printed, c.before_url + ("http://127.0.0.1:" + std::to_string(port) + "/metrics") +
+                           c.after_url);
+  }
+
+  // Without --metrics-port: no endpoint, the status alone.
+  uint16_t port = 0;
+  EXPECT_EQ(ReadyOutput("vuvuzela-hopd", kInline, {}, "position 0/3 listening on 127.0.0.1:7341",
+                        &port),
+            "vuvuzela-hopd: position 0/3 listening on 127.0.0.1:7341\n");
+  EXPECT_EQ(port, 0);
+  EXPECT_EQ(ReadyOutput("vuvuzela-coordd", MetricsAnnouncement::kOwnLine, {},
+                        "waiting for 40 clients on 127.0.0.1:7331", &port),
+            "vuvuzela-coordd: waiting for 40 clients on 127.0.0.1:7331\n");
+  EXPECT_EQ(port, 0);
+}
+
+// The last line every daemon prints; the CI smoke parses it with
+// `sed -n 's/^vuvuzela-[a-z]*: metrics //p'`.
+TEST(DaemonProcess, PinsEveryDaemonsSnapshotLine) {
+  Registry::Global().GetCounter("vuvuzela_shell_test_total", "shell test")->Add(5);
+  for (const char* binary :
+       {"vuvuzela-hopd", "vuvuzela-exchanged", "vuvuzela-distd", "vuvuzela-coordd"}) {
+    util::FlagSet flags;
+    DaemonProcess process(binary, flags);
+    testing::internal::CaptureStdout();
+    process.PrintSnapshot();
+    std::string printed = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(printed,
+              std::string(binary) + ": metrics " + Registry::Global().SnapshotJson() + "\n");
+    EXPECT_NE(printed.find("\"vuvuzela_shell_test_total\":5"), std::string::npos) << printed;
+  }
+}
+
+TEST(DaemonProcess, RejectsMalformedMetricsPort) {
+  for (const char* bad : {"65536", "9101x", "-1", ""}) {
+    util::FlagSet flags;
+    DaemonProcess process("vuvuzela-exchanged", flags);
+    EXPECT_FALSE(ParseFlags(flags, {"--metrics-port", bad})) << bad;
+  }
+}
+
+// A taken --metrics-port fails startup (the daemon exits 1) with a message,
+// and prints no ready line a launcher could mistake for readiness.
+TEST(DaemonProcess, TakenMetricsPortFailsReady) {
+  auto squatter = net::TcpListener::Listen(0);
+  ASSERT_TRUE(squatter.has_value());
+  util::FlagSet flags;
+  DaemonProcess process("vuvuzela-distd", flags);
+  ASSERT_TRUE(ParseFlags(flags, {"--metrics-port", std::to_string(squatter->port())}));
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  bool ready = process.Ready("shard 0/1 listening on 127.0.0.1:7361");
+  std::string error = testing::internal::GetCapturedStderr();
+  std::string printed = testing::internal::GetCapturedStdout();
+  EXPECT_FALSE(ready);
+  EXPECT_EQ(process.metrics_port(), 0);
+  EXPECT_EQ(printed, "");
+  EXPECT_NE(error.find("vuvuzela-distd: cannot serve /metrics on 127.0.0.1:" +
+                       std::to_string(squatter->port())),
+            std::string::npos)
+      << error;
 }
 
 }  // namespace

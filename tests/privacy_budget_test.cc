@@ -17,6 +17,7 @@
 #include "src/net/tcp.h"
 #include "src/noise/accountant.h"
 #include "src/noise/privacy.h"
+#include "src/obs/http.h"
 #include "src/obs/registry.h"
 #include "src/sim/client_fleet.h"
 #include "src/transport/coord_daemon.h"
@@ -198,14 +199,13 @@ TEST(PrivacyBudgetIntegration, CoordinatorRefusesRoundsPastBudget) {
   config.budget.dialing_noise = kNoise;
   config.budget.epsilon_budget = kEpsilonBudget;
   config.budget.delta_budget = kDeltaBudget;
-  config.metrics_port = 0;
 
   transport::CoordinatorDaemon coordinator(std::move(config));
   ASSERT_TRUE(coordinator.Start());
 
-  // Scrape /metrics while the deployment is live — the ops-facing surface.
-  uint16_t metrics_port = coordinator.metrics_port();
-  ASSERT_NE(metrics_port, 0u);
+  // The ops-facing surface vuvuzela-coordd's shell opens beside the daemon.
+  auto metrics_server = obs::MetricsHttpServer::Start(/*port=*/0);
+  ASSERT_NE(metrics_server, nullptr);
 
   transport::CoordDaemonResult result = RunWithFleet(coordinator);
 

@@ -16,6 +16,7 @@
 #include "src/crypto/secret_cache.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/x25519.h"
+#include "src/crypto/x25519_internal.h"
 #include "src/crypto/x25519_precomp.h"
 #include "src/sim/cost_model.h"
 #include "src/util/random.h"
@@ -80,6 +81,30 @@ void BM_X25519Lanes(benchmark::State& state) {
   state.SetLabel(std::to_string(crypto::X25519ManyLanes()) + " lanes");
 }
 BENCHMARK(BM_X25519Lanes)->Arg(8)->Arg(64);
+
+// `range(0)` distinct scalars times one fixed point through its comb table,
+// the shape of a block of cover-onion keygens (the base point) or of one
+// layer's DHs (a suffix key). Items are multiplications, so
+// items_per_second compares directly with BM_X25519Lanes.
+void BM_X25519CombLanes(benchmark::State& state) {
+  util::Xoshiro256Rng rng(1);
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto table =
+      *crypto::X25519Precomp::Create(crypto::X25519KeyPair::Generate(rng).public_key);
+  std::vector<crypto::X25519SecretKey> scalars(n);
+  for (auto& scalar : scalars) {
+    rng.Fill(scalar);
+  }
+  std::vector<crypto::X25519SharedSecret> out(n);
+  for (auto _ : state) {
+    crypto::X25519CombLanes(table, scalars, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+  state.SetLabel(std::to_string(crypto::X25519ManyLanes()) + " lanes");
+}
+BENCHMARK(BM_X25519CombLanes)->Arg(8)->Arg(64);
 
 void BM_X25519KeyGen(benchmark::State& state) {
   util::Xoshiro256Rng rng(2);
@@ -219,8 +244,8 @@ void BM_OnionUnwrapLayerCached(benchmark::State& state) {
 }
 BENCHMARK(BM_OnionUnwrapLayerCached);
 
-// Noise wrap through precomputed chain-suffix tables (what ForwardDialing /
-// ForwardConversation use for cover onions) vs BM_OnionWrap3Servers' ladder.
+// One onion wrapped through precomputed chain-suffix tables (the reference
+// CoverOnionWrapper is tested against) vs BM_OnionWrap3Servers' ladder.
 void BM_OnionWrapPrecomp3Servers(benchmark::State& state) {
   util::Xoshiro256Rng rng(5);
   std::vector<crypto::X25519PublicKey> chain;
@@ -238,17 +263,17 @@ void BM_OnionWrapPrecomp3Servers(benchmark::State& state) {
 BENCHMARK(BM_OnionWrapPrecomp3Servers);
 
 // A hop-0 forward pass's cover onions at bench scale (µ = 300: 600 onions,
-// two layers each) on one thread, by the lane path (arg 0) and the comb path
-// (arg 1) of CoverOnionWrapper. Items are onions.
+// two layers each) on one thread, by CoverOnionWrapper on the process's comb
+// kernel (arg 0) and on the portable kernel (arg 1), the cost on a CPU
+// without AVX-512 IFMA. Items are onions.
 void BM_CoverOnionWrap600(benchmark::State& state) {
   util::Xoshiro256Rng rng(8);
   std::vector<crypto::X25519PublicKey> suffix;
   for (int i = 0; i < 2; ++i) {
     suffix.push_back(crypto::X25519KeyPair::Generate(rng).public_key);
   }
-  const auto path = state.range(0) == 0 ? crypto::CoverOnionWrapper::Path::kLanes
-                                        : crypto::CoverOnionWrapper::Path::kComb;
-  const crypto::CoverOnionWrapper wrapper(suffix, path);
+  const crypto::CoverOnionWrapper wrapper(suffix);
+  const bool portable = state.range(0) == 1;
   constexpr size_t kOnions = 600;
   std::vector<crypto::ChaCha20Key> seeds(kOnions);
   for (auto& seed : seeds) {
@@ -257,12 +282,17 @@ void BM_CoverOnionWrap600(benchmark::State& state) {
   util::Bytes payloads = rng.RandomBytes(kOnions * wire::kExchangeRequestSize);
   util::Bytes out(kOnions * crypto::OnionRequestSize(wire::kExchangeRequestSize, suffix.size()));
   for (auto _ : state) {
-    wrapper.WrapInto(1, seeds, payloads, out);
+    if (portable) {
+      wrapper.WrapInto(crypto::internal::X25519CombLanesPortable, 1, seeds, payloads, out);
+    } else {
+      wrapper.WrapInto(1, seeds, payloads, out);
+    }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kOnions));
-  state.SetLabel(path == crypto::CoverOnionWrapper::Path::kLanes ? "lanes" : "comb");
+  state.SetLabel(portable ? "portable comb"
+                          : std::to_string(crypto::X25519ManyLanes()) + "-lane comb");
 }
 BENCHMARK(BM_CoverOnionWrap600)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -345,6 +375,12 @@ void PrintBatchVsScalarSection() {
                       benchmark::DoNotOptimize(fresh_secrets.data());
                     }) /
                     static_cast<double>(fresh.size());
+  // The same 64 scalars times the server's key through its comb table.
+  double comb_lanes_us = TimeUs(kLadderIters / 8, [&] {
+                           crypto::X25519CombLanes(*table, lane_scalars, fresh_secrets);
+                           benchmark::DoNotOptimize(fresh_secrets.data());
+                         }) /
+                         static_cast<double>(fresh.size());
 
   std::vector<crypto::X25519PublicKey> chain = {server.public_key};
   util::Bytes payload = rng.RandomBytes(wire::kExchangeRequestSize);
@@ -375,9 +411,10 @@ void PrintBatchVsScalarSection() {
     benchmark::DoNotOptimize(crypto::OnionWrapPrecomp(tables, 1, payload, rng));
   });
 
-  // A hop's cover wrap: 64 two-layer onions by the comb and by the lanes,
-  // per onion.
+  // A hop's cover wrap: 64 two-layer onions on the portable comb kernel and
+  // on the process's (the lane comb on IFMA), per onion.
   const std::vector<crypto::X25519PublicKey> cover_suffix(suffix.begin() + 1, suffix.end());
+  const crypto::CoverOnionWrapper cover_wrapper(cover_suffix);
   std::vector<crypto::ChaCha20Key> cover_seeds(64);
   for (auto& seed : cover_seeds) {
     rng.Fill(seed);
@@ -385,16 +422,15 @@ void PrintBatchVsScalarSection() {
   util::Bytes cover_payloads = rng.RandomBytes(cover_seeds.size() * payload.size());
   util::Bytes cover_out(cover_seeds.size() *
                         crypto::OnionRequestSize(payload.size(), cover_suffix.size()));
-  auto cover_wrap_us = [&](crypto::CoverOnionWrapper::Path path) {
-    const crypto::CoverOnionWrapper wrapper(cover_suffix, path);
+  auto cover_wrap_us = [&](crypto::X25519CombKernel kernel) {
     return TimeUs(kLadderIters / 8, [&] {
-             wrapper.WrapInto(1, cover_seeds, cover_payloads, cover_out);
+             cover_wrapper.WrapInto(kernel, 1, cover_seeds, cover_payloads, cover_out);
              benchmark::DoNotOptimize(cover_out.data());
            }) /
            static_cast<double>(cover_seeds.size());
   };
-  double cover_comb_us = cover_wrap_us(crypto::CoverOnionWrapper::Path::kComb);
-  double cover_lanes_us = cover_wrap_us(crypto::CoverOnionWrapper::Path::kLanes);
+  double cover_portable_us = cover_wrap_us(crypto::internal::X25519CombLanesPortable);
+  double cover_lanes_us = cover_wrap_us(crypto::internal::SelectedCombKernel());
 
   std::printf("\n=== TAB-DOMCOST-BATCH: batch primitives vs scalar reference ===\n");
   std::printf("  X25519 mult:  ladder %8.2f us  comb table %8.2f us  (%.2fx)\n", mult_ladder_us,
@@ -404,12 +440,15 @@ void PrintBatchVsScalarSection() {
               crypto::X25519ManyLanes());
   std::printf("  lane DH:      ladder %8.2f us  X25519Lanes %7.2f us  (%.2fx, %zu lanes)\n",
               mult_ladder_us, lanes_us, mult_ladder_us / lanes_us, crypto::X25519ManyLanes());
+  std::printf("  lane comb:    lanes %9.2f us  X25519CombLanes %3.2f us  (%.2fx, %zu lanes)\n",
+              lanes_us, comb_lanes_us, lanes_us / comb_lanes_us, crypto::X25519ManyLanes());
   std::printf("  layer unwrap: scalar %8.2f us  cached+scratch %4.2f us  (%.1fx)\n",
               unwrap_scalar_us, unwrap_cached_us, unwrap_scalar_us / unwrap_cached_us);
   std::printf("  noise wrap 3: ladder %8.2f us  precomp %6.2f us  (%.2fx)\n", wrap_ladder_us,
               wrap_precomp_us, wrap_ladder_us / wrap_precomp_us);
-  std::printf("  cover wrap 2: comb %10.2f us  lanes %8.2f us  (%.2fx)\n", cover_comb_us,
-              cover_lanes_us, cover_comb_us / cover_lanes_us);
+  std::printf("  cover wrap 2: comb %10.2f us  lane comb %4.2f us  (%.2fx, %zu lanes)\n",
+              cover_portable_us, cover_lanes_us, cover_portable_us / cover_lanes_us,
+              crypto::X25519ManyLanes());
 
   bench::EmitJson("tab_domcost_batch",
                   {{"mult_ladder_us", mult_ladder_us},
@@ -427,9 +466,11 @@ void PrintBatchVsScalarSection() {
                    {"wrap_speedup", wrap_ladder_us / wrap_precomp_us},
                    {"lane_dh_us", lanes_us},
                    {"lane_dh_speedup", mult_ladder_us / lanes_us},
-                   {"cover_wrap_comb_us", cover_comb_us},
-                   {"cover_wrap_lanes_us", cover_lanes_us},
-                   {"cover_wrap_speedup", cover_comb_us / cover_lanes_us}});
+                   {"lane_comb_us", comb_lanes_us},
+                   {"lane_comb_speedup", lanes_us / comb_lanes_us},
+                   {"cover_wrap_comb_us", cover_portable_us},
+                   {"cover_wrap_lane_comb_us", cover_lanes_us},
+                   {"cover_wrap_speedup", cover_portable_us / cover_lanes_us}});
 }
 
 }  // namespace

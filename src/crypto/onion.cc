@@ -1,11 +1,11 @@
 #include "src/crypto/onion.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <stdexcept>
 
 #include "src/crypto/drbg.h"
+#include "src/crypto/x25519_internal.h"
 
 namespace vuvuzela::crypto {
 
@@ -46,35 +46,45 @@ WrappedOnion EmptyOnion(size_t num_layers, size_t payload_size) {
   return out;
 }
 
-// Wraps `payload` for `num_layers` servers into `out`, which must be
-// OnionRequestSize(payload.size(), num_layers) bytes. Layer i is
-// [public key i][layer i+1 sealed][tag i] and starts 32 * i bytes in, so the
-// layer inside it (or the payload) already sits where its ciphertext goes:
-// sealing from the last hop outward works in place, with no buffer per
-// layer. `derive(i)` is called for i = num_layers-1 down to 0, the order
-// every wrap draws its ephemerals in. `layer_keys`, when not empty, receives
-// each layer's key.
-template <typename DeriveLayer>
-void WrapInto(size_t num_layers, uint64_t round, util::ByteSpan payload,
-              util::MutableByteSpan out, std::span<AeadKey> layer_keys, DeriveLayer derive) {
+// An onion for `num_layers` servers is OnionRequestSize(payload size,
+// num_layers) bytes. Layer i is [public key i][layer i+1 sealed][tag i] and
+// starts 32 * i bytes in, so the layer inside it (or the payload) already
+// sits where its ciphertext goes: sealing from the last hop outward works in
+// place, with no buffer per layer. PlacePayload checks `out`'s size and puts
+// the payload there; SealLayer(idx) then seals layer idx over the sealed
+// layers idx+1 on (or the payload).
+void PlacePayload(size_t num_layers, util::ByteSpan payload, util::MutableByteSpan out) {
   if (out.size() != OnionRequestSize(payload.size(), num_layers)) {
     throw std::invalid_argument("onion wrap: output size mismatch");
   }
   if (!payload.empty()) {  // an empty payload's data() may be null
     std::memmove(out.data() + num_layers * kX25519KeySize, payload.data(), payload.size());
   }
-  size_t inner_size = payload.size();
+}
+
+void SealLayer(const Layer& layer, size_t idx, uint64_t round, util::MutableByteSpan out) {
+  // Each outer layer adds its key in front and its tag behind this one.
+  const size_t layer_size = out.size() - idx * kOnionRequestLayerOverhead;
+  uint8_t* start = out.data() + idx * kX25519KeySize;
+  std::memcpy(start, layer.public_key.data(), kX25519KeySize);
+  util::MutableByteSpan sealed(start + kX25519KeySize, layer_size - kX25519KeySize);
+  AeadSealInto(layer.key, NonceFromUint64(round, kRequestDomain), /*aad=*/{},
+               sealed.first(sealed.size() - kAeadTagSize), sealed);
+}
+
+// Wraps `payload` for `num_layers` servers into `out`. `derive(i)` is called
+// for i = num_layers-1 down to 0, the order every wrap draws its ephemerals
+// in. `layer_keys`, when not empty, receives each layer's key.
+template <typename DeriveLayer>
+void WrapInto(size_t num_layers, uint64_t round, util::ByteSpan payload,
+              util::MutableByteSpan out, std::span<AeadKey> layer_keys, DeriveLayer derive) {
+  PlacePayload(num_layers, payload, out);
   for (size_t idx = num_layers; idx-- > 0;) {
     Layer layer = derive(idx);
     if (!layer_keys.empty()) {
       layer_keys[idx] = layer.key;
     }
-    uint8_t* start = out.data() + idx * kX25519KeySize;
-    std::memcpy(start, layer.public_key.data(), kX25519KeySize);
-    util::MutableByteSpan sealed(start + kX25519KeySize, inner_size + kAeadTagSize);
-    AeadSealInto(layer.key, NonceFromUint64(round, kRequestDomain), /*aad=*/{},
-                 sealed.first(inner_size), sealed);
-    inner_size += kOnionRequestLayerOverhead;
+    SealLayer(layer, idx, round, out);
   }
 }
 
@@ -147,32 +157,25 @@ void OnionWrapPrecompInto(std::span<const X25519Precomp> server_tables, uint64_t
 }
 
 CoverOnionWrapper::CoverOnionWrapper(std::span<const X25519PublicKey> server_pks)
-    : CoverOnionWrapper(server_pks, X25519ManyLanes() > 1 && server_pks.size() <= kLanePairs
-                                        ? Path::kLanes
-                                        : Path::kComb) {}
-
-CoverOnionWrapper::CoverOnionWrapper(std::span<const X25519PublicKey> server_pks, Path path)
-    : server_pks_(server_pks.begin(), server_pks.end()), path_(path) {
-  if (path_ == Path::kLanes) {
-    if (server_pks_.size() > kLanePairs) {
-      throw std::invalid_argument("CoverOnionWrapper: suffix too long for the lane path");
-    }
+    : server_pks_(server_pks.begin(), server_pks.end()) {
+  if (server_pks_.empty()) {
     return;
   }
+  base_table_ = &X25519BasePointPrecomp();
   tables_.reserve(server_pks_.size());
   for (const X25519PublicKey& pk : server_pks_) {
-    std::optional<X25519Precomp> table = X25519Precomp::Create(pk);
-    if (!table) {
-      // A non-curve key cannot be lifted; wrap with the ladder instead.
-      tables_.clear();
-      break;
-    }
-    tables_.push_back(std::move(*table));
+    tables_.push_back(X25519Precomp::Create(pk));
   }
 }
 
 void CoverOnionWrapper::WrapInto(uint64_t round, std::span<const ChaCha20Key> seeds,
                                  util::ByteSpan payloads, util::MutableByteSpan out) const {
+  WrapInto(internal::SelectedCombKernel(), round, seeds, payloads, out);
+}
+
+void CoverOnionWrapper::WrapInto(X25519CombKernel kernel, uint64_t round,
+                                 std::span<const ChaCha20Key> seeds, util::ByteSpan payloads,
+                                 util::MutableByteSpan out) const {
   const size_t n = seeds.size();
   const size_t layers = server_pks_.size();
   const size_t payload_size = n == 0 ? 0 : payloads.size() / n;
@@ -180,53 +183,35 @@ void CoverOnionWrapper::WrapInto(uint64_t round, std::span<const ChaCha20Key> se
   if (payloads.size() != n * payload_size || out.size() != n * onion_size) {
     throw std::invalid_argument("CoverOnionWrapper: payload or output size mismatch");
   }
-  auto payload = [&](size_t i) { return payloads.subspan(i * payload_size, payload_size); };
   auto onion = [&](size_t i) { return out.subspan(i * onion_size, onion_size); };
 
-  if (path_ == Path::kComb) {
-    for (size_t i = 0; i < n; ++i) {
-      ChaChaRng rng(seeds[i]);
-      if (tables_.size() == layers) {
-        OnionWrapPrecompInto(tables_, round, payload(i), rng, onion(i));
+  for (size_t begin = 0; begin < n; begin += kRun) {
+    const size_t count = std::min(kRun, n - begin);
+    std::optional<ChaChaRng> rngs[kRun];
+    for (size_t c = 0; c < count; ++c) {
+      rngs[c].emplace(seeds[begin + c]);
+      PlacePayload(layers, payloads.subspan((begin + c) * payload_size, payload_size),
+                   onion(begin + c));
+    }
+    for (size_t idx = layers; idx-- > 0;) {
+      X25519SecretKey secrets[kRun];
+      X25519PublicKey public_keys[kRun];
+      X25519SharedSecret shared[kRun];
+      for (size_t c = 0; c < count; ++c) {
+        rngs[c]->Fill(secrets[c]);  // X25519KeyPair::Generate's draw
+      }
+      kernel(*base_table_, secrets, public_keys, count);
+      if (tables_[idx]) {
+        kernel(*tables_[idx], secrets, shared, count);
       } else {
-        OnionWrapInto(server_pks_, round, payload(i), rng, onion(i));
+        for (size_t c = 0; c < count; ++c) {
+          shared[c] = X25519(secrets[c], server_pks_[idx]);
+        }
       }
-    }
-    return;
-  }
-
-  static const auto kBasePoints = [] {
-    std::array<X25519PublicKey, kLanePairs> points{};
-    for (X25519PublicKey& u : points) {
-      u[0] = 9;
-    }
-    return points;
-  }();
-  // Entry c * layers + idx holds layer idx of the run's onion c.
-  const size_t run = kLanePairs / std::max<size_t>(layers, 1);
-  for (size_t begin = 0; begin < n; begin += run) {
-    const size_t count = std::min(run, n - begin);
-    const size_t entries = count * layers;
-    X25519SecretKey secrets[kLanePairs]{};
-    X25519PublicKey suffix_keys[kLanePairs]{};
-    X25519PublicKey public_keys[kLanePairs]{};
-    X25519SharedSecret shared[kLanePairs]{};
-    for (size_t c = 0; c < count; ++c) {
-      // X25519KeyPair::Generate's draw, in WrapInto's layer order.
-      ChaChaRng rng(seeds[begin + c]);
-      for (size_t idx = layers; idx-- > 0;) {
-        rng.Fill(secrets[c * layers + idx]);
-        suffix_keys[c * layers + idx] = server_pks_[idx];
+      for (size_t c = 0; c < count; ++c) {
+        SealLayer(Layer{public_keys[c], DeriveBoxKey(shared[c], kOnionContext())}, idx, round,
+                  onion(begin + c));
       }
-    }
-    X25519Lanes({secrets, entries}, {kBasePoints.data(), entries}, {public_keys, entries});
-    X25519Lanes({secrets, entries}, {suffix_keys, entries}, {shared, entries});
-    for (size_t c = 0; c < count; ++c) {
-      const size_t first = c * layers;
-      crypto::WrapInto(layers, round, payload(begin + c), onion(begin + c), {}, [&](size_t idx) {
-        return Layer{public_keys[first + idx],
-                     DeriveBoxKey(shared[first + idx], kOnionContext())};
-      });
     }
   }
 }

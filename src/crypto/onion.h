@@ -103,18 +103,15 @@ void OnionSealResponseInto(const AeadKey& key, uint64_t round, util::ByteSpan re
 // the (static) server public keys. Consumes the rng stream exactly like
 // OnionWrap, so given the same rng state the output onion is byte-identical;
 // tables[i] must have been built for server_pks[i] of the intended chain
-// suffix. Cover onions take this path (CoverOnionWrapper's kComb) on CPUs
-// without AVX-512 IFMA; the tables are built once per key ceremony and save
-// a ladder multiplication per layer per onion.
+// suffix. vzbench's fresh-key clients wrap with it.
 WrappedOnion OnionWrapPrecomp(std::span<const X25519Precomp> server_tables, uint64_t round,
                               util::ByteSpan payload, util::Rng& rng);
 
-// Allocation-free wraps for block processing: the onion OnionWrapPrecomp /
-// OnionWrap would return, written into `out` (a stride of the caller's flat
-// batch), which must be exactly OnionRequestSize(payload.size(),
-// server_tables.size()) bytes. The layers are sealed in place inside `out`.
-// The layer keys are not returned: the mix pass wraps cover onions, whose
-// responses nobody opens.
+// Allocation-free one-onion wraps: the onion OnionWrapPrecomp / OnionWrap
+// would return, written into `out`, which must be exactly
+// OnionRequestSize(payload.size(), server_tables.size()) bytes. The layers
+// are sealed in place inside `out`, and the layer keys are not returned.
+// They are the one-onion references CoverOnionWrapper is tested against.
 void OnionWrapPrecompInto(std::span<const X25519Precomp> server_tables, uint64_t round,
                           util::ByteSpan payload, util::Rng& rng, util::MutableByteSpan out);
 void OnionWrapInto(std::span<const X25519PublicKey> server_pks, uint64_t round,
@@ -127,35 +124,25 @@ void OnionWrapInto(std::span<const X25519PublicKey> server_pks, uint64_t round,
 // draws its layers' ephemeral secrets from its own DRBG, in WrapInto's
 // order (the last hop's layer first).
 //
-// Two paths give those bytes:
-//   - kLanes: a run of onions draws all its layers' secrets first, then one
-//     X25519Lanes call derives every ephemeral public key (secret times the
-//     base point) and one more every layer DH, eight pairs per ladder, and
-//     each onion is sealed in place.
-//   - kComb: each layer takes a base-point comb keygen and a comb DH against
-//     its suffix key's table (the ladder where a suffix key is not on the
-//     curve). The tables, about 30 KB a key, are built only on this path.
-// The one-argument constructor picks kLanes where the X25519 kernel has
-// more than one lane (AVX-512 IFMA) and kComb elsewhere, so the choice
-// follows X25519Many's kernel and never changes a byte.
+// Every multiplication has a fixed base, so all of them run on comb tables,
+// through X25519CombLanes' kernel. A run of up to kRun onions is wrapped a
+// layer at a time, from the last hop's outward: each onion draws that
+// layer's secret, one comb call over the base-point table makes the run's
+// ephemeral public keys (secret times 9), one over the layer's suffix-key
+// table makes its DHs, and each onion seals the layer in place. The
+// constructor builds a table per suffix key, about 30 KB each, and takes the
+// process's base-point table, but only for a non-empty suffix: the last hop
+// builds none. A suffix key that does not lift (a twist point) has no table,
+// and its layer's DHs take the ladder.
 //
 // Threading: immutable once built; WrapInto is const, allocation-free and
 // safe to call concurrently on disjoint outputs.
 class CoverOnionWrapper {
  public:
-  enum class Path { kLanes, kComb };
-
-  // (scalar, point) pairs per X25519Lanes call on the lane path: a run of
-  // kLanePairs / (suffix keys) onions, every layer of each.
-  static constexpr size_t kLanePairs = 64;
+  // Onions wrapped side by side, a layer at a time.
+  static constexpr size_t kRun = 64;
 
   explicit CoverOnionWrapper(std::span<const X25519PublicKey> server_pks);
-  // A given path. kLanes takes at most kLanePairs keys
-  // (std::invalid_argument otherwise); the one-argument constructor wraps a
-  // longer suffix by kComb.
-  CoverOnionWrapper(std::span<const X25519PublicKey> server_pks, Path path);
-
-  Path path() const { return path_; }
 
   // Wraps seeds.size() onions. `payloads` holds their payloads back to back,
   // all of one size; `out` receives the onions back to back, each
@@ -163,13 +150,18 @@ class CoverOnionWrapper {
   // `payloads`. Throws std::invalid_argument on sizes that do not fit.
   void WrapInto(uint64_t round, std::span<const ChaCha20Key> seeds, util::ByteSpan payloads,
                 util::MutableByteSpan out) const;
+  // The same wrap on a given comb kernel (internal::X25519CombLanesIfma or
+  // internal::X25519CombLanesPortable), so tests and benches can run both
+  // on one CPU. The bytes do not depend on the kernel.
+  void WrapInto(X25519CombKernel kernel, uint64_t round, std::span<const ChaCha20Key> seeds,
+                util::ByteSpan payloads, util::MutableByteSpan out) const;
 
  private:
   std::vector<X25519PublicKey> server_pks_;
-  // kComb only: aligned with server_pks_, or empty where a key failed to
-  // lift (the ladder wraps instead).
-  std::vector<X25519Precomp> tables_;
-  Path path_;
+  // Aligned with server_pks_; nullopt where a key does not lift.
+  std::vector<std::optional<X25519Precomp>> tables_;
+  // X25519BasePointPrecomp(), or null for an empty suffix.
+  const X25519Precomp* base_table_ = nullptr;
 };
 
 // OnionWrap with caller-supplied per-layer key pairs instead of fresh

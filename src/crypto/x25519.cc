@@ -155,7 +155,8 @@ X25519KeyPair X25519KeyPair::Generate(util::Rng& rng) {
   // Fixed-base scalar multiplication through the precomputed base-point
   // table — ~3x faster than the ladder and proven bit-identical to
   // X25519BasePoint by the precomp conformance tests. Clients generate their
-  // onion keys here; a hop's cover onions do too where the CPU lacks IFMA.
+  // onion keys here; a hop's cover onions take the same table through
+  // X25519CombLanes.
   kp.public_key = X25519BasePointPrecomp().Mult(kp.secret_key);
   return kp;
 }

@@ -9,9 +9,10 @@
 // vector, in tests/crypto_x25519_test.cc. X25519Lanes batches (scalar, point)
 // pairs, and X25519Many one scalar over many points, through one AVX-512 IFMA
 // ladder with a scalar per lane where the CPU has it. The hop's cache-miss
-// DH (X25519Many) and its cover-onion keygen and layer DH (X25519Lanes, via
-// crypto::CoverOnionWrapper) run on it; X25519Precomp's comb tables serve
-// client keygen and, on CPUs without IFMA, the cover-onion wrap.
+// DH (X25519Many) runs on it. Fixed-base multiplications take
+// X25519Precomp's comb tables instead (x25519_precomp.h): client keygen, and
+// a hop's cover-onion keygens and layer DHs, eight scalars per comb on IFMA
+// (X25519CombLanes, via crypto::CoverOnionWrapper).
 
 #ifndef VUVUZELA_SRC_CRYPTO_X25519_H_
 #define VUVUZELA_SRC_CRYPTO_X25519_H_

@@ -1,5 +1,6 @@
-// The 8-lane X25519 kernel: eight (scalar, point) pairs per Montgomery
-// ladder, on AVX-512 IFMA (vpmadd52luq/vpmadd52huq).
+// The 8-lane X25519 kernels on AVX-512 IFMA (vpmadd52luq/vpmadd52huq):
+// eight (scalar, point) pairs per Montgomery ladder, and eight scalars per
+// signed radix-16 comb over one X25519Precomp table.
 //
 // Field elements keep the 5 x 51-bit limbs of fe25519.h, one element per
 // 64-bit lane. vpmadd52 multiplies the low 52 bits of two lanes and adds the
@@ -8,11 +9,12 @@
 //
 //   - Mul, Sq, AddCarry, SubCarry and MulSmallAdd all end in Carry, which
 //     returns limbs below 2^51 + 2^14 ("carried").
-//   - Mul and Sq take carried inputs (or the loaded point, below 2^51). Each
-//     partial product's low and high halves are below 2^52, a product column
-//     sums at most five of each, so column k of the unreduced product is
-//     below 15 * 2^52, and after folding columns 5..9 back times 19
-//     (2^255 = 19 mod p) each limb is below 300 * 2^52 < 2^61.
+//   - Mul and Sq take carried inputs (or the loaded point, or a comb table
+//     entry, both below 2^51). Each partial product's low and high halves
+//     are below 2^52, a product column sums at most five of each, so column
+//     k of the unreduced product is below 15 * 2^52, and after folding
+//     columns 5..9 back times 19 (2^255 = 19 mod p) each limb is below
+//     300 * 2^52 < 2^61.
 //   - Carry moves each limb's bits above 51 into the next limb at once (the
 //     top limb's into limb 0, times 19). From a product's limbs, below
 //     600 * 2^51, the carries are below 600, and 19 times that is below
@@ -27,6 +29,13 @@
 // Each lane runs its own Fermat inversion at the end, so a low-order point
 // (z = 0) gives the all-zero secret in its lane, as the portable ladder
 // does, and no lane's value can reach another's.
+//
+// The comb (Comb8) shares one table among its eight lanes. Each lane recodes
+// its own clamped scalar into 64 signed digits. A digit picks its table entry
+// by a scan of all eight entries of its level: each entry is broadcast to
+// every lane and kept where the lane's |digit| equals its index, and a lane
+// with a negative digit negates it by masked blends. So a digit only ever
+// becomes that lane's compare mask: never a branch, and never an address.
 
 #include "src/crypto/x25519_internal.h"
 
@@ -38,6 +47,7 @@
 #include <cstring>
 
 #include "src/crypto/fe25519.h"
+#include "src/crypto/x25519_precomp.h"
 
 #define VUVUZELA_IFMA_TARGET __attribute__((target("avx512f,avx512ifma")))
 #define VUVUZELA_IFMA_INLINE inline __attribute__((target("avx512f,avx512ifma"), always_inline))
@@ -56,8 +66,9 @@ struct Fe8 {
 };
 
 // Lane-wise 64-bit shifts through the vector extension: GCC's
-// _mm512_s{l,r}li_epi64 trip its own -Wuninitialized.
+// _mm512_s{l,r}li_epi64 (and _mm512_abs_epi64) trip its own -Wuninitialized.
 using U64x8 = uint64_t __attribute__((vector_size(64)));
+using I64x8 = int64_t __attribute__((vector_size(64)));
 
 // The limb loops below must unroll, at -O2 too, or their arrays of vectors
 // live in memory; hence the unroll pragmas.
@@ -335,7 +346,144 @@ VUVUZELA_IFMA_TARGET void Ladder8(const X25519SecretKey* scalars, size_t stride,
   }
 }
 
+// A point of the comb's running sum in each lane, in extended twisted Edwards
+// coordinates: x = X/Z, y = Y/Z, T = XY/Z.
+struct Ext8 {
+  Fe8 X, Y, Z, T;
+};
+
+// h += (y+x, y-x, 2dxy) lane by lane: x25519_precomp.cc's MAdd, then ToP3.
+VUVUZELA_IFMA_INLINE void MAdd(Ext8& h, const Fe8& y_plus_x, const Fe8& y_minus_x,
+                               const Fe8& xy2d) {
+  Fe8 a, b, c, d, e, f, g, s;
+  AddCarry(a, h.Y, h.X);
+  SubCarry(b, h.Y, h.X);
+  Mul(a, a, y_plus_x);
+  Mul(b, b, y_minus_x);
+  Mul(c, xy2d, h.T);
+  AddCarry(d, h.Z, h.Z);
+  SubCarry(e, a, b);
+  AddCarry(s, a, b);
+  AddCarry(g, d, c);
+  SubCarry(f, d, c);
+  Mul(h.X, e, f);
+  Mul(h.Y, s, g);
+  Mul(h.Z, g, f);
+  Mul(h.T, e, s);
+}
+
+// h = 2h lane by lane: x25519_precomp.cc's Dbl, then ToP3.
+VUVUZELA_IFMA_INLINE void Dbl(Ext8& h) {
+  Fe8 xx, yy, zz2, s, sum, diff, x, t;
+  Sq(xx, h.X);
+  Sq(yy, h.Y);
+  Sq(zz2, h.Z);
+  AddCarry(zz2, zz2, zz2);
+  AddCarry(s, h.X, h.Y);
+  Sq(s, s);
+  AddCarry(sum, yy, xx);
+  SubCarry(diff, yy, xx);
+  SubCarry(x, s, sum);
+  SubCarry(t, zz2, diff);
+  Mul(h.X, x, t);
+  Mul(h.Y, sum, diff);
+  Mul(h.Z, diff, t);
+  Mul(h.T, x, sum);
+}
+
+// Each lane's entry of `row` for its digit d in [-8, 8]: entry |d| - 1,
+// negated where d < 0, or the identity (1, 1, 0) where d = 0, as
+// X25519Precomp::Select picks it.
+VUVUZELA_IFMA_INLINE void Select(Fe8& y_plus_x, Fe8& y_minus_x, Fe8& xy2d,
+                                 const X25519Precomp::Niels row[8], __m512i digits) {
+  // |d| as (d ^ s) - s with s = d >> 63, all ones where d < 0.
+  const __m512i sign = reinterpret_cast<__m512i>(reinterpret_cast<I64x8>(digits) >> 63);
+  const __m512i abs = _mm512_sub_epi64(_mm512_xor_si512(digits, sign), sign);
+  y_plus_x = Broadcast(1);
+  y_minus_x = Broadcast(1);
+  xy2d = Broadcast(0);
+  for (int j = 0; j < 8; ++j) {
+    const __mmask8 match = _mm512_cmpeq_epi64_mask(abs, _mm512_set1_epi64(j + 1));
+#pragma GCC unroll 10
+    for (int i = 0; i < 5; ++i) {
+      y_plus_x.v[i] = _mm512_mask_set1_epi64(y_plus_x.v[i], match,
+                                             static_cast<long long>(row[j].y_plus_x.v[i]));
+      y_minus_x.v[i] = _mm512_mask_set1_epi64(y_minus_x.v[i], match,
+                                              static_cast<long long>(row[j].y_minus_x.v[i]));
+      xy2d.v[i] = _mm512_mask_set1_epi64(xy2d.v[i], match,
+                                         static_cast<long long>(row[j].xy2d.v[i]));
+    }
+  }
+  // Negation swaps y+x with y-x and negates 2dxy.
+  const __mmask8 negative = _mm512_test_epi64_mask(sign, sign);
+  Fe8 minus_xy2d;
+  SubCarry(minus_xy2d, Broadcast(0), xy2d);
+#pragma GCC unroll 10
+  for (int i = 0; i < 5; ++i) {
+    const __m512i plus = y_plus_x.v[i];
+    y_plus_x.v[i] = _mm512_mask_blend_epi64(negative, plus, y_minus_x.v[i]);
+    y_minus_x.v[i] = _mm512_mask_blend_epi64(negative, y_minus_x.v[i], plus);
+    xy2d.v[i] = _mm512_mask_blend_epi64(negative, xy2d.v[i], minus_xy2d.v[i]);
+  }
+}
+
+// out[l] = X25519Precomp::Mult(scalars[l]) over `table` for l < lanes
+// (1 to 8); idle lanes repeat the last scalar and their results are dropped.
+// X25519Precomp::Mult's comb, lane by lane: the odd digits against their
+// levels, four doublings, the even digits, then u = (Z+Y)/(Z-Y).
+VUVUZELA_IFMA_TARGET void Comb8(const X25519Precomp::Niels (*table)[8],
+                                const X25519SecretKey* scalars, size_t lanes,
+                                X25519SharedSecret* out) {
+  alignas(64) int64_t digits[64][kX25519IfmaLanes];
+  for (size_t l = 0; l < kX25519IfmaLanes; ++l) {
+    int8_t lane_digits[64];
+    CombDigits(scalars[std::min(l, lanes - 1)], lane_digits);
+    for (int i = 0; i < 64; ++i) {
+      digits[i][l] = lane_digits[i];
+    }
+  }
+
+  Ext8 h{Broadcast(0), Broadcast(1), Broadcast(1), Broadcast(0)};
+  Fe8 y_plus_x, y_minus_x, xy2d;
+  for (int i = 1; i < 64; i += 2) {
+    Select(y_plus_x, y_minus_x, xy2d, table[i / 2], _mm512_load_si512(digits[i]));
+    MAdd(h, y_plus_x, y_minus_x, xy2d);
+  }
+  for (int k = 0; k < 4; ++k) {
+    Dbl(h);
+  }
+  for (int i = 0; i < 64; i += 2) {
+    Select(y_plus_x, y_minus_x, xy2d, table[i / 2], _mm512_load_si512(digits[i]));
+    MAdd(h, y_plus_x, y_minus_x, xy2d);
+  }
+
+  // The identity has Z = Y, so its lane inverts 0 and gets u = 0, as Mult.
+  Fe8 z_plus_y, z_minus_y, inverse, u;
+  AddCarry(z_plus_y, h.Z, h.Y);
+  SubCarry(z_minus_y, h.Z, h.Y);
+  Invert(inverse, z_minus_y);
+  Mul(u, z_plus_y, inverse);
+  alignas(64) uint64_t limbs[5][kX25519IfmaLanes];
+  for (int i = 0; i < 5; ++i) {
+    _mm512_store_si512(limbs[i], u.v[i]);
+  }
+  for (size_t l = 0; l < lanes; ++l) {
+    fe25519::Fe r;
+    for (int i = 0; i < 5; ++i) {
+      r.v[i] = limbs[i][l];
+    }
+    fe25519::FeToBytes(out[l].data(), r);
+  }
+}
+
 }  // namespace
+
+void X25519CombLanesIfma(const X25519Precomp& table, const X25519SecretKey* scalars,
+                         X25519SharedSecret* out, size_t n) {
+  for (size_t i = 0; i < n; i += kX25519IfmaLanes) {
+    Comb8(table.table_, scalars + i, std::min(kX25519IfmaLanes, n - i), out + i);
+  }
+}
 
 void X25519LanesIfma(const X25519SecretKey* scalars, size_t scalar_stride,
                      const X25519PublicKey* points, X25519SharedSecret* out, size_t n) {

@@ -15,11 +15,16 @@
 // bias, which only absorbs tight subtrahends; where the subtrahend can be a
 // sum (< 2^53) we use the locally-defined FeSubWide (4p bias). Every FeMul
 // input stays < 2^54.5, comfortably inside the uint128 accumulation headroom.
+// The table entries themselves are stored canonical (limbs below 2^51), so
+// the IFMA comb in x25519_ifma.cc reads them as they are.
 
 #include "src/crypto/x25519_precomp.h"
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
+
+#include "src/crypto/x25519_internal.h"
 
 namespace vuvuzela::crypto {
 
@@ -244,6 +249,13 @@ bool LiftMontgomeryU(P3& out, const uint8_t u_bytes[32]) {
   return true;
 }
 
+// f with canonical limbs, each below 2^51; the value is unchanged.
+void FeCanonical(Fe& f) {
+  uint8_t bytes[32];
+  FeToBytes(bytes, f);
+  FeFromBytes(f, bytes);
+}
+
 // Constant-time byte equality: 1 iff a == b.
 inline uint64_t CtEq(uint8_t a, uint8_t b) {
   uint64_t x = a ^ b;
@@ -306,6 +318,9 @@ std::optional<X25519Precomp> X25519Precomp::Create(const X25519PublicKey& point)
     FeSub(e.y_minus_x, y, x);
     FeMul(xy, x, y);
     FeMul(e.xy2d, xy, Consts().d2);
+    FeCanonical(e.y_plus_x);
+    FeCanonical(e.y_minus_x);
+    FeCanonical(e.xy2d);
   }
   return pc;
 }
@@ -334,15 +349,15 @@ void X25519Precomp::Select(Niels& t, int level, int8_t digit) const {
   FeCmov(t.xy2d, minus.xy2d, negative);
 }
 
-X25519SharedSecret X25519Precomp::Mult(const X25519SecretKey& scalar) const {
+namespace internal {
+
+void CombDigits(const X25519SecretKey& scalar, int8_t digits[64]) {
   uint8_t e[32];
   std::memcpy(e, scalar.data(), 32);
   e[0] &= 248;
   e[31] &= 127;
   e[31] |= 64;
 
-  // Signed radix-16 recoding: digits in [-8, 8], branch-free.
-  int8_t digits[64];
   for (int i = 0; i < 32; ++i) {
     digits[2 * i] = static_cast<int8_t>(e[i] & 15);
     digits[2 * i + 1] = static_cast<int8_t>(e[i] >> 4);
@@ -354,6 +369,13 @@ X25519SharedSecret X25519Precomp::Mult(const X25519SecretKey& scalar) const {
     digits[i] = static_cast<int8_t>(digits[i] - (carry << 4));
   }
   digits[63] = static_cast<int8_t>(digits[63] + carry);
+}
+
+}  // namespace internal
+
+X25519SharedSecret X25519Precomp::Mult(const X25519SecretKey& scalar) const {
+  int8_t digits[64];
+  internal::CombDigits(scalar, digits);
 
   P3 h = IdentityP3();
   Niels t;
@@ -404,6 +426,35 @@ const X25519Precomp& X25519BasePointPrecomp() {
 
 X25519PublicKey X25519BasePointFast(const X25519SecretKey& scalar) {
   return X25519BasePointPrecomp().Mult(scalar);
+}
+
+namespace internal {
+
+void X25519CombLanesPortable(const X25519Precomp& table, const X25519SecretKey* scalars,
+                             X25519SharedSecret* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = table.Mult(scalars[i]);
+  }
+}
+
+X25519CombKernel SelectedCombKernel() {
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+  static const X25519CombKernel kernel =
+      CpuHasAvx512Ifma() ? X25519CombLanesIfma : X25519CombLanesPortable;
+  return kernel;
+#else
+  return X25519CombLanesPortable;
+#endif
+}
+
+}  // namespace internal
+
+void X25519CombLanes(const X25519Precomp& table, std::span<const X25519SecretKey> scalars,
+                     std::span<X25519SharedSecret> out) {
+  if (out.size() != scalars.size()) {
+    throw std::invalid_argument("X25519CombLanes: scalar and output counts differ");
+  }
+  internal::SelectedCombKernel()(table, scalars.data(), out.data(), scalars.size());
 }
 
 }  // namespace vuvuzela::crypto

@@ -9,11 +9,11 @@
 // reused for every subsequent multiplication.
 //
 // Who uses it: clients, for their onion keys (X25519KeyPair::Generate), and
-// mix servers on CPUs without AVX-512 IFMA, whose cover onions take a comb
-// keygen and a comb DH per layer (CoverOnionWrapper's kComb path; the server
-// builds its chain-suffix tables once per key ceremony). On IFMA CPUs the
-// cover wrap runs X25519Lanes instead, eight pairs per ladder, which beats
-// two comb multiplications per layer, and builds no tables.
+// every mix server that wraps cover onions. CoverOnionWrapper builds a table
+// per chain-suffix key once, beside the process's base-point table, and
+// runs each layer's keygen and DH through X25519CombLanes: on AVX-512 IFMA
+// eight scalars share one comb over one table, elsewhere it is Mult in a
+// loop. The last hop wraps no cover onions and builds no table.
 //
 // Correctness contract: for every point on the curve, Mult(scalar) is
 // bit-identical to X25519(scalar, point) — the Edwards comb computes the same
@@ -28,18 +28,33 @@
 // allocation-free, and safe to call concurrently from any number of threads.
 // X25519BasePointPrecomp() returns a process-lifetime singleton (thread-safe
 // magic-static initialization). Scalar handling is constant-time (branch-free
-// digit recoding and table selection), matching the ladder's discipline.
+// digit recoding and table selection), matching the ladder's discipline;
+// tests/constant_time_test.cc checks Mult and both X25519CombLanes kernels by
+// their retired-instruction and branch counts.
 
 #ifndef VUVUZELA_SRC_CRYPTO_X25519_PRECOMP_H_
 #define VUVUZELA_SRC_CRYPTO_X25519_PRECOMP_H_
 
+#include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "src/crypto/fe25519.h"
 #include "src/crypto/x25519.h"
 
 namespace vuvuzela::crypto {
+
+class X25519Precomp;
+
+// A comb kernel: out[i] = table.Mult(scalars[i]) for i < n.
+using X25519CombKernel = void (*)(const X25519Precomp& table, const X25519SecretKey* scalars,
+                                  X25519SharedSecret* out, size_t n);
+
+namespace internal {
+void X25519CombLanesIfma(const X25519Precomp& table, const X25519SecretKey* scalars,
+                         X25519SharedSecret* out, size_t n);
+}  // namespace internal
 
 class X25519Precomp {
  public:
@@ -57,13 +72,18 @@ class X25519Precomp {
   // The point this table was built for.
   const X25519PublicKey& point() const { return point_; }
 
- private:
-  // Affine "niels" form of a precomputed point: (y+x, y-x, 2dxy).
+  // Affine "niels" form of a precomputed point: (y+x, y-x, 2dxy). Every
+  // limb of a table entry is canonical (below 2^51): the IFMA comb's
+  // vpmadd52 reads only a limb's low 52 bits.
   struct Niels {
     fe25519::Fe y_plus_x;
     fe25519::Fe y_minus_x;
     fe25519::Fe xy2d;
   };
+
+ private:
+  friend void internal::X25519CombLanesIfma(const X25519Precomp&, const X25519SecretKey*,
+                                            X25519SharedSecret*, size_t);
 
   X25519Precomp() = default;
 
@@ -82,6 +102,14 @@ const X25519Precomp& X25519BasePointPrecomp();
 // Fixed-base scalar multiplication via the base-point table; bit-identical to
 // X25519BasePoint (which remains the ladder reference).
 X25519PublicKey X25519BasePointFast(const X25519SecretKey& scalar);
+
+// out[i] = table.Mult(scalars[i]) for every i, and so X25519(scalars[i],
+// table.point()), byte for byte. `out` must be exactly as long as `scalars`
+// (std::invalid_argument otherwise). On a CPU with AVX-512 IFMA eight
+// scalars share one comb over the one table; elsewhere it is Mult in a loop.
+// The kernel is chosen once per process, on first use, with X25519Lanes'.
+void X25519CombLanes(const X25519Precomp& table, std::span<const X25519SecretKey> scalars,
+                     std::span<X25519SharedSecret> out);
 
 }  // namespace vuvuzela::crypto
 

@@ -27,10 +27,10 @@
 // change any output byte; keys not seen for two passes leave, so the cache
 // holds one pass's clients, not every cover onion ever unwrapped; a block's
 // misses are derived together, eight per ladder on AVX-512 IFMA), and cover
-// onions are wrapped in blocks by crypto::CoverOnionWrapper (eight layer
-// keygens or DHs per ladder on AVX-512 IFMA, comb tables for the suffix's
-// static keys elsewhere). A serial, uncached, ladder-only reference of every
-// pass lives in tests/reference_mix_server.h; tests/batch_pass_test.cc pins this class
+// onions are wrapped in blocks by crypto::CoverOnionWrapper (every layer
+// keygen and DH on a comb table, eight per comb on AVX-512 IFMA). A serial,
+// uncached, ladder-only reference of every pass lives in
+// tests/reference_mix_server.h; tests/batch_pass_test.cc pins this class
 // byte-for-byte against it, which the determinism contract above makes
 // provable rather than statistical.
 //

@@ -132,8 +132,8 @@ HopDaemon::HopDaemon(const HopDaemonConfig& config, std::unique_ptr<mixnet::MixS
       obs::PassLatencyBuckets());
   registry
       .GetGauge("vuvuzela_hop_x25519_lanes",
-                "Pairs per ladder of the selected X25519 batch kernel (cache-miss DH and "
-                "cover-onion wrap): 8 on AVX-512 IFMA, else 1")
+                "Lanes of the selected X25519 batch kernels (the cache-miss DH ladder and "
+                "the cover-onion comb): 8 on AVX-512 IFMA, else 1")
       ->Set(static_cast<int64_t>(crypto::X25519ManyLanes()));
 }
 

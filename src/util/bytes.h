@@ -35,8 +35,18 @@ bool ConstantTimeEqual(ByteSpan a, ByteSpan b);
 // Overwrites the buffer with zeros in a way the compiler may not elide.
 void SecureZero(MutableByteSpan data);
 
-// Appends `src` to `dst`.
-inline void Append(Bytes& dst, ByteSpan src) { dst.insert(dst.end(), src.begin(), src.end()); }
+// Appends `src` to `dst`. Written as resize and memcpy rather than
+// vector::insert, which does the same: GCC 12 inlines insert's memmove into
+// callers that have just reserved or sized `dst`, and then warns
+// (-Wstringop-overflow, -Warray-bounds) about a write past the old end that
+// the reallocation it cannot follow makes safe.
+inline void Append(Bytes& dst, ByteSpan src) {
+  const size_t at = dst.size();
+  dst.resize(at + src.size());
+  if (!src.empty()) {
+    std::memcpy(dst.data() + at, src.data(), src.size());
+  }
+}
 
 // Concatenates any number of byte spans.
 template <typename... Spans>

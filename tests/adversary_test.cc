@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/conversation/protocol.h"
@@ -137,11 +138,11 @@ TEST(Adversary, AllRequestsIndistinguishableAtEveryHop) {
   scheduler.SubmitConversation(1, std::move(onions)).get();
 
   for (const auto& pass : observer.passes()) {
-    std::set<util::Bytes> unique;
+    std::set<std::string> unique;
     for (const auto& blob : pass.input) {
       EXPECT_EQ(blob.size(), pass.input.front().size())
           << "position " << pass.position << ": non-uniform request size";
-      unique.insert(blob);
+      unique.emplace(blob.begin(), blob.end());
     }
     EXPECT_EQ(unique.size(), pass.input.size()) << "duplicate ciphertexts leak structure";
   }

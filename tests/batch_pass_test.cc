@@ -17,9 +17,10 @@
 //
 // Also pinned here: the secret cache must not survive a key rotation, the
 // comb-table DH must agree with the Montgomery ladder (RFC 7748 vectors,
-// random pairs, twist fallback), both paths of crypto::CoverOnionWrapper
-// must equal the one-onion wraps under the same seeds, and the wire decode must yield views into
-// its adopted chunks that survive a move of the message.
+// random pairs, twist fallback), crypto::CoverOnionWrapper on every comb
+// kernel must equal the one-onion wraps under the same seeds, and the wire
+// decode must yield views into its adopted chunks that survive a move of the
+// message.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,7 @@
 #include "src/crypto/onion.h"
 #include "src/crypto/secret_cache.h"
 #include "src/crypto/x25519.h"
+#include "src/crypto/x25519_internal.h"
 #include "src/crypto/x25519_precomp.h"
 #include "src/engine/round_scheduler.h"
 #include "src/mixnet/mix_server.h"
@@ -925,13 +927,25 @@ TEST(PrecompConformance, RandomCurvePointsMatchLadderAndTwistFallsBack) {
   EXPECT_GT(twist_points, 0u);
 }
 
-// --- Cover-onion wrap: lanes, comb and ladder ---------------------------------
+// --- Cover-onion wrap: the lane comb and the ladder ---------------------------
 
-// `n` cover onions for `suffix` by CoverOnionWrapper on `path`, and by
-// OnionWrapPrecompInto (or, where a suffix key does not lift, OnionWrapInto)
-// one at a time under the same seeds: the two must be byte-identical.
-void ExpectCoverWrapMatchesOneByOne(const std::vector<crypto::X25519PublicKey>& suffix,
-                                    crypto::CoverOnionWrapper::Path path, size_t n,
+// The comb kernels the wrapper can run: the portable one on every CPU, the
+// IFMA one where the CPU has it.
+std::vector<crypto::X25519CombKernel> CombKernels() {
+  std::vector<crypto::X25519CombKernel> kernels = {crypto::internal::X25519CombLanesPortable};
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+  if (crypto::internal::CpuHasAvx512Ifma()) {
+    kernels.push_back(crypto::internal::X25519CombLanesIfma);
+  }
+#endif
+  return kernels;
+}
+
+// `n` cover onions for `suffix` by CoverOnionWrapper on every comb kernel,
+// and by OnionWrapPrecompInto (or, where a suffix key does not lift,
+// OnionWrapInto) one at a time under the same seeds: they must be
+// byte-identical.
+void ExpectCoverWrapMatchesOneByOne(const std::vector<crypto::X25519PublicKey>& suffix, size_t n,
                                     uint64_t seed) {
   util::Xoshiro256Rng rng(seed);
   std::vector<crypto::ChaCha20Key> seeds(n);
@@ -941,10 +955,7 @@ void ExpectCoverWrapMatchesOneByOne(const std::vector<crypto::X25519PublicKey>& 
   const size_t payload_size = wire::kExchangeRequestSize;
   const size_t onion_size = crypto::OnionRequestSize(payload_size, suffix.size());
   util::Bytes payloads = rng.RandomBytes(n * payload_size);
-  util::Bytes batched(n * onion_size);
-  crypto::CoverOnionWrapper wrapper(suffix, path);
-  ASSERT_EQ(wrapper.path(), path);
-  wrapper.WrapInto(/*round=*/5, seeds, payloads, batched);
+  const crypto::CoverOnionWrapper wrapper(suffix);
 
   std::vector<crypto::X25519Precomp> tables;
   for (const crypto::X25519PublicKey& pk : suffix) {
@@ -952,20 +963,33 @@ void ExpectCoverWrapMatchesOneByOne(const std::vector<crypto::X25519PublicKey>& 
       tables.push_back(std::move(*table));
     }
   }
+  util::Bytes expected(n * onion_size);
   for (size_t i = 0; i < n; ++i) {
     util::ByteSpan payload = util::ByteSpan(payloads).subspan(i * payload_size, payload_size);
-    util::Bytes one(onion_size);
+    util::MutableByteSpan one = util::MutableByteSpan(expected).subspan(i * onion_size, onion_size);
     crypto::ChaChaRng one_rng(seeds[i]);
     if (tables.size() == suffix.size()) {
       crypto::OnionWrapPrecompInto(tables, 5, payload, one_rng, one);
     } else {
       crypto::OnionWrapInto(suffix, 5, payload, one_rng, one);
     }
-    ASSERT_EQ(util::Bytes(batched.begin() + i * onion_size,
-                          batched.begin() + (i + 1) * onion_size),
-              one)
-        << "onion " << i << " of " << n << ", " << suffix.size() << " layers";
   }
+  for (crypto::X25519CombKernel kernel : CombKernels()) {
+    util::Bytes batched(n * onion_size);
+    wrapper.WrapInto(kernel, /*round=*/5, seeds, payloads, batched);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(util::Bytes(batched.begin() + i * onion_size,
+                            batched.begin() + (i + 1) * onion_size),
+                util::Bytes(expected.begin() + i * onion_size,
+                            expected.begin() + (i + 1) * onion_size))
+          << "onion " << i << " of " << n << ", " << suffix.size() << " layers, "
+          << (kernel == crypto::internal::X25519CombLanesPortable ? "portable" : "IFMA")
+          << " kernel";
+    }
+  }
+  util::Bytes selected(n * onion_size);
+  wrapper.WrapInto(/*round=*/5, seeds, payloads, selected);
+  EXPECT_EQ(selected, expected) << n << " onions, " << suffix.size() << " layers";
 }
 
 std::vector<crypto::X25519PublicKey> HonestSuffix(size_t layers, uint64_t seed) {
@@ -977,25 +1001,22 @@ std::vector<crypto::X25519PublicKey> HonestSuffix(size_t layers, uint64_t seed) 
   return suffix;
 }
 
-// Both paths at counts that leave padded ladders and short runs, for suffix
+// Every kernel at counts that leave padded combs and short runs, for suffix
 // lengths 1 and 2 (a hop 1 and a hop 0 of three) and 3.
-TEST(CoverWrapConformance, LanesAndCombMatchOneByOneWraps) {
+TEST(CoverWrapConformance, EveryCombKernelMatchesOneByOneWraps) {
   for (size_t layers : {1u, 2u, 3u}) {
     const auto suffix = HonestSuffix(layers, 60 + layers);
-    for (size_t n : {0u, 1u, 7u, 9u, 33u, 65u}) {
-      for (auto path : {crypto::CoverOnionWrapper::Path::kLanes,
-                        crypto::CoverOnionWrapper::Path::kComb}) {
-        ExpectCoverWrapMatchesOneByOne(suffix, path, n, 70 + n);
-        if (HasFatalFailure()) {
-          return;
-        }
+    for (size_t n : {0u, 1u, 7u, 9u, 33u, 65u, 129u}) {
+      ExpectCoverWrapMatchesOneByOne(suffix, n, 70 + n);
+      if (HasFatalFailure()) {
+        return;
       }
     }
   }
 }
 
-// A suffix key on the twist has no comb table: the comb path wraps by the
-// ladder and the lane path needs no table; both give the one-by-one bytes.
+// A suffix key on the twist has no comb table: its layer's DHs take the
+// ladder, the other layers the comb, and the bytes are the one-by-one ones.
 TEST(CoverWrapConformance, TwistSuffixKeyMatchesLadderWraps) {
   util::Xoshiro256Rng rng(80);
   crypto::X25519PublicKey twist;
@@ -1004,23 +1025,14 @@ TEST(CoverWrapConformance, TwistSuffixKeyMatchesLadderWraps) {
     twist[31] &= 0x7f;
   } while (crypto::X25519Precomp::Create(twist).has_value());
   const std::vector<crypto::X25519PublicKey> suffix = {HonestSuffix(1, 81)[0], twist};
-  for (auto path :
-       {crypto::CoverOnionWrapper::Path::kLanes, crypto::CoverOnionWrapper::Path::kComb}) {
-    ExpectCoverWrapMatchesOneByOne(suffix, path, 9, 82);
-  }
+  ExpectCoverWrapMatchesOneByOne(suffix, 9, 82);
 }
 
-// The path follows the X25519 kernel: lanes with the IFMA ladder, the comb
-// tables on a one-lane (portable) kernel. A suffix too long for one lane
-// run falls back to the comb.
-TEST(CoverWrapConformance, PathFollowsTheKernel) {
-  const auto expected = crypto::X25519ManyLanes() > 1 ? crypto::CoverOnionWrapper::Path::kLanes
-                                                      : crypto::CoverOnionWrapper::Path::kComb;
-  EXPECT_EQ(crypto::CoverOnionWrapper(HonestSuffix(2, 90)).path(), expected);
-  const auto too_long = HonestSuffix(crypto::CoverOnionWrapper::kLanePairs + 1, 91);
-  EXPECT_EQ(crypto::CoverOnionWrapper(too_long).path(), crypto::CoverOnionWrapper::Path::kComb);
-  EXPECT_THROW(crypto::CoverOnionWrapper(too_long, crypto::CoverOnionWrapper::Path::kLanes),
-               std::invalid_argument);
+// A suffix longer than a run of onions, and the last hop's empty suffix,
+// take the one path too.
+TEST(CoverWrapConformance, LongAndEmptySuffixesMatchOneByOneWraps) {
+  ExpectCoverWrapMatchesOneByOne(HonestSuffix(crypto::CoverOnionWrapper::kRun + 1, 91), 3, 92);
+  ExpectCoverWrapMatchesOneByOne({}, 5, 93);
 }
 
 TEST(CoverWrapConformance, RejectsSizesThatDoNotFit) {

@@ -1,6 +1,7 @@
 // X25519 against RFC 7748 §5.2 scalar-multiplication vectors (including the
-// 1,000-iteration vector) and the §6.1 Diffie-Hellman vector, and the batch
-// kernels behind X25519Many and X25519Lanes against that ladder.
+// 1,000-iteration vector) and the §6.1 Diffie-Hellman vector, the batch
+// kernels behind X25519Many and X25519Lanes against that ladder, and the
+// comb kernels behind X25519CombLanes against X25519Precomp::Mult and it.
 
 #include <gtest/gtest.h>
 
@@ -604,6 +605,92 @@ TEST(X25519Kernels, IfmaMatchesLadderOnEveryBatchLength) {
     GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
   }
   CheckBatchLengths(kernel);
+}
+
+// --- X25519CombLanes: eight scalars per comb over one table ----------------
+
+X25519CombKernel IfmaCombKernel() {
+#ifdef VUVUZELA_X25519_IFMA_KERNEL
+  if (internal::CpuHasAvx512Ifma()) {
+    return internal::X25519CombLanesIfma;
+  }
+#endif
+  return nullptr;
+}
+
+// Comb kernels under test: the dispatcher X25519CombLanes, and the portable
+// kernel directly, so its lane handling is checked on every CPU.
+void CombViaDispatcher(const X25519Precomp& table, const X25519SecretKey* scalars,
+                       X25519SharedSecret* out, size_t n) {
+  X25519CombLanes(table, {scalars, n}, {out, n});
+}
+
+// The tables the comb serves: the base point (keygen) and a suffix key (a
+// layer DH).
+std::vector<X25519Precomp> CombTables() {
+  util::Xoshiro256Rng rng(2517);
+  std::vector<X25519Precomp> tables;
+  tables.push_back(X25519BasePointPrecomp());
+  tables.push_back(*X25519Precomp::Create(X25519KeyPair::Generate(rng).public_key));
+  return tables;
+}
+
+// Every n from 1 to 17 and 64, with LaneScalar's clamped bits by lane, and
+// lanes whose digits reach the recoding's ends: the all-zero and all-ones
+// scalars, and 0x88 bytes, whose digits are all 8 before the carry.
+void CheckCombEveryLength(X25519CombKernel kernel) {
+  util::Xoshiro256Rng rng(2518);
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 17; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(64);
+  for (const X25519Precomp& table : CombTables()) {
+    for (size_t n : lengths) {
+      Scalars scalars(n);
+      for (size_t i = 0; i < n; ++i) {
+        scalars[i] = LaneScalar(rng, i);
+        if (i % 11 == 10) {
+          scalars[i].fill(static_cast<uint8_t>(i % 3 == 0 ? 0x00 : i % 3 == 1 ? 0xff : 0x88));
+        }
+      }
+      Secrets out(n);
+      kernel(table, scalars.data(), out.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(HexEncode(out[i]), HexEncode(table.Mult(scalars[i])))
+            << "length " << n << ", lane " << i;
+        ASSERT_EQ(out[i], X25519(scalars[i], table.point())) << "length " << n << ", lane " << i;
+      }
+    }
+  }
+}
+
+TEST(X25519CombLanes, DispatcherMatchesMultAndLadderOnEveryLength) {
+  CheckCombEveryLength(CombViaDispatcher);
+}
+TEST(X25519CombLanes, PortableMatchesMultAndLadderOnEveryLength) {
+  CheckCombEveryLength(internal::X25519CombLanesPortable);
+}
+TEST(X25519CombLanes, IfmaMatchesMultAndLadderOnEveryLength) {
+  X25519CombKernel kernel = IfmaCombKernel();
+  if (kernel == nullptr) {
+    GTEST_SKIP() << "no AVX-512 IFMA kernel on this build or CPU";
+  }
+  CheckCombEveryLength(kernel);
+}
+TEST(X25519CombLanes, SelectedKernelFollowsCpu) {
+  X25519CombKernel expected = IfmaCombKernel();
+  if (expected == nullptr) {
+    expected = internal::X25519CombLanesPortable;
+  }
+  EXPECT_EQ(internal::SelectedCombKernel(), expected);
+}
+TEST(X25519CombLanes, RejectsMismatchedSpans) {
+  Scalars scalars(3);
+  Secrets short_out(2);
+  EXPECT_THROW(X25519CombLanes(X25519BasePointPrecomp(), scalars, short_out),
+               std::invalid_argument);
+  X25519CombLanes(X25519BasePointPrecomp(), {}, {});  // an empty batch is fine
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -194,9 +195,9 @@ TEST(Tcp, RecvDeadlineToleratesSlowMidFrameProgress) {
 
   Frame frame{FrameType::kDialAck, 3, {7, 7, 7}};
   util::Bytes encoded = EncodeFrame(frame);
-  util::Bytes wire(4);
+  util::Bytes wire(4 + encoded.size());
   util::StoreBe32(wire.data(), static_cast<uint32_t>(encoded.size()));
-  wire.insert(wire.end(), encoded.begin(), encoded.end());
+  std::memcpy(wire.data() + 4, encoded.data(), encoded.size());
 
   std::thread sender([&] {
     ASSERT_EQ(::send(raw, wire.data(), 2, 0), 2);

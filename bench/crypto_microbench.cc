@@ -12,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "src/crypto/aead.h"
+#include "src/crypto/chacha20_internal.h"
 #include "src/crypto/onion.h"
 #include "src/crypto/secret_cache.h"
 #include "src/crypto/sha256.h"
@@ -162,8 +163,10 @@ void BM_Sha256RequestDigest(benchmark::State& state) {
 BENCHMARK(BM_Sha256RequestDigest)->Unit(benchmark::kMillisecond);
 
 // One onion layer's AEAD open in place, 352 plaintext bytes: with the secret
-// cache warm, this is what is left of a layer unwrap.
-void BM_AeadOpenOnion(benchmark::State& state) {
+// cache warm, this is what is left of a layer unwrap. `kernel` is the
+// keystream kernel; BM_AeadOpenOnion runs the process's, and the rows
+// registered in main, BM_AeadOpenOnion/<kernel>, run each kernel this CPU has.
+void AeadOpenOnion(benchmark::State& state, crypto::internal::ChaCha20Kernel kernel) {
   constexpr size_t kLayer = 352;
   util::Xoshiro256Rng rng(9);
   crypto::AeadKey key;
@@ -172,12 +175,50 @@ void BM_AeadOpenOnion(benchmark::State& state) {
   util::Bytes sealed = crypto::AeadSeal(key, nonce, {}, rng.RandomBytes(kLayer));
   util::Bytes plain(kLayer);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::AeadOpenInto(key, nonce, {}, sealed, plain));
+    benchmark::DoNotOptimize(crypto::internal::AeadOpenInto(kernel, key, nonce, {}, sealed, plain));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kLayer));
 }
+
+void BM_AeadOpenOnion(benchmark::State& state) {
+  AeadOpenOnion(state, crypto::internal::SelectedChaCha20Kernel());
+}
 BENCHMARK(BM_AeadOpenOnion);
+
+// A hop's backward pass seals each 256-byte response in place under its
+// onion's layer key (OnionSealResponseInto).
+void BM_AeadSealResponse(benchmark::State& state) {
+  constexpr size_t kResponse = 256;
+  util::Xoshiro256Rng rng(10);
+  crypto::AeadKey key;
+  rng.Fill(key);
+  util::Bytes buffer = rng.RandomBytes(kResponse + crypto::kAeadTagSize);
+  uint64_t round = 0;
+  for (auto _ : state) {
+    crypto::AeadSealInto(key, crypto::NonceFromUint64(round++, 2), {},
+                         util::ByteSpan(buffer.data(), kResponse), buffer);
+    benchmark::DoNotOptimize(buffer.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kResponse));
+}
+BENCHMARK(BM_AeadSealResponse);
+
+// Eight keystream blocks, one kernel call (registered per kernel in main as
+// BM_ChaCha20Keystream/<kernel>).
+void ChaCha20Keystream(benchmark::State& state, crypto::internal::ChaCha20Kernel kernel) {
+  crypto::ChaCha20Key key{};
+  crypto::ChaCha20Nonce nonce{};
+  uint8_t out[crypto::internal::kChaCha20KernelBytes];
+  uint32_t counter = 0;
+  for (auto _ : state) {
+    kernel(key, nonce, counter, crypto::internal::kChaCha20KernelBlocks, out);
+    counter += crypto::internal::kChaCha20KernelBlocks;
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(sizeof(out)));
+}
 
 void BM_OnionWrap3Servers(benchmark::State& state) {
   util::Xoshiro256Rng rng(5);
@@ -432,6 +473,23 @@ void PrintBatchVsScalarSection() {
   double cover_portable_us = cover_wrap_us(crypto::internal::X25519CombLanesPortable);
   double cover_lanes_us = cover_wrap_us(crypto::internal::SelectedCombKernel());
 
+  // One 352-byte onion layer's AEAD open on the portable keystream kernel
+  // and on the process's (8 lanes on AVX2 or AVX-512VL), in nanoseconds.
+  crypto::AeadKey aead_key;
+  rng.Fill(aead_key);
+  const crypto::AeadNonce aead_nonce = crypto::NonceFromUint64(1);
+  const util::Bytes layer = crypto::AeadSeal(aead_key, aead_nonce, {}, rng.RandomBytes(352));
+  util::Bytes layer_plain(352);
+  auto aead_open_ns = [&](crypto::internal::ChaCha20Kernel kernel) {
+    return TimeUs(kFastIters * 10, [&] {
+             benchmark::DoNotOptimize(crypto::internal::AeadOpenInto(
+                 kernel, aead_key, aead_nonce, {}, layer, layer_plain));
+           }) *
+           1e3;
+  };
+  double aead_portable_ns = aead_open_ns(crypto::internal::ChaCha20BlocksPortable);
+  double aead_lanes_ns = aead_open_ns(crypto::internal::SelectedChaCha20Kernel());
+
   std::printf("\n=== TAB-DOMCOST-BATCH: batch primitives vs scalar reference ===\n");
   std::printf("  X25519 mult:  ladder %8.2f us  comb table %8.2f us  (%.2fx)\n", mult_ladder_us,
               mult_precomp_us, mult_ladder_us / mult_precomp_us);
@@ -449,6 +507,8 @@ void PrintBatchVsScalarSection() {
   std::printf("  cover wrap 2: comb %10.2f us  lane comb %4.2f us  (%.2fx, %zu lanes)\n",
               cover_portable_us, cover_lanes_us, cover_portable_us / cover_lanes_us,
               crypto::X25519ManyLanes());
+  std::printf("  AEAD open 352 B: portable %6.0f ns  8-lane %6.0f ns  (%.2fx)\n", aead_portable_ns,
+              aead_lanes_ns, aead_portable_ns / aead_lanes_ns);
 
   bench::EmitJson("tab_domcost_batch",
                   {{"mult_ladder_us", mult_ladder_us},
@@ -470,12 +530,21 @@ void PrintBatchVsScalarSection() {
                    {"lane_comb_speedup", lanes_us / comb_lanes_us},
                    {"cover_wrap_comb_us", cover_portable_us},
                    {"cover_wrap_lane_comb_us", cover_lanes_us},
-                   {"cover_wrap_speedup", cover_portable_us / cover_lanes_us}});
+                   {"cover_wrap_speedup", cover_portable_us / cover_lanes_us},
+                   {"aead_open_portable_ns", aead_portable_ns},
+                   {"aead_open_lanes_ns", aead_lanes_ns},
+                   {"aead_open_speedup", aead_portable_ns / aead_lanes_ns}});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (const auto& [name, kernel] : vuvuzela::crypto::internal::ChaCha20Kernels()) {
+    benchmark::RegisterBenchmark((std::string("BM_ChaCha20Keystream/") + name).c_str(),
+                                 ChaCha20Keystream, kernel);
+    benchmark::RegisterBenchmark((std::string("BM_AeadOpenOnion/") + name).c_str(), AeadOpenOnion,
+                                 kernel);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

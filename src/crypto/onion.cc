@@ -164,7 +164,7 @@ CoverOnionWrapper::CoverOnionWrapper(std::span<const X25519PublicKey> server_pks
   base_table_ = &X25519BasePointPrecomp();
   tables_.reserve(server_pks_.size());
   for (const X25519PublicKey& pk : server_pks_) {
-    tables_.push_back(X25519Precomp::Create(pk));
+    tables_.push_back(X25519Precomp::New(pk));
   }
 }
 

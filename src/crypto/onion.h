@@ -15,6 +15,7 @@
 #ifndef VUVUZELA_SRC_CRYPTO_ONION_H_
 #define VUVUZELA_SRC_CRYPTO_ONION_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -158,8 +159,9 @@ class CoverOnionWrapper {
 
  private:
   std::vector<X25519PublicKey> server_pks_;
-  // Aligned with server_pks_; nullopt where a key does not lift.
-  std::vector<std::optional<X25519Precomp>> tables_;
+  // Aligned with server_pks_, each built in place; null where a key does
+  // not lift.
+  std::vector<std::unique_ptr<X25519Precomp>> tables_;
   // X25519BasePointPrecomp(), or null for an empty suffix.
   const X25519Precomp* base_table_ = nullptr;
 };

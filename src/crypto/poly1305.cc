@@ -1,101 +1,97 @@
 #include "src/crypto/poly1305.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 namespace vuvuzela::crypto {
 
+namespace {
+
+using u128 = unsigned __int128;
+
+constexpr uint64_t kMask44 = (uint64_t{1} << 44) - 1;
+constexpr uint64_t kMask42 = (uint64_t{1} << 42) - 1;
+
+}  // namespace
+
 Poly1305::Poly1305(const Poly1305Key& key) {
-  // Clamp r per RFC 8439 §2.5 and split into five 26-bit limbs
-  // (poly1305-donna-32 layout).
-  const uint8_t* k = key.data();
-  r_[0] = util::LoadLe32(k + 0) & 0x03ffffff;
-  r_[1] = (util::LoadLe32(k + 3) >> 2) & 0x03ffff03;
-  r_[2] = (util::LoadLe32(k + 6) >> 4) & 0x03ffc0ff;
-  r_[3] = (util::LoadLe32(k + 9) >> 6) & 0x03f03fff;
-  r_[4] = (util::LoadLe32(k + 12) >> 8) & 0x000fffff;
-  std::memcpy(pad_, k + 16, 16);
+  // Clamp r per RFC 8439 §2.5 and split it into 44/44/42-bit limbs.
+  const uint64_t t0 = util::LoadLe64(key.data());
+  const uint64_t t1 = util::LoadLe64(key.data() + 8);
+  r_[0] = t0 & 0xffc0fffffffULL;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffffULL;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0fULL;
+  pad_[0] = util::LoadLe64(key.data() + 16);
+  pad_[1] = util::LoadLe64(key.data() + 24);
 }
 
-void Poly1305::ProcessBlock(const uint8_t block[17]) {
-  // Add the 17-byte value (block[16] carries the 2^128 coefficient) to h.
-  uint32_t h0 = h_[0] + (util::LoadLe32(block + 0) & 0x03ffffff);
-  uint32_t h1 = h_[1] + ((util::LoadLe32(block + 3) >> 2) & 0x03ffffff);
-  uint32_t h2 = h_[2] + ((util::LoadLe32(block + 6) >> 4) & 0x03ffffff);
-  uint32_t h3 = h_[3] + ((util::LoadLe32(block + 9) >> 6) & 0x03ffffff);
-  uint32_t h4 = h_[4] + ((util::LoadLe32(block + 12) >> 8) |
-                         (static_cast<uint32_t>(block[16]) << 24));
+void Poly1305::ProcessBlocks(const uint8_t* data, size_t blocks, bool hibit) {
+  const uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // 2^130 = 5 mod p, and the limbs sit at 2^0, 2^44 and 2^88: a product
+  // landing at 2^132 folds back times 4 * 5.
+  const uint64_t s1 = r1 * 20, s2 = r2 * 20;
+  const uint64_t high = hibit ? uint64_t{1} << 40 : 0;  // 2^128 within the top limb
+  uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  for (; blocks > 0; --blocks, data += 16) {
+    const uint64_t t0 = util::LoadLe64(data);
+    const uint64_t t1 = util::LoadLe64(data + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | high;
 
-  // h *= r mod 2^130 - 5.
-  uint64_t s1 = static_cast<uint64_t>(r_[1]) * 5;
-  uint64_t s2 = static_cast<uint64_t>(r_[2]) * 5;
-  uint64_t s3 = static_cast<uint64_t>(r_[3]) * 5;
-  uint64_t s4 = static_cast<uint64_t>(r_[4]) * 5;
-
-  uint64_t d0 = static_cast<uint64_t>(h0) * r_[0] + static_cast<uint64_t>(h1) * s4 +
-                static_cast<uint64_t>(h2) * s3 + static_cast<uint64_t>(h3) * s2 +
-                static_cast<uint64_t>(h4) * s1;
-  uint64_t d1 = static_cast<uint64_t>(h0) * r_[1] + static_cast<uint64_t>(h1) * r_[0] +
-                static_cast<uint64_t>(h2) * s4 + static_cast<uint64_t>(h3) * s3 +
-                static_cast<uint64_t>(h4) * s2;
-  uint64_t d2 = static_cast<uint64_t>(h0) * r_[2] + static_cast<uint64_t>(h1) * r_[1] +
-                static_cast<uint64_t>(h2) * r_[0] + static_cast<uint64_t>(h3) * s4 +
-                static_cast<uint64_t>(h4) * s3;
-  uint64_t d3 = static_cast<uint64_t>(h0) * r_[3] + static_cast<uint64_t>(h1) * r_[2] +
-                static_cast<uint64_t>(h2) * r_[1] + static_cast<uint64_t>(h3) * r_[0] +
-                static_cast<uint64_t>(h4) * s4;
-  uint64_t d4 = static_cast<uint64_t>(h0) * r_[4] + static_cast<uint64_t>(h1) * r_[3] +
-                static_cast<uint64_t>(h2) * r_[2] + static_cast<uint64_t>(h3) * r_[1] +
-                static_cast<uint64_t>(h4) * r_[0];
-
-  uint64_t c = d0 >> 26;
-  h_[0] = static_cast<uint32_t>(d0) & 0x03ffffff;
-  d1 += c;
-  c = d1 >> 26;
-  h_[1] = static_cast<uint32_t>(d1) & 0x03ffffff;
-  d2 += c;
-  c = d2 >> 26;
-  h_[2] = static_cast<uint32_t>(d2) & 0x03ffffff;
-  d3 += c;
-  c = d3 >> 26;
-  h_[3] = static_cast<uint32_t>(d3) & 0x03ffffff;
-  d4 += c;
-  c = d4 >> 26;
-  h_[4] = static_cast<uint32_t>(d4) & 0x03ffffff;
-  h_[0] += static_cast<uint32_t>(c * 5);
-  c = h_[0] >> 26;
-  h_[0] &= 0x03ffffff;
-  h_[1] += static_cast<uint32_t>(c);
+    // h *= r mod 2^130 - 5, partially reduced.
+    const u128 d0 = static_cast<u128>(h0) * r0 + static_cast<u128>(h1) * s2 +
+                    static_cast<u128>(h2) * s1;
+    u128 d1 = static_cast<u128>(h0) * r1 + static_cast<u128>(h1) * r0 +
+              static_cast<u128>(h2) * s2;
+    u128 d2 = static_cast<u128>(h0) * r2 + static_cast<u128>(h1) * r1 +
+              static_cast<u128>(h2) * r0;
+    uint64_t c = static_cast<uint64_t>(d0 >> 44);
+    h0 = static_cast<uint64_t>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<uint64_t>(d1 >> 44);
+    h1 = static_cast<uint64_t>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<uint64_t>(d2 >> 42);
+    h2 = static_cast<uint64_t>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+    h1 += c;
+  }
+  h_[0] = h0;
+  h_[1] = h1;
+  h_[2] = h2;
 }
 
 void Poly1305::Update(util::ByteSpan data) {
   if (finished_) {
     throw std::logic_error("Poly1305: Update after Finish");
   }
-  size_t off = 0;
+  const uint8_t* p = data.data();
+  size_t left = data.size();
+  if (left == 0) {
+    return;
+  }
   if (buffered_ > 0) {
-    size_t take = std::min(data.size(), 16 - buffered_);
-    std::memcpy(buffer_ + buffered_, data.data(), take);
+    const size_t take = std::min(left, 16 - buffered_);
+    std::memcpy(buffer_ + buffered_, p, take);
     buffered_ += take;
-    off += take;
-    if (buffered_ == 16) {
-      uint8_t block[17];
-      std::memcpy(block, buffer_, 16);
-      block[16] = 1;
-      ProcessBlock(block);
-      buffered_ = 0;
+    p += take;
+    left -= take;
+    if (buffered_ < 16) {
+      return;
     }
+    ProcessBlocks(buffer_, 1, /*hibit=*/true);
+    buffered_ = 0;
   }
-  while (off + 16 <= data.size()) {
-    uint8_t block[17];
-    std::memcpy(block, data.data() + off, 16);
-    block[16] = 1;
-    ProcessBlock(block);
-    off += 16;
-  }
-  if (off < data.size()) {
-    std::memcpy(buffer_, data.data() + off, data.size() - off);
-    buffered_ = data.size() - off;
+  ProcessBlocks(p, left / 16, /*hibit=*/true);
+  p += left / 16 * 16;
+  left %= 16;
+  if (left > 0) {
+    std::memcpy(buffer_, p, left);
+    buffered_ = left;
   }
 }
 
@@ -106,79 +102,61 @@ Poly1305Tag Poly1305::Finish() {
   finished_ = true;
 
   if (buffered_ > 0) {
-    uint8_t block[17];
-    std::memset(block, 0, sizeof(block));
-    std::memcpy(block, buffer_, buffered_);
-    block[buffered_] = 1;  // padding bit folded into the value; hibit = 0
-    ProcessBlock(block);
+    // The padding bit is folded into the value; the 2^128 bit stays clear.
+    buffer_[buffered_] = 1;
+    std::memset(buffer_ + buffered_ + 1, 0, 16 - buffered_ - 1);
+    ProcessBlocks(buffer_, 1, /*hibit=*/false);
   }
 
-  // Full carry propagation.
-  uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-  uint32_t c = h1 >> 26;
-  h1 &= 0x03ffffff;
+  // Full carry propagation: twice around, so every limb ends in range.
+  uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  uint64_t c = h1 >> 44;
+  h1 &= kMask44;
   h2 += c;
-  c = h2 >> 26;
-  h2 &= 0x03ffffff;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= 0x03ffffff;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= 0x03ffffff;
+  c = h2 >> 42;
+  h2 &= kMask42;
   h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x03ffffff;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += c;
+  c = h2 >> 42;
+  h2 &= kMask42;
+  h0 += c * 5;
+  c = h0 >> 44;
+  h0 &= kMask44;
   h1 += c;
 
-  // Compute g = h + 5 - 2^130 and select h or g in constant time.
-  uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= 0x03ffffff;
-  uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= 0x03ffffff;
-  uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= 0x03ffffff;
-  uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= 0x03ffffff;
-  uint32_t g4 = h4 + c - (1u << 26);
+  // g = h + 5 - 2^130; keep g where it is not negative (h >= p), with a
+  // mask rather than a branch.
+  uint64_t g0 = h0 + 5;
+  c = g0 >> 44;
+  g0 &= kMask44;
+  uint64_t g1 = h1 + c;
+  c = g1 >> 44;
+  g1 &= kMask44;
+  uint64_t g2 = h2 + c - (uint64_t{1} << 42);
+  const uint64_t mask = (g2 >> 63) - 1;  // all-ones iff g >= 0
+  h0 = (h0 & ~mask) | (g0 & mask);
+  h1 = (h1 & ~mask) | (g1 & mask);
+  h2 = (h2 & ~mask) | (g2 & mask);
 
-  uint32_t mask = (g4 >> 31) - 1;  // all-ones if g >= 2^130 (i.e. h >= p)
-  g0 &= mask;
-  g1 &= mask;
-  g2 &= mask;
-  g3 &= mask;
-  g4 &= mask;
-  uint32_t nmask = ~mask;
-  h0 = (h0 & nmask) | g0;
-  h1 = (h1 & nmask) | g1;
-  h2 = (h2 & nmask) | g2;
-  h3 = (h3 & nmask) | g3;
-  h4 = (h4 & nmask) | g4;
-
-  // h = h mod 2^128, then add pad (s) with carry.
-  uint32_t f0 = h0 | (h1 << 26);
-  uint32_t f1 = (h1 >> 6) | (h2 << 20);
-  uint32_t f2 = (h2 >> 12) | (h3 << 14);
-  uint32_t f3 = (h3 >> 18) | (h4 << 8);
-
-  uint64_t acc = static_cast<uint64_t>(f0) + util::LoadLe32(pad_ + 0);
-  f0 = static_cast<uint32_t>(acc);
-  acc = static_cast<uint64_t>(f1) + util::LoadLe32(pad_ + 4) + (acc >> 32);
-  f1 = static_cast<uint32_t>(acc);
-  acc = static_cast<uint64_t>(f2) + util::LoadLe32(pad_ + 8) + (acc >> 32);
-  f2 = static_cast<uint32_t>(acc);
-  acc = static_cast<uint64_t>(f3) + util::LoadLe32(pad_ + 12) + (acc >> 32);
-  f3 = static_cast<uint32_t>(acc);
+  // h + s mod 2^128.
+  const uint64_t s0 = pad_[0], s1 = pad_[1];
+  h0 += s0 & kMask44;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += (((s0 >> 44) | (s1 << 20)) & kMask44) + c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += ((s1 >> 24) & kMask42) + c;
+  h2 &= kMask42;
 
   Poly1305Tag tag;
-  util::StoreLe32(tag.data() + 0, f0);
-  util::StoreLe32(tag.data() + 4, f1);
-  util::StoreLe32(tag.data() + 8, f2);
-  util::StoreLe32(tag.data() + 12, f3);
+  util::StoreLe64(tag.data(), h0 | (h1 << 44));
+  util::StoreLe64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

@@ -22,7 +22,6 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "src/crypto/x25519_internal.h"
 
@@ -264,65 +263,85 @@ inline uint64_t CtEq(uint8_t a, uint8_t b) {
 
 }  // namespace
 
-std::optional<X25519Precomp> X25519Precomp::Create(const X25519PublicKey& point) {
+bool X25519Precomp::Fill(const X25519PublicKey& point) {
   P3 base;
   if (!LiftMontgomeryU(base, point.data())) {
-    return std::nullopt;
+    return false;
   }
+  point_ = point;
 
-  X25519Precomp pc;
-  pc.point_ = point;
-
-  // All 256 multiples j * 16^(2i) * P in extended coordinates first; affine
-  // conversion happens in one batch inversion afterwards.
-  std::vector<P3> pts(32 * 8);
+  // The 256 multiples j * 16^(2i) * P are built kChunkLevels levels at a
+  // time in extended coordinates, and each chunk goes affine with one batch
+  // inversion (Montgomery's trick), straight into its table rows. A chunk's
+  // points and prefix products take about 6 KB of stack; no temporary holds
+  // the whole table.
+  constexpr int kChunkLevels = 4;
+  constexpr int kChunk = kChunkLevels * 8;
   P3 level_base = base;
-  for (int i = 0; i < 32; ++i) {
-    pts[i * 8] = level_base;
-    Cached cb;
-    ToCached(cb, level_base);
-    for (int j = 1; j < 8; ++j) {
-      P1P1 s;
-      Add(s, pts[i * 8 + j - 1], cb);
-      ToP3(pts[i * 8 + j], s);
-    }
-    if (i + 1 < 32) {
-      // Next level's base is 16^2 * current base: 8 doublings.
-      for (int k = 0; k < 8; ++k) {
+  for (int first = 0; first < 32; first += kChunkLevels) {
+    P3 pts[kChunk];
+    for (int l = 0; l < kChunkLevels; ++l) {
+      P3* row = pts + l * 8;
+      row[0] = level_base;
+      Cached cb;
+      ToCached(cb, level_base);
+      for (int j = 1; j < 8; ++j) {
         P1P1 s;
-        Dbl(s, level_base);
-        ToP3(level_base, s);
+        Add(s, row[j - 1], cb);
+        ToP3(row[j], s);
+      }
+      if (first + l + 1 < 32) {
+        // Next level's base is 16^2 * current base: 8 doublings.
+        for (int k = 0; k < 8; ++k) {
+          P1P1 s;
+          Dbl(s, level_base);
+          ToP3(level_base, s);
+        }
       }
     }
-  }
 
-  // Montgomery's trick: one field inversion for all 256 Z coordinates.
-  const int n = 32 * 8;
-  std::vector<Fe> prefix(n);
-  Fe acc = FeOne();
-  for (int i = 0; i < n; ++i) {
-    prefix[i] = acc;
-    FeMul(acc, acc, pts[i].Z);
+    Fe prefix[kChunk];
+    Fe acc = FeOne();
+    for (int i = 0; i < kChunk; ++i) {
+      prefix[i] = acc;
+      FeMul(acc, acc, pts[i].Z);
+    }
+    Fe inv_all;
+    FeInvert(inv_all, acc);
+    for (int i = kChunk - 1; i >= 0; --i) {
+      Fe zinv;
+      FeMul(zinv, inv_all, prefix[i]);
+      FeMul(inv_all, inv_all, pts[i].Z);
+      Fe x, y, xy;
+      FeMul(x, pts[i].X, zinv);
+      FeMul(y, pts[i].Y, zinv);
+      Niels& e = table_[first + i / 8][i % 8];
+      FeAdd(e.y_plus_x, y, x);
+      FeSub(e.y_minus_x, y, x);
+      FeMul(xy, x, y);
+      FeMul(e.xy2d, xy, Consts().d2);
+      FeCanonical(e.y_plus_x);
+      FeCanonical(e.y_minus_x);
+      FeCanonical(e.xy2d);
+    }
   }
-  Fe inv_all;
-  FeInvert(inv_all, acc);
-  for (int i = n - 1; i >= 0; --i) {
-    Fe zinv;
-    FeMul(zinv, inv_all, prefix[i]);
-    FeMul(inv_all, inv_all, pts[i].Z);
-    Fe x, y, xy;
-    FeMul(x, pts[i].X, zinv);
-    FeMul(y, pts[i].Y, zinv);
-    Niels& e = pc.table_[i / 8][i % 8];
-    FeAdd(e.y_plus_x, y, x);
-    FeSub(e.y_minus_x, y, x);
-    FeMul(xy, x, y);
-    FeMul(e.xy2d, xy, Consts().d2);
-    FeCanonical(e.y_plus_x);
-    FeCanonical(e.y_minus_x);
-    FeCanonical(e.xy2d);
+  return true;
+}
+
+std::unique_ptr<X25519Precomp> X25519Precomp::New(const X25519PublicKey& point) {
+  std::unique_ptr<X25519Precomp> table(new X25519Precomp);
+  if (!table->Fill(point)) {
+    return nullptr;
   }
-  return pc;
+  return table;
+}
+
+std::optional<X25519Precomp> X25519Precomp::Create(const X25519PublicKey& point) {
+  std::unique_ptr<X25519Precomp> table = New(point);
+  if (!table) {
+    return std::nullopt;
+  }
+  return *table;
 }
 
 void X25519Precomp::Select(Niels& t, int level, int8_t digit) const {
@@ -414,12 +433,12 @@ X25519SharedSecret X25519Precomp::Mult(const X25519SecretKey& scalar) const {
 }
 
 const X25519Precomp& X25519BasePointPrecomp() {
+  // Built in its final heap slot. The base point is on the curve by
+  // definition, so New cannot fail here.
   static const X25519Precomp* instance = [] {
     X25519PublicKey base{};
     base[0] = 9;
-    auto pc = X25519Precomp::Create(base);
-    // The base point is on the curve by definition; Create cannot fail here.
-    return new X25519Precomp(*pc);
+    return X25519Precomp::New(base).release();
   }();
   return *instance;
 }

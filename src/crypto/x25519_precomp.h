@@ -58,10 +58,16 @@ void X25519CombLanesIfma(const X25519Precomp& table, const X25519SecretKey* scal
 
 class X25519Precomp {
  public:
-  // Builds the 32x8 comb table for `point` (a Montgomery u-coordinate).
-  // Returns nullopt if the point is not on the curve (it is on the twist or
-  // malformed) — fall back to the ladder. Cost: ~256 point operations + one
-  // field inversion, well under a millisecond.
+  // Builds the 32x8 comb table for `point` (a Montgomery u-coordinate) in
+  // its own heap slot, where it stays: the table (about 30 KB) is filled in
+  // place, with no copy and no heap temporaries. Returns null if the point
+  // is not on the curve (it is on the twist or malformed) — fall back to the
+  // ladder. Cost: ~256 point operations + eight field inversions, well
+  // under a millisecond.
+  static std::unique_ptr<X25519Precomp> New(const X25519PublicKey& point);
+
+  // The same table by value (New, then one copy), for callers that keep
+  // tables in a container of their own. nullopt where New returns null.
   static std::optional<X25519Precomp> Create(const X25519PublicKey& point);
 
   // Computes the shared secret scalar*point, bit-identical to
@@ -86,6 +92,9 @@ class X25519Precomp {
                                             X25519SharedSecret*, size_t);
 
   X25519Precomp() = default;
+
+  // Fills table_ and point_ for `point`; false if it does not lift.
+  bool Fill(const X25519PublicKey& point);
 
   void Select(Niels& out, int level, int8_t digit) const;
 

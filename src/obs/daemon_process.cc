@@ -1,5 +1,8 @@
 #include "src/obs/daemon_process.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <utility>
 
@@ -45,6 +48,15 @@ bool DaemonProcess::Ready(std::string_view status) {
 }
 
 void DaemonProcess::PrintSnapshot() const {
+  struct stat out;
+  if (fstat(STDOUT_FILENO, &out) == 0 && S_ISREG(out.st_mode)) {
+    const std::string jsonl = TraceJournal::Global().DumpJsonl();
+    for (size_t begin = 0, end; begin < jsonl.size(); begin = end + 1) {
+      end = jsonl.find('\n', begin);  // every record ends in one
+      std::printf("%s: trace %.*s\n", binary_.c_str(), static_cast<int>(end - begin),
+                  jsonl.data() + begin);
+    }
+  }
   std::printf("%s: metrics %s\n", binary_.c_str(), Registry::Global().SnapshotJson().c_str());
 }
 

@@ -7,12 +7,14 @@
 // stdout lines launchers parse:
 //
 //   <binary>: <status> (metrics on http://127.0.0.1:P/metrics)   first
+//   <binary>: trace {json}                 one per journal record, at exit
 //   <binary>: metrics {json}                                      last
 //
 // vzbench and the CI smoke read both ports from the first, the ready line.
 // coordd names its endpoint on a line of its own before its ready line
-// (MetricsAnnouncement::kOwnLine). The snapshot line is what smoke runs assert
-// on, since the fleet can finish before any scrape sees the last pass.
+// (MetricsAnnouncement::kOwnLine). The end-of-run lines are what smoke runs
+// assert on and stitch, since the fleet can finish before any scrape sees the
+// last pass and shutdown cascades leave no window to scrape in after it.
 
 #ifndef VUVUZELA_SRC_OBS_DAEMON_PROCESS_H_
 #define VUVUZELA_SRC_OBS_DAEMON_PROCESS_H_
@@ -47,7 +49,12 @@ class DaemonProcess {
   // stderr, if --metrics-port cannot be bound (the daemon exits 1).
   bool Ready(std::string_view status);
 
-  // Prints `<binary>: metrics {json}`, the registry's final snapshot.
+  // Prints the end-of-run lines: where stdout is a regular file, the trace
+  // journal (what /trace serves), a `<binary>: trace {json}` line per
+  // record; then `<binary>: metrics {json}`, the registry's final snapshot.
+  // A launcher that reads stdout through a pipe gets no trace lines: the
+  // journal can run to megabytes, and one that stops reading after the
+  // ready line (vzbench) would block the exiting daemon on a full pipe.
   void PrintSnapshot() const;
 
   // Bound metrics port: 0 before Ready() or without --metrics-port.

@@ -1,4 +1,5 @@
-// Constant-time checks for the fixed-base X25519 kernels, by counting.
+// Constant-time checks for the fixed-base X25519 kernels and the
+// ChaCha20-Poly1305 AEAD, by counting.
 //
 // Each kernel runs a few hundred times per class of secret scalar: all zero,
 // all 0xff, random, and, for the 8-lane kernels, lanes that mix those
@@ -11,11 +12,15 @@
 // secret-dependent memory address; that needs a timing test.
 //
 // Kernels: X25519Precomp::Mult (its digit recoding and Select), the
-// X25519CombLanes kernels (IFMA and portable), and X25519Lanes on IFMA.
+// X25519CombLanes kernels (IFMA and portable), X25519Lanes on IFMA, every
+// ChaCha20 keystream kernel (over its key), Poly1305's final reduction (h
+// below p, and h in [p, 2^130), where the masked select takes h - p), and
+// AeadOpenInto's reject path (over where the tag differs).
 // Power: two test-only stand-in combs that put a known leak back (a Select
 // that stops at the matching entry, and a negation behind a branch on the
 // digit's sign) must fail the same check, while the same stand-in without a
-// leak passes it.
+// leak passes it; so must a stand-in AEAD open whose tag compare stops at
+// the first differing byte.
 //
 // Where the PMU cannot be read (no perf_event_open, or a paranoid setting
 // above 2, or a virtual machine without counters) the tests skip and say so.
@@ -42,7 +47,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/crypto/aead.h"
+#include "src/crypto/chacha20_internal.h"
 #include "src/crypto/fe25519.h"
+#include "src/crypto/poly1305.h"
 #include "src/crypto/x25519.h"
 #include "src/crypto/x25519_internal.h"
 #include "src/crypto/x25519_precomp.h"
@@ -345,6 +353,195 @@ TEST(ConstantTime, IfmaLanesCountsDoNotDependOnTheScalars) {
   EXPECT_EQ(ClassDifferences(*counters, LaneClasses(ladder)), "");
 }
 #endif
+
+// --- The AEAD --------------------------------------------------------------
+
+TEST(ConstantTime, ChaCha20KernelCountsDoNotDependOnTheKey) {
+  std::string why;
+  std::optional<ThreadCounters> counters = OpenCounters(why);
+  if (!counters) {
+    GTEST_SKIP() << why;
+  }
+  util::Xoshiro256Rng rng(4050);
+  const AeadNonce nonce = NonceFromUint64(7);
+  for (const auto& [name, kernel] : internal::ChaCha20Kernels()) {
+    std::vector<ScalarClass> classes;
+    auto add = [&, kernel = kernel](std::string class_name, Kind kind) {
+      // A key is 32 bytes, as a scalar is.
+      auto keys = std::make_shared<std::vector<X25519SecretKey>>(Scalars(kind, rng));
+      auto run = [keys, kernel, nonce](int call) {
+        uint8_t out[internal::kChaCha20KernelBytes];
+        kernel((*keys)[call], nonce, 0, internal::kChaCha20KernelBlocks, out);
+        asm volatile("" : : "r"(out) : "memory");
+      };
+      classes.push_back({std::move(class_name), run});
+    };
+    add("zero key", Kind::kZero);
+    add("0xff key", Kind::kOnes);
+    add("random key", Kind::kRandom);
+    EXPECT_EQ(ClassDifferences(*counters, classes), "") << name;
+  }
+}
+
+// Poly1305 states that only Finish is left to run on: kCalls of them per
+// class, each finished once.
+using Poly1305States = std::vector<Poly1305>;
+
+// r = 1 and a random s; two all-0xff blocks make h = 2 (2^128 - 1) + 2^129
+// = 2^130 - 2, in [p, 2^130), so the final select takes h - p = 3.
+Poly1305States AboveP(util::Rng& rng) {
+  Poly1305States states;
+  const util::Bytes blocks(32, 0xff);
+  for (int call = 0; call < kCalls; ++call) {
+    Poly1305Key key{};
+    key[0] = 1;
+    rng.Fill(util::MutableByteSpan(key.data() + 16, 16));
+    states.emplace_back(key);
+    states.back().Update(blocks);
+  }
+  return states;
+}
+
+// The same r and two random blocks: h lands below p.
+Poly1305States BelowP(util::Rng& rng) {
+  Poly1305States states;
+  for (int call = 0; call < kCalls; ++call) {
+    Poly1305Key key{};
+    key[0] = 1;
+    rng.Fill(util::MutableByteSpan(key.data() + 16, 16));
+    states.emplace_back(key);
+    states.back().Update(rng.RandomBytes(32));
+  }
+  return states;
+}
+
+TEST(ConstantTime, Poly1305FinishCountsDoNotDependOnTheAccumulator) {
+  util::Xoshiro256Rng rng(4051);
+  auto above = std::make_shared<Poly1305States>(AboveP(rng));
+  auto below = std::make_shared<Poly1305States>(BelowP(rng));
+  {
+    // The above-p class really lands there: with s = 0 the tag is h mod p,
+    // 3 for h = 2^130 - 2.
+    Poly1305Key key{};
+    key[0] = 1;
+    Poly1305 zero_pad(key);
+    zero_pad.Update(util::Bytes(32, 0xff));
+    Poly1305Tag three{};
+    three[0] = 3;
+    EXPECT_EQ(zero_pad.Finish(), three);
+  }
+  std::string why;
+  std::optional<ThreadCounters> counters = OpenCounters(why);
+  if (!counters) {
+    GTEST_SKIP() << why;
+  }
+  auto finish = [](std::shared_ptr<Poly1305States> states) {
+    return [states](int call) {
+      Poly1305Tag tag = (*states)[call].Finish();
+      asm volatile("" : : "r"(tag.data()) : "memory");
+    };
+  };
+  std::vector<ScalarClass> classes = {{"h below p", finish(below)},
+                                      {"h in [p, 2^130)", finish(above)}};
+  EXPECT_EQ(ClassDifferences(*counters, classes), "");
+}
+
+// One sealed 352-byte onion layer and three forgeries of it: the tag
+// differs at byte 0, at byte 15, or everywhere.
+struct Forgeries {
+  AeadKey key;
+  AeadNonce nonce;
+  std::vector<util::Bytes> forged;  // by class
+};
+
+Forgeries MakeForgeries() {
+  util::Xoshiro256Rng rng(4052);
+  Forgeries f;
+  rng.Fill(f.key);
+  f.nonce = NonceFromUint64(9);
+  const util::Bytes sealed = AeadSeal(f.key, f.nonce, {}, rng.RandomBytes(352));
+  // The tag bytes [first, last) each class flips.
+  const std::pair<size_t, size_t> kFlipped[] = {{15, 16}, {0, 1}, {0, kAeadTagSize}};
+  for (const auto& [first, last] : kFlipped) {
+    util::Bytes forged = sealed;
+    for (size_t i = first; i < last; ++i) {
+      forged[forged.size() - kAeadTagSize + i] ^= 0x5a;
+    }
+    f.forged.push_back(std::move(forged));
+  }
+  return f;
+}
+
+// The open's classes: byte 15, byte 0, everywhere.
+template <typename Open>
+std::vector<ScalarClass> ForgeryClasses(std::shared_ptr<const Forgeries> f, Open open) {
+  static const char* kNames[] = {"tag differs at byte 15", "tag differs at byte 0",
+                                 "tag differs everywhere"};
+  std::vector<ScalarClass> classes;
+  for (size_t c = 0; c < 3; ++c) {
+    auto run = [f, c, open](int) {
+      uint8_t out[352];
+      const bool ok = open(*f, f->forged[c], out);
+      asm volatile("" : : "r"(out), "r"(ok) : "memory");
+    };
+    classes.push_back({kNames[c], run});
+  }
+  return classes;
+}
+
+TEST(ConstantTime, AeadRejectCountsDoNotDependOnWhereTheTagDiffers) {
+  std::string why;
+  std::optional<ThreadCounters> counters = OpenCounters(why);
+  if (!counters) {
+    GTEST_SKIP() << why;
+  }
+  auto f = std::make_shared<const Forgeries>(MakeForgeries());
+  auto open = [](const Forgeries& g, const util::Bytes& forged, uint8_t* out) {
+    return AeadOpenInto(g.key, g.nonce, {}, forged, util::MutableByteSpan(out, 352));
+  };
+  for (const util::Bytes& forged : f->forged) {
+    uint8_t out[352];
+    ASSERT_FALSE(open(*f, forged, out));
+  }
+  EXPECT_EQ(ClassDifferences(*counters, ForgeryClasses(f, open)), "");
+}
+
+// A stand-in open: the AEAD's tag recomputed from the public pieces
+// (ChaCha20 block 0 and Poly1305, RFC 8439 §2.8), then compared a byte at a
+// time, stopping at the first difference.
+[[gnu::noinline]] bool EarlyExitOpen(const Forgeries& f, const util::Bytes& sealed, uint8_t* out) {
+  const size_t ct_len = sealed.size() - kAeadTagSize;
+  uint8_t block[kChaCha20BlockSize];
+  ChaCha20Block(f.key, f.nonce, 0, block);
+  Poly1305Key mac_key;
+  std::memcpy(mac_key.data(), block, mac_key.size());
+  Poly1305 mac(mac_key);
+  mac.Update(util::ByteSpan(sealed.data(), ct_len));
+  const uint8_t zeros[16] = {};
+  mac.Update(util::ByteSpan(zeros, (16 - ct_len % 16) % 16));
+  uint8_t lengths[16] = {};
+  util::StoreLe64(lengths + 8, ct_len);
+  mac.Update(lengths);
+  const Poly1305Tag expected = mac.Finish();
+  for (size_t i = 0; i < kAeadTagSize; ++i) {
+    if (expected[i] != sealed[ct_len + i]) {
+      return false;
+    }
+  }
+  ChaCha20Xor(f.key, f.nonce, 1, util::ByteSpan(sealed.data(), ct_len),
+              util::MutableByteSpan(out, ct_len));
+  return true;
+}
+
+TEST(ConstantTime, TagCompareThatStopsAtTheFirstDifferenceFails) {
+  std::string why;
+  std::optional<ThreadCounters> counters = OpenCounters(why);
+  if (!counters) {
+    GTEST_SKIP() << why;
+  }
+  auto f = std::make_shared<const Forgeries>(MakeForgeries());
+  EXPECT_NE(ClassDifferences(*counters, ForgeryClasses(f, EarlyExitOpen)), "");
+}
 
 // --- Power: stand-in combs with a leak put back --------------------------
 

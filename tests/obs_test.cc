@@ -545,10 +545,48 @@ TEST(DaemonProcess, PinsEveryDaemonsReadyOutput) {
   EXPECT_EQ(port, 0);
 }
 
-// The last line every daemon prints; the CI smoke parses it with
-// `sed -n 's/^vuvuzela-[a-z]*: metrics //p'`.
+// `prefix` before every line of the global journal's JSONL dump.
+std::string JournalLines(const std::string& prefix) {
+  std::string lines;
+  const std::string jsonl = TraceJournal::Global().DumpJsonl();
+  for (size_t begin = 0, end; begin < jsonl.size(); begin = end + 1) {
+    end = jsonl.find('\n', begin);
+    lines += prefix + jsonl.substr(begin, end - begin + 1);
+  }
+  return lines;
+}
+
+// What PrintSnapshot writes to stdout when stdout is the write end of a
+// pipe.
+std::string PrintSnapshotThroughAPipe(const DaemonProcess& process) {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  std::fflush(stdout);
+  const int saved = ::dup(STDOUT_FILENO);
+  ::dup2(fds[1], STDOUT_FILENO);
+  ::close(fds[1]);
+  process.PrintSnapshot();
+  std::fflush(stdout);
+  ::dup2(saved, STDOUT_FILENO);
+  ::close(saved);
+  std::string printed;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::read(fds[0], buf, sizeof buf)) > 0) {
+    printed.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fds[0]);
+  return printed;
+}
+
+// The end-of-run lines every daemon prints. To a regular file (which is
+// where gtest captures stdout), the trace journal comes first, one
+// `<binary>: trace {json}` line per record, which the CI smoke strips with
+// `sed -n 's/^vuvuzela-[a-z]*: trace //p'` and stitches; the snapshot line
+// is last, parsed with `sed -n 's/^vuvuzela-[a-z]*: metrics //p'`.
 TEST(DaemonProcess, PinsEveryDaemonsSnapshotLine) {
   Registry::Global().GetCounter("vuvuzela_shell_test_total", "shell test")->Add(5);
+  TraceJournal::Global().Emit(7, "shell/test", "detail=\"quoted\"");
   for (const char* binary :
        {"vuvuzela-hopd", "vuvuzela-exchanged", "vuvuzela-distd", "vuvuzela-coordd"}) {
     util::FlagSet flags;
@@ -556,10 +594,29 @@ TEST(DaemonProcess, PinsEveryDaemonsSnapshotLine) {
     testing::internal::CaptureStdout();
     process.PrintSnapshot();
     std::string printed = testing::internal::GetCapturedStdout();
-    EXPECT_EQ(printed,
-              std::string(binary) + ": metrics " + Registry::Global().SnapshotJson() + "\n");
+    const std::string trace = JournalLines(std::string(binary) + ": trace ");
+    EXPECT_NE(trace.find("\"span\":\"shell/test\""), std::string::npos) << trace;
+    EXPECT_EQ(printed, trace + binary + ": metrics " + Registry::Global().SnapshotJson() + "\n");
     EXPECT_NE(printed.find("\"vuvuzela_shell_test_total\":5"), std::string::npos) << printed;
+    // The stripped trace lines are the journal's JSONL, as /trace serves it.
+    std::string stripped;
+    for (size_t begin = 0, end; begin < trace.size(); begin = end + 1) {
+      end = trace.find('\n', begin);
+      stripped += trace.substr(begin, end - begin + 1).substr(std::strlen(binary) + 8);
+    }
+    EXPECT_EQ(stripped, TraceJournal::Global().DumpJsonl());
   }
+}
+
+// Through a pipe only the snapshot line: a launcher that stops reading
+// after the ready line (vzbench) must not block an exiting daemon on a
+// journal of megabytes.
+TEST(DaemonProcess, PrintsNoTraceLinesThroughAPipe) {
+  TraceJournal::Global().Emit(8, "shell/test");
+  util::FlagSet flags;
+  DaemonProcess process("vuvuzela-hopd", flags);
+  EXPECT_EQ(PrintSnapshotThroughAPipe(process),
+            "vuvuzela-hopd: metrics " + Registry::Global().SnapshotJson() + "\n");
 }
 
 TEST(DaemonProcess, RejectsMalformedMetricsPort) {
